@@ -1,6 +1,6 @@
 // Command hmglint runs the repo's static-analysis suite
-// (internal/lint): determinism, eventemit, exhaustive, hotalloc,
-// readonlyhooks, and speccover. It works standalone —
+// (internal/lint): determinism, eventemit, exhaustive, hotalloc, and
+// readonlyhooks. It works standalone —
 //
 //	hmglint ./...
 //	hmglint -analyzers determinism,exhaustive ./internal/gsim

@@ -12,8 +12,10 @@
 //
 // Compare mode fails hard on any drift in simulated cycles or event
 // counts (an optimization changed behavior — the determinism contract
-// is broken) and on allocs/event growth beyond a small noise floor (the
-// zero-alloc hot path regressed). Wall-clock metrics (ns/event,
+// is broken) and on allocs/event growth beyond a small noise floor.
+// The hot path is not zero-alloc — BENCH_2026-08-09.json measures
+// 1.24–1.46 allocs/event across the matrix — so the gate blocks
+// allocation growth, not non-zero allocation. Wall-clock metrics (ns/event,
 // Mevents/s) are advisory only: hmgperf warns past -wall-threshold but
 // never fails on them, so the gate stays green on slow or noisy CI
 // machines while still recording the trajectory.

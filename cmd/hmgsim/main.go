@@ -49,6 +49,11 @@ func main() {
 		fatal(err)
 	}
 	cfg := r.Config(kind, experiments.Variant{})
+	// Validate before generating: trace generation trusts the topology,
+	// and an absurd -topo must fail here, not panic or spin in Generate.
+	if err := cfg.Validate(); err != nil {
+		fatal(err)
+	}
 
 	var tr *hmg.Trace
 	switch {

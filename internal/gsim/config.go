@@ -116,23 +116,6 @@ func (c Config) Validate() error {
 	if err := c.Topo.Validate(); err != nil {
 		return err
 	}
-	if err := c.L1.Validate(); err != nil {
-		return fmt.Errorf("L1: %w", err)
-	}
-	if err := c.L2Slice.Validate(); err != nil {
-		return fmt.Errorf("L2: %w", err)
-	}
-	if c.Policy.Hardware {
-		if err := c.Dir.Validate(); err != nil {
-			return fmt.Errorf("directory: %w", err)
-		}
-	}
-	if c.L1.LineSize != c.Topo.LineSize || c.L2Slice.LineSize != c.Topo.LineSize {
-		return fmt.Errorf("gsim: cache line sizes must match topology line size %d", c.Topo.LineSize)
-	}
-	if c.MaxWarpInflight <= 0 || c.MaxSMInflight <= 0 {
-		return fmt.Errorf("gsim: inflight limits must be positive")
-	}
 	// Sharer-id-space validation is protocol-aware: flat hardware
 	// protocols name sharers by global GPM id, so the whole machine must
 	// fit one id space; hierarchical ones name GPU-local module indices
@@ -150,6 +133,23 @@ func (c Config) Validate() error {
 			return fmt.Errorf("gsim: %v tracks global GPM ids: topology %v has %d GPMs, exceeding the %d-id sharer space",
 				c.Policy.Kind, c.Topo, c.Topo.TotalGPMs(), directory.MaxSharerIDs)
 		}
+	}
+	if err := c.L1.Validate(); err != nil {
+		return fmt.Errorf("L1: %w", err)
+	}
+	if err := c.L2Slice.Validate(); err != nil {
+		return fmt.Errorf("L2: %w", err)
+	}
+	if c.Policy.Hardware {
+		if err := c.Dir.Validate(); err != nil {
+			return fmt.Errorf("directory: %w", err)
+		}
+	}
+	if c.L1.LineSize != c.Topo.LineSize || c.L2Slice.LineSize != c.Topo.LineSize {
+		return fmt.Errorf("gsim: cache line sizes must match topology line size %d", c.Topo.LineSize)
+	}
+	if c.MaxWarpInflight <= 0 || c.MaxSMInflight <= 0 {
+		return fmt.Errorf("gsim: inflight limits must be positive")
 	}
 	return nil
 }

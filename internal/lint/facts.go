@@ -1,4 +1,4 @@
-// Cross-package facts. Three fact kinds are computed for every
+// Cross-package facts. Two fact kinds are computed for every
 // in-module package and shared across the import graph: standalone
 // mode keeps them in memory while walking `go list -deps` order;
 // vettool mode serializes them to the facts files go vet threads
@@ -10,9 +10,6 @@
 //   - Fns (hotalloc.go): per-function allocation sites and static
 //     in-module callees. Feeds the hotalloc analyzer's hot-path
 //     reachability walk.
-//   - Arms (speccover.go): per-DirCtrl-method directory-mutation
-//     capabilities. Feeds the speccover analyzer's rule↔arm
-//     cross-check from the spec package.
 //
 // The analysis is a deliberately simple intra-procedural taint pass:
 //
@@ -54,9 +51,6 @@ type FactSet struct {
 	// Fns maps types.Func FullNames to their allocation/call-graph
 	// fact (hotalloc.go).
 	Fns map[string]*FnFact
-	// Arms maps types.Func FullNames of proto.DirCtrl methods to their
-	// directory-mutation capabilities (speccover.go).
-	Arms map[string]ArmFact
 }
 
 // NewFactSet returns an empty, writable fact set.
@@ -64,7 +58,6 @@ func NewFactSet() FactSet {
 	return FactSet{
 		Mutates: map[string]bool{},
 		Fns:     map[string]*FnFact{},
-		Arms:    map[string]ArmFact{},
 	}
 }
 
@@ -79,9 +72,6 @@ func (fs FactSet) merge(src FactSet) {
 	for k, v := range src.Fns {
 		fs.Fns[k] = v
 	}
-	for k, v := range src.Arms {
-		fs.Arms[k] = v
-	}
 }
 
 // computeFacts derives every fact kind for one package, given the
@@ -91,7 +81,6 @@ func computeFacts(pass *Pass) FactSet {
 	out := NewFactSet()
 	computeMutates(pass, out.Mutates)
 	computeAllocFacts(pass, out.Fns)
-	computeArmFacts(pass, out.Arms)
 	return out
 }
 

@@ -9,7 +9,7 @@
 // become available, each Analyzer converts mechanically: Run already
 // receives a Pass with Fset/Files/Pkg/Info and returns diagnostics.
 //
-// Six analyzers ship (see their files for the bug class each kills):
+// Five analyzers ship (see their files for the bug class each kills):
 //
 //   - determinism (determinism.go): no map-order iteration, wall-clock
 //     reads, unseeded randomness, or goroutine spawns in simulator
@@ -23,17 +23,14 @@
 //   - hotalloc (hotalloc.go): no allocation is reachable from the
 //     steady-state hot path (engine.Run / Handler.Handle), via an
 //     interprocedural may-allocate fact.
-//   - speccover (speccover.go): every guarded internal/proto/spec rule
-//     maps to a capable DirCtrl arm and every state-mutating arm is
-//     justified by some rule.
 //
 // Findings are suppressed site-by-site with a directive comment:
 //
 //	//lint:allow <analyzer> <reason>
 //
-// placed on the flagged line or the line above it; for hotalloc and
-// speccover a directive on (or directly above) a function declaration
-// covers the whole body. The reason is mandatory; a bare allow is
+// placed on the flagged line or the line above it; for hotalloc a
+// directive on (or directly above) a function declaration covers the
+// whole body. The reason is mandatory; a bare allow is
 // itself a diagnostic, and so is an allow that no longer suppresses
 // anything.
 package lint
@@ -71,8 +68,8 @@ type Pass struct {
 	Facts FactSet
 
 	// Directive state, shared between fact computation and analyzer
-	// runs so a directive consumed at fact time (hotalloc/speccover
-	// body-level allows) still counts as used. Lazily built by
+	// runs so a directive consumed at fact time (hotalloc body-level
+	// allows) still counts as used. Lazily built by
 	// directives().
 	dirs     []allowDirective
 	dirDiags []Diagnostic
@@ -139,7 +136,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerExhaustive,
 		AnalyzerHotAlloc,
 		AnalyzerReadonlyHooks,
-		AnalyzerSpecCover,
 	}
 }
 

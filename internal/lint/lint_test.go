@@ -161,14 +161,6 @@ func TestHotAllocFixture(t *testing.T) {
 	checkWants(t, diags, root)
 }
 
-// TestSpecCoverFixture exercises both directions of the spec↔arm
-// cross-check: the dead rule is reported in the spec package, the
-// silent Rogue arm in the proto package.
-func TestSpecCoverFixture(t *testing.T) {
-	diags, root := loadFixture(t, "speccover", "speccover")
-	checkWants(t, diags, root)
-}
-
 // TestDirectiveValidation: malformed directives are findings and do
 // not suppress; a well-formed directive does. (Assertions are explicit
 // because a want comment cannot share a line with the directive under

@@ -1,35 +1,18 @@
-// Package spec is the machine-readable encoding of paper Table I: the
-// NHCC/HMG directory transition table expressed as declarative guarded
-// rules — state × event × requester/sharer guard → {next state,
-// sharer-set update, emitted invalidations} — instead of prose above
-// the implementation.
-//
-// Three consumers sit on top of the encoding:
-//
-//   - Model (model.go): a pure spec-driven shadow directory that
-//     applies the table to region → sharer-set state.
-//   - Enumerate (enum.go): a small-model exhaustive enumerator that
-//     walks every reachable directory state of a 2-GPU × 2-GPM
-//     configuration and certifies the paper's structural claims: only
-//     V and I are ever reachable (zero transient states), nothing is
-//     tracked without a Valid entry, every V→I transition invalidates
-//     the full sharer set, and an HMG system-home invalidation of a
-//     GPU sharer forwards to that GPU's GPM sharers.
-//   - Diff (diff.go): a spec↔implementation differ that drives
-//     proto.DirCtrl and the spec side by side over the same generated
-//     event sequence and reports every transition where next state,
-//     sharer sets, invalidation targets, or intended-traffic counters
-//     disagree.
-//
-// RenderMarkdown (render.go) renders the table for DESIGN.md, so the
-// documented Table I cannot drift from the executable one.
-package spec
+// The machine-readable encoding of paper Table I: the NHCC/HMG
+// directory transition table expressed as declarative guarded rules —
+// state × event × requester/sharer guard → {next state, sharer-set
+// update, emitted invalidations}. A Table compiles into a Machine whose
+// Step is the one transition function: DirCtrl executes it on every
+// directory event, and internal/proto/spec enumerates it exhaustively
+// to certify the paper's structural claims, so the certified table is
+// the code that runs.
+
+package proto
 
 import (
 	"fmt"
 
 	"hmg/internal/directory"
-	"hmg/internal/proto"
 )
 
 // State is a directory entry's stable state. Table I has exactly two;
@@ -42,6 +25,8 @@ const (
 	StateI State = iota
 	// StateV is Valid: entry present, sharer set tracked.
 	StateV
+
+	numStates = 2
 )
 
 var stateNames = [...]string{StateI: "I", StateV: "V"}
@@ -96,7 +81,7 @@ func (k EventKind) hasRequester() bool { return k == RemoteLd || k == RemoteSt }
 // RemoteLd and RemoteSt.
 type Event struct {
 	Kind EventKind
-	Req  proto.Requester
+	Req  Requester
 }
 
 // String implements fmt.Stringer.
@@ -134,14 +119,16 @@ func (g Guard) String() string {
 	return fmt.Sprintf("Guard(%d)", uint8(g))
 }
 
-func (g Guard) matches(sh directory.Sharers, ev Event) bool {
+// matches reports whether the guard admits sharer set sh and a
+// requester whose sharer bit is req.
+func (g Guard) matches(sh, req directory.Sharers) bool {
 	switch g {
 	case Always:
 		return true
 	case OthersPresent:
-		return !sh.Without(ev.Req.Bit()).IsEmpty()
+		return !sh.Without(req).IsEmpty()
 	default:
-		panic(fmt.Sprintf("spec: unknown guard %d", uint8(g)))
+		panic(fmt.Sprintf("proto: unknown guard %d", uint8(g)))
 	}
 }
 
@@ -160,6 +147,21 @@ const (
 	ClearSharers
 )
 
+var updateText = [...]string{
+	KeepSharers:   "keep sharers",
+	AddRequester:  "add requester",
+	OnlyRequester: "requester only",
+	ClearSharers:  "clear sharers",
+}
+
+// String implements fmt.Stringer.
+func (u SharerUpdate) String() string {
+	if int(u) < len(updateText) {
+		return updateText[u]
+	}
+	return fmt.Sprintf("SharerUpdate(%d)", uint8(u))
+}
+
 // InvRule selects which sharers receive invalidation messages.
 type InvRule uint8
 
@@ -172,6 +174,20 @@ const (
 	// event this is the HMG second-level forward).
 	InvAll
 )
+
+var invText = [...]string{
+	InvNone:   "—",
+	InvOthers: "inv other sharers",
+	InvAll:    "inv full sharer set",
+}
+
+// String implements fmt.Stringer.
+func (i InvRule) String() string {
+	if int(i) < len(invText) {
+		return invText[i]
+	}
+	return fmt.Sprintf("InvRule(%d)", uint8(i))
+}
 
 // Rule is one guarded Table I transition.
 type Rule struct {
@@ -193,21 +209,21 @@ type Table struct {
 	Rules        []Rule
 }
 
-// NHCC returns the flat instantiation: the Table I used by NHCC, where
-// every requester is a GPM named by its global id and the Invalidation
-// column does not exist — invalidations terminate at caches, never at
-// another directory.
-func NHCC() Table {
+// NHCCTable returns the flat instantiation: the Table I used by NHCC,
+// where every requester is a GPM named by its global id and the
+// Invalidation column does not exist — invalidations terminate at
+// caches, never at another directory.
+func NHCCTable() Table {
 	return Table{Name: "NHCC", Hierarchical: false, Rules: commonRules()}
 }
 
-// HMG returns the hierarchical, two-level instantiation: the same rows
-// as NHCC plus the Invalidation column, used unchanged at both home
-// levels. At the system home the sharer space mixes local GPM bits with
-// GPU bits (a whole GPU tracked as one sharer); at a GPU home it is
-// local GPM bits only, and the Invalidation event is how the system
+// HMGTable returns the hierarchical, two-level instantiation: the same
+// rows as NHCC plus the Invalidation column, used unchanged at both
+// home levels. At the system home the sharer space mixes local GPM bits
+// with GPU bits (a whole GPU tracked as one sharer); at a GPU home it
+// is local GPM bits only, and the Invalidation event is how the system
 // home's V→I reaches the GPM sharers hiding behind a GPU bit.
-func HMG() Table {
+func HMGTable() Table {
 	return Table{Name: "HMG", Hierarchical: true, Rules: append(commonRules(),
 		Rule{State: StateI, Event: Invalidation, Guard: Always, Next: StateI, Update: KeepSharers, Inv: InvNone},
 		Rule{State: StateV, Event: Invalidation, Guard: Always, Next: StateI, Update: ClearSharers, Inv: InvAll},
@@ -231,67 +247,6 @@ func commonRules() []Rule {
 	}
 }
 
-// Outcome is the result of applying one event to one entry state.
-type Outcome struct {
-	Next    State
-	Sharers directory.Sharers
-	// Inv is the invalidation fan-out in the canonical proto.TargetsOf
-	// order.
-	Inv []proto.InvTarget
-	// Rule is the guarded row that fired.
-	Rule Rule
-}
-
-// Apply executes the table on one entry: given the current state and
-// sharer set, it returns the Table I outcome for ev. It is pure — the
-// caller owns all state (see Model for a stateful wrapper). Errors mark
-// events the instantiation declares impossible (GPU requesters or
-// Invalidation under a flat table, replacing an absent entry, a sharer
-// set tracked in state I), not protocol transitions.
-func (t Table) Apply(st State, sh directory.Sharers, ev Event) (Outcome, error) {
-	if st == StateI && !sh.IsEmpty() {
-		return Outcome{}, fmt.Errorf("spec[%s]: state I with non-empty sharer set %v", t.Name, sh)
-	}
-	if ev.Kind.hasRequester() && ev.Req.IsGPU && !t.Hierarchical {
-		return Outcome{}, fmt.Errorf("spec[%s]: GPU requester %d under a flat table", t.Name, ev.Req.ID)
-	}
-	if ev.Kind == Invalidation && !t.Hierarchical {
-		return Outcome{}, fmt.Errorf("spec[%s]: Invalidation is an HMG-only transition", t.Name)
-	}
-	if ev.Kind == ReplaceEntry && st == StateI {
-		return Outcome{}, fmt.Errorf("spec[%s]: ReplaceEntry on an absent entry", t.Name)
-	}
-	for _, r := range t.Rules {
-		if r.State != st || r.Event != ev.Kind || !r.Guard.matches(sh, ev) {
-			continue
-		}
-		out := Outcome{Next: r.Next, Rule: r}
-		switch r.Update {
-		case KeepSharers:
-			out.Sharers = sh
-		case AddRequester:
-			out.Sharers = sh.With(ev.Req.Bit())
-		case OnlyRequester:
-			out.Sharers = ev.Req.Bit()
-		case ClearSharers:
-			out.Sharers = directory.Sharers{}
-		default:
-			panic(fmt.Sprintf("spec: unknown sharer update %d", uint8(r.Update)))
-		}
-		switch r.Inv {
-		case InvNone:
-		case InvOthers:
-			out.Inv = proto.TargetsOf(sh.Without(ev.Req.Bit()))
-		case InvAll:
-			out.Inv = proto.TargetsOf(sh)
-		default:
-			panic(fmt.Sprintf("spec: unknown inv rule %d", uint8(r.Inv)))
-		}
-		return out, nil
-	}
-	return Outcome{}, fmt.Errorf("spec[%s]: no rule for state %v event %v", t.Name, st, ev)
-}
-
 // Validate checks the table's structural discipline: every cell the
 // instantiation supports is present and total (ends in an Always
 // guard, no shadowed rules), ReplaceEntry exists only for V,
@@ -300,46 +255,124 @@ func (t Table) Apply(st State, sh directory.Sharers, ev Event) (Outcome, error) 
 // clears the sharer set, and every V→I transition invalidates the full
 // sharer set.
 func (t Table) Validate() error {
-	type cellKey struct {
-		st State
-		ev EventKind
+	_, err := t.Compile()
+	return err
+}
+
+// Machine is a validated Table compiled into a dense [state][event]
+// cell array, each cell holding its guarded rules in match order.
+// V×RemoteSt is the only cell with two rules.
+type Machine struct {
+	Table Table
+	cells [numStates][numEvents][]Rule
+}
+
+// Compile validates t (see Validate) and compiles it for Step.
+func (t Table) Compile() (*Machine, error) {
+	m := &Machine{Table: t}
+	for i, r := range t.Rules {
+		if r.State >= numStates || r.Event >= numEvents {
+			return nil, fmt.Errorf("proto: table %s: rule %d names unknown cell %v×%v", t.Name, i, r.State, r.Event)
+		}
+		m.cells[r.State][r.Event] = append(m.cells[r.State][r.Event], r)
 	}
-	cells := map[cellKey][]Rule{}
-	for _, r := range t.Rules {
-		cells[cellKey{r.State, r.Event}] = append(cells[cellKey{r.State, r.Event}], r)
-	}
-	for _, st := range []State{StateI, StateV} {
+	for st := State(0); st < numStates; st++ {
 		for ev := EventKind(0); ev < numEvents; ev++ {
-			rules := cells[cellKey{st, ev}]
-			want := true
-			switch {
-			case ev == ReplaceEntry && st == StateI:
-				want = false
-			case ev == Invalidation && !t.Hierarchical:
-				want = false
-			}
+			rules := m.cells[st][ev]
+			want := !(ev == ReplaceEntry && st == StateI) && !(ev == Invalidation && !t.Hierarchical)
 			if !want {
 				if len(rules) > 0 {
-					return fmt.Errorf("spec[%s]: cell %v×%v must not exist", t.Name, st, ev)
+					return nil, fmt.Errorf("proto: table %s: cell %v×%v must not exist", t.Name, st, ev)
 				}
 				continue
 			}
 			if len(rules) == 0 {
-				return fmt.Errorf("spec[%s]: missing cell %v×%v", t.Name, st, ev)
+				return nil, fmt.Errorf("proto: table %s: missing cell %v×%v", t.Name, st, ev)
 			}
 			for i, r := range rules {
 				last := i == len(rules)-1
 				if last != (r.Guard == Always) {
-					return fmt.Errorf("spec[%s]: cell %v×%v rule %d: exactly the last rule must carry the Always guard", t.Name, st, ev, i)
+					return nil, fmt.Errorf("proto: table %s: cell %v×%v rule %d: exactly the last rule must carry the Always guard", t.Name, st, ev, i)
 				}
 				if r.Next == StateI && r.Update != ClearSharers && !(r.State == StateI && r.Update == KeepSharers) {
-					return fmt.Errorf("spec[%s]: rule %v×%v→I must clear the sharer set", t.Name, st, ev)
+					return nil, fmt.Errorf("proto: table %s: rule %v×%v→I must clear the sharer set", t.Name, st, ev)
 				}
 				if r.State == StateV && r.Next == StateI && r.Inv != InvAll {
-					return fmt.Errorf("spec[%s]: V→I rule for %v must invalidate the full sharer set", t.Name, ev)
+					return nil, fmt.Errorf("proto: table %s: V→I rule for %v must invalidate the full sharer set", t.Name, ev)
 				}
 			}
 		}
 	}
-	return nil
+	return m, nil
+}
+
+// Outcome is the effect of one Step on one directory entry.
+type Outcome struct {
+	// Rule is the guarded row that fired; Rule.Next is the entry's
+	// next state.
+	Rule Rule
+	// Sharers is the entry's sharer set after the step.
+	Sharers directory.Sharers
+	// Inv is the set the rule invalidates: the protocol-intended
+	// traffic the Fig. 9/10 counters record.
+	Inv directory.Sharers
+	// Sent is the part of Inv actually emitted: all of it, or nothing
+	// when the step's Mutation suppresses the cell's emission.
+	Sent directory.Sharers
+}
+
+// suppressedBy names, per event column, the Mutation bit that
+// suppresses the column's invalidation emission.
+var suppressedBy = [numEvents]Mutation{
+	LocalSt:      MutDropStoreInv,
+	RemoteSt:     MutDropStoreInv,
+	ReplaceEntry: MutDropEvictInv,
+	Invalidation: MutDropInvForward,
+}
+
+// Step is the Table I transition function: given an entry's state and
+// sharer set, it fires the first matching rule of the (state, event)
+// cell. It is pure and, for inline sharer sets, allocation-free. It
+// panics on an event the table declares impossible — a missing cell
+// (Invalidation under a flat table, replacing an absent entry), a GPU
+// requester under a flat table, or a sharer set tracked in state I.
+func (m *Machine) Step(st State, sh directory.Sharers, ev Event, mu Mutation) Outcome {
+	if st == StateI && !sh.IsEmpty() {
+		panic(fmt.Sprintf("proto: table %s: state I with non-empty sharer set %v", m.Table.Name, sh))
+	}
+	if ev.Kind.hasRequester() && ev.Req.IsGPU && !m.Table.Hierarchical {
+		panic(fmt.Sprintf("proto: table %s: GPU requester %d under a flat table", m.Table.Name, ev.Req.ID))
+	}
+	req := ev.Req.Bit()
+	for _, r := range m.cells[st][ev.Kind] {
+		if !r.Guard.matches(sh, req) {
+			continue
+		}
+		out := Outcome{Rule: r}
+		switch r.Update {
+		case KeepSharers:
+			out.Sharers = sh
+		case AddRequester:
+			out.Sharers = sh.With(req)
+		case OnlyRequester:
+			out.Sharers = req
+		case ClearSharers:
+		default:
+			panic(fmt.Sprintf("proto: unknown sharer update %d", uint8(r.Update)))
+		}
+		switch r.Inv {
+		case InvNone:
+		case InvOthers:
+			out.Inv = sh.Without(req)
+		case InvAll:
+			out.Inv = sh
+		default:
+			panic(fmt.Sprintf("proto: unknown inv rule %d", uint8(r.Inv)))
+		}
+		if !mu.Has(suppressedBy[ev.Kind]) {
+			out.Sent = out.Inv
+		}
+		return out
+	}
+	panic(fmt.Sprintf("proto: table %s: no rule for state %v event %v", m.Table.Name, st, ev))
 }

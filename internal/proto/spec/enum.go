@@ -1,6 +1,15 @@
-// The small-model exhaustive enumerator: breadth-first closure over
-// every reachable directory state of a 2-GPU × 2-GPM configuration,
-// with the paper's invariants asserted on every transition.
+// Package spec certifies the machine-readable Table I (proto.Table)
+// and renders it for DESIGN.md.
+//
+// Enumerate is a small-model exhaustive enumerator: a breadth-first
+// closure over every reachable directory state of a 2-GPU × 2-GPM
+// configuration, driving proto.Machine.Step — the transition function
+// proto.DirCtrl executes — and asserting the paper's invariants on
+// every transition: only V and I are ever reachable (zero transient
+// states), nothing is tracked without a Valid entry, every V→I
+// transition invalidates the full sharer set, and an HMG system-home
+// invalidation of a GPU sharer forwards to that GPU's GPM sharers.
+// Under a proto.Mutation the same walk must find the injected bug.
 //
 // Flat model (NHCC): one home directory (GPM 0 of a 4-GPM system),
 // one tracked region, requesters GPM 1..3.
@@ -13,7 +22,9 @@
 // both levels, stores write through both levels, and any system-home
 // V→I whose fan-out names GPU 1 delivers the Invalidation event to
 // GPU 1's home, which must forward to its GPM sharers.
-
+//
+// RenderMarkdown (render.go) renders the table for DESIGN.md, so the
+// documented Table I cannot drift from the executed one.
 package spec
 
 import (
@@ -54,18 +65,21 @@ func (r Report) Err() error {
 }
 
 // Enumerate exhaustively walks the table's small model — flat for a
-// non-hierarchical table, two-level for a hierarchical one — and
-// returns the reachability report. The error return covers misuse of
-// the table itself (a missing rule, an inadmissible event), which
-// means the table is broken rather than merely wrong.
-func Enumerate(t Table) (Report, error) {
-	if err := t.Validate(); err != nil {
+// non-hierarchical table, two-level for a hierarchical one — stepping
+// every transition through the compiled table with mutation mu, and
+// returns the reachability report. The error return covers a table
+// that fails validation, which means the table is broken rather than
+// merely wrong.
+func Enumerate(t proto.Table, mu proto.Mutation) (Report, error) {
+	m, err := t.Compile()
+	if err != nil {
 		return Report{Table: t.Name}, err
 	}
+	ck := &checker{m: m, mu: mu}
 	if t.Hierarchical {
-		return enumerateHier(t)
+		return ck.enumerateHier(), nil
 	}
-	return enumerateFlat(t)
+	return ck.enumerateFlat(), nil
 }
 
 // nodeState is one directory's view of the single modeled region.
@@ -74,11 +88,11 @@ type nodeState struct {
 	Sharers directory.Sharers
 }
 
-func (n nodeState) spec() (State, directory.Sharers) {
+func (n nodeState) spec() (proto.State, directory.Sharers) {
 	if n.Valid {
-		return StateV, n.Sharers
+		return proto.StateV, n.Sharers
 	}
-	return StateI, directory.Sharers{}
+	return proto.StateI, directory.Sharers{}
 }
 
 func (n nodeState) String() string {
@@ -88,8 +102,11 @@ func (n nodeState) String() string {
 	return "V" + n.Sharers.String()
 }
 
-// checker accumulates violations with shared per-transition context.
+// checker steps events through one compiled table and accumulates
+// violations with shared per-transition context.
 type checker struct {
+	m          *proto.Machine
+	mu         proto.Mutation
 	violations []Violation
 }
 
@@ -101,39 +118,40 @@ func (c *checker) fail(state, event fmt.Stringer, invariant, format string, args
 }
 
 // checkOutcome asserts the per-transition invariants shared by both
-// models: only V/I reachable, I tracks nothing, and every V→I emits
-// invalidations covering the entire prior sharer set.
-func (c *checker) checkOutcome(state fmt.Stringer, ev Event, prior nodeState, out Outcome) {
-	switch out.Next {
-	case StateI, StateV:
+// models against the invalidations actually sent: only V/I reachable,
+// I tracks nothing, every V→I invalidates the entire prior sharer set,
+// and every sharer a transition stops tracking is invalidated.
+func (c *checker) checkOutcome(state fmt.Stringer, ev proto.Event, prior nodeState, out proto.Outcome) {
+	switch out.Rule.Next {
+	case proto.StateI, proto.StateV:
 	default:
-		c.fail(state, ev, "stable-states", "transition reached non-stable state %v", out.Next)
+		c.fail(state, ev, "stable-states", "transition reached non-stable state %v", out.Rule.Next)
 	}
-	if out.Next == StateI && !out.Sharers.IsEmpty() {
+	if out.Rule.Next == proto.StateI && !out.Sharers.IsEmpty() {
 		c.fail(state, ev, "no-orphan-sharers", "state I tracks %v", out.Sharers)
 	}
 	priorState, priorSharers := prior.spec()
-	if priorState == StateV && out.Next == StateI {
-		if !targetsEqual(out.Inv, proto.TargetsOf(priorSharers)) {
+	if priorState == proto.StateV && out.Rule.Next == proto.StateI {
+		if !out.Sent.Equal(priorSharers) {
 			c.fail(state, ev, "full-set-invalidation",
-				"V→I invalidated %s, sharer set was %v", targetString(out.Inv), priorSharers)
+				"V→I invalidated %v, sharer set was %v", out.Sent, priorSharers)
 		}
+	} else if dropped := priorSharers.Without(out.Sharers); !out.Sent.Has(dropped) {
+		c.fail(state, ev, "untracked-copy",
+			"stopped tracking %v but invalidated only %v", dropped, out.Sent)
 	}
-	if priorState == StateI && len(out.Inv) > 0 {
-		c.fail(state, ev, "no-phantom-invalidations", "state I emitted %s", targetString(out.Inv))
+	if priorState == proto.StateI && !out.Sent.IsEmpty() {
+		c.fail(state, ev, "no-phantom-invalidations", "state I emitted %v", out.Sent)
 	}
 }
 
 // apply runs one event on a node through the table, records invariant
 // checks, and returns the successor node state.
-func (c *checker) apply(t Table, state fmt.Stringer, n nodeState, ev Event) (nodeState, Outcome, error) {
+func (c *checker) apply(state fmt.Stringer, n nodeState, ev proto.Event) (nodeState, proto.Outcome) {
 	st, sh := n.spec()
-	out, err := t.Apply(st, sh, ev)
-	if err != nil {
-		return nodeState{}, Outcome{}, err
-	}
+	out := c.m.Step(st, sh, ev, c.mu)
 	c.checkOutcome(state, ev, n, out)
-	return nodeState{Valid: out.Next == StateV, Sharers: out.Sharers}, out, nil
+	return nodeState{Valid: out.Rule.Next == proto.StateV, Sharers: out.Sharers}, out
 }
 
 // ---------------------------------------------------------------------
@@ -146,20 +164,19 @@ func (s flatState) String() string { return "home=" + s.Home.String() }
 
 // flatEvents are every event the 4-GPM flat small model can deliver to
 // the home directory, in fixed exploration order.
-func flatEvents() []Event {
-	evs := []Event{{Kind: LocalLd}, {Kind: LocalSt}, {Kind: ReplaceEntry}}
+func flatEvents() []proto.Event {
+	evs := []proto.Event{{Kind: proto.LocalLd}, {Kind: proto.LocalSt}, {Kind: proto.ReplaceEntry}}
 	for id := 1; id <= 3; id++ {
 		evs = append(evs,
-			Event{Kind: RemoteLd, Req: proto.GPMRequester(id)},
-			Event{Kind: RemoteSt, Req: proto.GPMRequester(id)},
+			proto.Event{Kind: proto.RemoteLd, Req: proto.GPMRequester(id)},
+			proto.Event{Kind: proto.RemoteSt, Req: proto.GPMRequester(id)},
 		)
 	}
 	return evs
 }
 
-func enumerateFlat(t Table) (Report, error) {
-	rep := Report{Table: t.Name}
-	ck := &checker{}
+func (ck *checker) enumerateFlat() Report {
+	rep := Report{Table: ck.m.Table.Name}
 	start := flatState{}
 	seen := map[flatState]bool{start: true}
 	queue := []flatState{start}
@@ -170,13 +187,10 @@ func enumerateFlat(t Table) (Report, error) {
 		queue = queue[1:]
 		var succs []flatState
 		for _, ev := range events {
-			if ev.Kind == ReplaceEntry && !cur.Home.Valid {
+			if ev.Kind == proto.ReplaceEntry && !cur.Home.Valid {
 				continue // nothing to replace
 			}
-			next, _, err := ck.apply(t, cur, cur.Home, ev)
-			if err != nil {
-				return rep, err
-			}
+			next, _ := ck.apply(cur, cur.Home, ev)
 			rep.Transitions++
 			succs = append(succs, flatState{Home: next})
 		}
@@ -200,7 +214,7 @@ func enumerateFlat(t Table) (Report, error) {
 	}
 	rep.States = len(seen)
 	rep.Violations = ck.violations
-	return rep, nil
+	return rep
 }
 
 // ---------------------------------------------------------------------
@@ -222,130 +236,95 @@ func (s hierState) String() string {
 // gpu1Bit is GPU 1's sharer bit at the system home.
 func gpu1Bit() directory.Sharers { return proto.GPURequester(1).Bit() }
 
-func enumerateHier(t Table) (Report, error) {
-	rep := Report{Table: t.Name}
-	ck := &checker{}
+func (ck *checker) enumerateHier() Report {
+	rep := Report{Table: ck.m.Table.Name}
 
 	// sysTransition applies one event at the system home and, when the
-	// fan-out names GPU 1, delivers the Invalidation event to GPU 1's
-	// home — the coupled HMG transition the paper adds over NHCC.
-	sysTransition := func(cur hierState, ev Event) (hierState, error) {
+	// sent fan-out names GPU 1, delivers the Invalidation event to
+	// GPU 1's home — the coupled HMG transition the paper adds over
+	// NHCC.
+	sysTransition := func(cur hierState, ev proto.Event) hierState {
 		next := cur
-		sys, out, err := ck.apply(t, cur, cur.Sys, ev)
-		if err != nil {
-			return cur, err
-		}
+		sys, out := ck.apply(cur, cur.Sys, ev)
 		next.Sys = sys
-		invalidatesGPU1 := false
-		for _, tg := range out.Inv {
-			if tg.IsGPU && tg.ID == 1 {
-				invalidatesGPU1 = true
-			}
-		}
-		if invalidatesGPU1 {
-			priorGPU1 := cur.GPU1
-			gpu1, fwd, err := ck.apply(t, cur, cur.GPU1, Event{Kind: Invalidation})
-			if err != nil {
-				return cur, err
-			}
+		if out.Sent.Has(gpu1Bit()) {
+			gpu1, fwd := ck.apply(cur, cur.GPU1, proto.Event{Kind: proto.Invalidation})
 			// The HMG-only column: the GPU home must forward the system
 			// home's invalidation to every GPM sharer it tracks and
 			// transition to I.
-			if priorGPU1.Valid {
-				if !targetsEqual(fwd.Inv, proto.TargetsOf(priorGPU1.Sharers)) {
-					ck.fail(cur, ev, "hmg-inv-forward",
-						"system-home invalidation forwarded to %s, GPU-home sharers were %v",
-						targetString(fwd.Inv), priorGPU1.Sharers)
-				}
+			if cur.GPU1.Valid && !fwd.Sent.Equal(cur.GPU1.Sharers) {
+				ck.fail(cur, ev, "hmg-inv-forward",
+					"system-home invalidation forwarded to %v, GPU-home sharers were %v",
+					fwd.Sent, cur.GPU1.Sharers)
 			}
-			if fwd.Next != StateI {
-				ck.fail(cur, ev, "hmg-inv-forward", "GPU home kept state %v after system-home invalidation", fwd.Next)
+			if fwd.Rule.Next != proto.StateI {
+				ck.fail(cur, ev, "hmg-inv-forward", "GPU home kept state %v after system-home invalidation", fwd.Rule.Next)
 			}
 			next.GPU1 = gpu1
 		}
-		return next, nil
+		return next
 	}
 
 	localGPM1 := proto.GPMRequester(1)
 	gpuReq := proto.GPURequester(1)
 
 	type eventFn struct {
-		name    string
 		enabled func(hierState) bool
-		step    func(hierState) (hierState, error)
+		step    func(hierState) hierState
 	}
 	always := func(hierState) bool { return true }
+	sysEvent := func(ev proto.Event) eventFn {
+		return eventFn{always, func(s hierState) hierState { return sysTransition(s, ev) }}
+	}
 	events := []eventFn{
-		{"sysLocalLd", always, func(s hierState) (hierState, error) {
-			return sysTransition(s, Event{Kind: LocalLd})
-		}},
-		{"sysLocalSt", always, func(s hierState) (hierState, error) {
-			return sysTransition(s, Event{Kind: LocalSt})
-		}},
-		{"sysRemoteLd(M1)", always, func(s hierState) (hierState, error) {
-			return sysTransition(s, Event{Kind: RemoteLd, Req: localGPM1})
-		}},
-		{"sysRemoteSt(M1)", always, func(s hierState) (hierState, error) {
-			return sysTransition(s, Event{Kind: RemoteSt, Req: localGPM1})
-		}},
-		{"sysReplace", func(s hierState) bool { return s.Sys.Valid }, func(s hierState) (hierState, error) {
-			return sysTransition(s, Event{Kind: ReplaceEntry})
+		sysEvent(proto.Event{Kind: proto.LocalLd}),
+		sysEvent(proto.Event{Kind: proto.LocalSt}),
+		sysEvent(proto.Event{Kind: proto.RemoteLd, Req: localGPM1}),
+		sysEvent(proto.Event{Kind: proto.RemoteSt, Req: localGPM1}),
+		{func(s hierState) bool { return s.Sys.Valid }, func(s hierState) hierState {
+			return sysTransition(s, proto.Event{Kind: proto.ReplaceEntry})
 		}},
 		// GPU 1 module 1 load missing the GPU home's L2: registers at
 		// the GPU home (as local GPM 1) and at the system home (as
 		// GPU 1).
-		{"gpu1LdMiss(m1)", always, func(s hierState) (hierState, error) {
-			gpu1, _, err := ck.apply(t, s, s.GPU1, Event{Kind: RemoteLd, Req: localGPM1})
-			if err != nil {
-				return s, err
-			}
-			s.GPU1 = gpu1
-			return sysTransition(s, Event{Kind: RemoteLd, Req: gpuReq})
+		{always, func(s hierState) hierState {
+			s.GPU1, _ = ck.apply(s, s.GPU1, proto.Event{Kind: proto.RemoteLd, Req: localGPM1})
+			return sysTransition(s, proto.Event{Kind: proto.RemoteLd, Req: gpuReq})
 		}},
 		// The same load hitting the GPU home's L2: the system home
 		// learns nothing. Only possible while the system home still
 		// tracks GPU 1 (its copy would have been invalidated otherwise).
-		{"gpu1LdHit(m1)", func(s hierState) bool {
+		{func(s hierState) bool {
 			return s.Sys.Valid && s.Sys.Sharers.Has(gpu1Bit())
-		}, func(s hierState) (hierState, error) {
-			gpu1, _, err := ck.apply(t, s, s.GPU1, Event{Kind: RemoteLd, Req: localGPM1})
-			s.GPU1 = gpu1
-			return s, err
+		}, func(s hierState) hierState {
+			s.GPU1, _ = ck.apply(s, s.GPU1, proto.Event{Kind: proto.RemoteLd, Req: localGPM1})
+			return s
 		}},
 		// GPU 1 module 1 store: write-through at the GPU home, then at
 		// the system home as GPU 1.
-		{"gpu1St(m1)", always, func(s hierState) (hierState, error) {
-			gpu1, _, err := ck.apply(t, s, s.GPU1, Event{Kind: RemoteSt, Req: localGPM1})
-			if err != nil {
-				return s, err
-			}
-			s.GPU1 = gpu1
-			return sysTransition(s, Event{Kind: RemoteSt, Req: gpuReq})
+		{always, func(s hierState) hierState {
+			s.GPU1, _ = ck.apply(s, s.GPU1, proto.Event{Kind: proto.RemoteSt, Req: localGPM1})
+			return sysTransition(s, proto.Event{Kind: proto.RemoteSt, Req: gpuReq})
 		}},
 		// GPU 1's home module stores: local at its own directory, remote
 		// (as GPU 1) at the system home.
-		{"gpu1StHome", always, func(s hierState) (hierState, error) {
-			gpu1, _, err := ck.apply(t, s, s.GPU1, Event{Kind: LocalSt})
-			if err != nil {
-				return s, err
-			}
-			s.GPU1 = gpu1
-			return sysTransition(s, Event{Kind: RemoteSt, Req: gpuReq})
+		{always, func(s hierState) hierState {
+			s.GPU1, _ = ck.apply(s, s.GPU1, proto.Event{Kind: proto.LocalSt})
+			return sysTransition(s, proto.Event{Kind: proto.RemoteSt, Req: gpuReq})
 		}},
-		{"gpu1Replace", func(s hierState) bool { return s.GPU1.Valid }, func(s hierState) (hierState, error) {
-			gpu1, _, err := ck.apply(t, s, s.GPU1, Event{Kind: ReplaceEntry})
-			s.GPU1 = gpu1
-			return s, err
+		{func(s hierState) bool { return s.GPU1.Valid }, func(s hierState) hierState {
+			s.GPU1, _ = ck.apply(s, s.GPU1, proto.Event{Kind: proto.ReplaceEntry})
+			return s
 		}},
 		// Downgrades (outside Table I): the system home drops its local
 		// module, the GPU home drops its module.
-		{"sysDrop(M1)", func(s hierState) bool { return s.Sys.Valid }, func(s hierState) (hierState, error) {
+		{func(s hierState) bool { return s.Sys.Valid }, func(s hierState) hierState {
 			s.Sys.Sharers = s.Sys.Sharers.Without(localGPM1.Bit())
-			return s, nil
+			return s
 		}},
-		{"gpu1Drop(m1)", func(s hierState) bool { return s.GPU1.Valid }, func(s hierState) (hierState, error) {
+		{func(s hierState) bool { return s.GPU1.Valid }, func(s hierState) hierState {
 			s.GPU1.Sharers = s.GPU1.Sharers.Without(localGPM1.Bit())
-			return s, nil
+			return s
 		}},
 	}
 
@@ -371,10 +350,7 @@ func enumerateHier(t Table) (Report, error) {
 			if !ev.enabled(cur) {
 				continue
 			}
-			next, err := ev.step(cur)
-			if err != nil {
-				return rep, fmt.Errorf("event %s: %w", ev.name, err)
-			}
+			next := ev.step(cur)
 			rep.Transitions++
 			if !seen[next] {
 				seen[next] = true
@@ -384,38 +360,5 @@ func enumerateHier(t Table) (Report, error) {
 	}
 	rep.States = len(seen)
 	rep.Violations = ck.violations
-	return rep, nil
-}
-
-// ---------------------------------------------------------------------
-// Shared helpers
-// ---------------------------------------------------------------------
-
-// targetsEqual compares two canonical-order target lists.
-func targetsEqual(a, b []proto.InvTarget) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// targetString formats a target list like directory.Sharers.String.
-func targetString(ts []proto.InvTarget) string {
-	out := "["
-	for i, t := range ts {
-		if i > 0 {
-			out += " "
-		}
-		if t.IsGPU {
-			out += fmt.Sprintf("GPU%d", t.ID)
-		} else {
-			out += fmt.Sprintf("GPM%d", t.ID)
-		}
-	}
-	return out + "]"
+	return rep
 }

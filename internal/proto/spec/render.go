@@ -1,52 +1,26 @@
 // Rendering the executable table back into documentation, so the
 // states × events table in DESIGN.md is generated from the same rules
-// the enumerator and differ execute and cannot drift from them.
+// DirCtrl executes and the enumerator certifies, and cannot drift from
+// them.
 
 package spec
 
 import (
 	"fmt"
 	"strings"
+
+	"hmg/internal/proto"
 )
-
-var updateText = [...]string{
-	KeepSharers:   "keep sharers",
-	AddRequester:  "add requester",
-	OnlyRequester: "requester only",
-	ClearSharers:  "clear sharers",
-}
-
-var invText = [...]string{
-	InvNone:   "—",
-	InvOthers: "inv other sharers",
-	InvAll:    "inv full sharer set",
-}
-
-// String implements fmt.Stringer.
-func (u SharerUpdate) String() string {
-	if int(u) < len(updateText) {
-		return updateText[u]
-	}
-	return fmt.Sprintf("SharerUpdate(%d)", uint8(u))
-}
-
-// String implements fmt.Stringer.
-func (i InvRule) String() string {
-	if int(i) < len(invText) {
-		return invText[i]
-	}
-	return fmt.Sprintf("InvRule(%d)", uint8(i))
-}
 
 // RenderMarkdown renders one table instantiation as a GitHub markdown
 // table, one row per guarded rule in rule order.
-func RenderMarkdown(t Table) string {
+func RenderMarkdown(t proto.Table) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "| State | Event | Guard | Next | Sharer set | Invalidations |\n")
 	fmt.Fprintf(&b, "|---|---|---|---|---|---|\n")
 	for _, r := range t.Rules {
 		guard := "always"
-		if r.Guard != Always {
+		if r.Guard != proto.Always {
 			guard = r.Guard.String()
 		}
 		fmt.Fprintf(&b, "| %v | %v | %s | %v | %s | %s |\n",
@@ -62,7 +36,7 @@ func RenderMarkdown(t Table) string {
 // output (regenerate with `go run ./cmd/hmgspec -render`).
 func RenderDoc() string {
 	var b strings.Builder
-	nhcc, hmg := NHCC(), HMG()
+	nhcc, hmg := proto.NHCCTable(), proto.HMGTable()
 	fmt.Fprintf(&b, "**%s (flat).** Requesters are GPMs named by global id; invalidations\n", nhcc.Name)
 	fmt.Fprintf(&b, "terminate at caches, never at another directory.\n\n")
 	b.WriteString(RenderMarkdown(nhcc))

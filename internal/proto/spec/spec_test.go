@@ -10,7 +10,7 @@ import (
 )
 
 func TestValidate(t *testing.T) {
-	for _, tab := range []Table{NHCC(), HMG()} {
+	for _, tab := range []proto.Table{proto.NHCCTable(), proto.HMGTable()} {
 		if err := tab.Validate(); err != nil {
 			t.Errorf("%s: %v", tab.Name, err)
 		}
@@ -18,8 +18,8 @@ func TestValidate(t *testing.T) {
 }
 
 func TestValidateRejectsBrokenTables(t *testing.T) {
-	drop := func(tab Table, st State, ev EventKind) Table {
-		var keep []Rule
+	drop := func(tab proto.Table, st proto.State, ev proto.EventKind) proto.Table {
+		var keep []proto.Rule
 		for _, r := range tab.Rules {
 			if r.State != st || r.Event != ev {
 				keep = append(keep, r)
@@ -28,31 +28,38 @@ func TestValidateRejectsBrokenTables(t *testing.T) {
 		tab.Rules = keep
 		return tab
 	}
-	replace := func(tab Table, st State, ev EventKind, rules ...Rule) Table {
+	replace := func(tab proto.Table, st proto.State, ev proto.EventKind, rules ...proto.Rule) proto.Table {
 		tab = drop(tab, st, ev)
 		tab.Rules = append(tab.Rules, rules...)
 		return tab
 	}
+	const (
+		I, V = proto.StateI, proto.StateV
+	)
 	cases := []struct {
 		name string
-		tab  Table
+		tab  proto.Table
 		want string
 	}{
-		{"missing cell", drop(NHCC(), StateV, RemoteSt), "missing cell"},
-		{"flat table with Invalidation", Table{Name: "bad", Hierarchical: false, Rules: HMG().Rules}, "must not exist"},
-		{"ReplaceEntry on I", replace(NHCC(), StateI, LocalLd,
-			Rule{State: StateI, Event: LocalLd, Guard: Always, Next: StateI},
-			Rule{State: StateI, Event: ReplaceEntry, Guard: Always, Next: StateI}), "must not exist"},
-		{"non-Always last rule", replace(NHCC(), StateV, RemoteSt,
-			Rule{State: StateV, Event: RemoteSt, Guard: Always, Next: StateV, Update: OnlyRequester},
-			Rule{State: StateV, Event: RemoteSt, Guard: OthersPresent, Next: StateV, Update: OnlyRequester, Inv: InvOthers}),
+		{"missing cell", drop(proto.NHCCTable(), V, proto.RemoteSt), "missing cell"},
+		{"flat table with Invalidation", proto.Table{Name: "bad", Hierarchical: false, Rules: proto.HMGTable().Rules}, "must not exist"},
+		{"ReplaceEntry on I", replace(proto.NHCCTable(), I, proto.LocalLd,
+			proto.Rule{State: I, Event: proto.LocalLd, Guard: proto.Always, Next: I},
+			proto.Rule{State: I, Event: proto.ReplaceEntry, Guard: proto.Always, Next: I}), "must not exist"},
+		{"non-Always last rule", replace(proto.NHCCTable(), V, proto.RemoteSt,
+			proto.Rule{State: V, Event: proto.RemoteSt, Guard: proto.Always, Next: V, Update: proto.OnlyRequester},
+			proto.Rule{State: V, Event: proto.RemoteSt, Guard: proto.OthersPresent, Next: V, Update: proto.OnlyRequester, Inv: proto.InvOthers}),
 			"Always guard"},
-		{"V→I keeping sharers", replace(NHCC(), StateV, LocalSt,
-			Rule{State: StateV, Event: LocalSt, Guard: Always, Next: StateI, Update: KeepSharers, Inv: InvAll}),
+		{"V→I keeping sharers", replace(proto.NHCCTable(), V, proto.LocalSt,
+			proto.Rule{State: V, Event: proto.LocalSt, Guard: proto.Always, Next: I, Update: proto.KeepSharers, Inv: proto.InvAll}),
 			"clear the sharer set"},
-		{"V→I without full invalidation", replace(NHCC(), StateV, ReplaceEntry,
-			Rule{State: StateV, Event: ReplaceEntry, Guard: Always, Next: StateI, Update: ClearSharers, Inv: InvOthers}),
+		{"V→I without full invalidation", replace(proto.NHCCTable(), V, proto.ReplaceEntry,
+			proto.Rule{State: V, Event: proto.ReplaceEntry, Guard: proto.Always, Next: I, Update: proto.ClearSharers, Inv: proto.InvOthers}),
 			"full sharer set"},
+		{"unknown event", replace(proto.NHCCTable(), V, proto.LocalLd,
+			proto.Rule{State: V, Event: proto.LocalLd, Guard: proto.Always, Next: V},
+			proto.Rule{State: V, Event: proto.Invalidation + 1, Guard: proto.Always, Next: V}),
+			"unknown cell"},
 	}
 	for _, c := range cases {
 		err := c.tab.Validate()
@@ -62,95 +69,91 @@ func TestValidateRejectsBrokenTables(t *testing.T) {
 	}
 }
 
+func compile(t *testing.T, tab proto.Table) *proto.Machine {
+	t.Helper()
+	m, err := tab.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestApplyTransitions(t *testing.T) {
-	tab := HMG()
+	m := compile(t, proto.HMGTable())
 	m1, m2 := proto.GPMRequester(1), proto.GPMRequester(2)
 	g1 := proto.GPURequester(1)
+	step := func(st proto.State, sh directory.Sharers, ev proto.Event) proto.Outcome {
+		return m.Step(st, sh, ev, 0)
+	}
 
 	// I + RemoteLd → V{requester}, no invalidations.
-	out, err := tab.Apply(StateI, directory.Sharers{}, Event{Kind: RemoteLd, Req: m1})
-	if err != nil || out.Next != StateV || out.Sharers != m1.Bit() || len(out.Inv) != 0 {
-		t.Fatalf("I+RemoteLd: %+v, %v", out, err)
+	out := step(proto.StateI, directory.Sharers{}, proto.Event{Kind: proto.RemoteLd, Req: m1})
+	if out.Rule.Next != proto.StateV || out.Sharers != m1.Bit() || !out.Sent.IsEmpty() {
+		t.Fatalf("I+RemoteLd: %+v", out)
 	}
 	// V + RemoteLd accumulates sharers.
-	out, err = tab.Apply(StateV, m1.Bit(), Event{Kind: RemoteLd, Req: g1})
-	if err != nil || out.Next != StateV || out.Sharers != m1.Bit().With(g1.Bit()) {
-		t.Fatalf("V+RemoteLd: %+v, %v", out, err)
+	out = step(proto.StateV, m1.Bit(), proto.Event{Kind: proto.RemoteLd, Req: g1})
+	if out.Rule.Next != proto.StateV || out.Sharers != m1.Bit().With(g1.Bit()) {
+		t.Fatalf("V+RemoteLd: %+v", out)
 	}
 	// V + RemoteSt with other sharers: invalidate others, requester-only.
 	sh := m1.Bit().With(m2.Bit()).With(g1.Bit())
-	out, err = tab.Apply(StateV, sh, Event{Kind: RemoteSt, Req: m1})
-	if err != nil || out.Next != StateV || out.Sharers != m1.Bit() {
-		t.Fatalf("V+RemoteSt: %+v, %v", out, err)
+	out = step(proto.StateV, sh, proto.Event{Kind: proto.RemoteSt, Req: m1})
+	if out.Rule.Next != proto.StateV || out.Sharers != m1.Bit() {
+		t.Fatalf("V+RemoteSt: %+v", out)
 	}
-	if !targetsEqual(out.Inv, proto.TargetsOf(m2.Bit().With(g1.Bit()))) {
-		t.Fatalf("V+RemoteSt inv = %s", targetString(out.Inv))
+	if !out.Sent.Equal(m2.Bit().With(g1.Bit())) {
+		t.Fatalf("V+RemoteSt inv = %v", out.Sent)
 	}
 	// V + RemoteSt as sole sharer: no invalidations (the Always arm).
-	out, _ = tab.Apply(StateV, m1.Bit(), Event{Kind: RemoteSt, Req: m1})
-	if len(out.Inv) != 0 || out.Rule.Guard != Always {
+	out = step(proto.StateV, m1.Bit(), proto.Event{Kind: proto.RemoteSt, Req: m1})
+	if !out.Sent.IsEmpty() || out.Rule.Guard != proto.Always {
 		t.Fatalf("sole-sharer store fired %+v", out.Rule)
 	}
 	// V + LocalSt → I invalidating the full set.
-	out, err = tab.Apply(StateV, sh, Event{Kind: LocalSt})
-	if err != nil || out.Next != StateI || !out.Sharers.IsEmpty() || !targetsEqual(out.Inv, proto.TargetsOf(sh)) {
-		t.Fatalf("V+LocalSt: %+v, %v", out, err)
+	out = step(proto.StateV, sh, proto.Event{Kind: proto.LocalSt})
+	if out.Rule.Next != proto.StateI || !out.Sharers.IsEmpty() || !out.Sent.Equal(sh) {
+		t.Fatalf("V+LocalSt: %+v", out)
 	}
 	// V + Invalidation → I forwarding to the full set (HMG column).
-	out, err = tab.Apply(StateV, m1.Bit(), Event{Kind: Invalidation})
-	if err != nil || out.Next != StateI || !targetsEqual(out.Inv, proto.TargetsOf(m1.Bit())) {
-		t.Fatalf("V+Invalidation: %+v, %v", out, err)
+	out = step(proto.StateV, m1.Bit(), proto.Event{Kind: proto.Invalidation})
+	if out.Rule.Next != proto.StateI || !out.Sent.Equal(m1.Bit()) {
+		t.Fatalf("V+Invalidation: %+v", out)
+	}
+	// A mutation suppresses only the emission of the cells it names;
+	// the intended fan-out is still reported.
+	out = m.Step(proto.StateV, sh, proto.Event{Kind: proto.LocalSt}, proto.MutDropStoreInv)
+	if !out.Sent.IsEmpty() || !out.Inv.Equal(sh) || out.Rule.Next != proto.StateI {
+		t.Fatalf("mutated V+LocalSt: %+v", out)
+	}
+	out = m.Step(proto.StateV, sh, proto.Event{Kind: proto.LocalSt}, proto.MutDropEvictInv|proto.MutDropInvForward)
+	if !out.Sent.Equal(sh) {
+		t.Fatalf("V+LocalSt suppressed by a mutation naming other cells: %+v", out)
 	}
 }
 
 func TestApplyRejectsInadmissibleEvents(t *testing.T) {
-	flat := NHCC()
+	flat := compile(t, proto.NHCCTable())
 	cases := []struct {
 		name string
-		st   State
+		st   proto.State
 		sh   directory.Sharers
-		ev   Event
+		ev   proto.Event
 	}{
-		{"GPU requester under flat table", StateI, directory.Sharers{}, Event{Kind: RemoteLd, Req: proto.GPURequester(1)}},
-		{"Invalidation under flat table", StateV, proto.GPMRequester(1).Bit(), Event{Kind: Invalidation}},
-		{"ReplaceEntry on absent entry", StateI, directory.Sharers{}, Event{Kind: ReplaceEntry}},
-		{"sharers in state I", StateI, proto.GPMRequester(1).Bit(), Event{Kind: LocalLd}},
+		{"GPU requester under flat table", proto.StateI, directory.Sharers{}, proto.Event{Kind: proto.RemoteLd, Req: proto.GPURequester(1)}},
+		{"Invalidation under flat table", proto.StateV, proto.GPMRequester(1).Bit(), proto.Event{Kind: proto.Invalidation}},
+		{"ReplaceEntry on absent entry", proto.StateI, directory.Sharers{}, proto.Event{Kind: proto.ReplaceEntry}},
+		{"sharers in state I", proto.StateI, proto.GPMRequester(1).Bit(), proto.Event{Kind: proto.LocalLd}},
 	}
 	for _, c := range cases {
-		if _, err := flat.Apply(c.st, c.sh, c.ev); err == nil {
-			t.Errorf("%s: no error", c.name)
-		}
-	}
-}
-
-func TestModel(t *testing.T) {
-	m := NewModel(HMG())
-	m1 := proto.GPMRequester(1)
-	if _, err := m.Apply(7, Event{Kind: RemoteLd, Req: m1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Apply(3, Event{Kind: RemoteLd, Req: proto.GPURequester(2)}); err != nil {
-		t.Fatal(err)
-	}
-	if st, sh := m.State(7); st != StateV || sh != m1.Bit() {
-		t.Fatalf("State(7) = %v %v", st, sh)
-	}
-	snap := m.Snapshot()
-	if len(snap) != 2 || snap[0].Region != 3 || snap[1].Region != 7 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	// DropSharer empties the set but keeps the entry Valid, mirroring
-	// DirCtrl.DropSharer.
-	m.DropSharer(7, Event{Req: m1})
-	if st, sh := m.State(7); st != StateV || !sh.IsEmpty() {
-		t.Fatalf("post-drop State(7) = %v %v", st, sh)
-	}
-	// V→I removes the entry.
-	if _, err := m.Apply(7, Event{Kind: LocalSt}); err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := m.State(7); st != StateI || m.Len() != 1 {
-		t.Fatalf("post-LocalSt: state %v, len %d", st, m.Len())
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", c.name)
+				}
+			}()
+			flat.Step(c.st, c.sh, c.ev, 0)
+		}()
 	}
 }
 
@@ -162,14 +165,14 @@ func TestModel(t *testing.T) {
 // system-home invalidation forwarded to the GPU home's GPM sharers.
 func TestEnumerate(t *testing.T) {
 	cases := []struct {
-		tab                 Table
+		tab                 proto.Table
 		states, transitions int
 	}{
-		{NHCC(), 9, 104},
-		{HMG(), 9, 93},
+		{proto.NHCCTable(), 9, 104},
+		{proto.HMGTable(), 9, 93},
 	}
 	for _, c := range cases {
-		rep, err := Enumerate(c.tab)
+		rep, err := Enumerate(c.tab, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", c.tab.Name, err)
 		}
@@ -183,24 +186,72 @@ func TestEnumerate(t *testing.T) {
 	}
 }
 
+// TestEnumerateMutationTeeth: every deliberate Mutation bit must break
+// a named invariant when the enumerator steps the table under it.
+// MutDropInvForward only bites under the hierarchical table — the flat
+// model never delivers an Invalidation event, which is pinned too.
+func TestEnumerateMutationTeeth(t *testing.T) {
+	cases := []struct {
+		tab       proto.Table
+		mu        proto.Mutation
+		invariant string // "" = no violation expected
+	}{
+		{proto.NHCCTable(), proto.MutDropStoreInv, "full-set-invalidation"},
+		{proto.NHCCTable(), proto.MutDropInvForward, ""},
+		{proto.NHCCTable(), proto.MutDropEvictInv, "full-set-invalidation"},
+		{proto.HMGTable(), proto.MutDropStoreInv, "hierarchical-inclusion"},
+		{proto.HMGTable(), proto.MutDropInvForward, "hmg-inv-forward"},
+		{proto.HMGTable(), proto.MutDropEvictInv, "full-set-invalidation"},
+	}
+	for _, c := range cases {
+		rep, err := Enumerate(c.tab, c.mu)
+		if err != nil {
+			t.Fatalf("%s mut=%d: %v", c.tab.Name, c.mu, err)
+		}
+		found := map[string]bool{}
+		for _, v := range rep.Violations {
+			found[v.Invariant] = true
+		}
+		if c.invariant == "" {
+			if len(rep.Violations) != 0 {
+				t.Errorf("%s mut=%d: unexpected violations %v", c.tab.Name, c.mu, rep.Violations[0])
+			}
+			continue
+		}
+		if !found[c.invariant] {
+			t.Errorf("%s mut=%d: violations %v missing %s", c.tab.Name, c.mu, found, c.invariant)
+		}
+	}
+	// MutDropStoreInv also suppresses the remote-store cell, whose V→V
+	// transition is caught by the untracked-copy invariant.
+	rep, _ := Enumerate(proto.NHCCTable(), proto.MutDropStoreInv)
+	found := false
+	for _, v := range rep.Violations {
+		found = found || (v.Invariant == "untracked-copy" && strings.HasPrefix(v.Event, "RemoteSt"))
+	}
+	if !found {
+		t.Errorf("NHCC MutDropStoreInv: no untracked-copy violation on a remote store: %v", rep.Violations)
+	}
+}
+
 // TestEnumerateCatchesProtocolBug proves the enumerator has teeth: an
 // HMG table whose GPU home ignores system-home invalidations (keeps its
 // entry Valid) passes structural validation but breaks hmg-inv-forward
-// and hierarchical inclusion under enumeration — exactly the coherence
-// hole MutDropInvForward opens in the implementation.
+// and hierarchical inclusion under enumeration — the same coherence
+// hole MutDropInvForward opens by suppressing the forward.
 func TestEnumerateCatchesProtocolBug(t *testing.T) {
-	bad := HMG()
+	bad := proto.HMGTable()
 	bad.Name = "HMG-ignore-inv"
 	for i, r := range bad.Rules {
-		if r.State == StateV && r.Event == Invalidation {
-			bad.Rules[i] = Rule{State: StateV, Event: Invalidation, Guard: Always,
-				Next: StateV, Update: KeepSharers, Inv: InvNone}
+		if r.State == proto.StateV && r.Event == proto.Invalidation {
+			bad.Rules[i] = proto.Rule{State: proto.StateV, Event: proto.Invalidation, Guard: proto.Always,
+				Next: proto.StateV, Update: proto.KeepSharers, Inv: proto.InvNone}
 		}
 	}
 	if err := bad.Validate(); err != nil {
 		t.Fatalf("broken table must still validate structurally: %v", err)
 	}
-	rep, err := Enumerate(bad)
+	rep, err := Enumerate(bad, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,82 +270,8 @@ func TestEnumerateCatchesProtocolBug(t *testing.T) {
 	}
 }
 
-// TestDiffTrunkClean is the acceptance bar: zero divergences between
-// the spec and the unmutated DirCtrl under both instantiations, across
-// several seeds.
-func TestDiffTrunkClean(t *testing.T) {
-	for _, tab := range []Table{NHCC(), HMG()} {
-		for seed := uint64(1); seed <= 5; seed++ {
-			cfg := DefaultDiffConfig(tab)
-			cfg.Seed = seed
-			divs, err := Diff(cfg)
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", tab.Name, seed, err)
-			}
-			for _, d := range divs {
-				t.Errorf("%s seed %d: %v", tab.Name, seed, d)
-			}
-		}
-	}
-}
-
-// TestDiffMutationTeeth: each deliberate Mutation bit must make the
-// differ report divergences. MutDropInvForward only bites under the
-// hierarchical table — the flat sequence never delivers an Invalidation
-// event, which is pinned too (it documents why the differ must run the
-// HMG table for full teeth).
-func TestDiffMutationTeeth(t *testing.T) {
-	cases := []struct {
-		tab     Table
-		mu      proto.Mutation
-		diverge bool
-		field   string
-	}{
-		{NHCC(), proto.MutDropStoreInv, true, "inv-targets"},
-		{NHCC(), proto.MutDropInvForward, false, ""},
-		{NHCC(), proto.MutDropEvictInv, true, "evict-targets"},
-		{HMG(), proto.MutDropStoreInv, true, "inv-targets"},
-		{HMG(), proto.MutDropInvForward, true, "inv-targets"},
-		{HMG(), proto.MutDropEvictInv, true, "evict-targets"},
-	}
-	for _, c := range cases {
-		cfg := DefaultDiffConfig(c.tab)
-		cfg.Mutation = c.mu
-		divs, err := Diff(cfg)
-		if err != nil {
-			t.Fatalf("%s mut=%d: %v", c.tab.Name, c.mu, err)
-		}
-		if !c.diverge {
-			if len(divs) != 0 {
-				t.Errorf("%s mut=%d: unexpected divergences %v", c.tab.Name, c.mu, divs[0])
-			}
-			continue
-		}
-		if len(divs) == 0 {
-			t.Errorf("%s mut=%d: differ has no teeth", c.tab.Name, c.mu)
-			continue
-		}
-		if divs[0].Field != c.field {
-			t.Errorf("%s mut=%d: first divergence %v, want field %s", c.tab.Name, c.mu, divs[0], c.field)
-		}
-	}
-}
-
-func TestDiffRejectsBrokenConfig(t *testing.T) {
-	cfg := DefaultDiffConfig(NHCC())
-	cfg.Dir.Ways = 0
-	if _, err := Diff(cfg); err == nil {
-		t.Fatal("invalid directory config accepted")
-	}
-	bad := NHCC()
-	bad.Rules = bad.Rules[:3]
-	if _, err := Diff(DiffConfig{Table: bad, Dir: directory.Config{Entries: 8, Ways: 2, GranLines: 1}, Ops: 8}); err == nil {
-		t.Fatal("invalid table accepted")
-	}
-}
-
 func TestRenderMarkdown(t *testing.T) {
-	md := RenderMarkdown(HMG())
+	md := RenderMarkdown(proto.HMGTable())
 	for _, want := range []string{
 		"| State | Event | Guard | Next | Sharer set | Invalidations |",
 		"| V | RemoteSt | other sharers present | V | requester only | inv other sharers |",
@@ -304,7 +281,7 @@ func TestRenderMarkdown(t *testing.T) {
 			t.Errorf("rendered table missing %q:\n%s", want, md)
 		}
 	}
-	if strings.Contains(RenderMarkdown(NHCC()), "Invalidation |") {
+	if strings.Contains(RenderMarkdown(proto.NHCCTable()), "Invalidation |") {
 		t.Error("flat table rendered an Invalidation row")
 	}
 }
@@ -327,40 +304,5 @@ func TestDesignDocSync(t *testing.T) {
 	want := "\n" + RenderDoc() + "\n"
 	if embedded != want {
 		t.Errorf("DESIGN.md Table I section is stale; regenerate with `go run ./cmd/hmgspec -render`\n--- embedded ---\n%s\n--- rendered ---\n%s", embedded, want)
-	}
-}
-
-// TestDiffLargeIDRequesters reruns the trunk-clean differ with
-// requester pools whose ids live far past the 32-id inline sharer word,
-// driving both the DirCtrl and the model through the promoted vector
-// and bitmap representations. The spec must still match exactly.
-func TestDiffLargeIDRequesters(t *testing.T) {
-	flatReqs := []proto.Requester{
-		proto.GPMRequester(1), proto.GPMRequester(31), proto.GPMRequester(32),
-		proto.GPMRequester(63), proto.GPMRequester(64), proto.GPMRequester(127),
-	}
-	hierReqs := []proto.Requester{
-		proto.GPMRequester(2), proto.GPMRequester(40),
-		proto.GPURequester(33), proto.GPURequester(100),
-	}
-	for _, tc := range []struct {
-		tab  Table
-		reqs []proto.Requester
-	}{
-		{NHCC(), flatReqs},
-		{HMG(), hierReqs},
-	} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			cfg := DefaultDiffConfig(tc.tab)
-			cfg.Seed = seed
-			cfg.Reqs = tc.reqs
-			divs, err := Diff(cfg)
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", tc.tab.Name, seed, err)
-			}
-			for _, d := range divs {
-				t.Errorf("%s seed %d: %v", tc.tab.Name, seed, d)
-			}
-		}
 	}
 }

@@ -37,9 +37,11 @@ type InvTarget struct {
 	ID    int
 }
 
-// Mutation is a bitset of deliberate Table I transition bugs. The
-// conformance harness (internal/check) enables these to prove its
-// invariant checker and litmus oracle actually detect protocol
+// Mutation is a bitset of deliberate Table I transition bugs. Each bit
+// suppresses the invalidations emitted by the Table I columns it names
+// (Step's suppressedBy); the Fig. 9/10 counters still record the
+// intended traffic. The conformance harness (internal/check) and the
+// spec enumerator enable these to prove they actually detect protocol
 // violations; production configurations always run with zero.
 type Mutation uint8
 
@@ -60,14 +62,10 @@ const (
 func (mu Mutation) Has(m Mutation) bool { return mu&m != 0 }
 
 // DirCtrl wraps a directory with the NHCC/HMG transition table (paper
-// Table I). All methods return the invalidation targets the caller must
-// send; the directory itself never generates traffic.
-//
-// Table I, with s the sender:
-//
-//	State | Local Ld | Local St/Atom        | Remote Ld        | Remote St/Atom                     | Replace Dir Entry   | Invalidation (HMG only)
-//	I     | -        | -                    | add s, →V        | add s, →V                          | n/a                 | →I (nothing tracked)
-//	V     | -        | inv all sharers, →I  | add s to sharers | add s, inv other sharers           | inv all sharers, →I | forward inv to all sharers, →I
+// Table I). Every method runs its event through the compiled rule table
+// (rules.go, rendered in DESIGN.md) and writes the outcome back to the
+// directory; all return the invalidation targets the caller must send,
+// and the directory itself never generates traffic.
 type DirCtrl struct {
 	Dir *directory.Dir
 
@@ -93,9 +91,7 @@ func NewDirCtrl(cfg directory.Config) *DirCtrl {
 
 // TargetsOf expands a sharer set into the canonical invalidation target
 // list: GPM sharers in ascending index order, then GPU sharers in
-// ascending id order. The spec differ (internal/proto/spec) relies on
-// this ordering being the single definition shared with the
-// implementation, so target-list comparisons never trip on ordering.
+// ascending id order. An empty set yields nil.
 //
 //lint:allow hotalloc invalidation fan-out list; sized by the sharer count and gated by the hmgperf allocs/event baseline
 func TargetsOf(s directory.Sharers) []InvTarget {
@@ -105,116 +101,144 @@ func TargetsOf(s directory.Sharers) []InvTarget {
 	return out
 }
 
+// tableI is the compiled rule table every DirCtrl executes: the
+// hierarchical instantiation, whose rows are NHCC's plus the
+// Invalidation column (a flat home never delivers that event or a GPU
+// requester, so NHCC runs the same cells).
+var tableI = func() *Machine {
+	m, err := HMGTable().Compile()
+	if err != nil {
+		panic(err)
+	}
+	return m
+}()
+
 // RemoteLoad records s as a sharer of the region holding line l,
 // allocating the entry (I→V) if needed. The returned eviction targets
 // (with their region) are non-nil when the allocation displaced a valid
 // entry whose sharers must be invalidated.
 func (c *DirCtrl) RemoteLoad(l topo.Line, s Requester) (evictRegion directory.Region, evictTargets []InvTarget) {
-	e, victim := c.Dir.Ensure(c.Dir.RegionOf(l))
-	e.Sharers = e.Sharers.With(s.Bit())
-	return c.evictTargets(victim)
+	r := c.Dir.RegionOf(l)
+	e, st, victim := c.ensure(r)
+	c.exec(r, e, st, Event{Kind: RemoteLd, Req: s})
+	return c.replace(victim)
 }
 
 // RemoteStore records s as a sharer and returns the other sharers to
 // invalidate, plus any eviction fan-out from allocating the entry.
 func (c *DirCtrl) RemoteStore(l topo.Line, s Requester) (inv []InvTarget, evictRegion directory.Region, evictTargets []InvTarget) {
-	c.StoresSeen++
 	r := c.Dir.RegionOf(l)
-	if e, ok := c.Dir.Lookup(r); ok && !e.Sharers.IsEmpty() {
-		// Shared data means someone is actually tracked: an entry whose
-		// sharer set was emptied by DropSharer downgrades represents no
-		// remote copies, so a store to it does not count toward the
-		// Fig. 9 stores-to-shared-data fraction (LocalStore agrees).
-		c.StoresSharedData++
-	}
-	e, victim := c.Dir.Ensure(r)
-	others := e.Sharers.Without(s.Bit())
-	e.Sharers = e.Sharers.With(s.Bit()).Without(others)
-	inv = TargetsOf(others)
-	if len(inv) > 0 {
-		c.StoresWithInvs++
-		c.InvMsgsByStores += uint64(len(inv))
-		c.LinesInvByStores += uint64(len(inv) * c.Dir.Config().GranLines)
-	}
-	if c.Mutate.Has(MutDropStoreInv) {
-		inv = nil
-	}
-	evictRegion, evictTargets = c.evictTargets(victim)
-	return inv, evictRegion, evictTargets
+	c.seeStore(r)
+	e, st, victim := c.ensure(r)
+	out := c.exec(r, e, st, Event{Kind: RemoteSt, Req: s})
+	c.countStoreInvs(out)
+	evictRegion, evictTargets = c.replace(victim)
+	return TargetsOf(out.Sent), evictRegion, evictTargets
 }
 
 // LocalStore handles a store by the home GPM itself: all sharers are
 // invalidated and the entry transitions V→I. Stores that find no entry
 // (state I) do nothing.
 func (c *DirCtrl) LocalStore(l topo.Line) []InvTarget {
-	c.StoresSeen++
 	r := c.Dir.RegionOf(l)
-	e, ok := c.Dir.Lookup(r)
-	if !ok {
-		return nil
-	}
-	if !e.Sharers.IsEmpty() {
-		// Same shared-data semantics as RemoteStore: a downgraded-empty
-		// entry tracks no remote copy.
-		c.StoresSharedData++
-	}
-	inv := TargetsOf(e.Sharers)
-	c.Dir.Drop(r)
-	if len(inv) > 0 {
-		c.StoresWithInvs++
-		c.InvMsgsByStores += uint64(len(inv))
-		c.LinesInvByStores += uint64(len(inv) * c.Dir.Config().GranLines)
-	}
-	if c.Mutate.Has(MutDropStoreInv) {
-		return nil
-	}
-	return inv
+	e, st := c.seeStore(r)
+	out := c.exec(r, e, st, Event{Kind: LocalSt})
+	c.countStoreInvs(out)
+	return TargetsOf(out.Sent)
 }
 
 // Invalidation handles an invalidation arriving from the system home node
 // at a GPU home node (the HMG-only transition): the entry's GPM sharers
 // must be forwarded the invalidation, and the entry transitions to I.
 func (c *DirCtrl) Invalidation(r directory.Region) []InvTarget {
-	e, ok := c.Dir.Lookup(r)
-	if !ok {
-		return nil
-	}
-	inv := TargetsOf(e.Sharers)
-	c.Dir.Drop(r)
-	// Counters record protocol-intended traffic, so they accumulate
-	// before any mutation drop — exactly as the store paths count
-	// InvMsgsByStores before MutDropStoreInv suppresses the messages.
-	c.InvMsgsForwarded += uint64(len(inv))
-	if c.Mutate.Has(MutDropInvForward) {
-		return nil
-	}
-	return inv
+	e, st := c.lookup(r)
+	out := c.exec(r, e, st, Event{Kind: Invalidation})
+	c.InvMsgsForwarded += uint64(out.Inv.Count())
+	return TargetsOf(out.Sent)
 }
 
 // DropSharer removes s from the region's sharer set if tracked (the
 // optional Downgrade optimization). Entries left with no sharers remain
 // valid; they cost a future invalidation only if re-evicted.
-//
-//lint:allow speccover downgrade hint outside Table I; it narrows sharer sets, never transitions state
 func (c *DirCtrl) DropSharer(l topo.Line, s Requester) {
 	if e, ok := c.Dir.Lookup(c.Dir.RegionOf(l)); ok {
 		e.Sharers = e.Sharers.Without(s.Bit())
 	}
 }
 
-func (c *DirCtrl) evictTargets(victim *directory.Entry) (directory.Region, []InvTarget) {
+// exec runs ev through the rule table on region r's entry e (nil when
+// absent) in state st and writes the outcome back: →V stores the new
+// sharer set, →I drops the entry.
+func (c *DirCtrl) exec(r directory.Region, e *directory.Entry, st State, ev Event) Outcome {
+	var sh directory.Sharers
+	if e != nil {
+		sh = e.Sharers
+	}
+	out := tableI.Step(st, sh, ev, c.Mutate)
+	switch {
+	case out.Rule.Next == StateV:
+		e.Sharers = out.Sharers
+	case e != nil:
+		c.Dir.Drop(r)
+	}
+	return out
+}
+
+// lookup probes region r's entry and reports its state.
+func (c *DirCtrl) lookup(r directory.Region) (*directory.Entry, State) {
+	if e, ok := c.Dir.Lookup(r); ok {
+		return e, StateV
+	}
+	return nil, StateI
+}
+
+// ensure returns region r's entry, allocating it if absent, with its
+// state before the call (I when this call allocated it) and any Valid
+// entry the allocation displaced.
+func (c *DirCtrl) ensure(r directory.Region) (*directory.Entry, State, *directory.Entry) {
+	allocs := c.Dir.Stats.Allocs
+	e, victim := c.Dir.Ensure(r)
+	if c.Dir.Stats.Allocs != allocs {
+		return e, StateI, victim
+	}
+	return e, StateV, victim
+}
+
+// seeStore counts a store consulting the directory and probes region
+// r's entry. Shared data means someone is actually tracked: an entry
+// whose sharer set was emptied by DropSharer downgrades represents no
+// remote copies, so a store to it does not count toward the Fig. 9
+// stores-to-shared-data fraction.
+func (c *DirCtrl) seeStore(r directory.Region) (*directory.Entry, State) {
+	c.StoresSeen++
+	e, st := c.lookup(r)
+	if st == StateV && !e.Sharers.IsEmpty() {
+		c.StoresSharedData++
+	}
+	return e, st
+}
+
+// countStoreInvs records a store step's intended invalidations.
+func (c *DirCtrl) countStoreInvs(out Outcome) {
+	if n := out.Inv.Count(); n > 0 {
+		c.StoresWithInvs++
+		c.InvMsgsByStores += uint64(n)
+		c.LinesInvByStores += uint64(n * c.Dir.Config().GranLines)
+	}
+}
+
+// replace runs the ReplaceEntry column on a displaced victim (the
+// directory has already removed it, which is the rule's →I) and
+// returns its region and the invalidations to send. A mutated
+// replacement still reports the real victim region: a zero Region is
+// indistinguishable from "no victim".
+func (c *DirCtrl) replace(victim *directory.Entry) (directory.Region, []InvTarget) {
 	if victim == nil {
 		return 0, nil
 	}
-	inv := TargetsOf(victim.Sharers)
-	c.InvMsgsByEvicts += uint64(len(inv))
-	c.LinesInvByEvicts += uint64(len(inv) * c.Dir.Config().GranLines)
-	if c.Mutate.Has(MutDropEvictInv) {
-		// The mutation drops the invalidation messages, not the fact of
-		// the eviction: callers still learn the real victim region
-		// (a zero Region is indistinguishable from "no victim"), and the
-		// counters above keep recording the protocol-intended traffic.
-		return victim.Region, nil
-	}
-	return victim.Region, inv
+	out := tableI.Step(StateV, victim.Sharers, Event{Kind: ReplaceEntry}, c.Mutate)
+	n := out.Inv.Count()
+	c.InvMsgsByEvicts += uint64(n)
+	c.LinesInvByEvicts += uint64(n * c.Dir.Config().GranLines)
+	return victim.Region, TargetsOf(out.Sent)
 }

@@ -332,28 +332,39 @@ func TestMutationCountersIntendedTraffic(t *testing.T) {
 // count targets × the tracking granularity, accumulating across
 // evictions.
 func TestEvictionFanoutAcrossGranularities(t *testing.T) {
-	for _, gran := range []int{1, 2, 4, 8} {
-		c := NewDirCtrl(directory.Config{Entries: 8, Ways: 2, GranLines: gran})
-		sets := uint64(4)
-		// Two sharers on the eventual victim region, one on the next.
-		c.RemoteLoad(lineOfRegion(0, uint64(gran)), GPMRequester(1))
-		c.RemoteLoad(lineOfRegion(0, uint64(gran)), GPURequester(2))
-		c.RemoteLoad(lineOfRegion(sets, uint64(gran)), GPMRequester(3))
-		// Third region in the same set displaces the LRU victim (region 0).
-		evR, evT := c.RemoteLoad(lineOfRegion(2*sets, uint64(gran)), GPMRequester(4))
-		if evR != 0 || len(evT) != 2 {
-			t.Fatalf("gran %d: evicted region %d targets %v, want region 0 with 2 targets", gran, evR, evT)
-		}
-		if c.InvMsgsByEvicts != 2 || c.LinesInvByEvicts != uint64(2*gran) {
-			t.Fatalf("gran %d: msgs=%d lines=%d, want 2/%d", gran, c.InvMsgsByEvicts, c.LinesInvByEvicts, 2*gran)
-		}
-		// A second eviction accumulates on top.
-		evR, evT = c.RemoteLoad(lineOfRegion(3*sets, uint64(gran)), GPMRequester(5))
-		if evR != directory.Region(sets) || len(evT) != 1 {
-			t.Fatalf("gran %d: second eviction region %d targets %v", gran, evR, evT)
-		}
-		if c.InvMsgsByEvicts != 3 || c.LinesInvByEvicts != uint64(3*gran) {
-			t.Fatalf("gran %d: accumulated msgs=%d lines=%d, want 3/%d", gran, c.InvMsgsByEvicts, c.LinesInvByEvicts, 3*gran)
+	// The requesters in use order (a GPM, then a GPU sharing the victim
+	// region): inline ids, and ids past the 32-id inline sharer word
+	// that drive the promoted sharer sets.
+	for _, reqs := range [][5]Requester{
+		{GPMRequester(1), GPURequester(2), GPMRequester(3), GPMRequester(4), GPMRequester(5)},
+		{GPMRequester(40), GPURequester(100), GPMRequester(127), GPMRequester(64), GPMRequester(32)},
+	} {
+		for _, gran := range []int{1, 2, 4, 8} {
+			c := NewDirCtrl(directory.Config{Entries: 8, Ways: 2, GranLines: gran})
+			sets := uint64(4)
+			// Two sharers on the eventual victim region, one on the next.
+			c.RemoteLoad(lineOfRegion(0, uint64(gran)), reqs[0])
+			c.RemoteLoad(lineOfRegion(0, uint64(gran)), reqs[1])
+			c.RemoteLoad(lineOfRegion(sets, uint64(gran)), reqs[2])
+			// Third region in the same set displaces the LRU victim (region 0).
+			evR, evT := c.RemoteLoad(lineOfRegion(2*sets, uint64(gran)), reqs[3])
+			if evR != 0 || len(evT) != 2 {
+				t.Fatalf("gran %d: evicted region %d targets %v, want region 0 with 2 targets", gran, evR, evT)
+			}
+			if evT[0] != (InvTarget{ID: reqs[0].ID}) || evT[1] != (InvTarget{IsGPU: true, ID: reqs[1].ID}) {
+				t.Fatalf("gran %d: eviction targets %v, want %v then %v", gran, evT, reqs[0], reqs[1])
+			}
+			if c.InvMsgsByEvicts != 2 || c.LinesInvByEvicts != uint64(2*gran) {
+				t.Fatalf("gran %d: msgs=%d lines=%d, want 2/%d", gran, c.InvMsgsByEvicts, c.LinesInvByEvicts, 2*gran)
+			}
+			// A second eviction accumulates on top.
+			evR, evT = c.RemoteLoad(lineOfRegion(3*sets, uint64(gran)), reqs[4])
+			if evR != directory.Region(sets) || len(evT) != 1 {
+				t.Fatalf("gran %d: second eviction region %d targets %v", gran, evR, evT)
+			}
+			if c.InvMsgsByEvicts != 3 || c.LinesInvByEvicts != uint64(3*gran) {
+				t.Fatalf("gran %d: accumulated msgs=%d lines=%d, want 3/%d", gran, c.InvMsgsByEvicts, c.LinesInvByEvicts, 3*gran)
+			}
 		}
 	}
 }
@@ -361,11 +372,14 @@ func TestEvictionFanoutAcrossGranularities(t *testing.T) {
 // TestRequesterInvTargetRoundTrip: a requester recorded as a sharer
 // comes back out as the invalidation target naming the same node in the
 // same id space — GPM requesters as GPM targets, GPU requesters as GPU
-// targets — across the whole bit range of each space.
+// targets — across the inline bit range of each space and past it,
+// where the sharer set is promoted.
 func TestRequesterInvTargetRoundTrip(t *testing.T) {
 	reqs := []Requester{
 		GPMRequester(0), GPMRequester(5), GPMRequester(31),
 		GPURequester(0), GPURequester(7), GPURequester(31),
+		GPMRequester(32), GPMRequester(63), GPMRequester(64), GPMRequester(127),
+		GPURequester(33), GPURequester(100),
 	}
 	for _, r := range reqs {
 		got := TargetsOf(r.Bit())
@@ -379,6 +393,17 @@ func TestRequesterInvTargetRoundTrip(t *testing.T) {
 		inv := c.LocalStore(0)
 		if len(inv) != 1 || inv[0] != (InvTarget{IsGPU: r.IsGPU, ID: r.ID}) {
 			t.Fatalf("round trip via directory for %v: got %v", r, inv)
+		}
+		// And via the remote-store arm: another writer invalidates r
+		// and remains the only sharer.
+		w := GPMRequester(126)
+		c.RemoteLoad(0, r)
+		inv, _, _ = c.RemoteStore(0, w)
+		if len(inv) != 1 || inv[0] != (InvTarget{IsGPU: r.IsGPU, ID: r.ID}) {
+			t.Fatalf("remote-store invalidation for %v: got %v", r, inv)
+		}
+		if e, _ := c.Dir.Lookup(0); !e.Sharers.Equal(w.Bit()) {
+			t.Fatalf("post-store sharers %v, want only %v", e.Sharers, w)
 		}
 	}
 }

@@ -6,7 +6,10 @@
 // functions at the heart of the HMG protocol.
 package topo
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Addr is a physical byte address in global memory.
 type Addr uint64
@@ -53,6 +56,10 @@ func (t Topology) Validate() error {
 		return fmt.Errorf("topo: PageSize = %d, must be a positive power of two", t.PageSize)
 	case t.PageSize < t.LineSize:
 		return fmt.Errorf("topo: PageSize %d smaller than LineSize %d", t.PageSize, t.LineSize)
+	case t.GPMsPerGPU > math.MaxInt/t.NumGPUs:
+		return fmt.Errorf("topo: %d GPUs × %d GPMs per GPU overflows the GPM count", t.NumGPUs, t.GPMsPerGPU)
+	case t.SMsPerGPM > math.MaxInt/t.TotalGPMs():
+		return fmt.Errorf("topo: %d GPMs × %d SMs per GPM overflows the SM count", t.TotalGPMs(), t.SMsPerGPM)
 	}
 	return nil
 }

@@ -24,6 +24,14 @@ func TestValidate(t *testing.T) {
 		{"zero line", func(tp *Topology) { tp.LineSize = 0 }},
 		{"non-pow2 page", func(tp *Topology) { tp.PageSize = 3000 }},
 		{"page < line", func(tp *Topology) { tp.PageSize = 64 }},
+		// -topo specs whose products overflow int: the GPM count wraps
+		// to 0, or past MaxInt, and the SM count overflows after it.
+		{"4294967296x4294967296 GPMs wrap to 0", func(tp *Topology) { *tp = MustParseSpec("4294967296x4294967296").Apply(*tp) }},
+		{"3037000500x3037000500 GPMs overflow", func(tp *Topology) { *tp = MustParseSpec("3037000500x3037000500").Apply(*tp) }},
+		{"65536x65536 SMs overflow", func(tp *Topology) {
+			*tp = MustParseSpec("65536x65536").Apply(*tp)
+			tp.SMsPerGPM = 1 << 31
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -2,15 +2,18 @@
 # Repo verification: build, vet, lint, full tests, a race-detector tier,
 # and a protocol conformance tier.
 #
+# The benchmark module (benchmark/, its own go.mod) is vetted too: the
+# root `go build ./...` skips it, yet it calls proto.DirCtrl, link and
+# memory APIs directly, so an API change must not silently break it.
+#
 # The lint tier builds cmd/hmglint and runs the full analyzer suite
-# (determinism, eventemit, exhaustive, hotalloc, readonlyhooks,
-# speccover) over the module, both standalone and through
-# `go vet -vettool` (the unitchecker protocol threads facts along
-# import edges, so both paths must stay green); any finding fails the
-# script via the tool's nonzero exit. The tier then proves the two
-# interprocedural analyzers have teeth: in a scratch copy of the repo,
-# an injected hot-path allocation and a dropped Table I spec rule must
-# each fail with exit 2 naming the responsible analyzer.
+# (determinism, eventemit, exhaustive, hotalloc, readonlyhooks) over
+# the module, both standalone and through `go vet -vettool` (the
+# unitchecker protocol threads facts along import edges, so both paths
+# must stay green); any finding fails the script via the tool's
+# nonzero exit. The tier then proves the interprocedural hotalloc
+# analyzer has teeth: in a scratch copy of the repo, an injected
+# hot-path allocation must fail with exit 2 naming the analyzer.
 #
 # The race tier runs the whole module at -short scale (the experiment
 # suites are ~10x slower under -race) plus the full experiments package,
@@ -27,9 +30,10 @@
 # the flat and hierarchical hardware protocols.
 #
 # The spec tier runs cmd/hmgspec: the machine-readable Table I is
-# validated, exhaustively enumerated on the small model, and diffed
-# against proto.DirCtrl — then each deliberate proto.Mutation bit is
-# injected and the diff must FAIL, proving the tier has teeth.
+# validated and exhaustively enumerated on the small model through the
+# transition function proto.DirCtrl executes — then each deliberate
+# proto.Mutation bit is injected and the enumeration must FAIL,
+# proving the tier has teeth.
 #
 # The store tier runs the persistent content-addressed result store
 # (internal/resstore) through its acceptance flow at full campaign
@@ -39,9 +43,11 @@
 # re-simulated (to identical bytes again), never trusted.
 #
 # The perf tier runs cmd/hmgperf against the newest committed
-# BENCH_*.json baseline: simulated cycles, event counts, and
-# allocs/event must match exactly (the simulator is deterministic and
-# the hot path is zero-alloc); wall-clock drift only warns. It reuses
+# BENCH_*.json baseline: simulated cycles and event counts must match
+# exactly (the simulator is deterministic), and allocs/event must not
+# grow past a small tolerance — the hot path is not zero-alloc (the
+# 2026-08-09 baseline measures 1.24-1.46 allocs/event across the
+# matrix), so the gate blocks growth; wall-clock drift only warns. It reuses
 # the store tier's populated -cachedir, which cross-checks every store
 # record it touches against the freshly measured cycles/events — a
 # second determinism tripwire.
@@ -54,6 +60,9 @@ go build ./...
 echo "== go vet"
 go vet ./...
 
+echo "== go vet (benchmark module)"
+(cd benchmark && go vet ./...)
+
 echo "== hmglint"
 HMGLINT_BIN="$(mktemp -d)/hmglint"
 trap 'rm -rf "$(dirname "$HMGLINT_BIN")"' EXIT
@@ -63,7 +72,7 @@ go build -o "$HMGLINT_BIN" ./cmd/hmglint
 echo "== go vet -vettool=hmglint"
 go vet -vettool="$HMGLINT_BIN" ./...
 
-echo "== hmglint mutation self-tests (hotalloc, speccover)"
+echo "== hmglint mutation self-test (hotalloc)"
 LINT_SCRATCH="$(dirname "$HMGLINT_BIN")/scratch"
 mkdir -p "$LINT_SCRATCH"
 tar -c --exclude=.git . | tar -x -C "$LINT_SCRATCH"
@@ -87,21 +96,8 @@ if [ "$LINT_STATUS" -ne 2 ] || ! echo "$LINT_OUT" | grep -q "hotalloc"; then
   echo "$LINT_OUT" >&2
   exit 1
 fi
-rm "$LINT_SCRATCH/internal/gsim/zz_injected.go"
-
-# Dropping a Table I rule must leave its DirCtrl arm unlicensed.
-sed -i '/State: StateV, Event: Invalidation/d' "$LINT_SCRATCH/internal/proto/spec/spec.go"
-set +e
-LINT_OUT="$(cd "$LINT_SCRATCH" && "$HMGLINT_BIN" ./... 2>&1)"
-LINT_STATUS=$?
-set -e
-if [ "$LINT_STATUS" -ne 2 ] || ! echo "$LINT_OUT" | grep -q "speccover"; then
-  echo "speccover missed a dropped spec rule (exit $LINT_STATUS): the analyzer has no teeth" >&2
-  echo "$LINT_OUT" >&2
-  exit 1
-fi
 rm -rf "$LINT_SCRATCH"
-echo "hmglint: both injected violations caught (teeth OK)"
+echo "hmglint: injected hot-path allocation caught (teeth OK)"
 
 echo "== go test"
 go test ./...
@@ -118,11 +114,11 @@ go build -o "$HMGSPEC_BIN" ./cmd/hmgspec
 "$HMGSPEC_BIN"
 for bit in 1 2 4; do
   if "$HMGSPEC_BIN" -mutate "$bit" >/dev/null 2>&1; then
-    echo "hmgspec -mutate $bit passed: the spec differ has no teeth" >&2
+    echo "hmgspec -mutate $bit passed: the spec enumerator has no teeth" >&2
     exit 1
   fi
 done
-echo "hmgspec: all 3 mutation bits diverge from the spec (teeth OK)"
+echo "hmgspec: all 3 mutation bits break a Table I invariant (teeth OK)"
 
 echo "== conformance sweep (hmgcheck)"
 go run ./cmd/hmgcheck -seeds 64 -scale 0.1
