@@ -93,6 +93,9 @@ func TestHmgsimFlow(t *testing.T) {
 		{topoArgs("4294967296x4294967296"), []string{"overflows the GPM count"}},
 		{topoArgs("3037000500x3037000500"), []string{"overflows the GPM count"}},
 		{topoArgs("65536x65536"), []string{"4294967296 GPMs", "sharer space"}},
+		// The runner reads -scale 0 as "the default", but the trace is
+		// generated from the flag itself, so 0 must be rejected first.
+		{[]string{"-bench", "bfs", "-protocol", "HMG", "-scale", "0"}, []string{"scale 0 out of (0,1]"}},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		out, err := exec.CommandContext(ctx, bin, c.args...).CombinedOutput()
@@ -122,16 +125,30 @@ func TestHmgtraceUnknownBenchmark(t *testing.T) {
 		t.Skip("CLI build in -short mode")
 	}
 	bin := build(t, "cmd/hmgtrace")
-	for _, args := range [][]string{
-		{"gen", "-bench", "nosuch", "-o", filepath.Join(t.TempDir(), "x.hmgt")},
-		{"fig3", "-bench", "nosuch"},
+	out := filepath.Join(t.TempDir(), "x.hmgt")
+	// Unknown benchmarks list the registry's names; out-of-range scales,
+	// NaN included, fail before generating. Each is a clean exit 1,
+	// never a panic.
+	for _, c := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"gen", "-bench", "nosuch", "-o", out}, []string{"known:", "nw-16K"}},
+		{[]string{"fig3", "-bench", "nosuch"}, []string{"known:", "nw-16K"}},
+		{[]string{"gen", "-bench", "bfs", "-o", out, "-scale", "0"}, []string{"scale 0 out of (0,1]"}},
+		{[]string{"gen", "-bench", "bfs", "-o", out, "-scale", "-1"}, []string{"scale -1 out of (0,1]"}},
+		{[]string{"gen", "-bench", "bfs", "-o", out, "-scale", "2"}, []string{"scale 2 out of (0,1]"}},
+		{[]string{"gen", "-bench", "bfs", "-o", out, "-scale", "NaN"}, []string{"scale NaN out of (0,1]"}},
+		{[]string{"fig3", "-bench", "bfs", "-scale", "0"}, []string{"scale 0 out of (0,1]"}},
 	} {
-		out, err := exec.Command(bin, args...).CombinedOutput()
-		if err == nil {
-			t.Fatalf("hmgtrace %v accepted unknown benchmark", args)
+		got, err := exec.Command(bin, c.args...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || strings.Contains(string(got), "panic") {
+			t.Fatalf("hmgtrace %v: err=%v, want a clean exit 1 error:\n%s", c.args, err, got)
 		}
-		if !strings.Contains(string(out), "known:") || !strings.Contains(string(out), "nw-16K") {
-			t.Fatalf("hmgtrace %v error does not list known benchmarks:\n%s", args, out)
+		for _, want := range c.want {
+			if !strings.Contains(string(got), want) {
+				t.Fatalf("hmgtrace %v error does not mention %q:\n%s", c.args, want, got)
+			}
 		}
 	}
 }

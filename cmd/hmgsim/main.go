@@ -40,6 +40,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// The runner reads a zero scale as "the default", but the trace is
+	// generated from the flag itself, which must be in range.
+	if err := workload.CheckScale(*scale); err != nil {
+		fatal(err)
+	}
 	spec, err := topo.ParseSpec(*topoFlag)
 	if err != nil {
 		fatal(err)

@@ -56,13 +56,16 @@ func gen(args []string) {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	bench := fs.String("bench", "", "benchmark abbreviation")
 	out := fs.String("o", "", "output file")
-	scale := fs.Float64("scale", 1.0, "workload scale")
+	scale := fs.Float64("scale", 1.0, "workload scale in (0,1]")
 	fs.Parse(args)
 	if *bench == "" || *out == "" {
 		usage()
 	}
 	p, err := workload.Get(*bench)
 	if err != nil {
+		fatal(err)
+	}
+	if err := workload.CheckScale(*scale); err != nil {
 		fatal(err)
 	}
 	cfg := hmg.DefaultConfig(hmg.ProtocolHMG)
@@ -106,13 +109,16 @@ func info(args []string) {
 func fig3(args []string) {
 	fs := flag.NewFlagSet("fig3", flag.ExitOnError)
 	bench := fs.String("bench", "", "benchmark abbreviation")
-	scale := fs.Float64("scale", 1.0, "workload scale")
+	scale := fs.Float64("scale", 1.0, "workload scale in (0,1]")
 	fs.Parse(args)
 	if *bench == "" {
 		usage()
 	}
 	p, err := workload.Get(*bench)
 	if err != nil {
+		fatal(err)
+	}
+	if err := workload.CheckScale(*scale); err != nil {
 		fatal(err)
 	}
 	cfg := hmg.DefaultConfig(hmg.ProtocolHMG)

@@ -107,6 +107,9 @@ type Cache struct {
 	numSets uint64
 	clock   uint64 // LRU timestamp source
 	filled  int
+	// victim holds the line the last Fill displaced; Fill returns a
+	// pointer to it instead of a heap copy.
+	victim Entry
 
 	Stats Stats
 }
@@ -167,8 +170,9 @@ func (c *Cache) Peek(l topo.Line) (*Entry, bool) {
 
 // Fill inserts a line, evicting the LRU way of its set if necessary. It
 // returns the entry for the new line and, when a valid line was
-// displaced, a copy of the victim. Filling an already-present line just
-// refreshes it.
+// displaced, a copy of the victim. The copy lives in a per-cache slot
+// and is valid only until the next Fill. Filling an already-present
+// line just refreshes it.
 func (c *Cache) Fill(l topo.Line) (*Entry, *Entry) {
 	set := c.setOf(l)
 	c.clock++
@@ -194,8 +198,8 @@ func (c *Cache) Fill(l topo.Line) (*Entry, *Entry) {
 				victimIdx = i
 			}
 		}
-		v := set[victimIdx] // copy out before overwrite
-		victim = &v
+		c.victim = set[victimIdx] // copy out before overwrite
+		victim = &c.victim
 		c.Stats.Evicts++
 		c.filled--
 	}

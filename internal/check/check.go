@@ -192,6 +192,14 @@ func (c *Checker) scanQuiescent(kernel int) {
 		c.report("quiescence",
 			fmt.Sprintf("kernel %d drained with %d line fetches in flight", kernel, n))
 	}
+	// Every pooled op, continuation, and route context is back in its
+	// pool, so none was leaked or is still reachable after release. Only
+	// in-flight downgrade notices, which the boundary does not wait
+	// for, may hold contexts: their own and at most one route each.
+	if live, dg := s.LiveContexts(), s.DowngradesInFlight(); live > 2*dg {
+		c.report("quiescence",
+			fmt.Sprintf("kernel %d drained with %d pooled contexts live (%d downgrades in flight)", kernel, live, dg))
+	}
 
 	// Per-directory sharer-set snapshots, taken once so the per-line
 	// inclusion checks below are O(1) lookups.

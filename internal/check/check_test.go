@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"hmg/internal/consist"
+	"hmg/internal/engine"
 	"hmg/internal/gsim"
+	"hmg/internal/msg"
 	"hmg/internal/proto"
 	"hmg/internal/topo"
 	"hmg/internal/trace"
@@ -326,5 +328,33 @@ func TestCaseFromSeed(t *testing.T) {
 		if prog := cs.Program(); len(prog.Threads) != 2 {
 			t.Fatalf("seed %d: program has %d threads", seed, len(prog.Threads))
 		}
+	}
+}
+
+// TestQuiescenceLiveContexts feeds the drained-boundary scan a system
+// with a message still on the network: its pooled route context is
+// live, which the scan must report. Once the message lands, the same
+// scan is clean.
+func TestQuiescenceLiveContexts(t *testing.T) {
+	sys, err := gsim.New(consist.SmallConfig(proto.HMG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := Attach(sys)
+	drained := gsim.Event{Kind: gsim.EvKernelDrained, SM: gsim.NoSM}
+	sys.Net.SendHandler(0, topo.GPMID(len(sys.GPMs)-1), msg.Inv, engine.Func(func() {}))
+	sys.OnEvent(drained)
+	found := false
+	for _, v := range ck.Violations() {
+		found = found || (v.Invariant == "quiescence" && strings.Contains(v.Detail, "pooled contexts live"))
+	}
+	if !found {
+		t.Fatalf("a live route context went unreported (violations: %v)", ck.Violations())
+	}
+	n := len(ck.Violations())
+	sys.Eng.Drain()
+	sys.OnEvent(drained)
+	if got := ck.Violations(); len(got) != n {
+		t.Fatalf("drained network still reported: %v", got[n:])
 	}
 }

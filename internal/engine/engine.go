@@ -2,17 +2,20 @@
 // drives every timing model in this repository.
 //
 // The kernel is a single-threaded event loop over a monomorphic 4-ary
-// min-heap of scheduled callbacks, stored as a flat []event value slice
-// (no per-event heap object, no interface boxing). Components (caches,
+// min-heap of scheduled Handlers, stored as a flat []event value slice
+// of 32-byte elements (no per-event heap object). Components (caches,
 // links, DRAM partitions, SMs) never block; they schedule follow-up
 // events at future cycles. Ties at the same cycle are broken by
 // insertion order (a monotone sequence number), which makes simulations
 // fully deterministic for a given input.
 //
-// Steady-state scheduling is allocation-free: the event slice is grown
-// once and reused, and hot callers can avoid closure allocation
-// entirely by scheduling a reusable Handler (see ScheduleHandler) drawn
-// from their own free list.
+// There is one dispatch path: every event is a Handler. Schedule and
+// ScheduleAt take a plain func and wrap it in Func, whose conversion to
+// Handler is free because a func value is pointer-shaped. Steady-state
+// scheduling is allocation-free: the event slice is grown once and
+// reused, and hot callers avoid closure allocation entirely by
+// scheduling a reusable Handler drawn from their own free list (see
+// ScheduleHandler).
 //
 // Cycles are the only unit of time inside a simulation. The Engine knows
 // the clock frequency solely so that results can be reported in seconds
@@ -40,13 +43,19 @@ type Handler interface {
 	Handle()
 }
 
-// event is a unit of scheduled work, stored by value in the queue. The
-// callback runs exactly once, at the event's cycle: h.Handle() when a
-// Handler was scheduled, fn() otherwise.
+// Func adapts a plain function to Handler. A func value is one
+// pointer word, so converting a Func to Handler does not allocate; only
+// building the closure itself may.
+type Func func()
+
+// Handle calls f.
+func (f Func) Handle() { f() }
+
+// event is a unit of scheduled work, stored by value in the queue. Its
+// handler runs exactly once, at the event's cycle.
 type event struct {
 	at  Cycle
 	seq uint64
-	fn  func()
 	h   Handler
 }
 
@@ -89,8 +98,8 @@ func (q *eventQueue) push(ev event) {
 }
 
 // pop removes and returns the minimum event. The vacated tail slot is
-// zeroed so the queue never pins dead closures or contexts for the
-// garbage collector.
+// zeroed so the queue never pins dead handlers for the garbage
+// collector.
 func (q *eventQueue) pop() event {
 	root := q.evs[0]
 	n := len(q.evs) - 1
@@ -179,14 +188,13 @@ func (e *Engine) Schedule(delay Cycle, fn func()) {
 	if fn == nil {
 		panic("engine: Schedule called with nil callback")
 	}
-	e.seq++
-	e.queue.push(event{at: e.deadline(delay), seq: e.seq, fn: fn})
+	e.ScheduleHandler(delay, Func(fn))
 }
 
 // ScheduleHandler runs h.Handle() after delay cycles, with the same
-// ordering semantics as Schedule. Unlike Schedule, it performs no heap
-// allocation when h is a pooled pointer context, which makes it the
-// scheduling path for per-hop continuations in the simulator core.
+// ordering semantics as Schedule. It performs no heap allocation when h
+// is a pooled pointer context, which makes it the scheduling path for
+// per-hop continuations in the simulator core.
 func (e *Engine) ScheduleHandler(delay Cycle, h Handler) {
 	if h == nil {
 		panic("engine: ScheduleHandler called with nil handler")
@@ -207,10 +215,10 @@ func (e *Engine) deadline(delay Cycle) Cycle {
 // ScheduleAt runs fn at the absolute cycle at, which must not be in the
 // past.
 func (e *Engine) ScheduleAt(at Cycle, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("engine: ScheduleAt(%d) in the past (now %d)", at, e.now))
+	if fn == nil {
+		panic("engine: ScheduleAt called with nil callback")
 	}
-	e.Schedule(at-e.now, fn)
+	e.ScheduleHandlerAt(at, Func(fn))
 }
 
 // ScheduleHandlerAt runs h.Handle() at the absolute cycle at, which must
@@ -258,11 +266,7 @@ func (e *Engine) Run(horizon Cycle) Cycle {
 		ev := e.queue.pop()
 		e.now = ev.at
 		e.Executed++
-		if ev.h != nil {
-			ev.h.Handle()
-		} else {
-			ev.fn()
-		}
+		ev.h.Handle()
 	}
 	e.stopped = false // the stop is consumed by the Run that observed it
 	return e.now

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -317,6 +318,15 @@ func TestRunHorizonAdvancesNow(t *testing.T) {
 	e.Schedule(100, func() { ran++ })
 	if at := e.Run(12); at != 20 {
 		t.Fatalf("Run(12) with now=20 returned %d, want 20", at)
+	}
+}
+
+// TestEventSize pins the heap element at 32 bytes: a cycle, a sequence
+// number, and one Handler. A second callback field would bring back the
+// 40-byte element and the dual dispatch in Run.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(event{}) = %d, want 32", got)
 	}
 }
 

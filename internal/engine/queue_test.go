@@ -157,8 +157,8 @@ func (e *refEngine) run(horizon Cycle) Cycle {
 
 // TestEngineMatchesReferenceEngine runs the same randomized cascade —
 // nested schedules, same-cycle ties, random Stop calls from inside
-// callbacks, and horizon-bounded Run windows — on the Engine and on the
-// reference loop, and requires identical execution traces (event
+// callbacks, and horizon-bounded Run windows — on the Engine (through
+// Schedule and ScheduleHandler alternately) and on the reference loop, and requires identical execution traces (event
 // identity and execution cycle) and identical clock positions after
 // every window.
 func TestEngineMatchesReferenceEngine(t *testing.T) {
@@ -197,8 +197,19 @@ func TestEngineMatchesReferenceEngine(t *testing.T) {
 			return trace
 		}
 
+		// The engine side alternates between the func path and the
+		// handler path, so both must share one ordering.
 		e := New(0)
-		got := run(e.Schedule, e.Now, e.Stop, e.Run)
+		calls := 0
+		mixed := func(delay Cycle, fn func()) {
+			calls++
+			if calls%2 == 0 {
+				e.ScheduleHandler(delay, Func(fn))
+				return
+			}
+			e.Schedule(delay, fn)
+		}
+		got := run(mixed, e.Now, e.Stop, e.Run)
 		r := &refEngine{}
 		want := run(r.schedule, func() Cycle { return r.now },
 			func() { r.stopped = true }, r.run)

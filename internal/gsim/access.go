@@ -49,54 +49,82 @@ func (s *System) effScope(sc trace.Scope) trace.Scope {
 // Loads
 // ---------------------------------------------------------------------
 
-// startLoad begins a load at the SM: L1 first (when the scope permits),
-// then the L2 hierarchy. done receives the loaded word value.
-func (sm *SM) startLoad(op trace.Op, isAcq bool, done func(uint64)) {
+// newLoad draws a load context for sm. A nil done makes it a warp load,
+// completed by loadDone's bookkeeping; the atomic paths pass done to
+// receive the loaded value instead.
+func (sm *SM) newLoad(op trace.Op, done func(uint64)) *opCtx {
+	c := sm.sys.newCtx(stageLoadFill)
+	c.sm, c.op, c.done = sm, op, done
+	return c
+}
+
+// startLoad begins the load carried by c at the SM: L1 first (when the
+// scope permits), then the L2 hierarchy.
+func (sm *SM) startLoad(c *opCtx) {
 	s := sm.sys
-	line := s.Cfg.Topo.LineOf(op.Addr)
-	word := cache.WordOf(op.Addr, s.Cfg.Topo.LineSize)
+	op := c.op
+	c.line = s.Cfg.Topo.LineOf(op.Addr)
+	c.word = cache.WordOf(op.Addr, s.Cfg.Topo.LineSize)
 	scope := s.effScope(op.Scope)
-	l1OK := scope <= trace.ScopeCTA && s.cacheableAt(sm.gpm, line)
-	if l1OK {
-		if e, hit := sm.L1.Lookup(line); hit {
-			v, _ := e.Value(word)
-			c := s.newCtx(stageLoadValue)
-			c.done, c.v = done, v
-			s.Eng.ScheduleHandler(s.Cfg.L1Latency, c)
-			return
+	c.l1OK = scope <= trace.ScopeCTA && s.cacheableAt(sm.gpm, c.line)
+	c.stage = stageLoadMiss
+	if c.l1OK {
+		if e, hit := sm.L1.Lookup(c.line); hit {
+			c.v, _ = e.Value(c.word)
+			c.stage = stageLoadValue
 		}
 	}
-	c := s.newCtx(stageLoadMiss)
-	c.sm, c.op, c.line, c.word, c.flag, c.done = sm, op, line, word, l1OK, done
 	s.Eng.ScheduleHandler(s.Cfg.L1Latency, c)
 }
 
-// loadAfterL1Miss is the SM-side continuation of startLoad one L1
-// latency after issue: route the load into the L2 hierarchy and install
-// the response in the L1 when the scope permitted an L1 lookup.
-//
-//lint:allow hotalloc per-op reply continuation; budget gated by the hmgperf allocs/event baseline
-func (sm *SM) loadAfterL1Miss(op trace.Op, line topo.Line, word uint16, l1OK bool, done func(uint64)) {
-	s := sm.sys
-	s.requesterL2Load(sm, op, line, func(fill fillData) {
-		if l1OK {
-			e, _ := sm.L1.Fill(line)
-			if s.Cfg.TrackValues {
-				e.MergeFrom(fill)
-			}
+// loadFilled is the SM-side end of a load: install the response in the
+// L1 when the scope permitted an L1 lookup, then complete the load.
+func (c *opCtx) loadFilled(fill fillData) {
+	if c.l1OK {
+		e, _ := c.sm.L1.Fill(c.line)
+		if c.s.Cfg.TrackValues {
+			e.MergeFrom(fill)
 		}
-		done(valOf(fill, word))
-	})
+	}
+	c.loadDone(valOf(fill, c.word))
 }
 
-// requesterL2Load handles a load at the requesting GPM's L2 slice and
-// routes misses up the home hierarchy. reply receives the response line
-// data once it has been installed in this GPM's L2 (when permitted).
-//
-//lint:allow hotalloc per-op reply/forward continuations; budget gated by the hmgperf allocs/event baseline
-func (s *System) requesterL2Load(sm *SM, op trace.Op, line topo.Line, reply func(fillData)) {
+// loadDone completes a load with its value and releases its context: a
+// warp load records its latency (plain loads), surfaces the value, and
+// retires at its warp; an atomic path's load hands the value to done.
+func (c *opCtx) loadDone(v uint64) {
+	s, sm, w, op, issued, done := c.s, c.sm, c.w, c.op, c.issued, c.done
+	c.release()
+	if done != nil {
+		done(v)
+		return
+	}
+	if op.Kind == trace.Load {
+		lat := uint64(s.Eng.Now() - issued)
+		s.loadLatSum += lat
+		if lat > s.maxLoadLat {
+			s.maxLoadLat = lat
+		}
+	}
+	if s.OnLoadValue != nil {
+		s.OnLoadValue(sm.id, op, v)
+	}
+	s.emit(Event{Kind: EvLoadDone, GPM: sm.gpm, SM: sm.id,
+		Line: s.Cfg.Topo.LineOf(op.Addr), Addr: op.Addr,
+		Scope: op.Scope, Op: op.Kind, Val: v})
+	if op.Kind == trace.LoadAcq {
+		w.blocked = false
+	}
+	w.opDone()
+}
+
+// requesterL2Load handles the load carried by c at the requesting GPM's
+// L2 slice and routes misses up the home hierarchy. c receives the
+// response line data once it has been installed in this GPM's L2 (when
+// permitted). The route is decided here, at request time.
+func (s *System) requesterL2Load(c *opCtx) {
+	sm, op, line := c.sm, c.op, c.line
 	g := sm.gpm
-	gpm := s.gpmOf(g)
 	scope := s.effScope(op.Scope)
 	sysHome := s.Pages.SysHome(line)
 	hier := s.Cfg.Policy.Hierarchical
@@ -110,64 +138,61 @@ func (s *System) requesterL2Load(sm *SM, op trace.Op, line topo.Line, reply func
 	// point) on cacheable lines.
 	fillHere := scope <= trace.ScopeGPM && cacheable
 
+	c.stage = stageLoadFill
 	if g == sysHome {
 		// Local load at the system home: Table I takes no action.
-		s.sysHomeLoad(g, proto.GPMRequester(int(g)), false, line, reply)
+		s.sysHomeLoad(g, proto.GPMRequester(int(g)), false, line, c)
 		return
 	}
 	if hier && g == gpuHome && gpuHome != sysHome && scope <= trace.ScopeGPU {
 		// This GPM is the GPU home node for the line.
-		s.gpuHomeLoad(g, g, op, line, reply)
+		s.gpuHomeLoad(g, g, op, line, c)
 		return
 	}
-	proceed := func() {
-		if scope == trace.ScopeSys || !hier || gpuHome == sysHome {
-			// Route directly to the system home. Track the requester only
-			// if it will cache the response.
-			req := s.flatRequester(g, sysHome)
-			track := fillHere && s.Cfg.Policy.Hardware
-			round := func(done func(fillData)) {
-				s.send(g, sysHome, msg.LoadReq, func() {
-					s.sysHomeLoad(sysHome, req, track, line, func(fill fillData) {
-						s.send(sysHome, g, msg.DataResp, func() {
-							s.fillL2(g, line, fill, fillHere)
-							done(fill)
-						})
-					})
-				})
-			}
-			if fillHere {
-				gpm.fetch(fetchKey{line, sysHome}, reply, round)
-			} else {
-				round(reply)
-			}
-			return
-		}
+	c.fillHere = fillHere
+	if scope == trace.ScopeSys || !hier || gpuHome == sysHome {
+		// Route directly to the system home. Track the requester only if
+		// it will cache the response.
+		c.g = sysHome
+		c.req = s.flatRequester(g, sysHome)
+		c.track = fillHere && s.Cfg.Policy.Hardware
+	} else {
 		// Hierarchical: route via the GPU home node.
-		round := func(done func(fillData)) {
-			s.send(g, gpuHome, msg.LoadReq, func() {
-				s.gpuHomeLoad(gpuHome, g, op, line, func(fill fillData) {
-					s.send(gpuHome, g, msg.DataResp, func() {
-						s.fillL2(g, line, fill, fillHere)
-						done(fill)
-					})
-				})
-			})
-		}
-		if fillHere {
-			gpm.fetch(fetchKey{line, gpuHome}, reply, round)
-		} else {
-			round(reply)
-		}
+		c.g, c.viaGPUHome = gpuHome, true
 	}
 	if fillHere {
 		// Probe the local slice before going out.
-		c := s.newCtx(stageRequesterProbe)
-		c.g, c.line, c.reply, c.next = g, line, reply, proceed
+		c.stage = stageRequesterProbe
 		s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
 		return
 	}
-	proceed()
+	s.loadRound(c)
+}
+
+// loadRound sends the load carried by c to the home requesterL2Load
+// chose, merging it in this GPM's MSHRs when the response may fill the
+// local slice.
+func (s *System) loadRound(c *opCtx) {
+	c.stage = stageLoadFill
+	g := c.sm.gpm
+	if !c.fillHere {
+		s.sendLoadReq(g, c.g, c.viaGPUHome, c.req, c.track, false, c.op, c.line, c)
+		return
+	}
+	if m := s.gpmOf(g).fetch(fetchKey{c.line, c.g}, c); m != nil {
+		s.sendLoadReq(g, c.g, c.viaGPUHome, c.req, c.track, true, c.op, c.line, m)
+	}
+}
+
+// sendLoadReq sends a LoadReq from one GPM to a home node on a request
+// context. At the home it runs the system-home load (or, viaGPUHome,
+// the GPU-home load) with req and track; the response returns as a
+// DataResp, fills the requester's slice when fillHere, and goes to sink.
+func (s *System) sendLoadReq(from, home topo.GPMID, viaGPUHome bool, req proto.Requester, track, fillHere bool, op trace.Op, line topo.Line, sink *opCtx) {
+	r := s.newCtx(stageLoadReq)
+	r.from, r.g, r.viaGPUHome, r.req, r.track, r.fillHere = from, home, viaGPUHome, req, track, fillHere
+	r.op, r.line, r.sink = op, line, sink
+	s.send(from, home, msg.LoadReq, r)
 }
 
 // flatRequester encodes the requester for a system-home directory under
@@ -188,46 +213,44 @@ func (s *System) flatRequester(g, sysHome topo.GPMID) proto.Requester {
 // the same GPU (possibly the home itself). Concurrent misses merge in
 // the home's MSHRs; each still records its requester in the directory at
 // request arrival.
-func (s *System) gpuHomeLoad(h, fromGPM topo.GPMID, op trace.Op, line topo.Line, reply func(fillData)) {
+func (s *System) gpuHomeLoad(h, fromGPM topo.GPMID, op trace.Op, line topo.Line, sink *opCtx) {
 	gpm := s.gpmOf(h)
 	// Record the requesting GPM at request time; the system home will
 	// only ever learn the GPU.
 	if gpm.Dir != nil && fromGPM != h {
+		//lint:allow eventemit sharer record of a load; the load surfaces as EvFill/EvLoadDone where its response lands
 		evR, evT := gpm.Dir.RemoteLoad(line, proto.GPMRequester(s.Cfg.Topo.LocalOf(fromGPM)))
 		s.sendInvs(gpm, evR, evT)
 	}
 	c := s.newCtx(stageGPUHomeLoad)
-	c.g, c.op, c.line, c.reply = h, op, line, reply
+	c.g, c.op, c.line, c.sink = h, op, line, sink
 	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
 }
 
-// gpuHomeLoadAtL2 is the GPU-home continuation of gpuHomeLoad one L2
-// latency after request arrival: home L2 lookup, then a merged fetch
-// from the system home on a miss.
-//
-//lint:allow hotalloc fill/forward continuations; budget gated by the hmgperf allocs/event baseline
-func (s *System) gpuHomeLoadAtL2(h topo.GPMID, op trace.Op, line topo.Line, reply func(fillData)) {
+// gpuHomeLoadAtL2 is the GPU-home step of gpuHomeLoad one L2 latency
+// after request arrival: home L2 lookup, then a merged fetch from the
+// system home on a miss.
+func (s *System) gpuHomeLoadAtL2(h topo.GPMID, op trace.Op, line topo.Line, sink *opCtx) {
 	gpm := s.gpmOf(h)
 	scope := s.effScope(op.Scope)
-	sysHome := s.Pages.SysHome(line)
 	if scope <= trace.ScopeGPU {
 		if e, hit := gpm.L2.Lookup(line); hit {
-			reply(e.Data)
+			sink.filled(e.Data)
 			return
 		}
 	}
-	// Miss: forward to the system home carrying only the GPU id; the
-	// GPU home caches the response on behalf of its whole GPU.
-	gpm.fetch(fetchKey{line, sysHome}, reply, func(done func(fillData)) {
-		s.send(h, sysHome, msg.LoadReq, func() {
-			s.sysHomeLoad(sysHome, proto.GPURequester(int(gpm.gpu)), true, line, func(fill fillData) {
-				s.send(sysHome, h, msg.DataResp, func() {
-					s.fillL2(h, line, fill, true)
-					done(fill)
-				})
-			})
-		})
-	})
+	s.fetchFromSysHome(gpm, op, line, sink)
+}
+
+// fetchFromSysHome fetches a line into a GPU home node's slice from the
+// system home, merged in the GPU home's MSHRs. The request carries only
+// the GPU id: the GPU home caches the response on behalf of its whole
+// GPU.
+func (s *System) fetchFromSysHome(gpm *GPM, op trace.Op, line topo.Line, sink *opCtx) {
+	sysHome := s.Pages.SysHome(line)
+	if m := gpm.fetch(fetchKey{line, sysHome}, sink); m != nil {
+		s.sendLoadReq(gpm.id, sysHome, false, proto.GPURequester(int(gpm.gpu)), true, true, op, line, m)
+	}
 }
 
 // sysHomeLoad handles a load at the system home node: hit in the home L2
@@ -235,23 +258,24 @@ func (s *System) gpuHomeLoadAtL2(h topo.GPMID, op trace.Op, line topo.Line, repl
 // requester is recorded as a sharer (Table I remote load).
 //
 //lint:allow hotalloc MCA reply continuation; budget gated by the hmgperf allocs/event baseline
-func (s *System) sysHomeLoad(sh topo.GPMID, req proto.Requester, track bool, line topo.Line, reply func(fillData)) {
+func (s *System) sysHomeLoad(sh topo.GPMID, req proto.Requester, track bool, line topo.Line, sink *opCtx) {
 	if s.Cfg.Policy.MCA {
 		// Multi-copy-atomicity: reads of a line with a store awaiting
 		// invalidation acknowledgments must wait behind it.
 		gpm := s.gpmOf(sh)
 		gpm.lockLine(line, func() {
 			gpm.unlockLine(line)
-			s.sysHomeLoadUnlocked(sh, req, track, line, reply)
+			s.sysHomeLoadUnlocked(sh, req, track, line, sink)
 		})
 		return
 	}
-	s.sysHomeLoadUnlocked(sh, req, track, line, reply)
+	s.sysHomeLoadUnlocked(sh, req, track, line, sink)
 }
 
-func (s *System) sysHomeLoadUnlocked(sh topo.GPMID, req proto.Requester, track bool, line topo.Line, reply func(fillData)) {
+func (s *System) sysHomeLoadUnlocked(sh topo.GPMID, req proto.Requester, track bool, line topo.Line, sink *opCtx) {
 	gpm := s.gpmOf(sh)
 	if gpm.Dir != nil && track {
+		//lint:allow eventemit sharer record of a load; the load surfaces as EvFill/EvLoadDone where its response lands
 		evR, evT := gpm.Dir.RemoteLoad(line, req)
 		s.sendInvs(gpm, evR, evT)
 	}
@@ -259,34 +283,43 @@ func (s *System) sysHomeLoadUnlocked(sh topo.GPMID, req proto.Requester, track b
 		s.classifyLoad(gpm, line, topo.GPMID(req.ID))
 	}
 	c := s.newCtx(stageSysHomeLoad)
-	c.g, c.line, c.reply = sh, line, reply
+	c.g, c.line, c.sink = sh, line, sink
 	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
 }
 
-// sysHomeLoadAtL2 is the system-home continuation of a load one L2
-// latency after request arrival: home L2 lookup, then a merged DRAM
-// fetch on a miss.
-//
-//lint:allow hotalloc fill/reply continuations; budget gated by the hmgperf allocs/event baseline
-func (s *System) sysHomeLoadAtL2(sh topo.GPMID, line topo.Line, reply func(fillData)) {
+// sysHomeLoadAtL2 is the system-home step of a load one L2 latency
+// after request arrival: home L2 lookup, then a merged DRAM fetch on a
+// miss.
+func (s *System) sysHomeLoadAtL2(sh topo.GPMID, line topo.Line, sink *opCtx) {
 	gpm := s.gpmOf(sh)
 	if e, hit := gpm.L2.Lookup(line); hit {
-		reply(e.Data)
+		sink.filled(e.Data)
 		return
 	}
-	gpm.fetch(fetchKey{line, sh}, reply, func(done func(fillData)) {
-		gpm.DRAM.Read(line, func() {
-			var fill fillData
-			if s.Cfg.TrackValues {
-				fill = gpm.DRAM.LineValues(line)
-			}
-			//lint:allow eventemit home slice refilling its own line from DRAM; the requester-side fill emits EvFill when the reply lands
-			e, _ := gpm.L2.Fill(line)
-			//lint:allow eventemit same home refill; the value surfaces via the requester's EvLoadDone
-			e.MergeFrom(fill)
-			done(e.Data)
-		})
-	})
+	s.fetchFromDRAM(gpm, line, sink)
+}
+
+// fetchFromDRAM fetches a line into a system home's slice from its DRAM
+// partition, merged in the home's MSHRs.
+func (s *System) fetchFromDRAM(gpm *GPM, line topo.Line, sink *opCtx) {
+	if m := gpm.fetch(fetchKey{line, gpm.id}, sink); m != nil {
+		c := s.newCtx(stageDRAMFill)
+		c.g, c.line, c.sink = gpm.id, line, m
+		gpm.DRAM.ReadHandler(line, c)
+	}
+}
+
+// dramFilled installs a line read from the home's DRAM in its slice and
+// answers the sink with the slice copy.
+func (s *System) dramFilled(sh topo.GPMID, line topo.Line, sink *opCtx) {
+	gpm := s.gpmOf(sh)
+	var fill fillData
+	if s.Cfg.TrackValues {
+		fill = gpm.DRAM.LineValues(line)
+	}
+	e, _ := gpm.L2.Fill(line)
+	e.MergeFrom(fill)
+	sink.filled(e.Data)
 }
 
 // fillL2 installs a load response into an L2 slice when allowed. Under
@@ -320,8 +353,6 @@ func (s *System) fillL2(g topo.GPMID, line topo.Line, fill fillData, allowed boo
 
 // sendDowngrade notifies the home node of a clean eviction so it can
 // drop this GPM from the sharer set.
-//
-//lint:allow hotalloc downgrade delivery continuation; budget gated by the hmgperf allocs/event baseline
 func (s *System) sendDowngrade(g topo.GPMID, line topo.Line) {
 	sysHome := s.Pages.SysHome(line)
 	home := sysHome
@@ -335,12 +366,10 @@ func (s *System) sendDowngrade(g topo.GPMID, line topo.Line) {
 	if s.Cfg.Policy.Hierarchical {
 		req = proto.GPMRequester(s.Cfg.Topo.LocalOf(g))
 	}
-	s.send(g, home, msg.Downgrade, func() {
-		if d := s.gpmOf(home).Dir; d != nil {
-			d.DropSharer(line, req)
-			s.emit(Event{Kind: EvDowngrade, GPM: home, SM: NoSM, Line: line, Aux: int(g)})
-		}
-	})
+	c := s.newCtx(stageDowngrade)
+	c.g, c.line, c.req, c.from = home, line, req, g
+	s.downgrading++
+	s.send(g, home, msg.Downgrade, c)
 }
 
 // ---------------------------------------------------------------------
@@ -388,8 +417,6 @@ func (sm *SM) storeAfterL1(op trace.Op, line topo.Line, word uint16) {
 // l2Store routes a write-through from the requester's L2 slice toward
 // the home hierarchy. The SM's gates are released as the store is
 // processed at the GPU home and system home points.
-//
-//lint:allow hotalloc per-store gate-release closures; budget gated by the hmgperf allocs/event baseline
 func (s *System) l2Store(sm *SM, op trace.Op, line topo.Line, word uint16) {
 	g := sm.gpm
 	sysHome := s.Pages.SysHome(line)
@@ -409,41 +436,43 @@ func (s *System) l2Store(sm *SM, op trace.Op, line topo.Line, word uint16) {
 			s.gpmOf(g).poisonLine(line)
 		}
 	}
-	onGPU := func() { sm.gpuHomeGate.Finish() }
-	onSys := func() { sm.sysHomeGate.Finish() }
+	const gates = gateGPU | gateSys
 	switch {
 	case g == sysHome:
-		s.sysHomeStore(g, proto.Requester{}, true, op, line, word, onGPU, onSys)
+		s.sysHomeStore(g, proto.Requester{}, true, op, line, word, sm, gates)
 	case hier && g == gpuHome && gpuHome != sysHome:
-		s.gpuHomeStore(g, g, op, line, word, onGPU, onSys)
+		s.gpuHomeStore(g, g, op, line, word, sm, gates)
 	case hier && gpuHome != sysHome:
-		s.send(g, gpuHome, msg.StoreReq, func() {
-			s.gpuHomeStore(gpuHome, g, op, line, word, onGPU, onSys)
-		})
+		c := s.newCtx(stageStoreReqGPUHome)
+		c.g, c.from, c.op, c.line, c.word, c.sm, c.gates = gpuHome, g, op, line, word, sm, gates
+		s.send(g, gpuHome, msg.StoreReq, c)
 	default:
 		// Flat protocols, or the owner GPU where the GPU home node and
 		// the system home node coincide.
-		req := s.flatRequester(g, sysHome)
-		s.send(g, sysHome, msg.StoreReq, func() {
-			s.sysHomeStore(sysHome, req, false, op, line, word, onGPU, onSys)
-		})
+		s.sendStoreReqSys(g, sysHome, s.flatRequester(g, sysHome), op, line, word, sm, gates)
 	}
+}
+
+// sendStoreReqSys sends a write-through to the system home, where it is
+// processed for requester req and releases gates of sm.
+func (s *System) sendStoreReqSys(from, sysHome topo.GPMID, req proto.Requester, op trace.Op, line topo.Line, word uint16, sm *SM, gates gateSet) {
+	c := s.newCtx(stageStoreReqSysHome)
+	c.g, c.req, c.op, c.line, c.word, c.sm, c.gates = sysHome, req, op, line, word, sm, gates
+	s.send(from, sysHome, msg.StoreReq, c)
 }
 
 // gpuHomeStore processes a write-through at a GPU home node that is not
 // the system home, then forwards it to the system home.
-func (s *System) gpuHomeStore(h, fromGPM topo.GPMID, op trace.Op, line topo.Line, word uint16, onGPU, onSys func()) {
+func (s *System) gpuHomeStore(h, fromGPM topo.GPMID, op trace.Op, line topo.Line, word uint16, sm *SM, gates gateSet) {
 	c := s.newCtx(stageGPUHomeStore)
-	c.g, c.from, c.op, c.line, c.word, c.onGPU, c.onSys = h, fromGPM, op, line, word, onGPU, onSys
+	c.g, c.from, c.op, c.line, c.word, c.sm, c.gates = h, fromGPM, op, line, word, sm, gates
 	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
 }
 
-// gpuHomeStoreAtL2 is the GPU-home continuation of a write-through one
-// L2 latency after request arrival: directory transitions, home-copy
+// gpuHomeStoreAtL2 is the GPU-home step of a write-through one L2
+// latency after request arrival: directory transitions, home-copy
 // update, and the forward to the system home.
-//
-//lint:allow hotalloc store-forward continuation; budget gated by the hmgperf allocs/event baseline
-func (s *System) gpuHomeStoreAtL2(h, fromGPM topo.GPMID, op trace.Op, line topo.Line, word uint16, onGPU, onSys func()) {
+func (s *System) gpuHomeStoreAtL2(h, fromGPM topo.GPMID, op trace.Op, line topo.Line, word uint16, sm *SM, gates gateSet) {
 	gpm := s.gpmOf(h)
 	sysHome := s.Pages.SysHome(line)
 	if gpm.Dir != nil {
@@ -464,29 +493,27 @@ func (s *System) gpuHomeStoreAtL2(h, fromGPM topo.GPMID, op trace.Op, line topo.
 	}
 	s.emit(Event{Kind: EvGPUHomeStore, GPM: h, SM: NoSM, Line: line,
 		Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: op.Val})
-	onGPU()
-	s.send(h, sysHome, msg.StoreReq, func() {
-		s.sysHomeStore(sysHome, proto.GPURequester(int(gpm.gpu)), false, op, line, word, nil, onSys)
-	})
+	sm.finishGates(gates & gateGPU)
+	s.sendStoreReqSys(h, sysHome, proto.GPURequester(int(gpm.gpu)), op, line, word, sm, gates&^gateGPU)
 }
 
 // sysHomeStore processes a write-through at the system home: Table I
 // directory transitions, home L2 update, and the DRAM write. local marks
 // stores issued by the home GPM itself.
-func (s *System) sysHomeStore(sh topo.GPMID, req proto.Requester, local bool, op trace.Op, line topo.Line, word uint16, onGPU, onSys func()) {
+func (s *System) sysHomeStore(sh topo.GPMID, req proto.Requester, local bool, op trace.Op, line topo.Line, word uint16, sm *SM, gates gateSet) {
 	if s.Cfg.Policy.MCA {
-		s.sysHomeStoreMCA(sh, req, local, op, line, word, onGPU, onSys)
+		s.sysHomeStoreMCA(sh, req, local, op, line, word, sm, gates)
 		return
 	}
 	c := s.newCtx(stageSysHomeStore)
-	c.g, c.req, c.flag, c.op, c.line, c.word, c.onGPU, c.onSys = sh, req, local, op, line, word, onGPU, onSys
+	c.g, c.req, c.local, c.op, c.line, c.word, c.sm, c.gates = sh, req, local, op, line, word, sm, gates
 	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
 }
 
-// sysHomeStoreAtL2 is the system-home continuation of a write-through
-// one L2 latency after request arrival: classification, Table I
-// directory transitions, home-copy update, and the DRAM write.
-func (s *System) sysHomeStoreAtL2(sh topo.GPMID, req proto.Requester, local bool, op trace.Op, line topo.Line, word uint16, onGPU, onSys func()) {
+// sysHomeStoreAtL2 is the system-home step of a write-through one L2
+// latency after request arrival: classification, Table I directory
+// transitions, home-copy update, and the DRAM write.
+func (s *System) sysHomeStoreAtL2(sh topo.GPMID, req proto.Requester, local bool, op trace.Op, line topo.Line, word uint16, sm *SM, gates gateSet) {
 	gpm := s.gpmOf(sh)
 	if gpm.classes != nil {
 		accessor := topo.GPMID(req.ID)
@@ -519,12 +546,7 @@ func (s *System) sysHomeStoreAtL2(sh topo.GPMID, req proto.Requester, local bool
 	gpm.DRAM.Write(s.Cfg.Net.Sizes.StorePayload, nil)
 	s.emit(Event{Kind: EvHomeStore, GPM: sh, SM: NoSM, Line: line,
 		Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: op.Val})
-	if onGPU != nil {
-		onGPU()
-	}
-	if onSys != nil {
-		onSys()
-	}
+	sm.finishGates(gates)
 }
 
 // ---------------------------------------------------------------------
@@ -537,8 +559,6 @@ func (s *System) sysHomeStoreAtL2(sh topo.GPMID, req proto.Requester, local bool
 // resolve to that GPU's home node, which forwards to its own sharers
 // (the HMG-only Table I transition). The sender's drain gates count each
 // invalidation until its entire fan-out has been delivered.
-//
-//lint:allow hotalloc invalidation delivery/ack continuations; budget gated by the hmgperf allocs/event baseline
 func (s *System) sendInvs(from *GPM, region directory.Region, targets []proto.InvTarget) {
 	if len(targets) == 0 {
 		return
@@ -561,41 +581,54 @@ func (s *System) sendInvs(from *GPM, region directory.Region, targets []proto.In
 		if intra {
 			from.invIntra.Start()
 		}
-		finish := func() {
-			from.invAll.Finish()
-			if intra {
-				from.invIntra.Finish()
-			}
-		}
-		s.send(from.id, dest, msg.Inv, func() {
-			d := s.gpmOf(dest)
-			d.L2.InvalidateRegion(line, gran)
-			d.poisonRegion(line, gran)
-			s.emit(Event{Kind: EvInvDeliver, GPM: dest, SM: NoSM, Line: line, Aux: gran})
-			if !forward || d.Dir == nil {
-				finish()
-				return
-			}
-			fw := d.Dir.Invalidation(region)
-			if len(fw) == 0 {
-				finish()
-				return
-			}
-			s.emit(Event{Kind: EvInvForward, GPM: dest, SM: NoSM, Line: line, Aux: len(fw)})
-			remaining := len(fw)
-			for _, ft := range fw {
-				dest2 := s.Cfg.Topo.GPM(d.gpu, ft.ID)
-				s.send(dest, dest2, msg.Inv, func() {
-					s.gpmOf(dest2).L2.InvalidateRegion(line, gran)
-					s.gpmOf(dest2).poisonRegion(line, gran)
-					s.emit(Event{Kind: EvInvDeliver, GPM: dest2, SM: NoSM, Line: line, Aux: gran})
-					remaining--
-					if remaining == 0 {
-						finish()
-					}
-				})
-			}
-		})
+		c := s.newCtx(stageInvDeliver)
+		c.from, c.g, c.region, c.line, c.gran, c.forward, c.intra = from.id, dest, region, line, gran, forward, intra
+		s.send(from.id, dest, msg.Inv, c)
+	}
+}
+
+// invalidateAt applies a delivered invalidation of gran lines at GPM g:
+// drop the lines from its slice and poison their in-flight fills.
+func (s *System) invalidateAt(g topo.GPMID, line topo.Line, gran int) {
+	d := s.gpmOf(g)
+	d.L2.InvalidateRegion(line, gran)
+	d.poisonRegion(line, gran)
+	s.emit(Event{Kind: EvInvDeliver, GPM: g, SM: NoSM, Line: line, Aux: gran})
+}
+
+// invDelivered runs when the invalidation carried by c reaches its
+// target. A GPU-home target forwards it to its own sharers; c stays live
+// until the last forward is delivered.
+func (s *System) invDelivered(c *opCtx) {
+	dest, line, gran := c.g, c.line, c.gran
+	s.invalidateAt(dest, line, gran)
+	d := s.gpmOf(dest)
+	if !c.forward || d.Dir == nil {
+		c.invFinished()
+		return
+	}
+	fw := d.Dir.Invalidation(c.region)
+	if len(fw) == 0 {
+		c.invFinished()
+		return
+	}
+	s.emit(Event{Kind: EvInvForward, GPM: dest, SM: NoSM, Line: line, Aux: len(fw)})
+	c.pending = len(fw)
+	for _, ft := range fw {
+		f := s.newCtx(stageInvForward)
+		f.parent, f.g, f.line, f.gran = c, s.Cfg.Topo.GPM(d.gpu, ft.ID), line, gran
+		s.send(dest, f.g, msg.Inv, f)
+	}
+}
+
+// invFinished ends an invalidation whose whole fan-out has been
+// delivered: release its context, then count it done at the sender.
+func (c *opCtx) invFinished() {
+	from, intra := c.s.gpmOf(c.from), c.intra
+	c.release()
+	from.invAll.Finish()
+	if intra {
+		from.invIntra.Finish()
 	}
 }
 
@@ -622,12 +655,9 @@ func (s *System) sendInvsAcked(from *GPM, region directory.Region, targets []pro
 		} else {
 			dest = topo.GPMID(t.ID)
 		}
-		s.send(from.id, dest, msg.Inv, func() {
-			d := s.gpmOf(dest)
-			d.L2.InvalidateRegion(line, gran)
-			d.poisonRegion(line, gran)
-			s.emit(Event{Kind: EvInvDeliver, GPM: dest, SM: NoSM, Line: line, Aux: gran})
-			s.send(dest, from.id, msg.InvAck, func() {
+		s.sendFunc(from.id, dest, msg.Inv, func() {
+			s.invalidateAt(dest, line, gran)
+			s.sendFunc(dest, from.id, msg.InvAck, func() {
 				pending--
 				if pending == 0 {
 					onAllAcked()
@@ -661,7 +691,7 @@ func (sm *SM) startAtomic(op trace.Op, done func(uint64)) {
 		loadOp := op
 		loadOp.Kind = trace.Load
 		loadOp.Scope = trace.ScopeNone
-		sm.startLoad(loadOp, false, func(old uint64) {
+		sm.startLoad(sm.newLoad(loadOp, func(old uint64) {
 			if s.Cfg.TrackValues {
 				if e, hit := sm.L1.Peek(line); hit {
 					e.SetValue(word, old+delta)
@@ -672,7 +702,7 @@ func (sm *SM) startAtomic(op trace.Op, done func(uint64)) {
 			stOp.Val = old + delta
 			sm.startStore(stOp)
 			done(old)
-		})
+		}))
 		return
 	}
 	if op.Scope == trace.ScopeGPM {
@@ -683,21 +713,19 @@ func (sm *SM) startAtomic(op trace.Op, done func(uint64)) {
 	}
 	sm.gpuHomeGate.Start()
 	sm.sysHomeGate.Start()
-	onGPU := func() { sm.gpuHomeGate.Finish() }
-	onSys := func() { sm.sysHomeGate.Finish() }
 	sysHome := s.Pages.SysHome(line)
 	s.Eng.Schedule(s.Cfg.L1Latency, func() {
 		if op.Scope == trace.ScopeGPU && s.Cfg.Policy.Hierarchical {
 			gpuHome := s.Pages.GPUHome(sm.gpu, line)
 			if gpuHome != sysHome {
-				s.send(sm.gpm, gpuHome, msg.AtomicReq, func() {
-					s.atomicAtGPUHome(sm, gpuHome, op, line, word, delta, onGPU, onSys, done)
+				s.sendFunc(sm.gpm, gpuHome, msg.AtomicReq, func() {
+					s.atomicAtGPUHome(sm, gpuHome, op, line, word, delta, done)
 				})
 				return
 			}
 		}
-		s.send(sm.gpm, sysHome, msg.AtomicReq, func() {
-			s.atomicAtSysHome(sm, sysHome, op, line, word, delta, onGPU, onSys, done)
+		s.sendFunc(sm.gpm, sysHome, msg.AtomicReq, func() {
+			s.atomicAtSysHome(sm, sysHome, op, line, word, delta, done)
 		})
 	})
 }
@@ -708,7 +736,7 @@ func (sm *SM) startAtomic(op trace.Op, done func(uint64)) {
 // result through to the system home.
 //
 //lint:allow hotalloc atomic forward/reply continuations; budget gated by the hmgperf allocs/event baseline
-func (s *System) atomicAtGPUHome(sm *SM, h topo.GPMID, op trace.Op, line topo.Line, word uint16, delta uint64, onGPU, onSys func(), done func(uint64)) {
+func (s *System) atomicAtGPUHome(sm *SM, h topo.GPMID, op trace.Op, line topo.Line, word uint16, delta uint64, done func(uint64)) {
 	gpm := s.gpmOf(h)
 	sysHome := s.Pages.SysHome(line)
 	gpm.lockLine(line, func() {
@@ -734,14 +762,12 @@ func (s *System) atomicAtGPUHome(sm *SM, h topo.GPMID, op trace.Op, line topo.Li
 				s.emit(Event{Kind: EvAtomicApply, GPM: h, SM: NoSM, Line: line,
 					Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: newVal})
 				gpm.unlockLine(line)
-				onGPU()
+				sm.finishGates(gateGPU)
 				// Reply to the requester and write the result through.
-				s.send(h, sm.gpm, msg.AtomicResp, func() { done(old) })
+				s.sendFunc(h, sm.gpm, msg.AtomicResp, func() { done(old) })
 				stOp := op
 				stOp.Val = newVal
-				s.send(h, sysHome, msg.StoreReq, func() {
-					s.sysHomeStore(sysHome, proto.GPURequester(int(gpm.gpu)), false, stOp, line, word, nil, onSys)
-				})
+				s.sendStoreReqSys(h, sysHome, proto.GPURequester(int(gpm.gpu)), stOp, line, word, sm, gateSys)
 			}
 			if e, hit := gpm.L2.Lookup(line); hit {
 				v, _ := e.Value(word)
@@ -749,18 +775,9 @@ func (s *System) atomicAtGPUHome(sm *SM, h topo.GPMID, op trace.Op, line topo.Li
 				return
 			}
 			// Fetch the line from the system home first.
-			gpm.fetch(fetchKey{line, sysHome}, func(fill fillData) {
-				finish(valOf(fill, word))
-			}, func(fetched func(fillData)) {
-				s.send(h, sysHome, msg.LoadReq, func() {
-					s.sysHomeLoad(sysHome, proto.GPURequester(int(gpm.gpu)), true, line, func(fill fillData) {
-						s.send(sysHome, h, msg.DataResp, func() {
-							s.fillL2(h, line, fill, true)
-							fetched(fill)
-						})
-					})
-				})
-			})
+			w := sm.newLoad(op, finish)
+			w.word = word
+			s.fetchFromSysHome(gpm, op, line, w)
 		})
 	})
 }
@@ -768,7 +785,7 @@ func (s *System) atomicAtGPUHome(sm *SM, h topo.GPMID, op trace.Op, line topo.Li
 // atomicAtSysHome performs an atomic at the system home node.
 //
 //lint:allow hotalloc atomic apply/reply continuations; budget gated by the hmgperf allocs/event baseline
-func (s *System) atomicAtSysHome(sm *SM, sh topo.GPMID, op trace.Op, line topo.Line, word uint16, delta uint64, onGPU, onSys func(), done func(uint64)) {
+func (s *System) atomicAtSysHome(sm *SM, sh topo.GPMID, op trace.Op, line topo.Line, word uint16, delta uint64, done func(uint64)) {
 	gpm := s.gpmOf(sh)
 	gpm.lockLine(line, func() {
 		s.Eng.Schedule(s.Cfg.L2Latency, func() {
@@ -801,28 +818,17 @@ func (s *System) atomicAtSysHome(sm *SM, sh topo.GPMID, op trace.Op, line topo.L
 				s.emit(Event{Kind: EvAtomicApply, GPM: sh, SM: NoSM, Line: line,
 					Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: old + delta})
 				gpm.unlockLine(line)
-				onGPU()
-				onSys()
-				s.send(sh, sm.gpm, msg.AtomicResp, func() { done(old) })
+				sm.finishGates(gateGPU | gateSys)
+				s.sendFunc(sh, sm.gpm, msg.AtomicResp, func() { done(old) })
 			}
 			if e, hit := gpm.L2.Lookup(line); hit {
 				v, _ := e.Value(word)
 				finish(v)
 				return
 			}
-			gpm.fetch(fetchKey{line, sh}, func(fill fillData) {
-				finish(valOf(fill, word))
-			}, func(fetched func(fillData)) {
-				gpm.DRAM.Read(line, func() {
-					var fill fillData
-					if s.Cfg.TrackValues {
-						fill = gpm.DRAM.LineValues(line)
-					}
-					e, _ := gpm.L2.Fill(line)
-					e.MergeFrom(fill)
-					fetched(e.Data)
-				})
-			})
+			w := sm.newLoad(op, finish)
+			w.word = word
+			s.fetchFromDRAM(gpm, line, w)
 		})
 	})
 }
@@ -860,9 +866,9 @@ func (s *System) atomicAtLocalL2(sm *SM, op trace.Op, line topo.Line, word uint1
 				loadOp := op
 				loadOp.Kind = trace.Load
 				loadOp.Scope = trace.ScopeNone
-				s.requesterL2Load(sm, loadOp, line, func(fill fillData) {
-					finish(valOf(fill, word))
-				})
+				c := sm.newLoad(loadOp, finish)
+				c.line, c.word = line, word
+				s.requesterL2Load(c)
 			})
 		})
 	})
@@ -875,7 +881,7 @@ func (s *System) atomicAtLocalL2(sm *SM, op trace.Op, line topo.Line, word uint1
 // non-multi-copy-atomic design eliminates.
 //
 //lint:allow hotalloc MCA store continuation; budget gated by the hmgperf allocs/event baseline
-func (s *System) sysHomeStoreMCA(sh topo.GPMID, req proto.Requester, local bool, op trace.Op, line topo.Line, word uint16, onGPU, onSys func()) {
+func (s *System) sysHomeStoreMCA(sh topo.GPMID, req proto.Requester, local bool, op trace.Op, line topo.Line, word uint16, sm *SM, gates gateSet) {
 	gpm := s.gpmOf(sh)
 	gpm.lockLine(line, func() {
 		s.Eng.Schedule(s.Cfg.L2Latency, func() {
@@ -907,12 +913,7 @@ func (s *System) sysHomeStoreMCA(sh topo.GPMID, req proto.Requester, local bool,
 				s.emit(Event{Kind: EvHomeStore, GPM: sh, SM: NoSM, Line: line,
 					Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: op.Val})
 				gpm.unlockLine(line)
-				if onGPU != nil {
-					onGPU()
-				}
-				if onSys != nil {
-					onSys()
-				}
+				sm.finishGates(gates)
 			}
 			if gpm.Dir == nil || len(inv) == 0 {
 				finish()

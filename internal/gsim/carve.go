@@ -93,8 +93,6 @@ func (s *System) classifyStore(home *GPM, l topo.Line, accessor topo.GPMID) bool
 // broadcastInv invalidates a region in every other GPM's L2 — CARVE's
 // untargeted fan-out, tracked by the home's invalidation gates exactly
 // like directory-generated invalidations.
-//
-//lint:allow hotalloc CARVE broadcast delivery continuation; budget gated by the hmgperf allocs/event baseline
 func (s *System) broadcastInv(home *GPM, l topo.Line) {
 	first := topo.Line(uint64(classRegionOf(l)) * topo.HomeGranuleLines)
 	for g := 0; g < s.Cfg.Topo.TotalGPMs(); g++ {
@@ -107,13 +105,20 @@ func (s *System) broadcastInv(home *GPM, l topo.Line) {
 		if intra {
 			home.invIntra.Start()
 		}
-		s.send(home.id, dest, msg.Inv, func() {
-			s.gpmOf(dest).L2.InvalidateRegion(first, topo.HomeGranuleLines)
-			s.emit(Event{Kind: EvInvDeliver, GPM: dest, SM: NoSM, Line: first, Aux: topo.HomeGranuleLines})
-			home.invAll.Finish()
-			if intra {
-				home.invIntra.Finish()
-			}
-		})
+		c := s.newCtx(stageCarveInv)
+		c.from, c.g, c.line, c.intra = home.id, dest, first, intra
+		s.send(home.id, dest, msg.Inv, c)
+	}
+}
+
+// carveInvDelivered applies one broadcast invalidation at dest and
+// counts it done at the home.
+func (s *System) carveInvDelivered(home, dest topo.GPMID, first topo.Line, intra bool) {
+	s.gpmOf(dest).L2.InvalidateRegion(first, topo.HomeGranuleLines)
+	s.emit(Event{Kind: EvInvDeliver, GPM: dest, SM: NoSM, Line: first, Aux: topo.HomeGranuleLines})
+	h := s.gpmOf(home)
+	h.invAll.Finish()
+	if intra {
+		h.invIntra.Finish()
 	}
 }

@@ -4,6 +4,10 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"hmg/internal/proto"
+	"hmg/internal/topo"
+	"hmg/internal/trace"
 )
 
 func TestDrainImmediateWait(t *testing.T) {
@@ -133,4 +137,40 @@ func TestDrainRandomProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPooledContextsDrain pins the pool accounting the conformance
+// checker relies on: after a run every context is back in its pool, a
+// drawn context counts as live until released, and a second release
+// panics.
+func TestPooledContextsDrain(t *testing.T) {
+	s, err := New(tinyConfig(proto.HMG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []trace.Op
+	for i := 0; i < 64; i++ {
+		ops = append(ops, trace.Op{Kind: trace.Load, Addr: topo.Addr(i * 128)},
+			trace.Op{Kind: trace.Store, Addr: topo.Addr(i * 256), Val: uint64(i + 1)})
+	}
+	if _, err := s.Run(warpsTrace(ops, ops, ops, ops)); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.LiveContexts(); n != 0 {
+		t.Fatalf("%d pooled contexts live after the run drained", n)
+	}
+	c := s.newCtx(stageOpDone)
+	if n := s.LiveContexts(); n != 1 {
+		t.Fatalf("LiveContexts = %d with one context drawn, want 1", n)
+	}
+	c.release()
+	if n := s.LiveContexts(); n != 0 {
+		t.Fatalf("LiveContexts = %d after release, want 0", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("releasing a context twice did not panic")
+		}
+	}()
+	c.release()
 }

@@ -1,136 +1,298 @@
 package gsim
 
-// Pooled per-hop continuation contexts.
+// Pooled op and continuation contexts.
 //
-// Every hop through the memory hierarchy used to schedule a fresh
-// closure: ~20 `Eng.Schedule(lat, func(){...})` sites in access.go,
-// writeback.go, and sm.go each allocated a capture struct per event.
-// opCtx replaces the hot subset of those closures with one reusable
-// value drawn from a per-System free list: the caller fills in the
-// fields its stage needs, schedules the context through the engine's
-// allocation-free ScheduleHandler path, and Handle dispatches on the
-// stage tag.
+// Every step of a load, store, invalidation, or DRAM fill that waits on
+// simulated time or on a response runs on an opCtx drawn from a
+// per-System free list. The caller fills in the fields its step needs
+// and either schedules the context through the engine's
+// allocation-free ScheduleHandler path (Handle dispatches on the stage
+// tag) or hands it to a responder as the sink of a line fill (filled
+// dispatches on the same tag). The stage always names the context's
+// next step, whichever of the two triggers it.
 //
-// Pooling invariant: Handle copies every field it needs into locals and
-// releases the context *before* running the stage body. Stage bodies may
-// allocate fresh contexts (reusing this very one), and any closure a
-// body creates captures those locals — never the pooled struct — so a
-// context is only ever live between its Schedule and its dispatch.
-// Contexts never cross that boundary, which is what makes the pool safe
-// without reference counting.
+// Some contexts live for one hop; others live as long as the operation
+// they carry:
 //
-// This transformation is 1:1 with the closures it replaces: each
-// converted site still schedules exactly one event with the same
-// latency at the same point in execution, so event sequence numbers —
-// and therefore cycle-level results — are byte-identical to the closure
-// implementation.
+//   - a load context carries a load from issue to opDone: the L1
+//     lookup, the requester-side L2 probe, and the L1 fill and
+//     completion bookkeeping when the response arrives;
+//   - a request context carries one LoadReq from a requester to a home
+//     node, waits there for the home's response, and carries the
+//     DataResp back;
+//   - an MSHR entry holds the waiters merged on one outstanding line
+//     fetch until the fill arrives;
+//   - an invalidation context lives until its whole fan-out, forwards
+//     included, has been delivered.
+//
+// Pooling invariant: a context has exactly one owner at a time — the
+// event queue (scheduled), the context it is the sink of (waiting for a
+// fill), the MSHR entry it waits in, or the step now running on it.
+// The step that ends a context's life releases it exactly once and
+// never touches it afterwards; it copies the fields it still needs into
+// locals and releases before running anything that may draw from the
+// pool. The one exception is an MSHR entry: it leaves the MSHR map
+// first, so nothing can reach it while its waiters run, and is released
+// after them. Closures built by the paths that keep them (atomics, MCA,
+// release fences) capture those locals, never a pooled context. Every
+// context is therefore back on the free list once its operation is
+// done, which the conformance checker asserts at each drained kernel
+// boundary (LiveContexts), and release panics on a double release.
+//
+// Byte-identity: every step schedules exactly one event per modeled hop
+// (an L1 or L2 latency, a link, a DRAM access), at the point in
+// execution where the hop begins, so event sequence numbers — and
+// therefore cycle-level results — match the committed baselines.
 
 import (
+	"hmg/internal/directory"
+	"hmg/internal/engine"
+	"hmg/internal/msg"
 	"hmg/internal/proto"
 	"hmg/internal/topo"
 	"hmg/internal/trace"
 )
 
-// ctxStage discriminates which continuation a pooled opCtx carries.
+// ctxStage names the next step of a pooled opCtx.
 type ctxStage uint8
 
 const (
 	stageNone ctxStage = iota
-	// stageLoadValue delivers a resolved load value: done(v).
+
+	// Loads, from the SM up the home hierarchy and back.
+
+	// stageLoadValue completes a load that hit in the L1.
 	stageLoadValue
-	// stageLoadMiss runs the SM-side L1-miss continuation of startLoad.
+	// stageLoadMiss runs the SM-side L1-miss step of a load: route it
+	// into the L2 hierarchy.
 	stageLoadMiss
-	// stageOpDone retires a posted op at its warp: w.opDone().
-	stageOpDone
-	// stageWarpWake clears a warp's timed-wakeup flag and re-issues.
-	stageWarpWake
+	// stageRequesterProbe runs the requester-side local L2 probe of a
+	// load before it escalates to the home hierarchy.
+	stageRequesterProbe
+	// stageLoadFill (on fill) installs the response in the L1 when
+	// permitted and completes the load.
+	stageLoadFill
+	// stageLoadReq runs when a request context's LoadReq reaches its
+	// home node.
+	stageLoadReq
+	// stageHomeReply (on fill) sends the home's response back to the
+	// requester as a DataResp.
+	stageHomeReply
+	// stageDataResp runs when the DataResp reaches the requester: fill
+	// its L2 slice when permitted and pass the data on to the sink.
+	stageDataResp
 	// stageSysHomeLoad runs the system-home L2 lookup of a load.
 	stageSysHomeLoad
 	// stageGPUHomeLoad runs the GPU-home L2 lookup of a load.
 	stageGPUHomeLoad
-	// stageRequesterProbe runs the requester-side local L2 probe of a
-	// load before it escalates to the home hierarchy.
-	stageRequesterProbe
-	// stageSysHomeStore applies a write-through at the system home.
-	stageSysHomeStore
-	// stageGPUHomeStore applies a write-through at a GPU home node.
-	stageGPUHomeStore
+	// stageDRAMFill runs when a home's DRAM read completes: install the
+	// line in the home slice and answer the sink.
+	stageDRAMFill
+	// stageMSHRFill (on fill) completes an MSHR entry: every merged
+	// waiter receives the data, in arrival order.
+	stageMSHRFill
+
+	// Warps.
+
+	// stageOpDone retires a posted op at its warp: w.opDone().
+	stageOpDone
+	// stageWarpWake clears a warp's timed-wakeup flag and re-issues.
+	stageWarpWake
+
+	// Stores and write-backs.
+
 	// stageStartStore runs the SM-side post-L1 leg of a store.
 	stageStartStore
 	// stageStoreWB runs the write-back-option L2 leg of a store: absorb
 	// the store into a dirty local slice hit, or fall through to the
 	// write-through path.
 	stageStoreWB
-	// stageWBSysHome applies a write-back at the system home.
-	stageWBSysHome
+	// stageStoreReqGPUHome and stageStoreReqSysHome run when a StoreReq
+	// reaches a GPU home or the system home.
+	stageStoreReqGPUHome
+	stageStoreReqSysHome
+	// stageGPUHomeStore applies a write-through at a GPU home node.
+	stageGPUHomeStore
+	// stageSysHomeStore applies a write-through at the system home.
+	stageSysHomeStore
+	// stageWBReqGPUHome and stageWBReqSysHome run when a WriteBack
+	// reaches a GPU home or the system home.
+	stageWBReqGPUHome
+	stageWBReqSysHome
 	// stageWBGPUHome applies a write-back at a GPU home node.
 	stageWBGPUHome
+	// stageWBSysHome applies a write-back at the system home.
+	stageWBSysHome
+
+	// Invalidations and downgrades.
+
+	// stageInvDeliver delivers a directory invalidation; a GPU-home
+	// target forwards it to its own sharers.
+	stageInvDeliver
+	// stageInvForward delivers one forwarded invalidation and counts it
+	// against its parent's fan-out.
+	stageInvForward
+	// stageCarveInv delivers one CARVE broadcast invalidation.
+	stageCarveInv
+	// stageDowngrade delivers a clean-eviction downgrade to the home.
+	stageDowngrade
 )
 
-// opCtx is the pooled continuation context. It is a union: each stage
-// reads only the fields its site filled in. Fields are reset on release
-// so the pool never pins caches, closures, or fill maps.
+// gateSet names the store gates of an SM that a write-through or
+// write-back releases as it is processed at its home nodes.
+type gateSet uint8
+
+const (
+	gateGPU gateSet = 1 << iota // the SM's GPU-home gate
+	gateSys                     // the SM's system-home gate
+)
+
+// finishGates releases the named gates, the GPU-home gate first.
+func (sm *SM) finishGates(gs gateSet) {
+	if gs&gateGPU != 0 {
+		sm.gpuHomeGate.Finish()
+	}
+	if gs&gateSys != 0 {
+		sm.sysHomeGate.Finish()
+	}
+}
+
+// opCtx is the pooled context. It is a union: each step reads only the
+// fields its site filled in. Fields are reset on release so the pool
+// never pins caches, closures, or fill maps.
 type opCtx struct {
 	s     *System
 	stage ctxStage
+	live  bool
 
 	sm   *SM
 	w    *warpCtx
-	g    topo.GPMID // home (or acting) GPM of the stage
-	from topo.GPMID // requesting GPM, for home-side stages
+	g    topo.GPMID // home, destination, or acting GPM of the step
+	from topo.GPMID // requesting or originating GPM
 	op   trace.Op
 	line topo.Line
 	word uint16
-	flag bool // l1OK for loads; local for home-side stores
-	req  proto.Requester
 	v    uint64
+	req  proto.Requester
 
-	done  func(uint64)
-	reply func(fillData)
-	next  func()
-	onGPU func()
-	onSys func()
-	data  fillData
+	issued     engine.Cycle // load issue time, for latency statistics
+	l1OK       bool         // the load may fill the L1
+	fillHere   bool         // the response may fill the requester's L2
+	track      bool         // the home records the requester as a sharer
+	viaGPUHome bool         // the request targets a GPU home node
+	local      bool         // a home-side store issued by the home itself
+	gates      gateSet
+
+	// done, when set, receives a load's value in place of the warp
+	// completion bookkeeping (the atomic paths' loads).
+	done func(uint64)
+	// sink receives the line data this context fetches.
+	sink *opCtx
+	data fillData
+
+	// MSHR entries: the fetch and the contexts merged on it.
+	key     fetchKey
+	waiters []*opCtx
+
+	// Invalidation fan-out.
+	region  directory.Region
+	gran    int
+	forward bool
+	intra   bool
+	pending int
+	parent  *opCtx
 }
 
-// newCtx draws a context from the free list (or allocates one while the
-// pool warms up) and tags it with a stage.
+// ctxSlabMin is the size of the first slab of contexts; later slabs
+// double the pool.
+const ctxSlabMin = 256
+
+// newCtx draws a context from the free list and tags it with a stage,
+// growing the pool by a slab when the list is empty.
 //
-//lint:allow hotalloc pool warm-up allocation; steady state draws from the free list
+//lint:allow hotalloc pool growth: slabs double the pool, so warm-up is logarithmic in the peak number of live contexts
 func (s *System) newCtx(stage ctxStage) *opCtx {
-	n := len(s.ctxFree)
-	if n == 0 {
-		return &opCtx{s: s, stage: stage}
+	if len(s.ctxFree) == 0 {
+		slab := make([]opCtx, max(ctxSlabMin, s.ctxs))
+		s.ctxs += len(slab)
+		// Room for every context, so release never grows the list.
+		s.ctxFree = make([]*opCtx, len(slab), s.ctxs)
+		for i := range slab {
+			slab[i].s = s
+			s.ctxFree[i] = &slab[i]
+		}
 	}
-	c := s.ctxFree[n-1]
-	s.ctxFree[n-1] = nil
-	s.ctxFree = s.ctxFree[:n-1]
-	c.stage = stage
+	last := len(s.ctxFree) - 1
+	c := s.ctxFree[last]
+	s.ctxFree = s.ctxFree[:last]
+	c.stage, c.live = stage, true
+	s.liveCtxs++
 	return c
 }
 
 // release zeroes the context and returns it to the free list.
-//
-//lint:allow hotalloc free-list append; growth is amortized across the pool's lifetime
+// Releasing a context twice panics.
 func (c *opCtx) release() {
+	if !c.live {
+		panic("gsim: opCtx released twice")
+	}
 	s := c.s
 	*c = opCtx{s: s}
-	s.ctxFree = append(s.ctxFree, c)
+	s.liveCtxs--
+	s.ctxFree = s.ctxFree[:len(s.ctxFree)+1]
+	s.ctxFree[len(s.ctxFree)-1] = c
 }
 
-// Handle dispatches the continuation. Per the pooling invariant, every
-// arm copies its fields into locals and releases the context before
-// running the stage body.
+// LiveContexts reports the pooled contexts currently in use: op and
+// continuation contexts plus the network's route contexts. Every one
+// belongs to an operation or message still in flight.
+func (s *System) LiveContexts() int { return s.liveCtxs + s.Net.LiveRoutes() }
+
+// DowngradesInFlight reports the downgrade notices sent but not yet
+// delivered. They are the one message a drained kernel boundary does
+// not wait for; each holds its own context and at most one route.
+func (s *System) DowngradesInFlight() int { return s.downgrading }
+
+// Handle runs a scheduled step. Per the pooling invariant, an arm that
+// ends its context's life copies the fields it needs into locals and
+// releases the context before running the step body.
 func (c *opCtx) Handle() {
+	s := c.s
 	switch c.stage {
 	case stageLoadValue:
-		done, v := c.done, c.v
-		c.release()
-		done(v)
+		c.loadDone(c.v)
 	case stageLoadMiss:
-		sm, op, line, word, l1OK, done := c.sm, c.op, c.line, c.word, c.flag, c.done
+		s.requesterL2Load(c)
+	case stageRequesterProbe:
+		if e, hit := s.gpmOf(c.sm.gpm).L2.Lookup(c.line); hit {
+			c.loadFilled(e.Data)
+			return
+		}
+		s.loadRound(c)
+	case stageLoadReq:
+		c.stage = stageHomeReply
+		if c.viaGPUHome {
+			s.gpuHomeLoad(c.g, c.from, c.op, c.line, c)
+		} else {
+			s.sysHomeLoad(c.g, c.req, c.track, c.line, c)
+		}
+	case stageDataResp:
+		from, line, fill, fillHere, sink := c.from, c.line, c.data, c.fillHere, c.sink
 		c.release()
-		sm.loadAfterL1Miss(op, line, word, l1OK, done)
+		s.fillL2(from, line, fill, fillHere)
+		sink.filled(fill)
+	case stageSysHomeLoad:
+		sh, line, sink := c.g, c.line, c.sink
+		c.release()
+		s.sysHomeLoadAtL2(sh, line, sink)
+	case stageGPUHomeLoad:
+		h, op, line, sink := c.g, c.op, c.line, c.sink
+		c.release()
+		s.gpuHomeLoadAtL2(h, op, line, sink)
+	case stageDRAMFill:
+		sh, line, sink := c.g, c.line, c.sink
+		c.release()
+		s.dramFilled(sh, line, sink)
 	case stageOpDone:
 		w := c.w
 		c.release()
@@ -140,32 +302,6 @@ func (c *opCtx) Handle() {
 		c.release()
 		w.wakeup = false
 		w.tryIssue()
-	case stageSysHomeLoad:
-		s, sh, line, reply := c.s, c.g, c.line, c.reply
-		c.release()
-		s.sysHomeLoadAtL2(sh, line, reply)
-	case stageGPUHomeLoad:
-		s, h, op, line, reply := c.s, c.g, c.op, c.line, c.reply
-		c.release()
-		s.gpuHomeLoadAtL2(h, op, line, reply)
-	case stageRequesterProbe:
-		s, g, line, reply, next := c.s, c.g, c.line, c.reply, c.next
-		c.release()
-		if e, hit := s.gpmOf(g).L2.Lookup(line); hit {
-			reply(e.Data)
-			return
-		}
-		next()
-	case stageSysHomeStore:
-		s, sh, req, local, op, line, word, onGPU, onSys :=
-			c.s, c.g, c.req, c.flag, c.op, c.line, c.word, c.onGPU, c.onSys
-		c.release()
-		s.sysHomeStoreAtL2(sh, req, local, op, line, word, onGPU, onSys)
-	case stageGPUHomeStore:
-		s, h, from, op, line, word, onGPU, onSys :=
-			c.s, c.g, c.from, c.op, c.line, c.word, c.onGPU, c.onSys
-		c.release()
-		s.gpuHomeStoreAtL2(h, from, op, line, word, onGPU, onSys)
 	case stageStartStore:
 		sm, op, line, word := c.sm, c.op, c.line, c.word
 		c.release()
@@ -173,24 +309,83 @@ func (c *opCtx) Handle() {
 	case stageStoreWB:
 		sm, op, line, word := c.sm, c.op, c.line, c.word
 		c.release()
-		s := sm.sys
 		if s.tryWriteBackHit(sm.gpm, line, word, op.Val) {
-			sm.gpuHomeGate.Finish()
-			sm.sysHomeGate.Finish()
+			sm.finishGates(gateGPU | gateSys)
 			return
 		}
 		s.l2Store(sm, op, line, word)
-	case stageWBSysHome:
-		s, sh, req, local, line, data, onGPU, onSys :=
-			c.s, c.g, c.req, c.flag, c.line, c.data, c.onGPU, c.onSys
+	case stageStoreReqGPUHome:
+		h, from, op, line, word, sm, gates := c.g, c.from, c.op, c.line, c.word, c.sm, c.gates
 		c.release()
-		s.wbAtSysHomeL2(sh, req, local, line, data, onGPU, onSys)
+		s.gpuHomeStore(h, from, op, line, word, sm, gates)
+	case stageStoreReqSysHome:
+		sh, req, op, line, word, sm, gates := c.g, c.req, c.op, c.line, c.word, c.sm, c.gates
+		c.release()
+		s.sysHomeStore(sh, req, false, op, line, word, sm, gates)
+	case stageGPUHomeStore:
+		h, from, op, line, word, sm, gates := c.g, c.from, c.op, c.line, c.word, c.sm, c.gates
+		c.release()
+		s.gpuHomeStoreAtL2(h, from, op, line, word, sm, gates)
+	case stageSysHomeStore:
+		sh, req, local, op, line, word, sm, gates := c.g, c.req, c.local, c.op, c.line, c.word, c.sm, c.gates
+		c.release()
+		s.sysHomeStoreAtL2(sh, req, local, op, line, word, sm, gates)
+	case stageWBReqGPUHome:
+		h, from, line, data, sm, gates := c.g, c.from, c.line, c.data, c.sm, c.gates
+		c.release()
+		s.wbAtGPUHome(h, from, line, data, sm, gates)
+	case stageWBReqSysHome:
+		sh, req, line, data, sm, gates := c.g, c.req, c.line, c.data, c.sm, c.gates
+		c.release()
+		s.wbAtSysHome(sh, req, false, line, data, sm, gates)
 	case stageWBGPUHome:
-		s, h, from, line, data, onGPU, onSys :=
-			c.s, c.g, c.from, c.line, c.data, c.onGPU, c.onSys
+		h, from, line, data, sm, gates := c.g, c.from, c.line, c.data, c.sm, c.gates
 		c.release()
-		s.wbAtGPUHomeL2(h, from, line, data, onGPU, onSys)
+		s.wbAtGPUHomeL2(h, from, line, data, sm, gates)
+	case stageWBSysHome:
+		sh, req, local, line, data, sm, gates := c.g, c.req, c.local, c.line, c.data, c.sm, c.gates
+		c.release()
+		s.wbAtSysHomeL2(sh, req, local, line, data, sm, gates)
+	case stageInvDeliver:
+		s.invDelivered(c)
+	case stageInvForward:
+		parent, dest, line, gran := c.parent, c.g, c.line, c.gran
+		c.release()
+		s.invalidateAt(dest, line, gran)
+		parent.pending--
+		if parent.pending == 0 {
+			parent.invFinished()
+		}
+	case stageCarveInv:
+		home, dest, first, intra := c.from, c.g, c.line, c.intra
+		c.release()
+		s.carveInvDelivered(home, dest, first, intra)
+	case stageDowngrade:
+		home, line, req, from := c.g, c.line, c.req, c.from
+		c.release()
+		s.downgrading--
+		if d := s.gpmOf(home).Dir; d != nil {
+			d.DropSharer(line, req)
+			s.emit(Event{Kind: EvDowngrade, GPM: home, SM: NoSM, Line: line, Aux: int(from)})
+		}
 	default:
 		panic("gsim: opCtx dispatched with no stage")
+	}
+}
+
+// filled hands a context the line data it waits for, running the
+// fill-triggered step its stage names.
+func (c *opCtx) filled(fill fillData) {
+	switch c.stage {
+	case stageLoadFill:
+		c.loadFilled(fill)
+	case stageHomeReply:
+		c.data = fill
+		c.stage = stageDataResp
+		c.s.send(c.g, c.from, msg.DataResp, c)
+	case stageMSHRFill:
+		c.s.gpmOf(c.g).fetchDone(c, fill)
+	default:
+		panic("gsim: opCtx filled with no fill stage")
 	}
 }

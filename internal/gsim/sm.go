@@ -41,9 +41,10 @@ type warpCtx struct {
 	finished bool
 }
 
-// addWarp makes a warp resident and starts issuing it.
-func (sm *SM) addWarp(w *trace.Warp) {
-	ctx := &warpCtx{sm: sm, ops: w.Ops, readyAt: sm.sys.Eng.Now() + engine.Cycle(w.Ops[0].Gap)}
+// addWarp makes warp w resident in the context slot ctx and starts
+// issuing it.
+func (sm *SM) addWarp(ctx *warpCtx, w *trace.Warp) {
+	*ctx = warpCtx{sm: sm, ops: w.Ops, readyAt: sm.sys.Eng.Now() + engine.Cycle(w.Ops[0].Gap)}
 	sm.warps = append(sm.warps, ctx)
 	ctx.tryIssue()
 }
@@ -101,9 +102,10 @@ func (w *warpCtx) tryIssue() {
 	}
 }
 
-// issue dispatches one op into the memory system.
+// issue dispatches one op into the memory system. A load travels on one
+// pooled context from here to its completion (loadDone).
 //
-//lint:allow hotalloc per-op observe/completion closures; allocation budget gated by the hmgperf allocs/event baseline
+//lint:allow hotalloc release and atomic completion closures; synchronizing ops, not the load/store datapath
 func (w *warpCtx) issue(op trace.Op) {
 	sm := w.sm
 	sys := sm.sys
@@ -112,36 +114,16 @@ func (w *warpCtx) issue(op trace.Op) {
 	sm.inflight++
 	// First touch places the page on the accessing GPM.
 	sys.Pages.Touch(op.Addr, sm.gpm)
-	observe := func(v uint64) {
-		if sys.OnLoadValue != nil {
-			sys.OnLoadValue(sm.id, op, v)
-		}
-		sys.emit(Event{Kind: EvLoadDone, GPM: sm.gpm, SM: sm.id,
-			Line: sys.Cfg.Topo.LineOf(op.Addr), Addr: op.Addr,
-			Scope: op.Scope, Op: op.Kind, Val: v})
-	}
 	switch op.Kind {
-	case trace.Load:
+	case trace.Load, trace.LoadAcq:
 		sys.loads++
-		issued := sys.Eng.Now()
-		sm.startLoad(op, false, func(v uint64) {
-			lat := uint64(sys.Eng.Now() - issued)
-			sys.loadLatSum += lat
-			if lat > sys.maxLoadLat {
-				sys.maxLoadLat = lat
-			}
-			observe(v)
-			w.opDone()
-		})
-	case trace.LoadAcq:
-		sys.loads++
-		w.blocked = true
-		sm.acquireInvalidate(op.Scope)
-		sm.startLoad(op, true, func(v uint64) {
-			observe(v)
-			w.blocked = false
-			w.opDone()
-		})
+		if op.Kind == trace.LoadAcq {
+			w.blocked = true
+			sm.acquireInvalidate(op.Scope)
+		}
+		c := sm.newLoad(op, nil)
+		c.w, c.issued = w, sys.Eng.Now()
+		sm.startLoad(c)
 	case trace.Store:
 		sys.stores++
 		// Posted: the warp sees completion after L1 access; the
@@ -297,9 +279,9 @@ func (sm *SM) fenceInvalidations(scope trace.Scope, done func()) {
 			gateFor().Wait(ack)
 			continue
 		}
-		sm.sys.send(sm.gpm, tgt, relFenceKind, func() {
+		sm.sys.sendFunc(sm.gpm, tgt, relFenceKind, func() {
 			gateFor().Wait(func() {
-				sm.sys.send(tgt, sm.gpm, relAckKind, ack)
+				sm.sys.sendFunc(tgt, sm.gpm, relAckKind, ack)
 			})
 		})
 	}

@@ -36,7 +36,7 @@ type GPM struct {
 	// next level, as a real L2's miss-status holding registers do. These
 	// are cache structures, not protocol state — the directory itself
 	// remains free of transient states.
-	mshr map[fetchKey][]func(fillData)
+	mshr map[fetchKey]*opCtx
 	// pendingLines counts outstanding fetches per line; poisoned marks
 	// lines whose in-flight fill was overtaken by an invalidation or
 	// store. A poisoned fill still satisfies its waiting requests (their
@@ -55,6 +55,10 @@ type GPM struct {
 	classes map[directory.Region]classEntry
 }
 
+// waitListCap is the initial capacity of a pooled MSHR waiter list; a
+// list that outgrows it keeps its larger storage in the pool.
+const waitListCap = 4
+
 // fetchKey identifies an outstanding line fetch: the line and the level
 // it was sent to (the GPM itself for DRAM fetches).
 type fetchKey struct {
@@ -62,30 +66,60 @@ type fetchKey struct {
 	dest topo.GPMID
 }
 
-// fetch merges concurrent requests for the same line+destination: the
-// first caller runs start (which must eventually invoke its callback
-// exactly once with the response data); later callers just enqueue.
+// fetch merges concurrent requests for the same line+destination in an
+// MSHR entry: a pooled context holding a waiter list drawn from the
+// System's pool of lists. The first request for a key gets the new
+// entry back: the caller must start the fetch with the entry as its
+// sink, which completes it exactly once with the response data. Later
+// requests only enqueue their waiter and get nil.
 //
-//lint:allow hotalloc per-fetch waiter list and reply continuations; budget gated by the hmgperf allocs/event baseline
-func (g *GPM) fetch(key fetchKey, reply func(fillData), start func(done func(fillData))) {
-	if waiters, busy := g.mshr[key]; busy {
-		g.mshr[key] = append(waiters, reply)
-		return
+//lint:allow hotalloc pool growth: waiter lists are pooled with their storage, so they are made and grown only up to the peak of outstanding fetches and merges
+func (g *GPM) fetch(key fetchKey, waiter *opCtx) *opCtx {
+	if m, busy := g.mshr[key]; busy {
+		m.waiters = append(m.waiters, waiter)
+		return nil
 	}
-	g.mshr[key] = []func(fillData){reply}
+	s := g.sys
+	if len(s.waitLists) == 0 {
+		// Carve a slab into lists of waitListCap; later slabs double
+		// the pool.
+		n := max(ctxSlabMin, s.numWaitLists)
+		s.numWaitLists += n
+		slab := make([]*opCtx, n*waitListCap)
+		for i := 0; i < n; i++ {
+			lo := i * waitListCap
+			s.waitLists = append(s.waitLists, slab[lo:lo:lo+waitListCap])
+		}
+	}
+	m := s.newCtx(stageMSHRFill)
+	m.g, m.key = g.id, key
+	m.waiters = append(s.waitLists[len(s.waitLists)-1], waiter)
+	s.waitLists = s.waitLists[:len(s.waitLists)-1]
+	g.mshr[key] = m
 	g.pendingLines[key.line]++
-	start(func(fill fillData) {
-		waiters := g.mshr[key]
-		delete(g.mshr, key)
-		g.pendingLines[key.line]--
-		if g.pendingLines[key.line] == 0 {
-			delete(g.pendingLines, key.line)
-			delete(g.poisoned, key.line)
-		}
-		for _, w := range waiters {
-			w(fill)
-		}
-	})
+	return m
+}
+
+// fetchDone completes the MSHR entry m with the fetched data: every
+// merged waiter receives it, in arrival order. The entry leaves the MSHR
+// map first, so it and its waiter list return to their pools only after
+// the waiters have run.
+//
+//lint:allow hotalloc pool growth: the list pool grows only up to the peak of outstanding fetches
+func (g *GPM) fetchDone(m *opCtx, fill fillData) {
+	key, ws := m.key, m.waiters
+	delete(g.mshr, key)
+	g.pendingLines[key.line]--
+	if g.pendingLines[key.line] == 0 {
+		delete(g.pendingLines, key.line)
+		delete(g.poisoned, key.line)
+	}
+	for _, w := range ws {
+		w.filled(fill)
+	}
+	m.release()
+	clear(ws)
+	g.sys.waitLists = append(g.sys.waitLists, ws[:0])
 }
 
 // poisonLine marks an in-flight fill for the line as stale; it will not
@@ -154,9 +188,18 @@ type System struct {
 	// state — so attaching one cannot perturb timing or results.
 	OnEvent func(Event)
 
-	// ctxFree is the free list of pooled per-hop continuation contexts
+	// ctxFree is the free list of pooled op and continuation contexts
 	// (see opctx.go); steady-state hops schedule without allocating.
-	ctxFree []*opCtx
+	// ctxs counts the contexts allocated and liveCtxs those in use.
+	ctxFree  []*opCtx
+	ctxs     int
+	liveCtxs int
+	// downgrading counts downgrade notices in flight.
+	downgrading int
+	// waitLists is the pool of empty MSHR waiter lists; numWaitLists
+	// counts the lists made.
+	waitLists    [][]*opCtx
+	numWaitLists int
 
 	// counters for results not covered by component stats
 	ops, loads, stores, atomics uint64
@@ -186,7 +229,7 @@ func New(cfg Config) (*System, error) {
 			gpu:          cfg.Topo.GPUOf(topo.GPMID(g)),
 			L2:           cache.New(cfg.L2Slice),
 			DRAM:         memory.New(eng, cfg.DRAM),
-			mshr:         make(map[fetchKey][]func(fillData)),
+			mshr:         make(map[fetchKey]*opCtx),
 			pendingLines: make(map[topo.Line]int),
 			poisoned:     make(map[topo.Line]bool),
 			atomicQ:      make(map[topo.Line][]func()),
@@ -302,8 +345,10 @@ func (s *System) launchKernel(k *trace.Kernel) {
 		s.Eng.Schedule(0, s.finishKernelWhenDrained)
 		return
 	}
-	for _, a := range assigns {
-		a.sm.addWarp(a.warp)
+	// One slab holds the kernel's warp contexts.
+	warps := make([]warpCtx, len(assigns))
+	for i, a := range assigns {
+		a.sm.addWarp(&warps[i], a.warp)
 	}
 }
 
@@ -390,7 +435,14 @@ func (s *System) waitInvGates(i int, done func()) {
 	s.GPMs[i].invAll.Wait(func() { s.waitInvGates(i+1, done) })
 }
 
-// send routes a protocol message between GPMs.
-func (s *System) send(from, to topo.GPMID, k msg.Kind, deliver func()) {
-	s.Net.Send(from, to, k, deliver)
+// send routes a protocol message between GPMs, running deliver on
+// arrival.
+func (s *System) send(from, to topo.GPMID, k msg.Kind, deliver engine.Handler) {
+	s.Net.SendHandler(from, to, k, deliver)
+}
+
+// sendFunc routes a message whose arrival runs a closure, for the paths
+// that keep func continuations (atomics, MCA acks, release fences).
+func (s *System) sendFunc(from, to topo.GPMID, k msg.Kind, deliver func()) {
+	s.Net.SendHandler(from, to, k, engine.Func(deliver))
 }

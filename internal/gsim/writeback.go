@@ -70,12 +70,11 @@ func (s *System) flushAllDirty() {
 // follows the store path (GPU home, then system home, under hierarchical
 // policies); the line's data is carried whole.
 //
-//lint:allow hotalloc write-back data snapshot and per-hop continuations; budget gated by the hmgperf allocs/event baseline
+//lint:allow hotalloc write-back data snapshot; value-tracking configurations only
 func (s *System) writeBackLine(g topo.GPMID, sm *SM, line topo.Line, data fillData) {
 	sm.gpuHomeGate.Start()
 	sm.sysHomeGate.Start()
-	onGPU := func() { sm.gpuHomeGate.Finish() }
-	onSys := func() { sm.sysHomeGate.Finish() }
+	const gates = gateGPU | gateSys
 	sysHome := s.Pages.SysHome(line)
 	hier := s.Cfg.Policy.Hierarchical
 	gpuHome := sysHome
@@ -92,103 +91,99 @@ func (s *System) writeBackLine(g topo.GPMID, sm *SM, line topo.Line, data fillDa
 	}
 	switch {
 	case g == sysHome:
-		s.wbAtSysHome(g, proto.Requester{}, true, line, snapshot, onGPU, onSys)
+		s.wbAtSysHome(g, proto.Requester{}, true, line, snapshot, sm, gates)
 	case hier && gpuHome != sysHome && g == gpuHome:
-		s.wbAtGPUHome(g, g, line, snapshot, onGPU, onSys)
+		s.wbAtGPUHome(g, g, line, snapshot, sm, gates)
 	case hier && gpuHome != sysHome:
-		s.send(g, gpuHome, msg.WriteBack, func() {
-			s.wbAtGPUHome(gpuHome, g, line, snapshot, onGPU, onSys)
-		})
+		c := s.newCtx(stageWBReqGPUHome)
+		c.g, c.from, c.line, c.data, c.sm, c.gates = gpuHome, g, line, snapshot, sm, gates
+		s.send(g, gpuHome, msg.WriteBack, c)
 	default:
-		req := s.flatRequester(g, sysHome)
-		s.send(g, sysHome, msg.WriteBack, func() {
-			s.wbAtSysHome(sysHome, req, false, line, snapshot, onGPU, onSys)
-		})
+		s.sendWBReqSys(g, sysHome, s.flatRequester(g, sysHome), line, snapshot, sm, gates)
 	}
+}
+
+// sendWBReqSys sends a write-back to the system home, where it is
+// processed for requester req and releases gates of sm.
+func (s *System) sendWBReqSys(from, sysHome topo.GPMID, req proto.Requester, line topo.Line, data fillData, sm *SM, gates gateSet) {
+	c := s.newCtx(stageWBReqSysHome)
+	c.g, c.req, c.line, c.data, c.sm, c.gates = sysHome, req, line, data, sm, gates
+	s.send(from, sysHome, msg.WriteBack, c)
 }
 
 // wbAtGPUHome applies a writeback at a GPU home node and forwards it to
 // the system home. Per the Section IV option, the issuing GPM is not
 // recorded as a sharer; other sharers of changed data are invalidated.
-func (s *System) wbAtGPUHome(h, fromGPM topo.GPMID, line topo.Line, data fillData, onGPU, onSys func()) {
+func (s *System) wbAtGPUHome(h, fromGPM topo.GPMID, line topo.Line, data fillData, sm *SM, gates gateSet) {
 	c := s.newCtx(stageWBGPUHome)
-	c.g, c.from, c.line, c.data, c.onGPU, c.onSys = h, fromGPM, line, data, onGPU, onSys
+	c.g, c.from, c.line, c.data, c.sm, c.gates = h, fromGPM, line, data, sm, gates
 	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
 }
 
-// wbAtGPUHomeL2 is the GPU-home continuation of a writeback one L2
-// latency after arrival.
-//
-//lint:allow hotalloc write-back forward continuation; budget gated by the hmgperf allocs/event baseline
-func (s *System) wbAtGPUHomeL2(h, fromGPM topo.GPMID, line topo.Line, data fillData, onGPU, onSys func()) {
+// wbAtGPUHomeL2 is the GPU-home step of a writeback one L2 latency
+// after arrival.
+func (s *System) wbAtGPUHomeL2(h, fromGPM topo.GPMID, line topo.Line, data fillData, sm *SM, gates gateSet) {
 	gpm := s.gpmOf(h)
 	sysHome := s.Pages.SysHome(line)
-	if gpm.Dir != nil {
-		req := proto.GPMRequester(s.Cfg.Topo.LocalOf(fromGPM))
-		if fromGPM == h {
-			s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(line), gpm.Dir.LocalStore(line))
-		} else {
-			inv, evR, evT := gpm.Dir.RemoteStore(line, req)
-			s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(line), inv)
-			s.sendInvs(gpm, evR, evT)
-			gpm.Dir.DropSharer(line, req) // "need not be tracked going forward"
-		}
-	}
-	if e, hit := gpm.L2.Peek(line); hit {
-		if s.Cfg.TrackValues {
-			e.MergeFrom(data)
-		}
-	} else {
-		gpm.poisonLine(line)
-	}
-	onGPU()
-	s.send(h, sysHome, msg.WriteBack, func() {
-		s.wbAtSysHome(sysHome, proto.GPURequester(int(gpm.gpu)), false, line, data, nil, onSys)
-	})
+	s.wbApply(gpm, proto.GPMRequester(s.Cfg.Topo.LocalOf(fromGPM)), fromGPM == h, line, data)
+	sm.finishGates(gates & gateGPU)
+	s.sendWBReqSys(h, sysHome, proto.GPURequester(int(gpm.gpu)), line, data, sm, gates&^gateGPU)
 }
 
-// wbAtSysHome applies a writeback at the system home: directory store
-// transition without retaining the writer as a sharer, home-copy merge,
-// and the DRAM write.
-func (s *System) wbAtSysHome(sh topo.GPMID, req proto.Requester, local bool, line topo.Line, data fillData, onGPU, onSys func()) {
-	c := s.newCtx(stageWBSysHome)
-	c.g, c.req, c.flag, c.line, c.data, c.onGPU, c.onSys = sh, req, local, line, data, onGPU, onSys
-	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
-}
-
-// wbAtSysHomeL2 is the system-home continuation of a writeback one L2
-// latency after arrival.
-func (s *System) wbAtSysHomeL2(sh topo.GPMID, req proto.Requester, local bool, line topo.Line, data fillData, onGPU, onSys func()) {
-	gpm := s.gpmOf(sh)
+// wbApply applies a writeback at a home node: the directory store
+// transition without retaining the writer as a sharer ("need not be
+// tracked going forward"), and the home-copy merge. local marks a
+// writeback issued by the home GPM itself.
+//
+// A writeback carries only values its absorbed stores already surfaced
+// as EvStoreIssue; the invalidations it triggers surface as
+// EvInvDeliver when they land.
+func (s *System) wbApply(gpm *GPM, req proto.Requester, local bool, line topo.Line, data fillData) {
 	if gpm.Dir != nil {
 		if local {
+			//lint:allow eventemit writeback store transition; its invalidations emit EvInvDeliver on delivery
 			s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(line), gpm.Dir.LocalStore(line))
 		} else {
+			//lint:allow eventemit writeback store transition; its invalidations emit EvInvDeliver on delivery
 			inv, evR, evT := gpm.Dir.RemoteStore(line, req)
 			s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(line), inv)
 			s.sendInvs(gpm, evR, evT)
+			//lint:allow eventemit the writer is not tracked after a writeback; no reader-visible change
 			gpm.Dir.DropSharer(line, req)
 		}
 	}
 	if e, hit := gpm.L2.Peek(line); hit {
 		if s.Cfg.TrackValues {
+			//lint:allow eventemit merged values were emitted by their stores' EvStoreIssue
 			e.MergeFrom(data)
 		}
 	} else {
 		gpm.poisonLine(line)
 	}
+}
+
+// wbAtSysHome applies a writeback at the system home: directory store
+// transition without retaining the writer as a sharer, home-copy merge,
+// and the DRAM write.
+func (s *System) wbAtSysHome(sh topo.GPMID, req proto.Requester, local bool, line topo.Line, data fillData, sm *SM, gates gateSet) {
+	c := s.newCtx(stageWBSysHome)
+	c.g, c.req, c.local, c.line, c.data, c.sm, c.gates = sh, req, local, line, data, sm, gates
+	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
+}
+
+// wbAtSysHomeL2 is the system-home step of a writeback one L2 latency
+// after arrival.
+func (s *System) wbAtSysHomeL2(sh topo.GPMID, req proto.Requester, local bool, line topo.Line, data fillData, sm *SM, gates gateSet) {
+	gpm := s.gpmOf(sh)
+	s.wbApply(gpm, req, local, line, data)
 	if s.Cfg.TrackValues {
 		base := topo.Addr(uint64(line) * uint64(s.Cfg.Topo.LineSize))
 		//lint:allow determinism each word stores to its own address; per-word DRAM writes commute
 		for w, v := range data {
+			//lint:allow eventemit written-back values were emitted by their stores' EvStoreIssue
 			gpm.DRAM.StoreValue(base+topo.Addr(w)*4, v)
 		}
 	}
 	gpm.DRAM.Write(s.Cfg.Topo.LineSize, nil)
-	if onGPU != nil {
-		onGPU()
-	}
-	if onSys != nil {
-		onSys()
-	}
+	sm.finishGates(gates)
 }

@@ -52,9 +52,9 @@ func NewLink(eng *engine.Engine, name string, gbPerSec float64, latency engine.C
 // Name returns the link's diagnostic name.
 func (l *Link) Name() string { return l.name }
 
-// Send transmits a message of kind k and the given wire size, invoking
+// Send transmits a message of kind k and the given wire size, running
 // deliver when the tail of the message arrives at the far end.
-func (l *Link) Send(k msg.Kind, bytes int, deliver func()) {
+func (l *Link) Send(k msg.Kind, bytes int, deliver engine.Handler) {
 	now := float64(l.eng.Now())
 	depart := now
 	if l.nextFree > depart {
@@ -69,7 +69,7 @@ func (l *Link) Send(k msg.Kind, bytes int, deliver func()) {
 	l.Busy = engine.Cycle(l.busyF)
 	l.Msgs++
 	l.Bytes[k] += uint64(bytes)
-	l.eng.ScheduleAt(engine.Cycle(math.Ceil(l.nextFree))+l.latency, deliver)
+	l.eng.ScheduleHandlerAt(engine.Cycle(math.Ceil(l.nextFree))+l.latency, deliver)
 }
 
 // TotalBytes returns the total traffic carried across all message kinds.

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -17,7 +18,7 @@ func TestLinkLatencyOnly(t *testing.T) {
 	e := engine.New(0)
 	l := NewLink(e, "test", 0, 100) // infinite bandwidth
 	var at engine.Cycle
-	l.Send(msg.LoadReq, 1<<20, func() { at = e.Now() })
+	l.Send(msg.LoadReq, 1<<20, engine.Func(func() { at = e.Now() }))
 	e.Drain()
 	if at != 100 {
 		t.Fatalf("delivered at %d, want 100 (no serialization on infinite link)", at)
@@ -29,8 +30,8 @@ func TestLinkSerialization(t *testing.T) {
 	// 130 GB/s at 1.3 GHz = 100 bytes/cycle.
 	l := NewLink(e, "test", 130, 10)
 	var first, second engine.Cycle
-	l.Send(msg.DataResp, 1000, func() { first = e.Now() }) // 10 ser cycles
-	l.Send(msg.DataResp, 500, func() { second = e.Now() }) // queued behind
+	l.Send(msg.DataResp, 1000, engine.Func(func() { first = e.Now() })) // 10 ser cycles
+	l.Send(msg.DataResp, 500, engine.Func(func() { second = e.Now() })) // queued behind
 	e.Drain()
 	if first != 20 { // depart 0, ser 10, +lat 10
 		t.Fatalf("first delivered at %d, want 20", first)
@@ -57,7 +58,7 @@ func TestLinkBacklogDrains(t *testing.T) {
 	l := NewLink(e, "test", 130, 0) // 100 B/cyc
 	delivered := 0
 	for i := 0; i < 50; i++ {
-		l.Send(msg.LoadReq, 100, func() { delivered++ })
+		l.Send(msg.LoadReq, 100, engine.Func(func() { delivered++ }))
 	}
 	end := e.Drain()
 	if delivered != 50 {
@@ -71,7 +72,7 @@ func TestLinkBacklogDrains(t *testing.T) {
 func TestLinkUtilization(t *testing.T) {
 	e := engine.New(1.3e9)
 	l := NewLink(e, "test", 130, 0)
-	l.Send(msg.LoadReq, 500, func() {}) // 5 busy cycles
+	l.Send(msg.LoadReq, 500, engine.Func(func() {})) // 5 busy cycles
 	e.Drain()
 	if got := l.Utilization(10); got != 0.5 {
 		t.Fatalf("Utilization = %v, want 0.5", got)
@@ -81,12 +82,67 @@ func TestLinkUtilization(t *testing.T) {
 	}
 }
 
-func TestNetworkLocalSend(t *testing.T) {
-	e := engine.New(0)
-	n := NewNetwork(e, testTopo(), DefaultNetConfig())
+// arrival is a reusable deliver handler that records its arrival cycle.
+type arrival struct {
+	e  *engine.Engine
+	at engine.Cycle
+}
+
+func (a *arrival) Handle() { a.at = a.e.Now() }
+
+// linkCounts snapshots every link's message count and per-kind bytes.
+func linkCounts(n *Network) []uint64 {
+	var out []uint64
+	for _, links := range [][]*Link{n.xbarOut, n.xbarIn, n.upLink, n.dnLink} {
+		for _, l := range links {
+			out = append(out, l.Msgs)
+			out = append(out, l.Bytes[:]...)
+		}
+	}
+	return out
+}
+
+// sendBothForms sends one message from→to through the func adapter and
+// through SendHandler on two fresh, identical networks. Both forms must
+// deliver at the same cycle with the same per-link Msgs and Bytes, and
+// a warmed SendHandler of the same route must not allocate. It returns
+// the func-form network and its delivery cycle.
+func sendBothForms(t *testing.T, cfg NetConfig, from, to topo.GPMID, k msg.Kind) (*Network, engine.Cycle) {
+	t.Helper()
+	fe := engine.New(0)
+	fn := NewNetwork(fe, testTopo(), cfg)
 	var at engine.Cycle
-	n.Send(1, 1, msg.LoadReq, func() { at = e.Now() })
-	e.Drain()
+	fn.Send(from, to, k, func() { at = fe.Now() })
+	fe.Drain()
+
+	he := engine.New(0)
+	hn := NewNetwork(he, testTopo(), cfg)
+	h := &arrival{e: he}
+	hn.SendHandler(from, to, k, h)
+	he.Drain()
+	if h.at != at {
+		t.Fatalf("SendHandler delivered at %d, func adapter at %d", h.at, at)
+	}
+	if got, want := linkCounts(hn), linkCounts(fn); !reflect.DeepEqual(got, want) {
+		t.Fatalf("per-link counts differ: handler %v, func %v", got, want)
+	}
+	if hn.LocalMsgs != fn.LocalMsgs || hn.IntraGPUMsgs != fn.IntraGPUMsgs || hn.InterGPUMsgs != fn.InterGPUMsgs {
+		t.Fatal("network message counters differ between the two forms")
+	}
+	if hn.LiveRoutes() != 0 {
+		t.Fatalf("%d route contexts live after delivery", hn.LiveRoutes())
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		hn.SendHandler(from, to, k, h)
+		he.Drain()
+	}); allocs != 0 {
+		t.Fatalf("warmed SendHandler %d→%d allocates %.1f times per message", from, to, allocs)
+	}
+	return fn, at
+}
+
+func TestNetworkLocalSend(t *testing.T) {
+	n, at := sendBothForms(t, DefaultNetConfig(), 1, 1, msg.LoadReq)
 	if at != DefaultNetConfig().LocalLatency {
 		t.Fatalf("local send at %d, want %d", at, DefaultNetConfig().LocalLatency)
 	}
@@ -99,12 +155,8 @@ func TestNetworkLocalSend(t *testing.T) {
 }
 
 func TestNetworkIntraGPU(t *testing.T) {
-	e := engine.New(0)
 	cfg := DefaultNetConfig()
-	n := NewNetwork(e, testTopo(), cfg)
-	var at engine.Cycle
-	n.Send(0, 1, msg.LoadReq, func() { at = e.Now() }) // GPMs 0,1 share GPU 0
-	e.Drain()
+	n, at := sendBothForms(t, cfg, 0, 1, msg.LoadReq) // GPMs 0,1 share GPU 0
 	if at < cfg.XbarLatency {
 		t.Fatalf("intra-GPU send at %d, want >= %d", at, cfg.XbarLatency)
 	}
@@ -120,12 +172,8 @@ func TestNetworkIntraGPU(t *testing.T) {
 }
 
 func TestNetworkInterGPU(t *testing.T) {
-	e := engine.New(0)
 	cfg := DefaultNetConfig()
-	n := NewNetwork(e, testTopo(), cfg)
-	var at engine.Cycle
-	n.Send(0, 3, msg.DataResp, func() { at = e.Now() }) // GPU0 → GPU1
-	e.Drain()
+	n, at := sendBothForms(t, cfg, 0, 3, msg.DataResp) // GPU0 → GPU1
 	min := cfg.XbarLatency + cfg.NVLinkLatency
 	if at < min {
 		t.Fatalf("inter-GPU send at %d, want >= %d", at, min)
@@ -212,7 +260,7 @@ func TestLinkFIFOProperty(t *testing.T) {
 			i := i
 			b := int(sz%2000) + 1
 			want += uint64(b)
-			l.Send(msg.LoadReq, b, func() { order = append(order, i) })
+			l.Send(msg.LoadReq, b, engine.Func(func() { order = append(order, i) }))
 		}
 		e.Drain()
 		if len(order) != len(sizes) {

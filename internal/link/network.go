@@ -59,6 +59,12 @@ type Network struct {
 	IntraGPUMsgs [msg.NumKinds]uint64
 	// LocalMsgs counts GPM-internal messages.
 	LocalMsgs uint64
+
+	// routeFree is the free list of pooled route contexts; routes counts
+	// the contexts allocated and liveRoutes those in flight.
+	routeFree  []*route
+	routes     int
+	liveRoutes int
 }
 
 // NewNetwork builds the interconnect for a topology.
@@ -78,34 +84,123 @@ func NewNetwork(eng *engine.Engine, t topo.Topology, cfg NetConfig) *Network {
 // Config returns the network's configuration.
 func (n *Network) Config() NetConfig { return n.cfg }
 
-// Send routes a message of kind k from one GPM to another, invoking
-// deliver on arrival. Same-GPM sends take only LocalLatency and consume
-// no link bandwidth.
-//
-//lint:allow hotalloc per-message multi-hop delivery continuations; budget gated by the hmgperf allocs/event baseline
+// Send routes a message like SendHandler, running the func deliver on
+// arrival.
 func (n *Network) Send(from, to topo.GPMID, k msg.Kind, deliver func()) {
+	n.SendHandler(from, to, k, engine.Func(deliver))
+}
+
+// SendHandler routes a message of kind k from one GPM to another,
+// running deliver on arrival. Same-GPM sends take only LocalLatency and
+// consume no link bandwidth. Multi-hop messages travel on one pooled
+// route context, so a warmed network sends without allocating.
+func (n *Network) SendHandler(from, to topo.GPMID, k msg.Kind, deliver engine.Handler) {
 	bytes := n.cfg.Sizes.Bytes(k)
 	switch {
 	case from == to:
 		n.LocalMsgs++
-		n.eng.Schedule(n.cfg.LocalLatency, deliver)
+		n.eng.ScheduleHandler(n.cfg.LocalLatency, deliver)
 	case n.topo.SameGPU(from, to):
 		n.IntraGPUMsgs[k]++
-		n.xbarOut[from].Send(k, bytes, func() {
-			n.xbarIn[to].Send(k, bytes, deliver)
-		})
+		r := n.newRoute(k, bytes, to, deliver)
+		r.hop = hopXbarIn
+		n.xbarOut[from].Send(k, bytes, r)
 	default:
 		n.InterGPUMsgs[k]++
-		src, dst := n.topo.GPUOf(from), n.topo.GPUOf(to)
-		n.xbarOut[from].Send(k, bytes, func() {
-			n.upLink[src].Send(k, bytes, func() {
-				n.dnLink[dst].Send(k, bytes, func() {
-					n.xbarIn[to].Send(k, bytes, deliver)
-				})
-			})
-		})
+		r := n.newRoute(k, bytes, to, deliver)
+		r.hop = hopUp
+		r.src, r.dst = n.topo.GPUOf(from), n.topo.GPUOf(to)
+		n.xbarOut[from].Send(k, bytes, r)
 	}
 }
+
+// routeHop names the link a route context traverses next.
+type routeHop uint8
+
+const (
+	// hopUp crosses the source GPU's uplink onto the NVSwitch.
+	hopUp routeHop = iota
+	// hopDown crosses the destination GPU's downlink.
+	hopDown
+	// hopXbarIn crosses the destination GPM's crossbar input port, the
+	// last hop: the route hands that link the caller's deliver handler.
+	hopXbarIn
+)
+
+// route carries one multi-hop message. It is the arrival handler of
+// every hop but the last and re-sends itself on the next link, so a
+// message schedules exactly one event per link.
+type route struct {
+	n        *Network
+	k        msg.Kind
+	bytes    int
+	to       topo.GPMID
+	src, dst topo.GPUID
+	hop      routeHop
+	deliver  engine.Handler
+	live     bool
+}
+
+// Handle runs when the message reaches the end of its current link. The
+// last hop releases the route before scheduling deliver, so a route is
+// live only while its message is between links.
+func (r *route) Handle() {
+	n := r.n
+	switch r.hop {
+	case hopUp:
+		r.hop = hopDown
+		n.upLink[r.src].Send(r.k, r.bytes, r)
+	case hopDown:
+		r.hop = hopXbarIn
+		n.dnLink[r.dst].Send(r.k, r.bytes, r)
+	case hopXbarIn:
+		k, bytes, to, deliver := r.k, r.bytes, r.to, r.deliver
+		n.releaseRoute(r)
+		n.xbarIn[to].Send(k, bytes, deliver)
+	}
+}
+
+// routeSlabMin is the size of the first slab of route contexts; later
+// slabs double the pool.
+const routeSlabMin = 64
+
+// newRoute draws a route context from the free list, growing the pool
+// by a slab when it is empty.
+//
+//lint:allow hotalloc pool growth: slabs double the pool, so warm-up is logarithmic in the peak number of messages in flight
+func (n *Network) newRoute(k msg.Kind, bytes int, to topo.GPMID, deliver engine.Handler) *route {
+	if len(n.routeFree) == 0 {
+		slab := make([]route, max(routeSlabMin, n.routes))
+		n.routes += len(slab)
+		// Room for every context, so releaseRoute never grows the list.
+		n.routeFree = make([]*route, len(slab), n.routes)
+		for i := range slab {
+			n.routeFree[i] = &slab[i]
+		}
+	}
+	last := len(n.routeFree) - 1
+	r := n.routeFree[last]
+	n.routeFree = n.routeFree[:last]
+	*r = route{n: n, k: k, bytes: bytes, to: to, deliver: deliver, live: true}
+	n.liveRoutes++
+	return r
+}
+
+// releaseRoute returns a route context to the free list. Releasing a
+// context twice panics.
+func (n *Network) releaseRoute(r *route) {
+	if !r.live {
+		panic("link: route context released twice")
+	}
+	*r = route{}
+	n.liveRoutes--
+	n.routeFree = n.routeFree[:len(n.routeFree)+1]
+	n.routeFree[len(n.routeFree)-1] = r
+}
+
+// LiveRoutes reports the route contexts currently carrying a message.
+// It is zero whenever no multi-hop message is in flight.
+func (n *Network) LiveRoutes() int { return n.liveRoutes }
 
 // InterGPUBytes returns total bytes carried over inter-GPU links (up and
 // down), by kind.

@@ -38,17 +38,21 @@
 // the steady state by definition.
 //
 // Known unsoundness, accepted on purpose: dynamic calls through
-// stored func values (reply/done continuations, the OnEvent hook) are
-// invisible to the call graph, as are allocations hidden behind map
-// growth and &localVariable escapes. The hmgperf allocs/event gate
+// stored func values and interface methods are invisible to the call
+// graph, as are allocations hidden behind map growth and
+// &localVariable escapes. The load, store and invalidation reply and
+// done continuations are opCtx Handle arms and static calls from them,
+// so they are analyzed; what stays invisible is the func continuations
+// of the atomic, MCA, release-fence and kernel-drain paths (run through
+// engine.Func) and the OnEvent hook. The hmgperf allocs/event gate
 // remains the runtime backstop for those.
 //
 // Suppression: `//lint:allow hotalloc <reason>` on the site line or
 // the line above, or on (or directly above) the enclosing function
 // declaration — a body-level allow excludes every site in that
 // function, which keeps justified continuation-heavy functions (e.g.
-// gsim's per-op reply closures, budgeted by the perf gate) to one
-// directive each.
+// gsim's atomic and kernel-drain closures, budgeted by the perf gate)
+// to one directive each.
 
 package lint
 

@@ -75,10 +75,16 @@ func (d *DRAM) occupy(bytes int) engine.Cycle {
 	return engine.Cycle(math.Ceil(d.nextFree)) + d.cfg.Latency
 }
 
-// Read fetches a line, invoking done when the data is available.
-func (d *DRAM) Read(l topo.Line, done func()) {
+// Read fetches a line like ReadHandler, running the func done when the
+// data is available.
+func (d *DRAM) Read(l topo.Line, done func()) { d.ReadHandler(l, engine.Func(done)) }
+
+// ReadHandler fetches a line, running done when the data is available.
+// It schedules exactly one event and, given a pooled pointer handler,
+// allocates nothing.
+func (d *DRAM) ReadHandler(l topo.Line, done engine.Handler) {
 	d.Stats.Reads++
-	d.eng.ScheduleAt(d.occupy(d.cfg.LineSize), done)
+	d.eng.ScheduleHandlerAt(d.occupy(d.cfg.LineSize), done)
 }
 
 // Write stores write-through data of the given size, invoking done (which

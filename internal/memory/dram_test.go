@@ -20,6 +20,45 @@ func TestReadLatency(t *testing.T) {
 	}
 }
 
+// readDone is a reusable ReadHandler completion that records its cycle.
+type readDone struct {
+	e  *engine.Engine
+	at engine.Cycle
+}
+
+func (r *readDone) Handle() { r.at = r.e.Now() }
+
+// TestReadHandlerMatchesRead pins that the handler form completes at the
+// same cycle with the same stats as the func form, and that a warmed
+// handler-form read allocates nothing.
+func TestReadHandlerMatchesRead(t *testing.T) {
+	cfg := Config{BandwidthGBs: 130, Latency: 10, LineSize: 128}
+	fe := engine.New(1.3e9)
+	fd := New(fe, cfg)
+	he := engine.New(1.3e9)
+	hd := New(he, cfg)
+	h := &readDone{e: he}
+	for i := 0; i < 3; i++ {
+		var at engine.Cycle
+		fd.Read(0, func() { at = fe.Now() })
+		fe.Drain()
+		hd.ReadHandler(0, h)
+		he.Drain()
+		if h.at != at {
+			t.Fatalf("read %d: ReadHandler done at %d, Read at %d", i, h.at, at)
+		}
+	}
+	if hd.Stats != fd.Stats {
+		t.Fatalf("stats differ: handler %+v, func %+v", hd.Stats, fd.Stats)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		hd.ReadHandler(0, h)
+		he.Drain()
+	}); allocs != 0 {
+		t.Fatalf("warmed ReadHandler allocates %.1f times per read", allocs)
+	}
+}
+
 func TestBandwidthQueueing(t *testing.T) {
 	e := engine.New(1.3e9)
 	// 130 GB/s = 100 B/cyc; a 128B line occupies 2 cycles.

@@ -196,15 +196,24 @@ func (p Params) layoutFor(t topo.Topology, numCTAs, setSize int) layout {
 	return l
 }
 
+// CheckScale reports whether scale is a valid Generate scale: a number
+// in (0, 1]. NaN is rejected.
+func CheckScale(scale float64) error {
+	if !(scale > 0 && scale <= 1) {
+		return fmt.Errorf("scale %v out of (0,1]", scale)
+	}
+	return nil
+}
+
 // Generate synthesizes the trace for a system topology. scale ∈ (0, 1]
 // shrinks the op count (for sensitivity sweeps and unit tests); 1 is the
-// full scaled workload.
+// full scaled workload. It panics on an invalid scale (see CheckScale).
 func (p Params) Generate(t topo.Topology, scale float64) *trace.Trace {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	if scale <= 0 || scale > 1 {
-		panic(fmt.Sprintf("workload %s: scale %v out of (0,1]", p.Name, scale))
+	if err := CheckScale(scale); err != nil {
+		panic(fmt.Sprintf("workload %s: %v", p.Name, err))
 	}
 	numCTAs := p.CTAsPerGPM * t.TotalGPMs()
 	opsPerWarp := int(float64(p.OpsPerWarp) * scale)

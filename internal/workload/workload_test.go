@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"hmg/internal/topo"
@@ -291,10 +292,17 @@ func TestValidateRejectsBadParams(t *testing.T) {
 
 func TestGeneratePanicsOnBadScale(t *testing.T) {
 	p, _ := Get("lstm")
-	defer func() {
-		if recover() == nil {
-			t.Error("Generate with scale 0 did not panic")
+	for _, scale := range []float64{0, -1, 2, math.NaN()} {
+		if CheckScale(scale) == nil {
+			t.Errorf("CheckScale(%v) accepted an out-of-range scale", scale)
 		}
-	}()
-	p.Generate(expTopo(), 0)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Generate with scale %v did not panic", scale)
+				}
+			}()
+			p.Generate(expTopo(), scale)
+		}()
+	}
 }

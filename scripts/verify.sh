@@ -45,12 +45,19 @@
 # The perf tier runs cmd/hmgperf against the newest committed
 # BENCH_*.json baseline: simulated cycles and event counts must match
 # exactly (the simulator is deterministic), and allocs/event must not
-# grow past a small tolerance — the hot path is not zero-alloc (the
-# 2026-08-09 baseline measures 1.24-1.46 allocs/event across the
-# matrix), so the gate blocks growth; wall-clock drift only warns. It reuses
-# the store tier's populated -cachedir, which cross-checks every store
-# record it touches against the freshly measured cycles/events — a
-# second determinism tripwire.
+# grow past a small tolerance — the hot path is not yet zero-alloc (the
+# 2026-10-17 baseline measures 0.009-0.028 allocs/event across the
+# matrix, left by the kernel-drain closures, directory target lists and
+# pool warm-up), so the gate blocks growth; wall-clock drift only warns.
+# It reuses the store tier's populated -cachedir, which cross-checks
+# every store record it touches against the freshly measured
+# cycles/events — a second determinism tripwire.
+#
+# The benchmark fingerprint tier runs the repo benchmark's matrix and
+# campaign-fig8 workloads for one second each: every cell's cycles,
+# events, ops, L1/L2 hits and invalidation messages must equal the
+# fingerprints pinned in benchmark/, which the run reports as
+# "correct":true on its last line.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -151,7 +158,10 @@ if ! grep -q "^campaign: 0 unique runs" "$STORE_SCRATCH/warm.log"; then
 fi
 # A damaged record must be a miss: truncate one and the rerun must
 # re-simulate exactly that run, to identical output bytes.
-VICTIM="$(find "$RESSTORE_DIR" -name '*.res' | sort | head -1)"
+# sed reads all of sort's output: `head -1` would exit early and, under
+# pipefail, sort's SIGPIPE would fail the script once the list outgrows
+# the pipe buffer.
+VICTIM="$(find "$RESSTORE_DIR" -name '*.res' | sort | sed -n 1p)"
 truncate -s -1 "$VICTIM"
 "$HMGBENCH_BIN" -fig all -scale 0.25 -cachedir "$RESSTORE_DIR" -v \
   > "$STORE_SCRATCH/healed.txt" 2> "$STORE_SCRATCH/healed.log"
@@ -170,5 +180,15 @@ if [ -z "$BENCH_BASELINE" ]; then
   exit 1
 fi
 go run ./cmd/hmgperf -against "$BENCH_BASELINE" -cachedir "$RESSTORE_DIR"
+
+echo "== benchmark fingerprint gate (pinned per-cell simulated fingerprints)"
+for wl in matrix campaign-fig8; do
+  BENCH_LAST="$(bash benchmark/run.sh --workload "$wl" --seed 0 --seconds 1 --trace 0 | tail -1)" || true
+  if ! echo "$BENCH_LAST" | grep -q '"correct":true'; then
+    echo "benchmark $wl does not match its pinned fingerprints: $BENCH_LAST" >&2
+    exit 1
+  fi
+  echo "benchmark $wl: fingerprints match"
+done
 
 echo "verify OK"
