@@ -188,6 +188,78 @@ func TestHmgcheckFlow(t *testing.T) {
 	if out, err := exec.Command(bin, "-bench", "nosuch").CombinedOutput(); err == nil || !strings.Contains(string(out), "known:") {
 		t.Fatalf("hmgcheck unknown benchmark: err=%v out=%s", err, out)
 	}
+	// Out-of-range scales fail before any worker generates a trace, and
+	// a negative -seeds fails before the litmus tier is built: a clean
+	// non-zero exit, never a worker panic or a ~2^64-iteration loop.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scale", "0"}, "scale 0 out of (0,1]"},
+		{[]string{"-scale", "-1"}, "scale -1 out of (0,1]"},
+		{[]string{"-scale", "7"}, "scale 7 out of (0,1]"},
+		{[]string{"-scale", "NaN"}, "scale NaN out of (0,1]"},
+		{[]string{"-seeds", "-5"}, "-seeds -5 is negative"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		out, err := exec.CommandContext(ctx, bin, c.args...).CombinedOutput()
+		hung := ctx.Err() == context.DeadlineExceeded
+		cancel()
+		if hung {
+			t.Fatalf("hmgcheck %v hung", c.args)
+		}
+		if err == nil || strings.Contains(string(out), "panic:") {
+			t.Fatalf("hmgcheck %v: err=%v, want a clean non-zero exit:\n%s", c.args, err, out)
+		}
+		if !strings.Contains(string(out), c.want) {
+			t.Fatalf("hmgcheck %v error does not mention %q:\n%s", c.args, c.want, out)
+		}
+	}
+}
+
+// TestHmgperfFlow runs the pinned perf matrix end to end: the snapshot
+// holds all nine cells with deterministic counts, and -cpuprofile
+// writes a profile that go tool pprof parses and that shows the event
+// loop.
+func TestHmgperfFlow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI build in -short mode")
+	}
+	bin := build(t, "cmd/hmgperf")
+	dir := t.TempDir()
+	snapPath := filepath.Join(dir, "bench.json")
+	profPath := filepath.Join(dir, "cpu.prof")
+	out := run(t, bin, "-o", snapPath, "-cpuprofile", profPath)
+	if !strings.Contains(out, "wrote "+snapPath+" (9 runs)") {
+		t.Fatalf("hmgperf output:\n%s", out)
+	}
+	buf, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Runs []struct {
+			Cycles, Events uint64
+		}
+	}
+	if err := json.Unmarshal(buf, &snap); err != nil {
+		t.Fatalf("snapshot does not parse: %v", err)
+	}
+	for i, r := range snap.Runs {
+		if r.Cycles == 0 || r.Events == 0 {
+			t.Fatalf("cell %d reports %d cycles and %d events", i, r.Cycles, r.Events)
+		}
+	}
+	if fi, err := os.Stat(profPath); err != nil || fi.Size() == 0 {
+		t.Fatalf("CPU profile missing or empty: %v", err)
+	}
+	top, err := exec.Command("go", "tool", "pprof", "-top", bin, profPath).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go tool pprof -top: %v\n%s", err, top)
+	}
+	if !strings.Contains(string(top), "engine.(*Engine).Run") {
+		t.Fatalf("profile does not show the event loop:\n%s", top)
+	}
 }
 
 // TestHmgspecFlow drives the Table I spec certifier end to end: the

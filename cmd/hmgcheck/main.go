@@ -55,6 +55,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if err := workload.CheckScale(*scale); err != nil {
+		fatal(err)
+	}
+	if *seeds < 0 {
+		fatal(fmt.Errorf("-seeds %d is negative", *seeds))
+	}
 
 	var only proto.Kind
 	restrict := *protoName != ""

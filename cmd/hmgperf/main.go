@@ -9,6 +9,7 @@
 //	hmgperf                              # run matrix, write BENCH_<date>.json
 //	hmgperf -o BENCH_baseline.json       # explicit output path
 //	hmgperf -against BENCH_baseline.json # compare mode: exit 1 on regression
+//	hmgperf -cpuprofile cpu.prof         # also profile the matrix's Run windows
 //
 // Compare mode fails hard on any drift in simulated cycles or event
 // counts (an optimization changed behavior — the determinism contract
@@ -27,14 +28,24 @@
 // scale 0.25, since the key spaces coincide — failing hard if a cell's
 // cycles or events drift from the stored record, and written back so
 // perf runs warm the campaign cache as a side effect.
+//
+// -cpuprofile writes a pprof CPU profile (read it with `go tool pprof`)
+// of the matrix's Run windows: every cell's system and trace are built
+// before profiling starts, and the profile stops after the last cell's
+// Run. Set-up is therefore absent; the garbage collection forced before
+// each measurement window (and, with -cachedir, the store writes) stay
+// in it. That is the place to look when ns/event moves and the counts
+// do not say why.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"hmg/internal/experiments"
@@ -42,6 +53,7 @@ import (
 	"hmg/internal/proto"
 	"hmg/internal/resstore"
 	"hmg/internal/topo"
+	"hmg/internal/trace"
 	"hmg/internal/workload"
 )
 
@@ -109,6 +121,7 @@ func main() {
 	sms := flag.Int("sms", 8, "modeled SMs per GPM (must match the baseline)")
 	topoFlag := flag.String("topo", "", topo.SpecFlagUsage+" (must match the baseline)")
 	cachedir := flag.String("cachedir", "", "campaign result store to cross-check cells against and write them back to")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the matrix's Run windows to this file")
 	flag.Parse()
 
 	shape, err := topo.ParseSpec(*topoFlag)
@@ -124,7 +137,19 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	snap, err := runMatrix(*sms, shape, store)
+	var prof *os.File
+	if *cpuprofile != "" {
+		if prof, err = os.Create(*cpuprofile); err != nil {
+			fmt.Fprintf(os.Stderr, "hmgperf: %v\n", err)
+			os.Exit(2)
+		}
+	}
+	snap, err := runMatrix(*sms, shape, store, prof)
+	if prof != nil {
+		if cerr := prof.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hmgperf: %v\n", err)
 		os.Exit(2)
@@ -164,8 +189,10 @@ func main() {
 // isolates simulation allocations by reading memory statistics after
 // system construction and trace generation (setup) and again after the
 // run. With a store attached, each cell is cross-checked against and
-// written back to the campaign result store.
-func runMatrix(sms int, shape topo.Spec, store *resstore.Store) (*Snapshot, error) {
+// written back to the campaign result store. With prof non-nil, all
+// cells are set up first and a CPU profile of the runs is written to
+// prof.
+func runMatrix(sms int, shape topo.Spec, store *resstore.Store, prof io.Writer) (*Snapshot, error) {
 	r, err := experiments.NewRunner(experiments.Options{Scale: matrixScale, SMsPerGPM: sms, Topo: shape})
 	if err != nil {
 		return nil, err
@@ -178,33 +205,68 @@ func runMatrix(sms int, shape topo.Spec, store *resstore.Store) (*Snapshot, erro
 		SMsPerGPM: sms,
 		Topo:      r.Config(proto.HMG, experiments.Variant{}).Topo.String(),
 	}
+	var cells []*cell
 	for _, abbrev := range matrixBenches {
 		bench, err := workload.Get(abbrev)
 		if err != nil {
 			return nil, err
 		}
 		for _, kind := range matrixProtocols {
-			cell, err := runCell(r, bench, kind, store)
-			if err != nil {
+			cells = append(cells, &cell{bench: bench, kind: kind})
+		}
+	}
+	if prof != nil {
+		for _, c := range cells {
+			if err := c.setup(r); err != nil {
 				return nil, err
 			}
-			fmt.Fprintf(os.Stderr, "  %-10s %-12v %10d cycles %9d events  %6.3f allocs/ev  %7.1f ns/ev  %5.2f Mev/s\n",
-				cell.Bench, cell.Protocol, cell.Cycles, cell.Events,
-				cell.AllocsPerEvent, cell.NsPerEvent, cell.MEventsPerSec)
-			snap.Runs = append(snap.Runs, cell)
 		}
+		if err := pprof.StartCPUProfile(prof); err != nil {
+			return nil, err
+		}
+		defer pprof.StopCPUProfile()
+	}
+	for i, c := range cells {
+		if c.sys == nil {
+			if err := c.setup(r); err != nil {
+				return nil, err
+			}
+		}
+		run, err := c.run(r, store)
+		if err != nil {
+			return nil, err
+		}
+		cells[i] = nil // release the cell's system and trace
+		fmt.Fprintf(os.Stderr, "  %-10s %-12v %10d cycles %9d events  %6.3f allocs/ev  %7.1f ns/ev  %5.2f Mev/s\n",
+			run.Bench, run.Protocol, run.Cycles, run.Events,
+			run.AllocsPerEvent, run.NsPerEvent, run.MEventsPerSec)
+		snap.Runs = append(snap.Runs, run)
 	}
 	return snap, nil
 }
 
-func runCell(r *experiments.Runner, bench workload.Params, kind proto.Kind, store *resstore.Store) (Run, error) {
-	cfg := r.Config(kind, experiments.Variant{})
+// cell is one matrix cell: a benchmark under a protocol, and once set
+// up, its simulated system and trace.
+type cell struct {
+	bench workload.Params
+	kind  proto.Kind
+	sys   *gsim.System
+	tr    *trace.Trace
+}
+
+// setup builds the cell's system and generates its trace.
+func (c *cell) setup(r *experiments.Runner) error {
+	cfg := r.Config(c.kind, experiments.Variant{})
 	sys, err := gsim.New(cfg)
 	if err != nil {
-		return Run{}, err
+		return err
 	}
-	tr := bench.Generate(cfg.Topo, matrixScale)
+	c.sys, c.tr = sys, c.bench.Generate(cfg.Topo, matrixScale)
+	return nil
+}
 
+// run simulates the set-up cell and measures it.
+func (c *cell) run(r *experiments.Runner, store *resstore.Store) (Run, error) {
 	// Setup (system construction, trace generation) is excluded from the
 	// allocation and wall-clock windows: the gate tracks the steady-state
 	// simulation loop, not one-time warm-up.
@@ -212,7 +274,7 @@ func runCell(r *experiments.Runner, bench workload.Params, kind proto.Kind, stor
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	res, err := sys.Run(tr)
+	res, err := c.sys.Run(c.tr)
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if err != nil {
@@ -220,37 +282,37 @@ func runCell(r *experiments.Runner, bench workload.Params, kind proto.Kind, stor
 	}
 
 	allocs := after.Mallocs - before.Mallocs
-	cell := Run{
-		Bench:    bench.Abbrev,
-		Protocol: kind.String(),
+	out := Run{
+		Bench:    c.bench.Abbrev,
+		Protocol: c.kind.String(),
 		Cycles:   uint64(res.Cycles),
 		Events:   res.EventsExecuted,
 		Allocs:   allocs,
 		WallMS:   float64(wall.Nanoseconds()) / 1e6,
 	}
 	if res.EventsExecuted > 0 {
-		cell.AllocsPerEvent = float64(allocs) / float64(res.EventsExecuted)
-		cell.NsPerEvent = float64(wall.Nanoseconds()) / float64(res.EventsExecuted)
+		out.AllocsPerEvent = float64(allocs) / float64(res.EventsExecuted)
+		out.NsPerEvent = float64(wall.Nanoseconds()) / float64(res.EventsExecuted)
 	}
 	if wall > 0 {
-		cell.MEventsPerSec = float64(res.EventsExecuted) / wall.Seconds() / 1e6
+		out.MEventsPerSec = float64(res.EventsExecuted) / wall.Seconds() / 1e6
 	}
 	if store != nil {
 		// The matrix runs the campaign's own key space (zero variant,
 		// base shape), so a stored record — written by hmgbench or a
 		// previous hmgperf — must agree exactly with this fresh run.
-		k := r.StoreKey(bench, kind, experiments.Variant{}, topo.Spec{})
+		k := r.StoreKey(c.bench, c.kind, experiments.Variant{}, topo.Spec{})
 		if prev, ok := store.Get(k); ok {
-			if uint64(prev.Cycles) != cell.Cycles || prev.EventsExecuted != cell.Events {
+			if uint64(prev.Cycles) != out.Cycles || prev.EventsExecuted != out.Events {
 				return Run{}, fmt.Errorf("%s/%v: fresh run (%d cycles, %d events) disagrees with store record %s (%d cycles, %d events) — determinism broke or the model-version stamp is stale",
-					cell.Bench, kind, cell.Cycles, cell.Events, k, prev.Cycles, prev.EventsExecuted)
+					out.Bench, c.kind, out.Cycles, out.Events, k, prev.Cycles, prev.EventsExecuted)
 			}
 		}
 		if err := store.Put(k, res); err != nil {
 			return Run{}, err
 		}
 	}
-	return cell, nil
+	return out, nil
 }
 
 func readSnapshot(path string) (*Snapshot, error) {

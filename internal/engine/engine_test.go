@@ -422,3 +422,61 @@ func BenchmarkScheduleDrain(b *testing.B) {
 	}
 	e.Drain()
 }
+
+// deepDelays is the simulator's measured delay mix, 64 entries weighted
+// by frequency: 1–7 cycles (hit and hop latencies) ~28%, 28 ~25%, 46
+// ~9%, 96 ~25%, and 127/252 ~13%.
+var deepDelays = [64]Cycle{
+	1, 1, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7,
+	28, 28, 28, 28, 28, 28, 28, 28, 28, 28, 28, 28, 28, 28, 28, 28,
+	46, 46, 46, 46, 46, 46,
+	96, 96, 96, 96, 96, 96, 96, 96, 96, 96, 96, 96, 96, 96, 96, 96,
+	127, 127, 127, 127, 252, 252, 252, 252,
+}
+
+// deepDriver shares an event budget and a position in deepDelays among
+// the handlers of BenchmarkScheduleDeep.
+type deepDriver struct {
+	e    *Engine
+	left int
+	pos  int
+}
+
+// next returns the next delay; the odd stride 37 interleaves the mix.
+func (d *deepDriver) next() Cycle {
+	d.pos = (d.pos + 37) & 63
+	return deepDelays[d.pos]
+}
+
+type deepHandler struct{ d *deepDriver }
+
+func (h *deepHandler) Handle() {
+	if d := h.d; d.left > 0 {
+		d.left--
+		d.e.ScheduleHandler(d.next(), h)
+	}
+}
+
+// BenchmarkScheduleDeep measures schedule+dispatch at the simulator's
+// operating point: about 4,096 events pending, each rescheduled with
+// the measured delay mix when it runs. BenchmarkRunHot keeps a single
+// pending event, where queue depth costs nothing; this one keeps the
+// queue as deep as a matrix run does. allocs/op must be 0.
+func BenchmarkScheduleDeep(b *testing.B) {
+	const depth = 4096
+	d := &deepDriver{e: New(0)}
+	hs := make([]deepHandler, depth)
+	fill := func(budget int) {
+		d.left = budget
+		for i := range hs {
+			hs[i].d = d
+			d.e.ScheduleHandler(d.next(), &hs[i])
+		}
+	}
+	fill(4 * depth) // warm the queue storage
+	d.e.Drain()
+	fill(b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	d.e.Drain()
+}

@@ -1,13 +1,15 @@
 package engine
 
-// Queue-equivalence property tests: the optimized 4-ary value heap must
-// execute events in exactly the order the original container/heap
-// implementation did — nondecreasing time, same-cycle FIFO by insertion
-// sequence — across random schedules, nested scheduling, Stop
-// interleavings, and horizon-bounded runs. The reference implementation
-// below is the pre-optimization queue, kept verbatim (boxed *refEvent,
-// stdlib heap) as the executable specification of the ordering
-// contract.
+// Queue-equivalence property tests: the Engine — timing wheel plus
+// 4-ary far-event heap — must execute events in exactly the order the
+// original container/heap implementation did — nondecreasing time,
+// same-cycle FIFO by insertion sequence — across random schedules,
+// nested scheduling, delays that straddle and lap the wheel, Stop
+// interleavings, and horizon-bounded runs that skip empty wheel laps.
+// The far-event heap alone is held to the same pop order. The reference
+// implementation below is the original queue, kept verbatim (boxed
+// *refEvent, stdlib heap) as the executable specification of the
+// ordering contract.
 
 import (
 	"container/heap"
@@ -160,67 +162,137 @@ func (e *refEngine) run(horizon Cycle) Cycle {
 // callbacks, and horizon-bounded Run windows — on the Engine (through
 // Schedule and ScheduleHandler alternately) and on the reference loop, and requires identical execution traces (event
 // identity and execution cycle) and identical clock positions after
-// every window.
+// every window. The "near" mix keeps every delay inside the timing
+// wheel; the "wheel" mix adds delays that straddle the wheel/heap
+// boundary (W-1, W, W+1) and lap the wheel (3W+5), with windows that
+// jump the clock across empty laps.
 func TestEngineMatchesReferenceEngine(t *testing.T) {
-	for trial := 0; trial < 30; trial++ {
-		type rec struct {
-			label int
-			at    Cycle
-		}
-		run := func(schedule func(Cycle, func()), clock func() Cycle, stop func(), window func(Cycle) Cycle) []rec {
-			var trace []rec
-			rng := rand.New(rand.NewSource(int64(7000 + trial)))
-			var spawn func(label, depth int)
-			spawn = func(label, depth int) {
-				trace = append(trace, rec{label, clock()})
-				if rng.Intn(20) == 0 {
-					stop() // random Stop interleavings from inside callbacks
-				}
-				if depth < 3 {
-					n := rng.Intn(3)
-					for i := 0; i < n; i++ {
-						child := label*10 + i + 1
-						schedule(Cycle(rng.Intn(6)), func() { spawn(child, depth+1) })
-					}
-				}
+	const W = wheelSize
+	for _, mix := range []struct {
+		name     string
+		far      []Cycle // delays drawn with probability 1/4, if any
+		horizons []Cycle
+	}{
+		{"near", nil, []Cycle{4, 9, 17, 17, 30, MaxCycle, MaxCycle}},
+		{"wheel", []Cycle{W - 1, W, W + 1, 3*W + 5},
+			[]Cycle{4, 9, 17, 17, 30, W - 1, W + 1, 2*W + 7, 5 * W, 8*W + 3, 20 * W, 40 * W, MaxCycle, MaxCycle}},
+	} {
+		t.Run(mix.name, func(t *testing.T) {
+			for trial := 0; trial < 30; trial++ {
+				testEngineMatchesReference(t, trial, mix.far, mix.horizons)
 			}
-			for i := 0; i < 6; i++ {
-				i := i
-				schedule(Cycle(rng.Intn(12)), func() { spawn(i+1, 0) })
-			}
-			// Alternate bounded windows (re-running after any Stop) and
-			// record the clock after each as a pseudo-event, so horizon
-			// advance and stop consumption are part of the compared trace.
-			for _, h := range []Cycle{4, 9, 17, 17, 30, MaxCycle, MaxCycle} {
-				trace = append(trace, rec{label: -1, at: window(h)})
-			}
-			return trace
-		}
+		})
+	}
+}
 
-		// The engine side alternates between the func path and the
-		// handler path, so both must share one ordering.
-		e := New(0)
-		calls := 0
-		mixed := func(delay Cycle, fn func()) {
-			calls++
-			if calls%2 == 0 {
-				e.ScheduleHandler(delay, Func(fn))
-				return
+func testEngineMatchesReference(t *testing.T, trial int, far, horizons []Cycle) {
+	type rec struct {
+		label int
+		at    Cycle
+	}
+	run := func(schedule func(Cycle, func()), clock func() Cycle, stop func(), window func(Cycle) Cycle) []rec {
+		var trace []rec
+		rng := rand.New(rand.NewSource(int64(7000 + trial)))
+		delay := func(n int) Cycle {
+			if len(far) > 0 && rng.Intn(4) == 0 {
+				return far[rng.Intn(len(far))]
 			}
-			e.Schedule(delay, fn)
+			return Cycle(rng.Intn(n))
 		}
-		got := run(mixed, e.Now, e.Stop, e.Run)
-		r := &refEngine{}
-		want := run(r.schedule, func() Cycle { return r.now },
-			func() { r.stopped = true }, r.run)
+		var spawn func(label, depth int)
+		spawn = func(label, depth int) {
+			trace = append(trace, rec{label, clock()})
+			if rng.Intn(20) == 0 {
+				stop() // random Stop interleavings from inside callbacks
+			}
+			if depth < 3 {
+				n := rng.Intn(3)
+				for i := 0; i < n; i++ {
+					child := label*10 + i + 1
+					schedule(delay(6), func() { spawn(child, depth+1) })
+				}
+			}
+		}
+		for i := 0; i < 6; i++ {
+			i := i
+			schedule(delay(12), func() { spawn(i+1, 0) })
+		}
+		// Alternate bounded windows (re-running after any Stop) and
+		// record the clock after each as a pseudo-event, so horizon
+		// advance and stop consumption are part of the compared trace.
+		for _, h := range horizons {
+			trace = append(trace, rec{label: -1, at: window(h)})
+		}
+		return trace
+	}
 
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: trace lengths differ: engine %d, reference %d", trial, len(got), len(want))
+	// The engine side alternates between the func path and the
+	// handler path, so both must share one ordering.
+	e := New(0)
+	calls := 0
+	mixed := func(delay Cycle, fn func()) {
+		calls++
+		if calls%2 == 0 {
+			e.ScheduleHandler(delay, Func(fn))
+			return
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: traces diverge at %d: engine %+v, reference %+v", trial, i, got[i], want[i])
+		e.Schedule(delay, fn)
+	}
+	got := run(mixed, e.Now, e.Stop, e.Run)
+	r := &refEngine{}
+	want := run(r.schedule, func() Cycle { return r.now },
+		func() { r.stopped = true }, r.run)
+
+	if len(got) != len(want) {
+		t.Fatalf("trial %d: trace lengths differ: engine %d, reference %d", trial, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("trial %d: traces diverge at %d: engine %+v, reference %+v", trial, i, got[i], want[i])
+		}
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("trial %d: %d events still pending after the final drain", trial, e.Pending())
+	}
+}
+
+// TestFarEventRunsBeforeSameCycleWheelEvents pins the ordering argument
+// that lets the wheel store no sequence number: events scheduled
+// wheelSize or more cycles ahead go to the far-event heap, events
+// scheduled later for the same cycle go to the wheel, and at that cycle
+// every far event must run before every wheel event, each side in
+// insertion order.
+func TestFarEventRunsBeforeSameCycleWheelEvents(t *testing.T) {
+	const W = wheelSize
+	const target = W + 10
+	e := New(0)
+	var order []string
+	mark := func(name string) func() {
+		return func() {
+			order = append(order, name)
+			if e.Now() != target {
+				t.Errorf("%s ran at cycle %d, want %d", name, e.Now(), target)
 			}
+		}
+	}
+	e.ScheduleAt(target, mark("far1")) // delay W+10: far heap
+	e.Run(5)
+	e.ScheduleAt(target, mark("far2")) // delay W+5: far heap
+	e.Run(11)
+	e.ScheduleAt(target, mark("wheel1")) // delay W-1: wheel
+	e.Run(W + 3)
+	e.ScheduleAt(target, mark("wheel2")) // delay 7: wheel
+	if e.far.len() != 2 || e.wheelLen != 2 {
+		t.Fatalf("far heap holds %d and wheel %d events, want 2 and 2", e.far.len(), e.wheelLen)
+	}
+	e.Drain()
+	want := []string{"far1", "far2", "wheel1", "wheel2"}
+	if len(order) != len(want) {
+		t.Fatalf("ran %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("ran %v, want %v", order, want)
 		}
 	}
 }
