@@ -221,11 +221,20 @@ func (s *System) Raw() *gsim.System { return s.sys }
 func Benchmarks() []string { return workload.Names() }
 
 // GenerateBenchmark synthesizes a Table III benchmark trace for the
-// given configuration's topology at the given scale in (0, 1].
+// given configuration's topology at the given scale in (0, 1]. An
+// unknown name, an out-of-range scale or an invalid topology is an
+// error. Only the topology is checked: a trace depends on nothing else
+// in cfg.
 func GenerateBenchmark(name string, cfg Config, scale float64) (*Trace, error) {
 	p, err := workload.Get(name)
 	if err != nil {
 		return nil, err
+	}
+	if err := workload.CheckScale(scale); err != nil {
+		return nil, fmt.Errorf("hmg: benchmark %s: %w", name, err)
+	}
+	if err := cfg.Topo.Validate(); err != nil {
+		return nil, fmt.Errorf("hmg: benchmark %s: %w", name, err)
 	}
 	return p.Generate(cfg.Topo, scale), nil
 }

@@ -1,6 +1,7 @@
 package hmg
 
 import (
+	"math"
 	"testing"
 
 	"hmg/internal/trace"
@@ -88,6 +89,37 @@ func TestGenerateBenchmark(t *testing.T) {
 	}
 	if _, err := GenerateBenchmark("nope", cfg, 0.1); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+}
+
+// TestGenerateBenchmarkRejectsBadInput: bad arguments come back as
+// errors, never as a panic from inside the generator.
+func TestGenerateBenchmarkRejectsBadInput(t *testing.T) {
+	good := DefaultConfig(ProtocolHMG)
+	noGPUs := good
+	noGPUs.Topo.NumGPUs = 0
+	cases := []struct {
+		name  string
+		cfg   Config
+		scale float64
+	}{
+		{"scale 0", good, 0},
+		{"scale -1", good, -1},
+		{"scale 7", good, 7},
+		{"scale NaN", good, math.NaN()},
+		{"zero GPUs", noGPUs, 0.1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("GenerateBenchmark panicked: %v", r)
+				}
+			}()
+			if _, err := GenerateBenchmark("lstm", c.cfg, c.scale); err == nil {
+				t.Fatal("GenerateBenchmark returned no error")
+			}
+		})
 	}
 }
 

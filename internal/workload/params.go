@@ -236,22 +236,37 @@ func (p Params) Generate(t topo.Topology, scale float64) *trace.Trace {
 		FootprintBytes: l.syncBase + int64(t.NumGPUs+t.TotalGPMs()+1)*32*lineBytes,
 	}
 	p.placePages(t, tr, l, numCTAs)
-	for k := 0; k < p.Kernels; k++ {
-		kern := trace.Kernel{}
-		for c := 0; c < numCTAs; c++ {
-			cta := trace.CTA{}
-			gpm := trace.AssignCTA(c, numCTAs, t.TotalGPMs())
-			for w := 0; w < p.WarpsPerCTA; w++ {
-				// The same seed across kernels gives each warp an
-				// identical working set in every kernel: cross-kernel
-				// reuse that only hardware coherence retains.
-				rng := rand.New(rand.NewSource(p.Seed ^ int64(c)<<20 ^ int64(w)<<8))
-				ops := p.genWarp(rng, l, c, int(gpm), w, k, opsPerWarp, syncEvery)
-				cta.Warps = append(cta.Warps, trace.Warp{Ops: ops})
-			}
-			kern.CTAs = append(kern.CTAs, cta)
+	// Each kernel's ops live in one slab, warp after warp, each warp
+	// with room for opsPerWarp plus the sync pair that can follow its
+	// last op.
+	warpCap := opsPerWarp + 2
+	slabs := make([][]trace.Op, p.Kernels)
+	tr.Kernels = make([]trace.Kernel, p.Kernels)
+	for k := range tr.Kernels {
+		slabs[k] = make([]trace.Op, numCTAs*p.WarpsPerCTA*warpCap)
+		ctas := make([]trace.CTA, numCTAs)
+		for c := range ctas {
+			ctas[c].Warps = make([]trace.Warp, p.WarpsPerCTA)
 		}
-		tr.Kernels = append(tr.Kernels, kern)
+		tr.Kernels[k].CTAs = ctas
+	}
+	// The same seed across kernels gives each warp an identical working
+	// set in every kernel: cross-kernel reuse that only hardware
+	// coherence retains. Each (CTA, warp) stream is therefore seeded once
+	// and replayed from its start for every kernel.
+	tp := &tape{src: rand.NewSource(0)}
+	rng := rand.New(tp)
+	for c := 0; c < numCTAs; c++ {
+		gpm := int(trace.AssignCTA(c, numCTAs, t.TotalGPMs()))
+		for w := 0; w < p.WarpsPerCTA; w++ {
+			tp.Seed(p.Seed ^ int64(c)<<20 ^ int64(w)<<8)
+			at := (c*p.WarpsPerCTA + w) * warpCap
+			for k := range tr.Kernels {
+				tp.rewind()
+				ops := slabs[k][at : at : at+warpCap]
+				tr.Kernels[k].CTAs[c].Warps[w].Ops = p.genWarp(ops, rng, l, c, gpm, w, k, opsPerWarp, syncEvery)
+			}
+		}
 	}
 	return tr
 }
@@ -299,9 +314,9 @@ func setSizeFor(p Params, opsPerWarp int) int {
 	return setSize
 }
 
-// genWarp produces one warp's op stream.
-func (p Params) genWarp(rng *rand.Rand, l layout, cta, gpm, warp, kernel, opsPerWarp, syncEvery int) []trace.Op {
-	var ops []trace.Op
+// genWarp appends one warp's op stream to ops, which must have room for
+// opsPerWarp+2 ops.
+func (p Params) genWarp(ops []trace.Op, rng *rand.Rand, l layout, cta, gpm, warp, kernel, opsPerWarp, syncEvery int) []trace.Op {
 	gpu := gpm / l.gpmsPerGPU
 	privBase := int64(cta) * l.privPerCTA
 	privLines := l.privPerCTA / lineBytes
@@ -408,7 +423,7 @@ func (p Params) genWarp(rng *rand.Rand, l layout, cta, gpm, warp, kernel, opsPer
 			sinceSync++
 			if p.SyncScope != trace.ScopeNone && sinceSync >= syncEvery {
 				sinceSync = 0
-				ops = append(ops, p.syncOps(rng, l, cta, gpm, gpu, warp)...)
+				ops = p.syncOps(ops, rng, l, cta, gpm, gpu, warp)
 				emit += 2
 			}
 		}
@@ -416,11 +431,11 @@ func (p Params) genWarp(rng *rand.Rand, l layout, cta, gpm, warp, kernel, opsPer
 	return ops
 }
 
-// syncOps emits one synchronization episode: either an atomic RMW on a
-// shared counter or a release/acquire pair on a flag. Flags are
+// syncOps appends one synchronization episode to ops: either an atomic
+// RMW on a shared counter or a release/acquire pair on a flag. Flags are
 // partitioned per GPU: .gpu-scoped synchronization only ever involves
 // threads of one GPU, so distinct GPUs must not false-share sync lines.
-func (p Params) syncOps(rng *rand.Rand, l layout, cta, gpm, gpu, warp int) []trace.Op {
+func (p Params) syncOps(ops []trace.Op, rng *rand.Rand, l layout, cta, gpm, gpu, warp int) []trace.Op {
 	// Flags are partitioned by the synchronization domain: per GPM for
 	// the .gpm extension scope, per GPU otherwise, so partners never
 	// span the scope they synchronize at.
@@ -430,13 +445,41 @@ func (p Params) syncOps(rng *rand.Rand, l layout, cta, gpm, gpu, warp int) []tra
 	}
 	flag := l.syncBase + int64(domain*32+(cta*7+warp)%32)*lineBytes
 	if rng.Float64() < p.AtomicFrac {
-		return []trace.Op{
-			{Kind: trace.Atomic, Scope: p.SyncScope, Addr: topo.Addr(flag), Val: 1},
-			{Kind: trace.LoadAcq, Scope: p.SyncScope, Addr: topo.Addr(flag)},
-		}
+		return append(ops,
+			trace.Op{Kind: trace.Atomic, Scope: p.SyncScope, Addr: topo.Addr(flag), Val: 1},
+			trace.Op{Kind: trace.LoadAcq, Scope: p.SyncScope, Addr: topo.Addr(flag)})
 	}
-	return []trace.Op{
-		{Kind: trace.StoreRel, Scope: p.SyncScope, Addr: topo.Addr(flag), Val: uint64(cta + 1)},
-		{Kind: trace.LoadAcq, Scope: p.SyncScope, Addr: topo.Addr(flag)},
+	return append(ops,
+		trace.Op{Kind: trace.StoreRel, Scope: p.SyncScope, Addr: topo.Addr(flag), Val: uint64(cta + 1)},
+		trace.Op{Kind: trace.LoadAcq, Scope: p.SyncScope, Addr: topo.Addr(flag)})
+}
+
+// tape is a math/rand Source that records every value it hands out, so
+// one seeded stream can be replayed from its start without rebuilding
+// the source's state. Past the end of the recording it draws from the
+// source again, so a replay yields exactly the values a freshly seeded
+// source would.
+type tape struct {
+	src  rand.Source
+	vals []int64
+	pos  int
+}
+
+// Seed reseeds the underlying source and discards the recording.
+func (t *tape) Seed(seed int64) {
+	t.src.Seed(seed)
+	t.vals = t.vals[:0]
+	t.pos = 0
+}
+
+// rewind restarts the stream at its first value.
+func (t *tape) rewind() { t.pos = 0 }
+
+func (t *tape) Int63() int64 {
+	if t.pos == len(t.vals) {
+		t.vals = append(t.vals, t.src.Int63())
 	}
+	v := t.vals[t.pos]
+	t.pos++
+	return v
 }
