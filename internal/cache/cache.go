@@ -255,35 +255,21 @@ func (c *Cache) InvalidateWhere(pred func(topo.Line) bool) int {
 	return dropped
 }
 
-// FlushDirty clears the dirty bit of every dirty entry and hands a copy
-// of each to fn — the release-operation flush of write-back
-// configurations. Entries stay valid (clean) in the cache.
-func (c *Cache) FlushDirty(fn func(Entry)) int {
-	n := 0
+// FlushDirty appends a copy of every dirty entry to dst, in set/way
+// order, and clears their dirty bits — the release-operation flush of
+// write-back configurations. Entries stay valid (clean) in the cache.
+//
+//lint:allow hotalloc append into the caller's reused buffer; growth is amortized
+func (c *Cache) FlushDirty(dst []Entry) []Entry {
 	for s := range c.sets {
 		for i := range c.sets[s] {
-			if c.sets[s][i].Valid && c.sets[s][i].Dirty {
-				c.sets[s][i].Dirty = false
-				n++
-				fn(c.sets[s][i])
+			if e := &c.sets[s][i]; e.Valid && e.Dirty {
+				e.Dirty = false
+				dst = append(dst, *e)
 			}
 		}
 	}
-	return n
-}
-
-// DirtyLines returns copies of all dirty entries, used by release
-// operations under write-back configurations.
-func (c *Cache) DirtyLines() []Entry {
-	var out []Entry
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].Valid && c.sets[s][i].Dirty {
-				out = append(out, c.sets[s][i])
-			}
-		}
-	}
-	return out
+	return dst
 }
 
 // ForEach visits every valid entry.

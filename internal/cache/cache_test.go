@@ -144,14 +144,31 @@ func TestInvalidateWhere(t *testing.T) {
 	}
 }
 
-func TestDirtyLines(t *testing.T) {
+// TestFlushDirty: FlushDirty appends the dirty entries to the caller's
+// buffer in set/way order, clears their dirty bits, and keeps them valid.
+func TestFlushDirty(t *testing.T) {
 	c := New(smallCfg())
-	e, _ := c.Fill(3)
-	e.Dirty = true
-	c.Fill(4)
-	dirty := c.DirtyLines()
-	if len(dirty) != 1 || dirty[0].Line != 3 {
-		t.Fatalf("DirtyLines = %+v", dirty)
+	for _, l := range []topo.Line{3, 11, 4, 1} { // 3 and 11 share set 3
+		e, _ := c.Fill(l)
+		e.Dirty = l != 4
+	}
+	buf := c.FlushDirty([]Entry{{Line: 99}})
+	want := []topo.Line{99, 1, 3, 11}
+	if len(buf) != len(want) {
+		t.Fatalf("FlushDirty = %+v, want lines %v", buf, want)
+	}
+	for i, l := range want {
+		if buf[i].Line != l {
+			t.Fatalf("FlushDirty = %+v, want lines %v", buf, want)
+		}
+	}
+	for _, l := range want[1:] {
+		if e, hit := c.Peek(l); !hit || e.Dirty {
+			t.Fatalf("line %d after flush: hit=%v dirty=%v, want a clean hit", l, hit, hit && e.Dirty)
+		}
+	}
+	if again := c.FlushDirty(buf[:0]); len(again) != 0 {
+		t.Fatalf("second FlushDirty = %+v, want none", again)
 	}
 }
 

@@ -24,14 +24,12 @@
 // wheel event for c after it, so at equal cycles every far event is
 // older and runs first (see Run).
 //
-// There is one dispatch path: every event is a Handler. Schedule and
-// ScheduleAt take a plain func and wrap it in Func, whose conversion to
-// Handler is free because a func value is pointer-shaped. Steady-state
-// scheduling is allocation-free: wheel buckets link nodes of one shared
-// slab recycled through a free list, the heap's event slice is grown
-// once and reused, and hot callers avoid closure allocation entirely by
-// scheduling a reusable Handler drawn from their own free list (see
-// ScheduleHandler).
+// There is one dispatch path and two entry points: every event is a
+// Handler, scheduled after a delay (ScheduleHandler) or at an absolute
+// cycle (ScheduleHandlerAt). Steady-state scheduling is allocation-free:
+// wheel buckets link nodes of one shared slab recycled through a free
+// list, the heap's event slice is grown once and reused, and callers
+// schedule reusable Handlers drawn from their own free lists.
 //
 // Cycles are the only unit of time inside a simulation. The Engine knows
 // the clock frequency solely so that results can be reported in seconds
@@ -52,17 +50,18 @@ type Cycle uint64
 // the default horizon.
 const MaxCycle = Cycle(math.MaxUint64)
 
-// Handler is a reusable scheduled callback. Hot paths that would
-// otherwise allocate a fresh closure per scheduled hop implement Handle
-// on a pooled context struct and pass it to ScheduleHandler: a pointer
-// in an interface value schedules without any heap allocation.
+// Handler is a reusable scheduled callback. Simulator components
+// implement Handle on a pooled context struct and pass it to
+// ScheduleHandler: a pointer in an interface value schedules without any
+// heap allocation.
 type Handler interface {
 	Handle()
 }
 
-// Func adapts a plain function to Handler. A func value is one
-// pointer word, so converting a Func to Handler does not allocate; only
-// building the closure itself may.
+// Func adapts a plain function to Handler, for callers outside the
+// simulator core (tests, probes) that schedule a closure. A func value
+// is one pointer word, so converting a Func to Handler does not
+// allocate; only building the closure itself may.
 type Func func()
 
 // Handle calls f.
@@ -236,19 +235,10 @@ func (e *Engine) Cycles(seconds float64) Cycle {
 	return Cycle(math.Ceil(seconds * e.freqHz))
 }
 
-// Schedule runs fn after delay cycles. A zero delay runs fn later in the
-// current cycle, after all previously scheduled work for this cycle.
-func (e *Engine) Schedule(delay Cycle, fn func()) {
-	if fn == nil {
-		panic("engine: Schedule called with nil callback")
-	}
-	e.ScheduleHandler(delay, Func(fn))
-}
-
-// ScheduleHandler runs h.Handle() after delay cycles, with the same
-// ordering semantics as Schedule. It performs no heap allocation when h
-// is a pooled pointer context, which makes it the scheduling path for
-// per-hop continuations in the simulator core.
+// ScheduleHandler runs h.Handle() after delay cycles. A zero delay runs
+// it later in the current cycle, after all previously scheduled work for
+// this cycle. It performs no heap allocation when h is a pooled pointer
+// context.
 func (e *Engine) ScheduleHandler(delay Cycle, h Handler) {
 	if h == nil {
 		panic("engine: ScheduleHandler called with nil handler")
@@ -341,15 +331,6 @@ func (e *Engine) deadline(delay Cycle) Cycle {
 		panic(fmt.Sprintf("engine: schedule overflow at cycle %d + %d", e.now, delay))
 	}
 	return at
-}
-
-// ScheduleAt runs fn at the absolute cycle at, which must not be in the
-// past.
-func (e *Engine) ScheduleAt(at Cycle, fn func()) {
-	if fn == nil {
-		panic("engine: ScheduleAt called with nil callback")
-	}
-	e.ScheduleHandlerAt(at, Func(fn))
 }
 
 // ScheduleHandlerAt runs h.Handle() at the absolute cycle at, which must

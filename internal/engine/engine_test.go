@@ -24,9 +24,9 @@ func TestNewDefaults(t *testing.T) {
 func TestScheduleOrdering(t *testing.T) {
 	e := New(0)
 	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
+	e.ScheduleHandler(30, Func(func() { got = append(got, 3) }))
+	e.ScheduleHandler(10, Func(func() { got = append(got, 1) }))
+	e.ScheduleHandler(20, Func(func() { got = append(got, 2) }))
 	e.Drain()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -44,7 +44,7 @@ func TestSameCycleFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.Schedule(5, func() { got = append(got, i) })
+		e.ScheduleHandler(5, Func(func() { got = append(got, i) }))
 	}
 	e.Drain()
 	for i := range got {
@@ -57,9 +57,9 @@ func TestSameCycleFIFO(t *testing.T) {
 func TestZeroDelayRunsThisCycle(t *testing.T) {
 	e := New(0)
 	var at Cycle
-	e.Schedule(7, func() {
-		e.Schedule(0, func() { at = e.Now() })
-	})
+	e.ScheduleHandler(7, Func(func() {
+		e.ScheduleHandler(0, Func(func() { at = e.Now() }))
+	}))
 	e.Drain()
 	if at != 7 {
 		t.Fatalf("zero-delay event ran at %d, want 7", at)
@@ -73,10 +73,10 @@ func TestNestedScheduling(t *testing.T) {
 	rec = func() {
 		depth++
 		if depth < 50 {
-			e.Schedule(2, rec)
+			e.ScheduleHandler(2, Func(rec))
 		}
 	}
-	e.Schedule(1, rec)
+	e.ScheduleHandler(1, Func(rec))
 	e.Drain()
 	if depth != 50 {
 		t.Fatalf("depth = %d, want 50", depth)
@@ -91,7 +91,7 @@ func TestRunHorizon(t *testing.T) {
 	ran := []Cycle(nil)
 	for _, d := range []Cycle{5, 10, 15, 20} {
 		d := d
-		e.Schedule(d, func() { ran = append(ran, d) })
+		e.ScheduleHandler(d, Func(func() { ran = append(ran, d) }))
 	}
 	e.Run(12)
 	if len(ran) != 2 {
@@ -110,12 +110,12 @@ func TestStop(t *testing.T) {
 	e := New(0)
 	count := 0
 	for i := 0; i < 10; i++ {
-		e.Schedule(Cycle(i+1), func() {
+		e.ScheduleHandler(Cycle(i+1), Func(func() {
 			count++
 			if count == 3 {
 				e.Stop()
 			}
-		})
+		}))
 	}
 	e.Run(MaxCycle)
 	if count != 3 {
@@ -131,9 +131,9 @@ func TestStop(t *testing.T) {
 func TestScheduleAt(t *testing.T) {
 	e := New(0)
 	var at Cycle
-	e.Schedule(10, func() {
-		e.ScheduleAt(25, func() { at = e.Now() })
-	})
+	e.ScheduleHandler(10, Func(func() {
+		e.ScheduleHandlerAt(25, Func(func() { at = e.Now() }))
+	}))
 	e.Drain()
 	if at != 25 {
 		t.Fatalf("event at %d, want 25", at)
@@ -142,25 +142,33 @@ func TestScheduleAt(t *testing.T) {
 
 func TestScheduleAtPastPanics(t *testing.T) {
 	e := New(0)
-	e.Schedule(10, func() {
+	e.ScheduleHandler(10, Func(func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("ScheduleAt in the past did not panic")
+				t.Error("ScheduleHandlerAt in the past did not panic")
 			}
 		}()
-		e.ScheduleAt(5, func() {})
-	})
+		e.ScheduleHandlerAt(5, Func(func() {}))
+	}))
 	e.Drain()
 }
 
 func TestNilCallbackPanics(t *testing.T) {
-	e := New(0)
-	defer func() {
-		if recover() == nil {
-			t.Error("Schedule(nil) did not panic")
-		}
-	}()
-	e.Schedule(1, nil)
+	for _, at := range []bool{false, true} {
+		func() {
+			e := New(0)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("nil handler (absolute %v) did not panic", at)
+				}
+			}()
+			if at {
+				e.ScheduleHandlerAt(1, nil)
+			} else {
+				e.ScheduleHandler(1, nil)
+			}
+		}()
+	}
 }
 
 func TestSecondsCyclesRoundTrip(t *testing.T) {
@@ -182,7 +190,7 @@ func TestSecondsCyclesRoundTrip(t *testing.T) {
 func TestExecutedCounter(t *testing.T) {
 	e := New(0)
 	for i := 0; i < 17; i++ {
-		e.Schedule(Cycle(i), func() {})
+		e.ScheduleHandler(Cycle(i), Func(func() {}))
 	}
 	e.Drain()
 	if e.Executed != 17 {
@@ -198,7 +206,7 @@ func TestRandomOrderProperty(t *testing.T) {
 		var ran []Cycle
 		for _, d := range delays {
 			d := Cycle(d)
-			e.Schedule(d, func() { ran = append(ran, e.Now()) })
+			e.ScheduleHandler(d, Func(func() { ran = append(ran, e.Now()) }))
 		}
 		e.Drain()
 		if !sort.SliceIsSorted(ran, func(i, j int) bool { return ran[i] < ran[j] }) {
@@ -224,12 +232,12 @@ func TestDeterminism(t *testing.T) {
 			if depth < 4 {
 				n := rng.Intn(3) + 1
 				for i := 0; i < n; i++ {
-					e.Schedule(Cycle(rng.Intn(10)), func() { spawn(depth + 1) })
+					e.ScheduleHandler(Cycle(rng.Intn(10)), Func(func() { spawn(depth + 1) }))
 				}
 			}
 		}
 		for i := 0; i < 5; i++ {
-			e.Schedule(Cycle(rng.Intn(20)), func() { spawn(0) })
+			e.ScheduleHandler(Cycle(rng.Intn(20)), Func(func() { spawn(0) }))
 		}
 		e.Drain()
 		return seq
@@ -252,7 +260,7 @@ func TestStopStickyBeforeRun(t *testing.T) {
 	e := New(0)
 	count := 0
 	for i := 0; i < 5; i++ {
-		e.Schedule(Cycle(i+1), func() { count++ })
+		e.ScheduleHandler(Cycle(i+1), Func(func() { count++ }))
 	}
 	e.Stop()
 	if at := e.Run(MaxCycle); at != 0 {
@@ -274,7 +282,7 @@ func TestStopStickyBetweenRuns(t *testing.T) {
 	e := New(0)
 	count := 0
 	for i := 0; i < 6; i++ {
-		e.Schedule(Cycle(i+1), func() { count++ })
+		e.ScheduleHandler(Cycle(i+1), Func(func() { count++ }))
 	}
 	e.Run(3)
 	if count != 3 {
@@ -299,7 +307,7 @@ func TestRunHorizonAdvancesNow(t *testing.T) {
 	e := New(0)
 	ran := 0
 	for _, d := range []Cycle{5, 10, 15, 20} {
-		e.Schedule(d, func() { ran++ })
+		e.ScheduleHandler(d, Func(func() { ran++ }))
 	}
 	if at := e.Run(12); at != 12 {
 		t.Fatalf("Run(12) returned %d, want 12", at)
@@ -315,7 +323,7 @@ func TestRunHorizonAdvancesNow(t *testing.T) {
 		t.Fatalf("Drain returned %d, want 20", at)
 	}
 	// A horizon behind the clock never moves time backwards.
-	e.Schedule(100, func() { ran++ })
+	e.ScheduleHandler(100, Func(func() { ran++ }))
 	if at := e.Run(12); at != 20 {
 		t.Fatalf("Run(12) with now=20 returned %d, want 20", at)
 	}
@@ -331,22 +339,22 @@ func TestEventSize(t *testing.T) {
 }
 
 // TestScheduleSteadyStateZeroAlloc pins the zero-alloc contract: once
-// the queue storage is warm, Schedule with a preallocated callback plus
-// dispatch allocates nothing, and neither does the pooled-handler path.
+// the queue storage is warm, scheduling a preallocated Func plus
+// dispatch allocates nothing, and neither does a pooled pointer handler.
 func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 	e := New(0)
 	fn := func() {}
 	for i := 0; i < 4096; i++ {
-		e.Schedule(Cycle(i%64), fn)
+		e.ScheduleHandler(Cycle(i%64), Func(fn))
 	}
 	e.Drain()
 	if allocs := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 64; i++ {
-			e.Schedule(Cycle(i%16), fn)
+			e.ScheduleHandler(Cycle(i%16), Func(fn))
 		}
 		e.Drain()
 	}); allocs != 0 {
-		t.Fatalf("steady-state Schedule+Drain allocated %v objects per run, want 0", allocs)
+		t.Fatalf("steady-state Func schedule+Drain allocated %v objects per run, want 0", allocs)
 	}
 	h := &countHandler{}
 	if allocs := testing.AllocsPerRun(200, func() {
@@ -386,13 +394,13 @@ func BenchmarkSchedule(b *testing.B) {
 	e := New(0)
 	fn := func() {}
 	for i := 0; i < 1024; i++ {
-		e.Schedule(Cycle(i%64), fn)
+		e.ScheduleHandler(Cycle(i%64), Func(fn))
 	}
 	e.Drain()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(Cycle(i&63), fn)
+		e.ScheduleHandler(Cycle(i&63), Func(fn))
 		if e.Pending() >= 1024 {
 			e.Drain()
 		}
@@ -415,7 +423,7 @@ func BenchmarkScheduleDrain(b *testing.B) {
 	e := New(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(Cycle(i%64), func() {})
+		e.ScheduleHandler(Cycle(i%64), Func(func() {}))
 		if e.Pending() > 1024 {
 			e.Drain()
 		}

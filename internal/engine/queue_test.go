@@ -160,7 +160,7 @@ func (e *refEngine) run(horizon Cycle) Cycle {
 // TestEngineMatchesReferenceEngine runs the same randomized cascade —
 // nested schedules, same-cycle ties, random Stop calls from inside
 // callbacks, and horizon-bounded Run windows — on the Engine (through
-// Schedule and ScheduleHandler alternately) and on the reference loop, and requires identical execution traces (event
+// ScheduleHandler and ScheduleHandlerAt alternately) and on the reference loop, and requires identical execution traces (event
 // identity and execution cycle) and identical clock positions after
 // every window. The "near" mix keeps every delay inside the timing
 // wheel; the "wheel" mix adds delays that straddle the wheel/heap
@@ -226,8 +226,8 @@ func testEngineMatchesReference(t *testing.T, trial int, far, horizons []Cycle) 
 		return trace
 	}
 
-	// The engine side alternates between the func path and the
-	// handler path, so both must share one ordering.
+	// The engine side alternates between the relative and the absolute
+	// entry point, so both must share one ordering.
 	e := New(0)
 	calls := 0
 	mixed := func(delay Cycle, fn func()) {
@@ -236,7 +236,7 @@ func testEngineMatchesReference(t *testing.T, trial int, far, horizons []Cycle) 
 			e.ScheduleHandler(delay, Func(fn))
 			return
 		}
-		e.Schedule(delay, fn)
+		e.ScheduleHandlerAt(e.Now()+delay, Func(fn))
 	}
 	got := run(mixed, e.Now, e.Stop, e.Run)
 	r := &refEngine{}
@@ -275,13 +275,13 @@ func TestFarEventRunsBeforeSameCycleWheelEvents(t *testing.T) {
 			}
 		}
 	}
-	e.ScheduleAt(target, mark("far1")) // delay W+10: far heap
+	e.ScheduleHandlerAt(target, Func(mark("far1"))) // delay W+10: far heap
 	e.Run(5)
-	e.ScheduleAt(target, mark("far2")) // delay W+5: far heap
+	e.ScheduleHandlerAt(target, Func(mark("far2"))) // delay W+5: far heap
 	e.Run(11)
-	e.ScheduleAt(target, mark("wheel1")) // delay W-1: wheel
+	e.ScheduleHandlerAt(target, Func(mark("wheel1"))) // delay W-1: wheel
 	e.Run(W + 3)
-	e.ScheduleAt(target, mark("wheel2")) // delay 7: wheel
+	e.ScheduleHandlerAt(target, Func(mark("wheel2"))) // delay 7: wheel
 	if e.far.len() != 2 || e.wheelLen != 2 {
 		t.Fatalf("far heap holds %d and wheel %d events, want 2 and 2", e.far.len(), e.wheelLen)
 	}
@@ -297,21 +297,21 @@ func TestFarEventRunsBeforeSameCycleWheelEvents(t *testing.T) {
 	}
 }
 
-// TestQueueOverflowPanics pins that both scheduling paths reject a
-// delay that would wrap the cycle counter.
+// TestQueueOverflowPanics pins that scheduling rejects a delay that
+// would wrap the cycle counter, for a Func and for a value handler.
 func TestQueueOverflowPanics(t *testing.T) {
-	for _, name := range []string{"Schedule", "ScheduleHandler"} {
+	for _, name := range []string{"Func", "ScheduleHandler"} {
 		t.Run(name, func(t *testing.T) {
 			e := New(0)
-			e.Schedule(10, func() {})
+			e.ScheduleHandler(10, Func(func() {}))
 			e.Drain()
 			defer func() {
 				if recover() == nil {
 					t.Errorf("%s past MaxCycle did not panic", name)
 				}
 			}()
-			if name == "Schedule" {
-				e.Schedule(MaxCycle, func() {})
+			if name == "Func" {
+				e.ScheduleHandler(MaxCycle, Func(func() {}))
 			} else {
 				e.ScheduleHandler(MaxCycle, idHandler(0))
 			}

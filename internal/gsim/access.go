@@ -49,15 +49,6 @@ func (s *System) effScope(sc trace.Scope) trace.Scope {
 // Loads
 // ---------------------------------------------------------------------
 
-// newLoad draws a load context for sm. A nil done makes it a warp load,
-// completed by loadDone's bookkeeping; the atomic paths pass done to
-// receive the loaded value instead.
-func (sm *SM) newLoad(op trace.Op, done func(uint64)) *opCtx {
-	c := sm.sys.newCtx(stageLoadFill)
-	c.sm, c.op, c.done = sm, op, done
-	return c
-}
-
 // startLoad begins the load carried by c at the SM: L1 first (when the
 // scope permits), then the L2 hierarchy.
 func (sm *SM) startLoad(c *opCtx) {
@@ -91,14 +82,15 @@ func (c *opCtx) loadFilled(fill fillData) {
 
 // loadDone completes a load with its value and releases its context: a
 // warp load records its latency (plain loads), surfaces the value, and
-// retires at its warp; an atomic path's load hands the value to done.
+// retires at its warp. An atomic's context runs the load path to fetch
+// its line and hands the value to atomicApply instead.
 func (c *opCtx) loadDone(v uint64) {
-	s, sm, w, op, issued, done := c.s, c.sm, c.w, c.op, c.issued, c.done
-	c.release()
-	if done != nil {
-		done(v)
+	if c.op.Kind == trace.Atomic {
+		c.atomicApply(v)
 		return
 	}
+	s, sm, w, op, issued := c.s, c.sm, c.w, c.op, c.issued
+	c.release()
 	if op.Kind == trace.Load {
 		lat := uint64(s.Eng.Now() - issued)
 		s.loadLatSum += lat
@@ -197,7 +189,8 @@ func (s *System) sendLoadReq(from, home topo.GPMID, viaGPUHome bool, req proto.R
 
 // flatRequester encodes the requester for a system-home directory under
 // flat protocols (global GPM id) or, under HMG, for a requester inside
-// the owner GPU (local module index) or outside it (GPU id).
+// the owner GPU (local module index) or outside it (GPU id). A GPU home
+// node's requesters all sit inside its GPU, so it names them the same.
 func (s *System) flatRequester(g, sysHome topo.GPMID) proto.Requester {
 	if !s.Cfg.Policy.Hierarchical {
 		return proto.GPMRequester(int(g))
@@ -256,17 +249,15 @@ func (s *System) fetchFromSysHome(gpm *GPM, op trace.Op, line topo.Line, sink *o
 // sysHomeLoad handles a load at the system home node: hit in the home L2
 // or fetch from the local DRAM partition. When track is set the
 // requester is recorded as a sharer (Table I remote load).
-//
-//lint:allow hotalloc MCA reply continuation; budget gated by the hmgperf allocs/event baseline
 func (s *System) sysHomeLoad(sh topo.GPMID, req proto.Requester, track bool, line topo.Line, sink *opCtx) {
-	if s.Cfg.Policy.MCA {
+	if gpm := s.gpmOf(sh); s.Cfg.Policy.MCA && gpm.atomicQ[line].holder != sink {
 		// Multi-copy-atomicity: reads of a line with a store awaiting
-		// invalidation acknowledgments must wait behind it.
-		gpm := s.gpmOf(sh)
-		gpm.lockLine(line, func() {
-			gpm.unlockLine(line)
-			s.sysHomeLoadUnlocked(sh, req, track, line, sink)
-		})
+		// invalidation acknowledgments must wait behind it. A .gpm
+		// atomic at its own system home already holds the line, so its
+		// fetch reads through instead of queueing behind itself.
+		c := s.newCtx(stageMCALoadLocked)
+		c.g, c.req, c.track, c.line, c.sink = sh, req, track, line, sink
+		gpm.lockLine(line, c)
 		return
 	}
 	s.sysHomeLoadUnlocked(sh, req, track, line, sink)
@@ -501,12 +492,15 @@ func (s *System) gpuHomeStoreAtL2(h, fromGPM topo.GPMID, op trace.Op, line topo.
 // directory transitions, home L2 update, and the DRAM write. local marks
 // stores issued by the home GPM itself.
 func (s *System) sysHomeStore(sh topo.GPMID, req proto.Requester, local bool, op trace.Op, line topo.Line, word uint16, sm *SM, gates gateSet) {
-	if s.Cfg.Policy.MCA {
-		s.sysHomeStoreMCA(sh, req, local, op, line, word, sm, gates)
-		return
-	}
 	c := s.newCtx(stageSysHomeStore)
 	c.g, c.req, c.local, c.op, c.line, c.word, c.sm, c.gates = sh, req, local, op, line, word, sm, gates
+	if s.Cfg.Policy.MCA {
+		// Multi-copy atomicity: the store holds its home line until
+		// every sharer has acknowledged its invalidation.
+		c.stage = stageMCAStoreLocked
+		s.gpmOf(sh).lockLine(line, c)
+		return
+	}
 	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
 }
 
@@ -566,24 +560,29 @@ func (s *System) sendInvs(from *GPM, region directory.Region, targets []proto.In
 	line := from.Dir.Dir.FirstLine(region)
 	gran := from.Dir.Dir.Config().GranLines
 	for _, t := range targets {
-		var dest topo.GPMID
-		forward := false
-		if t.IsGPU {
-			dest = s.Pages.GPUHome(topo.GPUID(t.ID), line)
-			forward = true
-		} else if s.Cfg.Policy.Hierarchical {
-			dest = s.Cfg.Topo.GPM(from.gpu, t.ID)
-		} else {
-			dest = topo.GPMID(t.ID)
-		}
+		dest := s.invDest(from, t, line)
 		intra := !t.IsGPU && s.Cfg.Topo.SameGPU(from.id, dest)
 		from.invAll.Start()
 		if intra {
 			from.invIntra.Start()
 		}
 		c := s.newCtx(stageInvDeliver)
-		c.from, c.g, c.region, c.line, c.gran, c.forward, c.intra = from.id, dest, region, line, gran, forward, intra
+		c.from, c.g, c.region, c.line, c.gran, c.forward, c.intra = from.id, dest, region, line, gran, t.IsGPU, intra
 		s.send(from.id, dest, msg.Inv, c)
+	}
+}
+
+// invDest resolves an invalidation target of from's directory for a
+// region starting at line: a GPM within from's GPU under hierarchical
+// protocols and globally under flat ones, or a GPU's home node for line.
+func (s *System) invDest(from *GPM, t proto.InvTarget, line topo.Line) topo.GPMID {
+	switch {
+	case t.IsGPU:
+		return s.Pages.GPUHome(topo.GPUID(t.ID), line)
+	case s.Cfg.Policy.Hierarchical:
+		return s.Cfg.Topo.GPM(from.gpu, t.ID)
+	default:
+		return topo.GPMID(t.ID)
 	}
 }
 
@@ -633,37 +632,18 @@ func (c *opCtx) invFinished() {
 }
 
 // sendInvsAcked dispatches invalidations like sendInvs but additionally
-// collects an InvAck from every target, invoking onAllAcked once the
-// last acknowledgment returns — the multi-copy-atomic (GPU-VI) variant
-// that HMG exists to avoid. Targets resolve exactly as in sendInvs.
-//
-//lint:allow hotalloc invalidation ack continuations; budget gated by the hmgperf allocs/event baseline
-func (s *System) sendInvsAcked(from *GPM, region directory.Region, targets []proto.InvTarget, onAllAcked func()) {
-	if len(targets) == 0 {
-		onAllAcked()
-		return
-	}
+// collects an InvAck from every target on the MCA store context store,
+// which completes once the last acknowledgment returns — the
+// multi-copy-atomic (GPU-VI) variant that HMG exists to avoid. targets
+// must be non-empty; they resolve exactly as in sendInvs.
+func (s *System) sendInvsAcked(from *GPM, region directory.Region, targets []proto.InvTarget, store *opCtx) {
 	line := from.Dir.Dir.FirstLine(region)
 	gran := from.Dir.Dir.Config().GranLines
-	pending := len(targets)
+	store.pending = len(targets)
 	for _, t := range targets {
-		var dest topo.GPMID
-		if t.IsGPU {
-			dest = s.Pages.GPUHome(topo.GPUID(t.ID), line)
-		} else if s.Cfg.Policy.Hierarchical {
-			dest = s.Cfg.Topo.GPM(from.gpu, t.ID)
-		} else {
-			dest = topo.GPMID(t.ID)
-		}
-		s.sendFunc(from.id, dest, msg.Inv, func() {
-			s.invalidateAt(dest, line, gran)
-			s.sendFunc(dest, from.id, msg.InvAck, func() {
-				pending--
-				if pending == 0 {
-					onAllAcked()
-				}
-			})
-		})
+		c := s.newCtx(stageMCAInv)
+		c.parent, c.from, c.g, c.line, c.gran = store, from.id, s.invDest(from, t, line), line, gran
+		s.send(from.id, c.g, msg.Inv, c)
 	}
 }
 
@@ -671,255 +651,214 @@ func (s *System) sendInvsAcked(from *GPM, region directory.Region, targets []pro
 // Atomics
 // ---------------------------------------------------------------------
 
-// startAtomic begins a scoped read-modify-write. .cta atomics perform at
-// the L1; .gpu and .sys atomics at the home node of their scope (where
-// the L2 atomic unit serializes them per line), and the result writes
-// through toward the system home. done receives the old value.
+// startAtomic begins the scoped read-modify-write carried by c, whose
+// warp resumes when it completes. .cta atomics perform at the L1 and
+// .gpm atomics at the local slice's atomic unit (the Section VII-D
+// extension scope); .gpu and .sys atomics at the home node of their
+// scope, where the L2 atomic unit serializes them per line. The result
+// writes through toward the system home.
 //
-//lint:allow hotalloc atomic round-trip continuations; budget gated by the hmgperf allocs/event baseline
-func (sm *SM) startAtomic(op trace.Op, done func(uint64)) {
+// A .cta atomic runs the load path from the L1, and a .gpm atomic that
+// misses its slice enters it at the slice. The load path treats every
+// scope up to .gpm alike, so the atomic's own op drives the fetch, and
+// loadDone hands the value on to atomicApply.
+func (sm *SM) startAtomic(c *opCtx) {
 	s := sm.sys
-	line := s.Cfg.Topo.LineOf(op.Addr)
-	word := cache.WordOf(op.Addr, s.Cfg.Topo.LineSize)
-	delta := op.Val
-	if delta == 0 {
-		delta = 1
-	}
-	if op.Scope <= trace.ScopeCTA {
+	if c.op.Scope <= trace.ScopeCTA {
 		// RMW through the L1: fetch the line if absent, modify locally,
 		// write the result through as an ordinary store.
-		loadOp := op
-		loadOp.Kind = trace.Load
-		loadOp.Scope = trace.ScopeNone
-		sm.startLoad(sm.newLoad(loadOp, func(old uint64) {
-			if s.Cfg.TrackValues {
-				if e, hit := sm.L1.Peek(line); hit {
-					e.SetValue(word, old+delta)
-				}
-			}
-			stOp := op
-			stOp.Kind = trace.Store
-			stOp.Val = old + delta
-			sm.startStore(stOp)
-			done(old)
-		}))
+		sm.startLoad(c)
 		return
 	}
-	if op.Scope == trace.ScopeGPM {
-		// Section VII-D extension: RMW at the GPM-local L2's atomic
-		// unit, serialized per line; the result writes through onward.
-		s.atomicAtLocalL2(sm, op, line, word, delta, done)
-		return
+	c.line = s.Cfg.Topo.LineOf(c.op.Addr)
+	c.word = cache.WordOf(c.op.Addr, s.Cfg.Topo.LineSize)
+	c.g, c.stage = sm.gpm, stageAtomicLock
+	if c.op.Scope > trace.ScopeGPM {
+		sm.gpuHomeGate.Start()
+		sm.sysHomeGate.Start()
+		c.stage = stageAtomicRoute
 	}
-	sm.gpuHomeGate.Start()
-	sm.sysHomeGate.Start()
-	sysHome := s.Pages.SysHome(line)
-	s.Eng.Schedule(s.Cfg.L1Latency, func() {
-		if op.Scope == trace.ScopeGPU && s.Cfg.Policy.Hierarchical {
-			gpuHome := s.Pages.GPUHome(sm.gpu, line)
-			if gpuHome != sysHome {
-				s.sendFunc(sm.gpm, gpuHome, msg.AtomicReq, func() {
-					s.atomicAtGPUHome(sm, gpuHome, op, line, word, delta, done)
-				})
-				return
+	s.Eng.ScheduleHandler(s.Cfg.L1Latency, c)
+}
+
+// atomicRoute sends a .gpu or .sys atomic to the home node of its scope
+// one L1 latency after issue.
+func (s *System) atomicRoute(c *opCtx) {
+	sm := c.sm
+	c.g = s.Pages.SysHome(c.line)
+	if c.op.Scope == trace.ScopeGPU && s.Cfg.Policy.Hierarchical {
+		if gpuHome := s.Pages.GPUHome(sm.gpu, c.line); gpuHome != c.g {
+			c.g, c.viaGPUHome = gpuHome, true
+		}
+	}
+	c.stage = stageAtomicLock
+	s.send(sm.gpm, c.g, msg.AtomicReq, c)
+}
+
+// atomicAtL2 performs the atomic carried by c at GPM c.g one L2 latency
+// after it took its line lock. At a home node the atomic makes the
+// directory transitions of a store first. The read-modify-write then
+// applies to the slice copy, fetching the line first when the slice
+// misses: a .gpm atomic through the normal hierarchy, a GPU home from
+// the system home, and the system home from its DRAM.
+func (s *System) atomicAtL2(c *opCtx) {
+	sm, line, gpm := c.sm, c.line, s.gpmOf(c.g)
+	if c.op.Scope > trace.ScopeGPM {
+		if gpm.classes != nil && s.classifyStore(gpm, line, sm.gpm) {
+			s.broadcastInv(gpm, line)
+		}
+		if gpm.Dir != nil {
+			if sm.gpm == gpm.id {
+				s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(line), gpm.Dir.LocalStore(line))
+			} else {
+				inv, evR, evT := gpm.Dir.RemoteStore(line, s.flatRequester(sm.gpm, gpm.id))
+				s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(line), inv)
+				s.sendInvs(gpm, evR, evT)
 			}
 		}
-		s.sendFunc(sm.gpm, sysHome, msg.AtomicReq, func() {
-			s.atomicAtSysHome(sm, sysHome, op, line, word, delta, done)
-		})
-	})
+	}
+	if e, hit := gpm.L2.Lookup(line); hit {
+		v, _ := e.Value(c.word)
+		c.atomicApply(v)
+		return
+	}
+	switch {
+	case c.op.Scope == trace.ScopeGPM:
+		s.requesterL2Load(c)
+	case c.viaGPUHome:
+		c.stage = stageLoadFill
+		s.fetchFromSysHome(gpm, c.op, line, c)
+	default:
+		c.stage = stageLoadFill
+		s.fetchFromDRAM(gpm, line, c)
+	}
 }
 
-// atomicAtGPUHome performs a .gpu-scoped atomic at the GPU home node:
-// directory transitions as a store, RMW on the home copy (fetching from
-// the system home if absent), reply to the requester, and write the
-// result through to the system home.
-//
-//lint:allow hotalloc atomic forward/reply continuations; budget gated by the hmgperf allocs/event baseline
-func (s *System) atomicAtGPUHome(sm *SM, h topo.GPMID, op trace.Op, line topo.Line, word uint16, delta uint64, done func(uint64)) {
-	gpm := s.gpmOf(h)
-	sysHome := s.Pages.SysHome(line)
-	gpm.lockLine(line, func() {
-		s.Eng.Schedule(s.Cfg.L2Latency, func() {
-			if gpm.Dir != nil {
-				if sm.gpm == h {
-					s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(line), gpm.Dir.LocalStore(line))
-				} else {
-					inv, evR, evT := gpm.Dir.RemoteStore(line, proto.GPMRequester(s.Cfg.Topo.LocalOf(sm.gpm)))
-					s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(line), inv)
-					s.sendInvs(gpm, evR, evT)
-				}
+// atomicApply completes the read-modify-write of the atomic carried by
+// c on old, the value its line held. A .cta or .gpm atomic writes its
+// result through as a plain store and resumes its warp at once. At a
+// home node the atomic releases its line and replies to the requester;
+// a GPU home also writes the result through to the system home.
+func (c *opCtx) atomicApply(old uint64) {
+	s, sm, w, op, line, word := c.s, c.sm, c.w, c.op, c.line, c.word
+	newVal := old + op.Val
+	if op.Val == 0 {
+		newVal = old + 1
+	}
+	stOp := op
+	stOp.Val = newVal
+	switch {
+	case op.Scope <= trace.ScopeCTA:
+		c.release()
+		if s.Cfg.TrackValues {
+			if e, hit := sm.L1.Peek(line); hit {
+				e.SetValue(word, newVal)
 			}
-			finish := func(old uint64) {
-				newVal := old + delta
-				if s.Cfg.TrackValues {
-					e, hit := gpm.L2.Peek(line)
-					if !hit {
-						e, _ = gpm.L2.Fill(line)
-					}
-					e.SetValue(word, newVal)
-				}
-				s.emit(Event{Kind: EvAtomicApply, GPM: h, SM: NoSM, Line: line,
-					Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: newVal})
-				gpm.unlockLine(line)
-				sm.finishGates(gateGPU)
-				// Reply to the requester and write the result through.
-				s.sendFunc(h, sm.gpm, msg.AtomicResp, func() { done(old) })
-				stOp := op
-				stOp.Val = newVal
-				s.sendStoreReqSys(h, sysHome, proto.GPURequester(int(gpm.gpu)), stOp, line, word, sm, gateSys)
+		}
+		stOp.Kind = trace.Store
+		sm.startStore(stOp)
+		w.blocked = false
+		w.opDone()
+	case op.Scope == trace.ScopeGPM:
+		c.release()
+		gpm := s.gpmOf(sm.gpm)
+		if s.Cfg.TrackValues {
+			if e, hit := gpm.L2.Peek(line); hit {
+				e.SetValue(word, newVal)
 			}
-			if e, hit := gpm.L2.Lookup(line); hit {
-				v, _ := e.Value(word)
-				finish(v)
-				return
+		}
+		gpm.unlockLine(line)
+		stOp.Kind, stOp.Scope = trace.Store, trace.ScopeNone
+		sm.startStore(stOp)
+		w.blocked = false
+		w.opDone()
+	case c.viaGPUHome:
+		h := c.g
+		gpm := s.gpmOf(h)
+		if s.Cfg.TrackValues {
+			e, hit := gpm.L2.Peek(line)
+			if !hit {
+				e, _ = gpm.L2.Fill(line)
 			}
-			// Fetch the line from the system home first.
-			w := sm.newLoad(op, finish)
-			w.word = word
-			s.fetchFromSysHome(gpm, op, line, w)
-		})
-	})
-}
-
-// atomicAtSysHome performs an atomic at the system home node.
-//
-//lint:allow hotalloc atomic apply/reply continuations; budget gated by the hmgperf allocs/event baseline
-func (s *System) atomicAtSysHome(sm *SM, sh topo.GPMID, op trace.Op, line topo.Line, word uint16, delta uint64, done func(uint64)) {
-	gpm := s.gpmOf(sh)
-	gpm.lockLine(line, func() {
-		s.Eng.Schedule(s.Cfg.L2Latency, func() {
-			if gpm.classes != nil {
-				if s.classifyStore(gpm, line, sm.gpm) {
-					s.broadcastInv(gpm, line)
-				}
+			e.SetValue(word, newVal)
+		}
+		s.emit(Event{Kind: EvAtomicApply, GPM: h, SM: NoSM, Line: line,
+			Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: newVal})
+		gpm.unlockLine(line)
+		sm.finishGates(gateGPU)
+		// Reply to the requester and write the result through.
+		c.stage = stageSyncDone
+		s.send(h, sm.gpm, msg.AtomicResp, c)
+		s.sendStoreReqSys(h, s.Pages.SysHome(line), proto.GPURequester(int(gpm.gpu)), stOp, line, word, sm, gateSys)
+	default:
+		sh := c.g
+		gpm := s.gpmOf(sh)
+		if s.Cfg.TrackValues {
+			e, hit := gpm.L2.Peek(line)
+			if !hit {
+				e, _ = gpm.L2.Fill(line)
+				e.MergeFrom(gpm.DRAM.LineValues(line))
 			}
-			if gpm.Dir != nil {
-				if sm.gpm == sh {
-					s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(line), gpm.Dir.LocalStore(line))
-				} else {
-					req := s.flatRequester(sm.gpm, sh)
-					inv, evR, evT := gpm.Dir.RemoteStore(line, req)
-					s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(line), inv)
-					s.sendInvs(gpm, evR, evT)
-				}
-			}
-			finish := func(old uint64) {
-				if s.Cfg.TrackValues {
-					e, hit := gpm.L2.Peek(line)
-					if !hit {
-						e, _ = gpm.L2.Fill(line)
-						e.MergeFrom(gpm.DRAM.LineValues(line))
-					}
-					e.SetValue(word, old+delta)
-					gpm.DRAM.StoreValue(op.Addr, old+delta)
-				}
-				gpm.DRAM.Write(s.Cfg.Net.Sizes.StorePayload, nil)
-				s.emit(Event{Kind: EvAtomicApply, GPM: sh, SM: NoSM, Line: line,
-					Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: old + delta})
-				gpm.unlockLine(line)
-				sm.finishGates(gateGPU | gateSys)
-				s.sendFunc(sh, sm.gpm, msg.AtomicResp, func() { done(old) })
-			}
-			if e, hit := gpm.L2.Lookup(line); hit {
-				v, _ := e.Value(word)
-				finish(v)
-				return
-			}
-			w := sm.newLoad(op, finish)
-			w.word = word
-			s.fetchFromDRAM(gpm, line, w)
-		})
-	})
-}
-
-// atomicAtLocalL2 performs a .gpm-scoped atomic at the issuing GPM's own
-// L2 slice (the Section VII-D extension scope): the slice's atomic unit
-// serializes per line, fetching the line through the normal hierarchy if
-// absent, and the result writes through onward as a plain store.
-//
-//lint:allow hotalloc atomic local-slice continuations; budget gated by the hmgperf allocs/event baseline
-func (s *System) atomicAtLocalL2(sm *SM, op trace.Op, line topo.Line, word uint16, delta uint64, done func(uint64)) {
-	gpm := s.gpmOf(sm.gpm)
-	s.Eng.Schedule(s.Cfg.L1Latency, func() {
-		gpm.lockLine(line, func() {
-			s.Eng.Schedule(s.Cfg.L2Latency, func() {
-				finish := func(old uint64) {
-					if s.Cfg.TrackValues {
-						if e, hit := gpm.L2.Peek(line); hit {
-							e.SetValue(word, old+delta)
-						}
-					}
-					gpm.unlockLine(line)
-					stOp := op
-					stOp.Kind = trace.Store
-					stOp.Scope = trace.ScopeNone
-					stOp.Val = old + delta
-					sm.startStore(stOp)
-					done(old)
-				}
-				if e, hit := gpm.L2.Lookup(line); hit {
-					v, _ := e.Value(word)
-					finish(v)
-					return
-				}
-				loadOp := op
-				loadOp.Kind = trace.Load
-				loadOp.Scope = trace.ScopeNone
-				c := sm.newLoad(loadOp, finish)
-				c.line, c.word = line, word
-				s.requesterL2Load(c)
-			})
-		})
-	})
+			e.SetValue(word, newVal)
+			gpm.DRAM.StoreValue(op.Addr, newVal)
+		}
+		gpm.DRAM.Write(s.Cfg.Net.Sizes.StorePayload, nil)
+		s.emit(Event{Kind: EvAtomicApply, GPM: sh, SM: NoSM, Line: line,
+			Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: newVal})
+		gpm.unlockLine(line)
+		sm.finishGates(gateGPU | gateSys)
+		c.stage = stageSyncDone
+		s.send(sh, sm.gpm, msg.AtomicResp, c)
+	}
 }
 
 // sysHomeStoreMCA is the multi-copy-atomic store path of the GPU-VI
-// baseline: the home line is locked while invalidations fan out, and the
-// store (and therefore the storing SM's release-visible completion) only
-// finishes when every sharer has acknowledged. This is the latency HMG's
-// non-multi-copy-atomic design eliminates.
-//
-//lint:allow hotalloc MCA store continuation; budget gated by the hmgperf allocs/event baseline
-func (s *System) sysHomeStoreMCA(sh topo.GPMID, req proto.Requester, local bool, op trace.Op, line topo.Line, word uint16, sm *SM, gates gateSet) {
+// baseline, run on the store context c one L2 latency after it took its
+// home line's lock. The line stays locked while invalidations fan out,
+// and the store (and therefore the storing SM's release-visible
+// completion) only finishes when every sharer has acknowledged. This is
+// the latency HMG's non-multi-copy-atomic design eliminates.
+func (s *System) sysHomeStoreMCA(c *opCtx) {
+	gpm := s.gpmOf(c.g)
+	var inv []proto.InvTarget
+	if gpm.Dir != nil {
+		var evR directory.Region
+		var evT []proto.InvTarget
+		if c.local {
+			inv = gpm.Dir.LocalStore(c.line)
+		} else {
+			inv, evR, evT = gpm.Dir.RemoteStore(c.line, c.req)
+		}
+		// Eviction fan-out keeps the ack-free background path; only the
+		// store's own invalidations require acks.
+		s.sendInvs(gpm, evR, evT)
+	}
+	if len(inv) == 0 {
+		c.mcaStoreDone()
+		return
+	}
+	s.sendInvsAcked(gpm, gpm.Dir.Dir.RegionOf(c.line), inv, c)
+}
+
+// mcaStoreDone completes an MCA store once its invalidations are
+// acknowledged: home-copy update, the DRAM write, and the line unlock.
+func (c *opCtx) mcaStoreDone() {
+	s, sh, op, line, word, sm, gates := c.s, c.g, c.op, c.line, c.word, c.sm, c.gates
+	c.release()
 	gpm := s.gpmOf(sh)
-	gpm.lockLine(line, func() {
-		s.Eng.Schedule(s.Cfg.L2Latency, func() {
-			var inv []proto.InvTarget
-			var evR directory.Region
-			var evT []proto.InvTarget
-			if gpm.Dir != nil {
-				if local {
-					inv = gpm.Dir.LocalStore(line)
-				} else {
-					inv, evR, evT = gpm.Dir.RemoteStore(line, req)
-				}
-				// Eviction fan-out keeps the ack-free background path;
-				// only the store's own invalidations require acks.
-				s.sendInvs(gpm, evR, evT)
-			}
-			finish := func() {
-				if e, hit := gpm.L2.Peek(line); hit {
-					if s.Cfg.TrackValues {
-						e.SetValue(word, op.Val)
-					}
-				} else {
-					gpm.poisonLine(line)
-				}
-				if s.Cfg.TrackValues {
-					gpm.DRAM.StoreValue(op.Addr, op.Val)
-				}
-				gpm.DRAM.Write(s.Cfg.Net.Sizes.StorePayload, nil)
-				s.emit(Event{Kind: EvHomeStore, GPM: sh, SM: NoSM, Line: line,
-					Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: op.Val})
-				gpm.unlockLine(line)
-				sm.finishGates(gates)
-			}
-			if gpm.Dir == nil || len(inv) == 0 {
-				finish()
-				return
-			}
-			s.sendInvsAcked(gpm, gpm.Dir.Dir.RegionOf(line), inv, finish)
-		})
-	})
+	if e, hit := gpm.L2.Peek(line); hit {
+		if s.Cfg.TrackValues {
+			e.SetValue(word, op.Val)
+		}
+	} else {
+		gpm.poisonLine(line)
+	}
+	if s.Cfg.TrackValues {
+		gpm.DRAM.StoreValue(op.Addr, op.Val)
+	}
+	gpm.DRAM.Write(s.Cfg.Net.Sizes.StorePayload, nil)
+	s.emit(Event{Kind: EvHomeStore, GPM: sh, SM: NoSM, Line: line,
+		Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: op.Val})
+	gpm.unlockLine(line)
+	sm.finishGates(gates)
 }

@@ -327,3 +327,34 @@ func TestMCAMessagePassing(t *testing.T) {
 		t.Fatalf(".gpu: flag=%d data=%d, want 1/42", flag, data)
 	}
 }
+
+// TestMCAGPMAtomicAtHome: a .gpm atomic holds its local slice's line
+// lock while it fetches the line. When that slice is the line's system
+// home under the multi-copy-atomic baseline, the fetch must read
+// through the atomic's own lock rather than queue behind it (which
+// deadlocked the kernel), and the result must reach memory.
+func TestMCAGPMAtomicAtHome(t *testing.T) {
+	s, err := New(tinyConfig(proto.GPUVI))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got uint64
+	s.OnLoadValue = func(_ topo.SMID, op trace.Op, v uint64) {
+		if op.Kind == trace.LoadAcq {
+			got = v
+		}
+	}
+	tr := placeAll(warpsTrace([]trace.Op{
+		{Kind: trace.Atomic, Scope: trace.ScopeGPM, Addr: 0x40, Val: 5},
+		{Kind: trace.LoadAcq, Scope: trace.ScopeSys, Addr: 0x40},
+	}), 1, 0)
+	if _, err := s.Run(tr); err != nil {
+		t.Fatal(err)
+	}
+	if got != 5 {
+		t.Fatalf(".sys load after the .gpm atomic read %d, want 5", got)
+	}
+	if n := s.LiveContexts(); n != 0 {
+		t.Fatalf("%d pooled contexts live after the run", n)
+	}
+}

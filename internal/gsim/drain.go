@@ -1,5 +1,7 @@
 package gsim
 
+import "hmg/internal/engine"
+
 // drain tracks completion of asynchronous operations (posted stores,
 // background invalidations) with epoch semantics: a waiter registered at
 // time T fires once every operation started before T has finished,
@@ -10,54 +12,50 @@ package gsim
 type drain struct {
 	started  uint64
 	finished uint64
-	waiters  []drainWaiter
+	// waiters[head:] are the registered waiters in registration order.
+	// Their thresholds never decrease, because started only grows, so
+	// the waiters a Finish satisfies are always a prefix.
+	waiters []drainWaiter
+	head    int
 }
 
 type drainWaiter struct {
 	threshold uint64
-	fn        func()
+	h         engine.Handler
 }
 
 // Start records the launch of one tracked operation.
 func (d *drain) Start() { d.started++ }
 
-// Finish records completion of one tracked operation and fires any
-// waiters whose epoch has drained. Operations must finish exactly once.
-//
-//lint:allow hotalloc waiter fire list; allocates only when a fence is actually waiting
+// Finish records completion of one tracked operation and runs, in
+// registration order, the waiters whose epoch has drained. Operations
+// must finish exactly once.
 func (d *drain) Finish() {
 	d.finished++
 	if d.finished > d.started {
 		panic("gsim: drain finished more operations than started")
 	}
-	if len(d.waiters) == 0 {
-		return
-	}
-	kept := d.waiters[:0]
-	var fire []func()
-	for _, w := range d.waiters {
-		if d.finished >= w.threshold {
-			fire = append(fire, w.fn)
-		} else {
-			kept = append(kept, w)
+	for d.head < len(d.waiters) && d.waiters[d.head].threshold <= d.finished {
+		h := d.waiters[d.head].h
+		d.waiters[d.head] = drainWaiter{}
+		d.head++
+		if d.head == len(d.waiters) {
+			d.waiters, d.head = d.waiters[:0], 0
 		}
-	}
-	d.waiters = kept
-	for _, fn := range fire {
-		fn()
+		h.Handle()
 	}
 }
 
-// Wait invokes fn once all currently started operations have finished;
+// Wait runs h once all currently started operations have finished;
 // immediately if none are outstanding.
 //
-//lint:allow hotalloc fence waiter registration; fences are synchronization points, not steady-state events
-func (d *drain) Wait(fn func()) {
+//lint:allow hotalloc waiter queue append; growth is amortized and the storage is reused once the queue empties, as it does at every drained kernel boundary
+func (d *drain) Wait(h engine.Handler) {
 	if d.finished >= d.started {
-		fn()
+		h.Handle()
 		return
 	}
-	d.waiters = append(d.waiters, drainWaiter{threshold: d.started, fn: fn})
+	d.waiters = append(d.waiters, drainWaiter{threshold: d.started, h: h})
 }
 
 // Pending returns the number of outstanding operations.

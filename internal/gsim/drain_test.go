@@ -10,10 +10,15 @@ import (
 	"hmg/internal/trace"
 )
 
+// waitFn adapts a test closure to the drain's waiter interface.
+type waitFn func()
+
+func (f waitFn) Handle() { f() }
+
 func TestDrainImmediateWait(t *testing.T) {
 	var d drain
 	fired := false
-	d.Wait(func() { fired = true })
+	d.Wait(waitFn(func() { fired = true }))
 	if !fired {
 		t.Fatal("Wait with nothing pending did not fire immediately")
 	}
@@ -24,7 +29,7 @@ func TestDrainEpochSemantics(t *testing.T) {
 	d.Start()
 	d.Start()
 	fired := false
-	d.Wait(func() { fired = true })
+	d.Wait(waitFn(func() { fired = true }))
 	// New work started after the wait must not delay it.
 	d.Start()
 	d.Finish()
@@ -45,7 +50,7 @@ func TestDrainMultipleWaiters(t *testing.T) {
 	d.Start()
 	count := 0
 	for i := 0; i < 5; i++ {
-		d.Wait(func() { count++ })
+		d.Wait(waitFn(func() { count++ }))
 	}
 	d.Finish()
 	if count != 5 {
@@ -69,9 +74,9 @@ func TestDrainWaiterOrdering(t *testing.T) {
 	var d drain
 	d.Start()
 	var order []int
-	d.Wait(func() { order = append(order, 1) })
+	d.Wait(waitFn(func() { order = append(order, 1) }))
 	d.Start()
-	d.Wait(func() { order = append(order, 2) })
+	d.Wait(waitFn(func() { order = append(order, 2) }))
 	d.Finish() // epoch 1 drained
 	if len(order) != 1 || order[0] != 1 {
 		t.Fatalf("order after first finish = %v", order)
@@ -108,7 +113,7 @@ func TestDrainRandomProperty(t *testing.T) {
 			case 2:
 				fired := false
 				waiters = append(waiters, waiter{epoch: d.started, fired: &fired})
-				d.Wait(func() { fired = true })
+				d.Wait(waitFn(func() { fired = true }))
 			}
 			// No waiter may fire while its epoch is not drained.
 			for _, w := range waiters {

@@ -2,14 +2,15 @@ package gsim
 
 // Pooled op and continuation contexts.
 //
-// Every step of a load, store, invalidation, or DRAM fill that waits on
-// simulated time or on a response runs on an opCtx drawn from a
-// per-System free list. The caller fills in the fields its step needs
-// and either schedules the context through the engine's
-// allocation-free ScheduleHandler path (Handle dispatches on the stage
-// tag) or hands it to a responder as the sink of a line fill (filled
-// dispatches on the same tag). The stage always names the context's
-// next step, whichever of the two triggers it.
+// Every step of the simulator that waits on simulated time, on a
+// message, on a response, on a line lock, or on a drain gate runs on an
+// opCtx drawn from a per-System free list. The caller fills in the
+// fields its step needs and either schedules the context through the
+// engine's allocation-free ScheduleHandler path or a network send
+// (Handle dispatches on the stage tag), registers it as a waiter (line
+// locks and drain gates run Handle too), or hands it to a responder as
+// the sink of a line fill (filled dispatches on the same tag). The stage
+// always names the context's next step, whichever trigger runs it.
 //
 // Some contexts live for one hop; others live as long as the operation
 // they carry:
@@ -17,26 +18,34 @@ package gsim
 //   - a load context carries a load from issue to opDone: the L1
 //     lookup, the requester-side L2 probe, and the L1 fill and
 //     completion bookkeeping when the response arrives;
+//   - an atomic context carries an atomic from issue to its reply: it
+//     is the line-lock waiter at the home, the L2-latency event, and the
+//     sink of the line fetch when the home misses;
+//   - a release context carries a store-release through its gate waits
+//     and invalidation fence to its completion;
 //   - a request context carries one LoadReq from a requester to a home
 //     node, waits there for the home's response, and carries the
 //     DataResp back;
 //   - an MSHR entry holds the waiters merged on one outstanding line
 //     fetch until the fill arrives;
 //   - an invalidation context lives until its whole fan-out, forwards
-//     included, has been delivered.
+//     included, has been delivered; an MCA store context likewise until
+//     every InvAck is back, and a release context until every fence
+//     probe has acked. Their children count down the parent's pending;
+//   - the kernel-drain context walks every store and invalidation gate
+//     at a kernel boundary.
 //
 // Pooling invariant: a context has exactly one owner at a time — the
-// event queue (scheduled), the context it is the sink of (waiting for a
-// fill), the MSHR entry it waits in, or the step now running on it.
-// The step that ends a context's life releases it exactly once and
-// never touches it afterwards; it copies the fields it still needs into
-// locals and releases before running anything that may draw from the
-// pool. The one exception is an MSHR entry: it leaves the MSHR map
-// first, so nothing can reach it while its waiters run, and is released
-// after them. Closures built by the paths that keep them (atomics, MCA,
-// release fences) capture those locals, never a pooled context. Every
-// context is therefore back on the free list once its operation is
-// done, which the conformance checker asserts at each drained kernel
+// event queue or network (scheduled or in flight), the context it is
+// the sink of (waiting for a fill), the MSHR entry, line lock or drain
+// gate it waits in, or the step now running on it. The step that ends a
+// context's life releases it exactly once and never touches it
+// afterwards; it copies the fields it still needs into locals and
+// releases before running anything that may draw from the pool. The one
+// exception is an MSHR entry: it leaves the MSHR map first, so nothing
+// can reach it while its waiters run, and is released after them.
+// Every context is therefore back on the free list once its operation
+// is done, which the conformance checker asserts at each drained kernel
 // boundary (LiveContexts), and release panics on a double release.
 //
 // Byte-identity: every step schedules exactly one event per modeled hop
@@ -136,6 +145,65 @@ const (
 	stageCarveInv
 	// stageDowngrade delivers a clean-eviction downgrade to the home.
 	stageDowngrade
+
+	// Atomics (one context from issue to reply) and synchronizing-op
+	// completion.
+
+	// stageAtomicRoute sends a .gpu or .sys atomic's AtomicReq to the
+	// scope's home one L1 latency after issue.
+	stageAtomicRoute
+	// stageAtomicLock waits for the line lock at the GPM that performs
+	// the atomic: the home, or the issuing GPM for .gpm.
+	stageAtomicLock
+	// stageAtomicLocked runs when the atomic holds its line lock: start
+	// the L2 access.
+	stageAtomicLocked
+	// stageAtomicAtL2 performs the atomic one L2 latency after it took
+	// the lock.
+	stageAtomicAtL2
+	// stageSyncDone unblocks a warp whose atomic or release completed
+	// and retires the op.
+	stageSyncDone
+
+	// Multi-copy atomicity (the GPU-VI baseline).
+
+	// stageMCALoadLocked continues a system-home load once no store
+	// holds its line.
+	stageMCALoadLocked
+	// stageMCAStoreLocked runs when a store holds its system-home line:
+	// start the L2 access.
+	stageMCAStoreLocked
+	// stageMCAStoreAtL2 applies the store's Table I transitions and
+	// sends its acknowledged invalidations.
+	stageMCAStoreAtL2
+	// stageMCAInv delivers one acknowledged invalidation and sends the
+	// InvAck back.
+	stageMCAInv
+	// stageMCAInvAck counts an InvAck against its store.
+	stageMCAInvAck
+
+	// Release fences.
+
+	// stageReleaseFlush runs when a release's prior stores reached the
+	// scope home: flush dirty data (write-back) and wait again.
+	stageReleaseFlush
+	// stageReleaseFence runs when the flush writes reached the scope
+	// home: fence in-flight invalidations.
+	stageReleaseFence
+	// stageFenceProbe runs when a fence probe reaches its target: wait
+	// for the invalidations the target has in flight.
+	stageFenceProbe
+	// stageFenceDrained sends the probe's RelAck back.
+	stageFenceDrained
+	// stageFenceAck counts a probe's acknowledgment against its release.
+	stageFenceAck
+
+	// The implicit .sys release at kernel end: a pass over every SM's
+	// store gate, the dirty flush (write-back only) and a second pass,
+	// then a pass over every directory's invalidation gate (drainKernel).
+	stageDrainStores
+	stageDrainFlushed
+	stageDrainInvs
 )
 
 // gateSet names the store gates of an SM that a write-through or
@@ -159,7 +227,7 @@ func (sm *SM) finishGates(gs gateSet) {
 
 // opCtx is the pooled context. It is a union: each step reads only the
 // fields its site filled in. Fields are reset on release so the pool
-// never pins caches, closures, or fill maps.
+// never pins caches, contexts, or fill maps.
 type opCtx struct {
 	s     *System
 	stage ctxStage
@@ -183,9 +251,6 @@ type opCtx struct {
 	local      bool         // a home-side store issued by the home itself
 	gates      gateSet
 
-	// done, when set, receives a load's value in place of the warp
-	// completion bookkeeping (the atomic paths' loads).
-	done func(uint64)
 	// sink receives the line data this context fetches.
 	sink *opCtx
 	data fillData
@@ -194,13 +259,20 @@ type opCtx struct {
 	key     fetchKey
 	waiters []*opCtx
 
-	// Invalidation fan-out.
+	// Fan-out: an invalidation's forwards, an MCA store's InvAcks or a
+	// release's fence acks still outstanding (pending), each child
+	// pointing back at its parent.
 	region  directory.Region
 	gran    int
 	forward bool
-	intra   bool
+	intra   bool // intra-GPU invalidation, or a .gpu fence probe
 	pending int
 	parent  *opCtx
+
+	// next links the waiters of a line lock (GPM.lockLine).
+	next *opCtx
+	// drainIdx is the kernel drain's next gate within its pass.
+	drainIdx int
 }
 
 // ctxSlabMin is the size of the first slab of contexts; later slabs
@@ -368,6 +440,70 @@ func (c *opCtx) Handle() {
 			d.DropSharer(line, req)
 			s.emit(Event{Kind: EvDowngrade, GPM: home, SM: NoSM, Line: line, Aux: int(from)})
 		}
+	case stageAtomicRoute:
+		s.atomicRoute(c)
+	case stageAtomicLock:
+		c.stage = stageAtomicLocked
+		s.gpmOf(c.g).lockLine(c.line, c)
+	case stageAtomicLocked:
+		c.stage = stageAtomicAtL2
+		s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
+	case stageAtomicAtL2:
+		s.atomicAtL2(c)
+	case stageSyncDone:
+		w := c.w
+		c.release()
+		w.blocked = false
+		w.opDone()
+	case stageMCALoadLocked:
+		sh, req, track, line, sink := c.g, c.req, c.track, c.line, c.sink
+		c.release()
+		s.gpmOf(sh).unlockLine(line)
+		s.sysHomeLoadUnlocked(sh, req, track, line, sink)
+	case stageMCAStoreLocked:
+		c.stage = stageMCAStoreAtL2
+		s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
+	case stageMCAStoreAtL2:
+		s.sysHomeStoreMCA(c)
+	case stageMCAInv:
+		s.invalidateAt(c.g, c.line, c.gran)
+		c.stage = stageMCAInvAck
+		s.send(c.g, c.from, msg.InvAck, c)
+	case stageMCAInvAck:
+		store := c.parent
+		c.release()
+		store.pending--
+		if store.pending == 0 {
+			store.mcaStoreDone()
+		}
+	case stageReleaseFlush:
+		// "Release operations trigger a writeback of all dirty data, at
+		// least to the home node for the scope being released." The
+		// flush runs after prior stores' absorptions have settled (the
+		// gate wait that ran this step) and its own writes are covered
+		// by the next wait.
+		if s.Cfg.WriteBack {
+			s.flushDirtySlice(c.sm.gpm, c.sm)
+		}
+		c.stage = stageReleaseFence
+		c.sm.releaseGate(c.op.Scope).Wait(c)
+	case stageReleaseFence:
+		c.sm.fenceInvalidations(c)
+	case stageFenceProbe:
+		c.stage = stageFenceDrained
+		c.fencedGate().Wait(c)
+	case stageFenceDrained:
+		c.stage = stageFenceAck
+		s.send(c.g, c.from, relAckKind, c)
+	case stageFenceAck:
+		rel := c.parent
+		c.release()
+		rel.pending--
+		if rel.pending == 0 {
+			rel.releaseStore()
+		}
+	case stageDrainStores, stageDrainFlushed, stageDrainInvs:
+		c.drainKernel()
 	default:
 		panic("gsim: opCtx dispatched with no stage")
 	}

@@ -102,10 +102,8 @@ func (w *warpCtx) tryIssue() {
 	}
 }
 
-// issue dispatches one op into the memory system. A load travels on one
-// pooled context from here to its completion (loadDone).
-//
-//lint:allow hotalloc release and atomic completion closures; synchronizing ops, not the load/store datapath
+// issue dispatches one op into the memory system. A load, release or
+// atomic travels on one pooled context from here to its completion.
 func (w *warpCtx) issue(op trace.Op) {
 	sm := w.sm
 	sys := sm.sys
@@ -121,8 +119,8 @@ func (w *warpCtx) issue(op trace.Op) {
 			w.blocked = true
 			sm.acquireInvalidate(op.Scope)
 		}
-		c := sm.newLoad(op, nil)
-		c.w, c.issued = w, sys.Eng.Now()
+		c := w.newOpCtx(op)
+		c.issued = sys.Eng.Now()
 		sm.startLoad(c)
 	case trace.Store:
 		sys.stores++
@@ -135,18 +133,20 @@ func (w *warpCtx) issue(op trace.Op) {
 	case trace.StoreRel:
 		sys.stores++
 		w.blocked = true
-		sm.release(op, func() {
-			w.blocked = false
-			w.opDone()
-		})
+		sm.release(w.newOpCtx(op))
 	case trace.Atomic:
 		sys.atomics++
 		w.blocked = true
-		sm.startAtomic(op, func(uint64) {
-			w.blocked = false
-			w.opDone()
-		})
+		sm.startAtomic(w.newOpCtx(op))
 	}
+}
+
+// newOpCtx draws the context that carries op of warp w from issue to
+// completion; the op's start function sets its first stage.
+func (w *warpCtx) newOpCtx(op trace.Op) *opCtx {
+	c := w.sm.sys.newCtx(stageNone)
+	c.sm, c.w, c.op = w.sm, w, op
+	return c
 }
 
 // acquireInvalidate applies the protocol's acquire actions for the given
@@ -190,99 +190,85 @@ func (sm *SM) acquireInvalidate(scope trace.Scope) {
 	}
 }
 
-// release implements store-release: wait for this SM's prior stores to
-// reach the scope's home, fence in-flight invalidations for the scope's
-// domain (hardware protocols), then perform the releasing store and wait
-// for it to reach the scope's home.
-//
-//lint:allow hotalloc per-op completion closures; budget gated by the hmgperf allocs/event baseline
-func (sm *SM) release(op trace.Op, done func()) {
-	p := sm.sys.Cfg.Policy
-	if p.NoCoherence {
-		// Ideal: the release is an ordinary posted store.
-		sm.startStore(op)
-		sm.sys.Eng.Schedule(sm.sys.Cfg.L1Latency, done)
+// release implements the store-release carried by c: wait for this SM's
+// prior stores to reach the scope's home, fence in-flight invalidations
+// for the scope's domain (hardware protocols), then perform the
+// releasing store and wait for it to reach the scope's home.
+func (sm *SM) release(c *opCtx) {
+	s := sm.sys
+	if s.Cfg.Policy.NoCoherence || c.op.Scope <= trace.ScopeCTA {
+		// Ideal: the release is an ordinary posted store. A .cta release
+		// orders through the L1 only; prior warp ops have already
+		// drained (sync ops issue with zero warp inflight).
+		sm.startStore(c.op)
+		c.stage = stageSyncDone
+		s.Eng.ScheduleHandler(s.Cfg.L1Latency, c)
 		return
 	}
-	if op.Scope <= trace.ScopeCTA {
-		// .cta release: ordering through the L1 only; prior warp ops have
-		// already drained (sync ops issue with zero warp inflight).
-		sm.startStore(op)
-		sm.sys.Eng.Schedule(sm.sys.Cfg.L1Latency, done)
-		return
-	}
-	gate := &sm.sysHomeGate
-	if op.Scope <= trace.ScopeGPU && p.Hierarchical {
-		gate = &sm.gpuHomeGate
-	}
-	gate.Wait(func() {
-		// "Release operations trigger a writeback of all dirty data, at
-		// least to the home node for the scope being released." The
-		// flush runs after prior stores' absorptions have settled (the
-		// gate wait above) and its own writes are covered by the wait
-		// below.
-		if sm.sys.Cfg.WriteBack {
-			sm.sys.flushDirtySlice(sm.gpm, sm)
-		}
-		gate.Wait(func() {
-			sm.fenceInvalidations(op.Scope, func() {
-				// The releasing store itself must reach the scope home.
-				sm.startStore(op)
-				gate.Wait(done)
-			})
-		})
-	})
+	c.stage = stageReleaseFlush
+	sm.releaseGate(c.op.Scope).Wait(c)
 }
 
-// fenceInvalidations sends release-fence probes to the L2 slices in the
-// scope's domain; each acks once the invalidations it had in flight at
-// probe arrival are delivered. Software protocols send none (they have
-// no background invalidations).
-//
-//lint:allow hotalloc fence fan-out targets and continuations; fences are synchronization points, not steady-state events
-func (sm *SM) fenceInvalidations(scope trace.Scope, done func()) {
-	p := sm.sys.Cfg.Policy
-	if !p.Hardware || scope <= trace.ScopeGPM {
+// releaseGate returns the store gate a release of the given scope waits
+// on: the GPU-home gate for .gpu and narrower scopes under hierarchical
+// protocols, else the system-home gate.
+func (sm *SM) releaseGate(scope trace.Scope) *drain {
+	if scope <= trace.ScopeGPU && sm.sys.Cfg.Policy.Hierarchical {
+		return &sm.gpuHomeGate
+	}
+	return &sm.sysHomeGate
+}
+
+// fenceInvalidations fences the release rel: it probes the L2 slices in
+// the scope's domain, and each acks once the invalidations it had in
+// flight at probe arrival are delivered. The release's own GPM is
+// probed in place. Software protocols send no probes (they have no
+// background invalidations).
+func (sm *SM) fenceInvalidations(rel *opCtx) {
+	s := sm.sys
+	scope := rel.op.Scope
+	if !s.Cfg.Policy.Hardware || scope <= trace.ScopeGPM {
 		// .gpm releases need no invalidation fence: a GPM's threads all
 		// read through the one local slice, so no stale sibling copies
 		// are involved.
-		done()
+		rel.releaseStore()
 		return
 	}
-	var targets []topo.GPMID
+	n := s.Cfg.Topo.TotalGPMs()
 	if scope == trace.ScopeGPU {
-		for local := 0; local < sm.sys.Cfg.Topo.GPMsPerGPU; local++ {
-			targets = append(targets, sm.sys.Cfg.Topo.GPM(sm.gpu, local))
-		}
-	} else {
-		for g := 0; g < sm.sys.Cfg.Topo.TotalGPMs(); g++ {
-			targets = append(targets, topo.GPMID(g))
-		}
+		n = s.Cfg.Topo.GPMsPerGPU
 	}
-	pending := len(targets)
-	for _, tgt := range targets {
-		tgt := tgt
-		ack := func() {
-			pending--
-			if pending == 0 {
-				done()
-			}
+	rel.pending = n
+	for i := 0; i < n; i++ {
+		tgt := topo.GPMID(i)
+		if scope == trace.ScopeGPU {
+			tgt = s.Cfg.Topo.GPM(sm.gpu, i)
 		}
-		gpm := sm.sys.gpmOf(tgt)
-		gateFor := func() *drain {
-			if scope == trace.ScopeGPU {
-				return &gpm.invIntra
-			}
-			return &gpm.invAll
-		}
+		p := s.newCtx(stageFenceAck)
+		p.parent, p.g, p.from, p.intra = rel, tgt, sm.gpm, scope == trace.ScopeGPU
 		if tgt == sm.gpm {
-			gateFor().Wait(ack)
+			p.fencedGate().Wait(p)
 			continue
 		}
-		sm.sys.sendFunc(sm.gpm, tgt, relFenceKind, func() {
-			gateFor().Wait(func() {
-				sm.sys.sendFunc(tgt, sm.gpm, relAckKind, ack)
-			})
-		})
+		p.stage = stageFenceProbe
+		s.send(sm.gpm, tgt, relFenceKind, p)
 	}
+}
+
+// fencedGate returns the invalidation gate a fence probe waits on at its
+// target: intra-GPU invalidations for a .gpu fence, all of them for .sys.
+func (c *opCtx) fencedGate() *drain {
+	g := c.s.gpmOf(c.g)
+	if c.intra {
+		return &g.invIntra
+	}
+	return &g.invAll
+}
+
+// releaseStore performs the releasing store of a fenced release and
+// waits for it to reach the scope's home.
+func (c *opCtx) releaseStore() {
+	c.sm.startStore(c.op)
+	c.stage = stageSyncDone
+	c.sm.releaseGate(c.op.Scope).Wait(c)
 }

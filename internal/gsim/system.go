@@ -46,9 +46,10 @@ type GPM struct {
 	// transient states.
 	pendingLines map[topo.Line]int
 	poisoned     map[topo.Line]bool
-	// atomicQ serializes atomic read-modify-writes per line at home
-	// nodes, modeling the L2 atomic unit.
-	atomicQ map[topo.Line][]func()
+	// atomicQ serializes atomic read-modify-writes per line, modeling
+	// the L2 atomic unit; multi-copy-atomic stores and loads at a system
+	// home take the same locks.
+	atomicQ map[topo.Line]lineLock
 
 	// classes holds CARVE-style region classifications at system homes
 	// (nil unless the policy classifies).
@@ -137,32 +138,46 @@ func (g *GPM) poisonRegion(first topo.Line, n int) {
 	}
 }
 
-// lockLine serializes atomic operations on one line; fn runs immediately
-// if the line is free, else when the current holder unlocks.
-//
-//lint:allow hotalloc line-lock waiter queue; allocates only on contended lines
-func (g *GPM) lockLine(l topo.Line, fn func()) {
-	if q, busy := g.atomicQ[l]; busy {
-		g.atomicQ[l] = append(q, fn)
-		return
-	}
-	g.atomicQ[l] = []func(){}
-	fn()
+// lineLock is the lock of one line at a GPM: the context holding it and
+// the FIFO of contexts waiting for it, linked through opCtx.next.
+type lineLock struct {
+	holder, head, tail *opCtx
 }
 
-// unlockLine releases the line and runs the next queued atomic, if any.
+// lockLine takes line l's lock for c, running c at once if the line is
+// free, else when every context queued before it has unlocked.
+func (g *GPM) lockLine(l topo.Line, c *opCtx) {
+	if q, busy := g.atomicQ[l]; busy {
+		if q.tail == nil {
+			q.head = c
+		} else {
+			q.tail.next = c
+		}
+		q.tail = c
+		g.atomicQ[l] = q
+		return
+	}
+	g.atomicQ[l] = lineLock{holder: c}
+	c.Handle()
+}
+
+// unlockLine releases the line and runs the next queued context, if any.
 func (g *GPM) unlockLine(l topo.Line) {
 	q, busy := g.atomicQ[l]
 	if !busy {
 		panic("gsim: unlockLine without lock")
 	}
-	if len(q) == 0 {
+	next := q.head
+	if next == nil {
 		delete(g.atomicQ, l)
 		return
 	}
-	next := q[0]
-	g.atomicQ[l] = q[1:]
-	next()
+	q.holder, q.head, next.next = next, next.next, nil
+	if q.head == nil {
+		q.tail = nil
+	}
+	g.atomicQ[l] = q
+	next.Handle()
 }
 
 // System is a complete simulated multi-GPU machine.
@@ -174,9 +189,10 @@ type System struct {
 	GPMs  []*GPM
 	SMs   []*SM
 
-	// warpsLeft counts unfinished warps in the running kernel.
-	warpsLeft  int
-	kernelDone func()
+	// warpsLeft counts unfinished warps in the running kernel; drained
+	// is set once its implicit .sys release has completed.
+	warpsLeft int
+	drained   bool
 
 	// OnLoadValue, when set, observes every completed load's value — the
 	// functional-testing hook used by the consistency harness.
@@ -194,6 +210,8 @@ type System struct {
 	ctxFree  []*opCtx
 	ctxs     int
 	liveCtxs int
+	// flushBuf is the reused buffer of dirty lines a flush walks.
+	flushBuf []cache.Entry
 	// downgrading counts downgrade notices in flight.
 	downgrading int
 	// waitLists is the pool of empty MSHR waiter lists; numWaitLists
@@ -232,7 +250,7 @@ func New(cfg Config) (*System, error) {
 			mshr:         make(map[fetchKey]*opCtx),
 			pendingLines: make(map[topo.Line]int),
 			poisoned:     make(map[topo.Line]bool),
-			atomicQ:      make(map[topo.Line][]func()),
+			atomicQ:      make(map[topo.Line]lineLock),
 		}
 		if cfg.Policy.Hardware {
 			dcfg := cfg.Dir
@@ -288,13 +306,12 @@ func (s *System) Run(tr *trace.Trace) (*Results, error) {
 	for ki := range tr.Kernels {
 		start := s.Eng.Now()
 		s.emit(Event{Kind: EvKernelLaunch, SM: NoSM, Aux: ki})
+		s.drained = false
 		s.launchKernel(&tr.Kernels[ki])
-		finished := false
-		s.kernelDone = func() { finished = true; s.Eng.Stop() }
 		s.lastWarpAt = s.Eng.Now()
 		s.Eng.Run(engine.MaxCycle)
 		s.drainCycles += s.Eng.Now() - s.lastWarpAt
-		if !finished {
+		if !s.drained {
 			return nil, fmt.Errorf("gsim: kernel %d of %s deadlocked at cycle %d with %d warps left",
 				ki, tr.Name, s.Eng.Now(), s.warpsLeft)
 		}
@@ -342,7 +359,7 @@ func (s *System) launchKernel(k *trace.Kernel) {
 	}
 	if s.warpsLeft == 0 {
 		// Degenerate kernel: finish at once (still draining).
-		s.Eng.Schedule(0, s.finishKernelWhenDrained)
+		s.Eng.ScheduleHandler(0, s.newCtx(stageDrainStores))
 		return
 	}
 	// One slab holds the kernel's warp contexts.
@@ -389,60 +406,55 @@ func (s *System) warpFinished() {
 	s.warpsLeft--
 	if s.warpsLeft == 0 {
 		s.lastWarpAt = s.Eng.Now()
-		s.finishKernelWhenDrained()
+		s.newCtx(stageDrainStores).drainKernel()
 	}
 }
 
-// finishKernelWhenDrained implements the implicit .sys release at kernel
-// end: wait for every SM's posted stores to reach their system home,
-// then for every directory's background invalidations to be delivered.
-// Store gates are drained first: invalidations are started synchronously
-// when a store is processed at its home, so once store gates drain, all
-// triggered invalidations are already counted.
+// drainKernel runs the implicit .sys release at kernel end on the
+// kernel-drain context c: wait for every SM's posted stores to reach
+// their system home, then for every directory's background
+// invalidations to be delivered. Store gates are drained first:
+// invalidations are started synchronously when a store is processed at
+// its home, so once store gates drain, all triggered invalidations are
+// already counted. Under write-back, absorptions may still be in flight
+// when the last warp retires, so the walk passes the store gates, flushes
+// dirty data (write-back only), and passes the store gates again.
 //
-//lint:allow hotalloc kernel-drain recursion closure; a kernel-boundary event, not steady state
-func (s *System) finishKernelWhenDrained() {
-	// Under write-back, absorptions may still be in flight when the last
-	// warp retires: wait for the store gates first, then flush dirty
-	// data, then wait for the flush writes themselves.
-	s.waitStoreGates(0, func() {
-		s.flushAllDirty()
-		s.waitStoreGates(0, func() {
-			s.waitInvGates(0, func() {
-				if s.kernelDone != nil {
-					s.kernelDone()
-				}
-			})
-		})
-	})
-}
-
-//lint:allow hotalloc kernel-drain recursion closure; a kernel-boundary event, not steady state
-func (s *System) waitStoreGates(i int, done func()) {
-	if i >= len(s.SMs) {
-		done()
-		return
+// The walk takes one gate at a time, in order. A gate with operations
+// outstanding takes c as its waiter, and c resumes at the next gate when
+// that gate's epoch drains; a drained gate is passed at once.
+func (c *opCtx) drainKernel() {
+	s := c.s
+	for {
+		var gate *drain
+		switch {
+		case c.stage != stageDrainInvs && c.drainIdx < len(s.SMs):
+			gate = &s.SMs[c.drainIdx].sysHomeGate
+		case c.stage == stageDrainStores:
+			s.flushAllDirty()
+			c.stage, c.drainIdx = stageDrainFlushed, 0
+			continue
+		case c.stage == stageDrainFlushed:
+			c.stage, c.drainIdx = stageDrainInvs, 0
+			continue
+		case c.drainIdx < len(s.GPMs):
+			gate = &s.GPMs[c.drainIdx].invAll
+		default:
+			c.release()
+			s.drained = true
+			s.Eng.Stop()
+			return
+		}
+		c.drainIdx++
+		if gate.Pending() > 0 {
+			gate.Wait(c)
+			return
+		}
 	}
-	s.SMs[i].sysHomeGate.Wait(func() { s.waitStoreGates(i+1, done) })
-}
-
-//lint:allow hotalloc kernel-drain recursion closure; a kernel-boundary event, not steady state
-func (s *System) waitInvGates(i int, done func()) {
-	if i >= len(s.GPMs) {
-		done()
-		return
-	}
-	s.GPMs[i].invAll.Wait(func() { s.waitInvGates(i+1, done) })
 }
 
 // send routes a protocol message between GPMs, running deliver on
 // arrival.
 func (s *System) send(from, to topo.GPMID, k msg.Kind, deliver engine.Handler) {
 	s.Net.SendHandler(from, to, k, deliver)
-}
-
-// sendFunc routes a message whose arrival runs a closure, for the paths
-// that keep func continuations (atomics, MCA acks, release fences).
-func (s *System) sendFunc(from, to topo.GPMID, k msg.Kind, deliver func()) {
-	s.Net.SendHandler(from, to, k, engine.Func(deliver))
 }

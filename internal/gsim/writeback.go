@@ -18,7 +18,6 @@ package gsim
 // write-throughs.
 
 import (
-	"hmg/internal/cache"
 	"hmg/internal/msg"
 	"hmg/internal/proto"
 	"hmg/internal/topo"
@@ -43,15 +42,15 @@ func (s *System) tryWriteBackHit(g topo.GPMID, line topo.Line, word uint16, val 
 }
 
 // flushDirtySlice writes every dirty line of one GPM's L2 slice back to
-// its home hierarchy, charging the given SM's store gates. It returns
-// the number of lines flushed.
-//
-//lint:allow hotalloc flush continuation; release/kernel-boundary work, not steady state
-func (s *System) flushDirtySlice(g topo.GPMID, sm *SM) int {
+// its home hierarchy, in set/way order, charging the given SM's store
+// gates.
+func (s *System) flushDirtySlice(g topo.GPMID, sm *SM) {
 	//lint:allow eventemit FlushDirty only clears dirty bits; each flushed line's home-side events are emitted by the scheduled wbAtGPUHomeL2/wbAtSysHomeL2 continuations
-	return s.gpmOf(g).L2.FlushDirty(func(e cache.Entry) {
+	s.flushBuf = s.gpmOf(g).L2.FlushDirty(s.flushBuf[:0])
+	for _, e := range s.flushBuf {
 		s.writeBackLine(g, sm, e.Line, e.Data)
-	})
+	}
+	clear(s.flushBuf) // do not pin the flushed lines' value maps
 }
 
 // flushAllDirty flushes every GPM's dirty lines, charging each GPM's

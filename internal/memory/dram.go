@@ -87,13 +87,13 @@ func (d *DRAM) ReadHandler(l topo.Line, done engine.Handler) {
 	d.eng.ScheduleHandlerAt(d.occupy(d.cfg.LineSize), done)
 }
 
-// Write stores write-through data of the given size, invoking done (which
+// Write stores write-through data of the given size, running done (which
 // may be nil) when the write has been accepted by the partition.
-func (d *DRAM) Write(bytes int, done func()) {
+func (d *DRAM) Write(bytes int, done engine.Handler) {
 	d.Stats.Writes++
 	at := d.occupy(bytes)
 	if done != nil {
-		d.eng.ScheduleAt(at, done)
+		d.eng.ScheduleHandlerAt(at, done)
 	}
 }
 

@@ -91,7 +91,7 @@ func TestWriteDone(t *testing.T) {
 	e := engine.New(1.3e9)
 	d := New(e, Config{BandwidthGBs: 0, Latency: 5, LineSize: 128})
 	var at engine.Cycle
-	d.Write(32, func() { at = e.Now() })
+	d.Write(32, engine.Func(func() { at = e.Now() }))
 	e.Drain()
 	if at != 5 {
 		t.Fatalf("write done at %d, want 5", at)

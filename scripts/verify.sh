@@ -46,9 +46,9 @@
 # BENCH_*.json baseline: simulated cycles and event counts must match
 # exactly (the simulator is deterministic), and allocs/event must not
 # grow past a small tolerance — the hot path is not yet zero-alloc (the
-# 2026-10-17 baseline measures 0.009-0.028 allocs/event across the
-# matrix, left by the kernel-drain closures, directory target lists and
-# pool warm-up), so the gate blocks growth; wall-clock drift only warns.
+# BENCH_2026-10-17c.json baseline measures 0.003-0.022 allocs/event
+# across the matrix), so the gate blocks growth; wall-clock drift only
+# warns.
 # It reuses the store tier's populated -cachedir, which cross-checks
 # every store record it touches against the freshly measured
 # cycles/events — a second determinism tripwire.
