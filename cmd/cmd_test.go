@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hmg/internal/experiments"
+	"hmg/internal/trace"
 )
 
 // build compiles one tool into a temp dir and returns the binary path.
@@ -117,6 +118,37 @@ func TestHmgsimFlow(t *testing.T) {
 	out3 := run(t, bin, "-bench", "overfeat", "-protocol", "HMG", "-scale", "0.1", "-sms", "2", "-check")
 	if !strings.Contains(out3, "conformance:       0 invariant violations") {
 		t.Fatalf("hmgsim -check output missing conformance line:\n%s", out3)
+	}
+}
+
+// TestHmgsimTraceOutOfRange runs a trace file whose op lies far beyond
+// the simulated page limit: hmgsim must exit 1 with an error naming the
+// op and its page, not panic or size a page table by the address.
+func TestHmgsimTraceOutOfRange(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI build in -short mode")
+	}
+	bin := build(t, "cmd/hmgsim")
+	tr := &trace.Trace{Name: "far", Kernels: []trace.Kernel{{CTAs: []trace.CTA{{Warps: []trace.Warp{{Ops: []trace.Op{
+		{Kind: trace.Load, Addr: 0},
+		{Kind: trace.Load, Addr: 1 << 62},
+	}}}}}}}}
+	file := filepath.Join(t.TempDir(), "far.hmgt")
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(file, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-trace", file, "-protocol", "HMG").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || strings.Contains(string(out), "panic") {
+		t.Fatalf("hmgsim -trace: err=%v, want a clean exit 1 error:\n%s", err, out)
+	}
+	for _, want := range []string{"k0 c0 w0 op1", "addr 0x4000000000000000 is on page", "16777216-page limit"} {
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("hmgsim -trace error does not mention %q:\n%s", want, out)
+		}
 	}
 }
 

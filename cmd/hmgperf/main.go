@@ -14,8 +14,8 @@
 // Compare mode fails hard on any drift in simulated cycles or event
 // counts (an optimization changed behavior — the determinism contract
 // is broken) and on allocs/event growth beyond a small noise floor.
-// The hot path is not yet zero-alloc — BENCH_2026-10-17c.json measures
-// 0.003–0.022 allocs/event across the matrix — so the gate blocks
+// The hot path is not yet zero-alloc — BENCH_2026-10-17d.json measures
+// 0.002–0.014 allocs/event across the matrix — so the gate blocks
 // allocation growth, not non-zero allocation. Wall-clock metrics (ns/event,
 // Mevents/s) are advisory only: hmgperf warns past -wall-threshold but
 // never fails on them, so the gate stays green on slow or noisy CI

@@ -318,7 +318,7 @@ func (s *System) dramFilled(sh topo.GPMID, line topo.Line, sink *opCtx) {
 // the paper's evaluation), a displaced clean remote line notifies its
 // home so the sharer can be dropped before it costs an invalidation.
 func (s *System) fillL2(g topo.GPMID, line topo.Line, fill fillData, allowed bool) {
-	if !allowed || s.gpmOf(g).poisoned[line] {
+	if !allowed || s.gpmOf(g).mshr.poisoned(line) {
 		// A poisoned fill was overtaken by an invalidation or store
 		// while in flight: serve the waiters but do not cache it.
 		return
@@ -553,6 +553,12 @@ func (s *System) sysHomeStoreAtL2(sh topo.GPMID, req proto.Requester, local bool
 // resolve to that GPU's home node, which forwards to its own sharers
 // (the HMG-only Table I transition). The sender's drain gates count each
 // invalidation until its entire fan-out has been delivered.
+//
+// targets is usually a buffer its proto.DirCtrl reuses on the next call.
+// Callers pass it on from the directory call with at most other target
+// walks in between, and neither this walk nor sendInvsAcked's nor
+// invDelivered's forward loop calls into a directory, so the list stays
+// intact while it is read.
 func (s *System) sendInvs(from *GPM, region directory.Region, targets []proto.InvTarget) {
 	if len(targets) == 0 {
 		return

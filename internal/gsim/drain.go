@@ -83,7 +83,7 @@ func (s *System) PendingDrains() (stores, invs uint64) {
 func (s *System) OutstandingFetches() int {
 	n := 0
 	for _, g := range s.GPMs {
-		n += len(g.mshr)
+		n += g.mshr.entries
 	}
 	return n
 }

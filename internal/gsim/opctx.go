@@ -42,8 +42,9 @@ package gsim
 // context's life releases it exactly once and never touches it
 // afterwards; it copies the fields it still needs into locals and
 // releases before running anything that may draw from the pool. The one
-// exception is an MSHR entry: it leaves the MSHR map first, so nothing
-// can reach it while its waiters run, and is released after them.
+// exception is an MSHR entry: it leaves its GPM's MSHR table first, so
+// nothing can reach it while its waiters run, and is released after
+// them.
 // Every context is therefore back on the free list once its operation
 // is done, which the conformance checker asserts at each drained kernel
 // boundary (LiveContexts), and release panics on a double release.
@@ -269,7 +270,8 @@ type opCtx struct {
 	pending int
 	parent  *opCtx
 
-	// next links the waiters of a line lock (GPM.lockLine).
+	// next links the waiters of a line lock (GPM.lockLine), or the MSHR
+	// entries of one line (mshrTable).
 	next *opCtx
 	// drainIdx is the kernel drain's next gate within its pass.
 	drainIdx int

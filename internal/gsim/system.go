@@ -32,20 +32,16 @@ type GPM struct {
 	invAll   drain
 	invIntra drain
 
-	// mshr merges concurrent fetches of the same line toward the same
-	// next level, as a real L2's miss-status holding registers do. These
-	// are cache structures, not protocol state — the directory itself
-	// remains free of transient states.
-	mshr map[fetchKey]*opCtx
-	// pendingLines counts outstanding fetches per line; poisoned marks
-	// lines whose in-flight fill was overtaken by an invalidation or
-	// store. A poisoned fill still satisfies its waiting requests (their
-	// loads raced the write, which the memory model allows) but is not
-	// installed in the cache — the MSHR-level resolution of the
-	// fill/invalidation race that lets the protocol itself stay free of
-	// transient states.
-	pendingLines map[topo.Line]int
-	poisoned     map[topo.Line]bool
+	// mshr holds the GPM's miss-status holding registers (mshr.go). It
+	// merges concurrent fetches of the same line toward the same next
+	// level, as a real L2's MSHRs do, and marks lines whose in-flight
+	// fill was overtaken by an invalidation or store. A poisoned fill
+	// still satisfies its waiting requests (their loads raced the write,
+	// which the memory model allows) but is not installed in the cache —
+	// the MSHR-level resolution of the fill/invalidation race that lets
+	// the protocol itself stay free of transient states. These are cache
+	// structures, not protocol state.
+	mshr mshrTable
 	// atomicQ serializes atomic read-modify-writes per line, modeling
 	// the L2 atomic unit; multi-copy-atomic stores and loads at a system
 	// home take the same locks.
@@ -54,88 +50,6 @@ type GPM struct {
 	// classes holds CARVE-style region classifications at system homes
 	// (nil unless the policy classifies).
 	classes map[directory.Region]classEntry
-}
-
-// waitListCap is the initial capacity of a pooled MSHR waiter list; a
-// list that outgrows it keeps its larger storage in the pool.
-const waitListCap = 4
-
-// fetchKey identifies an outstanding line fetch: the line and the level
-// it was sent to (the GPM itself for DRAM fetches).
-type fetchKey struct {
-	line topo.Line
-	dest topo.GPMID
-}
-
-// fetch merges concurrent requests for the same line+destination in an
-// MSHR entry: a pooled context holding a waiter list drawn from the
-// System's pool of lists. The first request for a key gets the new
-// entry back: the caller must start the fetch with the entry as its
-// sink, which completes it exactly once with the response data. Later
-// requests only enqueue their waiter and get nil.
-//
-//lint:allow hotalloc pool growth: waiter lists are pooled with their storage, so they are made and grown only up to the peak of outstanding fetches and merges
-func (g *GPM) fetch(key fetchKey, waiter *opCtx) *opCtx {
-	if m, busy := g.mshr[key]; busy {
-		m.waiters = append(m.waiters, waiter)
-		return nil
-	}
-	s := g.sys
-	if len(s.waitLists) == 0 {
-		// Carve a slab into lists of waitListCap; later slabs double
-		// the pool.
-		n := max(ctxSlabMin, s.numWaitLists)
-		s.numWaitLists += n
-		slab := make([]*opCtx, n*waitListCap)
-		for i := 0; i < n; i++ {
-			lo := i * waitListCap
-			s.waitLists = append(s.waitLists, slab[lo:lo:lo+waitListCap])
-		}
-	}
-	m := s.newCtx(stageMSHRFill)
-	m.g, m.key = g.id, key
-	m.waiters = append(s.waitLists[len(s.waitLists)-1], waiter)
-	s.waitLists = s.waitLists[:len(s.waitLists)-1]
-	g.mshr[key] = m
-	g.pendingLines[key.line]++
-	return m
-}
-
-// fetchDone completes the MSHR entry m with the fetched data: every
-// merged waiter receives it, in arrival order. The entry leaves the MSHR
-// map first, so it and its waiter list return to their pools only after
-// the waiters have run.
-//
-//lint:allow hotalloc pool growth: the list pool grows only up to the peak of outstanding fetches
-func (g *GPM) fetchDone(m *opCtx, fill fillData) {
-	key, ws := m.key, m.waiters
-	delete(g.mshr, key)
-	g.pendingLines[key.line]--
-	if g.pendingLines[key.line] == 0 {
-		delete(g.pendingLines, key.line)
-		delete(g.poisoned, key.line)
-	}
-	for _, w := range ws {
-		w.filled(fill)
-	}
-	m.release()
-	clear(ws)
-	g.sys.waitLists = append(g.sys.waitLists, ws[:0])
-}
-
-// poisonLine marks an in-flight fill for the line as stale; it will not
-// be installed. A no-op when no fetch is outstanding.
-func (g *GPM) poisonLine(l topo.Line) {
-	if g.pendingLines[l] > 0 {
-		g.poisoned[l] = true
-	}
-}
-
-// poisonRegion poisons every line of a directory region.
-func (g *GPM) poisonRegion(first topo.Line, n int) {
-	for i := 0; i < n; i++ {
-		g.poisonLine(first + topo.Line(i))
-	}
 }
 
 // lineLock is the lock of one line at a GPM: the context holding it and
@@ -242,15 +156,13 @@ func New(cfg Config) (*System, error) {
 	}
 	for g := 0; g < cfg.Topo.TotalGPMs(); g++ {
 		gpm := &GPM{
-			sys:          s,
-			id:           topo.GPMID(g),
-			gpu:          cfg.Topo.GPUOf(topo.GPMID(g)),
-			L2:           cache.New(cfg.L2Slice),
-			DRAM:         memory.New(eng, cfg.DRAM),
-			mshr:         make(map[fetchKey]*opCtx),
-			pendingLines: make(map[topo.Line]int),
-			poisoned:     make(map[topo.Line]bool),
-			atomicQ:      make(map[topo.Line]lineLock),
+			sys:     s,
+			id:      topo.GPMID(g),
+			gpu:     cfg.Topo.GPUOf(topo.GPMID(g)),
+			L2:      cache.New(cfg.L2Slice),
+			DRAM:    memory.New(eng, cfg.DRAM),
+			mshr:    newMSHRTable(mshrMinSlots),
+			atomicQ: make(map[topo.Line]lineLock),
 		}
 		if cfg.Policy.Hardware {
 			dcfg := cfg.Dir
@@ -290,11 +202,15 @@ func (s *System) gpmOf(id topo.GPMID) *GPM { return s.GPMs[id] }
 // run in order with an implicit .sys release/acquire pair at every
 // boundary: the next kernel starts only after all warps finish, every
 // posted store has reached its system home, and every background
-// invalidation has been delivered.
+// invalidation has been delivered. A trace naming a page at or beyond
+// topo.MaxPages, in an op or a placement hint, is an error.
 func (s *System) Run(tr *trace.Trace) (*Results, error) {
-	if err := tr.Validate(); err != nil {
+	pages, err := tr.ValidatePages(s.Cfg.Topo.PageSize, topo.MaxPages)
+	if err != nil {
 		return nil, err
 	}
+	// Size the page table once, so no Touch during the run allocates.
+	s.Pages.Reserve(pages)
 	// Pre-place hinted pages, standing in for a prior first-touch run.
 	for _, h := range tr.Placement {
 		if int(h.GPM) >= len(s.GPMs) {

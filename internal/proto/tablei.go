@@ -66,8 +66,18 @@ func (mu Mutation) Has(m Mutation) bool { return mu&m != 0 }
 // (rules.go, rendered in DESIGN.md) and writes the outcome back to the
 // directory; all return the invalidation targets the caller must send,
 // and the directory itself never generates traffic.
+//
+// Target lists live in two buffers the DirCtrl owns and reuses, so
+// steady-state calls allocate nothing: one for a store's or a forwarded
+// invalidation's targets, one for an entry replacement's (RemoteStore
+// returns one of each). A returned list is nil when empty and stays
+// valid until the next call on the same DirCtrl.
 type DirCtrl struct {
 	Dir *directory.Dir
+
+	// invBuf backs the targets of RemoteStore, LocalStore and
+	// Invalidation; evictBuf those of entry replacements.
+	invBuf, evictBuf []InvTarget
 
 	// Mutate injects deliberate transition bugs (test-only; see
 	// Mutation).
@@ -91,13 +101,25 @@ func NewDirCtrl(cfg directory.Config) *DirCtrl {
 
 // TargetsOf expands a sharer set into the canonical invalidation target
 // list: GPM sharers in ascending index order, then GPU sharers in
-// ascending id order. An empty set yields nil.
-//
-//lint:allow hotalloc invalidation fan-out list; sized by the sharer count and gated by the hmgperf allocs/event baseline
+// ascending id order. An empty set yields nil. It returns a new list;
+// DirCtrl's methods fill buffers they own instead.
 func TargetsOf(s directory.Sharers) []InvTarget {
 	var out []InvTarget
+	return targetsInto(&out, s)
+}
+
+// targetsInto overwrites *buf with sharer set s's invalidation targets in
+// TargetsOf's order and returns them, or nil when s is empty.
+//
+//lint:allow hotalloc amortized growth: *buf is a DirCtrl-owned buffer reused across calls, so it grows only to the largest fan-out returned (the closures do not escape)
+func targetsInto(buf *[]InvTarget, s directory.Sharers) []InvTarget {
+	if s.IsEmpty() {
+		return nil
+	}
+	out := (*buf)[:0]
 	s.GPMs(func(i int) { out = append(out, InvTarget{ID: i}) })
 	s.GPUs(func(j int) { out = append(out, InvTarget{IsGPU: true, ID: j}) })
+	*buf = out
 	return out
 }
 
@@ -133,7 +155,7 @@ func (c *DirCtrl) RemoteStore(l topo.Line, s Requester) (inv []InvTarget, evictR
 	out := c.exec(r, e, st, Event{Kind: RemoteSt, Req: s})
 	c.countStoreInvs(out)
 	evictRegion, evictTargets = c.replace(victim)
-	return TargetsOf(out.Sent), evictRegion, evictTargets
+	return targetsInto(&c.invBuf, out.Sent), evictRegion, evictTargets
 }
 
 // LocalStore handles a store by the home GPM itself: all sharers are
@@ -144,7 +166,7 @@ func (c *DirCtrl) LocalStore(l topo.Line) []InvTarget {
 	e, st := c.seeStore(r)
 	out := c.exec(r, e, st, Event{Kind: LocalSt})
 	c.countStoreInvs(out)
-	return TargetsOf(out.Sent)
+	return targetsInto(&c.invBuf, out.Sent)
 }
 
 // Invalidation handles an invalidation arriving from the system home node
@@ -154,7 +176,7 @@ func (c *DirCtrl) Invalidation(r directory.Region) []InvTarget {
 	e, st := c.lookup(r)
 	out := c.exec(r, e, st, Event{Kind: Invalidation})
 	c.InvMsgsForwarded += uint64(out.Inv.Count())
-	return TargetsOf(out.Sent)
+	return targetsInto(&c.invBuf, out.Sent)
 }
 
 // DropSharer removes s from the region's sharer set if tracked (the
@@ -240,5 +262,5 @@ func (c *DirCtrl) replace(victim *directory.Entry) (directory.Region, []InvTarge
 	n := out.Inv.Count()
 	c.InvMsgsByEvicts += uint64(n)
 	c.LinesInvByEvicts += uint64(n * c.Dir.Config().GranLines)
-	return victim.Region, TargetsOf(out.Sent)
+	return victim.Region, targetsInto(&c.evictBuf, out.Sent)
 }

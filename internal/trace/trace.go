@@ -149,33 +149,81 @@ func (t *Trace) Ops() int {
 // Validate checks structural sanity: word-aligned addresses, sync ops
 // with scopes, and non-empty kernels.
 func (t *Trace) Validate() error {
-	if t.Name == "" {
-		return fmt.Errorf("trace: empty name")
+	_, err := t.validate(0, 0)
+	return err
+}
+
+// ValidatePages checks t as Validate does and also bounds the pages it
+// names for a page size of pageSize bytes: the page of every op's
+// address and of every placement hint must lie below limit. It returns
+// the number of pages the trace spans, one more than the highest page
+// it names (0 when it names none). The bound is checked in the same walk
+// over the ops as the rest of the validation.
+func (t *Trace) ValidatePages(pageSize int, limit topo.Page) (topo.Page, error) {
+	if pageSize <= 0 {
+		return 0, fmt.Errorf("trace %s: page size %d, must be positive", t.Name, pageSize)
 	}
+	return t.validate(uint64(pageSize), limit)
+}
+
+// validate is Validate, plus ValidatePages' page bound when pageSize is
+// nonzero.
+func (t *Trace) validate(pageSize uint64, limit topo.Page) (topo.Page, error) {
+	if t.Name == "" {
+		return 0, fmt.Errorf("trace: empty name")
+	}
+	// Addresses at or above addrLimit lie on a page at or beyond limit.
+	addrLimit := ^topo.Addr(0)
+	if pageSize > 0 && uint64(limit) <= uint64(addrLimit)/pageSize {
+		addrLimit = topo.Addr(uint64(limit) * pageSize)
+	}
+	var hiAddr topo.Addr // the highest address of any op, when ops is set
+	ops := false
 	for ki, k := range t.Kernels {
 		if len(k.CTAs) == 0 {
-			return fmt.Errorf("trace %s: kernel %d has no CTAs", t.Name, ki)
+			return 0, fmt.Errorf("trace %s: kernel %d has no CTAs", t.Name, ki)
 		}
 		for ci, c := range k.CTAs {
 			for wi, w := range c.Warps {
 				for oi, op := range w.Ops {
 					if op.Addr%4 != 0 {
-						return fmt.Errorf("trace %s: k%d c%d w%d op%d: unaligned addr %#x", t.Name, ki, ci, wi, oi, uint64(op.Addr))
+						return 0, fmt.Errorf("trace %s: k%d c%d w%d op%d: unaligned addr %#x", t.Name, ki, ci, wi, oi, uint64(op.Addr))
 					}
 					if op.Kind.IsSync() && op.Scope == ScopeNone {
-						return fmt.Errorf("trace %s: k%d c%d w%d op%d: sync op without scope", t.Name, ki, ci, wi, oi)
+						return 0, fmt.Errorf("trace %s: k%d c%d w%d op%d: sync op without scope", t.Name, ki, ci, wi, oi)
 					}
 					if op.Kind > StoreRel {
-						return fmt.Errorf("trace %s: k%d c%d w%d op%d: bad kind %d", t.Name, ki, ci, wi, oi, op.Kind)
+						return 0, fmt.Errorf("trace %s: k%d c%d w%d op%d: bad kind %d", t.Name, ki, ci, wi, oi, op.Kind)
 					}
 					if op.Scope > ScopeSys {
-						return fmt.Errorf("trace %s: k%d c%d w%d op%d: bad scope %d", t.Name, ki, ci, wi, oi, op.Scope)
+						return 0, fmt.Errorf("trace %s: k%d c%d w%d op%d: bad scope %d", t.Name, ki, ci, wi, oi, op.Scope)
 					}
+					if pageSize == 0 {
+						continue
+					}
+					if op.Addr >= addrLimit {
+						return 0, fmt.Errorf("trace %s: k%d c%d w%d op%d: addr %#x is on page %d, beyond the %d-page limit",
+							t.Name, ki, ci, wi, oi, uint64(op.Addr), uint64(op.Addr)/pageSize, uint64(limit))
+					}
+					hiAddr, ops = max(hiAddr, op.Addr), true
 				}
 			}
 		}
 	}
-	return nil
+	if pageSize == 0 {
+		return 0, nil
+	}
+	var span topo.Page
+	if ops {
+		span = topo.Page(uint64(hiAddr)/pageSize + 1)
+	}
+	for i, h := range t.Placement {
+		if h.Page >= limit {
+			return 0, fmt.Errorf("trace %s: placement hint %d: page %d beyond the %d-page limit", t.Name, i, uint64(h.Page), uint64(limit))
+		}
+		span = max(span, h.Page+1)
+	}
+	return span, nil
 }
 
 // AssignCTA implements contiguous CTA scheduling (inherited from the

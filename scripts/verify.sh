@@ -46,7 +46,7 @@
 # BENCH_*.json baseline: simulated cycles and event counts must match
 # exactly (the simulator is deterministic), and allocs/event must not
 # grow past a small tolerance — the hot path is not yet zero-alloc (the
-# BENCH_2026-10-17c.json baseline measures 0.003-0.022 allocs/event
+# BENCH_2026-10-17d.json baseline measures 0.002-0.014 allocs/event
 # across the matrix), so the gate blocks growth; wall-clock drift only
 # warns.
 # It reuses the store tier's populated -cachedir, which cross-checks
