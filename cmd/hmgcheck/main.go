@@ -1,11 +1,12 @@
 // Command hmgcheck is the protocol conformance sweep: it runs seeded
 // litmus cases and the full Table III benchmark suite under every
-// coherence protocol with the runtime invariant checker attached, and
+// coherence protocol, and under the write-back and downgrade options
+// (check.SweepConfigs), with the runtime invariant checker attached, and
 // exits non-zero on any oracle or invariant violation.
 //
 // Usage:
 //
-//	hmgcheck                      # full sweep: litmus seeds + benchmarks × protocols
+//	hmgcheck                      # full sweep: litmus seeds + benchmarks × configurations
 //	hmgcheck -seeds 512           # more litmus cases
 //	hmgcheck -bench nw-16K        # restrict the benchmark tier
 //	hmgcheck -protocol HMG        # restrict both tiers to one protocol
@@ -27,7 +28,6 @@ import (
 
 	"hmg"
 	"hmg/internal/check"
-	"hmg/internal/consist"
 	"hmg/internal/gsim"
 	"hmg/internal/proto"
 	"hmg/internal/proto/spec"
@@ -89,18 +89,18 @@ func main() {
 			run:  func() error { return cs.RunMutated(mu) },
 		})
 	}
-	for _, k := range hmg.Protocols() {
-		if restrict && k != only {
+	for _, sc := range check.SweepConfigs() {
+		if restrict && sc.Kind != only {
 			continue
 		}
 		for _, name := range workload.Names() {
 			if *benchName != "" && name != *benchName {
 				continue
 			}
-			k, name := k, name
+			sc, name := sc, name
 			tasks = append(tasks, task{
-				name: fmt.Sprintf("bench %v/%s", k, name),
-				run:  func() error { return runBench(k, name, *scale, mu, shape) },
+				name: fmt.Sprintf("bench %v/%s", sc, name),
+				run:  func() error { return runBench(sc, name, *scale, mu, shape) },
 			})
 		}
 	}
@@ -136,10 +136,11 @@ func main() {
 		len(tasks), countPrefix(tasks, "litmus "), countPrefix(tasks, "bench "), countPrefix(tasks, "spec "))
 }
 
-// runBench executes one benchmark under one protocol on the conformance
-// machine (reshaped by -topo) with the invariant checker attached.
-func runBench(k proto.Kind, name string, scale float64, mu proto.Mutation, sp topo.Spec) error {
-	cfg := consist.SmallConfig(k)
+// runBench executes one benchmark under one sweep configuration on the
+// conformance machine (reshaped by -topo) with the invariant checker
+// attached.
+func runBench(sc check.SweepConfig, name string, scale float64, mu proto.Mutation, sp topo.Spec) error {
+	cfg := sc.Config()
 	cfg.Topo = sp.Apply(cfg.Topo)
 	cfg.Mutation = mu
 	sys, err := gsim.New(cfg)

@@ -236,8 +236,9 @@ func TestMutationDropEvictInv(t *testing.T) {
 	}
 }
 
-// TestBenchmarkSweep runs every Table III benchmark under every protocol
-// on the conformance topology with the checker attached: the trunk
+// TestBenchmarkSweep runs every Table III benchmark under every sweep
+// configuration (each protocol, and the Section IV options its figures
+// run) on the conformance topology with the checker attached: the trunk
 // protocols must hold every invariant on real workloads, not just litmus
 // programs.
 func TestBenchmarkSweep(t *testing.T) {
@@ -245,12 +246,12 @@ func TestBenchmarkSweep(t *testing.T) {
 	if testing.Short() {
 		scale = 0.05
 	}
-	for _, k := range proto.Kinds() {
+	for _, sc := range SweepConfigs() {
 		for _, name := range workload.Names() {
-			k, name := k, name
-			t.Run(fmt.Sprintf("%v/%s", k, name), func(t *testing.T) {
+			sc, name := sc, name
+			t.Run(fmt.Sprintf("%v/%s", sc, name), func(t *testing.T) {
 				t.Parallel()
-				cfg := consist.SmallConfig(k)
+				cfg := sc.Config()
 				sys, err := gsim.New(cfg)
 				if err != nil {
 					t.Fatal(err)

@@ -283,3 +283,48 @@ func (cs Case) RunMutated(mu proto.Mutation) error {
 	}
 	return nil
 }
+
+// SweepConfig is one configuration of the benchmark sweep: a protocol,
+// optionally under one of the Section IV design options a figure runs.
+type SweepConfig struct {
+	Kind      proto.Kind
+	WriteBack bool // the write-back L2 option
+	Downgrade bool // clean-eviction sharer downgrades
+}
+
+// SweepConfigs lists the benchmark sweep's configurations: every
+// protocol as evaluated, every protocol under write-back, and NHCC and
+// HMG with downgrades.
+func SweepConfigs() []SweepConfig {
+	var cs []SweepConfig
+	for _, k := range proto.Kinds() {
+		cs = append(cs, SweepConfig{Kind: k})
+	}
+	for _, k := range proto.Kinds() {
+		cs = append(cs, SweepConfig{Kind: k, WriteBack: true})
+	}
+	for _, k := range []proto.Kind{proto.NHCC, proto.HMG} {
+		cs = append(cs, SweepConfig{Kind: k, Downgrade: true})
+	}
+	return cs
+}
+
+// String names the configuration: the protocol, with "+wb" or
+// "+downgrade" for an option.
+func (c SweepConfig) String() string {
+	switch {
+	case c.WriteBack:
+		return c.Kind.String() + "+wb"
+	case c.Downgrade:
+		return c.Kind.String() + "+downgrade"
+	}
+	return c.Kind.String()
+}
+
+// Config returns the conformance machine (consist.SmallConfig) under c.
+func (c SweepConfig) Config() gsim.Config {
+	cfg := consist.SmallConfig(c.Kind)
+	cfg.WriteBack = c.WriteBack
+	cfg.Policy.Downgrade = c.Downgrade
+	return cfg
+}

@@ -118,12 +118,8 @@ func (s *System) requesterL2Load(c *opCtx) {
 	sm, op, line := c.sm, c.op, c.line
 	g := sm.gpm
 	scope := s.effScope(op.Scope)
-	sysHome := s.Pages.SysHome(line)
+	sysHome, gpuHome := s.homes(g, line)
 	hier := s.Cfg.Policy.Hierarchical
-	gpuHome := sysHome
-	if hier {
-		gpuHome = s.Pages.GPUHome(sm.gpu, line)
-	}
 	cacheable := s.cacheableAt(g, line)
 	// The requester may fill its own L2 with the response for loads of
 	// .gpm scope or weaker (the GPM-local slice is the .gpm coherence
@@ -316,7 +312,8 @@ func (s *System) dramFilled(sh topo.GPMID, line topo.Line, sink *opCtx) {
 // fillL2 installs a load response into an L2 slice when allowed. Under
 // the optional Downgrade optimization (Section IV, off by default and in
 // the paper's evaluation), a displaced clean remote line notifies its
-// home so the sharer can be dropped before it costs an invalidation.
+// home so the sharer can be dropped before it costs an invalidation,
+// once no line of its directory region is left in the slice.
 func (s *System) fillL2(g topo.GPMID, line topo.Line, fill fillData, allowed bool) {
 	if !allowed || s.gpmOf(g).mshr.poisoned(line) {
 		// A poisoned fill was overtaken by an invalidation or store
@@ -337,19 +334,30 @@ func (s *System) fillL2(g topo.GPMID, line topo.Line, fill fillData, allowed boo
 		// Evicted dirty data writes back to its home (charged to the
 		// GPM's first SM; the kernel barrier waits on it).
 		s.writeBackLine(g, s.SMs[s.Cfg.Topo.SM(g, 0)], victim.Line, victim.Data)
-	case s.Cfg.Policy.Downgrade && s.Cfg.Policy.Hardware:
+	case s.Cfg.Policy.Downgrade && s.Cfg.Policy.Hardware && !s.holdsRegion(g, victim.Line):
 		s.sendDowngrade(g, victim.Line)
 	}
+}
+
+// holdsRegion reports whether GPM g's slice still holds a line of l's
+// directory region. The home tracks sharers per region, so a clean
+// eviction downgrades only once the region's last line has left.
+func (s *System) holdsRegion(g topo.GPMID, l topo.Line) bool {
+	gran := topo.Line(s.Cfg.Dir.GranLines)
+	first := l &^ (gran - 1)
+	l2 := s.gpmOf(g).L2
+	for m := first; m < first+gran; m++ {
+		if _, hit := l2.Peek(m); hit {
+			return true
+		}
+	}
+	return false
 }
 
 // sendDowngrade notifies the home node of a clean eviction so it can
 // drop this GPM from the sharer set.
 func (s *System) sendDowngrade(g topo.GPMID, line topo.Line) {
-	sysHome := s.Pages.SysHome(line)
-	home := sysHome
-	if s.Cfg.Policy.Hierarchical {
-		home = s.Pages.GPUHome(s.Cfg.Topo.GPUOf(g), line)
-	}
+	_, home := s.homes(g, line)
 	if home == g {
 		return // the home itself holds no sharer entry for itself
 	}
@@ -387,159 +395,214 @@ func (sm *SM) startStore(op trace.Op) {
 	s.Eng.ScheduleHandler(s.Cfg.L1Latency, c)
 }
 
-// storeAfterL1 is the SM-side continuation of startStore one L1 latency
-// after issue: absorb into the local slice under the write-back option,
-// or route the write-through toward the home hierarchy.
-func (sm *SM) storeAfterL1(op trace.Op, line topo.Line, word uint16) {
-	s := sm.sys
-	if s.Cfg.WriteBack && op.Kind == trace.Store && op.Scope <= trace.ScopeCTA {
+// storeAfterL1 is the SM-side step of the store carried by c one L1
+// latency after issue: absorb it into the local slice under the
+// write-back option, or write it through from the L2.
+func (s *System) storeAfterL1(c *opCtx) {
+	if s.Cfg.WriteBack && c.op.Kind == trace.Store && c.op.Scope <= trace.ScopeCTA {
 		// Write-back option: a plain store that hits the local slice
 		// dirties it; the flush machinery assumes the visibility
-		// obligation, so the store's gates are released here
+		// obligation, so the store's gates are released there
 		// (stageStoreWB in opctx.go).
-		c := s.newCtx(stageStoreWB)
-		c.sm, c.op, c.line, c.word = sm, op, line, word
+		c.stage = stageStoreWB
 		s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
 		return
 	}
-	s.l2Store(sm, op, line, word)
+	s.l2Store(c)
 }
 
-// l2Store routes a write-through from the requester's L2 slice toward
-// the home hierarchy. The SM's gates are released as the store is
-// processed at the GPU home and system home points.
-func (s *System) l2Store(sm *SM, op trace.Op, line topo.Line, word uint16) {
-	g := sm.gpm
-	sysHome := s.Pages.SysHome(line)
-	hier := s.Cfg.Policy.Hierarchical
-	gpuHome := sysHome
-	if hier {
-		gpuHome = s.Pages.GPUHome(sm.gpu, line)
-	}
-	// Update the local slice copy in place (and poison any in-flight
-	// fill, which would otherwise install pre-store data).
+// l2Store writes the store carried by c through from the requester's L2
+// slice: update the slice copy when the slice is neither of the line's
+// homes, then route the write to them.
+func (s *System) l2Store(c *opCtx) {
+	g := c.sm.gpm
+	sysHome, gpuHome := s.homes(g, c.line)
 	if g != sysHome && g != gpuHome {
-		if e, hit := s.gpmOf(g).L2.Peek(line); hit {
-			if s.Cfg.TrackValues {
-				e.SetValue(word, op.Val)
-			}
-		} else {
-			s.gpmOf(g).poisonLine(line)
-		}
+		c.writeCopy(s.gpmOf(g))
 	}
-	const gates = gateGPU | gateSys
+	s.routeWrite(c, g, sysHome, gpuHome)
+}
+
+// homes returns line's system home and the GPU home serving GPM g's GPU,
+// which is the system home itself under flat policies.
+func (s *System) homes(g topo.GPMID, line topo.Line) (sysHome, gpuHome topo.GPMID) {
+	sysHome = s.Pages.SysHome(line)
+	if !s.Cfg.Policy.Hierarchical {
+		return sysHome, sysHome
+	}
+	return sysHome, s.Pages.GPUHome(s.Cfg.Topo.GPUOf(g), line)
+}
+
+// routeWrite sends the write carried by c, a write-through or a
+// write-back, from GPM g toward its homes. Under hierarchical policies
+// the GPU home applies it first and forwards it; flat policies, and the
+// owner GPU where both homes coincide, go straight to the system home.
+// Each home releases the SM's gate for its scope as it applies the
+// write.
+func (s *System) routeWrite(c *opCtx, g, sysHome, gpuHome topo.GPMID) {
+	c.gates = gateGPU | gateSys
 	switch {
 	case g == sysHome:
-		s.sysHomeStore(g, proto.Requester{}, true, op, line, word, sm, gates)
-	case hier && g == gpuHome && gpuHome != sysHome:
-		s.gpuHomeStore(g, g, op, line, word, sm, gates)
-	case hier && gpuHome != sysHome:
-		c := s.newCtx(stageStoreReqGPUHome)
-		c.g, c.from, c.op, c.line, c.word, c.sm, c.gates = gpuHome, g, op, line, word, sm, gates
-		s.send(g, gpuHome, msg.StoreReq, c)
+		c.g, c.local = g, true
+		s.atSysHome(c)
+	case g == gpuHome && gpuHome != sysHome:
+		c.g, c.from, c.stage = g, g, stageGPUHomeStore
+		s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
+	case gpuHome != sysHome:
+		c.g, c.from, c.stage = gpuHome, g, stageStoreReqGPUHome
+		s.send(g, gpuHome, c.writeKind(), c)
 	default:
-		// Flat protocols, or the owner GPU where the GPU home node and
-		// the system home node coincide.
-		s.sendStoreReqSys(g, sysHome, s.flatRequester(g, sysHome), op, line, word, sm, gates)
+		s.sendSysHome(c, g, s.flatRequester(g, sysHome))
 	}
 }
 
-// sendStoreReqSys sends a write-through to the system home, where it is
-// processed for requester req and releases gates of sm.
-func (s *System) sendStoreReqSys(from, sysHome topo.GPMID, req proto.Requester, op trace.Op, line topo.Line, word uint16, sm *SM, gates gateSet) {
-	c := s.newCtx(stageStoreReqSysHome)
-	c.g, c.req, c.op, c.line, c.word, c.sm, c.gates = sysHome, req, op, line, word, sm, gates
-	s.send(from, sysHome, msg.StoreReq, c)
-}
-
-// gpuHomeStore processes a write-through at a GPU home node that is not
-// the system home, then forwards it to the system home.
-func (s *System) gpuHomeStore(h, fromGPM topo.GPMID, op trace.Op, line topo.Line, word uint16, sm *SM, gates gateSet) {
-	c := s.newCtx(stageGPUHomeStore)
-	c.g, c.from, c.op, c.line, c.word, c.sm, c.gates = h, fromGPM, op, line, word, sm, gates
-	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
-}
-
-// gpuHomeStoreAtL2 is the GPU-home step of a write-through one L2
-// latency after request arrival: directory transitions, home-copy
-// update, and the forward to the system home.
-func (s *System) gpuHomeStoreAtL2(h, fromGPM topo.GPMID, op trace.Op, line topo.Line, word uint16, sm *SM, gates gateSet) {
-	gpm := s.gpmOf(h)
-	sysHome := s.Pages.SysHome(line)
-	if gpm.Dir != nil {
-		if fromGPM == h {
-			s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(line), gpm.Dir.LocalStore(line))
-		} else {
-			inv, evR, evT := gpm.Dir.RemoteStore(line, proto.GPMRequester(s.Cfg.Topo.LocalOf(fromGPM)))
-			s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(line), inv)
-			s.sendInvs(gpm, evR, evT)
-		}
+// writeKind is the message a write travels in: a StoreReq carrying one
+// sector, or a WriteBack carrying the whole line.
+func (c *opCtx) writeKind() msg.Kind {
+	if c.wb {
+		return msg.WriteBack
 	}
-	if e, hit := gpm.L2.Peek(line); hit {
-		if s.Cfg.TrackValues {
-			e.SetValue(word, op.Val)
-		}
-	} else {
-		gpm.poisonLine(line)
-	}
-	s.emit(Event{Kind: EvGPUHomeStore, GPM: h, SM: NoSM, Line: line,
-		Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: op.Val})
-	sm.finishGates(gates & gateGPU)
-	s.sendStoreReqSys(h, sysHome, proto.GPURequester(int(gpm.gpu)), op, line, word, sm, gates&^gateGPU)
+	return msg.StoreReq
 }
 
-// sysHomeStore processes a write-through at the system home: Table I
-// directory transitions, home L2 update, and the DRAM write. local marks
-// stores issued by the home GPM itself.
-func (s *System) sysHomeStore(sh topo.GPMID, req proto.Requester, local bool, op trace.Op, line topo.Line, word uint16, sm *SM, gates gateSet) {
-	c := s.newCtx(stageSysHomeStore)
-	c.g, c.req, c.local, c.op, c.line, c.word, c.sm, c.gates = sh, req, local, op, line, word, sm, gates
+// sendSysHome sends the write carried by c from GPM from to its system
+// home, where it is applied for requester req.
+func (s *System) sendSysHome(c *opCtx, from topo.GPMID, req proto.Requester) {
+	c.g, c.req, c.stage = s.Pages.SysHome(c.line), req, stageStoreReqSysHome
+	s.send(from, c.g, c.writeKind(), c)
+}
+
+// atSysHome starts the system-home step of the write carried by c at its
+// system home c.g: one L2 latency on, after taking the line's lock under
+// multi-copy atomicity.
+func (s *System) atSysHome(c *opCtx) {
 	if s.Cfg.Policy.MCA {
 		// Multi-copy atomicity: the store holds its home line until
 		// every sharer has acknowledged its invalidation.
 		c.stage = stageMCAStoreLocked
-		s.gpmOf(sh).lockLine(line, c)
+		s.gpmOf(c.g).lockLine(c.line, c)
 		return
 	}
+	c.stage = stageSysHomeStore
 	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
 }
 
-// sysHomeStoreAtL2 is the system-home step of a write-through one L2
-// latency after request arrival: classification, Table I directory
-// transitions, home-copy update, and the DRAM write.
-func (s *System) sysHomeStoreAtL2(sh topo.GPMID, req proto.Requester, local bool, op trace.Op, line topo.Line, word uint16, sm *SM, gates gateSet) {
-	gpm := s.gpmOf(sh)
+// gpuHomeStore is the GPU-home step of the write carried by c, one L2
+// latency after it reached GPU home c.g from GPM c.from: the Table I
+// store transition for the requesting module, the home-copy update,
+// then the forward to the system home on behalf of the whole GPU.
+func (s *System) gpuHomeStore(c *opCtx) {
+	gpm := s.gpmOf(c.g)
+	s.storeTransition(gpm, proto.GPMRequester(s.Cfg.Topo.LocalOf(c.from)), c.from == c.g, c.line)
+	c.writeCopy(gpm)
+	if !c.wb {
+		s.emit(Event{Kind: EvGPUHomeStore, GPM: c.g, SM: NoSM, Line: c.line,
+			Addr: c.op.Addr, Scope: c.op.Scope, Op: c.op.Kind, Val: c.op.Val})
+	}
+	c.sm.finishGates(c.gates & gateGPU)
+	c.gates &^= gateGPU
+	s.sendSysHome(c, c.g, proto.GPURequester(int(gpm.gpu)))
+}
+
+// sysHomeStore is the system-home step of the write carried by c, one L2
+// latency after it reached system home c.g: the store transition, then
+// the write's end (storeDone).
+func (s *System) sysHomeStore(c *opCtx) {
+	s.storeTransition(s.gpmOf(c.g), c.req, c.local, c.line)
+	c.storeDone()
+}
+
+// storeTransition makes the store transition for a write to line at home
+// gpm and sends the invalidations it calls for. Under Table I a local
+// store, by the home GPM itself, invalidates every sharer; a remote
+// store by req invalidates the other sharers and records req, and the
+// directory entry it allocates may evict a region whose sharers are
+// invalidated too. Under CARVE the store classifies its region instead
+// (flat, so req names the writing GPM).
+func (s *System) storeTransition(gpm *GPM, req proto.Requester, local bool, line topo.Line) {
 	if gpm.classes != nil {
-		accessor := topo.GPMID(req.ID)
-		if local {
-			accessor = sh
+		writer := gpm.id
+		if !local {
+			writer = topo.GPMID(req.ID)
 		}
-		if s.classifyStore(gpm, line, accessor) {
+		if s.classifyStore(gpm, line, writer) {
 			s.broadcastInv(gpm, line)
 		}
 	}
-	if gpm.Dir != nil {
-		if local {
-			s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(line), gpm.Dir.LocalStore(line))
-		} else {
-			inv, evR, evT := gpm.Dir.RemoteStore(line, req)
-			s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(line), inv)
-			s.sendInvs(gpm, evR, evT)
-		}
+	if gpm.Dir == nil {
+		return
 	}
-	if e, hit := gpm.L2.Peek(line); hit {
+	region := gpm.Dir.Dir.RegionOf(line)
+	if local {
+		//lint:allow eventemit a write's directory transition; its invalidations emit EvInvDeliver where they land
+		s.sendInvs(gpm, region, gpm.Dir.LocalStore(line))
+		return
+	}
+	//lint:allow eventemit a write's directory transition; its invalidations emit EvInvDeliver where they land
+	inv, evR, evT := gpm.Dir.RemoteStore(line, req)
+	s.sendInvs(gpm, region, inv)
+	s.sendInvs(gpm, evR, evT)
+}
+
+// writeCopy applies the write carried by c to gpm's copy of its line:
+// set the stored word, or merge a written-back line, when the slice
+// holds the line, and otherwise poison any in-flight fill of it, which
+// would install pre-write data.
+func (c *opCtx) writeCopy(gpm *GPM) {
+	e, hit := gpm.L2.Peek(c.line)
+	switch {
+	case !hit:
+		gpm.poisonLine(c.line)
+	case !c.s.Cfg.TrackValues:
+	case c.wb:
+		//lint:allow eventemit written-back values were emitted by their stores' EvStoreIssue
+		e.MergeFrom(c.data)
+	default:
+		//lint:allow eventemit the stored value was emitted by the store's EvStoreIssue
+		e.SetValue(c.word, c.op.Val)
+	}
+}
+
+// writeDRAM writes the write carried by c to gpm's DRAM partition: one
+// sector for a store, the whole line for a write-back.
+func (c *opCtx) writeDRAM(gpm *GPM) {
+	s := c.s
+	if !c.wb {
 		if s.Cfg.TrackValues {
-			e.SetValue(word, op.Val)
+			//lint:allow eventemit the stored value was emitted by the store's EvStoreIssue; storeDone emits EvHomeStore
+			gpm.DRAM.StoreValue(c.op.Addr, c.op.Val)
 		}
-	} else {
-		gpm.poisonLine(line)
+		gpm.DRAM.Write(s.Cfg.Net.Sizes.StorePayload, nil)
+		return
 	}
 	if s.Cfg.TrackValues {
-		gpm.DRAM.StoreValue(op.Addr, op.Val)
+		base := topo.Addr(uint64(c.line) * uint64(s.Cfg.Topo.LineSize))
+		//lint:allow determinism each word stores to its own address; per-word DRAM writes commute
+		for w, v := range c.data {
+			//lint:allow eventemit written-back values were emitted by their stores' EvStoreIssue
+			gpm.DRAM.StoreValue(base+topo.Addr(w)*4, v)
+		}
 	}
-	gpm.DRAM.Write(s.Cfg.Net.Sizes.StorePayload, nil)
-	s.emit(Event{Kind: EvHomeStore, GPM: sh, SM: NoSM, Line: line,
-		Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: op.Val})
+	gpm.DRAM.Write(s.Cfg.Topo.LineSize, nil)
+}
+
+// storeDone ends the write carried by c at its system home c.g, after
+// its Table I transition (and, under MCA, every acknowledgment): the
+// home-copy update and the DRAM write, EvHomeStore for a write-through,
+// then the line unlock under MCA and the SM's remaining gates.
+func (c *opCtx) storeDone() {
+	s, gpm := c.s, c.s.gpmOf(c.g)
+	c.writeCopy(gpm)
+	c.writeDRAM(gpm)
+	if !c.wb {
+		s.emit(Event{Kind: EvHomeStore, GPM: c.g, SM: NoSM, Line: c.line,
+			Addr: c.op.Addr, Scope: c.op.Scope, Op: c.op.Kind, Val: c.op.Val})
+	}
+	line, sm, gates := c.line, c.sm, c.gates
+	c.release()
+	if s.Cfg.Policy.MCA {
+		gpm.unlockLine(line)
+	}
 	sm.finishGates(gates)
 }
 
@@ -702,26 +765,15 @@ func (s *System) atomicRoute(c *opCtx) {
 }
 
 // atomicAtL2 performs the atomic carried by c at GPM c.g one L2 latency
-// after it took its line lock. At a home node the atomic makes the
-// directory transitions of a store first. The read-modify-write then
+// after it took its line lock. At a home node the atomic makes a
+// store's transition first (storeTransition). The read-modify-write then
 // applies to the slice copy, fetching the line first when the slice
 // misses: a .gpm atomic through the normal hierarchy, a GPU home from
 // the system home, and the system home from its DRAM.
 func (s *System) atomicAtL2(c *opCtx) {
 	sm, line, gpm := c.sm, c.line, s.gpmOf(c.g)
 	if c.op.Scope > trace.ScopeGPM {
-		if gpm.classes != nil && s.classifyStore(gpm, line, sm.gpm) {
-			s.broadcastInv(gpm, line)
-		}
-		if gpm.Dir != nil {
-			if sm.gpm == gpm.id {
-				s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(line), gpm.Dir.LocalStore(line))
-			} else {
-				inv, evR, evT := gpm.Dir.RemoteStore(line, s.flatRequester(sm.gpm, gpm.id))
-				s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(line), inv)
-				s.sendInvs(gpm, evR, evT)
-			}
-		}
+		s.storeTransition(gpm, s.flatRequester(sm.gpm, gpm.id), sm.gpm == gpm.id, line)
 	}
 	if e, hit := gpm.L2.Lookup(line); hit {
 		v, _ := e.Value(c.word)
@@ -795,7 +847,9 @@ func (c *opCtx) atomicApply(old uint64) {
 		// Reply to the requester and write the result through.
 		c.stage = stageSyncDone
 		s.send(h, sm.gpm, msg.AtomicResp, c)
-		s.sendStoreReqSys(h, s.Pages.SysHome(line), proto.GPURequester(int(gpm.gpu)), stOp, line, word, sm, gateSys)
+		st := s.newCtx(stageNone)
+		st.sm, st.op, st.line, st.word, st.gates = sm, stOp, line, word, gateSys
+		s.sendSysHome(st, h, proto.GPURequester(int(gpm.gpu)))
 	default:
 		sh := c.g
 		gpm := s.gpmOf(sh)
@@ -840,31 +894,8 @@ func (s *System) sysHomeStoreMCA(c *opCtx) {
 		s.sendInvs(gpm, evR, evT)
 	}
 	if len(inv) == 0 {
-		c.mcaStoreDone()
+		c.storeDone()
 		return
 	}
 	s.sendInvsAcked(gpm, gpm.Dir.Dir.RegionOf(c.line), inv, c)
-}
-
-// mcaStoreDone completes an MCA store once its invalidations are
-// acknowledged: home-copy update, the DRAM write, and the line unlock.
-func (c *opCtx) mcaStoreDone() {
-	s, sh, op, line, word, sm, gates := c.s, c.g, c.op, c.line, c.word, c.sm, c.gates
-	c.release()
-	gpm := s.gpmOf(sh)
-	if e, hit := gpm.L2.Peek(line); hit {
-		if s.Cfg.TrackValues {
-			e.SetValue(word, op.Val)
-		}
-	} else {
-		gpm.poisonLine(line)
-	}
-	if s.Cfg.TrackValues {
-		gpm.DRAM.StoreValue(op.Addr, op.Val)
-	}
-	gpm.DRAM.Write(s.Cfg.Net.Sizes.StorePayload, nil)
-	s.emit(Event{Kind: EvHomeStore, GPM: sh, SM: NoSM, Line: line,
-		Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: op.Val})
-	gpm.unlockLine(line)
-	sm.finishGates(gates)
 }

@@ -55,7 +55,7 @@ type Config struct {
 	// operations, kernel boundaries, and evictions. The paper's
 	// evaluation (and this repo's default) uses write-through.
 	// Synchronizing stores always write through, as required for forward
-	// progress.
+	// progress. GPU-VI and CARVE reject it.
 	WriteBack bool
 	// Mutation deliberately breaks Table I transitions in the directory
 	// controllers — a test-only knob the conformance harness uses to
@@ -133,6 +133,12 @@ func (c Config) Validate() error {
 			return fmt.Errorf("gsim: %v tracks global GPM ids: topology %v has %d GPMs, exceeding the %d-id sharer space",
 				c.Policy.Kind, c.Topo, c.Topo.TotalGPMs(), directory.MaxSharerIDs)
 		}
+	}
+	// The write-back option shares the write-through route, which under
+	// GPU-VI locks its home line for acknowledgments and under CARVE
+	// classifies its region; neither protocol defines a write-back.
+	if c.WriteBack && (c.Policy.MCA || c.Policy.Classify) {
+		return fmt.Errorf("gsim: %v does not support the write-back L2 option", c.Policy.Kind)
 	}
 	if err := c.L1.Validate(); err != nil {
 		return fmt.Errorf("L1: %w", err)

@@ -21,6 +21,12 @@ package gsim
 //   - an atomic context carries an atomic from issue to its reply: it
 //     is the line-lock waiter at the home, the L2-latency event, and the
 //     sink of the line fetch when the home misses;
+//   - a write context carries a write-through from issue, or a
+//     write-back from its flush or eviction, to the system home, where
+//     it ends: the L1 and L2 legs of a store, the route (routeWrite),
+//     the StoreReq or WriteBack to each home, the GPU-home step and the
+//     system-home step (storeDone), with the line lock and InvAcks in
+//     between under MCA;
 //   - a release context carries a store-release through its gate waits
 //     and invalidation fence to its completion;
 //   - a request context carries one LoadReq from a requester to a home
@@ -29,9 +35,10 @@ package gsim
 //   - an MSHR entry holds the waiters merged on one outstanding line
 //     fetch until the fill arrives;
 //   - an invalidation context lives until its whole fan-out, forwards
-//     included, has been delivered; an MCA store context likewise until
-//     every InvAck is back, and a release context until every fence
-//     probe has acked. Their children count down the parent's pending;
+//     included, has been delivered; an MCA write context likewise
+//     until every InvAck is back, and a release context until every
+//     fence probe has acked. Their children count down the parent's
+//     pending;
 //   - the kernel-drain context walks every store and invalidation gate
 //     at a kernel boundary.
 //
@@ -109,7 +116,9 @@ const (
 	// stageWarpWake clears a warp's timed-wakeup flag and re-issues.
 	stageWarpWake
 
-	// Stores and write-backs.
+	// Writes: a write-through carries one store from issue, a
+	// write-back one dirty line from its flush or eviction; both take
+	// the same route to the system home.
 
 	// stageStartStore runs the SM-side post-L1 leg of a store.
 	stageStartStore
@@ -118,21 +127,15 @@ const (
 	// write-through path.
 	stageStoreWB
 	// stageStoreReqGPUHome and stageStoreReqSysHome run when a StoreReq
-	// reaches a GPU home or the system home.
+	// or WriteBack reaches a GPU home or the system home.
 	stageStoreReqGPUHome
 	stageStoreReqSysHome
-	// stageGPUHomeStore applies a write-through at a GPU home node.
+	// stageGPUHomeStore applies a write at a GPU home node and forwards
+	// it to the system home.
 	stageGPUHomeStore
-	// stageSysHomeStore applies a write-through at the system home.
+	// stageSysHomeStore applies a write at the system home, where it
+	// ends.
 	stageSysHomeStore
-	// stageWBReqGPUHome and stageWBReqSysHome run when a WriteBack
-	// reaches a GPU home or the system home.
-	stageWBReqGPUHome
-	stageWBReqSysHome
-	// stageWBGPUHome applies a write-back at a GPU home node.
-	stageWBGPUHome
-	// stageWBSysHome applies a write-back at the system home.
-	stageWBSysHome
 
 	// Invalidations and downgrades.
 
@@ -250,9 +253,11 @@ type opCtx struct {
 	track      bool         // the home records the requester as a sharer
 	viaGPUHome bool         // the request targets a GPU home node
 	local      bool         // a home-side store issued by the home itself
+	wb         bool         // the write is a write-back carrying data
 	gates      gateSet
 
-	// sink receives the line data this context fetches.
+	// sink receives the line data this context fetches; data is the
+	// line a response or a write-back carries.
 	sink *opCtx
 	data fillData
 
@@ -377,49 +382,24 @@ func (c *opCtx) Handle() {
 		w.wakeup = false
 		w.tryIssue()
 	case stageStartStore:
-		sm, op, line, word := c.sm, c.op, c.line, c.word
-		c.release()
-		sm.storeAfterL1(op, line, word)
+		s.storeAfterL1(c)
 	case stageStoreWB:
-		sm, op, line, word := c.sm, c.op, c.line, c.word
-		c.release()
-		if s.tryWriteBackHit(sm.gpm, line, word, op.Val) {
+		if s.tryWriteBackHit(c.sm.gpm, c.line, c.word, c.op.Val) {
+			sm := c.sm
+			c.release()
 			sm.finishGates(gateGPU | gateSys)
 			return
 		}
-		s.l2Store(sm, op, line, word)
+		s.l2Store(c)
 	case stageStoreReqGPUHome:
-		h, from, op, line, word, sm, gates := c.g, c.from, c.op, c.line, c.word, c.sm, c.gates
-		c.release()
-		s.gpuHomeStore(h, from, op, line, word, sm, gates)
+		c.stage = stageGPUHomeStore
+		s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
 	case stageStoreReqSysHome:
-		sh, req, op, line, word, sm, gates := c.g, c.req, c.op, c.line, c.word, c.sm, c.gates
-		c.release()
-		s.sysHomeStore(sh, req, false, op, line, word, sm, gates)
+		s.atSysHome(c)
 	case stageGPUHomeStore:
-		h, from, op, line, word, sm, gates := c.g, c.from, c.op, c.line, c.word, c.sm, c.gates
-		c.release()
-		s.gpuHomeStoreAtL2(h, from, op, line, word, sm, gates)
+		s.gpuHomeStore(c)
 	case stageSysHomeStore:
-		sh, req, local, op, line, word, sm, gates := c.g, c.req, c.local, c.op, c.line, c.word, c.sm, c.gates
-		c.release()
-		s.sysHomeStoreAtL2(sh, req, local, op, line, word, sm, gates)
-	case stageWBReqGPUHome:
-		h, from, line, data, sm, gates := c.g, c.from, c.line, c.data, c.sm, c.gates
-		c.release()
-		s.wbAtGPUHome(h, from, line, data, sm, gates)
-	case stageWBReqSysHome:
-		sh, req, line, data, sm, gates := c.g, c.req, c.line, c.data, c.sm, c.gates
-		c.release()
-		s.wbAtSysHome(sh, req, false, line, data, sm, gates)
-	case stageWBGPUHome:
-		h, from, line, data, sm, gates := c.g, c.from, c.line, c.data, c.sm, c.gates
-		c.release()
-		s.wbAtGPUHomeL2(h, from, line, data, sm, gates)
-	case stageWBSysHome:
-		sh, req, local, line, data, sm, gates := c.g, c.req, c.local, c.line, c.data, c.sm, c.gates
-		c.release()
-		s.wbAtSysHomeL2(sh, req, local, line, data, sm, gates)
+		s.sysHomeStore(c)
 	case stageInvDeliver:
 		s.invDelivered(c)
 	case stageInvForward:
@@ -476,7 +456,7 @@ func (c *opCtx) Handle() {
 		c.release()
 		store.pending--
 		if store.pending == 0 {
-			store.mcaStoreDone()
+			store.storeDone()
 		}
 	case stageReleaseFlush:
 		// "Release operations trigger a writeback of all dirty data, at

@@ -118,12 +118,14 @@ var syncGolden = []struct {
 	{"SW-Hier/wb", proto.SWHier, true, false,
 		"b4215cf38a7b9c71972fd6386bd3571f014b768e5e404ebd471db1ae24eeb413",
 		"737d427f8b2c5b01b0f2114932967c6d24a262f9de006079fc28f15264d30989"},
+	// Re-pinned when a write-back stopped dropping its writer from the
+	// directory while the writer still cached the line.
 	{"NHCC/wb", proto.NHCC, true, false,
-		"5f110227c49ede33ea12e78b400c54a21ed6ed6ef8de8c81af1757e1b6b91d8e",
-		"9e746e3eb202b420a9fefb315783206e5110451510643040df0d7a22f5451c17"},
+		"9f509ffb8caf6f20b562276d4f410c1c06670ee770a639471c259a7940986b25",
+		"afcf2bd6175fc67d6e4d888fea5338dd619bba4d6234e88ef0e20133a3f460f4"},
 	{"HMG/wb", proto.HMG, true, false,
-		"e227dcb305978fa9a9d2e8486e475e9e0c2341d613cbda4e0e81f54d0ec601ba",
-		"aacdd843af290d7d723327a3e46d4b7c7faf2b24b5536036ef9ebcf417daeb65"},
+		"9a5b8f3f96d795003abfa4aa3114a3af27e83c9feb392a7e572d8a274a9c762c",
+		"03fcba472b7f8e2a4a9e8005beb799792ca411af27ac7335f90ac7988b44c4d4"},
 	{"Ideal/wb", proto.Ideal, true, false,
 		"22ecec1de02130ebd1e0fa89cf8070d3cbd805cec6bf11e4a5a075dd91be55de",
 		"7499abe19fea43bd32b203a72679bc1040ff4efcf390cb6f2f49ff1b59a01b0e"},

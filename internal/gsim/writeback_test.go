@@ -1,6 +1,7 @@
 package gsim
 
 import (
+	"strings"
 	"testing"
 
 	"hmg/internal/proto"
@@ -208,5 +209,24 @@ func TestWBReducesStoreTraffic(t *testing.T) {
 	wb := mk(true)
 	if wb.InterGPUBytes >= wt.InterGPUBytes {
 		t.Fatalf("write-back traffic (%d B) not below write-through (%d B)", wb.InterGPUBytes, wt.InterGPUBytes)
+	}
+}
+
+// TestWBRejectedUnderMCAAndClassify: GPU-VI's line lock and CARVE's
+// classification define no write-back, so New rejects the option under
+// either and names the protocol; the six protocols accept it.
+func TestWBRejectedUnderMCAAndClassify(t *testing.T) {
+	for _, k := range []proto.Kind{proto.GPUVI, proto.CARVE} {
+		if _, err := New(wbConfig(k)); err == nil || !strings.Contains(err.Error(), k.String()) {
+			t.Errorf("%v with write-back: err = %v, want a rejection naming the protocol", k, err)
+		}
+		if _, err := New(tinyConfig(k)); err != nil {
+			t.Errorf("%v with write-through rejected: %v", k, err)
+		}
+	}
+	for _, k := range allKinds() {
+		if _, err := New(wbConfig(k)); err != nil {
+			t.Errorf("%v with write-back rejected: %v", k, err)
+		}
 	}
 }

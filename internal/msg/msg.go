@@ -43,9 +43,8 @@ const (
 	// it needs none.
 	InvAck
 	// WriteBack carries a dirty line to its home under the write-back L2
-	// design option: the home updates its copy but need not track the
-	// issuing GPM as a sharer going forward (Section IV, cache
-	// eviction discussion).
+	// design option (Section IV). The home applies it as a store of the
+	// whole line, recording the issuing GPM as a sharer.
 	WriteBack
 )
 
