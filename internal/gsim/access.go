@@ -111,76 +111,60 @@ func (c *opCtx) loadDone(v uint64) {
 }
 
 // requesterL2Load handles the load carried by c at the requesting GPM's
-// L2 slice and routes misses up the home hierarchy. c receives the
-// response line data once it has been installed in this GPM's L2 (when
-// permitted). The route is decided here, at request time.
+// L2 slice and routes misses up the home hierarchy. The route is decided
+// here, at request time. A load whose response may fill this GPM's slice
+// merges in its MSHRs; any other load travels to its home on its own
+// context and comes back on it.
 func (s *System) requesterL2Load(c *opCtx) {
-	sm, op, line := c.sm, c.op, c.line
-	g := sm.gpm
-	scope := s.effScope(op.Scope)
+	g, line := c.sm.gpm, c.line
+	scope := s.effScope(c.op.Scope)
 	sysHome, gpuHome := s.homes(g, line)
 	hier := s.Cfg.Policy.Hierarchical
-	cacheable := s.cacheableAt(g, line)
+	c.from = g
+	if g == sysHome || hier && g == gpuHome && scope <= trace.ScopeGPU {
+		// This GPM is the load's home: its own system home, or the GPU
+		// home node of a .gpu-or-weaker load. Table I takes no action for
+		// a load by the home itself.
+		c.g = g
+		s.homeLoad(c)
+		return
+	}
+	c.g = sysHome
+	if hier && scope != trace.ScopeSys {
+		// Hierarchical: route via the GPU home node.
+		c.g = gpuHome
+	}
 	// The requester may fill its own L2 with the response for loads of
 	// .gpm scope or weaker (the GPM-local slice is the .gpm coherence
 	// point) on cacheable lines.
-	fillHere := scope <= trace.ScopeGPM && cacheable
-
-	c.stage = stageLoadFill
-	if g == sysHome {
-		// Local load at the system home: Table I takes no action.
-		s.sysHomeLoad(g, proto.GPMRequester(int(g)), false, line, c)
-		return
-	}
-	if hier && g == gpuHome && gpuHome != sysHome && scope <= trace.ScopeGPU {
-		// This GPM is the GPU home node for the line.
-		s.gpuHomeLoad(g, g, op, line, c)
-		return
-	}
-	c.fillHere = fillHere
-	if scope == trace.ScopeSys || !hier || gpuHome == sysHome {
-		// Route directly to the system home. Track the requester only if
-		// it will cache the response.
-		c.g = sysHome
-		c.req = s.flatRequester(g, sysHome)
-		c.track = fillHere && s.Cfg.Policy.Hardware
-	} else {
-		// Hierarchical: route via the GPU home node.
-		c.g, c.viaGPUHome = gpuHome, true
-	}
-	if fillHere {
+	c.fillHere = scope <= trace.ScopeGPM && s.cacheableAt(g, line)
+	if c.fillHere {
 		// Probe the local slice before going out.
 		c.stage = stageRequesterProbe
 		s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
 		return
 	}
-	s.loadRound(c)
+	c.stage = stageLoadReq
+	s.send(g, c.g, msg.LoadReq, c)
 }
 
-// loadRound sends the load carried by c to the home requesterL2Load
-// chose, merging it in this GPM's MSHRs when the response may fill the
-// local slice.
-func (s *System) loadRound(c *opCtx) {
-	c.stage = stageLoadFill
-	g := c.sm.gpm
-	if !c.fillHere {
-		s.sendLoadReq(g, c.g, c.viaGPUHome, c.req, c.track, false, c.op, c.line, c)
+// fetchLine merges c in gpm's MSHRs as a waiter for c.line from dest,
+// and starts the fetch when c is its first waiter: a read of gpm's own
+// DRAM partition when dest is gpm itself, run on the MSHR entry, or
+// else a LoadReq to dest on a request context, whose response fills
+// gpm's slice.
+func (s *System) fetchLine(gpm *GPM, dest topo.GPMID, c *opCtx) {
+	m := gpm.fetch(fetchKey{c.line, dest}, c)
+	if m == nil {
+		return // merged into an outstanding fetch
+	}
+	if dest == gpm.id {
+		gpm.DRAM.ReadHandler(c.line, m)
 		return
 	}
-	if m := s.gpmOf(g).fetch(fetchKey{c.line, c.g}, c); m != nil {
-		s.sendLoadReq(g, c.g, c.viaGPUHome, c.req, c.track, true, c.op, c.line, m)
-	}
-}
-
-// sendLoadReq sends a LoadReq from one GPM to a home node on a request
-// context. At the home it runs the system-home load (or, viaGPUHome,
-// the GPU-home load) with req and track; the response returns as a
-// DataResp, fills the requester's slice when fillHere, and goes to sink.
-func (s *System) sendLoadReq(from, home topo.GPMID, viaGPUHome bool, req proto.Requester, track, fillHere bool, op trace.Op, line topo.Line, sink *opCtx) {
 	r := s.newCtx(stageLoadReq)
-	r.from, r.g, r.viaGPUHome, r.req, r.track, r.fillHere = from, home, viaGPUHome, req, track, fillHere
-	r.op, r.line, r.sink = op, line, sink
-	s.send(from, home, msg.LoadReq, r)
+	r.from, r.g, r.line, r.sink, r.fillHere = gpm.id, dest, c.line, m, true
+	s.send(gpm.id, dest, msg.LoadReq, r)
 }
 
 // flatRequester encodes the requester for a system-home directory under
@@ -197,116 +181,104 @@ func (s *System) flatRequester(g, sysHome topo.GPMID) proto.Requester {
 	return proto.GPURequester(int(s.Cfg.Topo.GPUOf(g)))
 }
 
-// gpuHomeLoad handles a load at a GPU home node that is not the system
-// home (hierarchical policies only). fromGPM is the requesting module of
-// the same GPU (possibly the home itself). Concurrent misses merge in
-// the home's MSHRs; each still records its requester in the directory at
-// request arrival.
-func (s *System) gpuHomeLoad(h, fromGPM topo.GPMID, op trace.Op, line topo.Line, sink *opCtx) {
-	gpm := s.gpmOf(h)
-	// Record the requesting GPM at request time; the system home will
-	// only ever learn the GPU.
-	if gpm.Dir != nil && fromGPM != h {
+// homeLoad starts the home step of the load carried by c, a load or
+// request context from GPM c.from, at its home c.g: a GPU home node when
+// c.g is not the line's system home (hierarchical policies only), and
+// otherwise the system home.
+func (s *System) homeLoad(c *opCtx) {
+	if c.g != s.Pages.SysHome(c.line) {
+		s.gpuHomeLoad(c)
+		return
+	}
+	s.sysHomeLoad(c)
+}
+
+// gpuHomeLoad is the arrival of the load carried by c at GPU home node
+// c.g, from a module of the same GPU (possibly the home itself). Each
+// requester is recorded in the directory at request arrival, even when
+// concurrent misses merge in the home's MSHRs; the system home will only
+// ever learn the GPU.
+func (s *System) gpuHomeLoad(c *opCtx) {
+	gpm := s.gpmOf(c.g)
+	if gpm.Dir != nil && c.from != c.g {
 		//lint:allow eventemit sharer record of a load; the load surfaces as EvFill/EvLoadDone where its response lands
-		evR, evT := gpm.Dir.RemoteLoad(line, proto.GPMRequester(s.Cfg.Topo.LocalOf(fromGPM)))
+		evR, evT := gpm.Dir.RemoteLoad(c.line, s.flatRequester(c.from, c.g))
 		s.sendInvs(gpm, evR, evT)
 	}
-	c := s.newCtx(stageGPUHomeLoad)
-	c.g, c.op, c.line, c.sink = h, op, line, sink
+	c.stage = stageHomeLoad
 	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
 }
 
-// gpuHomeLoadAtL2 is the GPU-home step of gpuHomeLoad one L2 latency
-// after request arrival: home L2 lookup, then a merged fetch from the
-// system home on a miss.
-func (s *System) gpuHomeLoadAtL2(h topo.GPMID, op trace.Op, line topo.Line, sink *opCtx) {
-	gpm := s.gpmOf(h)
-	scope := s.effScope(op.Scope)
-	if scope <= trace.ScopeGPU {
-		if e, hit := gpm.L2.Lookup(line); hit {
-			sink.filled(e.Data)
-			return
-		}
-	}
-	s.fetchFromSysHome(gpm, op, line, sink)
-}
-
-// fetchFromSysHome fetches a line into a GPU home node's slice from the
-// system home, merged in the GPU home's MSHRs. The request carries only
-// the GPU id: the GPU home caches the response on behalf of its whole
-// GPU.
-func (s *System) fetchFromSysHome(gpm *GPM, op trace.Op, line topo.Line, sink *opCtx) {
-	sysHome := s.Pages.SysHome(line)
-	if m := gpm.fetch(fetchKey{line, sysHome}, sink); m != nil {
-		s.sendLoadReq(gpm.id, sysHome, false, proto.GPURequester(int(gpm.gpu)), true, true, op, line, m)
-	}
-}
-
-// sysHomeLoad handles a load at the system home node: hit in the home L2
-// or fetch from the local DRAM partition. When track is set the
-// requester is recorded as a sharer (Table I remote load).
-func (s *System) sysHomeLoad(sh topo.GPMID, req proto.Requester, track bool, line topo.Line, sink *opCtx) {
-	if gpm := s.gpmOf(sh); s.Cfg.Policy.MCA && gpm.atomicQ[line].holder != sink {
+// sysHomeLoad is the arrival of the load carried by c at system home
+// c.g.
+func (s *System) sysHomeLoad(c *opCtx) {
+	if gpm := s.gpmOf(c.g); s.Cfg.Policy.MCA && gpm.atomicQ[c.line].holder != c {
 		// Multi-copy-atomicity: reads of a line with a store awaiting
 		// invalidation acknowledgments must wait behind it. A .gpm
 		// atomic at its own system home already holds the line, so its
 		// fetch reads through instead of queueing behind itself.
-		c := s.newCtx(stageMCALoadLocked)
-		c.g, c.req, c.track, c.line, c.sink = sh, req, track, line, sink
-		gpm.lockLine(line, c)
+		c.stage = stageMCALoadLocked
+		gpm.lockLine(c.line, c)
 		return
 	}
-	s.sysHomeLoadUnlocked(sh, req, track, line, sink)
+	s.sysHomeLoadUnlocked(c)
 }
 
-func (s *System) sysHomeLoadUnlocked(sh topo.GPMID, req proto.Requester, track bool, line topo.Line, sink *opCtx) {
-	gpm := s.gpmOf(sh)
-	if gpm.Dir != nil && track {
+// sysHomeLoadUnlocked makes the system home's Table I remote-load
+// transition for the load carried by c, recording requester c.from as a
+// sharer when the response may fill its slice (under a hardware
+// protocol; only those have a directory), or classifies the load under
+// CARVE, which is flat. The L2 lookup follows one L2 latency on.
+func (s *System) sysHomeLoadUnlocked(c *opCtx) {
+	gpm := s.gpmOf(c.g)
+	if gpm.Dir != nil && c.fillHere {
 		//lint:allow eventemit sharer record of a load; the load surfaces as EvFill/EvLoadDone where its response lands
-		evR, evT := gpm.Dir.RemoteLoad(line, req)
+		evR, evT := gpm.Dir.RemoteLoad(c.line, s.flatRequester(c.from, c.g))
 		s.sendInvs(gpm, evR, evT)
 	}
-	if gpm.classes != nil && !req.IsGPU {
-		s.classifyLoad(gpm, line, topo.GPMID(req.ID))
+	if gpm.classes != nil {
+		s.classifyLoad(gpm, c.line, c.from)
 	}
-	c := s.newCtx(stageSysHomeLoad)
-	c.g, c.line, c.sink = sh, line, sink
+	c.stage = stageHomeLoad
 	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
 }
 
-// sysHomeLoadAtL2 is the system-home step of a load one L2 latency
-// after request arrival: home L2 lookup, then a merged DRAM fetch on a
-// miss.
-func (s *System) sysHomeLoadAtL2(sh topo.GPMID, line topo.Line, sink *opCtx) {
-	gpm := s.gpmOf(sh)
-	if e, hit := gpm.L2.Lookup(line); hit {
-		sink.filled(e.Data)
+// homeLoadAtL2 is the home step of the load carried by c one L2 latency
+// after it reached home c.g: the home L2 lookup, then on a miss a merged
+// fetch from the line's system home, which at the system home itself is
+// a read of its DRAM. The fetch serves c when it fills.
+func (s *System) homeLoadAtL2(c *opCtx) {
+	gpm := s.gpmOf(c.g)
+	if e, hit := gpm.L2.Lookup(c.line); hit {
+		c.served(e.Data)
 		return
 	}
-	s.fetchFromDRAM(gpm, line, sink)
+	s.fetchLine(gpm, s.Pages.SysHome(c.line), c)
 }
 
-// fetchFromDRAM fetches a line into a system home's slice from its DRAM
-// partition, merged in the home's MSHRs.
-func (s *System) fetchFromDRAM(gpm *GPM, line topo.Line, sink *opCtx) {
-	if m := gpm.fetch(fetchKey{line, gpm.id}, sink); m != nil {
-		c := s.newCtx(stageDRAMFill)
-		c.g, c.line, c.sink = gpm.id, line, m
-		gpm.DRAM.ReadHandler(line, c)
+// served answers the load carried by c with its line data at home c.g:
+// a DataResp back to requester c.from, or, when the home is the
+// requester itself, the load's completion.
+func (c *opCtx) served(fill fillData) {
+	if c.from == c.g {
+		c.loadFilled(fill)
+		return
 	}
+	c.data, c.stage = fill, stageDataResp
+	c.s.send(c.g, c.from, msg.DataResp, c)
 }
 
-// dramFilled installs a line read from the home's DRAM in its slice and
-// answers the sink with the slice copy.
-func (s *System) dramFilled(sh topo.GPMID, line topo.Line, sink *opCtx) {
-	gpm := s.gpmOf(sh)
+// dramFilled completes the MSHR entry m of a home's DRAM read: install
+// the line in the home's slice and serve the waiters the slice copy.
+func (s *System) dramFilled(m *opCtx) {
+	gpm := s.gpmOf(m.g)
 	var fill fillData
 	if s.Cfg.TrackValues {
-		fill = gpm.DRAM.LineValues(line)
+		fill = gpm.DRAM.LineValues(m.key.line)
 	}
-	e, _ := gpm.L2.Fill(line)
+	e, _ := gpm.L2.Fill(m.key.line)
 	e.MergeFrom(fill)
-	sink.filled(e.Data)
+	gpm.fetchDone(m, e.Data)
 }
 
 // fillL2 installs a load response into an L2 slice when allowed. Under
@@ -756,9 +728,7 @@ func (s *System) atomicRoute(c *opCtx) {
 	sm := c.sm
 	c.g = s.Pages.SysHome(c.line)
 	if c.op.Scope == trace.ScopeGPU && s.Cfg.Policy.Hierarchical {
-		if gpuHome := s.Pages.GPUHome(sm.gpu, c.line); gpuHome != c.g {
-			c.g, c.viaGPUHome = gpuHome, true
-		}
+		c.g = s.Pages.GPUHome(sm.gpu, c.line)
 	}
 	c.stage = stageAtomicLock
 	s.send(sm.gpm, c.g, msg.AtomicReq, c)
@@ -780,16 +750,12 @@ func (s *System) atomicAtL2(c *opCtx) {
 		c.atomicApply(v)
 		return
 	}
-	switch {
-	case c.op.Scope == trace.ScopeGPM:
+	if c.op.Scope == trace.ScopeGPM {
 		s.requesterL2Load(c)
-	case c.viaGPUHome:
-		c.stage = stageLoadFill
-		s.fetchFromSysHome(gpm, c.op, line, c)
-	default:
-		c.stage = stageLoadFill
-		s.fetchFromDRAM(gpm, line, c)
+		return
 	}
+	c.stage = stageLoadFill
+	s.fetchLine(gpm, s.Pages.SysHome(line), c)
 }
 
 // atomicApply completes the read-modify-write of the atomic carried by
@@ -830,7 +796,8 @@ func (c *opCtx) atomicApply(old uint64) {
 		sm.startStore(stOp)
 		w.blocked = false
 		w.opDone()
-	case c.viaGPUHome:
+	case c.g != s.Pages.SysHome(line):
+		// At a GPU home node.
 		h := c.g
 		gpm := s.gpmOf(h)
 		if s.Cfg.TrackValues {

@@ -261,6 +261,26 @@ func TestKernelBarrierDrains(t *testing.T) {
 	}
 }
 
+// TestDrainCyclesCountStoreBoundEnds pins what DrainCycles measures. A
+// store is posted: it retires at its warp one L1 latency after issue,
+// and the kernel-end barrier then waits for it to reach its home, so a
+// kernel whose last op is a remote store spends all but that L1 latency
+// draining. A load retires only when its data returns, so a load-only
+// kernel drains nothing.
+func TestDrainCyclesCountStoreBoundEnds(t *testing.T) {
+	cfg := tinyConfig(proto.HMG)
+	// The warp runs on GPM 0 (GPU 0); page 0 lives on GPM 2 (GPU 1).
+	store := mustRun(t, cfg, placeAll(warpsTrace([]trace.Op{{Kind: trace.Store, Addr: 0x80, Val: 1}}), 1, 2))
+	if want := store.KernelCycles[0] - cfg.L1Latency; store.DrainCycles != want || want <= 0 {
+		t.Errorf("remote store kernel: DrainCycles = %d of %d kernel cycles, want %d",
+			store.DrainCycles, store.KernelCycles[0], want)
+	}
+	load := mustRun(t, cfg, placeAll(warpsTrace([]trace.Op{{Kind: trace.Load, Addr: 0x80}}), 1, 2))
+	if load.DrainCycles != 0 {
+		t.Errorf("load-only kernel: DrainCycles = %d, want 0", load.DrainCycles)
+	}
+}
+
 // TestEmptyKernel: kernels with no ops complete.
 func TestEmptyKernel(t *testing.T) {
 	tr := &trace.Trace{Name: "empty", Kernels: []trace.Kernel{

@@ -10,14 +10,20 @@ package gsim
 // (Handle dispatches on the stage tag), registers it as a waiter (line
 // locks and drain gates run Handle too), or hands it to a responder as
 // the sink of a line fill (filled dispatches on the same tag). The stage
-// always names the context's next step, whichever trigger runs it.
+// always names the context's next step. A context waits on one trigger
+// at a time, so a stage that both can run (stageHomeLoad,
+// stageMSHRFill) names one step per trigger.
 //
 // Some contexts live for one hop; others live as long as the operation
 // they carry:
 //
 //   - a load context carries a load from issue to opDone: the L1
 //     lookup, the requester-side L2 probe, and the L1 fill and
-//     completion bookkeeping when the response arrives;
+//     completion bookkeeping when the response arrives. A load whose
+//     response may not fill the requester's slice is its own LoadReq:
+//     the same context runs the home steps (the MCA line-lock wait, the
+//     home L2 lookup, the wait on the home's fetch) and carries the
+//     DataResp back;
 //   - an atomic context carries an atomic from issue to its reply: it
 //     is the line-lock waiter at the home, the L2-latency event, and the
 //     sink of the line fetch when the home misses;
@@ -29,11 +35,14 @@ package gsim
 //     between under MCA;
 //   - a release context carries a store-release through its gate waits
 //     and invalidation fence to its completion;
-//   - a request context carries one LoadReq from a requester to a home
-//     node, waits there for the home's response, and carries the
-//     DataResp back;
+//   - a request context carries the LoadReq of one MSHR fetch from a
+//     GPM to the next home up, runs the home steps there as a load
+//     context does, and carries the DataResp back to fill the GPM's
+//     slice. It exists because an MSHR entry's next already links its
+//     MSHR table and cannot also link a line-lock queue;
 //   - an MSHR entry holds the waiters merged on one outstanding line
-//     fetch until the fill arrives;
+//     fetch until the fill arrives; at a system home it is also the
+//     DRAM read's handler;
 //   - an invalidation context lives until its whole fan-out, forwards
 //     included, has been delivered; an MCA write context likewise
 //     until every InvAck is back, and a release context until every
@@ -89,24 +98,21 @@ const (
 	// stageLoadFill (on fill) installs the response in the L1 when
 	// permitted and completes the load.
 	stageLoadFill
-	// stageLoadReq runs when a request context's LoadReq reaches its
-	// home node.
+	// stageLoadReq runs when a LoadReq, carried by the load itself or by
+	// a request context, reaches its home node.
 	stageLoadReq
-	// stageHomeReply (on fill) sends the home's response back to the
-	// requester as a DataResp.
-	stageHomeReply
-	// stageDataResp runs when the DataResp reaches the requester: fill
-	// its L2 slice when permitted and pass the data on to the sink.
+	// stageHomeLoad runs the home's L2 lookup of a load one L2 latency
+	// after it arrived; on fill, once the home's fetch of a missed line
+	// fills, it serves the load (served).
+	stageHomeLoad
+	// stageDataResp runs when the DataResp reaches the requester: an
+	// unmerged load completes; a request context fills the requester's
+	// L2 slice and completes its MSHR entry.
 	stageDataResp
-	// stageSysHomeLoad runs the system-home L2 lookup of a load.
-	stageSysHomeLoad
-	// stageGPUHomeLoad runs the GPU-home L2 lookup of a load.
-	stageGPUHomeLoad
-	// stageDRAMFill runs when a home's DRAM read completes: install the
-	// line in the home slice and answer the sink.
-	stageDRAMFill
-	// stageMSHRFill (on fill) completes an MSHR entry: every merged
-	// waiter receives the data, in arrival order.
+	// stageMSHRFill completes an MSHR entry: every merged waiter
+	// receives the data, in arrival order. On fill it completes with
+	// the response; scheduled, its home's DRAM read has completed and
+	// the line is installed in the home's slice first.
 	stageMSHRFill
 
 	// Warps.
@@ -247,14 +253,12 @@ type opCtx struct {
 	v    uint64
 	req  proto.Requester
 
-	issued     engine.Cycle // load issue time, for latency statistics
-	l1OK       bool         // the load may fill the L1
-	fillHere   bool         // the response may fill the requester's L2
-	track      bool         // the home records the requester as a sharer
-	viaGPUHome bool         // the request targets a GPU home node
-	local      bool         // a home-side store issued by the home itself
-	wb         bool         // the write is a write-back carrying data
-	gates      gateSet
+	issued   engine.Cycle // load issue time, for latency statistics
+	l1OK     bool         // the load may fill the L1
+	fillHere bool         // the response may fill the requester's L2
+	local    bool         // a home-side store issued by the home itself
+	wb       bool         // the write is a write-back carrying data
+	gates    gateSet
 
 	// sink receives the line data this context fetches; data is the
 	// line a response or a write-back carries.
@@ -343,35 +347,28 @@ func (c *opCtx) Handle() {
 	case stageLoadMiss:
 		s.requesterL2Load(c)
 	case stageRequesterProbe:
-		if e, hit := s.gpmOf(c.sm.gpm).L2.Lookup(c.line); hit {
+		if e, hit := s.gpmOf(c.from).L2.Lookup(c.line); hit {
 			c.loadFilled(e.Data)
 			return
 		}
-		s.loadRound(c)
+		c.stage = stageLoadFill
+		s.fetchLine(s.gpmOf(c.from), c.g, c)
 	case stageLoadReq:
-		c.stage = stageHomeReply
-		if c.viaGPUHome {
-			s.gpuHomeLoad(c.g, c.from, c.op, c.line, c)
-		} else {
-			s.sysHomeLoad(c.g, c.req, c.track, c.line, c)
-		}
+		s.homeLoad(c)
+	case stageHomeLoad:
+		s.homeLoadAtL2(c)
 	case stageDataResp:
+		if c.sink == nil {
+			// An unmerged load, back on its own context.
+			c.loadFilled(c.data)
+			return
+		}
 		from, line, fill, fillHere, sink := c.from, c.line, c.data, c.fillHere, c.sink
 		c.release()
 		s.fillL2(from, line, fill, fillHere)
 		sink.filled(fill)
-	case stageSysHomeLoad:
-		sh, line, sink := c.g, c.line, c.sink
-		c.release()
-		s.sysHomeLoadAtL2(sh, line, sink)
-	case stageGPUHomeLoad:
-		h, op, line, sink := c.g, c.op, c.line, c.sink
-		c.release()
-		s.gpuHomeLoadAtL2(h, op, line, sink)
-	case stageDRAMFill:
-		sh, line, sink := c.g, c.line, c.sink
-		c.release()
-		s.dramFilled(sh, line, sink)
+	case stageMSHRFill:
+		s.dramFilled(c)
 	case stageOpDone:
 		w := c.w
 		c.release()
@@ -438,10 +435,8 @@ func (c *opCtx) Handle() {
 		w.blocked = false
 		w.opDone()
 	case stageMCALoadLocked:
-		sh, req, track, line, sink := c.g, c.req, c.track, c.line, c.sink
-		c.release()
-		s.gpmOf(sh).unlockLine(line)
-		s.sysHomeLoadUnlocked(sh, req, track, line, sink)
+		s.gpmOf(c.g).unlockLine(c.line)
+		s.sysHomeLoadUnlocked(c)
 	case stageMCAStoreLocked:
 		c.stage = stageMCAStoreAtL2
 		s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
@@ -497,10 +492,8 @@ func (c *opCtx) filled(fill fillData) {
 	switch c.stage {
 	case stageLoadFill:
 		c.loadFilled(fill)
-	case stageHomeReply:
-		c.data = fill
-		c.stage = stageDataResp
-		c.s.send(c.g, c.from, msg.DataResp, c)
+	case stageHomeLoad:
+		c.served(fill)
 	case stageMSHRFill:
 		c.s.gpmOf(c.g).fetchDone(c, fill)
 	default:

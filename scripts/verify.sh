@@ -42,6 +42,11 @@
 # byte-identical tables, and a deliberately truncated record must be
 # re-simulated (to identical bytes again), never trusted.
 #
+# The store tier also checks the cold pass's sha256 against the digest
+# pinned in scripts/fig-all-0.25.sha256, and the full-scale tier runs
+# `hmgbench -fig all` at scale 1 with no store and cmps it with the
+# committed experiments_output.txt (the only gate where the L1 hits).
+#
 # The perf tier runs cmd/hmgperf against the newest committed
 # BENCH_*.json baseline: simulated cycles and event counts must match
 # exactly (the simulator is deterministic), and allocs/event must not
@@ -138,6 +143,21 @@ echo "scaling smoke: NHCC and HMG clean at 8x8 (64 global GPMs)"
 echo "== litmus fuzz smoke"
 go test ./internal/check -fuzz=FuzzLitmus -fuzztime=10s
 
+# check_fig_sha fails unless the sha256 of a `hmgbench -fig all -scale
+# 0.25` output equals the one pinned in scripts/fig-all-0.25.sha256. A
+# change that moves a figure re-pins that file and says why in
+# CHANGES.md.
+check_fig_sha() {
+  local got want
+  got="$(sha256sum < "$1" | cut -d' ' -f1)"
+  want="$(cat scripts/fig-all-0.25.sha256)"
+  if [ "$got" != "$want" ]; then
+    echo "-fig all -scale 0.25 output sha256 $got differs from the pinned $want" >&2
+    exit 1
+  fi
+  echo "fig all at scale 0.25: sha256 matches scripts/fig-all-0.25.sha256"
+}
+
 echo "== campaign store tier (cold populate, warm serves all from disk, corruption re-simulates)"
 HMGBENCH_BIN="$(dirname "$HMGLINT_BIN")/hmgbench"
 go build -o "$HMGBENCH_BIN" ./cmd/hmgbench
@@ -148,6 +168,8 @@ echo "store stamp: $("$HMGBENCH_BIN" -storeversion)"
 "$HMGBENCH_BIN" -fig all -scale 0.25 -cachedir "$RESSTORE_DIR" -v \
   > "$STORE_SCRATCH/cold.txt" 2> "$STORE_SCRATCH/cold.log"
 grep "^campaign:" "$STORE_SCRATCH/cold.log"
+# The fresh cold pass must reproduce the pinned scale-0.25 digest.
+check_fig_sha "$STORE_SCRATCH/cold.txt"
 "$HMGBENCH_BIN" -fig all -scale 0.25 -cachedir "$RESSTORE_DIR" -v \
   > "$STORE_SCRATCH/warm.txt" 2> "$STORE_SCRATCH/warm.log"
 grep "^campaign:" "$STORE_SCRATCH/warm.log"
@@ -172,6 +194,19 @@ if ! grep -q "^campaign: 1 unique runs" "$STORE_SCRATCH/healed.log"; then
   exit 1
 fi
 echo "store: warm campaign byte-identical with 0 simulations; truncated record re-simulated"
+
+echo "== full-scale campaign (fresh, no store; cmp against experiments_output.txt)"
+# The committed full-scale output is the figure contract: a fresh
+# `-fig all` must reproduce it byte for byte (about 6-8 min on 2 cores).
+# A change that moves a figure regenerates the file and says why in
+# CHANGES.md; the diff names the figure that moved.
+"$HMGBENCH_BIN" -fig all > "$STORE_SCRATCH/full.txt"
+if ! cmp "$STORE_SCRATCH/full.txt" experiments_output.txt; then
+  diff "$STORE_SCRATCH/full.txt" experiments_output.txt | head -40 >&2
+  echo "full-scale -fig all differs from experiments_output.txt" >&2
+  exit 1
+fi
+echo "full-scale campaign: byte-identical to experiments_output.txt"
 
 echo "== perf gate (hmgperf, cross-checked against the store)"
 BENCH_BASELINE="$(ls BENCH_*.json | sort | tail -1)"
