@@ -101,9 +101,12 @@ type Stats struct {
 
 // Cache is a set-associative cache with true-LRU replacement within each
 // set. It is a passive structure: timing is applied by its controller.
+// Its entries live in one flat array, set-major: set s holds
+// entries[s*ways : (s+1)*ways].
 type Cache struct {
 	cfg     Config
-	sets    [][]Entry
+	entries []Entry
+	ways    int
 	numSets uint64
 	clock   uint64 // LRU timestamp source
 	filled  int
@@ -121,24 +124,29 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	numSets := cfg.CapacityBytes / (cfg.LineSize * cfg.Ways)
-	c := &Cache{cfg: cfg, numSets: uint64(numSets)}
-	c.sets = make([][]Entry, numSets)
-	for i := range c.sets {
-		c.sets[i] = make([]Entry, cfg.Ways)
+	return &Cache{
+		cfg:     cfg,
+		entries: make([]Entry, numSets*cfg.Ways),
+		ways:    cfg.Ways,
+		numSets: uint64(numSets),
 	}
-	return c
 }
 
 // Config returns the cache's geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return int(c.numSets) }
 
 // Lines returns the number of currently valid lines.
 func (c *Cache) Lines() int { return c.filled }
 
-func (c *Cache) setOf(l topo.Line) []Entry { return c.sets[uint64(l)%c.numSets] }
+// setOf returns line l's set as a full-capacity sub-slice of the flat
+// entry array.
+func (c *Cache) setOf(l topo.Line) []Entry {
+	lo := int(uint64(l)%c.numSets) * c.ways
+	return c.entries[lo : lo+c.ways : lo+c.ways]
+}
 
 // Lookup probes the cache. On a hit it refreshes LRU state and returns
 // the entry; the pointer stays valid until the next Fill or invalidation
@@ -241,14 +249,11 @@ func (c *Cache) InvalidateRegion(first topo.Line, n int) int {
 // nil drops everything).
 func (c *Cache) InvalidateWhere(pred func(topo.Line) bool) int {
 	dropped := 0
-	for s := range c.sets {
-		set := c.sets[s]
-		for i := range set {
-			if set[i].Valid && (pred == nil || pred(set[i].Line)) {
-				set[i] = Entry{}
-				c.filled--
-				dropped++
-			}
+	for i := range c.entries {
+		if e := &c.entries[i]; e.Valid && (pred == nil || pred(e.Line)) {
+			*e = Entry{}
+			c.filled--
+			dropped++
 		}
 	}
 	c.Stats.BulkInvalLines += uint64(dropped)
@@ -261,24 +266,20 @@ func (c *Cache) InvalidateWhere(pred func(topo.Line) bool) int {
 //
 //lint:allow hotalloc append into the caller's reused buffer; growth is amortized
 func (c *Cache) FlushDirty(dst []Entry) []Entry {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if e := &c.sets[s][i]; e.Valid && e.Dirty {
-				e.Dirty = false
-				dst = append(dst, *e)
-			}
+	for i := range c.entries {
+		if e := &c.entries[i]; e.Valid && e.Dirty {
+			e.Dirty = false
+			dst = append(dst, *e)
 		}
 	}
 	return dst
 }
 
-// ForEach visits every valid entry.
+// ForEach visits every valid entry, in set/way order.
 func (c *Cache) ForEach(fn func(*Entry)) {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].Valid {
-				fn(&c.sets[s][i])
-			}
+	for i := range c.entries {
+		if c.entries[i].Valid {
+			fn(&c.entries[i])
 		}
 	}
 }

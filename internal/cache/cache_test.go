@@ -37,6 +37,21 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 	New(Config{CapacityBytes: 1, LineSize: 128, Ways: 1})
 }
 
+// TestNewAllocatesFlat: a cache is its header plus one flat entry
+// array, whatever its set count.
+func TestNewAllocatesFlat(t *testing.T) {
+	for _, sets := range []int{1, 16, 4096} {
+		cfg := Config{CapacityBytes: sets * 128 * 4, LineSize: 128, Ways: 4}
+		var c *Cache
+		if n := testing.AllocsPerRun(5, func() { c = New(cfg) }); n > 2 {
+			t.Errorf("New with %d sets: %v allocations, want at most 2", sets, n)
+		}
+		if c.Sets() != sets {
+			t.Errorf("Sets() = %d, want %d", c.Sets(), sets)
+		}
+	}
+}
+
 func TestLookupMissThenFillHit(t *testing.T) {
 	c := New(smallCfg())
 	if _, ok := c.Lookup(42); ok {

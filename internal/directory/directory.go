@@ -86,16 +86,13 @@ type Stats struct {
 	EvictedSharerLines uint64
 }
 
-// shard is one contiguous slice of the directory's sets. Its backing
-// array is allocated on first touch.
-type shard struct {
-	sets [][]Entry
-}
-
 // Dir is a set-associative coherence directory.
 type Dir struct {
-	cfg          Config
-	shards       []*shard
+	cfg Config
+	// shards holds one flat entry array per contiguous range of sets,
+	// set-major (set i of shard sh is sh[i*Ways : (i+1)*Ways]). A
+	// shard's array is allocated on first touch; nil means untouched.
+	shards       [][]Entry
 	numSets      uint64
 	setsPerShard uint64
 	clock        uint64
@@ -122,7 +119,7 @@ func New(cfg Config) *Dir {
 		cfg:          cfg,
 		numSets:      numSets,
 		setsPerShard: setsPerShard,
-		shards:       make([]*shard, (numSets+setsPerShard-1)/setsPerShard),
+		shards:       make([][]Entry, (numSets+setsPerShard-1)/setsPerShard),
 	}
 }
 
@@ -147,22 +144,22 @@ func (d *Dir) setOf(r Region) []Entry {
 	if sh == nil {
 		sh = d.allocShard(si / d.setsPerShard)
 	}
-	return sh.sets[si%d.setsPerShard]
+	ways := d.cfg.Ways
+	lo := int(si%d.setsPerShard) * ways
+	return sh[lo : lo+ways : lo+ways]
 }
 
-// allocShard materializes one shard's sets. The last shard may cover
-// fewer sets when shards do not divide numSets evenly.
+// allocShard materializes one shard's sets in one backing array. The
+// last shard may cover fewer sets when shards do not divide numSets
+// evenly.
 //
 //lint:allow hotalloc lazy shard materialization; at most once per shard over the run
-func (d *Dir) allocShard(idx uint64) *shard {
+func (d *Dir) allocShard(idx uint64) []Entry {
 	local := d.setsPerShard
 	if rem := d.numSets - idx*d.setsPerShard; rem < local {
 		local = rem
 	}
-	sh := &shard{sets: make([][]Entry, local)}
-	for i := range sh.sets {
-		sh.sets[i] = make([]Entry, d.cfg.Ways)
-	}
+	sh := make([]Entry, int(local)*d.cfg.Ways)
 	d.shards[idx] = sh
 	return sh
 }
@@ -255,14 +252,9 @@ func (d *Dir) Snapshot() []Entry {
 // unsharded iteration order; untouched shards hold nothing).
 func (d *Dir) ForEach(fn func(*Entry)) {
 	for _, sh := range d.shards {
-		if sh == nil {
-			continue
-		}
-		for s := range sh.sets {
-			for i := range sh.sets[s] {
-				if sh.sets[s][i].valid {
-					fn(&sh.sets[s][i])
-				}
+		for i := range sh {
+			if sh[i].valid {
+				fn(&sh[i])
 			}
 		}
 	}

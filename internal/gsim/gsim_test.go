@@ -281,6 +281,65 @@ func TestDrainCyclesCountStoreBoundEnds(t *testing.T) {
 	}
 }
 
+// TestWarpListsHoldRunningKernel: each launch restarts every SM's warp
+// list with the new kernel's warps, so after a 3-kernel run the lists
+// hold exactly the last kernel's warps and none retired in an earlier
+// kernel; an empty last kernel leaves every list empty.
+func TestWarpListsHoldRunningKernel(t *testing.T) {
+	kernel := func(base topo.Addr) trace.Kernel {
+		var k trace.Kernel
+		for c := 0; c < 6; c++ {
+			a := base + topo.Addr(c)*128
+			k.CTAs = append(k.CTAs, trace.CTA{Warps: []trace.Warp{
+				{Ops: []trace.Op{{Kind: trace.Load, Addr: a}}},
+				{Ops: []trace.Op{{Kind: trace.Store, Addr: a + 4, Val: 1}}},
+			}})
+		}
+		return k
+	}
+	run := func(tr *trace.Trace) *System {
+		s, err := New(tinyConfig(proto.HMG))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(tr); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	tr := &trace.Trace{Name: "warplists", Kernels: []trace.Kernel{kernel(0), kernel(0x1000), kernel(0x2000)}}
+	s := run(tr)
+	last := make(map[*trace.Op]bool)
+	for _, cta := range tr.Kernels[2].CTAs {
+		for w := range cta.Warps {
+			last[&cta.Warps[w].Ops[0]] = true
+		}
+	}
+	resident := 0
+	for _, sm := range s.SMs {
+		for _, w := range sm.warps {
+			if !last[&w.ops[0]] {
+				t.Errorf("SM %d holds a warp of an earlier kernel", sm.id)
+			}
+			if w.sm != sm {
+				t.Errorf("SM %d holds a warp of SM %d", sm.id, w.sm.id)
+			}
+			delete(last, &w.ops[0])
+			resident++
+		}
+	}
+	if resident != 12 || len(last) != 0 {
+		t.Errorf("%d warps resident, %d of the last kernel missing; want 12 and 0", resident, len(last))
+	}
+
+	tr.Kernels[2] = trace.Kernel{CTAs: []trace.CTA{{}}}
+	for _, sm := range run(tr).SMs {
+		if len(sm.warps) != 0 {
+			t.Errorf("SM %d holds %d warps after an empty last kernel", sm.id, len(sm.warps))
+		}
+	}
+}
+
 // TestEmptyKernel: kernels with no ops complete.
 func TestEmptyKernel(t *testing.T) {
 	tr := &trace.Trace{Name: "empty", Kernels: []trace.Kernel{

@@ -16,6 +16,9 @@ type SM struct {
 	gpu topo.GPUID
 	L1  *cache.Cache
 
+	// warps lists the running kernel's warps resident on this SM, in
+	// assignment order; launchKernel carves it from a per-kernel slab
+	// sized to the SM's warp count, so addWarp never grows it.
 	warps    []*warpCtx
 	inflight int // ops outstanding across the SM
 

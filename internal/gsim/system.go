@@ -243,19 +243,26 @@ func (s *System) Run(tr *trace.Trace) (*Results, error) {
 }
 
 // launchKernel applies kernel-boundary acquire effects and schedules the
-// kernel's CTAs onto SMs.
+// kernel's CTAs onto SMs. Every warp of the previous kernel has finished
+// by now, so each SM's warp list restarts with this kernel's warps, in
+// assignment order.
 func (s *System) launchKernel(k *trace.Kernel) {
 	s.kernelBoundaryInvalidate()
 	// Contiguous CTA scheduling across all GPMs; round-robin across the
 	// SMs of each GPM.
 	n := len(k.CTAs)
 	perGPMNext := make([]int, len(s.GPMs))
+	perSM := make([]int, len(s.SMs))
 	s.warpsLeft = 0
 	type assignment struct {
 		sm   *SM
 		warp *trace.Warp
 	}
-	var assigns []assignment
+	maxWarps := 0
+	for i := range k.CTAs {
+		maxWarps += len(k.CTAs[i].Warps)
+	}
+	assigns := make([]assignment, 0, maxWarps)
 	for i := range k.CTAs {
 		g := trace.AssignCTA(i, n, s.Cfg.Topo.TotalGPMs())
 		if s.Cfg.ScatterCTAs {
@@ -270,15 +277,23 @@ func (s *System) launchKernel(k *trace.Kernel) {
 				continue
 			}
 			assigns = append(assigns, assignment{sm, wp})
+			perSM[sm.id]++
 			s.warpsLeft++
 		}
+	}
+	// One slab holds the kernel's warp contexts and one more the SMs'
+	// warp lists, each SM's list carved to its own warp count.
+	lists := make([]*warpCtx, len(assigns))
+	at := 0
+	for i, sm := range s.SMs {
+		sm.warps = lists[at : at : at+perSM[i]]
+		at += perSM[i]
 	}
 	if s.warpsLeft == 0 {
 		// Degenerate kernel: finish at once (still draining).
 		s.Eng.ScheduleHandler(0, s.newCtx(stageDrainStores))
 		return
 	}
-	// One slab holds the kernel's warp contexts.
 	warps := make([]warpCtx, len(assigns))
 	for i, a := range assigns {
 		a.sm.addWarp(&warps[i], a.warp)

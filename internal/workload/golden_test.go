@@ -91,6 +91,20 @@ func TestGenerateAllocsPerOp(t *testing.T) {
 	}
 }
 
+// TestGenerateAllocsPerKernel bounds Generate's allocations by a
+// constant per kernel: each kernel's ops, CTAs and warps come from one
+// slab apiece, and the working-set scratch is reused across warps, so
+// the count does not grow with CTAs × warps.
+func TestGenerateAllocsPerKernel(t *testing.T) {
+	p, _ := Get("lstm")
+	tt := goldenTopo(4, 4)
+	allocs := testing.AllocsPerRun(3, func() { p.Generate(tt, 0.1) })
+	if bound := 4*p.Kernels + 64; allocs > float64(bound) {
+		t.Fatalf("lstm on 4x4: %v allocations for %d kernels × %d CTAs × %d warps, want at most %d",
+			allocs, p.Kernels, p.CTAsPerGPM*tt.TotalGPMs(), p.WarpsPerCTA, bound)
+	}
+}
+
 func BenchmarkGenerateSuite(b *testing.B) {
 	b.ReportAllocs()
 	ops := 0

@@ -239,14 +239,17 @@ func (p Params) Generate(t topo.Topology, scale float64) *trace.Trace {
 	// Each kernel's ops live in one slab, warp after warp, each warp
 	// with room for opsPerWarp plus the sync pair that can follow its
 	// last op.
+	// Each kernel's CTAs carve their warps from one slab.
 	warpCap := opsPerWarp + 2
 	slabs := make([][]trace.Op, p.Kernels)
 	tr.Kernels = make([]trace.Kernel, p.Kernels)
 	for k := range tr.Kernels {
 		slabs[k] = make([]trace.Op, numCTAs*p.WarpsPerCTA*warpCap)
 		ctas := make([]trace.CTA, numCTAs)
+		warps := make([]trace.Warp, numCTAs*p.WarpsPerCTA)
 		for c := range ctas {
-			ctas[c].Warps = make([]trace.Warp, p.WarpsPerCTA)
+			lo, hi := c*p.WarpsPerCTA, (c+1)*p.WarpsPerCTA
+			ctas[c].Warps = warps[lo:hi:hi]
 		}
 		tr.Kernels[k].CTAs = ctas
 	}
@@ -256,6 +259,7 @@ func (p Params) Generate(t topo.Topology, scale float64) *trace.Trace {
 	// and replayed from its start for every kernel.
 	tp := &tape{src: rand.NewSource(0)}
 	rng := rand.New(tp)
+	set := make([]slot, 0, setSize)
 	for c := 0; c < numCTAs; c++ {
 		gpm := int(trace.AssignCTA(c, numCTAs, t.TotalGPMs()))
 		for w := 0; w < p.WarpsPerCTA; w++ {
@@ -264,7 +268,7 @@ func (p Params) Generate(t topo.Topology, scale float64) *trace.Trace {
 			for k := range tr.Kernels {
 				tp.rewind()
 				ops := slabs[k][at : at : at+warpCap]
-				tr.Kernels[k].CTAs[c].Warps[w].Ops = p.genWarp(ops, rng, l, c, gpm, w, k, opsPerWarp, syncEvery)
+				tr.Kernels[k].CTAs[c].Warps[w].Ops, set = p.genWarp(ops, set, rng, l, c, gpm, w, k, opsPerWarp, syncEvery)
 			}
 		}
 	}
@@ -314,9 +318,16 @@ func setSizeFor(p Params, opsPerWarp int) int {
 	return setSize
 }
 
+// slot is one draw of a warp's working set.
+type slot struct {
+	addr   int64
+	shared bool
+}
+
 // genWarp appends one warp's op stream to ops, which must have room for
-// opsPerWarp+2 ops.
-func (p Params) genWarp(ops []trace.Op, rng *rand.Rand, l layout, cta, gpm, warp, kernel, opsPerWarp, syncEvery int) []trace.Op {
+// opsPerWarp+2 ops. set is scratch space for the working set; genWarp
+// reuses its backing array and returns it for the next call.
+func (p Params) genWarp(ops []trace.Op, set []slot, rng *rand.Rand, l layout, cta, gpm, warp, kernel, opsPerWarp, syncEvery int) ([]trace.Op, []slot) {
 	gpu := gpm / l.gpmsPerGPU
 	privBase := int64(cta) * l.privPerCTA
 	privLines := l.privPerCTA / lineBytes
@@ -349,11 +360,7 @@ func (p Params) genWarp(ops []trace.Op, rng *rand.Rand, l layout, cta, gpm, warp
 	// InKernelReuse times. Drawing the set once per warp (independent of
 	// the kernel index) creates cross-kernel reuse.
 	setSize := setSizeFor(p, opsPerWarp)
-	type slot struct {
-		addr   int64
-		shared bool
-	}
-	set := make([]slot, 0, setSize)
+	set = set[:0]
 	for i := 0; i < setSize; i++ {
 		if rng.Float64() < p.SharedFrac {
 			var a int64
@@ -428,7 +435,7 @@ func (p Params) genWarp(ops []trace.Op, rng *rand.Rand, l layout, cta, gpm, warp
 			}
 		}
 	}
-	return ops
+	return ops, set
 }
 
 // syncOps appends one synchronization episode to ops: either an atomic
