@@ -119,17 +119,29 @@ type Cache struct {
 
 // New builds a cache; it panics on an invalid configuration because
 // configurations are validated at system construction.
-func New(cfg Config) *Cache {
+func New(cfg Config) *Cache { return &NewSet(cfg, 1)[0] }
+
+// NewSet builds n caches of one configuration in two allocations at any
+// n: the caches share one Cache slab, and each keeps its entries in its
+// own full-capacity window of one shared Entry slab. It panics on an
+// invalid configuration.
+func NewSet(cfg Config, n int) []Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	numSets := cfg.CapacityBytes / (cfg.LineSize * cfg.Ways)
-	return &Cache{
-		cfg:     cfg,
-		entries: make([]Entry, numSets*cfg.Ways),
-		ways:    cfg.Ways,
-		numSets: uint64(numSets),
+	size := numSets * cfg.Ways
+	caches := make([]Cache, n)
+	entries := make([]Entry, n*size)
+	for i := range caches {
+		caches[i] = Cache{
+			cfg:     cfg,
+			entries: entries[i*size : (i+1)*size : (i+1)*size],
+			ways:    cfg.Ways,
+			numSets: uint64(numSets),
+		}
 	}
+	return caches
 }
 
 // Config returns the cache's geometry.

@@ -52,6 +52,44 @@ func TestNewAllocatesFlat(t *testing.T) {
 	}
 }
 
+// TestNewSetSharesTwoSlabs: n caches cost two allocations at any n, and
+// each behaves as a cache of its own — filling and flushing one leaves
+// its neighbours in the shared entry slab untouched.
+func TestNewSetSharesTwoSlabs(t *testing.T) {
+	cfg := Config{CapacityBytes: 2 * 128 * 2, LineSize: 128, Ways: 2} // 2 sets
+	for _, n := range []int{1, 3, 64} {
+		if a := testing.AllocsPerRun(5, func() { NewSet(cfg, n) }); a != 2 {
+			t.Errorf("NewSet(%d): %v allocations, want 2", n, a)
+		}
+	}
+	cs := NewSet(cfg, 3)
+	mid := &cs[1]
+	for l := topo.Line(0); l < 8; l++ { // overfill both sets
+		mid.Fill(l)
+	}
+	if mid.Lines() != 4 || mid.Stats.Evicts != 4 {
+		t.Fatalf("middle cache: %d lines, %d evictions; want 4 and 4", mid.Lines(), mid.Stats.Evicts)
+	}
+	for _, i := range []int{0, 2} {
+		c := &cs[i]
+		valid := 0
+		c.ForEach(func(*Entry) { valid++ })
+		if valid != 0 {
+			t.Fatalf("cache %d sees %d of its neighbour's lines", i, valid)
+		}
+		c.Fill(topo.Line(i))
+		c.InvalidateWhere(nil)
+	}
+	if mid.Lines() != 4 || mid.Stats.Hits != 0 {
+		t.Fatalf("middle cache: %d lines after its neighbours' fill and flush, want 4", mid.Lines())
+	}
+	for l := topo.Line(4); l < 8; l++ {
+		if _, hit := mid.Peek(l); !hit {
+			t.Fatalf("middle cache lost line %d", l)
+		}
+	}
+}
+
 func TestLookupMissThenFillHit(t *testing.T) {
 	c := New(smallCfg())
 	if _, ok := c.Lookup(42); ok {

@@ -102,7 +102,13 @@ type Dir struct {
 }
 
 // New builds a directory; it panics on an invalid configuration.
-func New(cfg Config) *Dir {
+func New(cfg Config) *Dir { return &NewSet(cfg, 1)[0] }
+
+// NewSet builds n directories of one configuration in two allocations at
+// any n: one Dir slab, and one slab of shard headers that each directory
+// windows. Shard arrays still allocate lazily, per directory. It panics
+// on an invalid configuration.
+func NewSet(cfg Config, n int) []Dir {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -115,12 +121,18 @@ func New(cfg Config) *Dir {
 		shards = numSets
 	}
 	setsPerShard := (numSets + shards - 1) / shards
-	return &Dir{
-		cfg:          cfg,
-		numSets:      numSets,
-		setsPerShard: setsPerShard,
-		shards:       make([][]Entry, (numSets+setsPerShard-1)/setsPerShard),
+	per := int((numSets + setsPerShard - 1) / setsPerShard)
+	ds := make([]Dir, n)
+	headers := make([][]Entry, n*per)
+	for i := range ds {
+		ds[i] = Dir{
+			cfg:          cfg,
+			numSets:      numSets,
+			setsPerShard: setsPerShard,
+			shards:       headers[i*per : (i+1)*per : (i+1)*per],
+		}
 	}
+	return ds
 }
 
 // Config returns the directory's geometry.

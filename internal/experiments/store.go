@@ -13,6 +13,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"fmt"
+	"sync"
 
 	"hmg/internal/gsim"
 	"hmg/internal/proto"
@@ -35,12 +36,15 @@ const modelSchemaVersion = 2
 // manual schema version, a digest of the machine-readable Table I spec
 // tables (the declarative protocol definition — if the tables change,
 // every cached figure is stale by construction), and the Results codec
-// version. Records stamped differently are cache misses.
-func ModelVersion() string {
+// version. Records stamped differently are cache misses. The stamp is
+// computed once per process: every input is fixed at build time.
+func ModelVersion() string { return modelVersion() }
+
+var modelVersion = sync.OnceValue(func() string {
 	h := sha256.Sum256([]byte(spec.RenderDoc()))
 	return fmt.Sprintf("hmg-model-v%d-tablei-%x-results-v%d",
 		modelSchemaVersion, h[:8], gsim.ResultsCodecVersion)
-}
+})
 
 // OpenStore opens (creating if needed) the content-addressed result
 // store at dir, stamped with the current model version — the

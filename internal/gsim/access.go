@@ -212,7 +212,7 @@ func (s *System) gpuHomeLoad(c *opCtx) {
 // sysHomeLoad is the arrival of the load carried by c at system home
 // c.g.
 func (s *System) sysHomeLoad(c *opCtx) {
-	if gpm := s.gpmOf(c.g); s.Cfg.Policy.MCA && gpm.atomicQ[c.line].holder != c {
+	if gpm := s.gpmOf(c.g); s.Cfg.Policy.MCA && gpm.lockHolder(c.line) != c {
 		// Multi-copy-atomicity: reads of a line with a store awaiting
 		// invalidation acknowledgments must wait behind it. A .gpm
 		// atomic at its own system home already holds the line, so its
@@ -236,8 +236,8 @@ func (s *System) sysHomeLoadUnlocked(c *opCtx) {
 		evR, evT := gpm.Dir.RemoteLoad(c.line, s.flatRequester(c.from, c.g))
 		s.sendInvs(gpm, evR, evT)
 	}
-	if gpm.classes != nil {
-		s.classifyLoad(gpm, c.line, c.from)
+	if s.classes != nil {
+		s.classifyLoad(c.line, c.from)
 	}
 	c.stage = stageHomeLoad
 	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
@@ -492,12 +492,12 @@ func (s *System) sysHomeStore(c *opCtx) {
 // invalidated too. Under CARVE the store classifies its region instead
 // (flat, so req names the writing GPM).
 func (s *System) storeTransition(gpm *GPM, req proto.Requester, local bool, line topo.Line) {
-	if gpm.classes != nil {
+	if s.classes != nil {
 		writer := gpm.id
 		if !local {
 			writer = topo.GPMID(req.ID)
 		}
-		if s.classifyStore(gpm, line, writer) {
+		if s.classifyStore(line, writer) {
 			s.broadcastInv(gpm, line)
 		}
 	}

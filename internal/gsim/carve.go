@@ -43,47 +43,44 @@ func classRegionOf(l topo.Line) directory.Region {
 // classOf returns the classification of a line at its system home
 // (classUntouched when never classified).
 func (s *System) classOf(l topo.Line) regionClass {
-	home := s.gpmOf(s.Pages.SysHome(l))
-	if home.classes == nil {
-		return classUntouched
-	}
-	return home.classes[classRegionOf(l)].state
+	return s.classes[classRegionOf(l)].state
 }
 
-// classifyLoad updates a region's class for a load by accessor.
-func (s *System) classifyLoad(home *GPM, l topo.Line, accessor topo.GPMID) {
+// classifyLoad updates a region's class for a load by accessor, at the
+// region's system home.
+func (s *System) classifyLoad(l topo.Line, accessor topo.GPMID) {
 	r := classRegionOf(l)
-	e := home.classes[r]
+	e := s.classes[r]
 	switch e.state {
 	case classUntouched:
-		home.classes[r] = classEntry{state: classPrivate, owner: accessor}
+		s.classes[r] = classEntry{state: classPrivate, owner: accessor}
 	case classPrivate:
 		if e.owner != accessor {
-			home.classes[r] = classEntry{state: classReadOnly}
+			s.classes[r] = classEntry{state: classReadOnly}
 		}
 	case classReadOnly, classReadWrite:
 		// Terminal for loads: reads never demote a classification.
 	}
 }
 
-// classifyStore updates a region's class for a store by accessor and
-// reports whether the transition to read-write requires a broadcast
-// invalidation.
-func (s *System) classifyStore(home *GPM, l topo.Line, accessor topo.GPMID) bool {
+// classifyStore updates a region's class for a store by accessor, at
+// the region's system home, and reports whether the transition to
+// read-write requires a broadcast invalidation.
+func (s *System) classifyStore(l topo.Line, accessor topo.GPMID) bool {
 	r := classRegionOf(l)
-	e := home.classes[r]
+	e := s.classes[r]
 	switch e.state {
 	case classUntouched:
-		home.classes[r] = classEntry{state: classPrivate, owner: accessor}
+		s.classes[r] = classEntry{state: classPrivate, owner: accessor}
 		return false
 	case classPrivate:
 		if e.owner == accessor {
 			return false
 		}
-		home.classes[r] = classEntry{state: classReadWrite}
+		s.classes[r] = classEntry{state: classReadWrite}
 		return true
 	case classReadOnly:
-		home.classes[r] = classEntry{state: classReadWrite}
+		s.classes[r] = classEntry{state: classReadWrite}
 		return true
 	default:
 		return false

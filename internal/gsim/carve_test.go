@@ -15,32 +15,31 @@ func TestCARVEClassTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	home := s.GPMs[0]
 	s.Pages.Touch(0, 0)
 	line := topo.Line(0)
 	if got := s.classOf(line); got != classUntouched {
 		t.Fatalf("initial class = %d", got)
 	}
-	s.classifyLoad(home, line, 1)
+	s.classifyLoad(line, 1)
 	if got := s.classOf(line); got != classPrivate {
 		t.Fatalf("after first load = %d, want private", got)
 	}
-	s.classifyLoad(home, line, 1) // same accessor: stays private
+	s.classifyLoad(line, 1) // same accessor: stays private
 	if got := s.classOf(line); got != classPrivate {
 		t.Fatalf("repeat load = %d, want private", got)
 	}
-	s.classifyLoad(home, line, 2)
+	s.classifyLoad(line, 2)
 	if got := s.classOf(line); got != classReadOnly {
 		t.Fatalf("second accessor = %d, want read-only", got)
 	}
-	if bc := s.classifyStore(home, line, 1); !bc {
+	if bc := s.classifyStore(line, 1); !bc {
 		t.Fatal("store to read-only region did not broadcast")
 	}
 	if got := s.classOf(line); got != classReadWrite {
 		t.Fatalf("after store = %d, want read-write", got)
 	}
 	// Further stores broadcast no more: remote copies cannot exist.
-	if bc := s.classifyStore(home, line, 2); bc {
+	if bc := s.classifyStore(line, 2); bc {
 		t.Fatal("store to read-write region broadcast again")
 	}
 }
@@ -52,13 +51,12 @@ func TestCARVEPrivateStoresFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	home := s.GPMs[0]
 	s.Pages.Touch(0, 0)
-	if bc := s.classifyStore(home, 0, 3); bc {
+	if bc := s.classifyStore(0, 3); bc {
 		t.Fatal("first store broadcast")
 	}
 	for i := 0; i < 5; i++ {
-		if bc := s.classifyStore(home, 0, 3); bc {
+		if bc := s.classifyStore(0, 3); bc {
 			t.Fatal("private store broadcast")
 		}
 	}
@@ -130,8 +128,8 @@ func TestCARVENoDirectory(t *testing.T) {
 		if g.Dir != nil {
 			t.Fatal("CARVE allocated a directory")
 		}
-		if g.classes == nil {
-			t.Fatal("CARVE missing classification table")
-		}
+	}
+	if s.classes == nil {
+		t.Fatal("CARVE missing classification table")
 	}
 }

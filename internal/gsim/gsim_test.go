@@ -74,6 +74,30 @@ func allKinds() []proto.Kind {
 	return []proto.Kind{proto.NoRemoteCache, proto.SWNonHier, proto.SWHier, proto.NHCC, proto.HMG, proto.Ideal}
 }
 
+// TestNewAllocationsIndependentOfSize: New builds every part from one
+// slab per kind of part, so a 16×8 machine costs as many allocations as
+// the 4×4 one, under every policy. The caches are shrunk to keep the
+// 1,024-SM machine small; their size never changes the count.
+func TestNewAllocationsIndependentOfSize(t *testing.T) {
+	for _, k := range append(allKinds(), proto.GPUVI, proto.CARVE) {
+		var counts []float64
+		for _, shape := range []string{"4x4", "16x8"} {
+			cfg := DefaultConfig(8, k)
+			cfg.Topo = topo.MustParseSpec(shape).Apply(cfg.Topo)
+			cfg.L1.CapacityBytes = 8 * 1024
+			cfg.L2Slice.CapacityBytes = 64 * 1024
+			counts = append(counts, testing.AllocsPerRun(2, func() {
+				if _, err := New(cfg); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		if counts[0] != counts[1] {
+			t.Errorf("%v: New makes %v allocations at 4x4 and %v at 16x8", k, counts[0], counts[1])
+		}
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	for _, k := range allKinds() {
 		if err := tinyConfig(k).Validate(); err != nil {

@@ -10,7 +10,12 @@ import (
 //
 // Every L2 miss that leaves a GPM merges in its MSHRs: an MSHR entry is
 // a pooled opCtx (stageMSHRFill) holding the waiters merged on one
-// outstanding fetch of a line toward one destination. The GPM keeps
+// outstanding fetch of a line toward one destination, as an intrusive
+// FIFO: the entry holds its first and last waiter, and each waiter links
+// to the next through opCtx.nextWaiter, so merging never allocates. A
+// waiter waits on one trigger at a time, so it is in at most one such
+// list; its next field stays free for the line-lock queues and MSHR
+// chains that use it. The GPM keeps
 // them in one table keyed by line. A line's slot exists exactly while
 // at least one fetch of the line is outstanding, and holds the line's
 // entries — one per destination, so at most three: its own DRAM, the
@@ -25,10 +30,6 @@ import (
 
 // mshrMinSlots is the initial slot count of a GPM's MSHR table.
 const mshrMinSlots = 64
-
-// waitListCap is the initial capacity of a pooled MSHR waiter list; a
-// list that outgrows it keeps its larger storage in the pool.
-const waitListCap = 4
 
 // fetchKey identifies an outstanding line fetch: the line and the level
 // it was sent to (the GPM itself for DRAM fetches).
@@ -58,9 +59,10 @@ type mshrSlot struct {
 	poisoned bool
 }
 
-// newMSHRTable returns an empty table of n slots, a power of two.
-func newMSHRTable(n int) mshrTable {
-	return mshrTable{slots: make([]mshrSlot, n), shift: uint8(64 - bits.TrailingZeros(uint(n)))}
+// newMSHRTable returns an empty table over slots, whose length is a
+// power of two; New carves every GPM's initial slots from one slab.
+func newMSHRTable(slots []mshrSlot) mshrTable {
+	return mshrTable{slots: slots, shift: uint8(64 - bits.TrailingZeros(uint(len(slots))))}
 }
 
 // home returns line l's home slot (Fibonacci hashing: the top bits of
@@ -186,53 +188,37 @@ func (t *mshrTable) poisoned(l topo.Line) bool {
 }
 
 // fetch merges concurrent requests for the same line+destination in an
-// MSHR entry: a pooled context holding a waiter list drawn from the
-// System's pool of lists. The first request for a key gets the new
-// entry back: the caller must start the fetch with the entry as its
-// sink, which completes it exactly once with the response data. Later
-// requests only enqueue their waiter and get nil.
-//
-//lint:allow hotalloc pool growth: waiter lists are pooled with their storage, so they are made and grown only up to the peak of outstanding fetches and merges
+// MSHR entry: a pooled context heading the FIFO of its waiters. The
+// first request for a key gets the new entry back: the caller must start
+// the fetch with the entry as its sink, which completes it exactly once
+// with the response data. Later requests only join the FIFO and get nil.
 func (g *GPM) fetch(key fetchKey, waiter *opCtx) *opCtx {
 	if m := g.mshr.entry(key); m != nil {
-		m.waiters = append(m.waiters, waiter)
+		m.lastWaiter.nextWaiter = waiter
+		m.lastWaiter = waiter
 		return nil
 	}
-	s := g.sys
-	if len(s.waitLists) == 0 {
-		// Carve a slab into lists of waitListCap; later slabs double
-		// the pool.
-		n := max(ctxSlabMin, s.numWaitLists)
-		s.numWaitLists += n
-		slab := make([]*opCtx, n*waitListCap)
-		for i := 0; i < n; i++ {
-			lo := i * waitListCap
-			s.waitLists = append(s.waitLists, slab[lo:lo:lo+waitListCap])
-		}
-	}
-	m := s.newCtx(stageMSHRFill)
+	m := g.sys.newCtx(stageMSHRFill)
 	m.g, m.key = g.id, key
-	m.waiters = append(s.waitLists[len(s.waitLists)-1], waiter)
-	s.waitLists = s.waitLists[:len(s.waitLists)-1]
+	m.firstWaiter, m.lastWaiter = waiter, waiter
 	g.mshr.add(m)
 	return m
 }
 
 // fetchDone completes the MSHR entry m with the fetched data: every
 // merged waiter receives it, in arrival order. The entry leaves the MSHR
-// table first, so it and its waiter list return to their pools only
-// after the waiters have run.
-//
-//lint:allow hotalloc pool growth: the list pool grows only up to the peak of outstanding fetches
+// table first, so no waiter joins while they run, and returns to the
+// pool after them. Each waiter is unlinked before it runs, since running
+// may release it.
 func (g *GPM) fetchDone(m *opCtx, fill fillData) {
-	ws := m.waiters
 	g.mshr.remove(m)
-	for _, w := range ws {
+	for w := m.firstWaiter; w != nil; {
+		next := w.nextWaiter
+		w.nextWaiter = nil
 		w.filled(fill)
+		w = next
 	}
 	m.release()
-	clear(ws)
-	g.sys.waitLists = append(g.sys.waitLists, ws[:0])
 }
 
 // poisonLine marks an in-flight fill for the line as stale; it will not

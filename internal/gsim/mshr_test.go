@@ -22,7 +22,7 @@ func TestMSHRTableMatchesModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := s.GPMs[0]
-	g.mshr = newMSHRTable(8)
+	g.mshr = newMSHRTable(make([]mshrSlot, 8))
 	sm := s.SMs[0]
 	w := &warpCtx{sm: sm}
 	// Waiters are plain loads that skip the L1; each one's address is
@@ -188,6 +188,49 @@ func TestMSHRTableMatchesModel(t *testing.T) {
 	}
 }
 
+// TestMSHRMergeAllocatesNothing: a merge links its waiter into the
+// entry's FIFO, so merging allocates nothing however many waiters an
+// entry gathers — each measured round merges more than any before it —
+// and fetchDone serves them in arrival order.
+func TestMSHRMergeAllocatesNothing(t *testing.T) {
+	s, err := New(tinyConfig(proto.HMG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, sm := s.GPMs[0], s.SMs[0]
+	w := &warpCtx{sm: sm}
+	ran, arrived := make([]topo.Addr, 0, 64), make([]topo.Addr, 0, 64)
+	s.OnLoadValue = func(_ topo.SMID, op trace.Op, _ uint64) { ran = append(ran, op.Addr) }
+	waiters := 4
+	round := func() {
+		waiters *= 2
+		ran, arrived = ran[:0], arrived[:0]
+		var m *opCtx
+		for i := 0; i < waiters; i++ {
+			c := s.newCtx(stageLoadFill)
+			c.sm, c.w = sm, w
+			c.op = trace.Op{Kind: trace.Load, Addr: topo.Addr(4 * i)}
+			w.inflight++
+			sm.inflight++
+			if e := g.fetch(fetchKey{line: 7, dest: 1}, c); e != nil {
+				m = e
+			}
+			arrived = append(arrived, c.op.Addr)
+		}
+		g.fetchDone(m, nil)
+	}
+	// One warm-up round of 8 waiters, then a measured round of 16.
+	if a := testing.AllocsPerRun(1, round); a != 0 {
+		t.Errorf("merging %d waiters on one entry: %v allocations, want 0", waiters, a)
+	}
+	if !slices.Equal(ran, arrived) {
+		t.Fatalf("waiters ran in order %v, arrived %v", ran, arrived)
+	}
+	if n := s.LiveContexts(); n != 0 {
+		t.Fatalf("%d contexts live after the fetch completed", n)
+	}
+}
+
 // TestPoisonedFillNotInstalled checks that fillL2 reads a line's poison
 // before its fetch completes: a poisoned response serves its waiters
 // but is not installed, and the flag dies with the line's last fetch.
@@ -205,7 +248,7 @@ func TestPoisonedFillNotInstalled(t *testing.T) {
 	if _, hit := g.L2.Peek(line); hit {
 		t.Fatal("poisoned fill installed")
 	}
-	m.waiters = m.waiters[:0]
+	m.firstWaiter, m.lastWaiter = nil, nil
 	placeholder.release()
 	g.fetchDone(m, nil)
 	if g.mshr.poisoned(line) || g.mshr.lines != 0 {

@@ -265,9 +265,10 @@ type opCtx struct {
 	sink *opCtx
 	data fillData
 
-	// MSHR entries: the fetch and the contexts merged on it.
-	key     fetchKey
-	waiters []*opCtx
+	// MSHR entries: the fetch and the FIFO of contexts merged on it,
+	// linked through nextWaiter.
+	key                     fetchKey
+	firstWaiter, lastWaiter *opCtx
 
 	// Fan-out: an invalidation's forwards, an MCA store's InvAcks or a
 	// release's fence acks still outstanding (pending), each child
@@ -280,8 +281,9 @@ type opCtx struct {
 	parent  *opCtx
 
 	// next links the waiters of a line lock (GPM.lockLine), or the MSHR
-	// entries of one line (mshrTable).
-	next *opCtx
+	// entries of one line (mshrTable); nextWaiter links the waiters of
+	// one MSHR entry.
+	next, nextWaiter *opCtx
 	// drainIdx is the kernel drain's next gate within its pass.
 	drainIdx int
 }

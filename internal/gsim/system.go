@@ -42,14 +42,12 @@ type GPM struct {
 	// the protocol itself stay free of transient states. These are cache
 	// structures, not protocol state.
 	mshr mshrTable
-	// atomicQ serializes atomic read-modify-writes per line, modeling
-	// the L2 atomic unit; multi-copy-atomic stores and loads at a system
-	// home take the same locks.
-	atomicQ map[topo.Line]lineLock
+}
 
-	// classes holds CARVE-style region classifications at system homes
-	// (nil unless the policy classifies).
-	classes map[directory.Region]classEntry
+// lineKey names a line at a GPM: the key of the System's line locks.
+type lineKey struct {
+	g topo.GPMID
+	l topo.Line
 }
 
 // lineLock is the lock of one line at a GPM: the context holding it and
@@ -58,41 +56,47 @@ type lineLock struct {
 	holder, head, tail *opCtx
 }
 
-// lockLine takes line l's lock for c, running c at once if the line is
-// free, else when every context queued before it has unlocked.
+// lockLine takes line l's lock at g for c, running c at once if the
+// line is free, else when every context queued before it has unlocked.
 func (g *GPM) lockLine(l topo.Line, c *opCtx) {
-	if q, busy := g.atomicQ[l]; busy {
+	locks, k := g.sys.locks, lineKey{g.id, l}
+	if q, busy := locks[k]; busy {
 		if q.tail == nil {
 			q.head = c
 		} else {
 			q.tail.next = c
 		}
 		q.tail = c
-		g.atomicQ[l] = q
+		locks[k] = q
 		return
 	}
-	g.atomicQ[l] = lineLock{holder: c}
+	locks[k] = lineLock{holder: c}
 	c.Handle()
 }
 
-// unlockLine releases the line and runs the next queued context, if any.
+// unlockLine releases line l at g and runs the next queued context, if
+// any.
 func (g *GPM) unlockLine(l topo.Line) {
-	q, busy := g.atomicQ[l]
+	locks, k := g.sys.locks, lineKey{g.id, l}
+	q, busy := locks[k]
 	if !busy {
 		panic("gsim: unlockLine without lock")
 	}
 	next := q.head
 	if next == nil {
-		delete(g.atomicQ, l)
+		delete(locks, k)
 		return
 	}
 	q.holder, q.head, next.next = next, next.next, nil
 	if q.head == nil {
 		q.tail = nil
 	}
-	g.atomicQ[l] = q
+	locks[k] = q
 	next.Handle()
 }
+
+// lockHolder returns the context holding line l's lock at g, or nil.
+func (g *GPM) lockHolder(l topo.Line) *opCtx { return g.sys.locks[lineKey{g.id, l}].holder }
 
 // System is a complete simulated multi-GPU machine.
 type System struct {
@@ -128,10 +132,15 @@ type System struct {
 	flushBuf []cache.Entry
 	// downgrading counts downgrade notices in flight.
 	downgrading int
-	// waitLists is the pool of empty MSHR waiter lists; numWaitLists
-	// counts the lists made.
-	waitLists    [][]*opCtx
-	numWaitLists int
+	// locks serializes atomic read-modify-writes per line and GPM,
+	// modeling each L2's atomic unit; multi-copy-atomic stores and loads
+	// at a system home take the same locks. A line is a key exactly
+	// while its lock is held.
+	locks map[lineKey]lineLock
+	// classes holds the CARVE-style region classifications (nil unless
+	// the policy classifies). A region has one system home, which alone
+	// classifies it, so one table serves every home.
+	classes map[directory.Region]classEntry
 
 	// counters for results not covered by component stats
 	ops, loads, stores, atomics uint64
@@ -142,7 +151,10 @@ type System struct {
 	drainCycles                 engine.Cycle
 }
 
-// New builds a system from a configuration.
+// New builds a system from a configuration. Its parts come from a fixed
+// set of slabs — one per kind of part, each holding that part for every
+// GPM or SM — so the number of allocations does not depend on the
+// machine's size.
 func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -153,44 +165,54 @@ func New(cfg Config) (*System, error) {
 		Cfg:   cfg,
 		Net:   link.NewNetwork(eng, cfg.Topo, cfg.Net),
 		Pages: topo.NewPageMap(cfg.Topo, cfg.Placement),
+		locks: make(map[lineKey]lineLock),
 	}
-	for g := 0; g < cfg.Topo.TotalGPMs(); g++ {
-		gpm := &GPM{
-			sys:     s,
-			id:      topo.GPMID(g),
-			gpu:     cfg.Topo.GPUOf(topo.GPMID(g)),
-			L2:      cache.New(cfg.L2Slice),
-			DRAM:    memory.New(eng, cfg.DRAM),
-			mshr:    newMSHRTable(mshrMinSlots),
-			atomicQ: make(map[topo.Line]lineLock),
-		}
-		if cfg.Policy.Hardware {
-			dcfg := cfg.Dir
-			if dcfg.Shards == 0 {
-				// Shard directory storage by address slice in proportion
-				// to machine size, so per-GPM allocation scales lazily
-				// with the footprint each directory actually tracks.
-				// Sharding never changes lookup results or statistics.
-				dcfg.Shards = cfg.Topo.TotalGPMs()
-			}
-			gpm.Dir = proto.NewDirCtrl(dcfg)
-			gpm.Dir.Mutate = cfg.Mutation
-		}
-		if cfg.Policy.Classify {
-			gpm.classes = make(map[directory.Region]classEntry)
-		}
-		s.GPMs = append(s.GPMs, gpm)
+	if cfg.Policy.Classify {
+		s.classes = make(map[directory.Region]classEntry)
 	}
-	for i := 0; i < cfg.Topo.TotalSMs(); i++ {
+	numGPMs, numSMs := cfg.Topo.TotalGPMs(), cfg.Topo.TotalSMs()
+	gpms := make([]GPM, numGPMs)
+	l2s := cache.NewSet(cfg.L2Slice, numGPMs)
+	drams := memory.NewSet(eng, cfg.DRAM, numGPMs)
+	mshrSlots := make([]mshrSlot, numGPMs*mshrMinSlots)
+	var dirs []proto.DirCtrl
+	if cfg.Policy.Hardware {
+		dcfg := cfg.Dir
+		if dcfg.Shards == 0 {
+			// Shard directory storage by address slice in proportion to
+			// machine size, so per-GPM allocation scales lazily with the
+			// footprint each directory actually tracks. Sharding never
+			// changes lookup results or statistics.
+			dcfg.Shards = numGPMs
+		}
+		dirs = proto.NewDirCtrlSet(dcfg, numGPMs)
+	}
+	s.GPMs = make([]*GPM, numGPMs)
+	for i := range gpms {
+		g := &gpms[i]
+		lo := i * mshrMinSlots
+		*g = GPM{
+			sys:  s,
+			id:   topo.GPMID(i),
+			gpu:  cfg.Topo.GPUOf(topo.GPMID(i)),
+			L2:   &l2s[i],
+			DRAM: &drams[i],
+			mshr: newMSHRTable(mshrSlots[lo : lo+mshrMinSlots : lo+mshrMinSlots]),
+		}
+		if dirs != nil {
+			g.Dir = &dirs[i]
+			g.Dir.Mutate = cfg.Mutation
+		}
+		s.GPMs[i] = g
+	}
+	sms := make([]SM, numSMs)
+	l1s := cache.NewSet(cfg.L1, numSMs)
+	s.SMs = make([]*SM, numSMs)
+	for i := range sms {
 		id := topo.SMID(i)
 		gpm := cfg.Topo.GPMOfSM(id)
-		s.SMs = append(s.SMs, &SM{
-			sys: s,
-			id:  id,
-			gpm: gpm,
-			gpu: cfg.Topo.GPUOf(gpm),
-			L1:  cache.New(cfg.L1),
-		})
+		sms[i] = SM{sys: s, id: id, gpm: gpm, gpu: cfg.Topo.GPUOf(gpm), L1: &l1s[i]}
+		s.SMs[i] = &sms[i]
 	}
 	return s, nil
 }

@@ -19,8 +19,12 @@ import (
 
 // Link is a unidirectional, bandwidth-limited, fixed-latency channel.
 type Link struct {
-	eng           *engine.Engine
-	name          string
+	eng *engine.Engine
+	// kind names the link; a network link's kind is a format with one
+	// verb for its index (idx), which Name fills in on demand, so a
+	// network builds its links without formatting a name for each.
+	kind          string
+	idx           int // the kind's index, or -1 when kind is the whole name
 	latency       engine.Cycle
 	bytesPerCycle float64
 	// nextFree is fractional: serialization accumulates at byte
@@ -42,15 +46,26 @@ type Link struct {
 // clock frequency. A non-positive bandwidth means "infinite" (pure
 // latency, no serialization), used by idealized configurations.
 func NewLink(eng *engine.Engine, name string, gbPerSec float64, latency engine.Cycle) *Link {
-	l := &Link{eng: eng, name: name, latency: latency}
-	if gbPerSec > 0 {
-		l.bytesPerCycle = gbPerSec * 1e9 / eng.FrequencyHz()
-	}
+	l := &Link{}
+	l.init(eng, name, -1, gbPerSec, latency)
 	return l
 }
 
+// init sets up l as NewLink does, named by kind and idx.
+func (l *Link) init(eng *engine.Engine, kind string, idx int, gbPerSec float64, latency engine.Cycle) {
+	*l = Link{eng: eng, kind: kind, idx: idx, latency: latency}
+	if gbPerSec > 0 {
+		l.bytesPerCycle = gbPerSec * 1e9 / eng.FrequencyHz()
+	}
+}
+
 // Name returns the link's diagnostic name.
-func (l *Link) Name() string { return l.name }
+func (l *Link) Name() string {
+	if l.idx < 0 {
+		return l.kind
+	}
+	return fmt.Sprintf(l.kind, l.idx)
+}
 
 // Send transmits a message of kind k and the given wire size, running
 // deliver when the tail of the message arrives at the far end.
@@ -92,5 +107,5 @@ func (l *Link) Utilization(elapsed engine.Cycle) float64 {
 
 // String implements fmt.Stringer for diagnostics.
 func (l *Link) String() string {
-	return fmt.Sprintf("link %s: %d msgs, %d bytes", l.name, l.Msgs, l.TotalBytes())
+	return fmt.Sprintf("link %s: %d msgs, %d bytes", l.Name(), l.Msgs, l.TotalBytes())
 }

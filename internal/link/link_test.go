@@ -93,10 +93,10 @@ func (a *arrival) Handle() { a.at = a.e.Now() }
 // linkCounts snapshots every link's message count and per-kind bytes.
 func linkCounts(n *Network) []uint64 {
 	var out []uint64
-	for _, links := range [][]*Link{n.xbarOut, n.xbarIn, n.upLink, n.dnLink} {
-		for _, l := range links {
-			out = append(out, l.Msgs)
-			out = append(out, l.Bytes[:]...)
+	for _, links := range [][]Link{n.xbarOut, n.xbarIn, n.upLink, n.dnLink} {
+		for i := range links {
+			out = append(out, links[i].Msgs)
+			out = append(out, links[i].Bytes[:]...)
 		}
 	}
 	return out
@@ -139,6 +139,35 @@ func sendBothForms(t *testing.T, cfg NetConfig, from, to topo.GPMID, k msg.Kind)
 		t.Fatalf("warmed SendHandler %d→%d allocates %.1f times per message", from, to, allocs)
 	}
 	return fn, at
+}
+
+// TestNetworkBuildsFromOneSlab: a network of any size is two
+// allocations, and each link still reports its own name.
+func TestNetworkBuildsFromOneSlab(t *testing.T) {
+	e := engine.New(1.3e9)
+	for _, tp := range []topo.Topology{
+		{NumGPUs: 2, GPMsPerGPU: 2, SMsPerGPM: 1, LineSize: 128, PageSize: 4096},
+		{NumGPUs: 16, GPMsPerGPU: 8, SMsPerGPM: 1, LineSize: 128, PageSize: 4096},
+	} {
+		if a := testing.AllocsPerRun(5, func() { NewNetwork(e, tp, DefaultNetConfig()) }); a != 2 {
+			t.Errorf("NewNetwork(%v): %v allocations, want 2", tp, a)
+		}
+	}
+	n := NewNetwork(e, topo.Topology{NumGPUs: 2, GPMsPerGPU: 2, SMsPerGPM: 1, LineSize: 128, PageSize: 4096}, DefaultNetConfig())
+	for _, c := range []struct {
+		l    *Link
+		want string
+	}{
+		{&n.xbarOut[3], "xbar-out[gpm3]"},
+		{&n.xbarIn[0], "xbar-in[gpm0]"},
+		{&n.upLink[1], "nvlink-up[gpu1]"},
+		{&n.dnLink[0], "nvlink-dn[gpu0]"},
+		{NewLink(e, "test", 0, 1), "test"},
+	} {
+		if got := c.l.Name(); got != c.want {
+			t.Errorf("Name() = %q, want %q", got, c.want)
+		}
+	}
 }
 
 func TestNetworkLocalSend(t *testing.T) {

@@ -1,8 +1,6 @@
 package link
 
 import (
-	"fmt"
-
 	"hmg/internal/engine"
 	"hmg/internal/msg"
 	"hmg/internal/topo"
@@ -48,10 +46,11 @@ type Network struct {
 	topo topo.Topology
 	cfg  NetConfig
 
-	xbarOut []*Link // per GPM, onto the GPU crossbar
-	xbarIn  []*Link // per GPM, from the GPU crossbar
-	upLink  []*Link // per GPU, to the NVSwitch
-	dnLink  []*Link // per GPU, from the NVSwitch
+	// The four link groups are windows of one slab.
+	xbarOut []Link // per GPM, onto the GPU crossbar
+	xbarIn  []Link // per GPM, from the GPU crossbar
+	upLink  []Link // per GPU, to the NVSwitch
+	dnLink  []Link // per GPU, from the NVSwitch
 
 	// InterGPUMsgs counts messages that crossed GPUs, by kind.
 	InterGPUMsgs [msg.NumKinds]uint64
@@ -67,16 +66,24 @@ type Network struct {
 	liveRoutes int
 }
 
-// NewNetwork builds the interconnect for a topology.
+// NewNetwork builds the interconnect for a topology in two allocations
+// at any size: the Network and one slab holding every link.
 func NewNetwork(eng *engine.Engine, t topo.Topology, cfg NetConfig) *Network {
-	n := &Network{eng: eng, topo: t, cfg: cfg}
-	for g := 0; g < t.TotalGPMs(); g++ {
-		n.xbarOut = append(n.xbarOut, NewLink(eng, fmt.Sprintf("xbar-out[gpm%d]", g), cfg.XbarPortGBs, cfg.XbarLatency))
-		n.xbarIn = append(n.xbarIn, NewLink(eng, fmt.Sprintf("xbar-in[gpm%d]", g), cfg.XbarPortGBs, 0))
+	gpms, gpus := t.TotalGPMs(), t.NumGPUs
+	links := make([]Link, 2*gpms+2*gpus)
+	n := &Network{eng: eng, topo: t, cfg: cfg,
+		xbarOut: links[:gpms:gpms],
+		xbarIn:  links[gpms : 2*gpms : 2*gpms],
+		upLink:  links[2*gpms : 2*gpms+gpus : 2*gpms+gpus],
+		dnLink:  links[2*gpms+gpus:],
 	}
-	for u := 0; u < t.NumGPUs; u++ {
-		n.upLink = append(n.upLink, NewLink(eng, fmt.Sprintf("nvlink-up[gpu%d]", u), cfg.NVLinkGBs, cfg.NVLinkLatency/2))
-		n.dnLink = append(n.dnLink, NewLink(eng, fmt.Sprintf("nvlink-dn[gpu%d]", u), cfg.NVLinkGBs, cfg.NVLinkLatency/2))
+	for g := 0; g < gpms; g++ {
+		n.xbarOut[g].init(eng, "xbar-out[gpm%d]", g, cfg.XbarPortGBs, cfg.XbarLatency)
+		n.xbarIn[g].init(eng, "xbar-in[gpm%d]", g, cfg.XbarPortGBs, 0)
+	}
+	for u := 0; u < gpus; u++ {
+		n.upLink[u].init(eng, "nvlink-up[gpu%d]", u, cfg.NVLinkGBs, cfg.NVLinkLatency/2)
+		n.dnLink[u].init(eng, "nvlink-dn[gpu%d]", u, cfg.NVLinkGBs, cfg.NVLinkLatency/2)
 	}
 	return n
 }
@@ -206,13 +213,13 @@ func (n *Network) LiveRoutes() int { return n.liveRoutes }
 // down), by kind.
 func (n *Network) InterGPUBytes() [msg.NumKinds]uint64 {
 	var out [msg.NumKinds]uint64
-	for _, l := range n.upLink {
-		for k, b := range l.Bytes {
+	for i := range n.upLink {
+		for k, b := range n.upLink[i].Bytes {
 			out[k] += b
 		}
 	}
-	for _, l := range n.dnLink {
-		for k, b := range l.Bytes {
+	for i := range n.dnLink {
+		for k, b := range n.dnLink[i].Bytes {
 			out[k] += b
 		}
 	}
@@ -222,13 +229,13 @@ func (n *Network) InterGPUBytes() [msg.NumKinds]uint64 {
 // IntraGPUBytes returns total bytes carried over crossbar ports, by kind.
 func (n *Network) IntraGPUBytes() [msg.NumKinds]uint64 {
 	var out [msg.NumKinds]uint64
-	for _, l := range n.xbarOut {
-		for k, b := range l.Bytes {
+	for i := range n.xbarOut {
+		for k, b := range n.xbarOut[i].Bytes {
 			out[k] += b
 		}
 	}
-	for _, l := range n.xbarIn {
-		for k, b := range l.Bytes {
+	for i := range n.xbarIn {
+		for k, b := range n.xbarIn[i].Bytes {
 			out[k] += b
 		}
 	}
@@ -239,8 +246,8 @@ func (n *Network) IntraGPUBytes() [msg.NumKinds]uint64 {
 // the elapsed simulated cycles.
 func (n *Network) UpLinkUtilization(elapsed engine.Cycle) float64 {
 	var u float64
-	for _, l := range n.upLink {
-		u += l.Utilization(elapsed)
+	for i := range n.upLink {
+		u += n.upLink[i].Utilization(elapsed)
 	}
 	return u / float64(len(n.upLink))
 }

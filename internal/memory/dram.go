@@ -38,8 +38,9 @@ type DRAM struct {
 	nextFree      float64 // fractional, to avoid per-access quantization
 
 	// values holds the authoritative word values, keyed by global word
-	// index (addr / WordSize). Nil map entries mean "never written"
-	// (reads return 0).
+	// index (addr / WordSize). Absent words were never written (reads
+	// return 0); the map itself is made by the first StoreValue, which
+	// only value-tracking runs call.
 	values map[uint64]uint64
 
 	Stats Stats
@@ -49,12 +50,19 @@ type DRAM struct {
 const WordSize = 4
 
 // New builds a DRAM partition.
-func New(eng *engine.Engine, cfg Config) *DRAM {
-	d := &DRAM{eng: eng, cfg: cfg, values: make(map[uint64]uint64)}
+func New(eng *engine.Engine, cfg Config) *DRAM { return &NewSet(eng, cfg, 1)[0] }
+
+// NewSet builds n partitions of one configuration in one allocation.
+func NewSet(eng *engine.Engine, cfg Config, n int) []DRAM {
+	d := DRAM{eng: eng, cfg: cfg}
 	if cfg.BandwidthGBs > 0 {
 		d.bytesPerCycle = cfg.BandwidthGBs * 1e9 / eng.FrequencyHz()
 	}
-	return d
+	ds := make([]DRAM, n)
+	for i := range ds {
+		ds[i] = d
+	}
+	return ds
 }
 
 // Config returns the partition's configuration.
@@ -102,7 +110,14 @@ func wordIndex(a topo.Addr) uint64 { return uint64(a) / WordSize }
 
 // StoreValue records the authoritative value of the word at a. It is a
 // functional (zero-time) operation; timing comes from Write.
-func (d *DRAM) StoreValue(a topo.Addr, v uint64) { d.values[wordIndex(a)] = v }
+//
+//lint:allow hotalloc value-tracking map; made on the partition's first tracked store, and only TrackValues configurations store values
+func (d *DRAM) StoreValue(a topo.Addr, v uint64) {
+	if d.values == nil {
+		d.values = make(map[uint64]uint64)
+	}
+	d.values[wordIndex(a)] = v
+}
 
 // LoadValue returns the authoritative value of the word at a (0 if never
 // written).

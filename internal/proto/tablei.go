@@ -95,8 +95,18 @@ type DirCtrl struct {
 }
 
 // NewDirCtrl builds a Table I controller over a directory.
-func NewDirCtrl(cfg directory.Config) *DirCtrl {
-	return &DirCtrl{Dir: directory.New(cfg)}
+func NewDirCtrl(cfg directory.Config) *DirCtrl { return &NewDirCtrlSet(cfg, 1)[0] }
+
+// NewDirCtrlSet builds n controllers, each over its own directory of one
+// configuration, in three allocations at any n (directory.NewSet's two
+// and the controller slab).
+func NewDirCtrlSet(cfg directory.Config, n int) []DirCtrl {
+	dirs := directory.NewSet(cfg, n)
+	cs := make([]DirCtrl, n)
+	for i := range cs {
+		cs[i].Dir = &dirs[i]
+	}
+	return cs
 }
 
 // TargetsOf expands a sharer set into the canonical invalidation target

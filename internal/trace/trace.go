@@ -84,19 +84,20 @@ func (k OpKind) IsStore() bool { return k == Store || k == StoreRel || k == Atom
 func (k OpKind) IsSync() bool { return k == LoadAcq || k == StoreRel || k == Atomic }
 
 // Op is one memory operation in a warp's stream. Addresses are
-// word-aligned (4 bytes).
+// word-aligned (4 bytes). The fields are ordered widest first, so an Op
+// packs into 24 bytes.
 type Op struct {
-	Kind  OpKind
-	Scope Scope
-	Addr  topo.Addr
-	// Gap is the number of compute cycles between this op becoming
-	// eligible and its issue, modeling the instructions between memory
-	// accesses.
-	Gap uint32
+	Addr topo.Addr
 	// Val is the value a store writes (or an atomic adds) when the
 	// simulator runs in functional value-tracking mode; timing-only runs
 	// and loads ignore it.
 	Val uint64
+	// Gap is the number of compute cycles between this op becoming
+	// eligible and its issue, modeling the instructions between memory
+	// accesses.
+	Gap   uint32
+	Kind  OpKind
+	Scope Scope
 }
 
 // Warp is an in-order stream of operations.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hmg/internal/topo"
 )
@@ -35,6 +36,14 @@ func sampleTrace() *Trace {
 			}},
 			{CTAs: []CTA{{Warps: []Warp{{Ops: []Op{{Kind: Load, Addr: 0}}}}}}},
 		},
+	}
+}
+
+// TestOpPacksIn24Bytes pins the Op layout: generated op slabs and every
+// pooled simulator context carry Ops by value.
+func TestOpPacksIn24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Op{}) = %d, want 24", got)
 	}
 }
 

@@ -257,7 +257,7 @@ func (p Params) Generate(t topo.Topology, scale float64) *trace.Trace {
 	// set in every kernel: cross-kernel reuse that only hardware
 	// coherence retains. Each (CTA, warp) stream is therefore seeded once
 	// and replayed from its start for every kernel.
-	tp := &tape{src: rand.NewSource(0)}
+	tp := &tape{src: &lazySource{}}
 	rng := rand.New(tp)
 	set := make([]slot, 0, setSize)
 	for c := 0; c < numCTAs; c++ {

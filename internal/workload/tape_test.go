@@ -12,7 +12,7 @@ import (
 // its end; one tape serves every seed.
 func TestTapeMatchesFreshSource(t *testing.T) {
 	mix := rand.New(rand.NewSource(1))
-	tp := &tape{src: rand.NewSource(0)}
+	tp := &tape{src: &lazySource{}}
 	rng := rand.New(tp)
 	pastEnd := 0
 	for s := 0; s < 300; s++ {
