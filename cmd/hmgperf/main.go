@@ -15,8 +15,8 @@
 // Compare mode fails hard on any drift in simulated cycles or event
 // counts (an optimization changed behavior — the determinism contract
 // is broken) and on allocs/event growth beyond a small noise floor.
-// The hot path is not yet zero-alloc — BENCH_2026-10-18b.json measures
-// 0.0003–0.0028 allocs/event (97–1,004 allocations per cell) across the
+// The hot path is not yet zero-alloc — BENCH_2026-10-18c.json measures
+// 0.0002–0.0009 allocs/event (89–248 allocations per cell) across the
 // matrix — so the gate blocks allocation growth, not non-zero
 // allocation. Wall-clock metrics (ns/event, Mevents/s) are advisory
 // only: hmgperf warns past -wall-threshold but never fails on them, so
@@ -333,10 +333,10 @@ func readSnapshot(path string) (*Snapshot, error) {
 }
 
 // allocFloor is the absolute allocs/event slack on top of the relative
-// tolerance: 126–720 allocations on a matrix cell (126k–720k events),
-// against repeat-run noise of under 10 allocations per cell and cell
-// totals of 97–1,004.
-const allocFloor = 0.001
+// tolerance: 13–72 allocations on a matrix cell (126k–720k events),
+// against repeat-run noise of at most 6 allocations per cell and cell
+// totals of 89–248.
+const allocFloor = 0.0001
 
 // compare gates the current snapshot against a baseline. Hard failures:
 // missing cells, any cycle or event-count drift (the optimization

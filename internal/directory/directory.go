@@ -12,12 +12,11 @@
 // entry present in the directory is Valid; transitioning to Invalid
 // drops it. No transient states exist.
 //
-// Directory storage is sharded by address slice (contiguous ranges of
-// set indices), sized from the topology by the simulator. Sharding is
-// purely organizational — the region→set mapping is unchanged and shard
-// backing arrays allocate lazily on first touch — so behavior and
-// statistics are bit-for-bit identical at any shard count; only the
-// allocation pattern scales with machine size.
+// Directory storage may be sharded by address slice (contiguous ranges
+// of set indices; Config.Shards). Sharding is purely organizational —
+// the region→set mapping is unchanged and shard backing arrays allocate
+// lazily on first touch — so behavior and statistics are bit-for-bit
+// identical at any shard count; only the allocation pattern changes.
 package directory
 
 import (
@@ -97,6 +96,8 @@ type Dir struct {
 	setsPerShard uint64
 	clock        uint64
 	live         int
+	// victim holds the copy of the entry the last Ensure displaced.
+	victim Entry
 
 	Stats Stats
 }
@@ -194,7 +195,8 @@ func (d *Dir) Lookup(r Region) (*Entry, bool) {
 // Ensure returns the entry for region r, allocating it (state I→V) if
 // absent. When allocation displaces a Valid entry, a copy of the victim
 // is returned so the caller can send invalidations to its sharers, per
-// Table I's "Replace Dir Entry" column.
+// Table I's "Replace Dir Entry" column. The copy is the directory's own
+// and stays valid until the next Ensure.
 func (d *Dir) Ensure(r Region) (*Entry, *Entry) {
 	set := d.setOf(r)
 	d.clock++
@@ -221,10 +223,10 @@ func (d *Dir) Ensure(r Region) (*Entry, *Entry) {
 				victimIdx = i
 			}
 		}
-		v := set[victimIdx]
-		victim = &v
+		d.victim = set[victimIdx]
+		victim = &d.victim
 		d.Stats.Evicts++
-		d.Stats.EvictedSharerLines += uint64(v.Sharers.Count() * d.cfg.GranLines)
+		d.Stats.EvictedSharerLines += uint64(victim.Sharers.Count() * d.cfg.GranLines)
 		d.live--
 	}
 	set[victimIdx] = Entry{Region: r, valid: true, lru: d.clock}

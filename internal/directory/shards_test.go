@@ -28,7 +28,7 @@ func TestShardCountInvariance(t *testing.T) {
 				if victim != nil {
 					victims = append(victims, victim.Region)
 				}
-				id := int(splitmix(&seed) % 40) // crosses the inline boundary
+				id := int(splitmix(&seed) % MaxSharerIDs) // both bitmap words
 				if splitmix(&seed)%2 == 0 {
 					e.Sharers = e.Sharers.With(GPMBit(id))
 				} else {
@@ -58,7 +58,7 @@ func TestShardCountInvariance(t *testing.T) {
 			t.Fatalf("Shards=%d snapshot has %d entries, want %d", shards, len(snap), len(baseSnap))
 		}
 		for i := range snap {
-			if snap[i].Region != baseSnap[i].Region || !snap[i].Sharers.Equal(baseSnap[i].Sharers) {
+			if snap[i].Region != baseSnap[i].Region || snap[i].Sharers != baseSnap[i].Sharers {
 				t.Fatalf("Shards=%d snapshot[%d] = %v/%v, want %v/%v", shards, i,
 					snap[i].Region, snap[i].Sharers, baseSnap[i].Region, baseSnap[i].Sharers)
 			}

@@ -10,204 +10,92 @@ import (
 // for flat protocols, GPU-local module indices for hierarchical ones)
 // is the protocol's choice.
 //
-// The representation is hybrid and canonical. Sets whose ids all fit
-// the paper's 4×4 evaluation box (every id below 32) stay a single
-// inline word — bits 0..31 for GPM sharers, bits 32..63 for GPU
-// sharers, exactly the dense layout the simulator has always used, with
-// zero allocation on every operation. Any id of 32 or above promotes
-// the set to a heap form: a sorted small vector of element keys up to
-// vectorMax elements, a pair of bitmaps beyond. Every operation
-// re-normalizes, so a given membership always has exactly one
-// representation; sets containing only small ids are always inline, and
-// two such sets are comparable with ==. Sets that may carry large ids
-// must be compared with Equal.
-//
-// Values are immutable: With and Without return new sets and never
-// mutate shared state.
+// A set is one fixed-width bitmap per id space. It is a plain value:
+// every operation is a handful of word operations that never allocate,
+// With and Without return new sets, and two sets record the same
+// sharers exactly when they are ==.
 type Sharers struct {
-	word uint64 // inline form; always 0 when big != nil
-	big  *bigSet
+	gpm, gpu bitmap
 }
 
-const (
-	// inlineIDs is the per-space id capacity of the inline word.
-	inlineIDs = 32
-	// gpuShift is the inline-word bit offset of the GPU id space.
-	gpuShift = 32
-	// vectorMax is the element count above which a promoted set moves
-	// from the sorted vector to the bitmap form.
-	vectorMax = 64
-	// gpuFlag marks GPU elements in promoted-set keys. GPM keys sort
-	// below every GPU key, giving the canonical GPMs-then-GPUs order.
-	gpuFlag = uint32(1) << 31
-)
+// bitmap is one id space's membership: ids 0..63 are the bits of lo,
+// ids 64..127 those of hi. Two named words rather than a [2]uint64: Go
+// keeps small structs in registers but arrays of more than one element
+// in memory, which made every operation about 2.5× slower.
+type bitmap struct{ lo, hi uint64 }
 
-// MaxSharerIDs bounds both sharer id spaces (exclusive). It exists so
-// configuration validation can reject absurd topologies with an error
-// instead of letting an id wander into GPMBit's panic mid-simulation;
-// at 4096 ids per space it is far beyond any machine the simulator can
-// usefully model.
-const MaxSharerIDs = 4096
-
-// setForm discriminates the promoted representations.
-type setForm uint8
-
-const (
-	// formVector is a sorted, duplicate-free vector of element keys.
-	formVector setForm = iota
-	// formBitmap is a pair of dense bitmaps, one per id space.
-	formBitmap
-)
-
-// bigSet is the heap form of a promoted set. It is immutable after
-// construction and always holds at least one element with id ≥
-// inlineIDs (smaller sets normalize back to the inline word).
-type bigSet struct {
-	form setForm
-	vec  []uint32 // formVector: sorted element keys
-	gpm  []uint64 // formBitmap: GPM bitmap, trailing zero words trimmed
-	gpu  []uint64 // formBitmap: GPU bitmap, trailing zero words trimmed
-}
+// MaxSharerIDs bounds both sharer id spaces (exclusive). 128 ids cover
+// every machine the simulator runs: flat NHCC at 16×8 names 128 global
+// GPM ids, and HMG at 16×8 needs 8 GPM ids and 16 GPU ids.
+// Configuration validation rejects wider hardware-coherent shapes with
+// an error, so GPMBit's and GPUBit's panics are unreachable from a
+// valid configuration.
+const MaxSharerIDs = 128
 
 // GPMBit returns the sharer set holding exactly one GPM index.
-//
-//lint:allow hotalloc promoted (>=32-id) sharer-set path; inline word sets allocate nothing
-func GPMBit(i int) Sharers {
-	if i < 0 || i >= MaxSharerIDs {
-		panic(fmt.Sprintf("directory: GPM sharer index %d out of range [0, %d)", i, MaxSharerIDs))
-	}
-	if i < inlineIDs {
-		return Sharers{word: 1 << uint(i)}
-	}
-	return Sharers{big: &bigSet{form: formVector, vec: []uint32{uint32(i)}}}
-}
+func GPMBit(i int) Sharers { return Sharers{gpm: bitOf("GPM", i)} }
 
 // GPUBit returns the sharer set holding exactly one GPU id.
-//
-//lint:allow hotalloc promoted (>=32-id) sharer-set path; inline word sets allocate nothing
-func GPUBit(j int) Sharers {
-	if j < 0 || j >= MaxSharerIDs {
-		panic(fmt.Sprintf("directory: GPU sharer index %d out of range [0, %d)", j, MaxSharerIDs))
+func GPUBit(j int) Sharers { return Sharers{gpu: bitOf("GPU", j)} }
+
+// bitOf returns the bitmap holding exactly id i of the named space.
+func bitOf(space string, i int) bitmap {
+	if i < 0 || i >= MaxSharerIDs {
+		panic(fmt.Sprintf("directory: %s sharer index %d out of range [0, %d)", space, i, MaxSharerIDs))
 	}
-	if j < inlineIDs {
-		return Sharers{word: 1 << uint(gpuShift+j)}
+	if i < 64 {
+		return bitmap{lo: 1 << uint(i)}
 	}
-	return Sharers{big: &bigSet{form: formVector, vec: []uint32{uint32(j) | gpuFlag}}}
+	return bitmap{hi: 1 << uint(i-64)}
 }
 
 // Has reports whether every sharer of b is present in s.
-func (s Sharers) Has(b Sharers) bool {
-	if s.big == nil && b.big == nil {
-		return s.word&b.word == b.word
-	}
-	if s.big == nil {
-		// b holds an id ≥ inlineIDs that an inline set cannot contain.
-		return false
-	}
-	return subsetKeys(b.keys(), s.keys())
-}
+func (s Sharers) Has(b Sharers) bool { return s.With(b) == s }
 
 // With returns s plus the sharers of b.
 func (s Sharers) With(b Sharers) Sharers {
-	if s.big == nil && b.big == nil {
-		return Sharers{word: s.word | b.word}
+	return Sharers{
+		gpm: bitmap{s.gpm.lo | b.gpm.lo, s.gpm.hi | b.gpm.hi},
+		gpu: bitmap{s.gpu.lo | b.gpu.lo, s.gpu.hi | b.gpu.hi},
 	}
-	return fromKeys(unionKeys(s.keys(), b.keys()))
 }
 
 // Without returns s minus the sharers of b.
 func (s Sharers) Without(b Sharers) Sharers {
-	if s.big == nil && b.big == nil {
-		return Sharers{word: s.word &^ b.word}
+	return Sharers{
+		gpm: bitmap{s.gpm.lo &^ b.gpm.lo, s.gpm.hi &^ b.gpm.hi},
+		gpu: bitmap{s.gpu.lo &^ b.gpu.lo, s.gpu.hi &^ b.gpu.hi},
 	}
-	return fromKeys(diffKeys(s.keys(), b.keys()))
 }
 
 // Count returns the number of sharers recorded.
 func (s Sharers) Count() int {
-	if s.big == nil {
-		return bits.OnesCount64(s.word)
-	}
-	switch s.big.form {
-	case formVector:
-		return len(s.big.vec)
-	case formBitmap:
-		n := 0
-		for _, w := range s.big.gpm {
-			n += bits.OnesCount64(w)
-		}
-		for _, w := range s.big.gpu {
-			n += bits.OnesCount64(w)
-		}
-		return n
-	default:
-		panic(fmt.Sprintf("directory: unknown sharer-set form %d", uint8(s.big.form)))
-	}
+	return bits.OnesCount64(s.gpm.lo) + bits.OnesCount64(s.gpm.hi) +
+		bits.OnesCount64(s.gpu.lo) + bits.OnesCount64(s.gpu.hi)
 }
 
 // IsEmpty reports whether no sharer is recorded.
-func (s Sharers) IsEmpty() bool { return s.word == 0 && s.big == nil }
-
-// Equal reports whether two sets record the same sharers. Unlike ==,
-// it is correct for every representation; == is only meaningful for
-// sets guaranteed to hold small ids (which are always inline).
-func (s Sharers) Equal(o Sharers) bool {
-	if (s.big == nil) != (o.big == nil) {
-		return false
-	}
-	if s.big == nil {
-		return s.word == o.word
-	}
-	return s.big.equal(o.big)
-}
+func (s Sharers) IsEmpty() bool { return s == Sharers{} }
 
 // GPMs calls fn for each GPM sharer index in ascending order.
 func (s Sharers) GPMs(fn func(int)) {
-	if s.big == nil {
-		v := s.word & (1<<gpuShift - 1)
-		for v != 0 {
-			i := bits.TrailingZeros64(v)
-			fn(i)
-			v &^= 1 << uint(i)
-		}
-		return
-	}
-	switch s.big.form {
-	case formVector:
-		for _, k := range s.big.vec {
-			if k&gpuFlag == 0 {
-				fn(int(k))
-			}
-		}
-	case formBitmap:
-		forEachBit(s.big.gpm, fn)
-	default:
-		panic(fmt.Sprintf("directory: unknown sharer-set form %d", uint8(s.big.form)))
-	}
+	forEachBit(s.gpm.lo, 0, fn)
+	forEachBit(s.gpm.hi, 64, fn)
 }
 
 // GPUs calls fn for each GPU sharer id in ascending order.
 func (s Sharers) GPUs(fn func(int)) {
-	if s.big == nil {
-		v := s.word >> gpuShift
-		for v != 0 {
-			j := bits.TrailingZeros64(v)
-			fn(j)
-			v &^= 1 << uint(j)
-		}
-		return
-	}
-	switch s.big.form {
-	case formVector:
-		for _, k := range s.big.vec {
-			if k&gpuFlag != 0 {
-				fn(int(k &^ gpuFlag))
-			}
-		}
-	case formBitmap:
-		forEachBit(s.big.gpu, fn)
-	default:
-		panic(fmt.Sprintf("directory: unknown sharer-set form %d", uint8(s.big.form)))
+	forEachBit(s.gpu.lo, 0, fn)
+	forEachBit(s.gpu.hi, 64, fn)
+}
+
+// forEachBit calls fn with base plus the index of each set bit of v, in
+// ascending order.
+func forEachBit(v uint64, base int, fn func(int)) {
+	for v != 0 {
+		i := bits.TrailingZeros64(v)
+		fn(base + i)
+		v &^= 1 << uint(i)
 	}
 }
 
@@ -230,199 +118,4 @@ func (s Sharers) String() string {
 		first = false
 	})
 	return out + "]"
-}
-
-// ---------------------------------------------------------------------
-// Promoted-set machinery
-// ---------------------------------------------------------------------
-
-// keys decomposes a set into its sorted element keys: GPM ids as-is,
-// GPU ids with gpuFlag set. GPM keys sort below every GPU key, so
-// appending the GPM elements then the GPU elements keeps the slice
-// sorted.
-//
-//lint:allow hotalloc promoted sharer-set expansion; inline word sets allocate nothing
-func (s Sharers) keys() []uint32 {
-	if s.big == nil {
-		if s.word == 0 {
-			return nil
-		}
-		out := make([]uint32, 0, bits.OnesCount64(s.word))
-		s.GPMs(func(i int) { out = append(out, uint32(i)) })
-		s.GPUs(func(j int) { out = append(out, uint32(j)|gpuFlag) })
-		return out
-	}
-	switch s.big.form {
-	case formVector:
-		return s.big.vec
-	case formBitmap:
-		out := make([]uint32, 0, s.Count())
-		forEachBit(s.big.gpm, func(i int) { out = append(out, uint32(i)) })
-		forEachBit(s.big.gpu, func(j int) { out = append(out, uint32(j)|gpuFlag) })
-		return out
-	default:
-		panic(fmt.Sprintf("directory: unknown sharer-set form %d", uint8(s.big.form)))
-	}
-}
-
-// fromKeys builds the canonical representation of a sorted,
-// duplicate-free key slice: the inline word when every id fits it, else
-// a vector up to vectorMax elements, else bitmaps. The slice must not
-// be mutated afterwards (union/diff always build fresh slices).
-//
-//lint:allow hotalloc promoted sharer-set construction; inline word sets allocate nothing
-func fromKeys(keys []uint32) Sharers {
-	if len(keys) == 0 {
-		return Sharers{}
-	}
-	inline := true
-	for _, k := range keys {
-		if k&^gpuFlag >= inlineIDs {
-			inline = false
-			break
-		}
-	}
-	if inline {
-		var w uint64
-		for _, k := range keys {
-			if k&gpuFlag != 0 {
-				w |= 1 << uint(gpuShift+(k&^gpuFlag))
-			} else {
-				w |= 1 << uint(k)
-			}
-		}
-		return Sharers{word: w}
-	}
-	if len(keys) <= vectorMax {
-		return Sharers{big: &bigSet{form: formVector, vec: keys}}
-	}
-	var gpm, gpu []uint64
-	for _, k := range keys {
-		if k&gpuFlag != 0 {
-			gpu = setBit(gpu, int(k&^gpuFlag))
-		} else {
-			gpm = setBit(gpm, int(k))
-		}
-	}
-	return Sharers{big: &bigSet{form: formBitmap, gpm: gpm, gpu: gpu}}
-}
-
-// equal compares two canonical bigSets. Canonicalization guarantees
-// equal memberships share a form, so a form mismatch means inequality.
-func (b *bigSet) equal(o *bigSet) bool {
-	if b.form != o.form {
-		return false
-	}
-	switch b.form {
-	case formVector:
-		if len(b.vec) != len(o.vec) {
-			return false
-		}
-		for i := range b.vec {
-			if b.vec[i] != o.vec[i] {
-				return false
-			}
-		}
-		return true
-	case formBitmap:
-		return wordsEqual(b.gpm, o.gpm) && wordsEqual(b.gpu, o.gpu)
-	default:
-		panic(fmt.Sprintf("directory: unknown sharer-set form %d", uint8(b.form)))
-	}
-}
-
-func wordsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// setBit grows the bitmap as needed and sets bit id. Bitmaps are only
-// ever built from key slices, so the highest word is always non-zero
-// and the length is canonical for the membership.
-//
-//lint:allow hotalloc promoted sharer-set bitmap append; bounded by MaxSharerIDs
-func setBit(words []uint64, id int) []uint64 {
-	w := id / 64
-	for len(words) <= w {
-		words = append(words, 0)
-	}
-	words[w] |= 1 << uint(id%64)
-	return words
-}
-
-// forEachBit visits the set bits of a bitmap in ascending order.
-func forEachBit(words []uint64, fn func(int)) {
-	for w, v := range words {
-		for v != 0 {
-			i := bits.TrailingZeros64(v)
-			fn(64*w + i)
-			v &^= 1 << uint(i)
-		}
-	}
-}
-
-// unionKeys merges two sorted key slices into a fresh sorted slice.
-//
-//lint:allow hotalloc promoted sharer-set union; inline word sets allocate nothing
-func unionKeys(a, b []uint32) []uint32 {
-	out := make([]uint32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// diffKeys returns a minus b as a fresh sorted slice.
-//
-//lint:allow hotalloc promoted sharer-set difference; inline word sets allocate nothing
-func diffKeys(a, b []uint32) []uint32 {
-	out := make([]uint32, 0, len(a))
-	j := 0
-	for _, k := range a {
-		for j < len(b) && b[j] < k {
-			j++
-		}
-		if j < len(b) && b[j] == k {
-			continue
-		}
-		out = append(out, k)
-	}
-	return out
-}
-
-// subsetKeys reports whether every key of sub is present in super (both
-// sorted).
-func subsetKeys(sub, super []uint32) bool {
-	j := 0
-	for _, k := range sub {
-		for j < len(super) && super[j] < k {
-			j++
-		}
-		if j >= len(super) || super[j] != k {
-			return false
-		}
-		j++
-	}
-	return true
 }

@@ -52,10 +52,7 @@ func (r refSet) ids(space int) []int {
 }
 
 // checkAgainstRef verifies every observable of a Sharers value against
-// the reference, plus the canonical-representation invariants the
-// package promises: all-small-id sets are inline (so == works on them),
-// promoted sets are vectors up to vectorMax elements and bitmaps past
-// it.
+// the reference.
 func checkAgainstRef(t *testing.T, s Sharers, ref refSet) {
 	t.Helper()
 	if s.Count() != len(ref) {
@@ -71,27 +68,6 @@ func checkAgainstRef(t *testing.T, s Sharers, ref refSet) {
 	if fmt.Sprint(gpms) != fmt.Sprint(wantGPMs) || fmt.Sprint(gpus) != fmt.Sprint(wantGPUs) {
 		t.Fatalf("iteration = GPMs %v GPUs %v, ref GPMs %v GPUs %v", gpms, gpus, wantGPMs, wantGPUs)
 	}
-
-	maxID := -1
-	for k := range ref {
-		if k[1] > maxID {
-			maxID = k[1]
-		}
-	}
-	switch {
-	case maxID < inlineIDs:
-		if s.big != nil {
-			t.Fatalf("set with max id %d not inline: %v", maxID, s)
-		}
-	case len(ref) <= vectorMax:
-		if s.big == nil || s.big.form != formVector {
-			t.Fatalf("set with max id %d and %d elements not a vector: %v", maxID, len(ref), s)
-		}
-	default:
-		if s.big == nil || s.big.form != formBitmap {
-			t.Fatalf("set with %d elements not a bitmap: %v", len(ref), s)
-		}
-	}
 }
 
 // splitmix is the test's deterministic id generator.
@@ -103,22 +79,29 @@ func splitmix(x *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// edgeIDs are the ids at the edges of the two bitmap words, plus the
+// middle of the first (31, 32).
+var edgeIDs = []int{0, 1, 31, 32, 63, 64, 65, 126, 127}
+
 // TestSharersProperty drives random With/Without/Has sequences against
-// the reference model across id ranges chosen to cross the inline→
-// vector boundary (ids straddling 31/32/33) and element counts crossing
-// the vector→bitmap boundary (past 64 elements).
+// the reference model in both id spaces: over ids drawn from [0, n) for
+// growing n up to the whole id space, and over the word-edge ids alone
+// (dense, so sets fill and empty repeatedly).
 func TestSharersProperty(t *testing.T) {
+	below := func(n int) func(*uint64) int {
+		return func(x *uint64) int { return int(splitmix(x) % uint64(n)) }
+	}
 	cases := []struct {
-		name  string
-		maxID int // ids drawn from [0, maxID)
-		ops   int
+		name string
+		ids  func(seed *uint64) int
+		ops  int
 	}{
-		{"inline-only", 32, 400},
-		{"boundary-33", 33, 400},
-		{"boundary-40", 40, 400},
-		{"vector-64", 64, 600},
-		{"bitmap-200", 200, 1200}, // 2 spaces × 200 ids ≫ vectorMax
-		{"sparse-huge", MaxSharerIDs, 600},
+		{"inline-only", below(32), 400},
+		{"boundary-33", below(33), 400},
+		{"boundary-40", below(40), 400},
+		{"vector-64", below(64), 600}, // exactly the first word
+		{"sparse-huge", below(MaxSharerIDs), 1200},
+		{"word-edges", func(x *uint64) int { return edgeIDs[splitmix(x)%uint64(len(edgeIDs))] }, 600},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -126,7 +109,7 @@ func TestSharersProperty(t *testing.T) {
 			var s Sharers
 			ref := refSet{}
 			for op := 0; op < tc.ops; op++ {
-				id := int(splitmix(&seed) % uint64(tc.maxID))
+				id := tc.ids(&seed)
 				isGPU := splitmix(&seed)%2 == 1
 				bit, key := GPMBit(id), [2]int{0, id}
 				if isGPU {
@@ -145,7 +128,7 @@ func TestSharersProperty(t *testing.T) {
 				checkAgainstRef(t, s, ref)
 			}
 			// Rebuilding the membership from scratch in a different
-			// insertion order must land on an Equal set (canonical form).
+			// insertion order must land on an == set.
 			var r Sharers
 			for k := range ref {
 				if k[0] == 0 {
@@ -154,8 +137,8 @@ func TestSharersProperty(t *testing.T) {
 					r = r.With(GPUBit(k[1]))
 				}
 			}
-			if !r.Equal(s) || !s.Equal(r) {
-				t.Fatalf("rebuilt set not Equal: %v vs %v", r, s)
+			if r != s {
+				t.Fatalf("rebuilt set differs: %v vs %v", r, s)
 			}
 			// And clearing every element must return to the empty value.
 			cleared := s
@@ -167,79 +150,54 @@ func TestSharersProperty(t *testing.T) {
 				}
 			}
 			if !cleared.IsEmpty() || cleared != (Sharers{}) {
-				t.Fatalf("fully-cleared set not the canonical empty value: %#v", cleared)
+				t.Fatalf("fully-cleared set not the empty value: %#v", cleared)
 			}
 		})
 	}
-}
-
-// TestSharersPromotionBoundaries pins the exact representation changes
-// at the 31/32 id edge and the 64/65 element edge.
-func TestSharersPromotionBoundaries(t *testing.T) {
-	s := GPMBit(31)
-	if s.big != nil {
-		t.Fatal("GPMBit(31) should be inline")
+	// A GPM id and a GPU id with the same number are distinct sharers.
+	for _, id := range edgeIDs {
+		if GPMBit(id).Has(GPUBit(id)) || GPUBit(id).Has(GPMBit(id)) || GPMBit(id) == GPUBit(id) {
+			t.Fatalf("GPM and GPU id spaces collide at id %d", id)
+		}
 	}
-	s = s.With(GPMBit(32))
-	if s.big == nil || s.big.form != formVector {
-		t.Fatalf("adding id 32 should promote to vector, got %#v", s)
-	}
-	if !s.Has(GPMBit(31)) || !s.Has(GPMBit(32)) || s.Count() != 2 {
-		t.Fatalf("promoted set lost members: %v", s)
-	}
-	// Dropping the large id must demote back to the inline word, making
-	// == meaningful again.
-	if d := s.Without(GPMBit(32)); d != GPMBit(31) {
-		t.Fatalf("demotion after Without(32): %#v != GPMBit(31)", d)
-	}
-
-	// Fill 65 distinct large elements: 64 stays vector, 65 flips to
-	// bitmap, removing one flips back.
-	var v Sharers
-	for i := 0; i < 64; i++ {
-		v = v.With(GPMBit(100 + i))
-	}
-	if v.big == nil || v.big.form != formVector || v.Count() != 64 {
-		t.Fatalf("64-element set should be a vector, got %#v", v)
-	}
-	v65 := v.With(GPUBit(500))
-	if v65.big == nil || v65.big.form != formBitmap || v65.Count() != 65 {
-		t.Fatalf("65-element set should be a bitmap, got %#v", v65)
-	}
-	back := v65.Without(GPUBit(500))
-	if back.big == nil || back.big.form != formVector || !back.Equal(v) {
-		t.Fatalf("demotion from bitmap to vector failed: %#v", back)
+	if got := GPMBit(1).With(GPMBit(64)).With(GPUBit(2)).With(GPUBit(127)).String(); got != "[GPM1 GPM64 GPU2 GPU127]" {
+		t.Fatalf("String = %q", got)
 	}
 }
 
-// TestSharersMixedRepresentationOps exercises every inline/promoted
-// operand pairing of Has/With/Without.
-func TestSharersMixedRepresentationOps(t *testing.T) {
-	small := GPMBit(1).With(GPUBit(2))
-	big := GPMBit(40).With(GPUBit(50))
-	mixed := small.With(big)
+// sinkSharers, sinkInt and sinkBool keep the allocation probes' results
+// live.
+var (
+	sinkSharers Sharers
+	sinkInt     int
+	sinkBool    bool
+)
 
-	if small.Has(big) {
-		t.Fatal("inline set claims to contain large ids")
-	}
-	if !mixed.Has(small) || !mixed.Has(big) {
-		t.Fatal("union lost an operand")
-	}
-	if got := mixed.Without(big); got != small {
-		t.Fatalf("mixed minus big = %v, want inline %v", got, small)
-	}
-	if got := mixed.Without(small); !got.Equal(big) {
-		t.Fatalf("mixed minus small = %v, want %v", got, big)
-	}
-	if mixed.String() != "[GPM1 GPM40 GPU2 GPU50]" {
-		t.Fatalf("String = %q", mixed.String())
-	}
-	// GPM id and GPU id with the same numeric value are distinct.
-	if GPMBit(40).Has(GPUBit(40)) || GPUBit(40).Has(GPMBit(40)) {
-		t.Fatal("GPM and GPU id spaces collided")
-	}
-	if GPMBit(40).Equal(GPUBit(40)) {
-		t.Fatal("Equal conflated GPM and GPU ids")
+// TestSharersAllocateNothing checks that every Sharers operation is
+// allocation-free at ids on both sides of each bitmap word edge, in
+// both id spaces.
+func TestSharersAllocateNothing(t *testing.T) {
+	for _, id := range []int{0, 31, 32, 63, 64, 127} {
+		full := GPMBit(0).With(GPMBit(id)).With(GPUBit(id)).With(GPUBit(MaxSharerIDs - 1))
+		ops := []struct {
+			name string
+			fn   func()
+		}{
+			{"GPMBit", func() { sinkSharers = GPMBit(id) }},
+			{"GPUBit", func() { sinkSharers = GPUBit(id) }},
+			{"With", func() { sinkSharers = GPMBit(id).With(GPUBit(id)) }},
+			{"Without", func() { sinkSharers = full.Without(GPMBit(id)) }},
+			{"Has", func() { sinkBool = full.Has(GPUBit(id)) }},
+			{"Count", func() { sinkInt = full.Count() }},
+			{"IsEmpty", func() { sinkBool = full.IsEmpty() }},
+			{"GPMs", func() { full.GPMs(func(i int) { sinkInt += i }) }},
+			{"GPUs", func() { full.GPUs(func(j int) { sinkInt += j }) }},
+		}
+		for _, op := range ops {
+			if n := testing.AllocsPerRun(100, op.fn); n != 0 {
+				t.Errorf("%s at id %d allocates %.1f times per call", op.name, id, n)
+			}
+		}
 	}
 }
 

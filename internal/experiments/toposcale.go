@@ -25,8 +25,8 @@ import (
 
 // topoScaleSpecs are the machine shapes of the study, desk-side to
 // NVSwitch-class. The largest flat machine tracks 128 global GPM ids —
-// far past the 32-id inline sharer word — so a full toposcale run
-// exercises the promoted sharer-set representations end to end.
+// the whole sharer id space, both bitmap words — so a full toposcale
+// run exercises every sharer id end to end.
 var topoScaleSpecs = []topo.Spec{
 	{NumGPUs: 2, GPMsPerGPU: 2},
 	{NumGPUs: 4, GPMsPerGPU: 4},

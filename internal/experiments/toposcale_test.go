@@ -40,8 +40,8 @@ func TestTopoScalePlanCoverage(t *testing.T) {
 // TestTopoScaleDeterminism generates the toposcale figure serially and
 // on 8 workers at a small scale: the rendered table must be
 // byte-identical — the -jobs contract extended to topology-suffixed
-// memo keys, including the promoted sharer representations the 8x8 and
-// 16x8 flat runs exercise.
+// memo keys, including the second sharer-bitmap word the 16x8 flat
+// runs exercise.
 func TestTopoScaleDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full toposcale campaigns are slow; run without -short")

@@ -387,3 +387,39 @@ func TestMultiKernelCyclesAccumulate(t *testing.T) {
 		t.Fatal("second kernel took no time")
 	}
 }
+
+// TestLaunchKernelReusesScratch checks that, once a System has launched
+// a kernel as large, a launch allocates only the kernel's two slabs —
+// its warp contexts and the SMs' warp lists, which the warp lists point
+// into. The per-GPM CTA counts, the per-SM warp counts and the
+// assignment list are the System's, reset by each launch.
+func TestLaunchKernelReusesScratch(t *testing.T) {
+	s, err := New(tinyConfig(proto.HMG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var k trace.Kernel
+	for c := 0; c < 8; c++ {
+		a := topo.Addr(c) * 128
+		k.CTAs = append(k.CTAs, trace.CTA{Warps: []trace.Warp{
+			{Ops: []trace.Op{{Kind: trace.Load, Addr: a}}},
+			{Ops: []trace.Op{{Kind: trace.Load, Addr: a + 0x1000}}},
+		}})
+	}
+	tr := &trace.Trace{Name: "launch", Kernels: []trace.Kernel{k}}
+	if _, err := s.Run(tr); err != nil {
+		t.Fatal(err)
+	}
+	launch := func() {
+		s.drained = false
+		s.launchKernel(&tr.Kernels[0])
+		s.Eng.Run(engine.MaxCycle)
+		if !s.drained {
+			t.Fatal("kernel did not drain")
+		}
+	}
+	launch()
+	if n := testing.AllocsPerRun(20, launch); n != 2 {
+		t.Fatalf("a kernel launch makes %v allocations, want 2 (the warp-context and warp-list slabs)", n)
+	}
+}

@@ -2,6 +2,7 @@ package gsim
 
 import (
 	"fmt"
+	"slices"
 
 	"hmg/internal/cache"
 	"hmg/internal/directory"
@@ -130,6 +131,11 @@ type System struct {
 	liveCtxs int
 	// flushBuf is the reused buffer of dirty lines a flush walks.
 	flushBuf []cache.Entry
+	// launchGPM, launchSM and launchWarps are launchKernel's scratch,
+	// reset by every launch: the CTAs placed on each GPM, the warps
+	// assigned to each SM, and the kernel's warps in assignment order.
+	launchGPM, launchSM []int
+	launchWarps         []warpAssignment
 	// downgrading counts downgrade notices in flight.
 	downgrading int
 	// locks serializes atomic read-modify-writes per line and GPM,
@@ -177,15 +183,7 @@ func New(cfg Config) (*System, error) {
 	mshrSlots := make([]mshrSlot, numGPMs*mshrMinSlots)
 	var dirs []proto.DirCtrl
 	if cfg.Policy.Hardware {
-		dcfg := cfg.Dir
-		if dcfg.Shards == 0 {
-			// Shard directory storage by address slice in proportion to
-			// machine size, so per-GPM allocation scales lazily with the
-			// footprint each directory actually tracks. Sharding never
-			// changes lookup results or statistics.
-			dcfg.Shards = numGPMs
-		}
-		dirs = proto.NewDirCtrlSet(dcfg, numGPMs)
+		dirs = proto.NewDirCtrlSet(cfg.Dir, numGPMs)
 	}
 	s.GPMs = make([]*GPM, numGPMs)
 	for i := range gpms {
@@ -264,6 +262,23 @@ func (s *System) Run(tr *trace.Trace) (*Results, error) {
 	return res, nil
 }
 
+// warpAssignment places one warp on an SM.
+type warpAssignment struct {
+	sm   *SM
+	warp *trace.Warp
+}
+
+// resetCounts returns *buf resized to n zeroed counts, allocating only
+// when n exceeds its capacity.
+func resetCounts(buf *[]int, n int) []int {
+	if cap(*buf) < n {
+		*buf = make([]int, n)
+	}
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
+}
+
 // launchKernel applies kernel-boundary acquire effects and schedules the
 // kernel's CTAs onto SMs. Every warp of the previous kernel has finished
 // by now, so each SM's warp list restarts with this kernel's warps, in
@@ -273,18 +288,14 @@ func (s *System) launchKernel(k *trace.Kernel) {
 	// Contiguous CTA scheduling across all GPMs; round-robin across the
 	// SMs of each GPM.
 	n := len(k.CTAs)
-	perGPMNext := make([]int, len(s.GPMs))
-	perSM := make([]int, len(s.SMs))
+	perGPMNext := resetCounts(&s.launchGPM, len(s.GPMs))
+	perSM := resetCounts(&s.launchSM, len(s.SMs))
 	s.warpsLeft = 0
-	type assignment struct {
-		sm   *SM
-		warp *trace.Warp
-	}
 	maxWarps := 0
 	for i := range k.CTAs {
 		maxWarps += len(k.CTAs[i].Warps)
 	}
-	assigns := make([]assignment, 0, maxWarps)
+	assigns := slices.Grow(s.launchWarps[:0], maxWarps)
 	for i := range k.CTAs {
 		g := trace.AssignCTA(i, n, s.Cfg.Topo.TotalGPMs())
 		if s.Cfg.ScatterCTAs {
@@ -298,11 +309,12 @@ func (s *System) launchKernel(k *trace.Kernel) {
 			if len(wp.Ops) == 0 {
 				continue
 			}
-			assigns = append(assigns, assignment{sm, wp})
+			assigns = append(assigns, warpAssignment{sm, wp})
 			perSM[sm.id]++
 			s.warpsLeft++
 		}
 	}
+	s.launchWarps = assigns
 	// One slab holds the kernel's warp contexts and one more the SMs'
 	// warp lists, each SM's list carved to its own warp count.
 	lists := make([]*warpCtx, len(assigns))

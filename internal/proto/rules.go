@@ -332,10 +332,10 @@ var suppressedBy = [numEvents]Mutation{
 
 // Step is the Table I transition function: given an entry's state and
 // sharer set, it fires the first matching rule of the (state, event)
-// cell. It is pure and, for inline sharer sets, allocation-free. It
-// panics on an event the table declares impossible — a missing cell
-// (Invalidation under a flat table, replacing an absent entry), a GPU
-// requester under a flat table, or a sharer set tracked in state I.
+// cell. It is pure and always allocation-free. It panics on an event
+// the table declares impossible — a missing cell (Invalidation under a
+// flat table, replacing an absent entry), a GPU requester under a flat
+// table, or a sharer set tracked in state I.
 func (m *Machine) Step(st State, sh directory.Sharers, ev Event, mu Mutation) Outcome {
 	if st == StateI && !sh.IsEmpty() {
 		panic(fmt.Sprintf("proto: table %s: state I with non-empty sharer set %v", m.Table.Name, sh))

@@ -132,7 +132,7 @@ func (c *checker) checkOutcome(state fmt.Stringer, ev proto.Event, prior nodeSta
 	}
 	priorState, priorSharers := prior.spec()
 	if priorState == proto.StateV && out.Rule.Next == proto.StateI {
-		if !out.Sent.Equal(priorSharers) {
+		if out.Sent != priorSharers {
 			c.fail(state, ev, "full-set-invalidation",
 				"V→I invalidated %v, sharer set was %v", out.Sent, priorSharers)
 		}
@@ -252,7 +252,7 @@ func (ck *checker) enumerateHier() Report {
 			// The HMG-only column: the GPU home must forward the system
 			// home's invalidation to every GPM sharer it tracks and
 			// transition to I.
-			if cur.GPU1.Valid && !fwd.Sent.Equal(cur.GPU1.Sharers) {
+			if cur.GPU1.Valid && fwd.Sent != cur.GPU1.Sharers {
 				ck.fail(cur, ev, "hmg-inv-forward",
 					"system-home invalidation forwarded to %v, GPU-home sharers were %v",
 					fwd.Sent, cur.GPU1.Sharers)

@@ -102,7 +102,7 @@ func TestApplyTransitions(t *testing.T) {
 	if out.Rule.Next != proto.StateV || out.Sharers != m1.Bit() {
 		t.Fatalf("V+RemoteSt: %+v", out)
 	}
-	if !out.Sent.Equal(m2.Bit().With(g1.Bit())) {
+	if out.Sent != m2.Bit().With(g1.Bit()) {
 		t.Fatalf("V+RemoteSt inv = %v", out.Sent)
 	}
 	// V + RemoteSt as sole sharer: no invalidations (the Always arm).
@@ -112,22 +112,22 @@ func TestApplyTransitions(t *testing.T) {
 	}
 	// V + LocalSt → I invalidating the full set.
 	out = step(proto.StateV, sh, proto.Event{Kind: proto.LocalSt})
-	if out.Rule.Next != proto.StateI || !out.Sharers.IsEmpty() || !out.Sent.Equal(sh) {
+	if out.Rule.Next != proto.StateI || !out.Sharers.IsEmpty() || out.Sent != sh {
 		t.Fatalf("V+LocalSt: %+v", out)
 	}
 	// V + Invalidation → I forwarding to the full set (HMG column).
 	out = step(proto.StateV, m1.Bit(), proto.Event{Kind: proto.Invalidation})
-	if out.Rule.Next != proto.StateI || !out.Sent.Equal(m1.Bit()) {
+	if out.Rule.Next != proto.StateI || out.Sent != m1.Bit() {
 		t.Fatalf("V+Invalidation: %+v", out)
 	}
 	// A mutation suppresses only the emission of the cells it names;
 	// the intended fan-out is still reported.
 	out = m.Step(proto.StateV, sh, proto.Event{Kind: proto.LocalSt}, proto.MutDropStoreInv)
-	if !out.Sent.IsEmpty() || !out.Inv.Equal(sh) || out.Rule.Next != proto.StateI {
+	if !out.Sent.IsEmpty() || out.Inv != sh || out.Rule.Next != proto.StateI {
 		t.Fatalf("mutated V+LocalSt: %+v", out)
 	}
 	out = m.Step(proto.StateV, sh, proto.Event{Kind: proto.LocalSt}, proto.MutDropEvictInv|proto.MutDropInvForward)
-	if !out.Sent.Equal(sh) {
+	if out.Sent != sh {
 		t.Fatalf("V+LocalSt suppressed by a mutation naming other cells: %+v", out)
 	}
 }

@@ -333,8 +333,8 @@ func TestMutationCountersIntendedTraffic(t *testing.T) {
 // evictions.
 func TestEvictionFanoutAcrossGranularities(t *testing.T) {
 	// The requesters in use order (a GPM, then a GPU sharing the victim
-	// region): inline ids, and ids past the 32-id inline sharer word
-	// that drive the promoted sharer sets.
+	// region): ids in the first sharer-bitmap word, and ids spanning
+	// both words.
 	for _, reqs := range [][5]Requester{
 		{GPMRequester(1), GPURequester(2), GPMRequester(3), GPMRequester(4), GPMRequester(5)},
 		{GPMRequester(40), GPURequester(100), GPMRequester(127), GPMRequester(64), GPMRequester(32)},
@@ -372,8 +372,7 @@ func TestEvictionFanoutAcrossGranularities(t *testing.T) {
 // TestRequesterInvTargetRoundTrip: a requester recorded as a sharer
 // comes back out as the invalidation target naming the same node in the
 // same id space — GPM requesters as GPM targets, GPU requesters as GPU
-// targets — across the inline bit range of each space and past it,
-// where the sharer set is promoted.
+// targets — across both bitmap words of each space.
 func TestRequesterInvTargetRoundTrip(t *testing.T) {
 	reqs := []Requester{
 		GPMRequester(0), GPMRequester(5), GPMRequester(31),
@@ -402,7 +401,7 @@ func TestRequesterInvTargetRoundTrip(t *testing.T) {
 		if len(inv) != 1 || inv[0] != (InvTarget{IsGPU: r.IsGPU, ID: r.ID}) {
 			t.Fatalf("remote-store invalidation for %v: got %v", r, inv)
 		}
-		if e, _ := c.Dir.Lookup(0); !e.Sharers.Equal(w.Bit()) {
+		if e, _ := c.Dir.Lookup(0); e.Sharers != w.Bit() {
 			t.Fatalf("post-store sharers %v, want only %v", e.Sharers, w)
 		}
 	}

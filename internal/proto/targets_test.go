@@ -84,3 +84,33 @@ func TestTargetBuffersDoNotAllocate(t *testing.T) {
 		t.Fatalf("invalidating stores allocate %.1f times per round", allocs)
 	}
 }
+
+// TestWideSharerSetsDoNotAllocate checks that the directory arms stay
+// allocation-free on sharer sets spanning the whole flat id space: 128
+// GPM requesters per region (a 16x8 machine under NHCC), with stores
+// invalidating all of them and allocations evicting full entries.
+func TestWideSharerSetsDoNotAllocate(t *testing.T) {
+	c := NewDirCtrl(directory.Config{Entries: 16, Ways: 2, GranLines: 4})
+	round := func() {
+		for r := 0; r < 24; r++ { // 3x the 8 sets: every set evicts
+			l := lineOfRegion(uint64(r), 4)
+			for id := 0; id < directory.MaxSharerIDs; id++ {
+				c.RemoteLoad(l, GPMRequester(id))
+			}
+			c.RemoteStore(l, GPMRequester(r))
+			for id := 0; id < directory.MaxSharerIDs; id++ {
+				c.RemoteLoad(l, GPMRequester(id))
+			}
+			if r%2 == 0 {
+				c.LocalStore(l)
+			}
+		}
+	}
+	round()
+	if c.InvMsgsByEvicts == 0 || c.InvMsgsByStores == 0 {
+		t.Fatal("round did not both evict and invalidate; test is vacuous")
+	}
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("128-sharer directory calls allocate %.1f times per round", allocs)
+	}
+}

@@ -24,10 +24,10 @@
 # the benchmark suite under every protocol with the invariant checker
 # attached) and a short burst of coverage-guided litmus fuzzing.
 #
-# The scaling smoke tier runs one benchmark on an 8x8 machine (64
-# global GPMs — past the 32-id inline sharer word, so flat NHCC runs on
-# the promoted sparse sharer sets) under the invariant checker, for both
-# the flat and hierarchical hardware protocols.
+# The scaling smoke tier runs one benchmark on a 16x8 machine (128
+# global GPMs, the whole sharer id space, so flat NHCC tracks ids 64-127
+# in the second bitmap word) under the invariant checker, for both the
+# flat and hierarchical hardware protocols.
 #
 # The spec tier runs cmd/hmgspec: the machine-readable Table I is
 # validated and exhaustively enumerated on the small model through the
@@ -51,7 +51,7 @@
 # BENCH_*.json baseline: simulated cycles and event counts must match
 # exactly (the simulator is deterministic), and allocs/event must not
 # grow past a small tolerance — the hot path is not yet zero-alloc (the
-# BENCH_2026-10-18b.json baseline measures 0.0003-0.0028 allocs/event
+# BENCH_2026-10-18c.json baseline measures 0.0002-0.0009 allocs/event
 # across the matrix), so the gate blocks growth; wall-clock drift only
 # warns.
 # It reuses the store tier's populated -cachedir, which cross-checks
@@ -137,10 +137,10 @@ echo "hmgspec: all 3 mutation bits break a Table I invariant (teeth OK)"
 echo "== conformance sweep (hmgcheck)"
 go run ./cmd/hmgcheck -seeds 64 -scale 0.1
 
-echo "== scaling smoke (8x8 machine, promoted sharer sets, checker attached)"
-go run ./cmd/hmgsim -bench bfs -protocol NHCC -topo 8x8 -scale 0.1 -check >/dev/null
-go run ./cmd/hmgsim -bench bfs -protocol HMG -topo 8x8 -scale 0.1 -check >/dev/null
-echo "scaling smoke: NHCC and HMG clean at 8x8 (64 global GPMs)"
+echo "== scaling smoke (16x8 machine, both sharer-bitmap words, checker attached)"
+go run ./cmd/hmgsim -bench bfs -protocol NHCC -topo 16x8 -scale 0.1 -check >/dev/null
+go run ./cmd/hmgsim -bench bfs -protocol HMG -topo 16x8 -scale 0.1 -check >/dev/null
+echo "scaling smoke: NHCC and HMG clean at 16x8 (128 global GPMs)"
 
 echo "== litmus fuzz smoke"
 go test ./internal/check -fuzz=FuzzLitmus -fuzztime=10s

@@ -1,6 +1,7 @@
 package hmg
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -82,18 +83,28 @@ func TestHierarchicalAt16x8(t *testing.T) {
 // GPMBit panic: protocol-aware sharer-id-space checks with descriptive
 // messages, and acceptance for software protocols at any shape.
 func TestTopologyValidation(t *testing.T) {
-	// Flat hardware beyond the id space: 4096 ids is the cap, so a
-	// 128x64 machine (8192 GPMs) must be rejected by name.
+	// Flat hardware beyond the id space: a 128x64 machine (8192 GPMs)
+	// must be rejected by name, quoting the id-space cap.
 	cfg := DefaultConfig(ProtocolNHCC)
 	cfg.Topo.NumGPUs, cfg.Topo.GPMsPerGPU = 128, 64
 	_, err := NewSystem(cfg)
 	if err == nil {
 		t.Fatal("flat protocol at 8192 GPMs accepted")
 	}
-	for _, want := range []string{"global GPM ids", "8192", "4096"} {
+	for _, want := range []string{"global GPM ids", "8192", strconv.Itoa(directory.MaxSharerIDs) + "-id sharer space"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("flat-overflow error %q does not mention %q", err, want)
 		}
+	}
+	// The largest toposcale machine fills the flat id space exactly;
+	// one more GPU overflows it.
+	cfg.Topo.NumGPUs, cfg.Topo.GPMsPerGPU = 16, 8
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("NHCC at 16x8 rejected: %v", err)
+	}
+	cfg.Topo.NumGPUs = 17
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "136") {
+		t.Fatalf("NHCC at 17x8 (136 GPMs): err = %v, want the flat-overflow error", err)
 	}
 
 	// The same shape is fine hierarchically (each axis is in range).
