@@ -9,8 +9,9 @@
 //
 // Mechanics: the protocol-visible mutation surface is a fixed table of
 // simulator APIs (cache fills/invalidations/flushes, directory
-// transitions of Table I, sharer-set edits, DRAM writes, dirty-bit
-// sets). The pass builds the gsim-internal static call graph
+// transitions of Table I, directory entry allocation and removal, DRAM
+// writes, dirty-bit sets; sharer sets are plain values, stored only
+// through those transitions). The pass builds the gsim-internal static call graph
 // (function literals attributed to their enclosing declaration),
 // marks every function that can reach an emit call, and flags each
 // mutation site inside a function that cannot. Reachability — not
@@ -45,8 +46,6 @@ var mutatingSimAPIs = map[string]bool{
 	"proto.DirCtrl.DropSharer":     true,
 	"directory.Dir.Ensure":         true,
 	"directory.Dir.Drop":           true,
-	"directory.Sharers.Add":        true,
-	"directory.Sharers.Del":        true,
 	"memory.DRAM.StoreValue":       true,
 }
 

@@ -128,6 +128,8 @@ type layout struct {
 	sliceBytes int64 // per GPM (whole span)
 	sliceLines int64 // window size
 	sliceSlide int64
+	privSlide  int64 // lines a warp's private walk advances per kernel
+	rwSegLines int64 // lines of the tile's read-write segment
 	rwBase     int64
 	rwLines    int64
 	syncBase   int64
@@ -183,6 +185,14 @@ func (p Params) layoutFor(t topo.Topology, numCTAs, setSize int) layout {
 	l.tileSlide = int64(slideFrac * float64(tileLines))
 	l.sliceLines = sliceLines
 	l.sliceSlide = int64(slideFrac * float64(sliceLines))
+	l.privSlide = int64(slideFrac * float64(setSize))
+	// True read-write sharing concentrates in a small segment of the
+	// tile ("only a small percentage of the memory footprint contains
+	// read-write shared data").
+	l.rwSegLines = tileLines / 8
+	if l.rwSegLines < 8 {
+		l.rwSegLines = 8
+	}
 
 	tileSpan := tileLines + l.tileSlide*int64(p.Kernels-1)
 	sliceSpan := sliceLines + l.sliceSlide*int64(p.Kernels-1)
@@ -209,6 +219,12 @@ func CheckScale(scale float64) error {
 // shrinks the op count (for sensitivity sweeps and unit tests); 1 is the
 // full scaled workload. It panics on an invalid scale (see CheckScale).
 func (p Params) Generate(t topo.Topology, scale float64) *trace.Trace {
+	return p.generate(t, scale, &lazySource{})
+}
+
+// generate is Generate drawing every warp stream from src, which it
+// reseeds per stream.
+func (p Params) generate(t topo.Topology, scale float64, src rand.Source) *trace.Trace {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
@@ -238,8 +254,7 @@ func (p Params) Generate(t topo.Topology, scale float64) *trace.Trace {
 	p.placePages(t, tr, l, numCTAs)
 	// Each kernel's ops live in one slab, warp after warp, each warp
 	// with room for opsPerWarp plus the sync pair that can follow its
-	// last op.
-	// Each kernel's CTAs carve their warps from one slab.
+	// last op, and its CTAs carve their warps from one slab.
 	warpCap := opsPerWarp + 2
 	slabs := make([][]trace.Op, p.Kernels)
 	tr.Kernels = make([]trace.Kernel, p.Kernels)
@@ -253,22 +268,21 @@ func (p Params) Generate(t topo.Topology, scale float64) *trace.Trace {
 		}
 		tr.Kernels[k].CTAs = ctas
 	}
-	// The same seed across kernels gives each warp an identical working
-	// set in every kernel: cross-kernel reuse that only hardware
-	// coherence retains. Each (CTA, warp) stream is therefore seeded once
-	// and replayed from its start for every kernel.
-	tp := &tape{src: &lazySource{}}
-	rng := rand.New(tp)
+	// Each (CTA, warp) stream is drawn once, as a template, and placed
+	// at every kernel's windows: the warp walks the same working set in
+	// every kernel, slid by (1-CrossKernelReuse), which is cross-kernel
+	// reuse that only hardware coherence retains.
+	rng := rand.New(src)
 	set := make([]slot, 0, setSize)
+	tmpl := make([]tmplOp, 0, warpCap)
 	for c := 0; c < numCTAs; c++ {
 		gpm := int(trace.AssignCTA(c, numCTAs, t.TotalGPMs()))
 		for w := 0; w < p.WarpsPerCTA; w++ {
-			tp.Seed(p.Seed ^ int64(c)<<20 ^ int64(w)<<8)
+			src.Seed(p.Seed ^ int64(c)<<20 ^ int64(w)<<8)
+			tmpl, set = p.genWarp(tmpl[:0], set, rng, l, c, gpm, w, opsPerWarp, syncEvery)
 			at := (c*p.WarpsPerCTA + w) * warpCap
 			for k := range tr.Kernels {
-				tp.rewind()
-				ops := slabs[k][at : at : at+warpCap]
-				tr.Kernels[k].CTAs[c].Warps[w].Ops, set = p.genWarp(ops, set, rng, l, c, gpm, w, k, opsPerWarp, syncEvery)
+				tr.Kernels[k].CTAs[c].Warps[w].Ops = l.place(slabs[k][at:at:at+warpCap], tmpl, c, gpm, w, k)
 			}
 		}
 	}
@@ -318,27 +332,56 @@ func setSizeFor(p Params, opsPerWarp int) int {
 	return setSize
 }
 
+// addrClass says how an address of a warp stream moves from one kernel
+// to the next.
+type addrClass uint8
+
+const (
+	// fixedAddr never moves: read-write hot lines, false-sharing words
+	// and sync flags. The index is the address itself.
+	fixedAddr addrClass = iota
+	// tileAddr is a line of the GPU's tile window, which slides
+	// tileSlide lines per kernel.
+	tileAddr
+	// sliceAddr is a line of the GPM's slice window, which slides
+	// sliceSlide lines per kernel.
+	sliceAddr
+	// privAddr is the index-th line of the warp's private walk. The walk
+	// starts privSlide lines further into the CTA's chunk each kernel
+	// and wraps around the chunk.
+	privAddr
+	// rwSliceAddr is a read-write-segment store whose slot is a slice
+	// line. The index is the slot's line offset from the tile's start
+	// in kernel 0; the two windows slide apart by sliceSlide−tileSlide
+	// lines per kernel before the offset is folded into the segment, so
+	// this is no plain shift of either window.
+	rwSliceAddr
+)
+
 // slot is one draw of a warp's working set.
 type slot struct {
-	addr   int64
-	shared bool
+	class addrClass
+	idx   int64
 }
 
-// genWarp appends one warp's op stream to ops, which must have room for
-// opsPerWarp+2 ops. set is scratch space for the working set; genWarp
-// reuses its backing array and returns it for the next call.
-func (p Params) genWarp(ops []trace.Op, set []slot, rng *rand.Rand, l layout, cta, gpm, warp, kernel, opsPerWarp, syncEvery int) ([]trace.Op, []slot) {
+// tmplOp is one op of a warp stream with its address left as a
+// kernel-independent class and index; place turns it into the op of a
+// given kernel.
+type tmplOp struct {
+	op    trace.Op // Addr is set by place
+	class addrClass
+	idx   int64
+}
+
+// genWarp appends one warp's stream to tmpl, which must have room for
+// opsPerWarp+2 ops. No branch reads an address, so the stream's draws,
+// kinds, gaps and values are those of every kernel. set is scratch
+// space for the working set; genWarp reuses its backing array and
+// returns it for the next call.
+func (p Params) genWarp(tmpl []tmplOp, set []slot, rng *rand.Rand, l layout, cta, gpm, warp, opsPerWarp, syncEvery int) ([]tmplOp, []slot) {
 	gpu := gpm / l.gpmsPerGPU
-	privBase := int64(cta) * l.privPerCTA
-	privLines := l.privPerCTA / lineBytes
 	tileLines := l.tileLines
 	sliceLines := l.sliceLines
-	// Each kernel's window slides by (1-CrossKernelReuse) of the working
-	// set, so only that fraction of last kernel's lines recur.
-	tileWin := int64(kernel) * l.tileSlide
-	sliceWin := int64(kernel) * l.sliceSlide
-	privSlide := int64((1 - p.CrossKernelReuse) * float64(setSizeFor(p, opsPerWarp)))
-	privPos := (int64(warp)*17 + int64(kernel)*privSlide) % privLines
 	tilePos := rng.Int63n(tileLines)
 	slicePos := rng.Int63n(sliceLines)
 	// Stride the tile walk so each warp's draws spread across the whole
@@ -349,6 +392,8 @@ func (p Params) genWarp(ops []trace.Op, set []slot, rng *rand.Rand, l layout, ct
 	if perWarpTileDraws > 0 {
 		tileStride = tileLines/perWarpTileDraws + 1
 	}
+	// A slice line's offset from the GPU's tile, in lines.
+	sliceFromTile := (l.sliceBase + int64(gpm)*l.sliceBytes - l.tileBase - int64(gpu)*l.tileBytes) / lineBytes
 
 	gap := func() uint32 {
 		if p.GapMean <= 0 {
@@ -361,29 +406,27 @@ func (p Params) genWarp(ops []trace.Op, set []slot, rng *rand.Rand, l layout, ct
 	// the kernel index) creates cross-kernel reuse.
 	setSize := setSizeFor(p, opsPerWarp)
 	set = set[:0]
+	privPos := int64(0)
 	for i := 0; i < setSize; i++ {
 		if rng.Float64() < p.SharedFrac {
-			var a int64
 			if p.FalseSharing && rng.Float64() < 0.4 {
 				// Graph frontiers: the false-shared hot lines are also
 				// read by every GPM, so writers keep finding sharers to
 				// invalidate (the Fig. 9 outlier behaviour).
-				a = l.rwBase + rng.Int63n(l.rwLines)*lineBytes
+				set = append(set, slot{fixedAddr, l.rwBase + rng.Int63n(l.rwLines)*lineBytes})
 			} else if rng.Float64() < p.Redundancy {
 				// Sequential walk of this GPU's tile: all GPMs of the
 				// GPU collectively cover (and re-cover) the same lines.
-				a = l.tileBase + int64(gpu)*l.tileBytes + (tileWin+tilePos%tileLines)*lineBytes
+				set = append(set, slot{tileAddr, tilePos % tileLines})
 				tilePos += tileStride
 			} else {
 				// Walk of this GPM's exclusive (but remotely homed) slice.
-				a = l.sliceBase + int64(gpm)*l.sliceBytes + (sliceWin+slicePos%sliceLines)*lineBytes
+				set = append(set, slot{sliceAddr, slicePos % sliceLines})
 				slicePos++
 			}
-			set = append(set, slot{a, true})
 		} else {
-			a := privBase + (privPos%privLines)*lineBytes
+			set = append(set, slot{privAddr, privPos})
 			privPos++
-			set = append(set, slot{a, false})
 		}
 	}
 	sinceSync := 0
@@ -391,58 +434,94 @@ func (p Params) genWarp(ops []trace.Op, set []slot, rng *rand.Rand, l layout, ct
 	for reuse := 0; emit < opsPerWarp; reuse++ {
 		for i := 0; i < len(set) && emit < opsPerWarp; i++ {
 			s := set[i]
+			shared := s.class != privAddr
 			isLoad := rng.Float64() < p.ReadFrac
-			if !isLoad && s.shared && rng.Float64() >= p.RWShared {
+			if !isLoad && shared && rng.Float64() >= p.RWShared {
 				isLoad = true // shared data is mostly read
 			}
-			op := trace.Op{Kind: trace.Load, Addr: topo.Addr(s.addr), Gap: gap()}
+			t := tmplOp{op: trace.Op{Kind: trace.Load, Gap: gap()}, class: s.class, idx: s.idx}
 			if !isLoad {
-				op.Kind = trace.Store
-				op.Val = uint64(cta)<<16 | uint64(emit)
-				if s.shared && p.FalseSharing {
+				t.op.Kind = trace.Store
+				t.op.Val = uint64(cta)<<16 | uint64(emit)
+				if shared && p.FalseSharing {
 					// Write a GPM-specific word of a globally hot line:
 					// disjoint words, same directory region — pure false
 					// sharing.
-					op.Addr = topo.Addr(l.rwBase + rng.Int63n(l.rwLines)*lineBytes + int64(gpm%32)*4)
-				} else if s.shared {
+					t.class, t.idx = fixedAddr, l.rwBase+rng.Int63n(l.rwLines)*lineBytes+int64(gpm%32)*4
+				} else if shared {
 					if rng.Float64() < 0.25 {
-						// True read-write sharing concentrates in a small
-						// segment of the tile ("only a small percentage of
-						// the memory footprint contains read-write shared
-						// data").
-						rwSeg := tileLines / 8
-						if rwSeg < 8 {
-							rwSeg = 8
+						// True read-write sharing lands in the tile's
+						// read-write segment, at the slot's offset from
+						// the tile folded into the segment.
+						if s.class == tileAddr {
+							t.idx = s.idx % l.rwSegLines
+						} else {
+							t.class, t.idx = rwSliceAddr, sliceFromTile+s.idx
 						}
-						rel := (s.addr-(l.tileBase+int64(gpu)*l.tileBytes))/lineBytes - tileWin
-						op.Addr = topo.Addr(l.tileBase + int64(gpu)*l.tileBytes + (tileWin+rel%rwSeg)*lineBytes)
 					} else {
 						// Most shared-structure writes land in the GPM's
 						// exclusive output slice: nobody else reads them
 						// concurrently, so they trigger no invalidations.
-						op.Addr = topo.Addr(l.sliceBase + int64(gpm)*l.sliceBytes + (sliceWin+slicePos%sliceLines)*lineBytes)
+						t.class, t.idx = sliceAddr, slicePos%sliceLines
 						slicePos++
 					}
 				}
 			}
-			ops = append(ops, op)
+			tmpl = append(tmpl, t)
 			emit++
 			sinceSync++
 			if p.SyncScope != trace.ScopeNone && sinceSync >= syncEvery {
 				sinceSync = 0
-				ops = p.syncOps(ops, rng, l, cta, gpm, gpu, warp)
+				tmpl = p.syncOps(tmpl, rng, l, cta, gpm, gpu, warp)
 				emit += 2
 			}
 		}
 	}
-	return ops, set
+	return tmpl, set
 }
 
-// syncOps appends one synchronization episode to ops: either an atomic
+// place appends kernel's copy of a warp's template to ops: each address
+// is its class's window in that kernel plus the op's index. Each
+// kernel's window slides by (1-CrossKernelReuse) of the working set, so
+// only that fraction of last kernel's lines recur.
+func (l layout) place(ops []trace.Op, tmpl []tmplOp, cta, gpm, warp, kernel int) []trace.Op {
+	k := int64(kernel)
+	tile := l.tileBase + int64(gpm/l.gpmsPerGPU)*l.tileBytes + k*l.tileSlide*lineBytes
+	slice := l.sliceBase + int64(gpm)*l.sliceBytes + k*l.sliceSlide*lineBytes
+	rwDrift := k * (l.sliceSlide - l.tileSlide)
+	priv := int64(cta) * l.privPerCTA
+	privLines := l.privPerCTA / lineBytes
+	privStart := (int64(warp)*17 + k*l.privSlide) % privLines
+	for _, t := range tmpl {
+		var a int64
+		switch t.class {
+		case fixedAddr:
+			a = t.idx
+		case tileAddr:
+			a = tile + t.idx*lineBytes
+		case sliceAddr:
+			a = slice + t.idx*lineBytes
+		case privAddr:
+			line := privStart + t.idx
+			if line >= privLines {
+				line %= privLines
+			}
+			a = priv + line*lineBytes
+		case rwSliceAddr:
+			a = tile + (t.idx+rwDrift)%l.rwSegLines*lineBytes
+		}
+		op := t.op
+		op.Addr = topo.Addr(a)
+		ops = append(ops, op)
+	}
+	return ops
+}
+
+// syncOps appends one synchronization episode to tmpl: either an atomic
 // RMW on a shared counter or a release/acquire pair on a flag. Flags are
 // partitioned per GPU: .gpu-scoped synchronization only ever involves
 // threads of one GPU, so distinct GPUs must not false-share sync lines.
-func (p Params) syncOps(ops []trace.Op, rng *rand.Rand, l layout, cta, gpm, gpu, warp int) []trace.Op {
+func (p Params) syncOps(tmpl []tmplOp, rng *rand.Rand, l layout, cta, gpm, gpu, warp int) []tmplOp {
 	// Flags are partitioned by the synchronization domain: per GPM for
 	// the .gpm extension scope, per GPU otherwise, so partners never
 	// span the scope they synchronize at.
@@ -451,42 +530,13 @@ func (p Params) syncOps(ops []trace.Op, rng *rand.Rand, l layout, cta, gpm, gpu,
 		domain = l.numGPUs + gpm // distinct flag space per GPM
 	}
 	flag := l.syncBase + int64(domain*32+(cta*7+warp)%32)*lineBytes
+	acquire := tmplOp{op: trace.Op{Kind: trace.LoadAcq, Scope: p.SyncScope}, class: fixedAddr, idx: flag}
 	if rng.Float64() < p.AtomicFrac {
-		return append(ops,
-			trace.Op{Kind: trace.Atomic, Scope: p.SyncScope, Addr: topo.Addr(flag), Val: 1},
-			trace.Op{Kind: trace.LoadAcq, Scope: p.SyncScope, Addr: topo.Addr(flag)})
+		return append(tmpl,
+			tmplOp{op: trace.Op{Kind: trace.Atomic, Scope: p.SyncScope, Val: 1}, class: fixedAddr, idx: flag},
+			acquire)
 	}
-	return append(ops,
-		trace.Op{Kind: trace.StoreRel, Scope: p.SyncScope, Addr: topo.Addr(flag), Val: uint64(cta + 1)},
-		trace.Op{Kind: trace.LoadAcq, Scope: p.SyncScope, Addr: topo.Addr(flag)})
-}
-
-// tape is a math/rand Source that records every value it hands out, so
-// one seeded stream can be replayed from its start without rebuilding
-// the source's state. Past the end of the recording it draws from the
-// source again, so a replay yields exactly the values a freshly seeded
-// source would.
-type tape struct {
-	src  rand.Source
-	vals []int64
-	pos  int
-}
-
-// Seed reseeds the underlying source and discards the recording.
-func (t *tape) Seed(seed int64) {
-	t.src.Seed(seed)
-	t.vals = t.vals[:0]
-	t.pos = 0
-}
-
-// rewind restarts the stream at its first value.
-func (t *tape) rewind() { t.pos = 0 }
-
-func (t *tape) Int63() int64 {
-	if t.pos == len(t.vals) {
-		t.vals = append(t.vals, t.src.Int63())
-	}
-	v := t.vals[t.pos]
-	t.pos++
-	return v
+	return append(tmpl,
+		tmplOp{op: trace.Op{Kind: trace.StoreRel, Scope: p.SyncScope, Val: uint64(cta + 1)}, class: fixedAddr, idx: flag},
+		acquire)
 }
