@@ -272,6 +272,8 @@ func TestHmgperfFlow(t *testing.T) {
 	var snap struct {
 		Runs []struct {
 			Cycles, Events uint64
+			RunBytes       uint64 `json:"run_bytes"`
+			NewBytes       uint64 `json:"new_bytes"`
 		}
 	}
 	if err := json.Unmarshal(buf, &snap); err != nil {
@@ -280,6 +282,9 @@ func TestHmgperfFlow(t *testing.T) {
 	for i, r := range snap.Runs {
 		if r.Cycles == 0 || r.Events == 0 {
 			t.Fatalf("cell %d reports %d cycles and %d events", i, r.Cycles, r.Events)
+		}
+		if r.RunBytes == 0 || r.NewBytes == 0 {
+			t.Fatalf("cell %d reports %d Run bytes and %d gsim.New bytes", i, r.RunBytes, r.NewBytes)
 		}
 	}
 	if fi, err := os.Stat(profPath); err != nil || fi.Size() == 0 {

@@ -1,10 +1,11 @@
 // Command hmgperf is the reproducible performance harness behind the
 // repo's committed BENCH_*.json trajectory: it runs a fixed
 // benchmark×protocol matrix at a pinned scale and writes one JSON
-// snapshot per invocation (simulated cycles, events, allocs/event,
-// ns/event, Mevents/s per cell). Simulated cycles and event counts are
-// byte-identical run-to-run and machine-to-machine — the simulator is
-// deterministic — so a baseline snapshot doubles as a regression gate:
+// snapshot per invocation (simulated cycles, events, allocs/event, the
+// bytes Run and gsim.New allocate, ns/event, Mevents/s per cell).
+// Simulated cycles and event counts are byte-identical run-to-run and
+// machine-to-machine — the simulator is deterministic — so a baseline
+// snapshot doubles as a regression gate:
 //
 //	hmgperf                              # run matrix, write BENCH_<date>.json
 //	hmgperf -o BENCH_baseline.json       # explicit output path
@@ -14,14 +15,16 @@
 //
 // Compare mode fails hard on any drift in simulated cycles or event
 // counts (an optimization changed behavior — the determinism contract
-// is broken) and on allocs/event growth beyond a small noise floor.
-// The hot path is not yet zero-alloc — BENCH_2026-10-18c.json measures
-// 0.0002–0.0009 allocs/event (89–248 allocations per cell) across the
-// matrix — so the gate blocks allocation growth, not non-zero
-// allocation. Wall-clock metrics (ns/event, Mevents/s) are advisory
-// only: hmgperf warns past -wall-threshold but never fails on them, so
-// the gate stays green on slow or noisy CI machines while still
-// recording the trajectory.
+// is broken), on allocs/event growth beyond a small noise floor, and on
+// Run or gsim.New bytes growing past the same relative tolerance (a
+// baseline without byte fields skips that check). The hot path is not
+// yet zero-alloc — BENCH_2026-10-18d.json measures 0.0001–0.0005
+// allocs/event (49–97 allocations per cell, 3.2–3.5 MB per Run, 0.35 MB
+// per gsim.New) across the matrix — so the gate blocks allocation
+// growth, not non-zero allocation. Wall-clock metrics (ns/event,
+// Mevents/s) are advisory only: hmgperf warns past -wall-threshold but
+// never fails on them, so the gate stays green on slow or noisy CI
+// machines while still recording the trajectory.
 //
 // -cachedir makes the matrix store-aware: every cell still simulates
 // (the wall-clock and allocation windows cannot come from a cache), but
@@ -99,8 +102,8 @@ func topoLabel(s *Snapshot) string {
 }
 
 // Run is one cell of the matrix. Cycles, Events, and Allocs are
-// deterministic; the wall-clock fields vary by machine and are
-// advisory.
+// deterministic, and RunBytes and NewBytes nearly so; the wall-clock
+// fields vary by machine and are advisory.
 type Run struct {
 	Bench    string `json:"bench"`
 	Protocol string `json:"protocol"`
@@ -108,6 +111,12 @@ type Run struct {
 	Cycles uint64 `json:"cycles"`
 	Events uint64 `json:"events"`
 	Allocs uint64 `json:"allocs"`
+	// RunBytes is the heap the cell's Run allocates, and NewBytes the
+	// heap its gsim.New allocates (runtime.MemStats.TotalAlloc deltas).
+	// Baselines written before the fields existed read them as zero,
+	// and the byte gate skips them there.
+	RunBytes uint64 `json:"run_bytes,omitempty"`
+	NewBytes uint64 `json:"new_bytes,omitempty"`
 
 	AllocsPerEvent float64 `json:"allocs_per_event"`
 	WallMS         float64 `json:"wall_ms"`
@@ -239,30 +248,35 @@ func runMatrix(sms int, shape topo.Spec, store *resstore.Store, prof io.Writer) 
 			return nil, err
 		}
 		cells[i] = nil // release the cell's system and trace
-		fmt.Fprintf(os.Stderr, "  %-10s %-12v %10d cycles %9d events  %6.3f allocs/ev  %7.1f ns/ev  %5.2f Mev/s\n",
-			run.Bench, run.Protocol, run.Cycles, run.Events,
-			run.AllocsPerEvent, run.NsPerEvent, run.MEventsPerSec)
+		fmt.Fprintf(os.Stderr, "  %-10s %-12v %10d cycles %9d events  %6.4f allocs/ev  %6.1f MB run  %6.1f MB new  %7.1f ns/ev  %5.2f Mev/s\n",
+			run.Bench, run.Protocol, run.Cycles, run.Events, run.AllocsPerEvent,
+			float64(run.RunBytes)/1e6, float64(run.NewBytes)/1e6, run.NsPerEvent, run.MEventsPerSec)
 		snap.Runs = append(snap.Runs, run)
 	}
 	return snap, nil
 }
 
 // cell is one matrix cell: a benchmark under a protocol, and once set
-// up, its simulated system and trace.
+// up, its simulated system and trace, and the bytes gsim.New allocated.
 type cell struct {
-	bench workload.Params
-	kind  proto.Kind
-	sys   *gsim.System
-	tr    *trace.Trace
+	bench    workload.Params
+	kind     proto.Kind
+	sys      *gsim.System
+	tr       *trace.Trace
+	newBytes uint64
 }
 
 // setup builds the cell's system and generates its trace.
 func (c *cell) setup(r *experiments.Runner) error {
 	cfg := r.Config(c.kind, experiments.Variant{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	sys, err := gsim.New(cfg)
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		return err
 	}
+	c.newBytes = after.TotalAlloc - before.TotalAlloc
 	c.sys, c.tr = sys, c.bench.Generate(cfg.Topo, matrixScale)
 	return nil
 }
@@ -290,6 +304,8 @@ func (c *cell) run(r *experiments.Runner, store *resstore.Store) (Run, error) {
 		Cycles:   uint64(res.Cycles),
 		Events:   res.EventsExecuted,
 		Allocs:   allocs,
+		RunBytes: after.TotalAlloc - before.TotalAlloc,
+		NewBytes: c.newBytes,
 		WallMS:   float64(wall.Nanoseconds()) / 1e6,
 	}
 	if res.EventsExecuted > 0 {
@@ -335,14 +351,28 @@ func readSnapshot(path string) (*Snapshot, error) {
 // allocFloor is the absolute allocs/event slack on top of the relative
 // tolerance: 13–72 allocations on a matrix cell (126k–720k events),
 // against repeat-run noise of at most 6 allocations per cell and cell
-// totals of 89–248.
+// totals of 49–97.
 const allocFloor = 0.0001
+
+// byteFloor is the absolute slack of the byte gate on top of the
+// relative tolerance: room for the runtime's own allocations inside a
+// measurement window, which move a cell's Run bytes by a few KB from run
+// to run.
+const byteFloor = 64 << 10
+
+// bytesGrew reports whether a byte count grew past the relative
+// tolerance plus byteFloor; a zero baseline predates the field and
+// gates nothing.
+func bytesGrew(base, cur uint64, tol float64) bool {
+	return base > 0 && float64(cur) > float64(base)*(1+tol)+byteFloor
+}
 
 // compare gates the current snapshot against a baseline. Hard failures:
 // missing cells, any cycle or event-count drift (the optimization
-// changed simulated behavior), and allocs/event growth beyond allocTol
-// (plus allocFloor). Advisory: ns/event beyond wallTol times the
-// baseline.
+// changed simulated behavior), allocs/event growth beyond allocTol
+// (plus allocFloor), and Run or gsim.New bytes growing beyond the same
+// relative tolerance (plus byteFloor). Advisory: ns/event beyond wallTol
+// times the baseline.
 func compare(base, cur *Snapshot, allocTol, wallTol float64) (failed bool) {
 	if base.Scale != cur.Scale || base.SMsPerGPM != cur.SMsPerGPM {
 		fmt.Fprintf(os.Stderr, "FAIL: matrix mismatch: baseline scale=%v sms=%d, current scale=%v sms=%d\n",
@@ -381,6 +411,16 @@ func compare(base, cur *Snapshot, allocTol, wallTol float64) (failed bool) {
 				key, want.AllocsPerEvent, got.AllocsPerEvent)
 			failed = true
 		}
+		if bytesGrew(want.RunBytes, got.RunBytes, allocTol) {
+			fmt.Fprintf(os.Stderr, "FAIL: %s: Run bytes regressed: baseline %d, current %d\n",
+				key, want.RunBytes, got.RunBytes)
+			failed = true
+		}
+		if bytesGrew(want.NewBytes, got.NewBytes, allocTol) {
+			fmt.Fprintf(os.Stderr, "FAIL: %s: gsim.New bytes regressed: baseline %d, current %d\n",
+				key, want.NewBytes, got.NewBytes)
+			failed = true
+		}
 		if want.NsPerEvent > 0 && got.NsPerEvent > want.NsPerEvent*wallTol {
 			fmt.Fprintf(os.Stderr, "WARN: %s: ns/event %.1f vs baseline %.1f (advisory only)\n",
 				key, got.NsPerEvent, want.NsPerEvent)
@@ -389,7 +429,7 @@ func compare(base, cur *Snapshot, allocTol, wallTol float64) (failed bool) {
 	if failed {
 		fmt.Fprintln(os.Stderr, "hmgperf: regression against", baseLabel(base))
 	} else {
-		fmt.Printf("hmgperf: %d cells match %s (cycles, events, allocs/event)\n",
+		fmt.Printf("hmgperf: %d cells match %s (cycles, events, allocs/event, bytes)\n",
 			len(base.Runs), baseLabel(base))
 	}
 	return failed

@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"hmg/internal/topo"
 )
@@ -20,52 +21,16 @@ func WordOf(a topo.Addr, lineSize int) uint16 {
 	return uint16((uint64(a) % uint64(lineSize)) / WordSize)
 }
 
-// Entry is one cache line's metadata. Data is nil unless value tracking
-// is enabled and a word of the line has been written or filled.
+// Entry is one cache line's metadata: a pointer-free 16-byte record,
+// so a cache's entry slab is never scanned by the garbage collector.
+// Tracked word values live beside the entries, in the cache's side
+// table (Values).
 type Entry struct {
-	Line  topo.Line
+	Line topo.Line
+	// lru is the line's LRU stamp; stamps within a set are distinct.
+	lru   uint32
 	Valid bool
 	Dirty bool
-	// Data maps line-relative word index to value. Sparse: absent words
-	// take the backing store's value.
-	Data map[uint16]uint64
-	lru  uint64
-}
-
-// Value returns the tracked value of a word, if present.
-func (e *Entry) Value(word uint16) (uint64, bool) {
-	if e.Data == nil {
-		return 0, false
-	}
-	v, ok := e.Data[word]
-	return v, ok
-}
-
-// SetValue records a word value on the line.
-//
-//lint:allow hotalloc sparse value-tracking map; allocated on the first tracked write to a line
-func (e *Entry) SetValue(word uint16, v uint64) {
-	if e.Data == nil {
-		e.Data = make(map[uint16]uint64, 4)
-	}
-	e.Data[word] = v
-}
-
-// MergeFrom copies all tracked words of src into e, overwriting e's view.
-// Fill responses use it to install home-node data.
-//
-//lint:allow hotalloc sparse value-tracking map; allocated on the first tracked fill of a line
-func (e *Entry) MergeFrom(src map[uint16]uint64) {
-	if len(src) == 0 {
-		return
-	}
-	if e.Data == nil {
-		e.Data = make(map[uint16]uint64, len(src))
-	}
-	//lint:allow determinism word-keyed map copy; every word lands on its own key, so order cannot matter
-	for w, v := range src {
-		e.Data[w] = v
-	}
 }
 
 // Config sizes a cache.
@@ -108,11 +73,23 @@ type Cache struct {
 	entries []Entry
 	ways    int
 	numSets uint64
-	clock   uint64 // LRU timestamp source
-	filled  int
+	// clock is the LRU stamp source. It is 32 bits wide; before it
+	// wraps, renumber rewrites every set's stamps to their ranks.
+	clock  uint32
+	filled int
 	// victim holds the line the last Fill displaced; Fill returns a
 	// pointer to it instead of a heap copy.
 	victim Entry
+
+	// values is the side table of tracked word values: a sparse
+	// word-to-value map per resident line, absent words taking the
+	// backing store's value. It stays nil until the first value is
+	// recorded, so only value-tracking runs ever build one. A line's
+	// values leave with it: Invalidate and InvalidateWhere drop them,
+	// and an eviction moves them to victimValues.
+	values map[topo.Line]map[uint16]uint64
+	// victimValues holds the values of the line the last Fill displaced.
+	victimValues map[uint16]uint64
 
 	Stats Stats
 }
@@ -167,8 +144,7 @@ func (c *Cache) Lookup(l topo.Line) (*Entry, bool) {
 	set := c.setOf(l)
 	for i := range set {
 		if set[i].Valid && set[i].Line == l {
-			c.clock++
-			set[i].lru = c.clock
+			set[i].lru = c.tick()
 			c.Stats.Hits++
 			return &set[i], true
 		}
@@ -191,14 +167,15 @@ func (c *Cache) Peek(l topo.Line) (*Entry, bool) {
 // Fill inserts a line, evicting the LRU way of its set if necessary. It
 // returns the entry for the new line and, when a valid line was
 // displaced, a copy of the victim. The copy lives in a per-cache slot
-// and is valid only until the next Fill. Filling an already-present
-// line just refreshes it.
+// and is valid only until the next Fill, as are the victim's tracked
+// values (VictimValues). Filling an already-present line just refreshes
+// it.
 func (c *Cache) Fill(l topo.Line) (*Entry, *Entry) {
 	set := c.setOf(l)
-	c.clock++
+	stamp := c.tick()
 	for i := range set {
 		if set[i].Valid && set[i].Line == l {
-			set[i].lru = c.clock
+			set[i].lru = stamp
 			return &set[i], nil
 		}
 	}
@@ -220,10 +197,14 @@ func (c *Cache) Fill(l topo.Line) (*Entry, *Entry) {
 		}
 		c.victim = set[victimIdx] // copy out before overwrite
 		victim = &c.victim
+		if c.values != nil {
+			c.victimValues = c.values[victim.Line]
+			delete(c.values, victim.Line)
+		}
 		c.Stats.Evicts++
 		c.filled--
 	}
-	set[victimIdx] = Entry{Line: l, Valid: true, lru: c.clock}
+	set[victimIdx] = Entry{Line: l, Valid: true, lru: stamp}
 	c.filled++
 	c.Stats.Fills++
 	return &set[victimIdx], victim
@@ -235,6 +216,7 @@ func (c *Cache) Invalidate(l topo.Line) bool {
 	for i := range set {
 		if set[i].Valid && set[i].Line == l {
 			set[i] = Entry{}
+			delete(c.values, l)
 			c.filled--
 			c.Stats.Invalidations++
 			return true
@@ -263,10 +245,16 @@ func (c *Cache) InvalidateWhere(pred func(topo.Line) bool) int {
 	dropped := 0
 	for i := range c.entries {
 		if e := &c.entries[i]; e.Valid && (pred == nil || pred(e.Line)) {
+			if pred != nil {
+				delete(c.values, e.Line)
+			}
 			*e = Entry{}
 			c.filled--
 			dropped++
 		}
+	}
+	if pred == nil {
+		clear(c.values)
 	}
 	c.Stats.BulkInvalLines += uint64(dropped)
 	return dropped
@@ -293,5 +281,92 @@ func (c *Cache) ForEach(fn func(*Entry)) {
 		if c.entries[i].Valid {
 			fn(&c.entries[i])
 		}
+	}
+}
+
+// tick advances the LRU clock and returns the new stamp. A clock about
+// to wrap is renumbered first, so stamps keep growing.
+func (c *Cache) tick() uint32 {
+	if c.clock == math.MaxUint32 {
+		c.renumber()
+	}
+	c.clock++
+	return c.clock
+}
+
+// renumber replaces every valid entry's LRU stamp with its rank in its
+// set (1 for the least recently used) and restarts the clock after the
+// highest rank. Victim choice compares stamps only within a set, so it
+// is unchanged. Each set is ranked in place, oldest first: stamps in a
+// set are distinct and positive, so the j-th oldest stamp is at least j
+// and no rank handed out can pass the stamp the next search starts
+// above.
+func (c *Cache) renumber() {
+	for lo := 0; lo < len(c.entries); lo += c.ways {
+		set := c.entries[lo : lo+c.ways]
+		last := uint32(0)
+		for rank := uint32(1); ; rank++ {
+			oldest := -1
+			for i := range set {
+				if set[i].Valid && set[i].lru > last && (oldest < 0 || set[i].lru < set[oldest].lru) {
+					oldest = i
+				}
+			}
+			if oldest < 0 {
+				break
+			}
+			last, set[oldest].lru = set[oldest].lru, rank
+		}
+	}
+	c.clock = uint32(c.ways)
+}
+
+// Values returns the tracked word values of resident line l, or nil
+// when none are tracked. The map is the cache's own: callers only read
+// it, and it stops changing once the line leaves the cache.
+func (c *Cache) Values(l topo.Line) map[uint16]uint64 { return c.values[l] }
+
+// Value returns the tracked value of one word of resident line l, if
+// present.
+func (c *Cache) Value(l topo.Line, word uint16) (uint64, bool) {
+	v, ok := c.values[l][word]
+	return v, ok
+}
+
+// VictimValues returns the tracked values the line displaced by the
+// last Fill carried out of the cache, or nil.
+func (c *Cache) VictimValues() map[uint16]uint64 { return c.victimValues }
+
+// lineValues returns resident line l's value map, creating it (and the
+// side table) with room for n words.
+//
+//lint:allow hotalloc sparse value-tracking side table; allocated on the first tracked write or fill of a line
+func (c *Cache) lineValues(l topo.Line, n int) map[uint16]uint64 {
+	if c.values == nil {
+		c.values = make(map[topo.Line]map[uint16]uint64)
+	}
+	m := c.values[l]
+	if m == nil {
+		m = make(map[uint16]uint64, n)
+		c.values[l] = m
+	}
+	return m
+}
+
+// SetValue records a word value on resident line l.
+func (c *Cache) SetValue(l topo.Line, word uint16, v uint64) {
+	c.lineValues(l, 4)[word] = v
+}
+
+// MergeFrom copies all tracked words of src onto resident line l,
+// overwriting its view. Fill responses use it to install home-node data.
+func (c *Cache) MergeFrom(l topo.Line, src map[uint16]uint64) {
+	if len(src) == 0 {
+		return
+	}
+	m := c.lineValues(l, len(src))
+	//lint:allow determinism word-keyed map copy; every word lands on its own key, so order cannot matter
+	for w, v := range src {
+		m[w] = v
 	}
 }

@@ -1,7 +1,10 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -133,7 +136,7 @@ func TestFillExistingRefreshes(t *testing.T) {
 	c := New(smallCfg())
 	e1, _ := c.Fill(7)
 	e1.Dirty = true
-	e1.SetValue(3, 99)
+	c.SetValue(7, 3, 99)
 	e2, victim := c.Fill(7)
 	if victim != nil {
 		t.Fatal("refill of present line reported a victim")
@@ -141,7 +144,7 @@ func TestFillExistingRefreshes(t *testing.T) {
 	if !e2.Dirty {
 		t.Fatal("refill cleared dirty bit")
 	}
-	if v, ok := e2.Value(3); !ok || v != 99 {
+	if v, ok := c.Value(7, 3); !ok || v != 99 {
 		t.Fatal("refill lost data")
 	}
 	if c.Lines() != 1 {
@@ -226,22 +229,23 @@ func TestFlushDirty(t *testing.T) {
 }
 
 func TestEntryValues(t *testing.T) {
-	var e Entry
-	if _, ok := e.Value(0); ok {
+	c := New(smallCfg())
+	c.Fill(1)
+	if _, ok := c.Value(1, 0); ok {
 		t.Fatal("value present on fresh entry")
 	}
-	e.SetValue(2, 77)
-	if v, ok := e.Value(2); !ok || v != 77 {
+	c.SetValue(1, 2, 77)
+	if v, ok := c.Value(1, 2); !ok || v != 77 {
 		t.Fatal("SetValue lost value")
 	}
-	e.MergeFrom(map[uint16]uint64{2: 100, 5: 50})
-	if v, _ := e.Value(2); v != 100 {
+	c.MergeFrom(1, map[uint16]uint64{2: 100, 5: 50})
+	if v, _ := c.Value(1, 2); v != 100 {
 		t.Fatal("MergeFrom did not overwrite")
 	}
-	if v, ok := e.Value(5); !ok || v != 50 {
+	if v, ok := c.Value(1, 5); !ok || v != 50 {
 		t.Fatal("MergeFrom did not add")
 	}
-	e.MergeFrom(nil) // no-op
+	c.MergeFrom(1, nil) // no-op
 }
 
 func TestWordOf(t *testing.T) {
@@ -352,5 +356,175 @@ func BenchmarkFillEvict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Fill(topo.Line(i))
+	}
+}
+
+// TestCacheEntryPointerFree: an Entry holds no pointers, so entry slabs
+// are noscan for the garbage collector, and it is at most 16 bytes.
+func TestCacheEntryPointerFree(t *testing.T) {
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice,
+			reflect.String, reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("Entry holds a %v (%v)", typ.Kind(), typ)
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(typ.Elem())
+		}
+	}
+	typ := reflect.TypeOf(Entry{})
+	walk(typ)
+	if typ.Size() > 16 {
+		t.Errorf("Entry is %d bytes, want at most 16", typ.Size())
+	}
+}
+
+// refLRU is a reference model of one cache's replacement with a 64-bit
+// clock that never wraps: it returns the victim line of every Fill (or
+// -1 when none was displaced).
+type refLRU struct {
+	sets, ways int
+	lines      [][]int64 // per set, -1 for an invalid way
+	stamps     [][]uint64
+	clock      uint64
+}
+
+func newRefLRU(sets, ways int) *refLRU {
+	r := &refLRU{sets: sets, ways: ways}
+	for s := 0; s < sets; s++ {
+		ls := make([]int64, ways)
+		for i := range ls {
+			ls[i] = -1
+		}
+		r.lines = append(r.lines, ls)
+		r.stamps = append(r.stamps, make([]uint64, ways))
+	}
+	return r
+}
+
+func (r *refLRU) lookup(l int64) {
+	set := int(l) % r.sets
+	for i, x := range r.lines[set] {
+		if x == l {
+			r.clock++
+			r.stamps[set][i] = r.clock
+		}
+	}
+}
+
+func (r *refLRU) fill(l int64) int64 {
+	set := int(l) % r.sets
+	r.clock++
+	ls, st := r.lines[set], r.stamps[set]
+	for i, x := range ls {
+		if x == l {
+			st[i] = r.clock
+			return -1
+		}
+	}
+	v := slices.Index(ls, -1)
+	victim := int64(-1)
+	if v < 0 {
+		v = 0
+		for i := range ls {
+			if st[i] < st[v] {
+				v = i
+			}
+		}
+		victim = ls[v]
+	}
+	ls[v], st[v] = l, r.clock
+	return victim
+}
+
+// TestLRUClockWrap: a cache whose 32-bit LRU clock wraps mid-stream —
+// several times — evicts exactly the victims of a 64-bit reference
+// clock.
+func TestLRUClockWrap(t *testing.T) {
+	c := New(smallCfg())
+	ref := newRefLRU(c.Sets(), c.cfg.Ways)
+	rng := rand.New(rand.NewSource(3))
+	wraps := 0
+	for step := 0; step < 20000; step++ {
+		if step%1000 == 0 {
+			// Force the clock to the edge of its range.
+			c.clock = math.MaxUint32 - uint32(rng.Intn(8))
+			wraps++
+		}
+		l := int64(rng.Intn(64))
+		if rng.Intn(2) == 0 {
+			c.Lookup(topo.Line(l))
+			ref.lookup(l)
+			continue
+		}
+		_, v := c.Fill(topo.Line(l))
+		got := int64(-1)
+		if v != nil {
+			got = int64(v.Line)
+		}
+		if want := ref.fill(l); got != want {
+			t.Fatalf("step %d (after %d forced wraps): Fill(%d) evicted %d, 64-bit clock evicts %d", step, wraps, l, got, want)
+		}
+	}
+}
+
+// TestValueSideTable: tracked values live beside the entries; they
+// survive Lookup and refills, leave with an evicted line (VictimValues),
+// and vanish on Invalidate and InvalidateWhere.
+func TestValueSideTable(t *testing.T) {
+	c := New(smallCfg())
+	if c.Values(1) != nil {
+		t.Fatal("values before any fill")
+	}
+	sets := topo.Line(c.Sets())
+	set0 := []topo.Line{0, sets, 2 * sets, 3 * sets}
+	for i, l := range set0 {
+		c.Fill(l)
+		c.SetValue(l, 1, uint64(100+i))
+	}
+	c.Lookup(set0[0])
+	c.Fill(set0[2])
+	for i, l := range set0 {
+		if v, ok := c.Value(l, 1); !ok || v != uint64(100+i) {
+			t.Fatalf("line %d word 1 = %d, %v after Lookup/refill; want %d", l, v, ok, 100+i)
+		}
+	}
+	// set0[1] is now least recently used: its values leave with it.
+	_, victim := c.Fill(4 * sets)
+	if victim == nil || victim.Line != set0[1] {
+		t.Fatalf("victim = %+v, want line %d", victim, set0[1])
+	}
+	if got := c.VictimValues(); len(got) != 1 || got[1] != 101 {
+		t.Fatalf("victim values = %v, want word 1 = 101", got)
+	}
+	if c.Values(set0[1]) != nil || c.Values(4*sets) != nil {
+		t.Fatal("evicted line's values stayed behind, or the new line inherited them")
+	}
+	// A refetch of the evicted line starts with no values (and evicts
+	// set0[3]).
+	c.Fill(set0[1])
+	if _, ok := c.Value(set0[1], 1); ok {
+		t.Fatal("refetched line kept its evicted values")
+	}
+	c.Invalidate(set0[0])
+	if c.Values(set0[0]) != nil {
+		t.Fatal("Invalidate kept the line's values")
+	}
+	c.Fill(5)
+	c.SetValue(5, 0, 9)
+	c.InvalidateWhere(func(l topo.Line) bool { return l == 5 })
+	if c.Values(5) != nil {
+		t.Fatal("InvalidateWhere kept the line's values")
+	}
+	if v, ok := c.Value(set0[2], 1); !ok || v != 102 {
+		t.Fatal("InvalidateWhere dropped another line's values")
+	}
+	c.InvalidateWhere(nil)
+	if c.Values(set0[2]) != nil {
+		t.Fatal("a flash clear kept values")
 	}
 }

@@ -289,7 +289,7 @@ func (c *Checker) checkLine(g topo.GPMID, e *cache.Entry) {
 	// the home memory word-for-word — invalidations only delete copies,
 	// so a survivor that diverges means an invalidation was lost.
 	if s.Cfg.TrackValues {
-		for w, v := range e.Data {
+		for w, v := range s.GPMs[g].L2.Values(line) {
 			home := s.GPMs[owner].DRAM.LoadValue(t.LineAddr(line) + topo.Addr(uint64(w)*cache.WordSize))
 			if v != home {
 				c.report("value-coherence",

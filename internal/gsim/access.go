@@ -55,13 +55,13 @@ func (sm *SM) startLoad(c *opCtx) {
 	s := sm.sys
 	op := c.op
 	c.line = s.Cfg.Topo.LineOf(op.Addr)
-	c.word = cache.WordOf(op.Addr, s.Cfg.Topo.LineSize)
 	scope := s.effScope(op.Scope)
-	c.l1OK = scope <= trace.ScopeCTA && s.cacheableAt(sm.gpm, c.line)
+	l1OK := scope <= trace.ScopeCTA && s.cacheableAt(sm.gpm, c.line)
+	c.setFlag(flagL1OK, l1OK)
 	c.stage = stageLoadMiss
-	if c.l1OK {
-		if e, hit := sm.L1.Lookup(c.line); hit {
-			c.v, _ = e.Value(c.word)
+	if l1OK {
+		if _, hit := sm.L1.Lookup(c.line); hit {
+			c.v, _ = sm.L1.Value(c.line, c.word())
 			c.stage = stageLoadValue
 		}
 	}
@@ -71,13 +71,14 @@ func (sm *SM) startLoad(c *opCtx) {
 // loadFilled is the SM-side end of a load: install the response in the
 // L1 when the scope permitted an L1 lookup, then complete the load.
 func (c *opCtx) loadFilled(fill fillData) {
-	if c.l1OK {
-		e, _ := c.sm.L1.Fill(c.line)
+	if c.is(flagL1OK) {
+		l1 := c.sm.L1
+		l1.Fill(c.line)
 		if c.s.Cfg.TrackValues {
-			e.MergeFrom(fill)
+			l1.MergeFrom(c.line, fill)
 		}
 	}
-	c.loadDone(valOf(fill, c.word))
+	c.loadDone(valOf(fill, c.word()))
 }
 
 // loadDone completes a load with its value and releases its context: a
@@ -137,8 +138,9 @@ func (s *System) requesterL2Load(c *opCtx) {
 	// The requester may fill its own L2 with the response for loads of
 	// .gpm scope or weaker (the GPM-local slice is the .gpm coherence
 	// point) on cacheable lines.
-	c.fillHere = scope <= trace.ScopeGPM && s.cacheableAt(g, line)
-	if c.fillHere {
+	fillHere := scope <= trace.ScopeGPM && s.cacheableAt(g, line)
+	c.setFlag(flagFillHere, fillHere)
+	if fillHere {
 		// Probe the local slice before going out.
 		c.stage = stageRequesterProbe
 		s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
@@ -163,7 +165,7 @@ func (s *System) fetchLine(gpm *GPM, dest topo.GPMID, c *opCtx) {
 		return
 	}
 	r := s.newCtx(stageLoadReq)
-	r.from, r.g, r.line, r.sink, r.fillHere = gpm.id, dest, c.line, m, true
+	r.from, r.g, r.line, r.up, r.flags = gpm.id, dest, c.line, m, flagFillHere
 	s.send(gpm.id, dest, msg.LoadReq, r)
 }
 
@@ -231,7 +233,7 @@ func (s *System) sysHomeLoad(c *opCtx) {
 // CARVE, which is flat. The L2 lookup follows one L2 latency on.
 func (s *System) sysHomeLoadUnlocked(c *opCtx) {
 	gpm := s.gpmOf(c.g)
-	if gpm.Dir != nil && c.fillHere {
+	if gpm.Dir != nil && c.is(flagFillHere) {
 		//lint:allow eventemit sharer record of a load; the load surfaces as EvFill/EvLoadDone where its response lands
 		evR, evT := gpm.Dir.RemoteLoad(c.line, s.flatRequester(c.from, c.g))
 		s.sendInvs(gpm, evR, evT)
@@ -249,8 +251,8 @@ func (s *System) sysHomeLoadUnlocked(c *opCtx) {
 // a read of its DRAM. The fetch serves c when it fills.
 func (s *System) homeLoadAtL2(c *opCtx) {
 	gpm := s.gpmOf(c.g)
-	if e, hit := gpm.L2.Lookup(c.line); hit {
-		c.served(e.Data)
+	if _, hit := gpm.L2.Lookup(c.line); hit {
+		c.served(gpm.L2.Values(c.line))
 		return
 	}
 	s.fetchLine(gpm, s.Pages.SysHome(c.line), c)
@@ -271,14 +273,14 @@ func (c *opCtx) served(fill fillData) {
 // dramFilled completes the MSHR entry m of a home's DRAM read: install
 // the line in the home's slice and serve the waiters the slice copy.
 func (s *System) dramFilled(m *opCtx) {
-	gpm := s.gpmOf(m.g)
+	gpm, line := s.gpmOf(m.g), m.line
 	var fill fillData
 	if s.Cfg.TrackValues {
-		fill = gpm.DRAM.LineValues(m.key.line)
+		fill = gpm.DRAM.LineValues(line)
 	}
-	e, _ := gpm.L2.Fill(m.key.line)
-	e.MergeFrom(fill)
-	gpm.fetchDone(m, e.Data)
+	gpm.L2.Fill(line)
+	gpm.L2.MergeFrom(line, fill)
+	gpm.fetchDone(m, gpm.L2.Values(line))
 }
 
 // fillL2 installs a load response into an L2 slice when allowed. Under
@@ -292,9 +294,10 @@ func (s *System) fillL2(g topo.GPMID, line topo.Line, fill fillData, allowed boo
 		// while in flight: serve the waiters but do not cache it.
 		return
 	}
-	e, victim := s.gpmOf(g).L2.Fill(line)
+	l2 := s.gpmOf(g).L2
+	_, victim := l2.Fill(line)
 	if s.Cfg.TrackValues {
-		e.MergeFrom(fill)
+		l2.MergeFrom(line, fill)
 	}
 	s.emit(Event{Kind: EvFill, GPM: g, SM: NoSM, Line: line})
 	if victim != nil {
@@ -305,7 +308,7 @@ func (s *System) fillL2(g topo.GPMID, line topo.Line, fill fillData, allowed boo
 	case victim.Dirty && s.Cfg.WriteBack:
 		// Evicted dirty data writes back to its home (charged to the
 		// GPM's first SM; the kernel barrier waits on it).
-		s.writeBackLine(g, s.SMs[s.Cfg.Topo.SM(g, 0)], victim.Line, victim.Data)
+		s.writeBackLine(g, s.SMs[s.Cfg.Topo.SM(g, 0)], victim.Line, l2.VictimValues())
 	case s.Cfg.Policy.Downgrade && s.Cfg.Policy.Hardware && !s.holdsRegion(g, victim.Line):
 		s.sendDowngrade(g, victim.Line)
 	}
@@ -338,7 +341,8 @@ func (s *System) sendDowngrade(g topo.GPMID, line topo.Line) {
 		req = proto.GPMRequester(s.Cfg.Topo.LocalOf(g))
 	}
 	c := s.newCtx(stageDowngrade)
-	c.g, c.line, c.req, c.from = home, line, req, g
+	c.g, c.line, c.from = home, line, g
+	c.setReq(req)
 	s.downgrading++
 	s.send(g, home, msg.Downgrade, c)
 }
@@ -351,19 +355,18 @@ func (s *System) sendDowngrade(g topo.GPMID, line topo.Line) {
 func (sm *SM) startStore(op trace.Op) {
 	s := sm.sys
 	line := s.Cfg.Topo.LineOf(op.Addr)
-	word := cache.WordOf(op.Addr, s.Cfg.Topo.LineSize)
 	sm.gpuHomeGate.Start()
 	sm.sysHomeGate.Start()
 	s.emit(Event{Kind: EvStoreIssue, GPM: sm.gpm, SM: sm.id, Line: line,
 		Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: op.Val})
 	// Update any L1 copy in place (write-through, no allocate).
 	if s.Cfg.TrackValues {
-		if e, hit := sm.L1.Peek(line); hit {
-			e.SetValue(word, op.Val)
+		if _, hit := sm.L1.Peek(line); hit {
+			sm.L1.SetValue(line, cache.WordOf(op.Addr, s.Cfg.Topo.LineSize), op.Val)
 		}
 	}
 	c := s.newCtx(stageStartStore)
-	c.sm, c.op, c.line, c.word = sm, op, line, word
+	c.sm, c.op, c.line = sm, op, line
 	s.Eng.ScheduleHandler(s.Cfg.L1Latency, c)
 }
 
@@ -415,7 +418,8 @@ func (s *System) routeWrite(c *opCtx, g, sysHome, gpuHome topo.GPMID) {
 	c.gates = gateGPU | gateSys
 	switch {
 	case g == sysHome:
-		c.g, c.local = g, true
+		c.g = g
+		c.flags |= flagLocal
 		s.atSysHome(c)
 	case g == gpuHome && gpuHome != sysHome:
 		c.g, c.from, c.stage = g, g, stageGPUHomeStore
@@ -431,7 +435,7 @@ func (s *System) routeWrite(c *opCtx, g, sysHome, gpuHome topo.GPMID) {
 // writeKind is the message a write travels in: a StoreReq carrying one
 // sector, or a WriteBack carrying the whole line.
 func (c *opCtx) writeKind() msg.Kind {
-	if c.wb {
+	if c.is(flagWB) {
 		return msg.WriteBack
 	}
 	return msg.StoreReq
@@ -440,7 +444,8 @@ func (c *opCtx) writeKind() msg.Kind {
 // sendSysHome sends the write carried by c from GPM from to its system
 // home, where it is applied for requester req.
 func (s *System) sendSysHome(c *opCtx, from topo.GPMID, req proto.Requester) {
-	c.g, c.req, c.stage = s.Pages.SysHome(c.line), req, stageStoreReqSysHome
+	c.g, c.stage = s.Pages.SysHome(c.line), stageStoreReqSysHome
+	c.setReq(req)
 	s.send(from, c.g, c.writeKind(), c)
 }
 
@@ -467,7 +472,7 @@ func (s *System) gpuHomeStore(c *opCtx) {
 	gpm := s.gpmOf(c.g)
 	s.storeTransition(gpm, proto.GPMRequester(s.Cfg.Topo.LocalOf(c.from)), c.from == c.g, c.line)
 	c.writeCopy(gpm)
-	if !c.wb {
+	if !c.is(flagWB) {
 		s.emit(Event{Kind: EvGPUHomeStore, GPM: c.g, SM: NoSM, Line: c.line,
 			Addr: c.op.Addr, Scope: c.op.Scope, Op: c.op.Kind, Val: c.op.Val})
 	}
@@ -480,7 +485,7 @@ func (s *System) gpuHomeStore(c *opCtx) {
 // latency after it reached system home c.g: the store transition, then
 // the write's end (storeDone).
 func (s *System) sysHomeStore(c *opCtx) {
-	s.storeTransition(s.gpmOf(c.g), c.req, c.local, c.line)
+	s.storeTransition(s.gpmOf(c.g), c.req(), c.is(flagLocal), c.line)
 	c.storeDone()
 }
 
@@ -521,17 +526,17 @@ func (s *System) storeTransition(gpm *GPM, req proto.Requester, local bool, line
 // holds the line, and otherwise poison any in-flight fill of it, which
 // would install pre-write data.
 func (c *opCtx) writeCopy(gpm *GPM) {
-	e, hit := gpm.L2.Peek(c.line)
+	_, hit := gpm.L2.Peek(c.line)
 	switch {
 	case !hit:
 		gpm.poisonLine(c.line)
 	case !c.s.Cfg.TrackValues:
-	case c.wb:
+	case c.is(flagWB):
 		//lint:allow eventemit written-back values were emitted by their stores' EvStoreIssue
-		e.MergeFrom(c.data)
+		gpm.L2.MergeFrom(c.line, c.data)
 	default:
 		//lint:allow eventemit the stored value was emitted by the store's EvStoreIssue
-		e.SetValue(c.word, c.op.Val)
+		gpm.L2.SetValue(c.line, c.word(), c.op.Val)
 	}
 }
 
@@ -539,7 +544,7 @@ func (c *opCtx) writeCopy(gpm *GPM) {
 // sector for a store, the whole line for a write-back.
 func (c *opCtx) writeDRAM(gpm *GPM) {
 	s := c.s
-	if !c.wb {
+	if !c.is(flagWB) {
 		if s.Cfg.TrackValues {
 			//lint:allow eventemit the stored value was emitted by the store's EvStoreIssue; storeDone emits EvHomeStore
 			gpm.DRAM.StoreValue(c.op.Addr, c.op.Val)
@@ -566,7 +571,7 @@ func (c *opCtx) storeDone() {
 	s, gpm := c.s, c.s.gpmOf(c.g)
 	c.writeCopy(gpm)
 	c.writeDRAM(gpm)
-	if !c.wb {
+	if !c.is(flagWB) {
 		s.emit(Event{Kind: EvHomeStore, GPM: c.g, SM: NoSM, Line: c.line,
 			Addr: c.op.Addr, Scope: c.op.Scope, Op: c.op.Kind, Val: c.op.Val})
 	}
@@ -589,17 +594,16 @@ func (c *opCtx) storeDone() {
 // (the HMG-only Table I transition). The sender's drain gates count each
 // invalidation until its entire fan-out has been delivered.
 //
-// targets is usually a buffer its proto.DirCtrl reuses on the next call.
-// Callers pass it on from the directory call with at most other target
-// walks in between, and neither this walk nor sendInvsAcked's nor
-// invDelivered's forward loop calls into a directory, so the list stays
-// intact while it is read.
+// targets is usually a buffer the GPMs' proto.DirCtrl set reuses on its
+// next call. Callers pass it on from the directory call with at most
+// other target walks in between, and neither this walk nor
+// sendInvsAcked's nor invDelivered's forward loop calls into a
+// directory, so the list stays intact while it is read.
 func (s *System) sendInvs(from *GPM, region directory.Region, targets []proto.InvTarget) {
 	if len(targets) == 0 {
 		return
 	}
 	line := from.Dir.Dir.FirstLine(region)
-	gran := from.Dir.Dir.Config().GranLines
 	for _, t := range targets {
 		dest := s.invDest(from, t, line)
 		intra := !t.IsGPU && s.Cfg.Topo.SameGPU(from.id, dest)
@@ -608,7 +612,9 @@ func (s *System) sendInvs(from *GPM, region directory.Region, targets []proto.In
 			from.invIntra.Start()
 		}
 		c := s.newCtx(stageInvDeliver)
-		c.from, c.g, c.region, c.line, c.gran, c.forward, c.intra = from.id, dest, region, line, gran, t.IsGPU, intra
+		c.from, c.g, c.line = from.id, dest, line
+		c.setFlag(flagForward, t.IsGPU)
+		c.setFlag(flagIntra, intra)
 		s.send(from.id, dest, msg.Inv, c)
 	}
 }
@@ -627,9 +633,12 @@ func (s *System) invDest(from *GPM, t proto.InvTarget, line topo.Line) topo.GPMI
 	}
 }
 
-// invalidateAt applies a delivered invalidation of gran lines at GPM g:
-// drop the lines from its slice and poison their in-flight fills.
-func (s *System) invalidateAt(g topo.GPMID, line topo.Line, gran int) {
+// invalidateAt applies a delivered directory invalidation of the region
+// starting at line at GPM g: drop the region's lines from its slice and
+// poison their in-flight fills. Every directory shares the
+// configuration's granularity.
+func (s *System) invalidateAt(g topo.GPMID, line topo.Line) {
+	gran := s.Cfg.Dir.GranLines
 	d := s.gpmOf(g)
 	d.L2.InvalidateRegion(line, gran)
 	d.poisonRegion(line, gran)
@@ -640,23 +649,23 @@ func (s *System) invalidateAt(g topo.GPMID, line topo.Line, gran int) {
 // target. A GPU-home target forwards it to its own sharers; c stays live
 // until the last forward is delivered.
 func (s *System) invDelivered(c *opCtx) {
-	dest, line, gran := c.g, c.line, c.gran
-	s.invalidateAt(dest, line, gran)
+	dest, line := c.g, c.line
+	s.invalidateAt(dest, line)
 	d := s.gpmOf(dest)
-	if !c.forward || d.Dir == nil {
+	if !c.is(flagForward) || d.Dir == nil {
 		c.invFinished()
 		return
 	}
-	fw := d.Dir.Invalidation(c.region)
+	fw := d.Dir.Invalidation(d.Dir.Dir.RegionOf(line))
 	if len(fw) == 0 {
 		c.invFinished()
 		return
 	}
 	s.emit(Event{Kind: EvInvForward, GPM: dest, SM: NoSM, Line: line, Aux: len(fw)})
-	c.pending = len(fw)
+	c.pending = int32(len(fw))
 	for _, ft := range fw {
 		f := s.newCtx(stageInvForward)
-		f.parent, f.g, f.line, f.gran = c, s.Cfg.Topo.GPM(d.gpu, ft.ID), line, gran
+		f.up, f.g, f.line = c, s.Cfg.Topo.GPM(d.gpu, ft.ID), line
 		s.send(dest, f.g, msg.Inv, f)
 	}
 }
@@ -664,7 +673,7 @@ func (s *System) invDelivered(c *opCtx) {
 // invFinished ends an invalidation whose whole fan-out has been
 // delivered: release its context, then count it done at the sender.
 func (c *opCtx) invFinished() {
-	from, intra := c.s.gpmOf(c.from), c.intra
+	from, intra := c.s.gpmOf(c.from), c.is(flagIntra)
 	c.release()
 	from.invAll.Finish()
 	if intra {
@@ -679,11 +688,10 @@ func (c *opCtx) invFinished() {
 // must be non-empty; they resolve exactly as in sendInvs.
 func (s *System) sendInvsAcked(from *GPM, region directory.Region, targets []proto.InvTarget, store *opCtx) {
 	line := from.Dir.Dir.FirstLine(region)
-	gran := from.Dir.Dir.Config().GranLines
-	store.pending = len(targets)
+	store.pending = int32(len(targets))
 	for _, t := range targets {
 		c := s.newCtx(stageMCAInv)
-		c.parent, c.from, c.g, c.line, c.gran = store, from.id, s.invDest(from, t, line), line, gran
+		c.up, c.from, c.g, c.line = store, from.id, s.invDest(from, t, line), line
 		s.send(from.id, c.g, msg.Inv, c)
 	}
 }
@@ -712,7 +720,6 @@ func (sm *SM) startAtomic(c *opCtx) {
 		return
 	}
 	c.line = s.Cfg.Topo.LineOf(c.op.Addr)
-	c.word = cache.WordOf(c.op.Addr, s.Cfg.Topo.LineSize)
 	c.g, c.stage = sm.gpm, stageAtomicLock
 	if c.op.Scope > trace.ScopeGPM {
 		sm.gpuHomeGate.Start()
@@ -745,8 +752,8 @@ func (s *System) atomicAtL2(c *opCtx) {
 	if c.op.Scope > trace.ScopeGPM {
 		s.storeTransition(gpm, s.flatRequester(sm.gpm, gpm.id), sm.gpm == gpm.id, line)
 	}
-	if e, hit := gpm.L2.Lookup(line); hit {
-		v, _ := e.Value(c.word)
+	if _, hit := gpm.L2.Lookup(line); hit {
+		v, _ := gpm.L2.Value(line, c.word())
 		c.atomicApply(v)
 		return
 	}
@@ -764,7 +771,7 @@ func (s *System) atomicAtL2(c *opCtx) {
 // home node the atomic releases its line and replies to the requester;
 // a GPU home also writes the result through to the system home.
 func (c *opCtx) atomicApply(old uint64) {
-	s, sm, w, op, line, word := c.s, c.sm, c.w, c.op, c.line, c.word
+	s, sm, w, op, line, word := c.s, c.sm, c.w, c.op, c.line, c.word()
 	newVal := old + op.Val
 	if op.Val == 0 {
 		newVal = old + 1
@@ -775,8 +782,8 @@ func (c *opCtx) atomicApply(old uint64) {
 	case op.Scope <= trace.ScopeCTA:
 		c.release()
 		if s.Cfg.TrackValues {
-			if e, hit := sm.L1.Peek(line); hit {
-				e.SetValue(word, newVal)
+			if _, hit := sm.L1.Peek(line); hit {
+				sm.L1.SetValue(line, word, newVal)
 			}
 		}
 		stOp.Kind = trace.Store
@@ -787,8 +794,8 @@ func (c *opCtx) atomicApply(old uint64) {
 		c.release()
 		gpm := s.gpmOf(sm.gpm)
 		if s.Cfg.TrackValues {
-			if e, hit := gpm.L2.Peek(line); hit {
-				e.SetValue(word, newVal)
+			if _, hit := gpm.L2.Peek(line); hit {
+				gpm.L2.SetValue(line, word, newVal)
 			}
 		}
 		gpm.unlockLine(line)
@@ -801,11 +808,10 @@ func (c *opCtx) atomicApply(old uint64) {
 		h := c.g
 		gpm := s.gpmOf(h)
 		if s.Cfg.TrackValues {
-			e, hit := gpm.L2.Peek(line)
-			if !hit {
-				e, _ = gpm.L2.Fill(line)
+			if _, hit := gpm.L2.Peek(line); !hit {
+				gpm.L2.Fill(line)
 			}
-			e.SetValue(word, newVal)
+			gpm.L2.SetValue(line, word, newVal)
 		}
 		s.emit(Event{Kind: EvAtomicApply, GPM: h, SM: NoSM, Line: line,
 			Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: newVal})
@@ -815,18 +821,17 @@ func (c *opCtx) atomicApply(old uint64) {
 		c.stage = stageSyncDone
 		s.send(h, sm.gpm, msg.AtomicResp, c)
 		st := s.newCtx(stageNone)
-		st.sm, st.op, st.line, st.word, st.gates = sm, stOp, line, word, gateSys
+		st.sm, st.op, st.line, st.gates = sm, stOp, line, gateSys
 		s.sendSysHome(st, h, proto.GPURequester(int(gpm.gpu)))
 	default:
 		sh := c.g
 		gpm := s.gpmOf(sh)
 		if s.Cfg.TrackValues {
-			e, hit := gpm.L2.Peek(line)
-			if !hit {
-				e, _ = gpm.L2.Fill(line)
-				e.MergeFrom(gpm.DRAM.LineValues(line))
+			if _, hit := gpm.L2.Peek(line); !hit {
+				gpm.L2.Fill(line)
+				gpm.L2.MergeFrom(line, gpm.DRAM.LineValues(line))
 			}
-			e.SetValue(word, newVal)
+			gpm.L2.SetValue(line, word, newVal)
 			gpm.DRAM.StoreValue(op.Addr, newVal)
 		}
 		gpm.DRAM.Write(s.Cfg.Net.Sizes.StorePayload, nil)
@@ -851,10 +856,10 @@ func (s *System) sysHomeStoreMCA(c *opCtx) {
 	if gpm.Dir != nil {
 		var evR directory.Region
 		var evT []proto.InvTarget
-		if c.local {
+		if c.is(flagLocal) {
 			inv = gpm.Dir.LocalStore(c.line)
 		} else {
-			inv, evR, evT = gpm.Dir.RemoteStore(c.line, c.req)
+			inv, evR, evT = gpm.Dir.RemoteStore(c.line, c.req())
 		}
 		// Eviction fan-out keeps the ack-free background path; only the
 		// store's own invalidations require acks.

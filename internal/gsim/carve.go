@@ -103,7 +103,8 @@ func (s *System) broadcastInv(home *GPM, l topo.Line) {
 			home.invIntra.Start()
 		}
 		c := s.newCtx(stageCarveInv)
-		c.from, c.g, c.line, c.intra = home.id, dest, first, intra
+		c.from, c.g, c.line = home.id, dest, first
+		c.setFlag(flagIntra, intra)
 		s.send(home.id, dest, msg.Inv, c)
 	}
 }

@@ -10,26 +10,38 @@ import (
 //
 // Every L2 miss that leaves a GPM merges in its MSHRs: an MSHR entry is
 // a pooled opCtx (stageMSHRFill) holding the waiters merged on one
-// outstanding fetch of a line toward one destination, as an intrusive
-// FIFO: the entry holds its first and last waiter, and each waiter links
-// to the next through opCtx.nextWaiter, so merging never allocates. A
-// waiter waits on one trigger at a time, so it is in at most one such
-// list; its next field stays free for the line-lock queues and MSHR
-// chains that use it. The GPM keeps
-// them in one table keyed by line. A line's slot exists exactly while
-// at least one fetch of the line is outstanding, and holds the line's
-// entries — one per destination, so at most three: its own DRAM, the
-// GPU home and the system home — and the line's poisoned flag, which
-// therefore lives exactly as long as the line's fetches do.
+// outstanding fetch of a line toward one destination — its line and
+// from fields are the fetch's key — as an intrusive list: the entry
+// holds its newest waiter, and each waiter links to the one before it
+// through opCtx.next, so merging never allocates; fetchDone reverses
+// the list once and runs the waiters in arrival order. A waiter waits on
+// one trigger at a time, so it is on no other list meanwhile. The GPM
+// keeps the entries in one table keyed by line. A line's slot exists
+// exactly while at least one fetch of the line is outstanding, and holds
+// the line's entries — one per destination, so at most three: its own
+// DRAM, the GPU home and the system home. Each entry of the line
+// carries the line's poisoned flag, which therefore lives exactly as
+// long as the line's fetches do.
 //
 // The table uses open addressing with linear probing and backward-shift
 // deletion: a lookup probes from the line's home slot to the line or a
-// free slot, never iterates over the table, and never allocates. It
-// doubles when more than three quarters full, so it settles at the peak
-// of lines outstanding at once.
+// free slot, never iterates over the table, and never allocates. New
+// sizes it from the configuration (mshrSlotsFor); past three quarters
+// full it doubles, a fallback no pinned workload reaches.
 
-// mshrMinSlots is the initial slot count of a GPM's MSHR table.
-const mshrMinSlots = 64
+// mshrSlotsFor returns the slot count New gives each GPM's MSHR table:
+// room, at three quarters load, for one warp's worth of outstanding
+// lines (MaxWarpInflight) from each of the GPM's SMs. That covers the
+// 166–384 lines the perf matrix and the Figs. 8–11 campaign keep
+// outstanding at a GPM at their peaks (TestMSHRTablesDoNotGrow).
+func mshrSlotsFor(cfg Config) int {
+	lines := cfg.Topo.SMsPerGPM * cfg.MaxWarpInflight
+	n := 8
+	for 3*n < 4*lines {
+		n *= 2
+	}
+	return n
+}
 
 // fetchKey identifies an outstanding line fetch: the line and the level
 // it was sent to (the GPM itself for DRAM fetches).
@@ -54,13 +66,10 @@ type mshrSlot struct {
 	// head is the line's first MSHR entry; the rest link through
 	// opCtx.next.
 	head *opCtx
-	// poisoned marks the line's in-flight fills as overtaken by an
-	// invalidation or store: they are not installed in the cache.
-	poisoned bool
 }
 
 // newMSHRTable returns an empty table over slots, whose length is a
-// power of two; New carves every GPM's initial slots from one slab.
+// power of two; New carves every GPM's slots from one slab.
 func newMSHRTable(slots []mshrSlot) mshrTable {
 	return mshrTable{slots: slots, shift: uint8(64 - bits.TrailingZeros(uint(len(slots))))}
 }
@@ -93,7 +102,7 @@ func (t *mshrTable) entry(key fetchKey) *opCtx {
 		return nil
 	}
 	for m := t.slots[i].head; m != nil; m = m.next {
-		if m.key.dest == key.dest {
+		if m.from == key.dest {
 			return m
 		}
 	}
@@ -101,9 +110,9 @@ func (t *mshrTable) entry(key fetchKey) *opCtx {
 }
 
 // add inserts the MSHR entry m under its key, which must not have an
-// entry yet.
+// entry yet. m joins its line's poisoned state.
 func (t *mshrTable) add(m *opCtx) {
-	l := m.key.line
+	l := m.line
 	i, ok := t.probe(l)
 	if !ok {
 		if 4*(t.lines+1) > 3*len(t.slots) {
@@ -114,13 +123,16 @@ func (t *mshrTable) add(m *opCtx) {
 		t.lines++
 	}
 	s := &t.slots[i]
+	if s.head != nil {
+		m.setFlag(flagPoisoned, s.head.is(flagPoisoned))
+	}
 	m.next, s.head = s.head, m
 	t.entries++
 }
 
 // grow doubles the table, reinserting every slot.
 //
-//lint:allow hotalloc pool growth: the table doubles only up to the peak of lines outstanding at once
+//lint:allow hotalloc fallback growth: New sizes the table for its configuration's peak, and past it the table doubles only up to the peak of lines outstanding at once
 func (t *mshrTable) grow() {
 	old := t.slots
 	t.slots, t.shift = make([]mshrSlot, 2*len(old)), t.shift-1
@@ -136,7 +148,7 @@ func (t *mshrTable) grow() {
 // slot — and with it the poisoned flag — when m was the line's last
 // entry.
 func (t *mshrTable) remove(m *opCtx) {
-	i, ok := t.probe(m.key.line)
+	i, ok := t.probe(m.line)
 	if !ok {
 		panic("gsim: MSHR entry not in its table")
 	}
@@ -173,34 +185,35 @@ func (t *mshrTable) free(i int) {
 	t.lines--
 }
 
-// poison marks line l's in-flight fills as stale; a no-op when no fetch
-// of l is outstanding.
+// poison marks line l's in-flight fills as stale on every entry of the
+// line; a no-op when no fetch of l is outstanding.
 func (t *mshrTable) poison(l topo.Line) {
 	if i, ok := t.probe(l); ok {
-		t.slots[i].poisoned = true
+		for m := t.slots[i].head; m != nil; m = m.next {
+			m.flags |= flagPoisoned
+		}
 	}
 }
 
 // poisoned reports whether line l's in-flight fills are stale.
 func (t *mshrTable) poisoned(l topo.Line) bool {
 	i, ok := t.probe(l)
-	return ok && t.slots[i].poisoned
+	return ok && t.slots[i].head.is(flagPoisoned)
 }
 
 // fetch merges concurrent requests for the same line+destination in an
-// MSHR entry: a pooled context heading the FIFO of its waiters. The
+// MSHR entry: a pooled context holding the list of its waiters. The
 // first request for a key gets the new entry back: the caller must start
 // the fetch with the entry as its sink, which completes it exactly once
-// with the response data. Later requests only join the FIFO and get nil.
+// with the response data. Later requests only join the list and get nil.
 func (g *GPM) fetch(key fetchKey, waiter *opCtx) *opCtx {
 	if m := g.mshr.entry(key); m != nil {
-		m.lastWaiter.nextWaiter = waiter
-		m.lastWaiter = waiter
+		waiter.next, m.waiters = m.waiters, waiter
 		return nil
 	}
 	m := g.sys.newCtx(stageMSHRFill)
-	m.g, m.key = g.id, key
-	m.firstWaiter, m.lastWaiter = waiter, waiter
+	m.g, m.line, m.from = g.id, key.line, key.dest
+	m.waiters = waiter
 	g.mshr.add(m)
 	return m
 }
@@ -212,9 +225,13 @@ func (g *GPM) fetch(key fetchKey, waiter *opCtx) *opCtx {
 // may release it.
 func (g *GPM) fetchDone(m *opCtx, fill fillData) {
 	g.mshr.remove(m)
-	for w := m.firstWaiter; w != nil; {
-		next := w.nextWaiter
-		w.nextWaiter = nil
+	var first *opCtx
+	for w := m.waiters; w != nil; {
+		w.next, first, w = first, w, w.next
+	}
+	for w := first; w != nil; {
+		next := w.next
+		w.next = nil
 		w.filled(fill)
 		w = next
 	}

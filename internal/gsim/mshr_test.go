@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"hmg/internal/proto"
 	"hmg/internal/topo"
@@ -248,7 +249,7 @@ func TestPoisonedFillNotInstalled(t *testing.T) {
 	if _, hit := g.L2.Peek(line); hit {
 		t.Fatal("poisoned fill installed")
 	}
-	m.firstWaiter, m.lastWaiter = nil, nil
+	m.waiters = nil
 	placeholder.release()
 	g.fetchDone(m, nil)
 	if g.mshr.poisoned(line) || g.mshr.lines != 0 {
@@ -257,5 +258,13 @@ func TestPoisonedFillNotInstalled(t *testing.T) {
 	s.fillL2(g.id, line, nil, true)
 	if _, hit := g.L2.Peek(line); !hit {
 		t.Fatal("clean fill not installed")
+	}
+}
+
+// TestOpCtxFitsTwoLines: a pooled context fits two 64-byte cache lines,
+// so release zeroes, and each hop touches, at most 128 bytes.
+func TestOpCtxFitsTwoLines(t *testing.T) {
+	if n := unsafe.Sizeof(opCtx{}); n > 128 {
+		t.Fatalf("opCtx is %d bytes, want at most 128", n)
 	}
 }

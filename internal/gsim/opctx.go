@@ -71,7 +71,7 @@ package gsim
 // therefore cycle-level results — match the committed baselines.
 
 import (
-	"hmg/internal/directory"
+	"hmg/internal/cache"
 	"hmg/internal/engine"
 	"hmg/internal/msg"
 	"hmg/internal/proto"
@@ -84,6 +84,8 @@ type ctxStage uint8
 
 const (
 	stageNone ctxStage = iota
+	// stageFree marks a context on the free list.
+	stageFree
 
 	// Loads, from the SM up the home hierarchy and back.
 
@@ -236,57 +238,97 @@ func (sm *SM) finishGates(gs gateSet) {
 }
 
 // opCtx is the pooled context. It is a union: each step reads only the
-// fields its site filled in. Fields are reset on release so the pool
-// never pins caches, contexts, or fill maps.
+// fields its site filled in. Release zeroes it, so the pool never pins
+// caches, contexts, or fill maps. It fits two 64-byte cache lines
+// (TestOpCtxFitsTwoLines): ids and counters are 32 bits, the bools share
+// one flags byte, and what a context implies is derived rather than
+// stored — the word from op.Addr, an MSHR entry's key from line and
+// from, an invalidation's region and granularity from the receiving
+// directory, and the kernel drain's gate index lives in pending.
+//
+// DESIGN.md "Pooled contexts" tables the fields each role uses.
+//
+// Folding rule: two roles share a field only where the pooling
+// invariant proves a context never holds both. A context reports to one
+// context at a time — a request context's sink or a fan-out child's
+// parent — so both live in up. A context is linked into one list at a
+// time — a line lock's queue, its line's MSHR chain (entries), an MSHR
+// entry's waiters, or the free list — because it waits on one trigger
+// at a time, so every list links through next.
 type opCtx struct {
-	s     *System
-	stage ctxStage
-	live  bool
-
-	sm   *SM
-	w    *warpCtx
-	g    topo.GPMID // home, destination, or acting GPM of the step
-	from topo.GPMID // requesting or originating GPM
-	op   trace.Op
-	line topo.Line
-	word uint16
-	v    uint64
-	req  proto.Requester
-
-	issued   engine.Cycle // load issue time, for latency statistics
-	l1OK     bool         // the load may fill the L1
-	fillHere bool         // the response may fill the requester's L2
-	local    bool         // a home-side store issued by the home itself
-	wb       bool         // the write is a write-back carrying data
-	gates    gateSet
-
-	// sink receives the line data this context fetches; data is the
-	// line a response or a write-back carries.
-	sink *opCtx
+	s  *System
+	sm *SM
+	w  *warpCtx
+	// up is the context this one reports to: a request context's sink
+	// (the MSHR entry its DataResp fills), or a fan-out child's parent.
+	up *opCtx
+	// data is the line a response or a write-back carries.
 	data fillData
+	// waiters heads an MSHR entry's merged waiters, newest first
+	// (linked through next); fetchDone runs them oldest first.
+	waiters *opCtx
+	// next links the context into the one list it is on (see above).
+	next *opCtx
 
-	// MSHR entries: the fetch and the FIFO of contexts merged on it,
-	// linked through nextWaiter.
-	key                     fetchKey
-	firstWaiter, lastWaiter *opCtx
+	op     trace.Op
+	line   topo.Line
+	v      uint64       // a load's L1-hit value
+	issued engine.Cycle // load issue time, for latency statistics
 
-	// Fan-out: an invalidation's forwards, an MCA store's InvAcks or a
-	// release's fence acks still outstanding (pending), each child
-	// pointing back at its parent.
-	region  directory.Region
-	gran    int
-	forward bool
-	intra   bool // intra-GPU invalidation, or a .gpu fence probe
-	pending int
-	parent  *opCtx
+	g    topo.GPMID // home, destination, or acting GPM of the step
+	from topo.GPMID // requesting or originating GPM; an MSHR entry's fetch destination
+	// reqID is the requester id a write or downgrade applies for; its
+	// kind is flagReqGPU.
+	reqID int32
+	// pending counts an invalidation's forwards, an MCA store's InvAcks
+	// or a release's fence acks still outstanding; the kernel drain's
+	// next gate within its pass.
+	pending int32
 
-	// next links the waiters of a line lock (GPM.lockLine), or the MSHR
-	// entries of one line (mshrTable); nextWaiter links the waiters of
-	// one MSHR entry.
-	next, nextWaiter *opCtx
-	// drainIdx is the kernel drain's next gate within its pass.
-	drainIdx int
+	stage ctxStage
+	flags ctxFlags
+	gates gateSet
 }
+
+// ctxFlags packs a context's booleans.
+type ctxFlags uint8
+
+const (
+	flagL1OK     ctxFlags = 1 << iota // the load may fill the L1
+	flagFillHere                      // the response may fill the requester's L2
+	flagLocal                         // a home-side store issued by the home itself
+	flagWB                            // the write is a write-back carrying data
+	flagForward                       // the invalidation targets a GPU home, which forwards it
+	flagIntra                         // intra-GPU invalidation, or a .gpu fence probe
+	flagReqGPU                        // reqID names a GPU
+	flagPoisoned                      // an MSHR entry's line fill was overtaken (mshr.go)
+)
+
+// is reports whether every flag in f is set.
+func (c *opCtx) is(f ctxFlags) bool { return c.flags&f == f }
+
+// setFlag sets or clears the flags in f.
+func (c *opCtx) setFlag(f ctxFlags, on bool) {
+	if on {
+		c.flags |= f
+	} else {
+		c.flags &^= f
+	}
+}
+
+// req returns the requester a write or downgrade applies for.
+func (c *opCtx) req() proto.Requester {
+	return proto.Requester{IsGPU: c.is(flagReqGPU), ID: int(c.reqID)}
+}
+
+// setReq records the requester a write or downgrade applies for.
+func (c *opCtx) setReq(r proto.Requester) {
+	c.reqID = int32(r.ID)
+	c.setFlag(flagReqGPU, r.IsGPU)
+}
+
+// word returns the line-relative word the context's op addresses.
+func (c *opCtx) word() uint16 { return cache.WordOf(c.op.Addr, c.s.Cfg.Topo.LineSize) }
 
 // ctxSlabMin is the size of the first slab of contexts; later slabs
 // double the pool.
@@ -294,38 +336,41 @@ const ctxSlabMin = 256
 
 // newCtx draws a context from the free list and tags it with a stage,
 // growing the pool by a slab when the list is empty.
-//
-//lint:allow hotalloc pool growth: slabs double the pool, so warm-up is logarithmic in the peak number of live contexts
 func (s *System) newCtx(stage ctxStage) *opCtx {
-	if len(s.ctxFree) == 0 {
-		slab := make([]opCtx, max(ctxSlabMin, s.ctxs))
-		s.ctxs += len(slab)
-		// Room for every context, so release never grows the list.
-		s.ctxFree = make([]*opCtx, len(slab), s.ctxs)
-		for i := range slab {
-			slab[i].s = s
-			s.ctxFree[i] = &slab[i]
-		}
+	c := s.ctxFree
+	if c == nil {
+		c = s.growCtxs()
 	}
-	last := len(s.ctxFree) - 1
-	c := s.ctxFree[last]
-	s.ctxFree = s.ctxFree[:last]
-	c.stage, c.live = stage, true
+	s.ctxFree, c.next = c.next, nil
+	c.stage = stage
 	s.liveCtxs++
 	return c
+}
+
+// growCtxs adds a slab of free contexts to the pool, threading the free
+// list through them, and returns the list's new head.
+//
+//lint:allow hotalloc pool growth: slabs double the pool, so warm-up is logarithmic in the peak number of live contexts
+func (s *System) growCtxs() *opCtx {
+	slab := make([]opCtx, max(ctxSlabMin, s.ctxs))
+	s.ctxs += len(slab)
+	for i := range slab {
+		slab[i] = opCtx{s: s, stage: stageFree, next: s.ctxFree}
+		s.ctxFree = &slab[i]
+	}
+	return s.ctxFree
 }
 
 // release zeroes the context and returns it to the free list.
 // Releasing a context twice panics.
 func (c *opCtx) release() {
-	if !c.live {
+	if c.stage == stageFree {
 		panic("gsim: opCtx released twice")
 	}
 	s := c.s
-	*c = opCtx{s: s}
+	*c = opCtx{s: s, stage: stageFree, next: s.ctxFree}
+	s.ctxFree = c
 	s.liveCtxs--
-	s.ctxFree = s.ctxFree[:len(s.ctxFree)+1]
-	s.ctxFree[len(s.ctxFree)-1] = c
 }
 
 // LiveContexts reports the pooled contexts currently in use: op and
@@ -349,8 +394,9 @@ func (c *opCtx) Handle() {
 	case stageLoadMiss:
 		s.requesterL2Load(c)
 	case stageRequesterProbe:
-		if e, hit := s.gpmOf(c.from).L2.Lookup(c.line); hit {
-			c.loadFilled(e.Data)
+		l2 := s.gpmOf(c.from).L2
+		if _, hit := l2.Lookup(c.line); hit {
+			c.loadFilled(l2.Values(c.line))
 			return
 		}
 		c.stage = stageLoadFill
@@ -360,12 +406,12 @@ func (c *opCtx) Handle() {
 	case stageHomeLoad:
 		s.homeLoadAtL2(c)
 	case stageDataResp:
-		if c.sink == nil {
+		if c.up == nil {
 			// An unmerged load, back on its own context.
 			c.loadFilled(c.data)
 			return
 		}
-		from, line, fill, fillHere, sink := c.from, c.line, c.data, c.fillHere, c.sink
+		from, line, fill, fillHere, sink := c.from, c.line, c.data, c.is(flagFillHere), c.up
 		c.release()
 		s.fillL2(from, line, fill, fillHere)
 		sink.filled(fill)
@@ -383,7 +429,7 @@ func (c *opCtx) Handle() {
 	case stageStartStore:
 		s.storeAfterL1(c)
 	case stageStoreWB:
-		if s.tryWriteBackHit(c.sm.gpm, c.line, c.word, c.op.Val) {
+		if s.tryWriteBackHit(c.sm.gpm, c.line, c.word(), c.op.Val) {
 			sm := c.sm
 			c.release()
 			sm.finishGates(gateGPU | gateSys)
@@ -402,19 +448,19 @@ func (c *opCtx) Handle() {
 	case stageInvDeliver:
 		s.invDelivered(c)
 	case stageInvForward:
-		parent, dest, line, gran := c.parent, c.g, c.line, c.gran
+		parent, dest, line := c.up, c.g, c.line
 		c.release()
-		s.invalidateAt(dest, line, gran)
+		s.invalidateAt(dest, line)
 		parent.pending--
 		if parent.pending == 0 {
 			parent.invFinished()
 		}
 	case stageCarveInv:
-		home, dest, first, intra := c.from, c.g, c.line, c.intra
+		home, dest, first, intra := c.from, c.g, c.line, c.is(flagIntra)
 		c.release()
 		s.carveInvDelivered(home, dest, first, intra)
 	case stageDowngrade:
-		home, line, req, from := c.g, c.line, c.req, c.from
+		home, line, req, from := c.g, c.line, c.req(), c.from
 		c.release()
 		s.downgrading--
 		if d := s.gpmOf(home).Dir; d != nil {
@@ -445,11 +491,11 @@ func (c *opCtx) Handle() {
 	case stageMCAStoreAtL2:
 		s.sysHomeStoreMCA(c)
 	case stageMCAInv:
-		s.invalidateAt(c.g, c.line, c.gran)
+		s.invalidateAt(c.g, c.line)
 		c.stage = stageMCAInvAck
 		s.send(c.g, c.from, msg.InvAck, c)
 	case stageMCAInvAck:
-		store := c.parent
+		store := c.up
 		c.release()
 		store.pending--
 		if store.pending == 0 {
@@ -475,7 +521,7 @@ func (c *opCtx) Handle() {
 		c.stage = stageFenceAck
 		s.send(c.g, c.from, relAckKind, c)
 	case stageFenceAck:
-		rel := c.parent
+		rel := c.up
 		c.release()
 		rel.pending--
 		if rel.pending == 0 {

@@ -241,14 +241,15 @@ func (sm *SM) fenceInvalidations(rel *opCtx) {
 	if scope == trace.ScopeGPU {
 		n = s.Cfg.Topo.GPMsPerGPU
 	}
-	rel.pending = n
+	rel.pending = int32(n)
 	for i := 0; i < n; i++ {
 		tgt := topo.GPMID(i)
 		if scope == trace.ScopeGPU {
 			tgt = s.Cfg.Topo.GPM(sm.gpu, i)
 		}
 		p := s.newCtx(stageFenceAck)
-		p.parent, p.g, p.from, p.intra = rel, tgt, sm.gpm, scope == trace.ScopeGPU
+		p.up, p.g, p.from = rel, tgt, sm.gpm
+		p.setFlag(flagIntra, scope == trace.ScopeGPU)
 		if tgt == sm.gpm {
 			p.fencedGate().Wait(p)
 			continue
@@ -262,7 +263,7 @@ func (sm *SM) fenceInvalidations(rel *opCtx) {
 // target: intra-GPU invalidations for a .gpu fence, all of them for .sys.
 func (c *opCtx) fencedGate() *drain {
 	g := c.s.gpmOf(c.g)
-	if c.intra {
+	if c.is(flagIntra) {
 		return &g.invIntra
 	}
 	return &g.invAll

@@ -123,10 +123,11 @@ type System struct {
 	// state — so attaching one cannot perturb timing or results.
 	OnEvent func(Event)
 
-	// ctxFree is the free list of pooled op and continuation contexts
-	// (see opctx.go); steady-state hops schedule without allocating.
-	// ctxs counts the contexts allocated and liveCtxs those in use.
-	ctxFree  []*opCtx
+	// ctxFree heads the free list of pooled op and continuation
+	// contexts, linked through opCtx.next (see opctx.go); steady-state
+	// hops schedule without allocating. ctxs counts the contexts
+	// allocated and liveCtxs those in use.
+	ctxFree  *opCtx
 	ctxs     int
 	liveCtxs int
 	// flushBuf is the reused buffer of dirty lines a flush walks.
@@ -180,7 +181,8 @@ func New(cfg Config) (*System, error) {
 	gpms := make([]GPM, numGPMs)
 	l2s := cache.NewSet(cfg.L2Slice, numGPMs)
 	drams := memory.NewSet(eng, cfg.DRAM, numGPMs)
-	mshrSlots := make([]mshrSlot, numGPMs*mshrMinSlots)
+	perGPM := mshrSlotsFor(cfg)
+	mshrSlots := make([]mshrSlot, numGPMs*perGPM)
 	var dirs []proto.DirCtrl
 	if cfg.Policy.Hardware {
 		dirs = proto.NewDirCtrlSet(cfg.Dir, numGPMs)
@@ -188,14 +190,14 @@ func New(cfg Config) (*System, error) {
 	s.GPMs = make([]*GPM, numGPMs)
 	for i := range gpms {
 		g := &gpms[i]
-		lo := i * mshrMinSlots
+		lo := i * perGPM
 		*g = GPM{
 			sys:  s,
 			id:   topo.GPMID(i),
 			gpu:  cfg.Topo.GPUOf(topo.GPMID(i)),
 			L2:   &l2s[i],
 			DRAM: &drams[i],
-			mshr: newMSHRTable(mshrSlots[lo : lo+mshrMinSlots : lo+mshrMinSlots]),
+			mshr: newMSHRTable(mshrSlots[lo : lo+perGPM : lo+perGPM]),
 		}
 		if dirs != nil {
 			g.Dir = &dirs[i]
@@ -393,24 +395,24 @@ func (c *opCtx) drainKernel() {
 	for {
 		var gate *drain
 		switch {
-		case c.stage != stageDrainInvs && c.drainIdx < len(s.SMs):
-			gate = &s.SMs[c.drainIdx].sysHomeGate
+		case c.stage != stageDrainInvs && int(c.pending) < len(s.SMs):
+			gate = &s.SMs[c.pending].sysHomeGate
 		case c.stage == stageDrainStores:
 			s.flushAllDirty()
-			c.stage, c.drainIdx = stageDrainFlushed, 0
+			c.stage, c.pending = stageDrainFlushed, 0
 			continue
 		case c.stage == stageDrainFlushed:
-			c.stage, c.drainIdx = stageDrainInvs, 0
+			c.stage, c.pending = stageDrainInvs, 0
 			continue
-		case c.drainIdx < len(s.GPMs):
-			gate = &s.GPMs[c.drainIdx].invAll
+		case int(c.pending) < len(s.GPMs):
+			gate = &s.GPMs[c.pending].invAll
 		default:
 			c.release()
 			s.drained = true
 			s.Eng.Stop()
 			return
 		}
-		c.drainIdx++
+		c.pending++
 		if gate.Pending() > 0 {
 			gate.Wait(c)
 			return

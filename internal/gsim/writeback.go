@@ -32,7 +32,8 @@ import "hmg/internal/topo"
 // store's gates (the flush mechanism takes over the visibility
 // obligation).
 func (s *System) tryWriteBackHit(g topo.GPMID, line topo.Line, word uint16, val uint64) bool {
-	e, hit := s.gpmOf(g).L2.Lookup(line)
+	l2 := s.gpmOf(g).L2
+	e, hit := l2.Lookup(line)
 	if !hit {
 		return false
 	}
@@ -40,7 +41,7 @@ func (s *System) tryWriteBackHit(g topo.GPMID, line topo.Line, word uint16, val 
 	e.Dirty = true
 	if s.Cfg.TrackValues {
 		//lint:allow eventemit same absorption; the value surfaced in the caller's EvStoreIssue
-		e.SetValue(word, val)
+		l2.SetValue(line, word, val)
 	}
 	return true
 }
@@ -49,11 +50,11 @@ func (s *System) tryWriteBackHit(g topo.GPMID, line topo.Line, word uint16, val 
 // its home hierarchy, in set/way order, charging the given SM's store
 // gates.
 func (s *System) flushDirtySlice(g topo.GPMID, sm *SM) {
-	s.flushBuf = s.gpmOf(g).L2.FlushDirty(s.flushBuf[:0])
+	l2 := s.gpmOf(g).L2
+	s.flushBuf = l2.FlushDirty(s.flushBuf[:0])
 	for _, e := range s.flushBuf {
-		s.writeBackLine(g, sm, e.Line, e.Data)
+		s.writeBackLine(g, sm, e.Line, l2.Values(e.Line))
 	}
-	clear(s.flushBuf) // do not pin the flushed lines' value maps
 }
 
 // flushAllDirty flushes every GPM's dirty lines, charging each GPM's
@@ -77,10 +78,11 @@ func (s *System) writeBackLine(g topo.GPMID, sm *SM, line topo.Line, data fillDa
 	sm.gpuHomeGate.Start()
 	sm.sysHomeGate.Start()
 	c := s.newCtx(stageNone)
-	c.sm, c.line, c.wb = sm, line, true
+	c.sm, c.line, c.flags = sm, line, flagWB
 	if s.Cfg.TrackValues {
 		// A flushed line stays in its slice, whose stores go on
-		// writing into its map, so the write-back carries a snapshot.
+		// writing into its values, so the write-back carries a
+		// snapshot.
 		c.data = make(fillData, len(data))
 		//lint:allow determinism word-keyed map copy; every word is written to a distinct key, so order cannot matter
 		for w, v := range data {

@@ -37,8 +37,8 @@ var mutatingSimAPIs = map[string]bool{
 	"cache.Cache.InvalidateRegion": true,
 	"cache.Cache.InvalidateWhere":  true,
 	"cache.Cache.FlushDirty":       true,
-	"cache.Entry.SetValue":         true,
-	"cache.Entry.MergeFrom":        true,
+	"cache.Cache.SetValue":         true,
+	"cache.Cache.MergeFrom":        true,
 	"proto.DirCtrl.RemoteLoad":     true,
 	"proto.DirCtrl.RemoteStore":    true,
 	"proto.DirCtrl.LocalStore":     true,

@@ -6,19 +6,24 @@ package cache
 // Entry is one cached line.
 type Entry struct {
 	Dirty bool
-	Data  map[uint16]uint64
 }
 
-// SetValue updates one tracked word.
-func (e *Entry) SetValue(w uint16, v uint64) {
-	if e.Data == nil {
-		e.Data = map[uint16]uint64{}
+// Cache is a trivial line container with a side table of word values.
+type Cache struct {
+	lines  map[uint64]*Entry
+	values map[uint64]map[uint16]uint64
+}
+
+// SetValue updates one tracked word of a line.
+func (c *Cache) SetValue(line uint64, w uint16, v uint64) {
+	if c.values == nil {
+		c.values = map[uint64]map[uint16]uint64{}
 	}
-	e.Data[w] = v
+	if c.values[line] == nil {
+		c.values[line] = map[uint16]uint64{}
+	}
+	c.values[line][w] = v
 }
-
-// Cache is a trivial line container.
-type Cache struct{ lines map[uint64]*Entry }
 
 // Fill installs a line.
 func (c *Cache) Fill(line uint64) {

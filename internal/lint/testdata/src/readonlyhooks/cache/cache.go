@@ -5,8 +5,8 @@ package cache
 
 // Entry is one cached line with internal recency state.
 type Entry struct {
+	Line uint64
 	lru  int
-	Data map[uint16]uint64
 }
 
 // Cache is a trivial set of entries.

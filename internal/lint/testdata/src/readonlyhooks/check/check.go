@@ -39,7 +39,7 @@ type system struct {
 func attach(sys *system, k *Checker) {
 	sys.OnEvent = func(ev int) {
 		e := k.c.Peek(0)
-		e.Data[0] = uint64(ev) // want `writes state of cache\.Entry`
+		e.Line = uint64(ev) // want `writes state of cache\.Entry`
 	}
 }
 
@@ -48,6 +48,6 @@ func attachAllowed(sys *system, k *Checker) {
 	sys.OnLoadValue = func(v uint64) {
 		e := k.c.Peek(0)
 		//lint:allow readonlyhooks scratch word reserved for the checker by contract
-		e.Data[1] = v
+		e.Line = v
 	}
 }

@@ -67,11 +67,12 @@ func (mu Mutation) Has(m Mutation) bool { return mu&m != 0 }
 // directory; all return the invalidation targets the caller must send,
 // and the directory itself never generates traffic.
 //
-// Target lists live in two buffers the DirCtrl owns and reuses, so
-// steady-state calls allocate nothing: one for a store's or a forwarded
-// invalidation's targets, one for an entry replacement's (RemoteStore
-// returns one of each). A returned list is nil when empty and stays
-// valid until the next call on the same DirCtrl.
+// Target lists live in two buffers, so calls allocate nothing: one for
+// a store's or a forwarded invalidation's targets, one for an entry
+// replacement's (RemoteStore returns one of each). The DirCtrls of one
+// NewDirCtrlSet share the pair, sized there for the largest fan-out a
+// sharer set can name. A returned list is nil when empty and stays
+// valid until the next call on a DirCtrl of the same set.
 type DirCtrl struct {
 	Dir *directory.Dir
 
@@ -97,14 +98,21 @@ type DirCtrl struct {
 // NewDirCtrl builds a Table I controller over a directory.
 func NewDirCtrl(cfg directory.Config) *DirCtrl { return &NewDirCtrlSet(cfg, 1)[0] }
 
+// maxTargets is the largest fan-out a sharer set can name: every GPM id
+// and every GPU id.
+const maxTargets = 2 * directory.MaxSharerIDs
+
 // NewDirCtrlSet builds n controllers, each over its own directory of one
-// configuration, in three allocations at any n (directory.NewSet's two
-// and the controller slab).
+// configuration, in four allocations at any n (directory.NewSet's two,
+// the controller slab and the target buffers the controllers share).
 func NewDirCtrlSet(cfg directory.Config, n int) []DirCtrl {
 	dirs := directory.NewSet(cfg, n)
 	cs := make([]DirCtrl, n)
+	bufs := make([]InvTarget, 2*maxTargets)
 	for i := range cs {
 		cs[i].Dir = &dirs[i]
+		cs[i].invBuf = bufs[:0:maxTargets]
+		cs[i].evictBuf = bufs[maxTargets : maxTargets : 2*maxTargets]
 	}
 	return cs
 }
@@ -121,7 +129,7 @@ func TargetsOf(s directory.Sharers) []InvTarget {
 // targetsInto overwrites *buf with sharer set s's invalidation targets in
 // TargetsOf's order and returns them, or nil when s is empty.
 //
-//lint:allow hotalloc amortized growth: *buf is a DirCtrl-owned buffer reused across calls, so it grows only to the largest fan-out returned (the closures do not escape)
+//lint:allow hotalloc no growth on DirCtrl buffers: NewDirCtrlSet sizes them for the largest fan-out, so only TargetsOf's fresh list allocates (the closures do not escape)
 func targetsInto(buf *[]InvTarget, s directory.Sharers) []InvTarget {
 	if s.IsEmpty() {
 		return nil

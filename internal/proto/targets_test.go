@@ -9,9 +9,9 @@ import (
 
 // TestTargetBuffers pins the DirCtrl target-list contract: lists are nil
 // when empty; store and forwarded-invalidation targets share one
-// DirCtrl-owned buffer and replacement targets another, so RemoteStore's
-// two lists never alias each other; a list stays intact until the next
-// call on its DirCtrl; and every DirCtrl has its own buffers.
+// buffer and replacement targets another, so RemoteStore's two lists
+// never alias each other; a list stays intact until the next call on a
+// DirCtrl of its set; and every set has its own buffers.
 func TestTargetBuffers(t *testing.T) {
 	c, other := ctrl(), ctrl()
 	c.RemoteLoad(0, GPMRequester(1))
@@ -112,5 +112,38 @@ func TestWideSharerSetsDoNotAllocate(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
 		t.Fatalf("128-sharer directory calls allocate %.1f times per round", allocs)
+	}
+}
+
+// TestFirstWideFanOutAllocatesNothing: NewDirCtrlSet sizes its target
+// buffers for the widest fan-out, so the very first calls on a fresh set
+// that invalidate 128 sharers — an entry replacement, and a local store
+// — allocate nothing.
+func TestFirstWideFanOutAllocatesNothing(t *testing.T) {
+	cfg := directory.Config{Entries: 16, Ways: 2, GranLines: 4}
+	const sets = 8                // regions r, r+8 and r+16 share a directory set
+	fresh := make([][]DirCtrl, 2) // AllocsPerRun's warm-up, then one run
+	for i := range fresh {
+		fresh[i] = NewDirCtrlSet(cfg, 4)
+		c := &fresh[i][1]
+		for _, r := range []uint64{1, 1 + sets} {
+			for id := 0; id < directory.MaxSharerIDs; id++ {
+				c.RemoteLoad(lineOfRegion(r, 4), GPMRequester(id))
+			}
+		}
+	}
+	run := 0
+	var inv, evT []InvTarget
+	allocs := testing.AllocsPerRun(1, func() {
+		c := &fresh[run][1]
+		run++
+		_, evT = c.RemoteLoad(lineOfRegion(1+2*sets, 4), GPMRequester(0))
+		inv = c.LocalStore(lineOfRegion(1+sets, 4))
+	})
+	if len(inv) != directory.MaxSharerIDs || len(evT) != directory.MaxSharerIDs {
+		t.Fatalf("fan-outs of %d and %d targets, want %d each", len(inv), len(evT), directory.MaxSharerIDs)
+	}
+	if allocs != 0 {
+		t.Fatalf("first 128-target fan-outs on a fresh set: %v allocations, want 0", allocs)
 	}
 }

@@ -22,13 +22,13 @@ type Page uint64
 
 // GPMID identifies a GPU module globally across the whole system:
 // gpu*GPMsPerGPU + localGPM.
-type GPMID int
+type GPMID int32
 
 // GPUID identifies a GPU.
-type GPUID int
+type GPUID int32
 
 // SMID identifies a streaming multiprocessor globally.
-type SMID int
+type SMID int32
 
 // Topology describes the shape of the simulated machine. All fields must
 // be powers of two except NumGPUs and GPMsPerGPU, which merely must be

@@ -49,16 +49,17 @@
 #
 # The perf tier runs cmd/hmgperf against the newest committed
 # BENCH_*.json baseline: simulated cycles and event counts must match
-# exactly (the simulator is deterministic), and allocs/event must not
-# grow past a small tolerance — the hot path is not yet zero-alloc (the
-# BENCH_2026-10-18c.json baseline measures 0.0002-0.0009 allocs/event
-# across the matrix), so the gate blocks growth; wall-clock drift only
-# warns.
+# exactly (the simulator is deterministic), and allocs/event and the
+# bytes each cell's Run and gsim.New allocate must not grow past a small
+# tolerance — the hot path is not yet zero-alloc (the
+# BENCH_2026-10-18d.json baseline measures 0.0001-0.0005 allocs/event
+# and 3.2-3.5 MB per Run across the matrix), so the gate blocks growth;
+# wall-clock drift only warns.
 # It reuses the store tier's populated -cachedir, which cross-checks
 # every store record it touches against the freshly measured
 # cycles/events — a second determinism tripwire. It then runs the same
 # matrix on the 16x8 machine against PERF_16x8.json, named outside the
-# BENCH_*.json glob so the newest-baseline pick stays 4x4 (about 35 s).
+# BENCH_*.json glob so the newest-baseline pick stays 4x4 (about 25 s).
 #
 # The benchmark fingerprint tier runs the repo benchmark's matrix and
 # campaign-fig8 workloads for one second each: every cell's cycles,
