@@ -560,62 +560,4 @@ func TestHmglintFlow(t *testing.T) {
 			t.Fatalf("-list output missing %q:\n%s", name, listOut)
 		}
 	}
-
-	// -json emits one machine-readable object per finding on stdout
-	// (the count line stays on stderr, so stdout is pure JSON).
-	jsonCmd := exec.Command(bin, "-json", "./...")
-	jsonCmd.Dir = dirty
-	var stdout, stderr bytes.Buffer
-	jsonCmd.Stdout, jsonCmd.Stderr = &stdout, &stderr
-	err = jsonCmd.Run()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-		t.Fatalf("-json violation exit = %v, want exit status 2\n%s%s", err, stdout.String(), stderr.String())
-	}
-	sawJSON := false
-	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
-		var f struct{ Analyzer, Position, Message string }
-		if err := json.Unmarshal([]byte(line), &f); err != nil {
-			t.Fatalf("-json emitted a non-JSON line %q: %v", line, err)
-		}
-		if f.Analyzer == "determinism" &&
-			strings.Contains(f.Position, "engine.go") &&
-			strings.Contains(f.Message, "time.Now reads the wall clock") {
-			sawJSON = true
-		}
-	}
-	if !sawJSON {
-		t.Fatalf("-json output missing the determinism finding:\n%s", stdout.String())
-	}
-}
-
-// TestHmglintVettool drives the go vet unitchecker protocol end to
-// end: `go vet -vettool=hmglint` over a throwaway module must relay
-// the finding text and the nonzero exit.
-func TestHmglintVettool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI build in -short mode")
-	}
-	bin := build(t, "cmd/hmglint")
-
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module probe\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(dir, "engine"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	src := "package engine\n\nimport \"time\"\n\nfunc Tick() int64 { return time.Now().UnixNano() }\n"
-	if err := os.WriteFile(filepath.Join(dir, "engine", "engine.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool passed a wall-clock read:\n%s", out)
-	}
-	if !strings.Contains(string(out), "time.Now reads the wall clock") {
-		t.Fatalf("vettool finding not relayed by go vet:\n%s", out)
-	}
 }

@@ -359,3 +359,48 @@ func TestQuiescenceLiveContexts(t *testing.T) {
 		t.Fatalf("drained network still reported: %v", got[n:])
 	}
 }
+
+// TestL2EvictEventsMatchStats holds the EvL2Evict stream to the slices'
+// own eviction count: every fill that displaces a valid line, at a
+// requester or at a home, emits one event. It runs the benchmark suite
+// under every sweep configuration, with value tracking on and off.
+func TestL2EvictEventsMatchStats(t *testing.T) {
+	scale := 0.05
+	if testing.Short() {
+		scale = 0.02
+	}
+	for _, sc := range SweepConfigs() {
+		for _, track := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/track=%v", sc, track), func(t *testing.T) {
+				t.Parallel()
+				cfg := sc.Config()
+				cfg.TrackValues = track
+				for _, name := range workload.Names() {
+					sys, err := gsim.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					evicts := make([]uint64, len(sys.GPMs))
+					sys.OnEvent = func(ev gsim.Event) {
+						if ev.Kind == gsim.EvL2Evict {
+							evicts[ev.GPM]++
+						}
+					}
+					p, err := workload.Get(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := sys.Run(p.Generate(cfg.Topo, scale)); err != nil {
+						t.Fatal(err)
+					}
+					for i, g := range sys.GPMs {
+						if evicts[i] != g.L2.Stats.Evicts {
+							t.Errorf("%s: GPM %d emitted %d EvL2Evict for %d L2 evictions",
+								name, i, evicts[i], g.L2.Stats.Evicts)
+						}
+					}
+				}
+			})
+		}
+	}
+}

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"hmg/internal/gsim"
 	"hmg/internal/proto"
 	"hmg/internal/workload"
 )
@@ -328,5 +331,53 @@ func TestMCAStudySmall(t *testing.T) {
 	}
 	if vi > nhcc*1.02 {
 		t.Fatalf("multi-copy-atomic GPU-VI (%.2f) outperformed ack-free NHCC (%.2f)", vi, nhcc)
+	}
+}
+
+// TestTrackValuesInert asserts that value tracking, which the checker,
+// the litmus oracle and hmgsim -check turn on, never changes timing:
+// the machine they verify is the machine the figures time. Results
+// must be deep-equal with TrackValues on and off on the runner's
+// machine. The slice covers home atomics on lines absent from the home
+// slice, which once installed them only under tracking; it needs scale
+// 0.25, since at 0.1 those runs agreed even then.
+func TestTrackValuesInert(t *testing.T) {
+	if raceEnabled {
+		t.Skip("18 scale-0.25 run pairs; no concurrency to race")
+	}
+	const scale = 0.25
+	r, err := NewRunner(Options{Scale: scale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []proto.Kind{proto.SWHier, proto.HMG, proto.Ideal} {
+		for _, wb := range []bool{false, true} {
+			for _, name := range []string{"mst", "cuSolver", "namd2.10"} {
+				t.Run(fmt.Sprintf("%v/wb=%v/%s", k, wb, name), func(t *testing.T) {
+					t.Parallel()
+					p, err := workload.Get(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					run := func(track bool) *gsim.Results {
+						cfg := r.Config(k, Variant{WriteBack: wb})
+						cfg.TrackValues = track
+						sys, err := gsim.New(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := sys.Run(p.Generate(cfg.Topo, scale))
+						if err != nil {
+							t.Fatal(err)
+						}
+						return res
+					}
+					off, on := run(false), run(true)
+					if !reflect.DeepEqual(off, on) {
+						t.Fatalf("value tracking changed the run: %d cycles off, %d on", off.Cycles, on.Cycles)
+					}
+				})
+			}
+		}
 	}
 }

@@ -30,7 +30,7 @@ import (
 // the committed BENCH_*.json baseline is the tripwire for forgetting:
 // a baseline regeneration must come with a schema bump, or stale store
 // records would keep serving the old model's figures.
-const modelSchemaVersion = 2
+const modelSchemaVersion = 3
 
 // ModelVersion returns the campaign store's model-version stamp: the
 // manual schema version, a digest of the machine-readable Table I spec

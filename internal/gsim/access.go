@@ -271,15 +271,20 @@ func (c *opCtx) served(fill fillData) {
 }
 
 // dramFilled completes the MSHR entry m of a home's DRAM read: install
-// the line in the home's slice and serve the waiters the slice copy.
+// the line in the home's slice and serve the waiters the slice copy. The
+// line it displaces sends no downgrade: in the benchmark sweep such
+// downgrades raced re-fetches of their region and broke inclusion.
 func (s *System) dramFilled(m *opCtx) {
 	gpm, line := s.gpmOf(m.g), m.line
 	var fill fillData
 	if s.Cfg.TrackValues {
 		fill = gpm.DRAM.LineValues(line)
 	}
-	gpm.L2.Fill(line)
+	_, victim := gpm.L2.Fill(line)
 	gpm.L2.MergeFrom(line, fill)
+	if victim != nil {
+		s.l2Displaced(m.g, victim)
+	}
 	gpm.fetchDone(m, gpm.L2.Values(line))
 }
 
@@ -300,18 +305,26 @@ func (s *System) fillL2(g topo.GPMID, line topo.Line, fill fillData, allowed boo
 		l2.MergeFrom(line, fill)
 	}
 	s.emit(Event{Kind: EvFill, GPM: g, SM: NoSM, Line: line})
-	if victim != nil {
-		s.emit(Event{Kind: EvL2Evict, GPM: g, SM: NoSM, Line: victim.Line})
+	if victim == nil || s.l2Displaced(g, victim) {
+		return
 	}
-	switch {
-	case victim == nil:
-	case victim.Dirty && s.Cfg.WriteBack:
-		// Evicted dirty data writes back to its home (charged to the
-		// GPM's first SM; the kernel barrier waits on it).
-		s.writeBackLine(g, s.SMs[s.Cfg.Topo.SM(g, 0)], victim.Line, l2.VictimValues())
-	case s.Cfg.Policy.Downgrade && s.Cfg.Policy.Hardware && !s.holdsRegion(g, victim.Line):
+	if s.Cfg.Policy.Downgrade && s.Cfg.Policy.Hardware && !s.holdsRegion(g, victim.Line) {
 		s.sendDowngrade(g, victim.Line)
 	}
+}
+
+// l2Displaced reports victim, a valid line a fill displaced from GPM g's
+// slice, and writes it back to its home when it is dirty (charged to the
+// GPM's first SM; the kernel barrier waits on it). It returns whether it
+// wrote back. Every fill that displaces a slice line, a requester's or a
+// home's, comes here, so EvL2Evict counts the slice's evictions exactly.
+func (s *System) l2Displaced(g topo.GPMID, victim *cache.Entry) bool {
+	s.emit(Event{Kind: EvL2Evict, GPM: g, SM: NoSM, Line: victim.Line})
+	if !victim.Dirty || !s.Cfg.WriteBack {
+		return false
+	}
+	s.writeBackLine(g, s.SMs[s.Cfg.Topo.SM(g, 0)], victim.Line, s.gpmOf(g).L2.VictimValues())
+	return true
 }
 
 // holdsRegion reports whether GPM g's slice still holds a line of l's
@@ -808,10 +821,9 @@ func (c *opCtx) atomicApply(old uint64) {
 		h := c.g
 		gpm := s.gpmOf(h)
 		if s.Cfg.TrackValues {
-			if _, hit := gpm.L2.Peek(line); !hit {
-				gpm.L2.Fill(line)
+			if _, hit := gpm.L2.Peek(line); hit {
+				gpm.L2.SetValue(line, word, newVal)
 			}
-			gpm.L2.SetValue(line, word, newVal)
 		}
 		s.emit(Event{Kind: EvAtomicApply, GPM: h, SM: NoSM, Line: line,
 			Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: newVal})
@@ -827,11 +839,9 @@ func (c *opCtx) atomicApply(old uint64) {
 		sh := c.g
 		gpm := s.gpmOf(sh)
 		if s.Cfg.TrackValues {
-			if _, hit := gpm.L2.Peek(line); !hit {
-				gpm.L2.Fill(line)
-				gpm.L2.MergeFrom(line, gpm.DRAM.LineValues(line))
+			if _, hit := gpm.L2.Peek(line); hit {
+				gpm.L2.SetValue(line, word, newVal)
 			}
-			gpm.L2.SetValue(line, word, newVal)
 			gpm.DRAM.StoreValue(op.Addr, newVal)
 		}
 		gpm.DRAM.Write(s.Cfg.Net.Sizes.StorePayload, nil)

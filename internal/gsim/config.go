@@ -42,7 +42,10 @@ type Config struct {
 	MaxSMInflight   int
 	// TrackValues enables functional value propagation through caches
 	// and DRAM so protocol correctness can be checked; timing runs leave
-	// it off.
+	// it off. It never changes timing: a tracked run schedules, sends and
+	// caches exactly what an untracked one does, so the machine the
+	// checker verifies is the machine the figures time
+	// (TestTrackValuesInert pins this).
 	TrackValues bool
 	// ScatterCTAs replaces the contiguous CTA scheduling the paper
 	// inherits from MCM-GPU (adjacent CTAs on the same GPM) with

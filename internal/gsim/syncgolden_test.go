@@ -101,18 +101,24 @@ var syncGolden = []struct {
 	{"SW-NonHier", proto.SWNonHier, 0, false,
 		"3b5011ec04ac10b77dfcb2174e2790014462beb4dc898e294fc99ccf3c6f44b5",
 		"af2cc325d7dda30d445cf80a693767d04191a82d035fb8333772b3ff2a2e1c5d"},
+	// Re-pinned when a home's atomic stopped installing an absent line
+	// under value tracking, which had made tracking change timing.
 	{"SW-Hier", proto.SWHier, 0, false,
-		"725ff87c3e52b02b0fa3c6cb4981aa808d9ebe56b2f49cca430660bfc4f1cc4c",
-		"b5c226b3a8b1abe8ce86bdd43bf720e6f967e09bbbe48b465325d947c670aa26"},
+		"1bb6116de64fe847e9bb4368b849955a9e8f6c90045c49c39e8662778840c39d",
+		"64e10392efe955fbf7c2fa9a699efc87bda30526e8e286e04304b911f31187e0"},
 	{"NHCC", proto.NHCC, 0, false,
 		"d6ee13b619613d06c2c0361bc08154415e6beca39a8b0f204778d3debc0bae25",
 		"c3083a8a09663a6eefb9c3e5451152a6416034b2b0f590fb7a297a7f562b9a9a"},
+	// Re-pinned when a home's atomic stopped installing an absent line
+	// under value tracking, which had made tracking change timing.
 	{"HMG", proto.HMG, 0, false,
-		"b8ab17d5b1ee9f15afd95761abf6f13f3dcfab8dee61889c2d60cfa524a8d40e",
-		"3a43c3eab2774e17983df2b4f213f1a6e7640d5a022780284648b097c59813d9"},
+		"1303e9f710c305df4f101e1313b538e460a93c1959fa467cea9d1645dd744ab5",
+		"187af2888000124ced25024260ef8358d05d8f0617415853e0109985463c64a2"},
+	// Re-pinned when a home's atomic stopped installing an absent line
+	// under value tracking, which had made tracking change timing.
 	{"Ideal", proto.Ideal, 0, false,
-		"d046306172c97dc6f16053f6c6c3be7919b79854e08f1ba25dbd077656d80479",
-		"00b4be5746e1620aade6cb9b81402736b46d365728137617de45b49d2cdb4884"},
+		"c25f0144e6ddf6acd4261a3239f69de724191775bf7df8833de96e68d051986e",
+		"22d3300c22e2980590759c17aaabe9ea8466a0e25dfa7f8a2bd4b699092f3be0"},
 	// Pinned after the fix TestMCAGPMAtomicAtHome checks: before it,
 	// .gpm atomics deadlocked this configuration.
 	{"GPU-VI-MCA", proto.GPUVI, 0, false,
@@ -131,32 +137,46 @@ var syncGolden = []struct {
 	{"SW-NonHier/wb", proto.SWNonHier, wb, false,
 		"84c7a82894141fcc0da77ca8f8970a722589e07caa9f7e1321f490aa33058530",
 		"6719c9a91c80bfe6c1322e8244c51facfe58a6aac1a711f11fdfc3275fee7d9a"},
+	// Re-pinned when a home's atomic stopped installing an absent line
+	// under value tracking, which had made tracking change timing.
 	{"SW-Hier/wb", proto.SWHier, wb, false,
-		"b4215cf38a7b9c71972fd6386bd3571f014b768e5e404ebd471db1ae24eeb413",
-		"737d427f8b2c5b01b0f2114932967c6d24a262f9de006079fc28f15264d30989"},
+		"bd62a1f76f67bff616f80ff2031572b1d808b040e712b25377690bd06f8a9855",
+		"ddcded5b0192df7620a920326cf3984da5384bb49ed4e5fc8ed00cfbe3821674"},
 	// Re-pinned when a write-back stopped dropping its writer from the
 	// directory while the writer still cached the line.
 	{"NHCC/wb", proto.NHCC, wb, false,
 		"9f509ffb8caf6f20b562276d4f410c1c06670ee770a639471c259a7940986b25",
 		"afcf2bd6175fc67d6e4d888fea5338dd619bba4d6234e88ef0e20133a3f460f4"},
+	// Re-pinned when a home's atomic stopped installing an absent line
+	// under value tracking, which had made tracking change timing.
 	{"HMG/wb", proto.HMG, wb, false,
-		"9a5b8f3f96d795003abfa4aa3114a3af27e83c9feb392a7e572d8a274a9c762c",
-		"03fcba472b7f8e2a4a9e8005beb799792ca411af27ac7335f90ac7988b44c4d4"},
+		"8cec98efd11aad41586a537f2cd2038f782d2b3f7d00d95b16416500ac1e6c0f",
+		"2720ba4c86d65279bf3f1385c67b8de970a5b26cb9ec7e4dc90142a9e7d817a1"},
+	// Re-pinned when a home's atomic stopped installing an absent line
+	// under value tracking, which had made tracking change timing.
 	{"Ideal/wb", proto.Ideal, wb, false,
-		"22ecec1de02130ebd1e0fa89cf8070d3cbd805cec6bf11e4a5a075dd91be55de",
-		"7499abe19fea43bd32b203a72679bc1040ff4efcf390cb6f2f49ff1b59a01b0e"},
-	// Evictions: fillL2's victim paths, the clean-eviction downgrade and
-	// the dirty-eviction write-back. Pinned before the load path moved
-	// onto one context per load, which left them unchanged.
+		"bb853e532e3738149b896fbf4199cda7c5c829a2c439398ce4fccb0cd4bc6614",
+		"96854e54c23c1bac65f0026b6c92263933e5abfed90a91858394464fafd328f6"},
+	// Evictions: the slice victim path (l2Displaced), the clean-eviction
+	// downgrade and the dirty-eviction write-back.
+	//
+	// Re-pinned when a home's DRAM fill began emitting EvL2Evict for the
+	// line it displaces (the Results are unchanged).
 	{"NHCC/4KB+downgrade", proto.NHCC, smallL2 | downgrade, false,
-		"49e5b84d0216151ecd75d8d31b8a492eef0e16f6dbf30a99b2161a35961a34a7",
+		"0288e90af8ddf477928965408147b8fccc70d0fa86d13c68618c7c639d6bf857",
 		"a5a5e1bbe26044e14c1b6f21ddfa617c5c3f7c0668bc5ed2e8dc7343ae1ddad2"},
+	// Re-pinned twice over: a home's atomic no longer installs an absent
+	// line under value tracking, and a home's DRAM fill now emits
+	// EvL2Evict for its victim and writes a dirty one back.
 	{"HMG/4KB+downgrade", proto.HMG, smallL2 | downgrade, false,
-		"1e78e9387362947fd6e32e86a369e9c1463e85d2e2708f6e9f53e95d71d05532",
-		"e87093524832cdbaaaaa7d848386e661854ea453bec2a10dbc8393d0201c02b1"},
+		"c348fe12708fe88ab31211e854fb96de22c461f1761fa4e4b69dccc600671fdd",
+		"24f618f95fcb8ba927eb23cb35b4bb655cf520b454e4ae07f2ceb573d7dbebd6"},
+	// Re-pinned twice over: a home's atomic no longer installs an absent
+	// line under value tracking, and a home's DRAM fill now emits
+	// EvL2Evict for its victim and writes a dirty one back.
 	{"HMG/1KB+wb", proto.HMG, tinyL2 | wb, false,
-		"1ca93272fcfa200338e27cec1297c209500eb7962c9333fe8feb622a212db6da",
-		"aa8e8d41f9c051908008171fd53f97ff049a38beb35467f7870655e3f0d579b6"},
+		"09842a65b1f5701977f91247a53d9c4c5b3f6f7ae36472df1f22a49706ac17c3",
+		"2f9fbe88dc747c4ec62dbb094b0aa0b50b96387b20fb0f797e833820c2c592e3"},
 }
 
 // TestSyncPathsGolden pins the atomic, MCA, release-fence and

@@ -1,13 +1,12 @@
 // Cross-package facts. Two fact kinds are computed for every
-// in-module package and shared across the import graph: standalone
-// mode keeps them in memory while walking `go list -deps` order;
-// vettool mode serializes them to the facts files go vet threads
-// between compilations.
+// in-module package and kept in one in-memory set while Run walks
+// packages in `go list -deps` order, so a package's importers see its
+// facts.
 //
-//   - Mutates (this file): for every function, does calling it
+//   - mutates (this file): for every function, does calling it
 //     possibly mutate state reachable from its receiver or arguments?
 //     Feeds the readonlyhooks analyzer.
-//   - Fns (hotalloc.go): per-function allocation sites and static
+//   - fns (hotalloc.go): per-function allocation sites and static
 //     in-module callees. Feeds the hotalloc analyzer's hot-path
 //     reachability walk.
 //
@@ -37,55 +36,37 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// FactSet carries every fact kind the suite shares across packages.
-// The exported field names are the vetx JSON schema go vet threads
-// between compilation units.
-type FactSet struct {
-	// Mutates maps types.Func FullNames to "may mutate
+// factSet carries every fact kind the suite shares across packages.
+type factSet struct {
+	// mutates maps types.Func FullNames to "may mutate
 	// receiver/argument state".
-	Mutates map[string]bool
-	// Fns maps types.Func FullNames to their allocation/call-graph
+	mutates map[string]bool
+	// fns maps types.Func FullNames to their allocation/call-graph
 	// fact (hotalloc.go).
-	Fns map[string]*FnFact
+	fns map[string]*fnFact
 }
 
-// NewFactSet returns an empty, writable fact set.
-func NewFactSet() FactSet {
-	return FactSet{
-		Mutates: map[string]bool{},
-		Fns:     map[string]*FnFact{},
+// newFactSet returns an empty fact set.
+func newFactSet() factSet {
+	return factSet{
+		mutates: map[string]bool{},
+		fns:     map[string]*fnFact{},
 	}
 }
 
-// merge folds src into fs. fs must come from NewFactSet; src may be a
-// zero value (e.g. an unmarshalled empty vetx file).
-func (fs FactSet) merge(src FactSet) {
-	for k, v := range src.Mutates {
-		if v {
-			fs.Mutates[k] = true
-		}
-	}
-	for k, v := range src.Fns {
-		fs.Fns[k] = v
-	}
-}
-
-// computeFacts derives every fact kind for one package, given the
-// already-merged facts of its dependencies in pass.Facts. The returned
-// set contains entries for this package's functions only.
-func computeFacts(pass *Pass) FactSet {
-	out := NewFactSet()
-	computeMutates(pass, out.Mutates)
-	computeAllocFacts(pass, out.Fns)
-	return out
+// computeFacts adds every fact kind for one package's functions to
+// pass.facts, which already holds the facts of its dependencies.
+func computeFacts(pass *Pass) {
+	computeMutates(pass)
+	computeAllocFacts(pass)
 }
 
 // computeMutates derives the mutability facts for one package.
-func computeMutates(pass *Pass, local map[string]bool) {
+func computeMutates(pass *Pass) {
+	mutates := pass.facts.mutates
 	decls := map[*types.Func]*ast.FuncDecl{}
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
@@ -102,11 +83,11 @@ func computeMutates(pass *Pass, local map[string]bool) {
 		changed = false
 		for fn, fd := range decls {
 			name := fn.FullName()
-			if local[name] {
+			if mutates[name] {
 				continue
 			}
-			if declMutates(pass, fd, local) {
-				local[name] = true
+			if declMutates(pass, fd) {
+				mutates[name] = true
 				changed = true
 			}
 		}
@@ -115,7 +96,7 @@ func computeMutates(pass *Pass, local map[string]bool) {
 
 // declMutates reports whether one function body contains a mutation of
 // tainted (caller-reachable) state, under the current fact estimates.
-func declMutates(pass *Pass, fd *ast.FuncDecl, local map[string]bool) bool {
+func declMutates(pass *Pass, fd *ast.FuncDecl) bool {
 	taint := taintedObjects(pass, fd)
 	found := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -134,7 +115,7 @@ func declMutates(pass *Pass, fd *ast.FuncDecl, local map[string]bool) bool {
 				found = true
 			}
 		case *ast.CallExpr:
-			if callMutates(pass, n, taint, local) {
+			if callMutates(pass, n, taint) {
 				found = true
 			}
 		}
@@ -287,7 +268,7 @@ func writeTarget(pass *Pass, e ast.Expr) (root *ast.Ident, real bool) {
 // callMutates reports whether a call expression mutates tainted state:
 // delete/clear builtins on tainted operands, or calls to functions
 // whose fact says they mutate, passed a tainted receiver or argument.
-func callMutates(pass *Pass, call *ast.CallExpr, taint map[types.Object]bool, local map[string]bool) bool {
+func callMutates(pass *Pass, call *ast.CallExpr, taint map[types.Object]bool) bool {
 	touchesTaint := func(e ast.Expr) bool {
 		hit := false
 		ast.Inspect(e, func(n ast.Node) bool {
@@ -313,8 +294,7 @@ func callMutates(pass *Pass, call *ast.CallExpr, taint map[types.Object]bool, lo
 	if fn == nil {
 		return false
 	}
-	mutates := local[fn.FullName()] || pass.Facts.Mutates[fn.FullName()]
-	if !mutates {
+	if !pass.facts.mutates[fn.FullName()] {
 		return false
 	}
 	// A tainted operand only conveys caller state if its type can carry
@@ -366,6 +346,3 @@ func carriesRefs(t types.Type, seen map[types.Type]bool) bool {
 		return true // tuples and anything exotic: be conservative
 	}
 }
-
-// posOf is a tiny helper for analyzers reporting on nodes.
-func posOf(n ast.Node) token.Pos { return n.Pos() }

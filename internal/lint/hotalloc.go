@@ -17,7 +17,7 @@
 //     implemented by gsim's pooled opCtx stage dispatcher, whose
 //     case arms are the steady-state continuation bodies.
 //
-// Allocation sites recorded in the per-function fact (facts.go FnFact):
+// Allocation sites recorded in the per-function fact (fnFact):
 //
 //   - function literals (a closure allocates its context);
 //   - &CompositeLit and slice/map composite literals;
@@ -60,7 +60,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
@@ -73,23 +72,22 @@ var AnalyzerHotAlloc = &Analyzer{
 	Run: runHotAlloc,
 }
 
-// FnFact is the hotalloc fact for one function: its own allocation
+// fnFact is the hotalloc fact for one function: its own allocation
 // sites (after body-level allows) and its static in-module callees.
-type FnFact struct {
-	// Allocs are the unsuppressed allocation sites in the body,
+type fnFact struct {
+	// allocs are the unsuppressed allocation sites in the body,
 	// including nested function literals.
-	Allocs []AllocSite
-	// Calls are the FullNames of statically-resolved callees within
+	allocs []allocSite
+	// calls are the FullNames of statically-resolved callees within
 	// this module (same package included).
-	Calls []string
+	calls []string
 }
 
-// AllocSite is one allocation, positioned for cross-package reporting.
-type AllocSite struct {
-	// Pos is the "file:line:col" position of the site.
-	Pos string
-	// What describes the allocation.
-	What string
+// allocSite is one allocation. Run parses every package into one
+// FileSet, so pos resolves from any package's Pass.
+type allocSite struct {
+	pos  token.Pos
+	what string
 }
 
 // allocStdlib are standard-library packages whose exported API
@@ -100,9 +98,9 @@ var allocStdlib = map[string]bool{
 	"strconv": true, "sort": true, "bytes": true,
 }
 
-// computeAllocFacts fills fns with this package's per-function
-// hotalloc facts.
-func computeAllocFacts(pass *Pass, fns map[string]*FnFact) {
+// computeAllocFacts adds this package's per-function hotalloc facts to
+// pass.facts.
+func computeAllocFacts(pass *Pass) {
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -113,7 +111,7 @@ func computeAllocFacts(pass *Pass, fns map[string]*FnFact) {
 			if !ok {
 				continue
 			}
-			fns[fn.FullName()] = allocFactFor(pass, fd)
+			pass.facts.fns[fn.FullName()] = allocFactFor(pass, fd)
 		}
 	}
 }
@@ -121,8 +119,8 @@ func computeAllocFacts(pass *Pass, fns map[string]*FnFact) {
 // allocFactFor walks one declaration body, collecting allocation sites
 // and static in-module callees. Function literals are walked in place,
 // so a closure's body attributes to the declaration that creates it.
-func allocFactFor(pass *Pass, fd *ast.FuncDecl) *FnFact {
-	fact := &FnFact{}
+func allocFactFor(pass *Pass, fd *ast.FuncDecl) *fnFact {
+	fact := &fnFact{}
 	declLine := pass.Fset.Position(fd.Pos()).Line
 
 	// panic(...) argument ranges are exempt from site collection.
@@ -155,7 +153,7 @@ func allocFactFor(pass *Pass, fd *ast.FuncDecl) *FnFact {
 		if pass.allowedAt("hotalloc", pos.Filename, pos.Line, declLine) {
 			return
 		}
-		fact.Allocs = append(fact.Allocs, AllocSite{Pos: pos.String(), What: what})
+		fact.allocs = append(fact.allocs, allocSite{pos: n.Pos(), what: what})
 	}
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -202,7 +200,7 @@ func allocFactFor(pass *Pass, fd *ast.FuncDecl) *FnFact {
 // hotallocCall classifies one call expression: builtin allocators,
 // string conversions, allocating stdlib calls, interface boxing at the
 // call boundary, and the in-module call-graph edge.
-func hotallocCall(pass *Pass, call *ast.CallExpr, site func(ast.Node, string), seenCall map[string]bool, fact *FnFact) {
+func hotallocCall(pass *Pass, call *ast.CallExpr, site func(ast.Node, string), seenCall map[string]bool, fact *fnFact) {
 	// Builtins.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := pass.Info.Uses[id].(*types.Builtin); ok {
@@ -248,7 +246,7 @@ func hotallocCall(pass *Pass, call *ast.CallExpr, site func(ast.Node, string), s
 	if sameModule(pkgPath, pass.Pkg.Path()) {
 		if name := fn.FullName(); !seenCall[name] {
 			seenCall[name] = true
-			fact.Calls = append(fact.Calls, name)
+			fact.calls = append(fact.calls, name)
 		}
 	}
 
@@ -359,11 +357,11 @@ func runHotAlloc(pass *Pass) []Diagnostic {
 	for len(frontier) > 0 {
 		name := frontier[0]
 		frontier = frontier[1:]
-		fact := pass.Facts.Fns[name]
+		fact := pass.facts.fns[name]
 		if fact == nil {
 			continue
 		}
-		for _, callee := range fact.Calls {
+		for _, callee := range fact.calls {
 			if _, ok := from[callee]; !ok {
 				from[callee] = from[name]
 				frontier = append(frontier, callee)
@@ -373,17 +371,13 @@ func runHotAlloc(pass *Pass) []Diagnostic {
 
 	var diags []Diagnostic
 	for name, why := range from {
-		fact := pass.Facts.Fns[name]
+		fact := pass.facts.fns[name]
 		if fact == nil {
 			continue
 		}
-		for _, s := range fact.Allocs {
-			diags = append(diags, Diagnostic{
-				Position: parsePosition(s.Pos),
-				Analyzer: "hotalloc",
-				Message: fmt.Sprintf("%s in %s, reachable from hot path root %s",
-					s.What, shortFnName(name), why),
-			})
+		for _, s := range fact.allocs {
+			pass.report(&diags, "hotalloc", s.pos, "%s in %s, reachable from hot path root %s",
+				s.what, shortFnName(name), why)
 		}
 	}
 	return diags
@@ -421,25 +415,4 @@ func shortFnName(full string) string {
 		return prefix + full[i+1:]
 	}
 	return full
-}
-
-// parsePosition turns an AllocSite "file:line:col" back into a
-// token.Position for cross-package diagnostics.
-func parsePosition(s string) token.Position {
-	var p token.Position
-	rest := s
-	if i := strings.LastIndexByte(rest, ':'); i >= 0 {
-		if col, err := strconv.Atoi(rest[i+1:]); err == nil {
-			p.Column = col
-			rest = rest[:i]
-		}
-	}
-	if i := strings.LastIndexByte(rest, ':'); i >= 0 {
-		if line, err := strconv.Atoi(rest[i+1:]); err == nil {
-			p.Line = line
-			rest = rest[:i]
-		}
-	}
-	p.Filename = rest
-	return p
 }

@@ -63,9 +63,9 @@ type Pass struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// Facts carries the cross-package facts (for every dependency
+	// facts carries the cross-package facts (for every dependency
 	// package and this one). See facts.go.
-	Facts FactSet
+	facts factSet
 
 	// Directive state, shared between fact computation and analyzer
 	// runs so a directive consumed at fact time (hotalloc body-level

@@ -155,7 +155,7 @@ func TestReadonlyHooksFixture(t *testing.T) {
 
 // TestHotAllocFixture exercises the interprocedural reachability pass:
 // wants live in both fixture packages because Handle-rooted findings
-// cross the package boundary through the FnFact call graph.
+// cross the package boundary through the fnFact call graph.
 func TestHotAllocFixture(t *testing.T) {
 	diags, root := loadFixture(t, "hotalloc", "hotalloc")
 	checkWants(t, diags, root)

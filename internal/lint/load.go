@@ -82,7 +82,7 @@ func Run(dir string, patterns []string, enabled []*Analyzer) ([]Diagnostic, erro
 	}
 	imp := importer.ForCompiler(fset, "gc", lookup)
 
-	facts := NewFactSet()
+	facts := newFactSet()
 	var diags []Diagnostic
 	// Interprocedural passes (hotalloc) may report the same
 	// cross-package site from several analyzed packages; keep one.
@@ -100,7 +100,7 @@ func Run(dir string, patterns []string, enabled []*Analyzer) ([]Diagnostic, erro
 		if err != nil {
 			return nil, err
 		}
-		facts.merge(computeFacts(pass))
+		computeFacts(pass)
 		if !p.DepOnly {
 			for _, d := range runAnalyzers(pass, enabled) {
 				key := d.Analyzer + "\x00" + d.Position.String() + "\x00" + d.Message
@@ -118,7 +118,7 @@ func Run(dir string, patterns []string, enabled []*Analyzer) ([]Diagnostic, erro
 // typecheck parses and type-checks one listed package. Test files are
 // excluded by construction (go list's GoFiles never includes them),
 // matching the suite's contract of analyzing simulator code only.
-func typecheck(fset *token.FileSet, imp types.Importer, p *listPkg, facts FactSet) (*Pass, error) {
+func typecheck(fset *token.FileSet, imp types.Importer, p *listPkg, facts factSet) (*Pass, error) {
 	var files []*ast.File
 	for _, name := range p.GoFiles {
 		path := name
@@ -143,7 +143,7 @@ func typecheck(fset *token.FileSet, imp types.Importer, p *listPkg, facts FactSe
 	if err != nil {
 		return nil, fmt.Errorf("hmglint: typechecking %s: %v", p.ImportPath, err)
 	}
-	return &Pass{Fset: fset, Files: files, Pkg: pkg, Info: info, Facts: facts}, nil
+	return &Pass{Fset: fset, Files: files, Pkg: pkg, Info: info, facts: facts}, nil
 }
 
 // mappedImporter applies an import-path translation map (vendoring,

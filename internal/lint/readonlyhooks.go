@@ -144,7 +144,7 @@ func runReadonlyHooks(pass *Pass) []Diagnostic {
 				if !sameModule(target.Pkg().Path(), pass.Pkg.Path()) {
 					return true
 				}
-				if pass.Facts.Mutates[target.FullName()] {
+				if pass.facts.mutates[target.FullName()] {
 					pass.report(&diags, "readonlyhooks", n.Pos(),
 						"observer path %s calls %s, which mutates simulator state; "+
 							"checker hooks must be read-only (use Peek/ForEach-style accessors)",

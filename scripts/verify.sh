@@ -8,9 +8,8 @@
 #
 # The lint tier builds cmd/hmglint and runs the full analyzer suite
 # (determinism, eventemit, exhaustive, hotalloc, readonlyhooks) over
-# the module, both standalone and through `go vet -vettool` (the
-# unitchecker protocol threads facts along import edges, so both paths
-# must stay green); any finding fails the script via the tool's
+# the module in one process, which threads facts along import edges in
+# dependency order; any finding fails the script via the tool's
 # nonzero exit. The tier then proves the interprocedural hotalloc
 # analyzer has teeth: in a scratch copy of the repo, an injected
 # hot-path allocation must fail with exit 2 naming the analyzer.
@@ -83,9 +82,6 @@ HMGLINT_BIN="$(mktemp -d)/hmglint"
 trap 'rm -rf "$(dirname "$HMGLINT_BIN")"' EXIT
 go build -o "$HMGLINT_BIN" ./cmd/hmglint
 "$HMGLINT_BIN" ./...
-
-echo "== go vet -vettool=hmglint"
-go vet -vettool="$HMGLINT_BIN" ./...
 
 echo "== hmglint mutation self-test (hotalloc)"
 LINT_SCRATCH="$(dirname "$HMGLINT_BIN")/scratch"
