@@ -77,19 +77,14 @@ type Cache struct {
 	// wraps, renumber rewrites every set's stamps to their ranks.
 	clock  uint32
 	filled int
-	// victim holds the line the last Fill displaced; Fill returns a
-	// pointer to it instead of a heap copy.
-	victim Entry
 
 	// values is the side table of tracked word values: a sparse
 	// word-to-value map per resident line, absent words taking the
 	// backing store's value. It stays nil until the first value is
 	// recorded, so only value-tracking runs ever build one. A line's
 	// values leave with it: Invalidate and InvalidateWhere drop them,
-	// and an eviction moves them to victimValues.
+	// and Fill hands an evicted line's to its caller.
 	values map[topo.Line]map[uint16]uint64
-	// victimValues holds the values of the line the last Fill displaced.
-	victimValues map[uint16]uint64
 
 	Stats Stats
 }
@@ -164,19 +159,18 @@ func (c *Cache) Peek(l topo.Line) (*Entry, bool) {
 	return nil, false
 }
 
-// Fill inserts a line, evicting the LRU way of its set if necessary. It
-// returns the entry for the new line and, when a valid line was
-// displaced, a copy of the victim. The copy lives in a per-cache slot
-// and is valid only until the next Fill, as are the victim's tracked
-// values (VictimValues). Filling an already-present line just refreshes
-// it.
-func (c *Cache) Fill(l topo.Line) (*Entry, *Entry) {
+// Fill inserts a line, evicting the LRU way of its set if necessary.
+// When a valid line was displaced, victim is a copy of its entry and
+// values are its tracked word values (nil when none were tracked);
+// otherwise victim is the zero Entry, whose Valid is false. Filling an
+// already-present line just refreshes it.
+func (c *Cache) Fill(l topo.Line) (victim Entry, values map[uint16]uint64) {
 	set := c.setOf(l)
 	stamp := c.tick()
 	for i := range set {
 		if set[i].Valid && set[i].Line == l {
 			set[i].lru = stamp
-			return &set[i], nil
+			return Entry{}, nil
 		}
 	}
 	// Choose an invalid way first, else the LRU valid way.
@@ -187,7 +181,6 @@ func (c *Cache) Fill(l topo.Line) (*Entry, *Entry) {
 			break
 		}
 	}
-	var victim *Entry
 	if victimIdx == -1 {
 		victimIdx = 0
 		for i := 1; i < len(set); i++ {
@@ -195,10 +188,9 @@ func (c *Cache) Fill(l topo.Line) (*Entry, *Entry) {
 				victimIdx = i
 			}
 		}
-		c.victim = set[victimIdx] // copy out before overwrite
-		victim = &c.victim
+		victim = set[victimIdx] // copy out before overwrite
 		if c.values != nil {
-			c.victimValues = c.values[victim.Line]
+			values = c.values[victim.Line]
 			delete(c.values, victim.Line)
 		}
 		c.Stats.Evicts++
@@ -207,7 +199,7 @@ func (c *Cache) Fill(l topo.Line) (*Entry, *Entry) {
 	set[victimIdx] = Entry{Line: l, Valid: true, lru: stamp}
 	c.filled++
 	c.Stats.Fills++
-	return &set[victimIdx], victim
+	return victim, values
 }
 
 // Invalidate drops a single line if present, returning whether it was.
@@ -332,10 +324,6 @@ func (c *Cache) Value(l topo.Line, word uint16) (uint64, bool) {
 	v, ok := c.values[l][word]
 	return v, ok
 }
-
-// VictimValues returns the tracked values the line displaced by the
-// last Fill carried out of the cache, or nil.
-func (c *Cache) VictimValues() map[uint16]uint64 { return c.victimValues }
 
 // lineValues returns resident line l's value map, creating it (and the
 // side table) with room for n words.

@@ -120,8 +120,8 @@ func TestLRUEviction(t *testing.T) {
 		c.Fill(l)
 	}
 	c.Lookup(lines[0]) // refresh line 0; LRU is now lines[1]
-	_, victim := c.Fill(4 * numSets)
-	if victim == nil || victim.Line != lines[1] {
+	victim, _ := c.Fill(4 * numSets)
+	if !victim.Valid || victim.Line != lines[1] {
 		t.Fatalf("victim = %+v, want line %d", victim, lines[1])
 	}
 	if _, ok := c.Peek(lines[0]); !ok {
@@ -134,14 +134,14 @@ func TestLRUEviction(t *testing.T) {
 
 func TestFillExistingRefreshes(t *testing.T) {
 	c := New(smallCfg())
-	e1, _ := c.Fill(7)
+	c.Fill(7)
+	e1, _ := c.Peek(7)
 	e1.Dirty = true
 	c.SetValue(7, 3, 99)
-	e2, victim := c.Fill(7)
-	if victim != nil {
+	if victim, values := c.Fill(7); victim != (Entry{}) || values != nil {
 		t.Fatal("refill of present line reported a victim")
 	}
-	if !e2.Dirty {
+	if e2, _ := c.Peek(7); !e2.Dirty {
 		t.Fatal("refill cleared dirty bit")
 	}
 	if v, ok := c.Value(7, 3); !ok || v != 99 {
@@ -205,7 +205,8 @@ func TestInvalidateWhere(t *testing.T) {
 func TestFlushDirty(t *testing.T) {
 	c := New(smallCfg())
 	for _, l := range []topo.Line{3, 11, 4, 1} { // 3 and 11 share set 3
-		e, _ := c.Fill(l)
+		c.Fill(l)
+		e, _ := c.Peek(l)
 		e.Dirty = l != 4
 	}
 	buf := c.FlushDirty([]Entry{{Line: 99}})
@@ -461,9 +462,9 @@ func TestLRUClockWrap(t *testing.T) {
 			ref.lookup(l)
 			continue
 		}
-		_, v := c.Fill(topo.Line(l))
+		v, _ := c.Fill(topo.Line(l))
 		got := int64(-1)
-		if v != nil {
+		if v.Valid {
 			got = int64(v.Line)
 		}
 		if want := ref.fill(l); got != want {
@@ -473,8 +474,8 @@ func TestLRUClockWrap(t *testing.T) {
 }
 
 // TestValueSideTable: tracked values live beside the entries; they
-// survive Lookup and refills, leave with an evicted line (VictimValues),
-// and vanish on Invalidate and InvalidateWhere.
+// survive Lookup and refills, leave with an evicted line (Fill returns
+// them), and vanish on Invalidate and InvalidateWhere.
 func TestValueSideTable(t *testing.T) {
 	c := New(smallCfg())
 	if c.Values(1) != nil {
@@ -494,11 +495,11 @@ func TestValueSideTable(t *testing.T) {
 		}
 	}
 	// set0[1] is now least recently used: its values leave with it.
-	_, victim := c.Fill(4 * sets)
-	if victim == nil || victim.Line != set0[1] {
+	victim, got := c.Fill(4 * sets)
+	if !victim.Valid || victim.Line != set0[1] {
 		t.Fatalf("victim = %+v, want line %d", victim, set0[1])
 	}
-	if got := c.VictimValues(); len(got) != 1 || got[1] != 101 {
+	if len(got) != 1 || got[1] != 101 {
 		t.Fatalf("victim values = %v, want word 1 = 101", got)
 	}
 	if c.Values(set0[1]) != nil || c.Values(4*sets) != nil {

@@ -225,13 +225,13 @@ func TestMutationDropEvictInv(t *testing.T) {
 	// Fig. 10 counters record protocol-intended traffic: the mutation
 	// suppresses the messages, not the accounting, so the per-directory
 	// eviction-invalidation counters still accumulate.
-	var evictMsgs uint64
+	var evictLines uint64
 	for _, gpm := range sys.GPMs {
 		if gpm.Dir != nil {
-			evictMsgs += gpm.Dir.InvMsgsByEvicts
+			evictLines += gpm.Dir.LinesInvByEvicts
 		}
 	}
-	if evictMsgs == 0 {
+	if evictLines == 0 {
 		t.Fatal("mutated run recorded no intended eviction invalidations; counters must not be suppressed by MutDropEvictInv")
 	}
 }

@@ -75,14 +75,7 @@ func (c Config) Validate() error {
 
 // Stats counts directory events.
 type Stats struct {
-	Allocs uint64 // entries newly allocated
 	Evicts uint64 // entries displaced by capacity/conflict
-	Drops  uint64 // entries invalidated by protocol transitions
-	Hits   uint64
-	Misses uint64
-	// EvictedSharerLines accumulates sharers × GranLines over evictions,
-	// the numerator of paper Fig. 10.
-	EvictedSharerLines uint64
 }
 
 // Dir is a set-associative coherence directory.
@@ -96,8 +89,6 @@ type Dir struct {
 	setsPerShard uint64
 	clock        uint64
 	live         int
-	// victim holds the copy of the entry the last Ensure displaced.
-	victim Entry
 
 	Stats Stats
 }
@@ -184,30 +175,26 @@ func (d *Dir) Lookup(r Region) (*Entry, bool) {
 		if set[i].valid && set[i].Region == r {
 			d.clock++
 			set[i].lru = d.clock
-			d.Stats.Hits++
 			return &set[i], true
 		}
 	}
-	d.Stats.Misses++
 	return nil, false
 }
 
 // Ensure returns the entry for region r, allocating it (state I→V) if
-// absent. When allocation displaces a Valid entry, a copy of the victim
-// is returned so the caller can send invalidations to its sharers, per
-// Table I's "Replace Dir Entry" column. The copy is the directory's own
-// and stays valid until the next Ensure.
-func (d *Dir) Ensure(r Region) (*Entry, *Entry) {
+// absent, and reports whether it allocated. When the allocation
+// displaces a Valid entry, victim is a copy of it, so the caller can
+// invalidate its sharers per Table I's "Replace Dir Entry" column;
+// otherwise victim is the zero Entry, which has no sharers.
+func (d *Dir) Ensure(r Region) (e *Entry, allocated bool, victim Entry) {
 	set := d.setOf(r)
 	d.clock++
 	for i := range set {
 		if set[i].valid && set[i].Region == r {
 			set[i].lru = d.clock
-			d.Stats.Hits++
-			return &set[i], nil
+			return &set[i], false, Entry{}
 		}
 	}
-	d.Stats.Misses++
 	victimIdx := -1
 	for i := range set {
 		if !set[i].valid {
@@ -215,7 +202,6 @@ func (d *Dir) Ensure(r Region) (*Entry, *Entry) {
 			break
 		}
 	}
-	var victim *Entry
 	if victimIdx == -1 {
 		victimIdx = 0
 		for i := 1; i < len(set); i++ {
@@ -223,16 +209,13 @@ func (d *Dir) Ensure(r Region) (*Entry, *Entry) {
 				victimIdx = i
 			}
 		}
-		d.victim = set[victimIdx]
-		victim = &d.victim
+		victim = set[victimIdx]
 		d.Stats.Evicts++
-		d.Stats.EvictedSharerLines += uint64(victim.Sharers.Count() * d.cfg.GranLines)
 		d.live--
 	}
 	set[victimIdx] = Entry{Region: r, valid: true, lru: d.clock}
 	d.live++
-	d.Stats.Allocs++
-	return &set[victimIdx], victim
+	return &set[victimIdx], true, victim
 }
 
 // Drop transitions an entry to Invalid (removing it), per the V→I
@@ -243,7 +226,6 @@ func (d *Dir) Drop(r Region) bool {
 		if set[i].valid && set[i].Region == r {
 			set[i] = Entry{}
 			d.live--
-			d.Stats.Drops++
 			return true
 		}
 	}
@@ -253,7 +235,7 @@ func (d *Dir) Drop(r Region) bool {
 // Snapshot returns a copy of every Valid entry sorted by region — a
 // deterministic view of the directory state for differs and tests,
 // independent of set/way placement and shard count. Unlike Lookup it
-// never touches LRU or hit/miss statistics.
+// never touches LRU state.
 func (d *Dir) Snapshot() []Entry {
 	out := make([]Entry, 0, d.live)
 	d.ForEach(func(e *Entry) { out = append(out, *e) })

@@ -24,8 +24,8 @@ func TestShardCountInvariance(t *testing.T) {
 			case 1, 2: // probe
 				d.Lookup(r)
 			default: // allocate and mutate sharers
-				e, victim := d.Ensure(r)
-				if victim != nil {
+				e, _, victim := d.Ensure(r)
+				if victim.valid {
 					victims = append(victims, victim.Region)
 				}
 				id := int(splitmix(&seed) % MaxSharerIDs) // both bitmap words

@@ -12,8 +12,9 @@ import (
 //
 // A set is one fixed-width bitmap per id space. It is a plain value:
 // every operation is a handful of word operations that never allocate,
-// With and Without return new sets, and two sets record the same
-// sharers exactly when they are ==.
+// With and Without return new sets, Pop drains its receiver one sharer
+// at a time, and two sets record the same sharers exactly when they
+// are ==.
 type Sharers struct {
 	gpm, gpu bitmap
 }
@@ -77,45 +78,43 @@ func (s Sharers) Count() int {
 // IsEmpty reports whether no sharer is recorded.
 func (s Sharers) IsEmpty() bool { return s == Sharers{} }
 
-// GPMs calls fn for each GPM sharer index in ascending order.
-func (s Sharers) GPMs(fn func(int)) {
-	forEachBit(s.gpm.lo, 0, fn)
-	forEachBit(s.gpm.hi, 64, fn)
-}
-
-// GPUs calls fn for each GPU sharer id in ascending order.
-func (s Sharers) GPUs(fn func(int)) {
-	forEachBit(s.gpu.lo, 0, fn)
-	forEachBit(s.gpu.hi, 64, fn)
-}
-
-// forEachBit calls fn with base plus the index of each set bit of v, in
-// ascending order.
-func forEachBit(v uint64, base int, fn func(int)) {
-	for v != 0 {
-		i := bits.TrailingZeros64(v)
-		fn(base + i)
-		v &^= 1 << uint(i)
+// Pop removes and returns s's first sharer: its lowest GPM index while
+// any GPM sharer remains (isGPU false), then its lowest GPU id (isGPU
+// true). Draining a set with Pop therefore visits every GPM sharer in
+// ascending order, then every GPU sharer in ascending order. s must not
+// be empty.
+func (s *Sharers) Pop() (id int, isGPU bool) {
+	if s.gpm != (bitmap{}) {
+		return s.gpm.pop(), false
 	}
+	return s.gpu.pop(), true
+}
+
+// pop removes and returns b's lowest id.
+func (b *bitmap) pop() int {
+	if b.lo != 0 {
+		i := bits.TrailingZeros64(b.lo)
+		b.lo &= b.lo - 1
+		return i
+	}
+	i := bits.TrailingZeros64(b.hi)
+	b.hi &= b.hi - 1
+	return 64 + i
 }
 
 // String implements fmt.Stringer for debugging.
 func (s Sharers) String() string {
 	out := "["
-	first := true
-	s.GPMs(func(i int) {
-		if !first {
+	for rest := s; !rest.IsEmpty(); {
+		if rest != s {
 			out += " "
 		}
-		out += fmt.Sprintf("GPM%d", i)
-		first = false
-	})
-	s.GPUs(func(j int) {
-		if !first {
-			out += " "
+		id, isGPU := rest.Pop()
+		space := "GPM"
+		if isGPU {
+			space = "GPU"
 		}
-		out += fmt.Sprintf("GPU%d", j)
-		first = false
-	})
+		out += fmt.Sprintf("%s%d", space, id)
+	}
 	return out + "]"
 }

@@ -61,12 +61,26 @@ func checkAgainstRef(t *testing.T, s Sharers, ref refSet) {
 	if s.IsEmpty() != (len(ref) == 0) {
 		t.Fatalf("IsEmpty = %v with %d ref elements", s.IsEmpty(), len(ref))
 	}
+	// Draining with Pop yields the GPM ids, then the GPU ids, each
+	// ascending, in exactly Count steps.
 	var gpms, gpus []int
-	s.GPMs(func(i int) { gpms = append(gpms, i) })
-	s.GPUs(func(j int) { gpus = append(gpus, j) })
+	rest := s
+	for steps := 0; !rest.IsEmpty(); steps++ {
+		if steps == s.Count() {
+			t.Fatalf("Pop did not drain %v in Count = %d steps", s, s.Count())
+		}
+		id, isGPU := rest.Pop()
+		if isGPU {
+			gpus = append(gpus, id)
+		} else if len(gpus) > 0 {
+			t.Fatalf("Pop yielded GPM %d after GPU ids %v", id, gpus)
+		} else {
+			gpms = append(gpms, id)
+		}
+	}
 	wantGPMs, wantGPUs := ref.ids(0), ref.ids(1)
 	if fmt.Sprint(gpms) != fmt.Sprint(wantGPMs) || fmt.Sprint(gpus) != fmt.Sprint(wantGPUs) {
-		t.Fatalf("iteration = GPMs %v GPUs %v, ref GPMs %v GPUs %v", gpms, gpus, wantGPMs, wantGPUs)
+		t.Fatalf("Pop order = GPMs %v GPUs %v, ref GPMs %v GPUs %v", gpms, gpus, wantGPMs, wantGPUs)
 	}
 }
 
@@ -190,8 +204,12 @@ func TestSharersAllocateNothing(t *testing.T) {
 			{"Has", func() { sinkBool = full.Has(GPUBit(id)) }},
 			{"Count", func() { sinkInt = full.Count() }},
 			{"IsEmpty", func() { sinkBool = full.IsEmpty() }},
-			{"GPMs", func() { full.GPMs(func(i int) { sinkInt += i }) }},
-			{"GPUs", func() { full.GPUs(func(j int) { sinkInt += j }) }},
+			{"Pop", func() {
+				for rest := full; !rest.IsEmpty(); {
+					id, _ := rest.Pop()
+					sinkInt += id
+				}
+			}},
 		}
 		for _, op := range ops {
 			if n := testing.AllocsPerRun(100, op.fn); n != 0 {

@@ -140,10 +140,13 @@ func (v Variant) withDefaults() Variant {
 	return v
 }
 
+// runKey is a run's canonical specification and its identity in both
+// memo tiers: the in-process cache keys on it, and StoreKey digests it.
 type runKey struct {
-	bench string
+	bench workload.Params
 	kind  proto.Kind
-	v     Variant
+	v     Variant   // canonicalVariant's form
+	shape topo.Spec // the effective machine shape
 }
 
 // inflight is one memo-cache entry: the first requester of a key owns
@@ -274,11 +277,17 @@ func (r *Runner) baseSpec() topo.Spec {
 // (e.g. Spec{NumGPUs: 4} on the Table II machine) shares a key with
 // plain runs.
 func (r *Runner) key(bench workload.Params, kind proto.Kind, v Variant, sp topo.Spec) runKey {
-	name := bench.Abbrev
-	if eff := r.effectiveSpec(sp); eff != r.baseSpec() {
-		name = fmt.Sprintf("%s@%s", name, eff)
+	return runKey{bench, kind, canonicalVariant(kind, v), r.effectiveSpec(sp)}
+}
+
+// name labels run k in the campaign log: its benchmark's abbreviation,
+// suffixed with the machine shape when that differs from the
+// campaign's.
+func (r *Runner) name(k runKey) string {
+	if k.shape != r.baseSpec() {
+		return fmt.Sprintf("%s@%s", k.bench.Abbrev, k.shape)
 	}
-	return runKey{name, kind, canonicalVariant(kind, v)}
+	return k.bench.Abbrev
 }
 
 // canonicalVariant defaults v and canonicalizes away the directory
@@ -346,7 +355,7 @@ func (r *Runner) memoized(key runKey, dk resstore.Key, sim func() (*gsim.Results
 			r.stats.DiskHits++
 			r.mu.Unlock()
 			r.logf(" disk %-12s %-16v %9d cycles  %6.2f GB/s inter-GPU  (content-addressed store)\n",
-				key.bench, key.kind, res.Cycles, res.InterGPUGBs())
+				r.name(key), key.kind, res.Cycles, res.InterGPUGBs())
 			return res, nil
 		}
 		r.mu.Lock()
@@ -377,7 +386,7 @@ func (r *Runner) memoized(key runKey, dk resstore.Key, sim func() (*gsim.Results
 		if err := st.Put(dk, e.res); err != nil {
 			// A full or read-only store degrades to a slower campaign,
 			// not a failed one.
-			r.logf("  store: %s/%v: %v\n", key.bench, key.kind, err)
+			r.logf("  store: %s/%v: %v\n", r.name(key), key.kind, err)
 		} else {
 			r.mu.Lock()
 			r.stats.DiskWrites++
@@ -385,23 +394,23 @@ func (r *Runner) memoized(key runKey, dk resstore.Key, sim func() (*gsim.Results
 		}
 	}
 	r.logf("  ran %-12s %-16v %9d cycles  %6.2f GB/s inter-GPU  %6.2fs wall  %5.1f Mev/s\n",
-		key.bench, key.kind, e.res.Cycles, e.res.InterGPUGBs(), wall.Seconds(),
+		r.name(key), key.kind, e.res.Cycles, e.res.InterGPUGBs(), wall.Seconds(),
 		mevPerSec(e.res.EventsExecuted, wall.Seconds()))
 	return e.res, nil
 }
 
-// simulate executes one run for real: build the configuration (under
-// an optional per-run topology override), generate the trace, and run
-// it.
-func (r *Runner) simulate(bench workload.Params, kind proto.Kind, v Variant, sp topo.Spec) (*gsim.Results, error) {
-	cfg := r.Config(kind, v)
-	cfg.Topo = sp.Apply(cfg.Topo)
+// simulate executes run k for real: build the configuration on its
+// machine shape, generate the trace, and run it.
+func (r *Runner) simulate(k runKey) (*gsim.Results, error) {
+	bench, kind := k.bench, k.kind
+	cfg := r.Config(kind, k.v)
+	cfg.Topo = k.shape.Apply(cfg.Topo)
 	sys, err := gsim.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s/%v: %w", bench.Abbrev, kind, err)
 	}
 	tr := bench.Generate(cfg.Topo, r.opts.Scale)
-	if v.StaticPlacement {
+	if k.v.StaticPlacement {
 		for i := range tr.Placement {
 			tr.Placement[i].GPM = topo.GPMID(uint64(tr.Placement[i].Page) % uint64(cfg.Topo.TotalGPMs()))
 		}
@@ -421,14 +430,16 @@ func (r *Runner) Run(bench workload.Params, kind proto.Kind, v Variant) (*gsim.R
 // runAt is Run with a per-run topology override stacked on the
 // campaign's base shape.
 func (r *Runner) runAt(bench workload.Params, kind proto.Kind, v Variant, sp topo.Spec) (*gsim.Results, error) {
-	key := r.key(bench, kind, v, sp)
+	return r.run(r.key(bench, kind, v, sp))
+}
+
+// run serves run k from either memo tier, simulating it on a miss.
+func (r *Runner) run(k runKey) (*gsim.Results, error) {
 	var dk resstore.Key
 	if r.opts.Store != nil {
-		dk = r.StoreKey(bench, kind, v, sp)
+		dk = r.storeKey(k)
 	}
-	return r.memoized(key, dk, func() (*gsim.Results, error) {
-		return r.simulate(bench, kind, key.v, sp)
-	})
+	return r.memoized(k, dk, func() (*gsim.Results, error) { return r.simulate(k) })
 }
 
 // Speedup returns benchmark runtime under kind normalized to the
@@ -456,14 +467,14 @@ func (r *Runner) Speedup(bench workload.Params, kind proto.Kind, v Variant) (flo
 // order. The first simulation error is returned after the pool drains.
 func (r *Runner) Prewarm(specs []RunSpec) error {
 	seen := make(map[runKey]bool, len(specs))
-	var todo []RunSpec
+	var todo []runKey
 	for _, s := range specs {
 		k := r.key(s.Bench, s.Kind, s.V, s.Topo)
 		if seen[k] {
 			continue
 		}
 		seen[k] = true
-		todo = append(todo, s)
+		todo = append(todo, k)
 	}
 	if len(todo) == 0 {
 		return nil
@@ -478,7 +489,7 @@ func (r *Runner) Prewarm(specs []RunSpec) error {
 
 	start := time.Now() //lint:allow determinism wall time feeds the prewarm log line only
 	before := r.Summary()
-	work := make(chan RunSpec)
+	work := make(chan runKey)
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
 	var firstErr error
@@ -487,8 +498,8 @@ func (r *Runner) Prewarm(specs []RunSpec) error {
 		//lint:allow determinism the approved worker pool: runs are memoized whole and figures read the cache in deterministic order
 		go func() {
 			defer wg.Done()
-			for s := range work {
-				if _, err := r.runAt(s.Bench, s.Kind, s.V, s.Topo); err != nil {
+			for k := range work {
+				if _, err := r.run(k); err != nil {
 					errMu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -498,8 +509,8 @@ func (r *Runner) Prewarm(specs []RunSpec) error {
 			}
 		}()
 	}
-	for _, s := range todo {
-		work <- s
+	for _, k := range todo {
+		work <- k
 	}
 	close(work)
 	wg.Wait()

@@ -1,12 +1,11 @@
 // The campaign's persistent memo tier: content addresses for runs and
-// the model-version stamp that scopes them. The in-process cache keys
-// on (abbrev, kind, variant) because one process holds one workload
-// registry; the disk store outlives the process, so its keys digest the
-// full canonical run specification — complete benchmark parameters,
-// protocol, defaulted variant, effective machine shape, and the
-// campaign scaling options — plus a stamp tied to the simulated model
-// itself. Any divergence hashes to a different address and re-simulates;
-// the store can waste disk, never serve a wrong figure.
+// the model-version stamp that scopes them. Both tiers key on one
+// canonical run specification (runKey): complete benchmark parameters,
+// protocol, defaulted variant and effective machine shape. The disk
+// store outlives the process, so its keys also digest the campaign
+// scaling options and a stamp tied to the simulated model itself. Any
+// divergence hashes to a different address and re-simulates; the store
+// can waste disk, never serve a wrong figure.
 
 package experiments
 
@@ -57,13 +56,19 @@ func OpenStore(dir string) (*resstore.Store, error) {
 // Specs that canonicalize to the same in-process memo key (see
 // Runner.key) produce the same StoreKey, so both tiers dedup alike.
 func (r *Runner) StoreKey(bench workload.Params, kind proto.Kind, v Variant, sp topo.Spec) resstore.Key {
+	return r.storeKey(r.key(bench, kind, v, sp))
+}
+
+// storeKey digests run k with the campaign scaling options under the
+// model-version stamp.
+func (r *Runner) storeKey(k runKey) resstore.Key {
 	return resstore.SumKey(
 		"hmg-runspec-v1",
 		ModelVersion(),
-		fmt.Sprintf("%+v", bench),
-		kind.String(),
-		fmt.Sprintf("%+v", canonicalVariant(kind, v)),
-		r.effectiveSpec(sp).String(),
+		fmt.Sprintf("%+v", k.bench),
+		k.kind.String(),
+		fmt.Sprintf("%+v", k.v),
+		k.shape.String(),
 		fmt.Sprintf("scale=%v sms=%d page=%d", r.opts.Scale, r.opts.SMsPerGPM, r.opts.PageSizeKB),
 	)
 }

@@ -32,8 +32,8 @@ func TestTopoScalePlanCoverage(t *testing.T) {
 	if k44 != r.key(b, proto.NoRemoteCache, Variant{}, topo.Spec{}) {
 		t.Fatal("4x4 toposcale runs do not reuse Table II memo keys")
 	}
-	if !strings.Contains(r.key(b, proto.NHCC, Variant{}, topo.Spec{NumGPUs: 16, GPMsPerGPU: 8}).bench, "@16x8") {
-		t.Fatal("16x8 memo key is not topology-suffixed")
+	if !strings.Contains(r.name(r.key(b, proto.NHCC, Variant{}, topo.Spec{NumGPUs: 16, GPMsPerGPU: 8})), "@16x8") {
+		t.Fatal("16x8 run's log name is not topology-suffixed")
 	}
 }
 

@@ -204,8 +204,8 @@ func (s *System) gpuHomeLoad(c *opCtx) {
 	gpm := s.gpmOf(c.g)
 	if gpm.Dir != nil && c.from != c.g {
 		//lint:allow eventemit sharer record of a load; the load surfaces as EvFill/EvLoadDone where its response lands
-		evR, evT := gpm.Dir.RemoteLoad(c.line, s.flatRequester(c.from, c.g))
-		s.sendInvs(gpm, evR, evT)
+		evR, evict := gpm.Dir.RemoteLoad(c.line, s.flatRequester(c.from, c.g))
+		s.sendInvs(gpm, evR, evict)
 	}
 	c.stage = stageHomeLoad
 	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
@@ -235,8 +235,8 @@ func (s *System) sysHomeLoadUnlocked(c *opCtx) {
 	gpm := s.gpmOf(c.g)
 	if gpm.Dir != nil && c.is(flagFillHere) {
 		//lint:allow eventemit sharer record of a load; the load surfaces as EvFill/EvLoadDone where its response lands
-		evR, evT := gpm.Dir.RemoteLoad(c.line, s.flatRequester(c.from, c.g))
-		s.sendInvs(gpm, evR, evT)
+		evR, evict := gpm.Dir.RemoteLoad(c.line, s.flatRequester(c.from, c.g))
+		s.sendInvs(gpm, evR, evict)
 	}
 	if s.classes != nil {
 		s.classifyLoad(c.line, c.from)
@@ -280,10 +280,10 @@ func (s *System) dramFilled(m *opCtx) {
 	if s.Cfg.TrackValues {
 		fill = gpm.DRAM.LineValues(line)
 	}
-	_, victim := gpm.L2.Fill(line)
+	victim, values := gpm.L2.Fill(line)
 	gpm.L2.MergeFrom(line, fill)
-	if victim != nil {
-		s.l2Displaced(m.g, victim)
+	if victim.Valid {
+		s.l2Displaced(m.g, victim, values)
 	}
 	gpm.fetchDone(m, gpm.L2.Values(line))
 }
@@ -300,12 +300,12 @@ func (s *System) fillL2(g topo.GPMID, line topo.Line, fill fillData, allowed boo
 		return
 	}
 	l2 := s.gpmOf(g).L2
-	_, victim := l2.Fill(line)
+	victim, values := l2.Fill(line)
 	if s.Cfg.TrackValues {
 		l2.MergeFrom(line, fill)
 	}
 	s.emit(Event{Kind: EvFill, GPM: g, SM: NoSM, Line: line})
-	if victim == nil || s.l2Displaced(g, victim) {
+	if !victim.Valid || s.l2Displaced(g, victim, values) {
 		return
 	}
 	if s.Cfg.Policy.Downgrade && s.Cfg.Policy.Hardware && !s.holdsRegion(g, victim.Line) {
@@ -314,16 +314,17 @@ func (s *System) fillL2(g topo.GPMID, line topo.Line, fill fillData, allowed boo
 }
 
 // l2Displaced reports victim, a valid line a fill displaced from GPM g's
-// slice, and writes it back to its home when it is dirty (charged to the
-// GPM's first SM; the kernel barrier waits on it). It returns whether it
-// wrote back. Every fill that displaces a slice line, a requester's or a
-// home's, comes here, so EvL2Evict counts the slice's evictions exactly.
-func (s *System) l2Displaced(g topo.GPMID, victim *cache.Entry) bool {
+// slice with its tracked values, and writes it back to its home when it
+// is dirty (charged to the GPM's first SM; the kernel barrier waits on
+// it). It returns whether it wrote back. Every fill that displaces a
+// slice line, a requester's or a home's, comes here, so EvL2Evict
+// counts the slice's evictions exactly.
+func (s *System) l2Displaced(g topo.GPMID, victim cache.Entry, values fillData) bool {
 	s.emit(Event{Kind: EvL2Evict, GPM: g, SM: NoSM, Line: victim.Line})
 	if !victim.Dirty || !s.Cfg.WriteBack {
 		return false
 	}
-	s.writeBackLine(g, s.SMs[s.Cfg.Topo.SM(g, 0)], victim.Line, s.gpmOf(g).L2.VictimValues())
+	s.writeBackLine(g, s.SMs[s.Cfg.Topo.SM(g, 0)], victim.Line, values)
 	return true
 }
 
@@ -529,9 +530,9 @@ func (s *System) storeTransition(gpm *GPM, req proto.Requester, local bool, line
 		return
 	}
 	//lint:allow eventemit a write's directory transition; its invalidations emit EvInvDeliver where they land
-	inv, evR, evT := gpm.Dir.RemoteStore(line, req)
+	inv, evR, evict := gpm.Dir.RemoteStore(line, req)
 	s.sendInvs(gpm, region, inv)
-	s.sendInvs(gpm, evR, evT)
+	s.sendInvs(gpm, evR, evict)
 }
 
 // writeCopy applies the write carried by c to gpm's copy of its line:
@@ -600,49 +601,43 @@ func (c *opCtx) storeDone() {
 // Invalidations
 // ---------------------------------------------------------------------
 
-// sendInvs dispatches background invalidations for a region to the given
-// targets. GPM targets resolve within the sender's GPU under
-// hierarchical protocols and globally under flat ones; GPU targets
-// resolve to that GPU's home node, which forwards to its own sharers
-// (the HMG-only Table I transition). The sender's drain gates count each
-// invalidation until its entire fan-out has been delivered.
-//
-// targets is usually a buffer the GPMs' proto.DirCtrl set reuses on its
-// next call. Callers pass it on from the directory call with at most
-// other target walks in between, and neither this walk nor
-// sendInvsAcked's nor invDelivered's forward loop calls into a
-// directory, so the list stays intact while it is read.
-func (s *System) sendInvs(from *GPM, region directory.Region, targets []proto.InvTarget) {
-	if len(targets) == 0 {
-		return
-	}
+// sendInvs dispatches background invalidations for a region to the
+// sharers of targets, GPM sharers first (Sharers.Pop's order). GPM
+// sharers resolve within the sender's GPU under hierarchical protocols
+// and globally under flat ones; GPU sharers resolve to that GPU's home
+// node, which forwards to its own sharers (the HMG-only Table I
+// transition). The sender's drain gates count each invalidation until
+// its entire fan-out has been delivered.
+func (s *System) sendInvs(from *GPM, region directory.Region, targets directory.Sharers) {
 	line := from.Dir.Dir.FirstLine(region)
-	for _, t := range targets {
-		dest := s.invDest(from, t, line)
-		intra := !t.IsGPU && s.Cfg.Topo.SameGPU(from.id, dest)
+	for !targets.IsEmpty() {
+		id, isGPU := targets.Pop()
+		dest := s.invDest(from, id, isGPU, line)
+		intra := !isGPU && s.Cfg.Topo.SameGPU(from.id, dest)
 		from.invAll.Start()
 		if intra {
 			from.invIntra.Start()
 		}
 		c := s.newCtx(stageInvDeliver)
 		c.from, c.g, c.line = from.id, dest, line
-		c.setFlag(flagForward, t.IsGPU)
+		c.setFlag(flagForward, isGPU)
 		c.setFlag(flagIntra, intra)
 		s.send(from.id, dest, msg.Inv, c)
 	}
 }
 
-// invDest resolves an invalidation target of from's directory for a
-// region starting at line: a GPM within from's GPU under hierarchical
-// protocols and globally under flat ones, or a GPU's home node for line.
-func (s *System) invDest(from *GPM, t proto.InvTarget, line topo.Line) topo.GPMID {
+// invDest resolves sharer id of from's directory, a GPU id when isGPU,
+// for a region starting at line: a GPM within from's GPU under
+// hierarchical protocols and globally under flat ones, or a GPU's home
+// node for line.
+func (s *System) invDest(from *GPM, id int, isGPU bool, line topo.Line) topo.GPMID {
 	switch {
-	case t.IsGPU:
-		return s.Pages.GPUHome(topo.GPUID(t.ID), line)
+	case isGPU:
+		return s.Pages.GPUHome(topo.GPUID(id), line)
 	case s.Cfg.Policy.Hierarchical:
-		return s.Cfg.Topo.GPM(from.gpu, t.ID)
+		return s.Cfg.Topo.GPM(from.gpu, id)
 	default:
-		return topo.GPMID(t.ID)
+		return topo.GPMID(id)
 	}
 }
 
@@ -670,15 +665,16 @@ func (s *System) invDelivered(c *opCtx) {
 		return
 	}
 	fw := d.Dir.Invalidation(d.Dir.Dir.RegionOf(line))
-	if len(fw) == 0 {
+	if fw.IsEmpty() {
 		c.invFinished()
 		return
 	}
-	s.emit(Event{Kind: EvInvForward, GPM: dest, SM: NoSM, Line: line, Aux: len(fw)})
-	c.pending = int32(len(fw))
-	for _, ft := range fw {
+	s.emit(Event{Kind: EvInvForward, GPM: dest, SM: NoSM, Line: line, Aux: fw.Count()})
+	c.pending = int32(fw.Count())
+	for !fw.IsEmpty() {
+		id, _ := fw.Pop()
 		f := s.newCtx(stageInvForward)
-		f.up, f.g, f.line = c, s.Cfg.Topo.GPM(d.gpu, ft.ID), line
+		f.up, f.g, f.line = c, s.Cfg.Topo.GPM(d.gpu, id), line
 		s.send(dest, f.g, msg.Inv, f)
 	}
 }
@@ -699,12 +695,13 @@ func (c *opCtx) invFinished() {
 // which completes once the last acknowledgment returns — the
 // multi-copy-atomic (GPU-VI) variant that HMG exists to avoid. targets
 // must be non-empty; they resolve exactly as in sendInvs.
-func (s *System) sendInvsAcked(from *GPM, region directory.Region, targets []proto.InvTarget, store *opCtx) {
+func (s *System) sendInvsAcked(from *GPM, region directory.Region, targets directory.Sharers, store *opCtx) {
 	line := from.Dir.Dir.FirstLine(region)
-	store.pending = int32(len(targets))
-	for _, t := range targets {
+	store.pending = int32(targets.Count())
+	for !targets.IsEmpty() {
+		id, isGPU := targets.Pop()
 		c := s.newCtx(stageMCAInv)
-		c.up, c.from, c.g, c.line = store, from.id, s.invDest(from, t, line), line
+		c.up, c.from, c.g, c.line = store, from.id, s.invDest(from, id, isGPU, line), line
 		s.send(from.id, c.g, msg.Inv, c)
 	}
 }
@@ -862,20 +859,20 @@ func (c *opCtx) atomicApply(old uint64) {
 // the latency HMG's non-multi-copy-atomic design eliminates.
 func (s *System) sysHomeStoreMCA(c *opCtx) {
 	gpm := s.gpmOf(c.g)
-	var inv []proto.InvTarget
+	var inv directory.Sharers
 	if gpm.Dir != nil {
 		var evR directory.Region
-		var evT []proto.InvTarget
+		var evict directory.Sharers
 		if c.is(flagLocal) {
 			inv = gpm.Dir.LocalStore(c.line)
 		} else {
-			inv, evR, evT = gpm.Dir.RemoteStore(c.line, c.req())
+			inv, evR, evict = gpm.Dir.RemoteStore(c.line, c.req())
 		}
 		// Eviction fan-out keeps the ack-free background path; only the
 		// store's own invalidations require acks.
-		s.sendInvs(gpm, evR, evT)
+		s.sendInvs(gpm, evR, evict)
 	}
-	if len(inv) == 0 {
+	if inv.IsEmpty() {
 		c.storeDone()
 		return
 	}

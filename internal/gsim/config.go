@@ -21,14 +21,13 @@ import (
 // Config describes a complete simulated system. DefaultConfig reproduces
 // Table II of the paper.
 type Config struct {
-	Topo      topo.Topology
-	Net       link.NetConfig
-	DRAM      memory.Config // per-GPM partition
-	L1        cache.Config  // per SM
-	L2Slice   cache.Config  // per GPM
-	Dir       directory.Config
-	Policy    proto.Policy
-	Placement topo.Placement
+	Topo    topo.Topology
+	Net     link.NetConfig
+	DRAM    memory.Config // per-GPM partition
+	L1      cache.Config  // per SM
+	L2Slice cache.Config  // per GPM
+	Dir     directory.Config
+	Policy  proto.Policy
 
 	// FrequencyHz is the core clock (1.3 GHz in Table II).
 	FrequencyHz float64
@@ -105,7 +104,6 @@ func DefaultConfig(smPerGPM int, policy proto.Kind) Config {
 		},
 		Dir:             directory.DefaultConfig(),
 		Policy:          proto.For(policy),
-		Placement:       topo.FirstTouch,
 		FrequencyHz:     engine.DefaultFrequencyHz,
 		L1Latency:       28,
 		L2Latency:       96,

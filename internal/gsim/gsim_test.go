@@ -29,7 +29,6 @@ func tinyConfig(k proto.Kind) Config {
 		},
 		Dir:             directory.Config{Entries: 256, Ways: 8, GranLines: 4},
 		Policy:          proto.For(k),
-		Placement:       topo.FirstTouch,
 		FrequencyHz:     engine.DefaultFrequencyHz,
 		L1Latency:       10,
 		L2Latency:       30,
@@ -82,8 +81,12 @@ func TestNewAllocationsIndependentOfSize(t *testing.T) {
 	for _, k := range append(allKinds(), proto.GPUVI, proto.CARVE) {
 		var counts []float64
 		for _, shape := range []string{"4x4", "16x8"} {
+			sp, err := topo.ParseSpec(shape)
+			if err != nil {
+				t.Fatal(err)
+			}
 			cfg := DefaultConfig(8, k)
-			cfg.Topo = topo.MustParseSpec(shape).Apply(cfg.Topo)
+			cfg.Topo = sp.Apply(cfg.Topo)
 			cfg.L1.CapacityBytes = 8 * 1024
 			cfg.L2Slice.CapacityBytes = 64 * 1024
 			counts = append(counts, testing.AllocsPerRun(2, func() {

@@ -171,7 +171,7 @@ func New(cfg Config) (*System, error) {
 		Eng:   eng,
 		Cfg:   cfg,
 		Net:   link.NewNetwork(eng, cfg.Topo, cfg.Net),
-		Pages: topo.NewPageMap(cfg.Topo, cfg.Placement),
+		Pages: topo.NewPageMap(cfg.Topo),
 		locks: make(map[lineKey]lineLock),
 	}
 	if cfg.Policy.Classify {

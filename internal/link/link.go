@@ -35,9 +35,6 @@ type Link struct {
 
 	// Bytes is the total traffic carried, by message kind.
 	Bytes [msg.NumKinds]uint64
-	// Busy accumulates serialization cycles, for utilization reporting.
-	Busy  engine.Cycle
-	busyF float64
 	// Msgs counts messages carried.
 	Msgs uint64
 }
@@ -80,8 +77,6 @@ func (l *Link) Send(k msg.Kind, bytes int, deliver engine.Handler) {
 		ser = float64(bytes) / l.bytesPerCycle
 	}
 	l.nextFree = depart + ser
-	l.busyF += ser
-	l.Busy = engine.Cycle(l.busyF)
 	l.Msgs++
 	l.Bytes[k] += uint64(bytes)
 	l.eng.ScheduleHandlerAt(engine.Cycle(math.Ceil(l.nextFree))+l.latency, deliver)
@@ -94,15 +89,6 @@ func (l *Link) TotalBytes() uint64 {
 		t += b
 	}
 	return t
-}
-
-// Utilization returns the fraction of elapsed cycles the link spent
-// serializing data, given the total simulated cycles.
-func (l *Link) Utilization(elapsed engine.Cycle) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(l.Busy) / float64(elapsed)
 }
 
 // String implements fmt.Stringer for diagnostics.

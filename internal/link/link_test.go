@@ -39,9 +39,6 @@ func TestLinkSerialization(t *testing.T) {
 	if second != 25 { // depart 10, ser 5, +lat 10
 		t.Fatalf("second delivered at %d, want 25", second)
 	}
-	if l.Busy != 15 {
-		t.Fatalf("Busy = %d, want 15", l.Busy)
-	}
 	if l.Msgs != 2 {
 		t.Fatalf("Msgs = %d, want 2", l.Msgs)
 	}
@@ -66,19 +63,6 @@ func TestLinkBacklogDrains(t *testing.T) {
 	}
 	if end != 50 { // 50 messages × 1 cycle each, FIFO
 		t.Fatalf("drained at %d, want 50", end)
-	}
-}
-
-func TestLinkUtilization(t *testing.T) {
-	e := engine.New(1.3e9)
-	l := NewLink(e, "test", 130, 0)
-	l.Send(msg.LoadReq, 500, engine.Func(func() {})) // 5 busy cycles
-	e.Drain()
-	if got := l.Utilization(10); got != 0.5 {
-		t.Fatalf("Utilization = %v, want 0.5", got)
-	}
-	if got := l.Utilization(0); got != 0 {
-		t.Fatalf("Utilization(0) = %v, want 0", got)
 	}
 }
 
@@ -235,10 +219,6 @@ func TestNetworkInterGPUSaturation(t *testing.T) {
 	// on the uplink alone; total time must reflect that backlog.
 	if end < 144 {
 		t.Fatalf("saturated run finished at %d, want >= 144 (bandwidth not modeled?)", end)
-	}
-	// Mean over both GPUs' uplinks; only GPU0's carried traffic.
-	if u := n.UpLinkUtilization(end); u <= 0.1 {
-		t.Fatalf("uplink utilization %v suspiciously low under saturation", u)
 	}
 }
 

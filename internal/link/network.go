@@ -241,13 +241,3 @@ func (n *Network) IntraGPUBytes() [msg.NumKinds]uint64 {
 	}
 	return out
 }
-
-// UpLinkUtilization returns the mean utilization of the GPU uplinks over
-// the elapsed simulated cycles.
-func (n *Network) UpLinkUtilization(elapsed engine.Cycle) float64 {
-	var u float64
-	for i := range n.upLink {
-		u += n.upLink[i].Utilization(elapsed)
-	}
-	return u / float64(len(n.upLink))
-}

@@ -28,15 +28,6 @@ func (r Requester) Bit() directory.Sharers {
 	return directory.GPMBit(r.ID)
 }
 
-// InvTarget is one destination of an invalidation: a GPM sharer (local
-// module index or global id, matching the requester space) or a GPU
-// sharer (whose GPU home node must forward the invalidation, the
-// HMG-only transition of Table I).
-type InvTarget struct {
-	IsGPU bool
-	ID    int
-}
-
 // Mutation is a bitset of deliberate Table I transition bugs. Each bit
 // suppresses the invalidations emitted by the Table I columns it names
 // (Step's suppressedBy); the Fig. 9/10 counters still record the
@@ -64,21 +55,13 @@ func (mu Mutation) Has(m Mutation) bool { return mu&m != 0 }
 // DirCtrl wraps a directory with the NHCC/HMG transition table (paper
 // Table I). Every method runs its event through the compiled rule table
 // (rules.go, rendered in DESIGN.md) and writes the outcome back to the
-// directory; all return the invalidation targets the caller must send,
-// and the directory itself never generates traffic.
-//
-// Target lists live in two buffers, so calls allocate nothing: one for
-// a store's or a forwarded invalidation's targets, one for an entry
-// replacement's (RemoteStore returns one of each). The DirCtrls of one
-// NewDirCtrlSet share the pair, sized there for the largest fan-out a
-// sharer set can name. A returned list is nil when empty and stays
-// valid until the next call on a DirCtrl of the same set.
+// directory; each returns, as a sharer set, the invalidations its rule
+// step sends (Outcome.Sent), and the directory itself never generates
+// traffic. A GPM element names a module in the requester's id space; a
+// GPU element names a GPU whose home node must forward the
+// invalidation (the HMG-only transition of Table I).
 type DirCtrl struct {
 	Dir *directory.Dir
-
-	// invBuf backs the targets of RemoteStore, LocalStore and
-	// Invalidation; evictBuf those of entry replacements.
-	invBuf, evictBuf []InvTarget
 
 	// Mutate injects deliberate transition bugs (test-only; see
 	// Mutation).
@@ -88,57 +71,23 @@ type DirCtrl struct {
 	StoresSeen       uint64 // remote/local stores consulting the directory
 	StoresSharedData uint64 // stores that found a tracked entry with ≥1 sharer
 	StoresWithInvs   uint64 // stores that invalidated at least one sharer
-	LinesInvByStores uint64 // sharer targets × granularity lines, store-triggered
-	LinesInvByEvicts uint64 // sharer targets × granularity lines, eviction-triggered
-	InvMsgsByStores  uint64
-	InvMsgsByEvicts  uint64
-	InvMsgsForwarded uint64 // HMG second-level fan-out
+	LinesInvByStores uint64 // sharers × granularity lines, store-triggered
+	LinesInvByEvicts uint64 // sharers × granularity lines, eviction-triggered
 }
 
 // NewDirCtrl builds a Table I controller over a directory.
 func NewDirCtrl(cfg directory.Config) *DirCtrl { return &NewDirCtrlSet(cfg, 1)[0] }
 
-// maxTargets is the largest fan-out a sharer set can name: every GPM id
-// and every GPU id.
-const maxTargets = 2 * directory.MaxSharerIDs
-
 // NewDirCtrlSet builds n controllers, each over its own directory of one
-// configuration, in four allocations at any n (directory.NewSet's two,
-// the controller slab and the target buffers the controllers share).
+// configuration, in three allocations at any n (directory.NewSet's two
+// and the controller slab).
 func NewDirCtrlSet(cfg directory.Config, n int) []DirCtrl {
 	dirs := directory.NewSet(cfg, n)
 	cs := make([]DirCtrl, n)
-	bufs := make([]InvTarget, 2*maxTargets)
 	for i := range cs {
 		cs[i].Dir = &dirs[i]
-		cs[i].invBuf = bufs[:0:maxTargets]
-		cs[i].evictBuf = bufs[maxTargets : maxTargets : 2*maxTargets]
 	}
 	return cs
-}
-
-// TargetsOf expands a sharer set into the canonical invalidation target
-// list: GPM sharers in ascending index order, then GPU sharers in
-// ascending id order. An empty set yields nil. It returns a new list;
-// DirCtrl's methods fill buffers they own instead.
-func TargetsOf(s directory.Sharers) []InvTarget {
-	var out []InvTarget
-	return targetsInto(&out, s)
-}
-
-// targetsInto overwrites *buf with sharer set s's invalidation targets in
-// TargetsOf's order and returns them, or nil when s is empty.
-//
-//lint:allow hotalloc no growth on DirCtrl buffers: NewDirCtrlSet sizes them for the largest fan-out, so only TargetsOf's fresh list allocates (the closures do not escape)
-func targetsInto(buf *[]InvTarget, s directory.Sharers) []InvTarget {
-	if s.IsEmpty() {
-		return nil
-	}
-	out := (*buf)[:0]
-	s.GPMs(func(i int) { out = append(out, InvTarget{ID: i}) })
-	s.GPUs(func(j int) { out = append(out, InvTarget{IsGPU: true, ID: j}) })
-	*buf = out
-	return out
 }
 
 // tableI is the compiled rule table every DirCtrl executes: the
@@ -154,10 +103,10 @@ var tableI = func() *Machine {
 }()
 
 // RemoteLoad records s as a sharer of the region holding line l,
-// allocating the entry (I→V) if needed. The returned eviction targets
-// (with their region) are non-nil when the allocation displaced a valid
-// entry whose sharers must be invalidated.
-func (c *DirCtrl) RemoteLoad(l topo.Line, s Requester) (evictRegion directory.Region, evictTargets []InvTarget) {
+// allocating the entry (I→V) if needed. When the allocation displaced a
+// valid entry, evict holds the sharers to invalidate in its region
+// evictRegion.
+func (c *DirCtrl) RemoteLoad(l topo.Line, s Requester) (evictRegion directory.Region, evict directory.Sharers) {
 	r := c.Dir.RegionOf(l)
 	e, st, victim := c.ensure(r)
 	c.exec(r, e, st, Event{Kind: RemoteLd, Req: s})
@@ -166,35 +115,33 @@ func (c *DirCtrl) RemoteLoad(l topo.Line, s Requester) (evictRegion directory.Re
 
 // RemoteStore records s as a sharer and returns the other sharers to
 // invalidate, plus any eviction fan-out from allocating the entry.
-func (c *DirCtrl) RemoteStore(l topo.Line, s Requester) (inv []InvTarget, evictRegion directory.Region, evictTargets []InvTarget) {
+func (c *DirCtrl) RemoteStore(l topo.Line, s Requester) (inv directory.Sharers, evictRegion directory.Region, evict directory.Sharers) {
 	r := c.Dir.RegionOf(l)
 	c.seeStore(r)
 	e, st, victim := c.ensure(r)
 	out := c.exec(r, e, st, Event{Kind: RemoteSt, Req: s})
 	c.countStoreInvs(out)
-	evictRegion, evictTargets = c.replace(victim)
-	return targetsInto(&c.invBuf, out.Sent), evictRegion, evictTargets
+	evictRegion, evict = c.replace(victim)
+	return out.Sent, evictRegion, evict
 }
 
 // LocalStore handles a store by the home GPM itself: all sharers are
 // invalidated and the entry transitions V→I. Stores that find no entry
 // (state I) do nothing.
-func (c *DirCtrl) LocalStore(l topo.Line) []InvTarget {
+func (c *DirCtrl) LocalStore(l topo.Line) directory.Sharers {
 	r := c.Dir.RegionOf(l)
 	e, st := c.seeStore(r)
 	out := c.exec(r, e, st, Event{Kind: LocalSt})
 	c.countStoreInvs(out)
-	return targetsInto(&c.invBuf, out.Sent)
+	return out.Sent
 }
 
 // Invalidation handles an invalidation arriving from the system home node
 // at a GPU home node (the HMG-only transition): the entry's GPM sharers
 // must be forwarded the invalidation, and the entry transitions to I.
-func (c *DirCtrl) Invalidation(r directory.Region) []InvTarget {
+func (c *DirCtrl) Invalidation(r directory.Region) directory.Sharers {
 	e, st := c.lookup(r)
-	out := c.exec(r, e, st, Event{Kind: Invalidation})
-	c.InvMsgsForwarded += uint64(out.Inv.Count())
-	return targetsInto(&c.invBuf, out.Sent)
+	return c.exec(r, e, st, Event{Kind: Invalidation}).Sent
 }
 
 // DropSharer removes s from the region's sharer set if tracked (the
@@ -233,12 +180,11 @@ func (c *DirCtrl) lookup(r directory.Region) (*directory.Entry, State) {
 }
 
 // ensure returns region r's entry, allocating it if absent, with its
-// state before the call (I when this call allocated it) and any Valid
-// entry the allocation displaced.
-func (c *DirCtrl) ensure(r directory.Region) (*directory.Entry, State, *directory.Entry) {
-	allocs := c.Dir.Stats.Allocs
-	e, victim := c.Dir.Ensure(r)
-	if c.Dir.Stats.Allocs != allocs {
+// state before the call (I when this call allocated it) and any entry
+// the allocation displaced.
+func (c *DirCtrl) ensure(r directory.Region) (*directory.Entry, State, directory.Entry) {
+	e, allocated, victim := c.Dir.Ensure(r)
+	if allocated {
 		return e, StateI, victim
 	}
 	return e, StateV, victim
@@ -262,23 +208,21 @@ func (c *DirCtrl) seeStore(r directory.Region) (*directory.Entry, State) {
 func (c *DirCtrl) countStoreInvs(out Outcome) {
 	if n := out.Inv.Count(); n > 0 {
 		c.StoresWithInvs++
-		c.InvMsgsByStores += uint64(n)
 		c.LinesInvByStores += uint64(n * c.Dir.Config().GranLines)
 	}
 }
 
-// replace runs the ReplaceEntry column on a displaced victim (the
-// directory has already removed it, which is the rule's →I) and
-// returns its region and the invalidations to send. A mutated
-// replacement still reports the real victim region: a zero Region is
-// indistinguishable from "no victim".
-func (c *DirCtrl) replace(victim *directory.Entry) (directory.Region, []InvTarget) {
-	if victim == nil {
-		return 0, nil
+// replace runs the ReplaceEntry column on an entry the directory
+// displaced (and has already removed, which is the rule's →I) and
+// returns its region and the invalidations to send. A victim without
+// sharers, including the zero Entry of an allocation that displaced
+// nothing, has nothing to invalidate. A mutated replacement still
+// reports the real victim region.
+func (c *DirCtrl) replace(victim directory.Entry) (directory.Region, directory.Sharers) {
+	if victim.Sharers.IsEmpty() {
+		return 0, directory.Sharers{}
 	}
 	out := tableI.Step(StateV, victim.Sharers, Event{Kind: ReplaceEntry}, c.Mutate)
-	n := out.Inv.Count()
-	c.InvMsgsByEvicts += uint64(n)
-	c.LinesInvByEvicts += uint64(n * c.Dir.Config().GranLines)
-	return victim.Region, targetsInto(&c.evictBuf, out.Sent)
+	c.LinesInvByEvicts += uint64(out.Inv.Count() * c.Dir.Config().GranLines)
+	return victim.Region, out.Sent
 }

@@ -15,7 +15,7 @@ func ctrl() *DirCtrl {
 func TestTableI_RemoteLoadFromI(t *testing.T) {
 	c := ctrl()
 	_, evs := c.RemoteLoad(0, GPMRequester(2))
-	if evs != nil {
+	if !evs.IsEmpty() {
 		t.Fatal("eviction from empty directory")
 	}
 	e, ok := c.Dir.Lookup(0)
@@ -46,7 +46,7 @@ func TestTableI_RemoteLoadFromV(t *testing.T) {
 func TestTableI_RemoteStoreFromI(t *testing.T) {
 	c := ctrl()
 	inv, _, _ := c.RemoteStore(0, GPMRequester(2))
-	if inv != nil {
+	if !inv.IsEmpty() {
 		t.Fatalf("invalidations from state I: %v", inv)
 	}
 	e, ok := c.Dir.Lookup(0)
@@ -66,23 +66,8 @@ func TestTableI_RemoteStoreFromV(t *testing.T) {
 	c.RemoteLoad(0, GPMRequester(3))
 	c.RemoteLoad(0, GPURequester(2)) // HMG sys-home mixes GPM and GPU sharers
 	inv, _, _ := c.RemoteStore(0, GPMRequester(1))
-	if len(inv) != 2 {
-		t.Fatalf("invalidated %v, want GPM3 and GPU2", inv)
-	}
-	seenGPM3, seenGPU2 := false, false
-	for _, tg := range inv {
-		if !tg.IsGPU && tg.ID == 3 {
-			seenGPM3 = true
-		}
-		if tg.IsGPU && tg.ID == 2 {
-			seenGPU2 = true
-		}
-		if !tg.IsGPU && tg.ID == 1 {
-			t.Fatal("requester invalidated itself")
-		}
-	}
-	if !seenGPM3 || !seenGPU2 {
-		t.Fatalf("targets = %v", inv)
+	if inv != directory.GPMBit(3).With(directory.GPUBit(2)) {
+		t.Fatalf("invalidated %v, want GPM3 and GPU2 (not the requester)", inv)
 	}
 	e, _ := c.Dir.Lookup(0)
 	if e.Sharers.Count() != 1 || !e.Sharers.Has(directory.GPMBit(1)) {
@@ -100,8 +85,8 @@ func TestTableI_LocalStoreFromV(t *testing.T) {
 	c.RemoteLoad(0, GPMRequester(1))
 	c.RemoteLoad(0, GPURequester(3))
 	inv := c.LocalStore(0)
-	if len(inv) != 2 {
-		t.Fatalf("invalidated %d sharers, want 2", len(inv))
+	if inv != directory.GPMBit(1).With(directory.GPUBit(3)) {
+		t.Fatalf("invalidated %v, want GPM1 and GPU3", inv)
 	}
 	if _, ok := c.Dir.Lookup(0); ok {
 		t.Fatal("entry survived local store (want →I)")
@@ -111,7 +96,7 @@ func TestTableI_LocalStoreFromV(t *testing.T) {
 // TestTableI_LocalStoreFromI covers: state I, local store → no action.
 func TestTableI_LocalStoreFromI(t *testing.T) {
 	c := ctrl()
-	if inv := c.LocalStore(0); inv != nil {
+	if inv := c.LocalStore(0); !inv.IsEmpty() {
 		t.Fatalf("invalidations from state I: %v", inv)
 	}
 	if c.Dir.Live() != 0 {
@@ -128,9 +113,9 @@ func TestTableI_ReplaceDirEntry(t *testing.T) {
 	for i := uint64(0); i < 4; i++ {
 		c.RemoteLoad(lineOfRegion(i*sets, gran), GPMRequester(int(i)))
 	}
-	evRegion, evTargets := c.RemoteLoad(lineOfRegion(4*sets, gran), GPMRequester(7))
-	if len(evTargets) != 1 || evTargets[0].ID != 0 {
-		t.Fatalf("eviction targets = %v, want [GPM0]", evTargets)
+	evRegion, evict := c.RemoteLoad(lineOfRegion(4*sets, gran), GPMRequester(7))
+	if evict != directory.GPMBit(0) {
+		t.Fatalf("eviction sharers = %v, want [GPM0]", evict)
 	}
 	if evRegion != 0 {
 		t.Fatalf("evicted region = %d, want 0", evRegion)
@@ -149,14 +134,11 @@ func TestTableI_InvalidationHMGForward(t *testing.T) {
 	c.RemoteLoad(0, GPMRequester(0))
 	c.RemoteLoad(0, GPMRequester(2))
 	fw := c.Invalidation(c.Dir.RegionOf(0))
-	if len(fw) != 2 {
-		t.Fatalf("forwarded to %v, want 2 GPM sharers", fw)
+	if fw != directory.GPMBit(0).With(directory.GPMBit(2)) {
+		t.Fatalf("forwarded to %v, want GPM0 and GPM2", fw)
 	}
 	if _, ok := c.Dir.Lookup(0); ok {
 		t.Fatal("entry survived invalidation (want →I)")
-	}
-	if c.InvMsgsForwarded != 2 {
-		t.Fatalf("InvMsgsForwarded = %d", c.InvMsgsForwarded)
 	}
 }
 
@@ -164,7 +146,7 @@ func TestTableI_InvalidationHMGForward(t *testing.T) {
 // forwards nothing.
 func TestTableI_InvalidationUntracked(t *testing.T) {
 	c := ctrl()
-	if fw := c.Invalidation(9); fw != nil {
+	if fw := c.Invalidation(9); !fw.IsEmpty() {
 		t.Fatalf("forwarded %v for untracked region", fw)
 	}
 }
@@ -215,7 +197,7 @@ func TestStoreToOwnSharedLine(t *testing.T) {
 	c := ctrl()
 	c.RemoteLoad(0, GPMRequester(1))
 	inv, _, _ := c.RemoteStore(0, GPMRequester(1))
-	if len(inv) != 0 {
+	if !inv.IsEmpty() {
 		t.Fatalf("self-store invalidated %v", inv)
 	}
 	if c.StoresSharedData != 1 {
@@ -237,7 +219,7 @@ func TestStoresSharedDataEmptySharers(t *testing.T) {
 			t.Fatal("setup: want a valid entry with zero sharers")
 		}
 		inv := c.LocalStore(0)
-		if len(inv) != 0 {
+		if !inv.IsEmpty() {
 			t.Fatalf("invalidations for an empty sharer set: %v", inv)
 		}
 		if c.StoresSharedData != 0 {
@@ -252,7 +234,7 @@ func TestStoresSharedDataEmptySharers(t *testing.T) {
 		c.RemoteLoad(0, GPMRequester(1))
 		c.DropSharer(0, GPMRequester(1))
 		inv, _, _ := c.RemoteStore(0, GPMRequester(2))
-		if len(inv) != 0 || c.StoresSharedData != 0 {
+		if !inv.IsEmpty() || c.StoresSharedData != 0 {
 			t.Fatalf("empty-entry store: inv=%v shared=%d, want none/0", inv, c.StoresSharedData)
 		}
 		// The store re-populated the entry; a second store by another
@@ -273,20 +255,20 @@ func TestMutationCountersIntendedTraffic(t *testing.T) {
 		c.RemoteLoad(0, GPMRequester(1))
 		c.RemoteLoad(0, GPMRequester(2))
 		inv, _, _ := c.RemoteStore(0, GPMRequester(1))
-		if inv != nil {
+		if !inv.IsEmpty() {
 			t.Fatalf("mutated remote store returned %v", inv)
 		}
-		if c.StoresWithInvs != 1 || c.InvMsgsByStores != 1 || c.LinesInvByStores != 4 {
-			t.Fatalf("remote-store counters: withInvs=%d msgs=%d lines=%d, want 1/1/4",
-				c.StoresWithInvs, c.InvMsgsByStores, c.LinesInvByStores)
+		if c.StoresWithInvs != 1 || c.LinesInvByStores != 4 {
+			t.Fatalf("remote-store counters: withInvs=%d lines=%d, want 1/4",
+				c.StoresWithInvs, c.LinesInvByStores)
 		}
 		c.RemoteLoad(0, GPMRequester(3))
-		if got := c.LocalStore(0); got != nil {
+		if got := c.LocalStore(0); !got.IsEmpty() {
 			t.Fatalf("mutated local store returned %v", got)
 		}
-		if c.StoresWithInvs != 2 || c.InvMsgsByStores != 3 {
-			t.Fatalf("local-store counters: withInvs=%d msgs=%d, want 2/3",
-				c.StoresWithInvs, c.InvMsgsByStores)
+		if c.StoresWithInvs != 2 || c.LinesInvByStores != 12 {
+			t.Fatalf("local-store counters: withInvs=%d lines=%d, want 2/12",
+				c.StoresWithInvs, c.LinesInvByStores)
 		}
 	})
 	t.Run("MutDropInvForward", func(t *testing.T) {
@@ -294,11 +276,8 @@ func TestMutationCountersIntendedTraffic(t *testing.T) {
 		c.Mutate = MutDropInvForward
 		c.RemoteLoad(0, GPMRequester(0))
 		c.RemoteLoad(0, GPMRequester(2))
-		if fw := c.Invalidation(c.Dir.RegionOf(0)); fw != nil {
+		if fw := c.Invalidation(c.Dir.RegionOf(0)); !fw.IsEmpty() {
 			t.Fatalf("mutated invalidation forwarded %v", fw)
-		}
-		if c.InvMsgsForwarded != 2 {
-			t.Fatalf("InvMsgsForwarded = %d, want 2 (intended fan-out)", c.InvMsgsForwarded)
 		}
 		if _, ok := c.Dir.Lookup(0); ok {
 			t.Fatal("entry survived mutated invalidation (want →I)")
@@ -313,24 +292,22 @@ func TestMutationCountersIntendedTraffic(t *testing.T) {
 		for i := uint64(0); i < 4; i++ {
 			c.RemoteLoad(lineOfRegion(1+i*sets, gran), GPMRequester(int(i)))
 		}
-		evR, evT := c.RemoteLoad(lineOfRegion(1+4*sets, gran), GPMRequester(7))
-		if evT != nil {
-			t.Fatalf("mutated eviction returned targets %v", evT)
+		evR, evict := c.RemoteLoad(lineOfRegion(1+4*sets, gran), GPMRequester(7))
+		if !evict.IsEmpty() {
+			t.Fatalf("mutated eviction returned sharers %v", evict)
 		}
 		if evR != 1 {
 			t.Fatalf("evict region = %d, want the real victim region 1", evR)
 		}
-		if c.InvMsgsByEvicts != 1 || c.LinesInvByEvicts != 4 {
-			t.Fatalf("evict counters: msgs=%d lines=%d, want 1/4",
-				c.InvMsgsByEvicts, c.LinesInvByEvicts)
+		if c.LinesInvByEvicts != 4 {
+			t.Fatalf("LinesInvByEvicts = %d, want 4", c.LinesInvByEvicts)
 		}
 	})
 }
 
-// TestEvictionFanoutAcrossGranularities covers the LinesInvByEvicts /
-// InvMsgsByEvicts accounting: messages count sharer targets, lines
-// count targets × the tracking granularity, accumulating across
-// evictions.
+// TestEvictionFanoutAcrossGranularities covers eviction fan-out: the
+// returned set names the victim's sharers, and LinesInvByEvicts counts
+// sharers × the tracking granularity, accumulating across evictions.
 func TestEvictionFanoutAcrossGranularities(t *testing.T) {
 	// The requesters in use order (a GPM, then a GPU sharing the victim
 	// region): ids in the first sharer-bitmap word, and ids spanning
@@ -347,59 +324,63 @@ func TestEvictionFanoutAcrossGranularities(t *testing.T) {
 			c.RemoteLoad(lineOfRegion(0, uint64(gran)), reqs[1])
 			c.RemoteLoad(lineOfRegion(sets, uint64(gran)), reqs[2])
 			// Third region in the same set displaces the LRU victim (region 0).
-			evR, evT := c.RemoteLoad(lineOfRegion(2*sets, uint64(gran)), reqs[3])
-			if evR != 0 || len(evT) != 2 {
-				t.Fatalf("gran %d: evicted region %d targets %v, want region 0 with 2 targets", gran, evR, evT)
+			evR, evict := c.RemoteLoad(lineOfRegion(2*sets, uint64(gran)), reqs[3])
+			if want := reqs[0].Bit().With(reqs[1].Bit()); evR != 0 || evict != want {
+				t.Fatalf("gran %d: evicted region %d sharers %v, want region 0 with %v", gran, evR, evict, want)
 			}
-			if evT[0] != (InvTarget{ID: reqs[0].ID}) || evT[1] != (InvTarget{IsGPU: true, ID: reqs[1].ID}) {
-				t.Fatalf("gran %d: eviction targets %v, want %v then %v", gran, evT, reqs[0], reqs[1])
-			}
-			if c.InvMsgsByEvicts != 2 || c.LinesInvByEvicts != uint64(2*gran) {
-				t.Fatalf("gran %d: msgs=%d lines=%d, want 2/%d", gran, c.InvMsgsByEvicts, c.LinesInvByEvicts, 2*gran)
+			if c.LinesInvByEvicts != uint64(2*gran) {
+				t.Fatalf("gran %d: LinesInvByEvicts = %d, want %d", gran, c.LinesInvByEvicts, 2*gran)
 			}
 			// A second eviction accumulates on top.
-			evR, evT = c.RemoteLoad(lineOfRegion(3*sets, uint64(gran)), reqs[4])
-			if evR != directory.Region(sets) || len(evT) != 1 {
-				t.Fatalf("gran %d: second eviction region %d targets %v", gran, evR, evT)
+			evR, evict = c.RemoteLoad(lineOfRegion(3*sets, uint64(gran)), reqs[4])
+			if evR != directory.Region(sets) || evict != reqs[2].Bit() {
+				t.Fatalf("gran %d: second eviction region %d sharers %v", gran, evR, evict)
 			}
-			if c.InvMsgsByEvicts != 3 || c.LinesInvByEvicts != uint64(3*gran) {
-				t.Fatalf("gran %d: accumulated msgs=%d lines=%d, want 3/%d", gran, c.InvMsgsByEvicts, c.LinesInvByEvicts, 3*gran)
+			if c.LinesInvByEvicts != uint64(3*gran) {
+				t.Fatalf("gran %d: accumulated LinesInvByEvicts = %d, want %d", gran, c.LinesInvByEvicts, 3*gran)
 			}
 		}
 	}
 }
 
-// TestRequesterInvTargetRoundTrip: a requester recorded as a sharer
-// comes back out as the invalidation target naming the same node in the
-// same id space — GPM requesters as GPM targets, GPU requesters as GPU
-// targets — across both bitmap words of each space.
-func TestRequesterInvTargetRoundTrip(t *testing.T) {
+// TestRequesterSharerRoundTrip: a requester recorded as a sharer comes
+// back out of the returned invalidation set as the same node in the
+// same id space — GPM requesters as GPM sharers, GPU requesters as GPU
+// sharers — across both bitmap words of each space.
+func TestRequesterSharerRoundTrip(t *testing.T) {
 	reqs := []Requester{
 		GPMRequester(0), GPMRequester(5), GPMRequester(31),
 		GPURequester(0), GPURequester(7), GPURequester(31),
 		GPMRequester(32), GPMRequester(63), GPMRequester(64), GPMRequester(127),
 		GPURequester(33), GPURequester(100),
 	}
+	// back pops the one sharer of a returned set as a requester.
+	back := func(inv directory.Sharers) (Requester, int) {
+		n := inv.Count()
+		if n == 0 {
+			return Requester{}, 0
+		}
+		id, isGPU := inv.Pop()
+		return Requester{IsGPU: isGPU, ID: id}, n
+	}
 	for _, r := range reqs {
-		got := TargetsOf(r.Bit())
-		if len(got) != 1 || got[0].IsGPU != r.IsGPU || got[0].ID != r.ID {
-			t.Fatalf("TargetsOf(%v.Bit()) = %v, want the same node back", r, got)
+		if got, n := back(r.Bit()); n != 1 || got != r {
+			t.Fatalf("%v.Bit() pops as %v (%d sharers), want the same node back", r, got, n)
 		}
 		// Through the directory: record as sharer, invalidate via the
-		// local-store arm, and expect the identical target.
+		// local-store arm, and expect the identical node.
 		c := ctrl()
 		c.RemoteLoad(0, r)
-		inv := c.LocalStore(0)
-		if len(inv) != 1 || inv[0] != (InvTarget{IsGPU: r.IsGPU, ID: r.ID}) {
-			t.Fatalf("round trip via directory for %v: got %v", r, inv)
+		if got, n := back(c.LocalStore(0)); n != 1 || got != r {
+			t.Fatalf("round trip via directory for %v: got %v (%d sharers)", r, got, n)
 		}
 		// And via the remote-store arm: another writer invalidates r
 		// and remains the only sharer.
 		w := GPMRequester(126)
 		c.RemoteLoad(0, r)
-		inv, _, _ = c.RemoteStore(0, w)
-		if len(inv) != 1 || inv[0] != (InvTarget{IsGPU: r.IsGPU, ID: r.ID}) {
-			t.Fatalf("remote-store invalidation for %v: got %v", r, inv)
+		inv, _, _ := c.RemoteStore(0, w)
+		if got, n := back(inv); n != 1 || got != r {
+			t.Fatalf("remote-store invalidation for %v: got %v (%d sharers)", r, got, n)
 		}
 		if e, _ := c.Dir.Lookup(0); e.Sharers != w.Bit() {
 			t.Fatalf("post-store sharers %v, want only %v", e.Sharers, w)

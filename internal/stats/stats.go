@@ -15,9 +15,6 @@ type Mean struct {
 // Add records one sample.
 func (m *Mean) Add(x float64) { m.n++; m.sum += x }
 
-// AddN records a sample with weight n.
-func (m *Mean) AddN(x float64, n uint64) { m.n += n; m.sum += x * float64(n) }
-
 // N returns the number of samples.
 func (m *Mean) N() uint64 { return m.n }
 

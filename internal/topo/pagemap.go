@@ -6,31 +6,6 @@ import (
 	"math/bits"
 )
 
-// Placement selects how pages are assigned to home GPMs.
-type Placement int
-
-const (
-	// FirstTouch places each page on the GPM of the first accessor, the
-	// policy the paper inherits from MCM-GPU and NUMA-aware multi-GPU
-	// work to maximize locality.
-	FirstTouch Placement = iota
-	// Static round-robins pages over all GPMs, a locality-oblivious
-	// baseline placement.
-	Static
-)
-
-// String implements fmt.Stringer.
-func (p Placement) String() string {
-	switch p {
-	case FirstTouch:
-		return "first-touch"
-	case Static:
-		return "static"
-	default:
-		return fmt.Sprintf("Placement(%d)", int(p))
-	}
-}
-
 // MaxPages caps the pages a PageMap can place: every placed page must
 // lie below it. Generated traces number their pages densely from 0, so
 // the cap only turns a stray address in a decoded trace into an error
@@ -39,17 +14,19 @@ func (p Placement) String() string {
 // simulated memory.
 const MaxPages Page = 1 << 24
 
-// PageMap tracks page-to-home-GPM assignments under a placement policy.
-// The GPM that owns a page holds its backing DRAM; the system home node
-// for every line of the page is that GPM.
+// PageMap tracks page-to-home-GPM assignments under first-touch
+// placement, the policy the paper inherits from MCM-GPU and NUMA-aware
+// multi-GPU work to maximize locality: each page is placed on the GPM
+// that first accesses it (or on the GPM a trace's placement hint
+// names). The GPM that owns a page holds its backing DRAM; the system
+// home node for every line of the page is that GPM.
 //
 // The map is a dense table indexed by page, so every lookup on the
 // simulator's datapath is a bounds check and a load. Reserve sizes it
 // before a run; Touch grows it only for direct callers that place pages
 // beyond the reserved range.
 type PageMap struct {
-	topo      Topology
-	placement Placement
+	topo Topology
 	// pageShift and lineShift are log2 of the page and line sizes.
 	pageShift, lineShift uint8
 	// owner holds each placed page's owner GPM plus one, indexed by
@@ -61,13 +38,12 @@ type PageMap struct {
 
 // NewPageMap returns an empty PageMap for the given topology, which must
 // be valid (Topology.Validate) and have fewer than math.MaxInt32 GPMs.
-func NewPageMap(t Topology, p Placement) *PageMap {
+func NewPageMap(t Topology) *PageMap {
 	if t.TotalGPMs() >= math.MaxInt32 {
 		panic(fmt.Sprintf("topo: %d GPMs overflow the page table's owner ids", t.TotalGPMs()))
 	}
 	return &PageMap{
 		topo:      t,
-		placement: p,
 		pageShift: uint8(bits.TrailingZeros64(uint64(t.PageSize))),
 		lineShift: uint8(bits.TrailingZeros64(uint64(t.LineSize))),
 	}
@@ -110,8 +86,7 @@ func (m *PageMap) resize(n Page) {
 }
 
 // Touch resolves the owner GPM of the page containing addr, placing the
-// page on first access. accessor is the GPM performing the access and is
-// the owner under first-touch placement.
+// page on accessor, the GPM performing the access, on first access.
 func (m *PageMap) Touch(a Addr, accessor GPMID) GPMID {
 	p := Page(uint64(a) >> m.pageShift)
 	if p >= Page(len(m.owner)) {
@@ -119,18 +94,9 @@ func (m *PageMap) Touch(a Addr, accessor GPMID) GPMID {
 	} else if o := m.owner[p]; o != 0 {
 		return GPMID(o - 1)
 	}
-	var o GPMID
-	switch m.placement {
-	case FirstTouch:
-		o = accessor
-	case Static:
-		o = GPMID(uint64(p) % uint64(m.topo.TotalGPMs()))
-	default:
-		panic(fmt.Sprintf("topo: unknown placement %v", m.placement))
-	}
-	m.owner[p] = int32(o) + 1
+	m.owner[p] = int32(accessor) + 1
 	m.placed++
-	return o
+	return accessor
 }
 
 // Owner returns the owner GPM of the page containing addr and whether the
@@ -168,13 +134,4 @@ func (m *PageMap) GPUHome(gpu GPUID, l Line) GPMID {
 		return sys
 	}
 	return m.topo.GPUHome(gpu, l)
-}
-
-// OwnerGPU returns the GPU containing the system home node of line l.
-func (m *PageMap) OwnerGPU(l Line) GPUID { return m.topo.GPUOf(m.SysHome(l)) }
-
-// Reset forgets all placements, keeping the table's size.
-func (m *PageMap) Reset() {
-	clear(m.owner)
-	m.placed = 0
 }

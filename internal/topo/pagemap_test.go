@@ -13,86 +13,75 @@ func panics(f func()) (did bool) {
 }
 
 // TestPageMapMatchesModel runs random Touch, placement-hint, Owner,
-// SysHome, GPUHome, Pages, Reserve and Reset sequences against a map
-// reference model under both placements. Pages range past the table's
-// initial size, so Touch grows it as well as hitting reserved pages.
+// SysHome, GPUHome, Pages and Reserve sequences against a map reference
+// model of first-touch placement. Pages range past the table's initial
+// size, so Touch grows it as well as hitting reserved pages.
 func TestPageMapMatchesModel(t *testing.T) {
 	tp := paperTopo()
 	total := tp.TotalGPMs()
-	for _, pl := range []Placement{FirstTouch, Static} {
-		t.Run(pl.String(), func(t *testing.T) {
-			m := NewPageMap(tp, pl)
-			model := map[Page]GPMID{}
-			place := func(p Page, accessor GPMID) GPMID {
-				if o, ok := model[p]; ok {
-					return o
-				}
-				o := accessor
-				if pl == Static {
-					o = GPMID(uint64(p) % uint64(total))
-				}
-				model[p] = o
+	t.Run("first-touch", func(t *testing.T) {
+		m := NewPageMap(tp)
+		model := map[Page]GPMID{}
+		place := func(p Page, accessor GPMID) GPMID {
+			if o, ok := model[p]; ok {
 				return o
 			}
-			rng := rand.New(rand.NewSource(int64(pl) + 7))
-			for step := 0; step < 20000; step++ {
-				p := Page(rng.Intn(600))
-				a := Addr(uint64(p)*uint64(tp.PageSize) + uint64(rng.Intn(tp.PageSize)))
-				l := tp.LineOf(a)
-				switch op := rng.Intn(20); {
-				case op < 6:
-					acc := GPMID(rng.Intn(total))
-					if got, want := m.Touch(a, acc), place(p, acc); got != want {
-						t.Fatalf("step %d: Touch(page %d, %d) = %d, model %d", step, p, acc, got, want)
-					}
-				case op < 8:
-					// A placement hint, as System.Run applies one: reserve
-					// the trace's pages, then touch the page's base
-					// address on the hinted GPM.
-					gpm := GPMID(rng.Intn(total))
-					m.Reserve(p + 1)
-					if got, want := m.Touch(Addr(uint64(p)*uint64(tp.PageSize)), gpm), place(p, gpm); got != want {
-						t.Fatalf("step %d: hint of page %d on %d placed %d, model %d", step, p, gpm, got, want)
-					}
-				case op < 12:
-					got, ok := m.Owner(a)
-					want, wantOK := model[p]
-					if got != want || ok != wantOK {
-						t.Fatalf("step %d: Owner(page %d) = %d,%v, model %d,%v", step, p, got, ok, want, wantOK)
-					}
-				case op < 16:
-					want, ok := model[p]
-					if !ok {
-						if !panics(func() { m.SysHome(l) }) {
-							t.Fatalf("step %d: SysHome of unplaced page %d did not panic", step, p)
-						}
-						continue
-					}
-					if got := m.SysHome(l); got != want {
-						t.Fatalf("step %d: SysHome(page %d) = %d, model %d", step, p, got, want)
-					}
-					gpu := GPUID(rng.Intn(tp.NumGPUs))
-					wantHome := tp.GPUHome(gpu, l)
-					if tp.GPUOf(want) == gpu {
-						wantHome = want
-					}
-					if got := m.GPUHome(gpu, l); got != wantHome {
-						t.Fatalf("step %d: GPUHome(%d, page %d) = %d, model %d", step, gpu, p, got, wantHome)
-					}
-				case op < 19:
-					m.Reserve(Page(rng.Intn(800)))
-				default:
-					if rng.Intn(10) == 0 {
-						m.Reset()
-						clear(model)
-					}
+			model[p] = accessor
+			return accessor
+		}
+		rng := rand.New(rand.NewSource(7))
+		for step := 0; step < 20000; step++ {
+			p := Page(rng.Intn(600))
+			a := Addr(uint64(p)*uint64(tp.PageSize) + uint64(rng.Intn(tp.PageSize)))
+			l := tp.LineOf(a)
+			switch op := rng.Intn(20); {
+			case op < 6:
+				acc := GPMID(rng.Intn(total))
+				if got, want := m.Touch(a, acc), place(p, acc); got != want {
+					t.Fatalf("step %d: Touch(page %d, %d) = %d, model %d", step, p, acc, got, want)
 				}
-				if m.Pages() != len(model) {
-					t.Fatalf("step %d: Pages = %d, model %d", step, m.Pages(), len(model))
+			case op < 8:
+				// A placement hint, as System.Run applies one: reserve
+				// the trace's pages, then touch the page's base
+				// address on the hinted GPM.
+				gpm := GPMID(rng.Intn(total))
+				m.Reserve(p + 1)
+				if got, want := m.Touch(Addr(uint64(p)*uint64(tp.PageSize)), gpm), place(p, gpm); got != want {
+					t.Fatalf("step %d: hint of page %d on %d placed %d, model %d", step, p, gpm, got, want)
 				}
+			case op < 12:
+				got, ok := m.Owner(a)
+				want, wantOK := model[p]
+				if got != want || ok != wantOK {
+					t.Fatalf("step %d: Owner(page %d) = %d,%v, model %d,%v", step, p, got, ok, want, wantOK)
+				}
+			case op < 16:
+				want, ok := model[p]
+				if !ok {
+					if !panics(func() { m.SysHome(l) }) {
+						t.Fatalf("step %d: SysHome of unplaced page %d did not panic", step, p)
+					}
+					continue
+				}
+				if got := m.SysHome(l); got != want {
+					t.Fatalf("step %d: SysHome(page %d) = %d, model %d", step, p, got, want)
+				}
+				gpu := GPUID(rng.Intn(tp.NumGPUs))
+				wantHome := tp.GPUHome(gpu, l)
+				if tp.GPUOf(want) == gpu {
+					wantHome = want
+				}
+				if got := m.GPUHome(gpu, l); got != wantHome {
+					t.Fatalf("step %d: GPUHome(%d, page %d) = %d, model %d", step, gpu, p, got, wantHome)
+				}
+			default:
+				m.Reserve(Page(rng.Intn(800)))
 			}
-		})
-	}
+			if m.Pages() != len(model) {
+				t.Fatalf("step %d: Pages = %d, model %d", step, m.Pages(), len(model))
+			}
+		}
+	})
 }
 
 // TestPageMapReservedTouchDoesNotAllocate pins the datapath cost: once
@@ -100,7 +89,7 @@ func TestPageMapMatchesModel(t *testing.T) {
 // allocate nothing.
 func TestPageMapReservedTouchDoesNotAllocate(t *testing.T) {
 	tp := paperTopo()
-	m := NewPageMap(tp, FirstTouch)
+	m := NewPageMap(tp)
 	m.Reserve(1024)
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -120,7 +109,7 @@ func TestPageMapReservedTouchDoesNotAllocate(t *testing.T) {
 // a table by a stray address.
 func TestPageMapLimit(t *testing.T) {
 	tp := paperTopo()
-	m := NewPageMap(tp, FirstTouch)
+	m := NewPageMap(tp)
 	if !panics(func() { m.Touch(Addr(uint64(MaxPages)*uint64(tp.PageSize)), 0) }) {
 		t.Error("Touch of page MaxPages did not panic")
 	}

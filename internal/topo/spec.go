@@ -45,15 +45,6 @@ func ParseSpec(s string) (Spec, error) {
 	return Spec{NumGPUs: g, GPMsPerGPU: m}, nil
 }
 
-// MustParseSpec is ParseSpec for trusted literals; it panics on error.
-func MustParseSpec(s string) Spec {
-	sp, err := ParseSpec(s)
-	if err != nil {
-		panic(err)
-	}
-	return sp
-}
-
 // IsZero reports whether the spec overrides nothing.
 func (s Spec) IsZero() bool { return s == Spec{} }
 

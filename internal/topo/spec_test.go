@@ -30,9 +30,9 @@ func TestParseSpec(t *testing.T) {
 
 func TestSpecRoundTrip(t *testing.T) {
 	for _, s := range []string{"4x4", "16x8", "2x2", "8"} {
-		sp := MustParseSpec(s)
-		if sp.String() != s {
-			t.Fatalf("MustParseSpec(%q).String() = %q", s, sp.String())
+		sp, err := ParseSpec(s)
+		if err != nil || sp.String() != s {
+			t.Fatalf("ParseSpec(%q) = %q, %v", s, sp.String(), err)
 		}
 	}
 	if (Spec{}).String() != "" {
@@ -42,14 +42,14 @@ func TestSpecRoundTrip(t *testing.T) {
 
 func TestSpecApply(t *testing.T) {
 	base := Topology{NumGPUs: 4, GPMsPerGPU: 4, SMsPerGPM: 8, LineSize: 128, PageSize: 4096}
-	got := MustParseSpec("16x8").Apply(base)
+	got := Spec{NumGPUs: 16, GPMsPerGPU: 8}.Apply(base)
 	if got.NumGPUs != 16 || got.GPMsPerGPU != 8 {
 		t.Fatalf("Apply(16x8) = %+v", got)
 	}
 	if got.SMsPerGPM != base.SMsPerGPM || got.LineSize != base.LineSize || got.PageSize != base.PageSize {
 		t.Fatalf("Apply clobbered per-module detail: %+v", got)
 	}
-	if partial := MustParseSpec("8").Apply(base); partial.NumGPUs != 8 || partial.GPMsPerGPU != 4 {
+	if partial := (Spec{NumGPUs: 8}).Apply(base); partial.NumGPUs != 8 || partial.GPMsPerGPU != 4 {
 		t.Fatalf("partial Apply(8) = %+v", partial)
 	}
 	if same := (Spec{}).Apply(base); same != base {

@@ -99,14 +99,6 @@ func (t Topology) LineAddr(l Line) Addr { return Addr(uint64(l) * uint64(t.LineS
 // PageOf returns the page containing addr.
 func (t Topology) PageOf(a Addr) Page { return Page(uint64(a) / uint64(t.PageSize)) }
 
-// PageOfLine returns the page containing a line.
-func (t Topology) PageOfLine(l Line) Page {
-	return Page(uint64(l) * uint64(t.LineSize) / uint64(t.PageSize))
-}
-
-// LinesPerPage returns the number of cache lines in one page.
-func (t Topology) LinesPerPage() int { return t.PageSize / t.LineSize }
-
 // hashLine mixes line bits so that consecutive lines spread across home
 // nodes without pathological striding (splitmix64 finalizer).
 func hashLine(l Line) uint64 {

@@ -26,10 +26,10 @@ func TestValidate(t *testing.T) {
 		{"page < line", func(tp *Topology) { tp.PageSize = 64 }},
 		// -topo specs whose products overflow int: the GPM count wraps
 		// to 0, or past MaxInt, and the SM count overflows after it.
-		{"4294967296x4294967296 GPMs wrap to 0", func(tp *Topology) { *tp = MustParseSpec("4294967296x4294967296").Apply(*tp) }},
-		{"3037000500x3037000500 GPMs overflow", func(tp *Topology) { *tp = MustParseSpec("3037000500x3037000500").Apply(*tp) }},
+		{"4294967296x4294967296 GPMs wrap to 0", func(tp *Topology) { *tp = Spec{NumGPUs: 1 << 32, GPMsPerGPU: 1 << 32}.Apply(*tp) }},
+		{"3037000500x3037000500 GPMs overflow", func(tp *Topology) { *tp = Spec{NumGPUs: 3037000500, GPMsPerGPU: 3037000500}.Apply(*tp) }},
 		{"65536x65536 SMs overflow", func(tp *Topology) {
-			*tp = MustParseSpec("65536x65536").Apply(*tp)
+			*tp = Spec{NumGPUs: 65536, GPMsPerGPU: 65536}.Apply(*tp)
 			tp.SMsPerGPM = 1 << 31
 		}},
 	}
@@ -51,9 +51,6 @@ func TestCounts(t *testing.T) {
 	}
 	if got := tp.TotalSMs(); got != 512 {
 		t.Errorf("TotalSMs = %d, want 512 (Table II)", got)
-	}
-	if got := tp.LinesPerPage(); got != (2<<20)/128 {
-		t.Errorf("LinesPerPage = %d", got)
 	}
 }
 
@@ -94,9 +91,6 @@ func TestAddressMath(t *testing.T) {
 	if tp.PageOf(a) != 5 {
 		t.Errorf("PageOf = %d, want 5", tp.PageOf(a))
 	}
-	if tp.PageOfLine(l) != 5 {
-		t.Errorf("PageOfLine = %d, want 5", tp.PageOfLine(l))
-	}
 }
 
 // Property: line/page math is consistent for arbitrary addresses.
@@ -105,7 +99,7 @@ func TestAddressMathProperty(t *testing.T) {
 	prop := func(a uint64) bool {
 		addr := Addr(a % (1 << 40))
 		l := tp.LineOf(addr)
-		return tp.PageOf(addr) == tp.PageOfLine(l) &&
+		return tp.PageOf(addr) == tp.PageOf(tp.LineAddr(l)) &&
 			tp.LineOf(tp.LineAddr(l)) == l
 	}
 	if err := quick.Check(prop, nil); err != nil {
@@ -144,7 +138,7 @@ func TestGPUHomeLocalStableAndSpread(t *testing.T) {
 
 func TestPageMapFirstTouch(t *testing.T) {
 	tp := paperTopo()
-	m := NewPageMap(tp, FirstTouch)
+	m := NewPageMap(tp)
 	a := Addr(123456)
 	o := m.Touch(a, 7)
 	if o != 7 {
@@ -165,26 +159,9 @@ func TestPageMapFirstTouch(t *testing.T) {
 	}
 }
 
-func TestPageMapStatic(t *testing.T) {
-	tp := paperTopo()
-	m := NewPageMap(tp, Static)
-	seen := map[GPMID]bool{}
-	for p := 0; p < 64; p++ {
-		a := Addr(p * tp.PageSize)
-		o := m.Touch(a, 0)
-		if o != GPMID(p%tp.TotalGPMs()) {
-			t.Fatalf("static owner of page %d = %d", p, o)
-		}
-		seen[o] = true
-	}
-	if len(seen) != tp.TotalGPMs() {
-		t.Fatalf("static placement used %d GPMs, want %d", len(seen), tp.TotalGPMs())
-	}
-}
-
 func TestPageMapGPUHome(t *testing.T) {
 	tp := paperTopo()
-	m := NewPageMap(tp, FirstTouch)
+	m := NewPageMap(tp)
 	a := Addr(0)
 	owner := tp.GPM(1, 2)
 	m.Touch(a, owner)
@@ -203,38 +180,14 @@ func TestPageMapGPUHome(t *testing.T) {
 			t.Fatalf("GPU home not inside GPU %d", gpu)
 		}
 	}
-	if m.OwnerGPU(l) != 1 {
-		t.Fatalf("OwnerGPU = %d, want 1", m.OwnerGPU(l))
-	}
 }
 
 func TestSysHomeUnplacedPanics(t *testing.T) {
-	m := NewPageMap(paperTopo(), FirstTouch)
+	m := NewPageMap(paperTopo())
 	defer func() {
 		if recover() == nil {
 			t.Error("SysHome of unplaced line did not panic")
 		}
 	}()
 	m.SysHome(42)
-}
-
-func TestPageMapReset(t *testing.T) {
-	m := NewPageMap(paperTopo(), FirstTouch)
-	m.Touch(0, 3)
-	m.Reset()
-	if m.Pages() != 0 {
-		t.Fatalf("Pages after Reset = %d", m.Pages())
-	}
-	if o := m.Touch(0, 9); o != 9 {
-		t.Fatalf("owner after Reset = %d, want 9", o)
-	}
-}
-
-func TestPlacementString(t *testing.T) {
-	if FirstTouch.String() != "first-touch" || Static.String() != "static" {
-		t.Error("Placement.String wrong")
-	}
-	if Placement(99).String() == "" {
-		t.Error("unknown placement produced empty string")
-	}
 }

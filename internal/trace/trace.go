@@ -77,9 +77,6 @@ func (k OpKind) String() string {
 // IsLoad reports whether the op reads memory (loads and atomics).
 func (k OpKind) IsLoad() bool { return k == Load || k == LoadAcq || k == Atomic }
 
-// IsStore reports whether the op writes memory (stores and atomics).
-func (k OpKind) IsStore() bool { return k == Store || k == StoreRel || k == Atomic }
-
 // IsSync reports whether the op carries acquire or release semantics.
 func (k OpKind) IsSync() bool { return k == LoadAcq || k == StoreRel || k == Atomic }
 

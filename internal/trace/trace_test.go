@@ -61,17 +61,17 @@ func TestScopeAndKindStrings(t *testing.T) {
 
 func TestKindPredicates(t *testing.T) {
 	cases := []struct {
-		k                       OpKind
-		isLoad, isStore, isSync bool
+		k              OpKind
+		isLoad, isSync bool
 	}{
-		{Load, true, false, false},
-		{Store, false, true, false},
-		{Atomic, true, true, true},
-		{LoadAcq, true, false, true},
-		{StoreRel, false, true, true},
+		{Load, true, false},
+		{Store, false, false},
+		{Atomic, true, true},
+		{LoadAcq, true, true},
+		{StoreRel, false, true},
 	}
 	for _, c := range cases {
-		if c.k.IsLoad() != c.isLoad || c.k.IsStore() != c.isStore || c.k.IsSync() != c.isSync {
+		if c.k.IsLoad() != c.isLoad || c.k.IsSync() != c.isSync {
 			t.Errorf("%v predicates wrong", c.k)
 		}
 	}

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo verification: build, vet, lint, full tests, a race-detector tier,
+# Repo verification: build, gofmt, vet, lint, full tests, a race-detector tier,
 # and a protocol conformance tier.
 #
 # The benchmark module (benchmark/, its own go.mod) is vetted too: the
@@ -70,6 +70,14 @@ cd "$(dirname "$0")/.."
 
 echo "== go build"
 go build ./...
+
+echo "== gofmt"
+UNFORMATTED="$(gofmt -l .)"
+if [ -n "$UNFORMATTED" ]; then
+  echo "gofmt -l lists unformatted files:" >&2
+  echo "$UNFORMATTED" >&2
+  exit 1
+fi
 
 echo "== go vet"
 go vet ./...
