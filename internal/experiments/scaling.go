@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"hmg/internal/gsim"
 	"hmg/internal/proto"
 	"hmg/internal/report"
 	"hmg/internal/stats"
@@ -21,6 +20,8 @@ var scalingGPUCounts = []int{2, 4, 8}
 // hierarchical sharer tracking (M+N-2 bits) scales with GPU count. The
 // study runs the suite on 2-, 4-, and 8-GPU machines (4 GPMs each),
 // normalizing each machine size to its own no-remote-caching baseline.
+// The 4-GPU machine is the Table II configuration, so its runs share
+// memo entries with plain runs.
 func ScalingStudy(r *Runner) (*report.Table, error) {
 	kinds := scalingKinds
 	t := &report.Table{Title: "Sec. VII-D: scaling with GPU count (4 GPMs per GPU)"}
@@ -30,7 +31,7 @@ func ScalingStudy(r *Runner) (*report.Table, error) {
 	for _, gpus := range scalingGPUCounts {
 		base := make(map[string]float64)
 		for _, b := range workload.Suite() {
-			res, err := r.runScaled(b, proto.NoRemoteCache, gpus)
+			res, err := r.runAt(b, proto.NoRemoteCache, Variant{}, topo.Spec{NumGPUs: gpus})
 			if err != nil {
 				return nil, err
 			}
@@ -40,7 +41,7 @@ func ScalingStudy(r *Runner) (*report.Table, error) {
 		for _, k := range kinds {
 			var sp []float64
 			for _, b := range workload.Suite() {
-				res, err := r.runScaled(b, k, gpus)
+				res, err := r.runAt(b, k, Variant{}, topo.Spec{NumGPUs: gpus})
 				if err != nil {
 					return nil, err
 				}
@@ -53,12 +54,4 @@ func ScalingStudy(r *Runner) (*report.Table, error) {
 	t.AddNote("each machine size is normalized to its own no-remote-caching baseline")
 	t.AddNote("an 8-GPU HMG entry tracks M+N-2 = 10 sharers (10-bit vectors)")
 	return t, nil
-}
-
-// runScaled runs one benchmark on a machine with the given GPU count
-// (keeping the base GPMs per GPU), memoized under a topology-suffixed
-// key — a 4-GPU machine is the Table II configuration and shares its
-// memo entries with plain runs.
-func (r *Runner) runScaled(bench workload.Params, kind proto.Kind, gpus int) (*gsim.Results, error) {
-	return r.runAt(bench, kind, Variant{}, topo.Spec{NumGPUs: gpus})
 }

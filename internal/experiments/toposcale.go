@@ -109,22 +109,3 @@ func TopoScale(r *Runner) (*report.Table, error) {
 	t.AddNote("dir B/entry bills 48-bit tags plus total-GPMs-1 (flat) or M+N-2 (hierarchical) sharer bits")
 	return t, nil
 }
-
-// topoScalePlan covers the study: both protocols and the per-shape
-// baseline on every machine shape.
-func topoScalePlan() []RunSpec {
-	benches, err := topoScaleBenches()
-	if err != nil {
-		return nil // Gen reports the error
-	}
-	var specs []RunSpec
-	for _, sp := range topoScaleSpecs {
-		for _, b := range benches {
-			specs = append(specs, RunSpec{Bench: b, Kind: proto.NoRemoteCache, Topo: sp})
-			for _, k := range topoScaleKinds {
-				specs = append(specs, RunSpec{Bench: b, Kind: k, Topo: sp})
-			}
-		}
-	}
-	return specs
-}

@@ -8,13 +8,13 @@ import (
 	"hmg/internal/topo"
 )
 
-// TestTopoScalePlanCoverage checks the study plan covers every machine
-// shape for both protocols plus the per-shape baseline, and that the
-// shapes produce distinct memo keys (no accidental folding of a 16x8
-// run into the 4x4 cache).
+// TestTopoScalePlanCoverage checks the study's recorded plan covers
+// every machine shape for both protocols plus the per-shape baseline,
+// and that the shapes produce distinct memo keys (no accidental folding
+// of a 16x8 run into the 4x4 cache).
 func TestTopoScalePlanCoverage(t *testing.T) {
 	r := testRunner()
-	specs := topoScalePlan()
+	specs := PlanUnion([]Figure{figure(t, "toposcale")})
 	want := len(topoScaleSpecs) * len(topoScaleBenchNames) * (len(topoScaleKinds) + 1)
 	if len(specs) != want {
 		t.Fatalf("plan has %d specs, want %d", len(specs), want)
@@ -57,7 +57,7 @@ func TestTopoScaleDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Prewarm(topoScalePlan()); err != nil {
+		if err := r.Prewarm(PlanUnion([]Figure{figure(t, "toposcale")})); err != nil {
 			t.Fatal(err)
 		}
 		tab, err := TopoScale(r)

@@ -42,7 +42,8 @@
 # re-simulated (to identical bytes again), never trusted.
 #
 # The store tier also checks the cold pass's sha256 against the digest
-# pinned in scripts/fig-all-0.25.sha256, and the full-scale tier runs
+# pinned in scripts/fig-all-0.25.sha256 and that the cold pass simulated
+# and read the store only in its prewarm, and the full-scale tier runs
 # `hmgbench -fig all` at scale 1 with no store and cmps it with the
 # committed experiments_output.txt (the only gate where the L1 hits).
 #
@@ -165,6 +166,21 @@ check_fig_sha() {
   echo "fig all at scale 0.25: sha256 matches scripts/fig-all-0.25.sha256"
 }
 
+# check_prewarm_only fails unless the campaign totals of an `hmgbench
+# -v` log equal its prewarm line's counts: the figures then simulated
+# and read the store only in the prewarm, so none asked for a run that
+# its recorded plan missed.
+check_prewarm_only() {
+  local prewarm campaign
+  prewarm="$(sed -n 's/^prewarm: .*; \([0-9]*\) served from disk store, \([0-9]*\) simulated$/\2 simulated, \1 from disk/p' "$1")"
+  campaign="$(sed -n 's/^campaign: \([0-9]*\) unique runs, [0-9]* memo hits, \([0-9]*\) disk hits,.*/\1 simulated, \2 from disk/p' "$1")"
+  if [ -z "$prewarm" ] || [ "$prewarm" != "$campaign" ]; then
+    echo "campaign totals ($campaign) differ from its prewarm ($prewarm): a figure asked for a run its recorded plan missed" >&2
+    exit 1
+  fi
+  echo "cold campaign simulated and read the store only in its prewarm: $prewarm"
+}
+
 echo "== campaign store tier (cold populate, warm serves all from disk, corruption re-simulates)"
 HMGBENCH_BIN="$(dirname "$HMGLINT_BIN")/hmgbench"
 go build -o "$HMGBENCH_BIN" ./cmd/hmgbench
@@ -177,6 +193,7 @@ echo "store stamp: $("$HMGBENCH_BIN" -storeversion)"
 grep "^campaign:" "$STORE_SCRATCH/cold.log"
 # The fresh cold pass must reproduce the pinned scale-0.25 digest.
 check_fig_sha "$STORE_SCRATCH/cold.txt"
+check_prewarm_only "$STORE_SCRATCH/cold.log"
 "$HMGBENCH_BIN" -fig all -scale 0.25 -cachedir "$RESSTORE_DIR" -v \
   > "$STORE_SCRATCH/warm.txt" 2> "$STORE_SCRATCH/warm.log"
 grep "^campaign:" "$STORE_SCRATCH/warm.log"
