@@ -43,8 +43,9 @@ func (t *Table) AddGeoMeanRow(label string) {
 	}
 	n := len(t.Columns)
 	cells := make([]float64, n)
+	col := make([]float64, 0, len(t.Rows))
 	for c := 0; c < n; c++ {
-		var col []float64
+		col = col[:0]
 		for _, r := range t.Rows {
 			if c < len(r.Cells) {
 				col = append(col, r.Cells[c])
