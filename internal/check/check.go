@@ -81,17 +81,12 @@ type Checker struct {
 	truncated  bool
 }
 
-// Attach hooks a checker into a system, chaining any previously
-// installed event sink. It must be called before Run.
+// Attach hooks a checker into a system's event stream after any sink
+// already attached (see gsim.System.Observe). It must be called before
+// Run.
 func Attach(sys *gsim.System) *Checker {
 	c := &Checker{sys: sys, legal: make(map[wordKey]map[uint64]bool)}
-	prev := sys.OnEvent
-	sys.OnEvent = func(ev gsim.Event) {
-		if prev != nil {
-			prev(ev)
-		}
-		c.onEvent(ev)
-	}
+	sys.Observe(c.onEvent)
 	return c
 }
 

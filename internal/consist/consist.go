@@ -86,8 +86,8 @@ func (b *Builder) Build() Program { return b.prog }
 // Observation records one load's result.
 type Observation struct {
 	Thread int
-	Index  int // op index within the thread
-	Op     trace.Op
+	Index  int      // op index within the thread
+	Op     trace.Op // the thread's op at Index
 	Value  uint64
 }
 
@@ -147,9 +147,11 @@ func SmallConfig(k proto.Kind) gsim.Config {
 }
 
 // Run executes the program under the configuration (value tracking is
-// forced on) and returns the collected result. Each hook is invoked on
-// the constructed system before execution — the conformance harness
-// uses this to attach its invariant checker.
+// forced on) and returns the collected result. Loads are observed
+// through their EvLoadDone events. Each hook is invoked on the
+// constructed system before execution — the conformance harness uses
+// this to attach its invariant checker — and attaches sinks with
+// Observe, which keeps the load observer.
 func Run(cfg gsim.Config, prog Program, hooks ...func(*gsim.System)) (*Result, error) {
 	cfg.TrackValues = true
 	sys, err := gsim.New(cfg)
@@ -197,13 +199,15 @@ func Run(cfg gsim.Config, prog Program, hooks ...func(*gsim.System)) (*Result, e
 	// through load ops.
 	r := &Result{prog: prog}
 	progress := make(map[int]int) // thread → next load-op cursor
-	sys.OnLoadValue = func(smID topo.SMID, op trace.Op, v uint64) {
+	sys.Observe(func(ev gsim.Event) {
+		if ev.Kind != gsim.EvLoadDone {
+			return
+		}
 		// Identify the thread by matching the op identity: the same SM
 		// may host several litmus warps, so match on (kind, scope, addr)
 		// against each candidate thread's next unobserved load.
 		for ti, th := range prog.Threads {
-			gpm := trace.AssignCTA(th.Slot, slots, cfg.Topo.TotalGPMs())
-			if cfg.Topo.GPMOfSM(smID) != gpm {
+			if trace.AssignCTA(th.Slot, slots, cfg.Topo.TotalGPMs()) != ev.GPM {
 				continue
 			}
 			cur := progress[ti]
@@ -212,15 +216,15 @@ func Run(cfg gsim.Config, prog Program, hooks ...func(*gsim.System)) (*Result, e
 				if !o.Kind.IsLoad() {
 					continue
 				}
-				if o.Kind == op.Kind && o.Scope == op.Scope && o.Addr == op.Addr {
-					r.obs = append(r.obs, Observation{Thread: ti, Index: oi, Op: op, Value: v})
+				if o.Kind == ev.Op && o.Scope == ev.Scope && o.Addr == ev.Addr {
+					r.obs = append(r.obs, Observation{Thread: ti, Index: oi, Op: o, Value: ev.Val})
 					progress[ti] = oi + 1
 					return
 				}
 				break
 			}
 		}
-	}
+	})
 	for _, h := range hooks {
 		h(sys)
 	}

@@ -152,18 +152,22 @@ func TestRunRejectsBadSlot(t *testing.T) {
 }
 
 // TestRunHooksSeeSystem: hooks passed to Run receive the constructed
-// system before execution and can attach event sinks.
+// system before execution and can attach event sinks beside Run's own
+// load observer.
 func TestRunHooksSeeSystem(t *testing.T) {
 	prog := New("hook").Thread(0, trace.Op{Kind: trace.Load, Addr: 0x100}).Build()
 	events := 0
-	_, err := Run(SmallConfig(proto.HMG), prog, func(sys *gsim.System) {
-		sys.OnEvent = func(gsim.Event) { events++ }
+	r, err := Run(SmallConfig(proto.HMG), prog, func(sys *gsim.System) {
+		sys.Observe(func(gsim.Event) { events++ })
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if events == 0 {
 		t.Fatal("hook-attached event sink saw no events")
+	}
+	if _, ok := r.Value(0, 0); !ok {
+		t.Fatal("the load went unobserved beside the hook's sink")
 	}
 }
 

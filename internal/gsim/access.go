@@ -99,9 +99,6 @@ func (c *opCtx) loadDone(v uint64) {
 			s.maxLoadLat = lat
 		}
 	}
-	if s.OnLoadValue != nil {
-		s.OnLoadValue(sm.id, op, v)
-	}
 	s.emit(Event{Kind: EvLoadDone, GPM: sm.gpm, SM: sm.id,
 		Line: s.Cfg.Topo.LineOf(op.Addr), Addr: op.Addr,
 		Scope: op.Scope, Op: op.Kind, Val: v})

@@ -133,12 +133,12 @@ func TestReleaseWaitsForStores(t *testing.T) {
 	var storeVisibleAtRelease bool
 	// Observe via a probe op: when the post-release load completes,
 	// check DRAM.
-	s.OnLoadValue = func(_ topo.SMID, op trace.Op, _ uint64) {
-		if op.Addr == 1024 {
+	onLoad(s, func(ev Event) {
+		if ev.Addr == 1024 {
 			sawRelease = true
 			storeVisibleAtRelease = s.GPMs[3].DRAM.LoadValue(256) == 5
 		}
-	}
+	})
 	if _, err := s.Run(tr); err != nil {
 		t.Fatal(err)
 	}
@@ -339,11 +339,11 @@ func TestMCAGPMAtomicAtHome(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got uint64
-	s.OnLoadValue = func(_ topo.SMID, op trace.Op, v uint64) {
-		if op.Kind == trace.LoadAcq {
-			got = v
+	onLoad(s, func(ev Event) {
+		if ev.Op == trace.LoadAcq {
+			got = ev.Val
 		}
-	}
+	})
 	tr := placeAll(warpsTrace([]trace.Op{
 		{Kind: trace.Atomic, Scope: trace.ScopeGPM, Addr: 0x40, Val: 5},
 		{Kind: trace.LoadAcq, Scope: trace.ScopeSys, Addr: 0x40},

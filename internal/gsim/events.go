@@ -134,6 +134,20 @@ func (e Event) String() string {
 	}
 }
 
+// Observe attaches fn to the event stream after every sink already
+// attached: a sink assigned to OnEvent directly runs first, then the
+// observed sinks in attach order. It is the one way sinks chain, so an
+// OnEvent assignment made after it replaces every attached sink. Attach
+// before Run.
+func (s *System) Observe(fn func(Event)) {
+	prev := s.OnEvent
+	if prev == nil {
+		s.OnEvent = fn
+		return
+	}
+	s.OnEvent = func(ev Event) { prev(ev); fn(ev) }
+}
+
 // emit stamps the current cycle and delivers the event to the sink. The
 // sink must not mutate simulator state; with no sink attached the cost
 // is a single branch, keeping the measurement path untouched.

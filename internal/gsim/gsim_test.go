@@ -235,7 +235,7 @@ func TestRemoteLoadReturnsStoredValue(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.OnLoadValue = func(_ topo.SMID, _ trace.Op, v uint64) { got = v }
+			onLoad(s, func(ev Event) { got = ev.Val })
 			if _, err := s.Run(tr); err != nil {
 				t.Fatal(err)
 			}
@@ -424,5 +424,42 @@ func TestLaunchKernelReusesScratch(t *testing.T) {
 	launch()
 	if n := testing.AllocsPerRun(20, launch); n != 2 {
 		t.Fatalf("a kernel launch makes %v allocations, want 2 (the warp-context and warp-list slabs)", n)
+	}
+}
+
+// onLoad calls fn with every completed load's EvLoadDone event.
+func onLoad(s *System, fn func(Event)) {
+	s.Observe(func(ev Event) {
+		if ev.Kind == EvLoadDone {
+			fn(ev)
+		}
+	})
+}
+
+// TestObserveOrder: Observe runs a sink assigned to OnEvent directly
+// first, then the observed sinks in attach order, on every event.
+func TestObserveOrder(t *testing.T) {
+	s, err := New(tinyConfig(proto.HMG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	s.OnEvent = func(Event) { got = append(got, "direct") }
+	s.Observe(func(Event) { got = append(got, "first") })
+	s.Observe(func(Event) { got = append(got, "second") })
+	tr := placeAll(warpsTrace([]trace.Op{
+		{Kind: trace.Store, Addr: 0x40, Val: 1},
+		{Kind: trace.Load, Addr: 0x40},
+	}), 1, 3)
+	if _, err := s.Run(tr); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || len(got)%3 != 0 {
+		t.Fatalf("sinks ran %d times, want a nonzero multiple of 3", len(got))
+	}
+	for i, name := range got {
+		if want := []string{"direct", "first", "second"}[i%3]; name != want {
+			t.Fatalf("call %d ran %q, want %q", i, name, want)
+		}
 	}
 }

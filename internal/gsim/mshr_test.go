@@ -27,10 +27,10 @@ func TestMSHRTableMatchesModel(t *testing.T) {
 	sm := s.SMs[0]
 	w := &warpCtx{sm: sm}
 	// Waiters are plain loads that skip the L1; each one's address is
-	// its arrival number, and completion order is recorded through the
-	// load-value hook.
+	// its arrival number, and completion order is recorded through
+	// their EvLoadDone events.
 	var ran []topo.Addr
-	s.OnLoadValue = func(_ topo.SMID, op trace.Op, _ uint64) { ran = append(ran, op.Addr) }
+	onLoad(s, func(ev Event) { ran = append(ran, ev.Addr) })
 	arrivals := 0
 	newWaiter := func() *opCtx {
 		c := s.newCtx(stageLoadFill)
@@ -201,7 +201,7 @@ func TestMSHRMergeAllocatesNothing(t *testing.T) {
 	g, sm := s.GPMs[0], s.SMs[0]
 	w := &warpCtx{sm: sm}
 	ran, arrived := make([]topo.Addr, 0, 64), make([]topo.Addr, 0, 64)
-	s.OnLoadValue = func(_ topo.SMID, op trace.Op, _ uint64) { ran = append(ran, op.Addr) }
+	onLoad(s, func(ev Event) { ran = append(ran, ev.Addr) })
 	waiters := 4
 	round := func() {
 		waiters *= 2

@@ -46,18 +46,18 @@ func runMP(t *testing.T, kind proto.Kind, scope trace.Scope, readerCTA int) (fla
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.OnLoadValue = func(_ topo.SMID, op trace.Op, v uint64) {
-		switch op.Addr {
+	onLoad(s, func(ev Event) {
+		switch ev.Addr {
 		case 0x200:
-			if op.Kind == trace.LoadAcq {
-				flag = v
+			if ev.Op == trace.LoadAcq {
+				flag = ev.Val
 			}
 		case 0x100:
-			if op.Kind == trace.Load {
-				data = v
+			if ev.Op == trace.Load {
+				data = ev.Val
 			}
 		}
-	}
+	})
 	// Delay long enough that the writer's release has completed.
 	if _, err := s.Run(mpTrace(scope, readerCTA, 3_000_000)); err != nil {
 		t.Fatal(err)

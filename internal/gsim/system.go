@@ -113,14 +113,11 @@ type System struct {
 	warpsLeft int
 	drained   bool
 
-	// OnLoadValue, when set, observes every completed load's value — the
-	// functional-testing hook used by the consistency harness.
-	OnLoadValue func(sm topo.SMID, op trace.Op, val uint64)
-	// OnWarpFinished, when set, observes warp completion times.
-	OnWarpFinished func(at engine.Cycle)
 	// OnEvent, when set, receives every protocol-visible event (see
-	// EventKind). Sinks observe only — they must not mutate simulator
-	// state — so attaching one cannot perturb timing or results.
+	// EventKind); it is the simulator's one observation hook. Sinks
+	// observe only — they must not mutate simulator state — so
+	// attaching one cannot perturb timing or results. Observe chains
+	// further sinks after it.
 	OnEvent func(Event)
 
 	// ctxFree heads the free list of pooled op and continuation
@@ -367,9 +364,6 @@ func (s *System) kernelBoundaryInvalidate() {
 
 // warpFinished is called by SMs as warps complete.
 func (s *System) warpFinished() {
-	if s.OnWarpFinished != nil {
-		s.OnWarpFinished(s.Eng.Now())
-	}
 	s.warpsLeft--
 	if s.warpsLeft == 0 {
 		s.lastWarpAt = s.Eng.Now()

@@ -49,8 +49,8 @@ func TestWBDirtyLineIsDirty(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := false
-	s.OnLoadValue = func(_ topo.SMID, op trace.Op, v uint64) {
-		if op.Addr == 128 { // the probe op
+	onLoad(s, func(ev Event) {
+		if ev.Addr == 128 { // the probe op
 			// At probe time the store to line 0 was absorbed: check the
 			// local slice is dirty.
 			line := s.Cfg.Topo.LineOf(0)
@@ -59,7 +59,7 @@ func TestWBDirtyLineIsDirty(t *testing.T) {
 			}
 			done = true
 		}
-	}
+	})
 	kern := trace.Kernel{CTAs: make([]trace.CTA, 4)}
 	kern.CTAs[1] = trace.CTA{Warps: []trace.Warp{{Ops: []trace.Op{
 		{Kind: trace.Load, Addr: 0},
@@ -87,14 +87,14 @@ func TestWBMessagePassing(t *testing.T) {
 				t.Fatal(err)
 			}
 			var flag, data uint64
-			s.OnLoadValue = func(_ topo.SMID, op trace.Op, v uint64) {
+			onLoad(s, func(ev Event) {
 				switch {
-				case op.Addr == 0x200 && op.Kind == trace.LoadAcq:
-					flag = v
-				case op.Addr == 0x100 && op.Kind == trace.Load:
-					data = v
+				case ev.Addr == 0x200 && ev.Op == trace.LoadAcq:
+					flag = ev.Val
+				case ev.Addr == 0x100 && ev.Op == trace.Load:
+					data = ev.Val
 				}
-			}
+			})
 			// Writer warms its own cache (so the data store is absorbed
 			// as dirty — the interesting case), then stores + releases.
 			k1 := trace.Kernel{CTAs: make([]trace.CTA, 4)}
@@ -168,14 +168,14 @@ func TestWBSyncStoresStillWriteThrough(t *testing.T) {
 		{Kind: trace.Load, Addr: 512, Gap: 100000}, // probe after release
 	}}}}
 	hit := false
-	s.OnLoadValue = func(_ topo.SMID, op trace.Op, _ uint64) {
-		if op.Addr == 512 {
+	onLoad(s, func(ev Event) {
+		if ev.Addr == 512 {
 			hit = true
 			if got := s.GPMs[3].DRAM.LoadValue(0); got != 5 {
 				t.Errorf("release store not at DRAM before release completed: %d", got)
 			}
 		}
-	}
+	})
 	tr := placeAll(&trace.Trace{Name: "wbsync", Kernels: []trace.Kernel{kern}}, 1, 3)
 	if _, err := s.Run(tr); err != nil {
 		t.Fatal(err)

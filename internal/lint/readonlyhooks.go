@@ -11,8 +11,8 @@
 // Roots, in packages named check:
 //
 //   - methods and functions named onEvent/OnEvent;
-//   - function literals installed into hook fields (assignments to
-//     selectors named OnEvent, OnLoadValue, or OnWarpFinished).
+//   - function literals installed as event sinks: assigned to a
+//     selector named OnEvent, or passed to a method named Observe.
 //
 // From the roots the pass closes over same-package static calls
 // (function literals are walked inside whatever declaration contains
@@ -35,12 +35,12 @@ import (
 	"go/types"
 )
 
-// hookFieldNames are the simulator's observer-installation points.
-var hookFieldNames = map[string]bool{
-	"OnEvent":        true,
-	"OnLoadValue":    true,
-	"OnWarpFinished": true,
-}
+// hookField is the simulator's one observation hook, and observeMethod
+// the method that chains sinks onto it.
+const (
+	hookField     = "OnEvent"
+	observeMethod = "Observe"
+)
 
 // AnalyzerReadonlyHooks makes checker inertness a compile-time
 // property.
@@ -69,9 +69,9 @@ func runReadonlyHooks(pass *Pass) []Diagnostic {
 		}
 	}
 
-	// Roots: observer entry points. Hook-field closures are walked as
-	// part of whichever declaration contains the assignment, so adding
-	// that declaration to the root set covers the closure body.
+	// Roots: observer entry points. Sink closures are walked as part of
+	// whichever declaration installs them, so adding that declaration to
+	// the root set covers the closure body.
 	roots := map[*types.Func]bool{}
 	for fn := range decls {
 		if fn.Name() == "onEvent" || fn.Name() == "OnEvent" {
@@ -83,17 +83,20 @@ func runReadonlyHooks(pass *Pass) []Diagnostic {
 			continue
 		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-				if !ok || !hookFieldNames[sel.Sel.Name] || i >= len(as.Rhs) {
-					continue
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if isSelector(lhs, hookField) && i < len(n.Rhs) && containsFuncLit(n.Rhs[i]) {
+						roots[fn] = true
+					}
 				}
-				if containsFuncLit(as.Rhs[i]) {
-					roots[fn] = true
+			case *ast.CallExpr:
+				if isSelector(n.Fun, observeMethod) {
+					for _, arg := range n.Args {
+						if containsFuncLit(arg) {
+							roots[fn] = true
+						}
+					}
 				}
 			}
 			return true
@@ -153,7 +156,7 @@ func runReadonlyHooks(pass *Pass) []Diagnostic {
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
 					// Installing a hook is the sanctioned foreign write.
-					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && hookFieldNames[sel.Sel.Name] {
+					if isSelector(lhs, hookField) {
 						continue
 					}
 					if t, bad := foreignWrite(pass, lhs); bad {
@@ -203,6 +206,12 @@ func foreignWrite(pass *Pass, lhs ast.Expr) (string, bool) {
 		return "", false
 	}
 	return p.Name() + "." + n.Obj().Name(), true
+}
+
+// isSelector reports whether e is a selector naming name (x.name).
+func isSelector(e ast.Expr, name string) bool {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == name
 }
 
 // containsFuncLit reports whether an expression contains a function

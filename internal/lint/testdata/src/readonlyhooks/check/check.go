@@ -1,7 +1,7 @@
-// Readonlyhooks fixture: observer roots by method name and by hook
-// literal, mutating calls flagged through the facts (Lookup yes, Peek
-// no), foreign field writes flagged structurally, and non-observer
-// code left alone.
+// Readonlyhooks fixture: observer roots by method name, by hook
+// literal and by Observe literal, mutating calls flagged through the
+// facts (Lookup yes, Peek no), foreign field writes flagged
+// structurally, and non-observer code left alone.
 package check
 
 import "fixture/cache"
@@ -29,11 +29,14 @@ func Warm(c *cache.Cache) {
 	_ = c.Lookup(0)
 }
 
-// system carries the hook fields the analyzer recognizes by name.
+// system carries the hook field and the chaining method the analyzer
+// recognizes by name.
 type system struct {
-	OnEvent     func(int)
-	OnLoadValue func(uint64)
+	OnEvent func(int)
 }
+
+// Observe chains fn onto the hook.
+func (s *system) Observe(fn func(int)) { s.OnEvent = fn }
 
 // attach installs a hook literal: the literal's body is observer code.
 func attach(sys *system, k *Checker) {
@@ -43,11 +46,18 @@ func attach(sys *system, k *Checker) {
 	}
 }
 
+// observe passes a literal to Observe: its body is observer code too.
+func observe(sys *system, k *Checker) {
+	sys.Observe(func(ev int) {
+		_ = k.c.Lookup(ev) // want `mutates simulator state`
+	})
+}
+
 // attachAllowed suppresses a deliberate foreign write with a reason.
 func attachAllowed(sys *system, k *Checker) {
-	sys.OnLoadValue = func(v uint64) {
+	sys.OnEvent = func(ev int) {
 		e := k.c.Peek(0)
 		//lint:allow readonlyhooks scratch word reserved for the checker by contract
-		e.Line = v
+		e.Line = uint64(ev)
 	}
 }

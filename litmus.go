@@ -43,21 +43,15 @@ func LitmusConfig(p Protocol) Config { return consist.SmallConfig(p) }
 //
 //	res, err := hmg.RunLitmus(cfg, prog, hmg.WithInvariantChecks())
 func RunLitmus(cfg Config, prog LitmusProgram, opts ...Option) (*LitmusResult, error) {
-	o := buildOptions(opts)
-	var attachErr error
-	res, err := consist.Run(gsim.Config(cfg), prog, func(sys *gsim.System) {
-		attachErr = o.apply(sys)
+	var sys *System
+	res, err := consist.Run(gsim.Config(cfg), prog, func(raw *gsim.System) {
+		sys = wrap(raw, opts)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if attachErr != nil {
-		return nil, attachErr
-	}
-	if o.checker != nil {
-		if cerr := o.checker.Err(); cerr != nil {
-			return res, cerr
-		}
+	if err := sys.CheckErr(); err != nil {
+		return res, err
 	}
 	return res, nil
 }
