@@ -359,6 +359,10 @@ func TestHmgbenchSingleFigure(t *testing.T) {
 	if _, err := exec.Command(bin, "-fig", "nosuch").CombinedOutput(); err == nil {
 		t.Fatal("hmgbench accepted unknown figure")
 	}
+	bad, err := exec.Command(bin, "-fig", "cost", "-format", "json").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(bad), "known: text,csv,md") {
+		t.Fatalf("hmgbench -format json: %v\n%s", err, bad)
+	}
 }
 
 // TestHmgbenchFigureRegistrySync pins hmgbench's user-facing figure

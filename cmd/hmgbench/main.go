@@ -56,6 +56,12 @@ func main() {
 		fmt.Println(experiments.ModelVersion())
 		return
 	}
+	switch *format {
+	case "text", "csv", "md":
+	default:
+		fmt.Fprintf(os.Stderr, "hmgbench: unknown format %q (known: text,csv,md)\n", *format)
+		os.Exit(2)
+	}
 
 	opts := experiments.DefaultOptions()
 	opts.Scale = *scale

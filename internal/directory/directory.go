@@ -256,13 +256,17 @@ func (d *Dir) ForEach(fn func(*Entry)) {
 	}
 }
 
-// StorageBits returns the storage cost of one directory entry in bits,
-// the Section VII-C hardware-cost model: 1 state bit, the address tag,
-// and one bit per trackable sharer.
-func StorageBits(tagBits, maxSharers int) int { return 1 + tagBits + maxSharers }
-
-// StorageBytes returns the total directory storage in bytes for the
-// given entry count, Section VII-C's 84KB-per-GPM figure.
-func StorageBytes(entries, tagBits, maxSharers int) int {
-	return entries * StorageBits(tagBits, maxSharers) / 8
+// EntryCost is the Section VII-C hardware-cost model of one directory
+// entry on a machine of gpus GPUs with gpmsPerGPU GPMs each. It returns
+// the sharers an entry tracks, one bit each — hierarchical tracking
+// names the other GPMs of the home's GPU and the other GPUs (M+N-2),
+// flat tracking every other GPM of the machine — and the entry's width
+// in bits: 1 state bit, a 48-bit region tag, and the sharer bits.
+func EntryCost(gpus, gpmsPerGPU int, hierarchical bool) (sharers, bits int) {
+	const tagBits = 48
+	sharers = gpus*gpmsPerGPU - 1
+	if hierarchical {
+		sharers = gpmsPerGPU - 1 + gpus - 1
+	}
+	return sharers, 1 + tagBits + sharers
 }

@@ -213,12 +213,13 @@ func TestLiveInvariant(t *testing.T) {
 // 6 sharer bits = 55 bits per entry; 12K entries ≈ 84KB per GPM; ~2.7%
 // of a 3MB L2 slice.
 func TestStorageCost(t *testing.T) {
-	if got := StorageBits(48, 6); got != 55 {
-		t.Fatalf("StorageBits = %d, want 55", got)
+	sharers, bits := EntryCost(4, 4, true)
+	if sharers != 6 || bits != 55 {
+		t.Fatalf("EntryCost(4, 4, hierarchical) = %d sharers, %d bits; want 6, 55", sharers, bits)
 	}
-	total := StorageBytes(12*1024, 48, 6)
+	total := 12 * 1024 * bits / 8
 	if total < 82*1024 || total > 86*1024 {
-		t.Fatalf("StorageBytes = %d, want ≈84KB", total)
+		t.Fatalf("12K entries = %d bytes, want ≈84KB", total)
 	}
 	l2Slice := 3 << 20 // 12MB per GPU / 4 GPMs
 	frac := float64(total) / float64(l2Slice)

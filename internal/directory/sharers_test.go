@@ -221,21 +221,14 @@ func TestSharersAllocateNothing(t *testing.T) {
 
 // TestStorageAt16x8 pins the §VII-C storage accounting at the largest
 // toposcale machine: a 16-GPU, 8-GPM-per-GPU system bills M+N-2 = 22
-// sharers per hierarchical entry.
+// sharers per hierarchical entry and 127 per flat one.
 func TestStorageAt16x8(t *testing.T) {
-	const gpus, gpms, tagBits = 16, 8, 48
-	maxSharers := gpms - 1 + gpus - 1
-	if maxSharers != 22 {
-		t.Fatalf("M+N-2 = %d, want 22", maxSharers)
+	sharers, bits := EntryCost(16, 8, true)
+	if sharers != 22 || bits != 1+48+22 {
+		t.Fatalf("hierarchical EntryCost = %d sharers, %d bits; want 22, 71", sharers, bits)
 	}
-	if got := StorageBits(tagBits, maxSharers); got != 1+48+22 {
-		t.Fatalf("StorageBits = %d, want 71", got)
-	}
-	flat := StorageBits(tagBits, gpus*gpms-1)
-	if flat != 1+48+127 {
-		t.Fatalf("flat StorageBits = %d, want 176", flat)
-	}
-	if StorageBytes(12*1024, tagBits, maxSharers) >= StorageBytes(12*1024, tagBits, gpus*gpms-1) {
-		t.Fatal("hierarchical entries should be cheaper than flat at 16x8")
+	flatSharers, flat := EntryCost(16, 8, false)
+	if flatSharers != 127 || flat != 1+48+127 {
+		t.Fatalf("flat EntryCost = %d sharers, %d bits; want 127, 176", flatSharers, flat)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"hmg/internal/proto"
 	"hmg/internal/report"
 	"hmg/internal/stats"
+	"hmg/internal/topo"
 	"hmg/internal/trace"
 	"hmg/internal/workload"
 )
@@ -19,7 +20,7 @@ var fig2Protocols = []proto.Kind{proto.SWNonHier, proto.NHCC, proto.Ideal}
 // fig8Protocols are the five configurations of Fig. 8.
 var fig8Protocols = []proto.Kind{proto.SWNonHier, proto.NHCC, proto.SWHier, proto.HMG, proto.Ideal}
 
-// fig8Labels maps protocol kinds to the paper's legend names.
+// legend maps protocol kinds to the paper's legend names.
 func legend(k proto.Kind) string {
 	switch k {
 	case proto.SWNonHier:
@@ -35,6 +36,20 @@ func legend(k proto.Kind) string {
 	default:
 		return k.String()
 	}
+}
+
+// baselineCycles reads each benchmark's no-caching run on machine shape
+// sp once: the normalization point of a table's speedups.
+func baselineCycles(r *Runner, benches []workload.Params, sp topo.Spec) ([]float64, error) {
+	base := make([]float64, len(benches))
+	for i, b := range benches {
+		res, err := r.runAt(b, proto.NoRemoteCache, Variant{}, sp)
+		if err != nil {
+			return nil, err
+		}
+		base[i] = float64(res.Cycles)
+	}
+	return base, nil
 }
 
 // speedupTable tabulates each suite benchmark's speedup under kinds
@@ -164,16 +179,21 @@ func sweep(r *Runner, title string, points []Variant, labels []string) (*report.
 	for _, k := range kinds {
 		t.Columns = append(t.Columns, legend(k))
 	}
+	suite := workload.Suite()
+	base, err := baselineCycles(r, suite, topo.Spec{})
+	if err != nil {
+		return nil, err
+	}
 	for i, v := range points {
 		row := make([]float64, 0, len(kinds))
 		for _, k := range kinds {
 			var sp []float64
-			for _, b := range workload.Suite() {
-				s, err := r.Speedup(b, k, v)
+			for j, b := range suite {
+				res, err := r.Run(b, k, v)
 				if err != nil {
 					return nil, err
 				}
-				sp = append(sp, s)
+				sp = append(sp, base[j]/float64(res.Cycles))
 			}
 			row = append(row, stats.GeoMean(sp))
 		}
@@ -266,19 +286,20 @@ func DowngradeAblation(r *Runner) (*report.Table, error) {
 		Title:   "Ablation: optional sharer-downgrade messages (Section IV option)",
 		Columns: []string{"speedup", "invGB/s", "dirEvictLines"},
 	}
+	suite := workload.Suite()
+	base, err := baselineCycles(r, suite, topo.Spec{})
+	if err != nil {
+		return nil, err
+	}
 	for _, on := range []bool{false, true} {
 		var sp []float64
 		var invGBs, evLines float64
-		for _, b := range workload.Suite() {
-			s, err := r.Speedup(b, proto.HMG, Variant{Downgrade: on})
-			if err != nil {
-				return nil, err
-			}
-			sp = append(sp, s)
+		for j, b := range suite {
 			res, err := r.Run(b, proto.HMG, Variant{Downgrade: on})
 			if err != nil {
 				return nil, err
 			}
+			sp = append(sp, base[j]/float64(res.Cycles))
 			invGBs += res.InvBandwidthGBs()
 			evLines += float64(res.LinesInvByEvicts)
 		}
@@ -286,7 +307,7 @@ func DowngradeAblation(r *Runner) (*report.Table, error) {
 		if on {
 			label = "HMG + downgrade"
 		}
-		t.Add(label, stats.GeoMean(sp), invGBs/float64(len(workload.Suite())), evLines)
+		t.Add(label, stats.GeoMean(sp), invGBs/float64(len(suite)), evLines)
 	}
 	t.AddNote("downgrades trade extra control messages for fewer eviction invalidations")
 	return t, nil
@@ -313,22 +334,23 @@ func WriteBackAblation(r *Runner) (*report.Table, error) {
 		Title:   "Ablation: write-back vs write-through L2 (Section IV design options)",
 		Columns: []string{"speedup", "interGPU GB/s"},
 	}
+	suite := workload.Suite()
+	base, err := baselineCycles(r, suite, topo.Spec{})
+	if err != nil {
+		return nil, err
+	}
 	for _, row := range writeBackRows {
 		var sp []float64
 		var gbs float64
-		for _, b := range workload.Suite() {
-			s, err := r.Speedup(b, row.kind, Variant{WriteBack: row.wb})
-			if err != nil {
-				return nil, err
-			}
-			sp = append(sp, s)
+		for j, b := range suite {
 			res, err := r.Run(b, row.kind, Variant{WriteBack: row.wb})
 			if err != nil {
 				return nil, err
 			}
+			sp = append(sp, base[j]/float64(res.Cycles))
 			gbs += res.InterGPUGBs()
 		}
-		t.Add(row.label, stats.GeoMean(sp), gbs/float64(len(workload.Suite())))
+		t.Add(row.label, stats.GeoMean(sp), gbs/float64(len(suite)))
 	}
 	t.AddNote("write-back absorbs plain stores locally and flushes on releases, kernel boundaries, and evictions")
 	return t, nil
@@ -436,14 +458,19 @@ func LocalityAblation(r *Runner) (*report.Table, error) {
 		Title:   "Ablation: locality policies (contiguous CTA scheduling, first-touch placement) under HMG",
 		Columns: []string{"speedup"},
 	}
+	suite := workload.Suite()
+	base, err := baselineCycles(r, suite, topo.Spec{})
+	if err != nil {
+		return nil, err
+	}
 	for _, row := range localityRows {
 		var sp []float64
-		for _, b := range workload.Suite() {
-			s, err := r.Speedup(b, proto.HMG, row.v)
+		for j, b := range suite {
+			res, err := r.Run(b, proto.HMG, row.v)
 			if err != nil {
 				return nil, err
 			}
-			sp = append(sp, s)
+			sp = append(sp, base[j]/float64(res.Cycles))
 		}
 		t.Add(row.label, stats.GeoMean(sp))
 	}
@@ -471,7 +498,7 @@ func TableII(r *Runner) *report.Table {
 	t.Add("DRAM BW per GPU (GB/s)", full.DRAM.BandwidthGBs*float64(full.Topo.GPMsPerGPU))
 	t.Add("OS page (MB)", float64(full.Topo.PageSize)/(1<<20))
 	t.AddNote("experiments run a 1/%d-scale model: L2 %dKB/GPM, %d dir entries/GPM, %dKB pages",
-		ScaleDown, scaled.L2Slice.CapacityBytes/1024, scaled.Dir.Entries, r.opts.PageSizeKB)
+		ScaleDown, scaled.L2Slice.CapacityBytes/1024, scaled.Dir.Entries, pageSizeKB)
 	t.AddNote("bandwidths scale with SM aggregation: NVLink modeled at %.0f GB/s per link", scaled.Net.NVLinkGBs)
 	return t
 }
@@ -493,9 +520,8 @@ func TableIII(r *Runner) *report.Table {
 // of the scaled experiment model.
 func HardwareCost(r *Runner) *report.Table {
 	cfg := gsim.DefaultConfig(r.opts.SMsPerGPM, proto.HMG)
-	maxSharers := cfg.Topo.GPMsPerGPU - 1 + cfg.Topo.NumGPUs - 1
-	bits := directory.StorageBits(48, maxSharers)
-	total := directory.StorageBytes(cfg.Dir.Entries, 48, maxSharers)
+	maxSharers, bits := directory.EntryCost(cfg.Topo.NumGPUs, cfg.Topo.GPMsPerGPU, true)
+	total := cfg.Dir.Entries * bits / 8
 	t := &report.Table{Title: "Sec. VII-C: HMG hardware cost", Columns: []string{"value"}, Precision: 2}
 	t.Add("sharers per entry (M+N-2)", float64(maxSharers))
 	t.Add("bits per entry", float64(bits))

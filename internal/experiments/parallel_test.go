@@ -18,7 +18,6 @@ func TestOptionsValidation(t *testing.T) {
 		{Scale: -0.5},
 		{Scale: 1.5},
 		{SMsPerGPM: -4},
-		{PageSizeKB: -32},
 		{Jobs: -2},
 	} {
 		if _, err := NewRunner(bad); err == nil {
@@ -210,9 +209,10 @@ func TestRegistry(t *testing.T) {
 }
 
 // TestFigurePlans pins the runs each memoized figure's generator asks
-// for, as PlanUnion records them: the unique memo keys per figure, and
-// the order in which Figs. 8–11 first ask for theirs, which is the
-// order a cold prewarm hands them to its workers.
+// for, as PlanUnion records them: the unique memo keys per figure, that
+// no figure asks for the same run twice, and the order in which
+// Figs. 8–11 first ask for theirs, which is the order a cold prewarm
+// hands them to its workers.
 func TestFigurePlans(t *testing.T) {
 	want := map[string]int{
 		"2": 80, "8": 120, "9": 20, "10": 20, "11": 20,
@@ -227,8 +227,17 @@ func TestFigurePlans(t *testing.T) {
 			continue
 		}
 		memo++
-		if got := len(uniqueKeys(r, PlanUnion([]Figure{f}))); got != want[f.Name] {
+		plan := PlanUnion([]Figure{f})
+		if got := len(uniqueKeys(r, plan)); got != want[f.Name] {
 			t.Errorf("figure %s plans %d unique runs, want %d", f.Name, got, want[f.Name])
+		}
+		asked := make(map[RunSpec]bool, len(plan))
+		for _, s := range plan {
+			if asked[s] {
+				t.Errorf("figure %s asks for %s/%v %+v on %v twice", f.Name, s.Bench.Abbrev, s.Kind, s.V, s.Topo)
+				break
+			}
+			asked[s] = true
 		}
 	}
 	if memo != len(want) {

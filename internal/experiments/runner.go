@@ -42,10 +42,6 @@ type Options struct {
 	// SMsPerGPM is the modeling granularity (8 modeled SMs per GPM by
 	// default, each aggregating 4 physical SMs).
 	SMsPerGPM int
-	// PageSizeKB is the OS page size used in experiments. The suite's
-	// footprints are scaled ~64× below Table III, so pages scale from
-	// 2MB to 64KB to keep a representative page count.
-	PageSizeKB int
 	// Topo reshapes the base machine (zero fields keep the Table II
 	// 4x4 shape). Per-run topology overrides in a RunSpec stack on top
 	// of this campaign-wide shape.
@@ -68,7 +64,7 @@ type Options struct {
 
 // DefaultOptions returns the standard experiment configuration.
 func DefaultOptions() Options {
-	return Options{Scale: 1.0, SMsPerGPM: 8, PageSizeKB: 32}
+	return Options{Scale: 1.0, SMsPerGPM: 8}
 }
 
 func (o Options) withDefaults() Options {
@@ -77,9 +73,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SMsPerGPM == 0 {
 		o.SMsPerGPM = 8
-	}
-	if o.PageSizeKB == 0 {
-		o.PageSizeKB = 32
 	}
 	if o.Jobs == 0 {
 		o.Jobs = runtime.GOMAXPROCS(0)
@@ -96,9 +89,6 @@ func (o Options) validate() error {
 	}
 	if o.SMsPerGPM < 0 {
 		return fmt.Errorf("experiments: negative SMsPerGPM %d (zero selects the default)", o.SMsPerGPM)
-	}
-	if o.PageSizeKB < 0 {
-		return fmt.Errorf("experiments: negative PageSizeKB %d (zero selects the default)", o.PageSizeKB)
 	}
 	if o.Jobs < 0 {
 		return fmt.Errorf("experiments: negative Jobs %d (zero selects the default)", o.Jobs)
@@ -234,6 +224,11 @@ func (r *Runner) logf(format string, args ...any) {
 	r.logMu.Unlock()
 }
 
+// pageSizeKB is the OS page size used in experiments. The suite's
+// footprints are scaled ~64× below Table III, so pages scale from 2MB
+// to 32KB to keep a representative page count.
+const pageSizeKB = 32
+
 // ScaleDown is the linear scaling factor of the experiment model: the
 // Table III footprints, Table II cache capacities, directory entry
 // counts, and page size all shrink together (footprints by ~64, caches
@@ -261,7 +256,7 @@ func (r *Runner) Config(kind proto.Kind, v Variant) gsim.Config {
 		agg = 1
 	}
 	cfg.Topo = r.opts.Topo.Apply(cfg.Topo)
-	cfg.Topo.PageSize = r.opts.PageSizeKB * 1024
+	cfg.Topo.PageSize = pageSizeKB * 1024
 	cfg.Net.NVLinkGBs = v.NVLinkGBs / agg
 	cfg.Net.XbarPortGBs /= agg
 	cfg.DRAM.BandwidthGBs /= agg
@@ -455,24 +450,6 @@ func (r *Runner) run(k runKey) (*gsim.Results, error) {
 		dk = r.storeKey(k)
 	}
 	return r.memoized(k, dk, func() (*gsim.Results, error) { return r.simulate(k) })
-}
-
-// Speedup returns benchmark runtime under kind normalized to the
-// no-remote-caching baseline at the Table II configuration (the paper's
-// normalization for every figure).
-func (r *Runner) Speedup(bench workload.Params, kind proto.Kind, v Variant) (float64, error) {
-	base, err := r.Run(bench, proto.NoRemoteCache, Variant{})
-	if err != nil {
-		return 0, err
-	}
-	res, err := r.Run(bench, kind, v)
-	if err != nil {
-		return 0, err
-	}
-	if res.Cycles == 0 {
-		return 0, fmt.Errorf("experiments: zero-cycle run for %s/%v", bench.Abbrev, kind)
-	}
-	return float64(base.Cycles) / float64(res.Cycles), nil
 }
 
 // Prewarm executes the union of unique runs in specs across a bounded

@@ -28,24 +28,22 @@ func ScalingStudy(r *Runner) (*report.Table, error) {
 	for _, k := range kinds {
 		t.Columns = append(t.Columns, legend(k))
 	}
+	suite := workload.Suite()
 	for _, gpus := range scalingGPUCounts {
-		base := make(map[string]float64)
-		for _, b := range workload.Suite() {
-			res, err := r.runAt(b, proto.NoRemoteCache, Variant{}, topo.Spec{NumGPUs: gpus})
-			if err != nil {
-				return nil, err
-			}
-			base[b.Abbrev] = float64(res.Cycles)
+		shape := topo.Spec{NumGPUs: gpus}
+		base, err := baselineCycles(r, suite, shape)
+		if err != nil {
+			return nil, err
 		}
 		row := make([]float64, 0, len(kinds))
 		for _, k := range kinds {
 			var sp []float64
-			for _, b := range workload.Suite() {
-				res, err := r.runAt(b, k, Variant{}, topo.Spec{NumGPUs: gpus})
+			for j, b := range suite {
+				res, err := r.runAt(b, k, Variant{}, shape)
 				if err != nil {
 					return nil, err
 				}
-				sp = append(sp, base[b.Abbrev]/float64(res.Cycles))
+				sp = append(sp, base[j]/float64(res.Cycles))
 			}
 			row = append(row, stats.GeoMean(sp))
 		}

@@ -69,6 +69,6 @@ func (r *Runner) storeKey(k runKey) resstore.Key {
 		k.kind.String(),
 		fmt.Sprintf("%+v", k.v),
 		k.shape.String(),
-		fmt.Sprintf("scale=%v sms=%d page=%d", r.opts.Scale, r.opts.SMsPerGPM, r.opts.PageSizeKB),
+		fmt.Sprintf("scale=%v sms=%d page=%d", r.opts.Scale, r.opts.SMsPerGPM, pageSizeKB),
 	)
 }

@@ -57,18 +57,6 @@ func topoScaleBenches() ([]workload.Params, error) {
 	return out, nil
 }
 
-// topoScaleEntryBytes is the directory storage cost of one entry in
-// bytes at a machine shape, using the §VII-C accounting (48-bit region
-// tags): flat protocols bill one sharer bit per remote GPM in the whole
-// system, hierarchical ones bill M+N-2.
-func topoScaleEntryBytes(kind proto.Kind, sp topo.Spec) float64 {
-	maxSharers := sp.NumGPUs*sp.GPMsPerGPU - 1
-	if proto.For(kind).Hierarchical {
-		maxSharers = sp.GPMsPerGPU - 1 + sp.NumGPUs - 1
-	}
-	return float64(directory.StorageBits(48, maxSharers)) / 8
-}
-
 // TopoScale generates the topology-scaling study table.
 func TopoScale(r *Runner) (*report.Table, error) {
 	benches, err := topoScaleBenches()
@@ -81,27 +69,24 @@ func TopoScale(r *Runner) (*report.Table, error) {
 			legend(k)+" speedup", legend(k)+" dir B/entry", legend(k)+" inv GB/s")
 	}
 	for _, sp := range topoScaleSpecs {
-		base := make(map[string]float64)
-		for _, b := range benches {
-			res, err := r.runAt(b, proto.NoRemoteCache, Variant{}, sp)
-			if err != nil {
-				return nil, err
-			}
-			base[b.Abbrev] = float64(res.Cycles)
+		base, err := baselineCycles(r, benches, sp)
+		if err != nil {
+			return nil, err
 		}
 		var row []float64
 		for _, k := range topoScaleKinds {
 			var sp64 []float64
 			var inv stats.Mean
-			for _, b := range benches {
+			for j, b := range benches {
 				res, err := r.runAt(b, k, Variant{}, sp)
 				if err != nil {
 					return nil, err
 				}
-				sp64 = append(sp64, base[b.Abbrev]/float64(res.Cycles))
+				sp64 = append(sp64, base[j]/float64(res.Cycles))
 				inv.Add(res.InterGPUInvGBs())
 			}
-			row = append(row, stats.GeoMean(sp64), topoScaleEntryBytes(k, sp), inv.Value())
+			_, bits := directory.EntryCost(sp.NumGPUs, sp.GPMsPerGPU, proto.For(k).Hierarchical)
+			row = append(row, stats.GeoMean(sp64), float64(bits)/8, inv.Value())
 		}
 		t.Add(sp.String(), row...)
 	}
