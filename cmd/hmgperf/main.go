@@ -18,8 +18,8 @@
 // is broken), on allocs/event growth beyond a small noise floor, and on
 // Run or gsim.New bytes growing past the same relative tolerance (a
 // baseline without byte fields skips that check). The hot path is not
-// yet zero-alloc — BENCH_2026-10-18d.json measures 0.0001–0.0005
-// allocs/event (49–97 allocations per cell, 3.2–3.5 MB per Run, 0.35 MB
+// yet zero-alloc — BENCH_2026-10-19.json measures 0.0001–0.0005
+// allocs/event (41–63 allocations per cell, 3.0–3.3 MB per Run, 0.35 MB
 // per gsim.New) across the matrix — so the gate blocks allocation
 // growth, not non-zero allocation. Wall-clock metrics (ns/event,
 // Mevents/s) are advisory only: hmgperf warns past -wall-threshold but

@@ -9,6 +9,7 @@ package cache
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hmg/internal/topo"
 )
@@ -98,22 +99,39 @@ func New(cfg Config) *Cache { return &NewSet(cfg, 1)[0] }
 // own full-capacity window of one shared Entry slab. It panics on an
 // invalid configuration.
 func NewSet(cfg Config, n int) []Cache {
+	var set Set
+	return set.Reset(cfg, n)
+}
+
+// Set is the storage of a group of caches: the Cache slab and the Entry
+// slab NewSet builds them from. The zero Set is empty.
+type Set struct {
+	caches  []Cache
+	entries []Entry
+}
+
+// Reset returns n empty caches of configuration cfg, as NewSet builds
+// them, reusing each of the set's slabs that is large enough. Caches
+// the set returned before are invalidated. It panics on an invalid
+// configuration.
+func (s *Set) Reset(cfg Config, n int) []Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	numSets := cfg.CapacityBytes / (cfg.LineSize * cfg.Ways)
 	size := numSets * cfg.Ways
-	caches := make([]Cache, n)
-	entries := make([]Entry, n*size)
-	for i := range caches {
-		caches[i] = Cache{
+	s.caches = slices.Grow(s.caches[:0], n)[:n]
+	s.entries = slices.Grow(s.entries[:0], n*size)[:n*size]
+	clear(s.entries)
+	for i := range s.caches {
+		s.caches[i] = Cache{
 			cfg:     cfg,
-			entries: entries[i*size : (i+1)*size : (i+1)*size],
+			entries: s.entries[i*size : (i+1)*size : (i+1)*size],
 			ways:    cfg.Ways,
 			numSets: uint64(numSets),
 		}
 	}
-	return caches
+	return s.caches
 }
 
 // Config returns the cache's geometry.

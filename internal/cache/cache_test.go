@@ -529,3 +529,30 @@ func TestValueSideTable(t *testing.T) {
 		t.Fatal("a flash clear kept values")
 	}
 }
+
+// TestSetResetReusesSlabs: a set reset to a configuration that fits its
+// slabs returns empty caches without allocating, and one that does not
+// fit still comes back empty.
+func TestSetResetReusesSlabs(t *testing.T) {
+	big := Config{CapacityBytes: 8 * 128 * 2, LineSize: 128, Ways: 2}
+	small := Config{CapacityBytes: 2 * 128 * 4, LineSize: 128, Ways: 4}
+	var set Set
+	for _, c := range set.Reset(big, 4) {
+		for l := topo.Line(0); l < 32; l++ {
+			c.Fill(l)
+		}
+	}
+	if a := testing.AllocsPerRun(5, func() { set.Reset(small, 3) }); a != 0 {
+		t.Fatalf("Reset within the slabs: %v allocations, want 0", a)
+	}
+	for _, cs := range [][]Cache{set.Reset(small, 3), set.Reset(big, 6)} {
+		for i := range cs {
+			if c := &cs[i]; c.Lines() != 0 || c.Stats != (Stats{}) {
+				t.Fatalf("cache %d after Reset: %d lines, stats %+v", i, c.Lines(), c.Stats)
+			}
+			if _, hit := cs[i].Peek(1); hit {
+				t.Fatalf("cache %d after Reset still holds line 1", i)
+			}
+		}
+	}
+}

@@ -21,6 +21,7 @@ package directory
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hmg/internal/topo"
@@ -101,6 +102,24 @@ func New(cfg Config) *Dir { return &NewSet(cfg, 1)[0] }
 // windows. Shard arrays still allocate lazily, per directory. It panics
 // on an invalid configuration.
 func NewSet(cfg Config, n int) []Dir {
+	var set Set
+	return set.Reset(cfg, n)
+}
+
+// Set is the storage of a group of directories: the Dir slab, the slab
+// of shard headers they window, and the shard arrays touched so far. The
+// zero Set is empty.
+type Set struct {
+	dirs    []Dir
+	headers [][]Entry
+}
+
+// Reset returns n empty directories of configuration cfg, as NewSet
+// builds them, reusing each slab of the set that is large enough: a
+// shard array touched before stays, emptied, wherever it can hold the
+// shard its header now names. Directories the set returned before are
+// invalidated. It panics on an invalid configuration.
+func (s *Set) Reset(cfg Config, n int) []Dir {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -114,17 +133,26 @@ func NewSet(cfg Config, n int) []Dir {
 	}
 	setsPerShard := (numSets + shards - 1) / shards
 	per := int((numSets + setsPerShard - 1) / setsPerShard)
-	ds := make([]Dir, n)
-	headers := make([][]Entry, n*per)
-	for i := range ds {
-		ds[i] = Dir{
+	s.dirs = slices.Grow(s.dirs[:0], n)[:n]
+	s.headers = slices.Grow(s.headers[:0], n*per)[:n*per]
+	for i := range s.dirs {
+		d := &s.dirs[i]
+		*d = Dir{
 			cfg:          cfg,
 			numSets:      numSets,
 			setsPerShard: setsPerShard,
-			shards:       headers[i*per : (i+1)*per : (i+1)*per],
+			shards:       s.headers[i*per : (i+1)*per : (i+1)*per],
+		}
+		for idx, sh := range d.shards {
+			if size := d.shardLen(uint64(idx)); cap(sh) >= size {
+				d.shards[idx] = sh[:size]
+				clear(d.shards[idx])
+			} else {
+				d.shards[idx] = nil
+			}
 		}
 	}
-	return ds
+	return s.dirs
 }
 
 // Config returns the directory's geometry.
@@ -159,13 +187,18 @@ func (d *Dir) setOf(r Region) []Entry {
 //
 //lint:allow hotalloc lazy shard materialization; at most once per shard over the run
 func (d *Dir) allocShard(idx uint64) []Entry {
+	sh := make([]Entry, d.shardLen(idx))
+	d.shards[idx] = sh
+	return sh
+}
+
+// shardLen returns the number of entries of shard idx.
+func (d *Dir) shardLen(idx uint64) int {
 	local := d.setsPerShard
 	if rem := d.numSets - idx*d.setsPerShard; rem < local {
 		local = rem
 	}
-	sh := make([]Entry, int(local)*d.cfg.Ways)
-	d.shards[idx] = sh
-	return sh
+	return int(local) * d.cfg.Ways
 }
 
 // Lookup probes the directory without allocating.

@@ -264,3 +264,28 @@ func BenchmarkEnsure(b *testing.B) {
 		d.Ensure(Region(i % 20000))
 	}
 }
+
+// TestSetResetReusesShards: a reset set returns empty directories and
+// keeps the shard arrays already touched, so touching them again
+// allocates nothing.
+func TestSetResetReusesShards(t *testing.T) {
+	cfg := Config{Entries: 64, Ways: 4, GranLines: 4}
+	var set Set
+	touch := func(ds []Dir) {
+		for i := range ds {
+			for r := Region(0); r < 100; r++ {
+				ds[i].Ensure(r)
+			}
+		}
+	}
+	touch(set.Reset(cfg, 3))
+	if a := testing.AllocsPerRun(5, func() { touch(set.Reset(cfg, 3)) }); a != 0 {
+		t.Fatalf("Reset and touching every shard again: %v allocations, want 0", a)
+	}
+	ds := set.Reset(Config{Entries: 32, Ways: 2, GranLines: 1}, 2)
+	for i := range ds {
+		if ds[i].Live() != 0 || ds[i].Stats != (Stats{}) || len(ds[i].Snapshot()) != 0 {
+			t.Fatalf("directory %d after Reset: %d live, stats %+v", i, ds[i].Live(), ds[i].Stats)
+		}
+	}
+}

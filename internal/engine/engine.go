@@ -210,10 +210,22 @@ const DefaultFrequencyHz = 1.3e9
 // New returns an Engine with the given clock frequency in Hz. A
 // non-positive frequency falls back to DefaultFrequencyHz.
 func New(freqHz float64) *Engine {
+	e := &Engine{}
+	e.Reset(freqHz)
+	return e
+}
+
+// Reset returns e to the state New(freqHz) builds — cycle zero, nothing
+// pending, nothing executed — keeping the node slab and the far-event
+// heap's storage for reuse. Pending events are dropped unrun: their
+// handlers belong to pools their owners reset along with the engine.
+func (e *Engine) Reset(freqHz float64) {
 	if freqHz <= 0 {
 		freqHz = DefaultFrequencyHz
 	}
-	return &Engine{freqHz: freqHz}
+	clear(e.nodes)
+	clear(e.far.evs)
+	*e = Engine{freqHz: freqHz, nodes: e.nodes[:0], far: eventQueue{evs: e.far.evs[:0]}}
 }
 
 // Now returns the current simulation time.

@@ -488,3 +488,58 @@ func BenchmarkScheduleDeep(b *testing.B) {
 	b.ResetTimer()
 	d.e.Drain()
 }
+
+// TestResetMatchesNew: an engine reset with events still pending, near
+// and far, drops them unrun and then behaves exactly as a new engine —
+// same order, same clock, same counts — without allocating, because it
+// keeps the node slab and the far heap's storage.
+func TestResetMatchesNew(t *testing.T) {
+	schedule := func(e *Engine, got *[]int) {
+		for i := 0; i < 300; i++ {
+			i := i
+			e.ScheduleHandler(Cycle(i*7%(2*wheelSize)), Func(func() { *got = append(*got, i) }))
+		}
+	}
+	var want []int
+	fresh := New(2e9)
+	schedule(fresh, &want)
+	fresh.Drain()
+
+	e := New(0)
+	var dropped []int
+	schedule(e, &dropped)
+	e.Run(wheelSize / 2)
+	if e.Pending() == 0 {
+		t.Fatal("nothing pending at the reset; test is vacuous")
+	}
+	ran := len(dropped)
+	e.Stop()
+	e.Reset(2e9)
+	if e.Now() != 0 || e.Pending() != 0 || e.Executed != 0 || e.FrequencyHz() != 2e9 {
+		t.Fatalf("after Reset: now %d, %d pending, %d executed, %v Hz", e.Now(), e.Pending(), e.Executed, e.FrequencyHz())
+	}
+	var got []int
+	schedule(e, &got)
+	e.Drain()
+	if len(dropped) != ran {
+		t.Fatalf("%d events dropped by Reset ran afterwards", len(dropped)-ran)
+	}
+	if len(got) != len(want) || e.Now() != fresh.Now() || e.Executed != fresh.Executed {
+		t.Fatalf("reset engine ran %d events to cycle %d, new one %d to cycle %d", len(got), e.Now(), len(want), fresh.Now())
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("reset engine ran event %d at position %d, new one %d", got[i], i, want[i])
+		}
+	}
+	h := &countHandler{}
+	if allocs := testing.AllocsPerRun(20, func() {
+		e.Reset(0)
+		for i := 0; i < 300; i++ {
+			e.ScheduleHandler(Cycle(i*7%(2*wheelSize)), h)
+		}
+		e.Drain()
+	}); allocs != 0 {
+		t.Fatalf("Reset and a run as large allocated %v objects, want 0", allocs)
+	}
+}

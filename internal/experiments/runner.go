@@ -24,6 +24,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,6 +32,7 @@ import (
 	"hmg/internal/proto"
 	"hmg/internal/resstore"
 	"hmg/internal/topo"
+	"hmg/internal/trace"
 	"hmg/internal/workload"
 )
 
@@ -197,6 +199,10 @@ type Summary struct {
 	// misses served from disk, misses that fell through to a
 	// simulation, and successful runs written back.
 	DiskHits, DiskMisses, DiskWrites int
+	// Traces counts the workload traces generated. Prewarm generates
+	// each trace once and shares it among the runs that simulate on it;
+	// a Run outside Prewarm generates its own.
+	Traces int
 	// SimCycles and Events total the simulated cycles and discrete
 	// events across unique runs.
 	SimCycles uint64
@@ -335,12 +341,12 @@ func mevPerSec(events uint64, secs float64) float64 {
 // all concurrent requesters of the same key (singleflight): duplicates
 // block until the owner's simulation completes and then share its
 // result. With Options.Store configured, a cache miss consults the
-// persistent store (under dk) before simulating, and a successful
-// simulation is written back. A failed simulation is published to the
-// waiters already blocked on it and then evicted, so the next request
-// for the key retries instead of replaying the stale error; failed runs
-// are never written to the store.
-func (r *Runner) memoized(key runKey, dk resstore.Key, sim func() (*gsim.Results, error)) (*gsim.Results, error) {
+// persistent store (under the key's storeKey, digested only on a miss)
+// before simulating, and a successful simulation is written back. A
+// failed simulation is published to the waiters already blocked on it
+// and then evicted, so the next request for the key retries instead of
+// replaying the stale error; failed runs are never written to the store.
+func (r *Runner) memoized(key runKey, sim func() (*gsim.Results, error)) (*gsim.Results, error) {
 	r.mu.Lock()
 	if e, ok := r.cache[key]; ok {
 		r.stats.MemoHits++
@@ -353,7 +359,9 @@ func (r *Runner) memoized(key runKey, dk resstore.Key, sim func() (*gsim.Results
 	r.mu.Unlock()
 
 	st := r.opts.Store
+	var dk resstore.Key
 	if st != nil {
+		dk = r.storeKey(key)
 		if res, ok := st.Get(dk); ok {
 			e.res = res
 			close(e.done)
@@ -405,27 +413,139 @@ func (r *Runner) memoized(key runKey, dk resstore.Key, sim func() (*gsim.Results
 	return e.res, nil
 }
 
-// simulate executes run k for real: build the configuration on its
-// machine shape, generate the trace, and run it.
-func (r *Runner) simulate(k runKey) (*gsim.Results, error) {
+// simulate executes run k for real on worker w's machine and trace (see
+// worker): build the configuration on its machine shape, and run the
+// trace on it.
+func (r *Runner) simulate(k runKey, w *worker) (*gsim.Results, error) {
 	bench, kind := k.bench, k.kind
 	cfg := r.Config(kind, k.v)
 	cfg.Topo = k.shape.Apply(cfg.Topo)
-	sys, err := gsim.New(cfg)
+	sys, err := w.machine(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s/%v: %w", bench.Abbrev, kind, err)
 	}
-	tr := bench.Generate(cfg.Topo, r.opts.Scale)
+	tr := w.trace(r, k, cfg.Topo)
 	if k.v.StaticPlacement {
-		for i := range tr.Placement {
-			tr.Placement[i].GPM = topo.GPMID(uint64(tr.Placement[i].Page) % uint64(cfg.Topo.TotalGPMs()))
-		}
+		tr = staticPlacement(tr, cfg.Topo.TotalGPMs())
 	}
 	res, err := sys.Run(tr)
 	if err != nil {
+		w.discard()
 		return nil, fmt.Errorf("experiments: %s/%v: %w", bench.Abbrev, kind, err)
 	}
 	return res, nil
+}
+
+// staticPlacement returns a copy of tr whose placement hints assign
+// pages round-robin over gpms GPMs. The ops stay shared: only the hints
+// are copied, so a shared trace is never written.
+func staticPlacement(tr *trace.Trace, gpms int) *trace.Trace {
+	cp := *tr
+	cp.Placement = slices.Clone(tr.Placement)
+	for i := range cp.Placement {
+		cp.Placement[i].GPM = topo.GPMID(uint64(cp.Placement[i].Page) % uint64(gpms))
+	}
+	return &cp
+}
+
+// generate builds bench's trace on topology t, counting it.
+func (r *Runner) generate(bench workload.Params, t topo.Topology) *trace.Trace {
+	tr := bench.Generate(t, r.opts.Scale)
+	r.mu.Lock()
+	r.stats.Traces++
+	r.mu.Unlock()
+	return tr
+}
+
+// traceKey names a trace: a benchmark on a machine shape. The runner
+// fixes everything else Generate reads (scale, SMs per GPM, page and
+// line size), and no Variant field changes the topology.
+type traceKey struct {
+	bench workload.Params
+	shape topo.Spec
+}
+
+// traceKey returns the key of run k's trace.
+func (k runKey) traceKey() traceKey { return traceKey{k.bench, k.shape} }
+
+// sharedTrace is a trace shared by the runs of one Prewarm: generated
+// by the first of them that simulates, and dropped when the last one
+// ends.
+type sharedTrace struct {
+	once sync.Once
+	tr   *trace.Trace
+	refs int // planned runs not yet ended; guarded by traceSet.mu
+}
+
+// traceSet is the traces of one Prewarm, by key.
+type traceSet struct {
+	mu sync.Mutex
+	m  map[traceKey]*sharedTrace
+}
+
+// get returns key's shared trace, or nil when none is planned.
+func (ts *traceSet) get(key traceKey) *sharedTrace {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return ts.m[key]
+}
+
+// done records that one planned run of key has ended, dropping the
+// trace after the last.
+func (ts *traceSet) done(key traceKey) {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if st := ts.m[key]; st != nil {
+		if st.refs--; st.refs == 0 {
+			delete(ts.m, key)
+		}
+	}
+}
+
+// worker is what one Prewarm worker keeps between its runs: one machine,
+// reset for each run whatever its configuration, and the Prewarm's
+// shared traces. A nil worker — a run outside Prewarm — builds a new
+// machine and generates its own trace.
+type worker struct {
+	sys    *gsim.System
+	traces *traceSet
+}
+
+// machine returns a machine configured as cfg.
+func (w *worker) machine(cfg gsim.Config) (*gsim.System, error) {
+	if w == nil {
+		return gsim.New(cfg)
+	}
+	if w.sys == nil {
+		sys, err := gsim.New(cfg)
+		w.sys = sys
+		return sys, err
+	}
+	if err := w.sys.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return w.sys, nil
+}
+
+// discard drops the machine after a failed run.
+func (w *worker) discard() {
+	if w != nil {
+		w.sys = nil
+	}
+}
+
+// trace returns run k's trace on topology t: the Prewarm's shared copy
+// when one is planned, generating it on first use, else a new one.
+func (w *worker) trace(r *Runner, k runKey, t topo.Topology) *trace.Trace {
+	if w == nil {
+		return r.generate(k.bench, t)
+	}
+	st := w.traces.get(k.traceKey())
+	if st == nil {
+		return r.generate(k.bench, t)
+	}
+	st.once.Do(func() { st.tr = r.generate(k.bench, t) })
+	return st.tr
 }
 
 // Run simulates one benchmark under one protocol and variant, memoized.
@@ -440,16 +560,41 @@ func (r *Runner) runAt(bench workload.Params, kind proto.Kind, v Variant, sp top
 		r.plan = append(r.plan, RunSpec{bench, kind, v, sp})
 		return placeholder, nil
 	}
-	return r.run(r.key(bench, kind, v, sp))
+	return r.run(r.key(bench, kind, v, sp), nil)
 }
 
-// run serves run k from either memo tier, simulating it on a miss.
-func (r *Runner) run(k runKey) (*gsim.Results, error) {
-	var dk resstore.Key
-	if r.opts.Store != nil {
-		dk = r.storeKey(k)
+// run serves run k from either memo tier, simulating it on worker w on a
+// miss.
+func (r *Runner) run(k runKey, w *worker) (*gsim.Results, error) {
+	return r.memoized(k, func() (*gsim.Results, error) { return r.simulate(k, w) })
+}
+
+// schedule returns the unique runs of specs in Prewarm's order — grouped
+// by trace, the groups in the order their traces are first asked for —
+// and their traces, each counting its runs.
+func (r *Runner) schedule(specs []RunSpec) ([]runKey, *traceSet) {
+	seen := make(map[runKey]bool, len(specs))
+	traces := &traceSet{m: make(map[traceKey]*sharedTrace)}
+	var groups [][]runKey
+	group := make(map[traceKey]int)
+	for _, s := range specs {
+		k := r.key(s.Bench, s.Kind, s.V, s.Topo)
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		tk := k.traceKey()
+		st := traces.m[tk]
+		if st == nil {
+			st = &sharedTrace{}
+			traces.m[tk] = st
+			group[tk] = len(groups)
+			groups = append(groups, nil)
+		}
+		st.refs++
+		groups[group[tk]] = append(groups[group[tk]], k)
 	}
-	return r.memoized(k, dk, func() (*gsim.Results, error) { return r.simulate(k) })
+	return slices.Concat(groups...), traces
 }
 
 // Prewarm executes the union of unique runs in specs across a bounded
@@ -457,17 +602,14 @@ func (r *Runner) run(k runKey) (*gsim.Results, error) {
 // generation afterwards reads warm results in its own deterministic
 // order, so table output does not depend on Jobs or on completion
 // order. The first simulation error is returned after the pool drains.
+//
+// Each worker keeps one machine and resets it for every run, and each
+// trace is generated once and shared by the runs that need it (gsim
+// never writes a trace). The runs go out grouped by trace, in the order
+// each trace is first asked for, so that only about Jobs traces are
+// live at a time: a trace is dropped when its last run ends.
 func (r *Runner) Prewarm(specs []RunSpec) error {
-	seen := make(map[runKey]bool, len(specs))
-	var todo []runKey
-	for _, s := range specs {
-		k := r.key(s.Bench, s.Kind, s.V, s.Topo)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		todo = append(todo, k)
-	}
+	todo, traces := r.schedule(specs)
 	if len(todo) == 0 {
 		return nil
 	}
@@ -490,14 +632,16 @@ func (r *Runner) Prewarm(specs []RunSpec) error {
 		//lint:allow determinism the approved worker pool: runs are memoized whole and figures read the cache in deterministic order
 		go func() {
 			defer wg.Done()
+			w := &worker{traces: traces}
 			for k := range work {
-				if _, err := r.run(k); err != nil {
+				if _, err := r.run(k, w); err != nil {
 					errMu.Lock()
 					if firstErr == nil {
 						firstErr = err
 					}
 					errMu.Unlock()
 				}
+				traces.done(k.traceKey())
 			}
 		}()
 	}
@@ -511,16 +655,17 @@ func (r *Runner) Prewarm(specs []RunSpec) error {
 	after := r.Summary()
 	simulated := after.UniqueRuns - before.UniqueRuns
 	rate := mevPerSec(after.Events-before.Events, elapsed.Seconds())
+	generated := after.Traces - before.Traces
 	if r.opts.Store != nil {
 		// Delta mode: with a persistent store attached, report how much
 		// of the plan came off disk — after a one-figure change, the
 		// interesting number is how small the simulated delta was.
-		r.logf("prewarm: %d unique runs (%d duplicate specs folded) on %d workers in %.1fs, %.1f M events/s; %d served from disk store, %d simulated\n",
+		r.logf("prewarm: %d unique runs (%d duplicate specs folded) on %d workers in %.1fs, %.1f M events/s, %d traces generated; %d served from disk store, %d simulated\n",
 			simulated+after.DiskHits-before.DiskHits, len(specs)-len(todo), jobs, elapsed.Seconds(), rate,
-			after.DiskHits-before.DiskHits, simulated)
+			generated, after.DiskHits-before.DiskHits, simulated)
 	} else {
-		r.logf("prewarm: %d unique runs (%d duplicate specs folded) on %d workers in %.1fs, %.1f M events/s\n",
-			simulated, len(specs)-len(todo), jobs, elapsed.Seconds(), rate)
+		r.logf("prewarm: %d unique runs (%d duplicate specs folded) on %d workers in %.1fs, %.1f M events/s, %d traces generated\n",
+			simulated, len(specs)-len(todo), jobs, elapsed.Seconds(), rate, generated)
 	}
 	return firstErr
 }

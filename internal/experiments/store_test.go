@@ -13,7 +13,6 @@ import (
 
 	"hmg/internal/gsim"
 	"hmg/internal/proto"
-	"hmg/internal/resstore"
 	"hmg/internal/topo"
 	"hmg/internal/workload"
 )
@@ -63,7 +62,7 @@ func TestMemoizedErrorRetry(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := r.memoized(key, resstore.Key{}, func() (*gsim.Results, error) {
+			_, err := r.memoized(key, func() (*gsim.Results, error) {
 				calls.Add(1)
 				<-release // hold the singleflight slot until every duplicate has piled up
 				return nil, boom
@@ -84,7 +83,7 @@ func TestMemoizedErrorRetry(t *testing.T) {
 	}
 
 	// The key must not be poisoned: a later request re-simulates.
-	res, err := r.memoized(key, resstore.Key{}, func() (*gsim.Results, error) {
+	res, err := r.memoized(key, func() (*gsim.Results, error) {
 		calls.Add(1)
 		return &gsim.Results{Name: "synthetic", Cycles: 42}, nil
 	})
@@ -95,7 +94,7 @@ func TestMemoizedErrorRetry(t *testing.T) {
 		t.Fatalf("retry did not re-simulate (cycles %d, calls %d)", res.Cycles, calls.Load())
 	}
 	// And the successful retry is cached like any other run.
-	again, err := r.memoized(key, resstore.Key{}, func() (*gsim.Results, error) {
+	again, err := r.memoized(key, func() (*gsim.Results, error) {
 		t.Error("cached success re-simulated")
 		return nil, nil
 	})
@@ -113,9 +112,9 @@ func TestFailedRunsNeverStored(t *testing.T) {
 	dir := t.TempDir()
 	r := storeRunner(t, dir)
 	key := runKey{bench: workload.Params{Abbrev: "synthetic"}, kind: proto.HMG}
-	dk := resstore.SumKey("synthetic-run")
+	dk := r.storeKey(key)
 	boom := errors.New("boom")
-	if _, err := r.memoized(key, dk, func() (*gsim.Results, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := r.memoized(key, func() (*gsim.Results, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if n, err := r.opts.Store.Len(); err != nil || n != 0 {
@@ -127,7 +126,7 @@ func TestFailedRunsNeverStored(t *testing.T) {
 	}
 	// The retry succeeds and is written back.
 	want := &gsim.Results{Name: "synthetic", Cycles: 7}
-	if _, err := r.memoized(key, dk, func() (*gsim.Results, error) { return want, nil }); err != nil {
+	if _, err := r.memoized(key, func() (*gsim.Results, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := r.opts.Store.Get(dk); !ok || got.Cycles != want.Cycles {

@@ -87,3 +87,10 @@ func (s *System) OutstandingFetches() int {
 	}
 	return n
 }
+
+// emptied returns a gate with nothing started that keeps d's waiter
+// storage; waiters still registered on d are dropped.
+func (d *drain) emptied() drain {
+	clear(d.waiters)
+	return drain{waiters: d.waiters[:0]}
+}

@@ -8,6 +8,7 @@ import (
 	"hmg/internal/engine"
 	"hmg/internal/link"
 	"hmg/internal/memory"
+	"hmg/internal/msg"
 	"hmg/internal/proto"
 	"hmg/internal/topo"
 	"hmg/internal/trace"
@@ -392,10 +393,12 @@ func TestMultiKernelCyclesAccumulate(t *testing.T) {
 }
 
 // TestLaunchKernelReusesScratch checks that, once a System has launched
-// a kernel as large, a launch allocates only the kernel's two slabs —
-// its warp contexts and the SMs' warp lists, which the warp lists point
-// into. The per-GPM CTA counts, the per-SM warp counts and the
-// assignment list are the System's, reset by each launch.
+// a kernel as large, a launch allocates nothing. The per-GPM CTA counts,
+// the per-SM warp counts, the assignment list, the warp contexts and the
+// SMs' warp lists are the System's, reset by each launch. Reusing the
+// warp contexts is safe because a launch follows a drained boundary,
+// where no context holds a warp: the checker's quiescence scan allows
+// only downgrade notices in flight, and those carry no warp.
 func TestLaunchKernelReusesScratch(t *testing.T) {
 	s, err := New(tinyConfig(proto.HMG))
 	if err != nil {
@@ -422,8 +425,8 @@ func TestLaunchKernelReusesScratch(t *testing.T) {
 		}
 	}
 	launch()
-	if n := testing.AllocsPerRun(20, launch); n != 2 {
-		t.Fatalf("a kernel launch makes %v allocations, want 2 (the warp-context and warp-list slabs)", n)
+	if n := testing.AllocsPerRun(20, launch); n != 0 {
+		t.Fatalf("a kernel launch makes %v allocations, want 0", n)
 	}
 }
 
@@ -461,5 +464,39 @@ func TestObserveOrder(t *testing.T) {
 		if want := []string{"direct", "first", "second"}[i%3]; name != want {
 			t.Fatalf("call %d ran %q, want %q", i, name, want)
 		}
+	}
+}
+
+// TestResetReturnsContextsInFlight: a machine reset with contexts still
+// in flight — one waiting in the engine, one carried by a route, as a
+// downgrade notice is when Run returns — gets every context and route
+// back on its free list and nothing left pending, even when the new
+// configuration is a different shape.
+func TestResetReturnsContextsInFlight(t *testing.T) {
+	s, err := New(tinyConfig(proto.HMG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Eng.ScheduleHandler(5, s.newCtx(stageNone))
+	s.Net.SendHandler(0, topo.GPMID(len(s.GPMs)-1), msg.Downgrade, s.newCtx(stageNone))
+	if n := s.LiveContexts(); n != 3 {
+		t.Fatalf("%d contexts and routes live before the reset, want 3", n)
+	}
+	cfg := tinyConfig(proto.NHCC)
+	cfg.Topo.NumGPUs = 4
+	s.OnEvent = func(Event) {}
+	if err := s.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	free := 0
+	for c := s.ctxFree; c != nil; c = c.next {
+		if c.stage != stageFree || c.s != s {
+			t.Fatal("a context on the free list is not a free context of this machine")
+		}
+		free++
+	}
+	if free != s.ctxs || s.LiveContexts() != 0 || s.Eng.Pending() != 0 || s.OnEvent != nil || len(s.GPMs) != 8 {
+		t.Fatalf("after Reset: %d of %d contexts free, %d live, %d events pending, OnEvent kept %v, %d GPMs",
+			free, s.ctxs, s.LiveContexts(), s.Eng.Pending(), s.OnEvent != nil, len(s.GPMs))
 	}
 }

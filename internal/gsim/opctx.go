@@ -331,8 +331,12 @@ func (c *opCtx) setReq(r proto.Requester) {
 func (c *opCtx) word() uint16 { return cache.WordOf(c.op.Addr, c.s.Cfg.Topo.LineSize) }
 
 // ctxSlabMin is the size of the first slab of contexts; later slabs
-// double the pool.
-const ctxSlabMin = 256
+// double the pool, up to maxCtxSlabs slabs: ctxSlabMin << 31 contexts,
+// far beyond any machine's memory.
+const (
+	ctxSlabMin  = 256
+	maxCtxSlabs = 32
+)
 
 // newCtx draws a context from the free list and tags it with a stage,
 // growing the pool by a slab when the list is empty.
@@ -352,13 +356,23 @@ func (s *System) newCtx(stage ctxStage) *opCtx {
 //
 //lint:allow hotalloc pool growth: slabs double the pool, so warm-up is logarithmic in the peak number of live contexts
 func (s *System) growCtxs() *opCtx {
+	if s.numCtxSlabs == maxCtxSlabs {
+		panic("gsim: context pool exceeds its slab limit")
+	}
 	slab := make([]opCtx, max(ctxSlabMin, s.ctxs))
+	s.ctxSlabs[s.numCtxSlabs] = slab
+	s.numCtxSlabs++
+	s.threadCtxs(slab)
+	return s.ctxFree
+}
+
+// threadCtxs makes every context of slab free and adds it to the pool.
+func (s *System) threadCtxs(slab []opCtx) {
 	s.ctxs += len(slab)
 	for i := range slab {
 		slab[i] = opCtx{s: s, stage: stageFree, next: s.ctxFree}
 		s.ctxFree = &slab[i]
 	}
-	return s.ctxFree
 }
 
 // release zeroes the context and returns it to the free list.

@@ -127,13 +127,6 @@ type System struct {
 	ctxFree  *opCtx
 	ctxs     int
 	liveCtxs int
-	// flushBuf is the reused buffer of dirty lines a flush walks.
-	flushBuf []cache.Entry
-	// launchGPM, launchSM and launchWarps are launchKernel's scratch,
-	// reset by every launch: the CTAs placed on each GPM, the warps
-	// assigned to each SM, and the kernel's warps in assignment order.
-	launchGPM, launchSM []int
-	launchWarps         []warpAssignment
 	// downgrading counts downgrade notices in flight.
 	downgrading int
 	// locks serializes atomic read-modify-writes per line and GPM,
@@ -153,65 +146,151 @@ type System struct {
 	maxLoadLat                  uint64
 	lastWarpAt                  engine.Cycle
 	drainCycles                 engine.Cycle
+
+	storage
 }
 
-// New builds a system from a configuration. Its parts come from a fixed
-// set of slabs — one per kind of part, each holding that part for every
-// GPM or SM — so the number of allocations does not depend on the
-// machine's size.
+// storage is what a System keeps across Reset: the slabs its parts are
+// built in, the context pool's slabs, and the scratch of its runs.
+type storage struct {
+	gpms     []GPM
+	sms      []SM
+	l2s, l1s cache.Set
+	drams    []memory.DRAM
+	dirs     proto.DirCtrlSet
+	mshr     []mshrSlot
+	// classTable is the classes map, kept while the policy does not
+	// classify.
+	classTable map[directory.Region]classEntry
+	// ctxSlabs[:numCtxSlabs] are the slabs the context pool grew from,
+	// so Reset can return every context to the free list, in flight or
+	// not. Each slab doubles the pool, so maxCtxSlabs is never reached.
+	ctxSlabs    [maxCtxSlabs][]opCtx
+	numCtxSlabs int
+
+	// flushBuf is the reused buffer of dirty lines a flush walks.
+	flushBuf []cache.Entry
+	// launchGPM, launchSM and launchWarps are launchKernel's scratch,
+	// reset by every launch: the CTAs placed on each GPM, the warps
+	// assigned to each SM, and the kernel's warps in assignment order.
+	launchGPM, launchSM []int
+	launchWarps         []warpAssignment
+	// warps holds the running kernel's warp contexts and warpLists the
+	// SMs' warp lists, which point into it. A launch reuses both: the
+	// previous kernel has drained, so no context still holds a warp.
+	warps     []warpCtx
+	warpLists []*warpCtx
+}
+
+// New builds a system from a configuration: Reset on an empty System.
+// Its parts come from a fixed set of slabs — one per kind of part, each
+// holding that part for every GPM or SM — so the number of allocations
+// does not depend on the machine's size.
 func New(cfg Config) (*System, error) {
-	if err := cfg.Validate(); err != nil {
+	s := &System{}
+	if err := s.Reset(cfg); err != nil {
 		return nil, err
 	}
-	eng := engine.New(cfg.FrequencyHz)
-	s := &System{
-		Eng:   eng,
-		Cfg:   cfg,
-		Net:   link.NewNetwork(eng, cfg.Topo, cfg.Net),
-		Pages: topo.NewPageMap(cfg.Topo),
-		locks: make(map[lineKey]lineLock),
+	return s, nil
+}
+
+// Reset rebuilds s in place as the machine New(cfg) builds, whatever
+// configuration s had and whether or not its last run finished. It
+// reuses every slab of s that still fits: the context pool, the
+// engine's node slab and far heap, the route pool, the page table, the
+// cache, directory, DRAM and MSHR slabs, the launch scratch, and the
+// lock and class maps. Whatever was in flight is dropped — a run that
+// ends with downgrade notices pending (DowngradesInFlight) leaves their
+// events, contexts and routes behind — and every context and route
+// returns to its pool. Reset also clears OnEvent. Results returned
+// before share no memory with s, so they stay valid. An invalid cfg
+// leaves s unchanged.
+func (s *System) Reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
+	eng, net, pages, locks := s.Eng, s.Net, s.Pages, s.locks
+	if eng == nil {
+		eng, net, pages, locks = engine.New(cfg.FrequencyHz), new(link.Network), new(topo.PageMap), make(map[lineKey]lineLock)
+	} else {
+		eng.Reset(cfg.FrequencyHz)
+		clear(locks)
+	}
+	net.Reset(eng, cfg.Topo, cfg.Net)
+	pages.Reset(cfg.Topo)
+	// With no context live, every context is already zeroed on the free
+	// list; otherwise the pool is rebuilt from its slabs.
+	ctxFree, ctxs, whole := s.ctxFree, s.ctxs, s.liveCtxs == 0
+	st := s.storage
+	if cfg.Policy.Classify && st.classTable == nil {
+		st.classTable = make(map[directory.Region]classEntry)
+	}
+	clear(st.classTable)
+	// Drop the last run's pointers into its trace.
+	clear(st.launchWarps[:cap(st.launchWarps)])
+	clear(st.warps[:cap(st.warps)])
+	clear(st.warpLists[:cap(st.warpLists)])
+	*s = System{Eng: eng, Cfg: cfg, Net: net, Pages: pages, GPMs: s.GPMs, SMs: s.SMs, locks: locks, storage: st}
 	if cfg.Policy.Classify {
-		s.classes = make(map[directory.Region]classEntry)
+		s.classes = st.classTable
 	}
+	if whole {
+		s.ctxFree, s.ctxs = ctxFree, ctxs
+	} else {
+		for _, slab := range s.ctxSlabs[:s.numCtxSlabs] {
+			s.threadCtxs(slab)
+		}
+	}
+
 	numGPMs, numSMs := cfg.Topo.TotalGPMs(), cfg.Topo.TotalSMs()
-	gpms := make([]GPM, numGPMs)
-	l2s := cache.NewSet(cfg.L2Slice, numGPMs)
-	drams := memory.NewSet(eng, cfg.DRAM, numGPMs)
+	s.gpms, s.GPMs = reuseParts(s.gpms, s.GPMs, numGPMs)
+	l2s := s.l2s.Reset(cfg.L2Slice, numGPMs)
+	s.drams = slices.Grow(s.drams[:0], numGPMs)[:numGPMs]
 	perGPM := mshrSlotsFor(cfg)
-	mshrSlots := make([]mshrSlot, numGPMs*perGPM)
+	s.mshr = slices.Grow(s.mshr[:0], numGPMs*perGPM)[:numGPMs*perGPM]
+	clear(s.mshr)
 	var dirs []proto.DirCtrl
 	if cfg.Policy.Hardware {
-		dirs = proto.NewDirCtrlSet(cfg.Dir, numGPMs)
+		dirs = s.dirs.Reset(cfg.Dir, numGPMs)
 	}
-	s.GPMs = make([]*GPM, numGPMs)
-	for i := range gpms {
-		g := &gpms[i]
+	for i := range s.gpms {
+		g := &s.gpms[i]
 		lo := i * perGPM
 		*g = GPM{
-			sys:  s,
-			id:   topo.GPMID(i),
-			gpu:  cfg.Topo.GPUOf(topo.GPMID(i)),
-			L2:   &l2s[i],
-			DRAM: &drams[i],
-			mshr: newMSHRTable(mshrSlots[lo : lo+perGPM : lo+perGPM]),
+			sys:      s,
+			id:       topo.GPMID(i),
+			gpu:      cfg.Topo.GPUOf(topo.GPMID(i)),
+			L2:       &l2s[i],
+			DRAM:     &s.drams[i],
+			mshr:     newMSHRTable(s.mshr[lo : lo+perGPM : lo+perGPM]),
+			invAll:   g.invAll.emptied(),
+			invIntra: g.invIntra.emptied(),
 		}
+		g.DRAM.Reset(eng, cfg.DRAM)
 		if dirs != nil {
 			g.Dir = &dirs[i]
 			g.Dir.Mutate = cfg.Mutation
 		}
 		s.GPMs[i] = g
 	}
-	sms := make([]SM, numSMs)
-	l1s := cache.NewSet(cfg.L1, numSMs)
-	s.SMs = make([]*SM, numSMs)
-	for i := range sms {
+	s.sms, s.SMs = reuseParts(s.sms, s.SMs, numSMs)
+	l1s := s.l1s.Reset(cfg.L1, numSMs)
+	for i := range s.sms {
+		sm := &s.sms[i]
 		id := topo.SMID(i)
 		gpm := cfg.Topo.GPMOfSM(id)
-		sms[i] = SM{sys: s, id: id, gpm: gpm, gpu: cfg.Topo.GPUOf(gpm), L1: &l1s[i]}
-		s.SMs[i] = &sms[i]
+		*sm = SM{sys: s, id: id, gpm: gpm, gpu: cfg.Topo.GPUOf(gpm), L1: &l1s[i],
+			gpuHomeGate: sm.gpuHomeGate.emptied(), sysHomeGate: sm.sysHomeGate.emptied()}
+		s.SMs[i] = sm
 	}
-	return s, nil
+	return nil
+}
+
+// reuseParts resizes a slab of n parts and the list of pointers to them,
+// reallocating each only when it is too small. The parts keep their old
+// contents for the caller to rebuild; a reallocated slab starts zeroed.
+func reuseParts[T any](slab []T, ptrs []*T, n int) ([]T, []*T) {
+	return slices.Grow(slab[:0], n)[:n], slices.Grow(ptrs[:0], n)[:n]
 }
 
 // gpmOf returns the GPM structure for an id.
@@ -237,7 +316,10 @@ func (s *System) Run(tr *trace.Trace) (*Results, error) {
 		}
 		s.Pages.Touch(topo.Addr(uint64(h.Page)*uint64(s.Cfg.Topo.PageSize)), h.GPM)
 	}
-	var kernelCycles []engine.Cycle
+	var kernelCycles []engine.Cycle // fresh: Results share no memory with s
+	if n := len(tr.Kernels); n > 0 {
+		kernelCycles = make([]engine.Cycle, 0, n)
+	}
 	for ki := range tr.Kernels {
 		start := s.Eng.Now()
 		s.emit(Event{Kind: EvKernelLaunch, SM: NoSM, Aux: ki})
@@ -316,10 +398,10 @@ func (s *System) launchKernel(k *trace.Kernel) {
 	s.launchWarps = assigns
 	// One slab holds the kernel's warp contexts and one more the SMs'
 	// warp lists, each SM's list carved to its own warp count.
-	lists := make([]*warpCtx, len(assigns))
+	s.warpLists = slices.Grow(s.warpLists[:0], len(assigns))[:len(assigns)]
 	at := 0
 	for i, sm := range s.SMs {
-		sm.warps = lists[at : at : at+perSM[i]]
+		sm.warps = s.warpLists[at : at : at+perSM[i]]
 		at += perSM[i]
 	}
 	if s.warpsLeft == 0 {
@@ -327,9 +409,9 @@ func (s *System) launchKernel(k *trace.Kernel) {
 		s.Eng.ScheduleHandler(0, s.newCtx(stageDrainStores))
 		return
 	}
-	warps := make([]warpCtx, len(assigns))
+	s.warps = slices.Grow(s.warps[:0], len(assigns))[:len(assigns)]
 	for i, a := range assigns {
-		a.sm.addWarp(&warps[i], a.warp)
+		a.sm.addWarp(&s.warps[i], a.warp)
 	}
 }
 

@@ -133,7 +133,8 @@ func TestNetworkBuildsFromOneSlab(t *testing.T) {
 		{NumGPUs: 2, GPMsPerGPU: 2, SMsPerGPM: 1, LineSize: 128, PageSize: 4096},
 		{NumGPUs: 16, GPMsPerGPU: 8, SMsPerGPM: 1, LineSize: 128, PageSize: 4096},
 	} {
-		if a := testing.AllocsPerRun(5, func() { NewNetwork(e, tp, DefaultNetConfig()) }); a != 2 {
+		var n *Network // kept, so the Network itself escapes as a caller's would
+		if a := testing.AllocsPerRun(5, func() { n = NewNetwork(e, tp, DefaultNetConfig()) }); a != 2 || n == nil {
 			t.Errorf("NewNetwork(%v): %v allocations, want 2", tp, a)
 		}
 	}
@@ -284,5 +285,50 @@ func TestLinkFIFOProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResetReturnsRoutesInFlight: a network reset while messages are
+// between links gets every route back on its free list and forgets all
+// traffic, so a reused network routes exactly as a new one does, on any
+// topology, without growing the pool again.
+func TestResetReturnsRoutesInFlight(t *testing.T) {
+	e := engine.New(0)
+	n := NewNetwork(e, testTopo(), DefaultNetConfig())
+	h := &arrival{e: e}
+	for i := 0; i < 3*routeSlabMin; i++ {
+		n.SendHandler(0, 3, msg.LoadReq, h)
+	}
+	e.Run(10)
+	if n.LiveRoutes() == 0 {
+		t.Fatal("no route in flight at the reset; test is vacuous")
+	}
+	routes := n.routes
+	wide := topo.Topology{NumGPUs: 4, GPMsPerGPU: 4, SMsPerGPM: 1, LineSize: 128, PageSize: 4096}
+	e.Reset(0)
+	n.Reset(e, wide, DefaultNetConfig())
+	if n.LiveRoutes() != 0 || len(n.routeFree) != routes || n.InterGPUMsgs != ([msg.NumKinds]uint64{}) || len(n.xbarOut) != 16 {
+		t.Fatalf("after Reset: %d live routes, %d of %d free, inter-GPU counts %v, %d GPM ports",
+			n.LiveRoutes(), len(n.routeFree), routes, n.InterGPUMsgs, len(n.xbarOut))
+	}
+	fe := engine.New(0)
+	fresh := NewNetwork(fe, wide, DefaultNetConfig())
+	fh := &arrival{e: fe}
+	fresh.SendHandler(1, 14, msg.StoreReq, fh)
+	fe.Drain()
+	n.SendHandler(1, 14, msg.StoreReq, h)
+	e.Drain()
+	if h.at != fh.at || !reflect.DeepEqual(linkCounts(n), linkCounts(fresh)) {
+		t.Fatalf("reset network delivered at %d, new one at %d", h.at, fh.at)
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		e.Reset(0)
+		n.Reset(e, testTopo(), DefaultNetConfig())
+		for i := 0; i < 3*routeSlabMin; i++ {
+			n.SendHandler(0, 3, msg.LoadReq, h)
+		}
+		e.Drain()
+	}); allocs != 0 {
+		t.Fatalf("Reset and as many messages allocated %v objects, want 0", allocs)
 	}
 }

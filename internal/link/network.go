@@ -1,6 +1,8 @@
 package link
 
 import (
+	"slices"
+
 	"hmg/internal/engine"
 	"hmg/internal/msg"
 	"hmg/internal/topo"
@@ -46,7 +48,8 @@ type Network struct {
 	topo topo.Topology
 	cfg  NetConfig
 
-	// The four link groups are windows of one slab.
+	// The four link groups are windows of one slab, links.
+	links   []Link
 	xbarOut []Link // per GPM, onto the GPU crossbar
 	xbarIn  []Link // per GPM, from the GPU crossbar
 	upLink  []Link // per GPU, to the NVSwitch
@@ -64,18 +67,51 @@ type Network struct {
 	routeFree  []*route
 	routes     int
 	liveRoutes int
+	// routeSlabs[:numRouteSlabs] are the slabs the pool grew from, kept
+	// so Reset can return every route to the free list, in flight or
+	// not. Each slab doubles the pool, so maxRouteSlabs is never reached.
+	routeSlabs    [maxRouteSlabs][]route
+	numRouteSlabs int
 }
+
+// maxRouteSlabs bounds the route pool's growth: routeSlabMin << 31
+// contexts, far beyond any machine's memory.
+const maxRouteSlabs = 32
 
 // NewNetwork builds the interconnect for a topology in two allocations
 // at any size: the Network and one slab holding every link.
 func NewNetwork(eng *engine.Engine, t topo.Topology, cfg NetConfig) *Network {
+	n := &Network{}
+	n.Reset(eng, t, cfg)
+	return n
+}
+
+// Reset rebuilds n in place as NewNetwork(eng, t, cfg) builds a network:
+// every link idle with no traffic counted, and every route context,
+// in flight or not, back on the free list. It reuses the link slab when
+// it still fits and keeps the whole route pool.
+func (n *Network) Reset(eng *engine.Engine, t topo.Topology, cfg NetConfig) {
 	gpms, gpus := t.TotalGPMs(), t.NumGPUs
-	links := make([]Link, 2*gpms+2*gpus)
-	n := &Network{eng: eng, topo: t, cfg: cfg,
-		xbarOut: links[:gpms:gpms],
-		xbarIn:  links[gpms : 2*gpms : 2*gpms],
-		upLink:  links[2*gpms : 2*gpms+gpus : 2*gpms+gpus],
-		dnLink:  links[2*gpms+gpus:],
+	need := 2*gpms + 2*gpus
+	links := slices.Grow(n.links[:0], need)[:need]
+	// The free list has room for every context (see newRoute).
+	free := n.routeFree[:0]
+	for _, slab := range n.routeSlabs[:n.numRouteSlabs] {
+		for i := range slab {
+			slab[i] = route{}
+			free = append(free, &slab[i])
+		}
+	}
+	*n = Network{eng: eng, topo: t, cfg: cfg,
+		links:         links,
+		xbarOut:       links[:gpms:gpms],
+		xbarIn:        links[gpms : 2*gpms : 2*gpms],
+		upLink:        links[2*gpms : 2*gpms+gpus : 2*gpms+gpus],
+		dnLink:        links[2*gpms+gpus:],
+		routeFree:     free,
+		routes:        n.routes,
+		routeSlabs:    n.routeSlabs,
+		numRouteSlabs: n.numRouteSlabs,
 	}
 	for g := 0; g < gpms; g++ {
 		n.xbarOut[g].init(eng, "xbar-out[gpm%d]", g, cfg.XbarPortGBs, cfg.XbarLatency)
@@ -85,7 +121,6 @@ func NewNetwork(eng *engine.Engine, t topo.Topology, cfg NetConfig) *Network {
 		n.upLink[u].init(eng, "nvlink-up[gpu%d]", u, cfg.NVLinkGBs, cfg.NVLinkLatency/2)
 		n.dnLink[u].init(eng, "nvlink-dn[gpu%d]", u, cfg.NVLinkGBs, cfg.NVLinkLatency/2)
 	}
-	return n
 }
 
 // Config returns the network's configuration.
@@ -177,7 +212,12 @@ const routeSlabMin = 64
 //lint:allow hotalloc pool growth: slabs double the pool, so warm-up is logarithmic in the peak number of messages in flight
 func (n *Network) newRoute(k msg.Kind, bytes int, to topo.GPMID, deliver engine.Handler) *route {
 	if len(n.routeFree) == 0 {
+		if n.numRouteSlabs == maxRouteSlabs {
+			panic("link: route pool exceeds its slab limit")
+		}
 		slab := make([]route, max(routeSlabMin, n.routes))
+		n.routeSlabs[n.numRouteSlabs] = slab
+		n.numRouteSlabs++
 		n.routes += len(slab)
 		// Room for every context, so releaseRoute never grows the list.
 		n.routeFree = make([]*route, len(slab), n.routes)

@@ -54,15 +54,20 @@ func New(eng *engine.Engine, cfg Config) *DRAM { return &NewSet(eng, cfg, 1)[0] 
 
 // NewSet builds n partitions of one configuration in one allocation.
 func NewSet(eng *engine.Engine, cfg Config, n int) []DRAM {
-	d := DRAM{eng: eng, cfg: cfg}
+	ds := make([]DRAM, n)
+	for i := range ds {
+		ds[i].Reset(eng, cfg)
+	}
+	return ds
+}
+
+// Reset makes d an idle partition of configuration cfg that holds no
+// values, as New builds it.
+func (d *DRAM) Reset(eng *engine.Engine, cfg Config) {
+	*d = DRAM{eng: eng, cfg: cfg}
 	if cfg.BandwidthGBs > 0 {
 		d.bytesPerCycle = cfg.BandwidthGBs * 1e9 / eng.FrequencyHz()
 	}
-	ds := make([]DRAM, n)
-	for i := range ds {
-		ds[i] = d
-	}
-	return ds
 }
 
 // Config returns the partition's configuration.

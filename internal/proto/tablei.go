@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"slices"
+
 	"hmg/internal/directory"
 	"hmg/internal/topo"
 )
@@ -82,12 +84,29 @@ func NewDirCtrl(cfg directory.Config) *DirCtrl { return &NewDirCtrlSet(cfg, 1)[0
 // configuration, in three allocations at any n (directory.NewSet's two
 // and the controller slab).
 func NewDirCtrlSet(cfg directory.Config, n int) []DirCtrl {
-	dirs := directory.NewSet(cfg, n)
-	cs := make([]DirCtrl, n)
-	for i := range cs {
-		cs[i].Dir = &dirs[i]
+	var set DirCtrlSet
+	return set.Reset(cfg, n)
+}
+
+// DirCtrlSet is the storage of a group of controllers: the controller
+// slab and their directories' directory.Set. The zero DirCtrlSet is
+// empty.
+type DirCtrlSet struct {
+	ctrls []DirCtrl
+	dirs  directory.Set
+}
+
+// Reset returns n controllers with empty statistics over empty
+// directories of configuration cfg, as NewDirCtrlSet builds them,
+// reusing each slab of the set that is large enough. Controllers the set
+// returned before are invalidated.
+func (s *DirCtrlSet) Reset(cfg directory.Config, n int) []DirCtrl {
+	dirs := s.dirs.Reset(cfg, n)
+	s.ctrls = slices.Grow(s.ctrls[:0], n)[:n]
+	for i := range s.ctrls {
+		s.ctrls[i] = DirCtrl{Dir: &dirs[i]}
 	}
-	return cs
+	return s.ctrls
 }
 
 // tableI is the compiled rule table every DirCtrl executes: the

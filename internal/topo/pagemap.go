@@ -39,13 +39,24 @@ type PageMap struct {
 // NewPageMap returns an empty PageMap for the given topology, which must
 // be valid (Topology.Validate) and have fewer than math.MaxInt32 GPMs.
 func NewPageMap(t Topology) *PageMap {
+	m := &PageMap{}
+	m.Reset(t)
+	return m
+}
+
+// Reset empties m and rebinds it to topology t, under the same
+// conditions as NewPageMap. It keeps the table: every page it covered
+// stays reserved, now unplaced.
+func (m *PageMap) Reset(t Topology) {
 	if t.TotalGPMs() >= math.MaxInt32 {
 		panic(fmt.Sprintf("topo: %d GPMs overflow the page table's owner ids", t.TotalGPMs()))
 	}
-	return &PageMap{
+	clear(m.owner)
+	*m = PageMap{
 		topo:      t,
 		pageShift: uint8(bits.TrailingZeros64(uint64(t.PageSize))),
 		lineShift: uint8(bits.TrailingZeros64(uint64(t.LineSize))),
+		owner:     m.owner,
 	}
 }
 

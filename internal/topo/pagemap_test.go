@@ -129,3 +129,32 @@ func TestPageMapLimit(t *testing.T) {
 		t.Error("SysHome of an out-of-range line did not panic")
 	}
 }
+
+// TestPageMapReset: a reset map places nothing and keeps its table, so
+// placing the same pages again allocates nothing.
+func TestPageMapReset(t *testing.T) {
+	tp := paperTopo()
+	m := NewPageMap(tp)
+	m.Reserve(64)
+	for p := 0; p < 64; p++ {
+		m.Touch(Addr(uint64(p)*uint64(tp.PageSize)), GPMID(p%tp.TotalGPMs()))
+	}
+	small := tp
+	small.PageSize /= 2
+	m.Reset(small)
+	if m.Pages() != 0 || m.Topology() != small {
+		t.Fatalf("after Reset: %d pages placed on %v", m.Pages(), m.Topology())
+	}
+	if g, ok := m.Owner(0); ok {
+		t.Fatalf("page 0 still owned by GPM %d after Reset", g)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		m.Reset(tp)
+		m.Reserve(64)
+		for p := 0; p < 64; p++ {
+			m.Touch(Addr(uint64(p)*uint64(tp.PageSize)), 1)
+		}
+	}); allocs != 0 || m.Pages() != 64 {
+		t.Fatalf("placing 64 pages after Reset: %v allocations, %d pages, want 0 and 64", allocs, m.Pages())
+	}
+}

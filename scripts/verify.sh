@@ -52,8 +52,8 @@
 # exactly (the simulator is deterministic), and allocs/event and the
 # bytes each cell's Run and gsim.New allocate must not grow past a small
 # tolerance — the hot path is not yet zero-alloc (the
-# BENCH_2026-10-18d.json baseline measures 0.0001-0.0005 allocs/event
-# and 3.2-3.5 MB per Run across the matrix), so the gate blocks growth;
+# BENCH_2026-10-19.json baseline measures 0.0001-0.0005 allocs/event
+# and 3.0-3.3 MB per Run across the matrix), so the gate blocks growth;
 # wall-clock drift only warns.
 # It reuses the store tier's populated -cachedir, which cross-checks
 # every store record it touches against the freshly measured
