@@ -195,33 +195,48 @@ func Run(cfg gsim.Config, prog Program, hooks ...func(*gsim.System)) (*Result, e
 			}
 		}
 	}
-	// Match observations back to threads: track per-thread progress
-	// through load ops.
+	// Match observations back to threads by the issuing warp. The main
+	// kernel's CTA i holds slot i's threads in program order, and gsim
+	// numbers a kernel's warps CTA by CTA, skipping warps with no ops.
+	// Within a thread, a load is credited to the thread's first
+	// unobserved load with its kind, scope and address: plain loads of
+	// one warp may be in flight together and complete out of order. Two
+	// such loads of one address with one kind and scope cannot be told
+	// apart, so if they complete out of order their values are credited
+	// in program order.
+	bySlot := make([][]int, slots)
+	for ti, th := range prog.Threads {
+		bySlot[th.Slot] = append(bySlot[th.Slot], ti)
+	}
+	var warpThread []int // the main kernel's warp index → thread
+	for _, ts := range bySlot {
+		for _, ti := range ts {
+			if len(prog.Threads[ti].Ops) > 0 {
+				warpThread = append(warpThread, ti)
+			}
+		}
+	}
+	observed := make([][]bool, len(prog.Threads))
+	for ti, th := range prog.Threads {
+		observed[ti] = make([]bool, len(th.Ops))
+	}
+	mainKernel, kernel := len(tr.Kernels)-1, -1
 	r := &Result{prog: prog}
-	progress := make(map[int]int) // thread → next load-op cursor
 	sys.Observe(func(ev gsim.Event) {
-		if ev.Kind != gsim.EvLoadDone {
+		switch {
+		case ev.Kind == gsim.EvKernelLaunch:
+			kernel = ev.Aux
+			return
+		case ev.Kind != gsim.EvLoadDone || kernel != mainKernel:
+			// The warm-up kernel's loads belong to no thread.
 			return
 		}
-		// Identify the thread by matching the op identity: the same SM
-		// may host several litmus warps, so match on (kind, scope, addr)
-		// against each candidate thread's next unobserved load.
-		for ti, th := range prog.Threads {
-			if trace.AssignCTA(th.Slot, slots, cfg.Topo.TotalGPMs()) != ev.GPM {
-				continue
-			}
-			cur := progress[ti]
-			for oi := cur; oi < len(th.Ops); oi++ {
-				o := th.Ops[oi]
-				if !o.Kind.IsLoad() {
-					continue
-				}
-				if o.Kind == ev.Op && o.Scope == ev.Scope && o.Addr == ev.Addr {
-					r.obs = append(r.obs, Observation{Thread: ti, Index: oi, Op: o, Value: ev.Val})
-					progress[ti] = oi + 1
-					return
-				}
-				break
+		ti := warpThread[ev.Warp]
+		for oi, o := range prog.Threads[ti].Ops {
+			if !observed[ti][oi] && o.Kind == ev.Op && o.Scope == ev.Scope && o.Addr == ev.Addr {
+				observed[ti][oi] = true
+				r.obs = append(r.obs, Observation{Thread: ti, Index: oi, Op: o, Value: ev.Val})
+				return
 			}
 		}
 	})

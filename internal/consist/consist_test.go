@@ -52,6 +52,45 @@ func TestMessagePassingLitmus(t *testing.T) {
 	}
 }
 
+// TestLoadsCreditedToTheirWarp: two warps on one GPM load one address
+// and have those loads in flight at once, and the later-issued load
+// completes first. Each value must be credited to the warp whose load
+// read it. Warp A (thread 0, on GPM 1's first SM) loads X once, late,
+// after thread 2's store X=7 at the home has invalidated GPM 1's slice,
+// so it misses to the home and reads 7. Warp B (thread 1, on GPM 1's
+// second SM) loads X early, reading 0 into its L1, and again five
+// cycles after A's load issues, hitting its stale L1 copy: 0, and long
+// before A's load returns. Matching on the GPM alone would credit B's
+// loads to A.
+func TestLoadsCreditedToTheirWarp(t *testing.T) {
+	const x = 0x500
+	for _, k := range []proto.Kind{proto.NHCC, proto.HMG} {
+		prog := New("ooo").Slots(8).
+			Thread(2, trace.Op{Kind: trace.Load, Addr: x, Gap: 1000}).
+			Thread(3, trace.Op{Kind: trace.Load, Addr: x},
+				trace.Op{Kind: trace.Load, Addr: x, Gap: 1005}).
+			Thread(0, trace.Op{Kind: trace.Store, Addr: x, Val: 7, Gap: 500}).
+			Build()
+		r, err := Run(SmallConfig(k), prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []struct {
+			thread, op int
+			val        uint64
+		}{{0, 0, 7}, {1, 0, 0}, {1, 1, 0}} {
+			if v, ok := r.Value(want.thread, want.op); !ok || v != want.val {
+				t.Errorf("%v: thread %d op %d read %d (observed %v), want %d", k, want.thread, want.op, v, ok, want.val)
+			}
+		}
+		// The test needs B's second load to overtake A's.
+		obs := r.Observations()
+		if len(obs) != 3 || obs[1].Thread != 1 || obs[1].Index != 1 {
+			t.Fatalf("%v: observations %+v, want B's second load to complete before A's", k, obs)
+		}
+	}
+}
+
 // TestStaleReadAllowed: without synchronization, a plain load may return
 // the stale (initial) value even after a remote store — the
 // non-multi-copy-atomic relaxation the protocols exploit. We only check

@@ -143,10 +143,58 @@ type runKey struct {
 	shape topo.Spec // the effective machine shape
 }
 
+// digest hashes the fields of k that tell campaign runs apart (64-bit
+// FNV-1a): the in-process memo's map key. A runKey is 248 bytes, above
+// the 128 a Go map stores inline, so keying the map by it would copy
+// every inserted key to the heap. Keys whose digests collide share the
+// digest's chain and are told apart by the whole key.
+func (k runKey) digest() uint64 {
+	h := fnv64(14695981039346656037)
+	h.str(k.bench.Abbrev)
+	h.word(uint64(k.bench.Seed))
+	h.word(uint64(k.kind))
+	h.word(math.Float64bits(k.v.NVLinkGBs))
+	h.word(uint64(k.v.L2MBPerGPU))
+	h.word(uint64(k.v.DirEntries))
+	h.word(uint64(k.v.GranLines))
+	var flags uint64
+	for i, on := range [...]bool{k.v.Downgrade, k.v.WriteBack, k.v.ScatterCTAs, k.v.StaticPlacement} {
+		if on {
+			flags |= 1 << i
+		}
+	}
+	h.word(flags)
+	h.word(uint64(k.shape.NumGPUs))
+	h.word(uint64(k.shape.GPMsPerGPU))
+	return uint64(h)
+}
+
+// fnv64 is a running 64-bit FNV-1a hash.
+type fnv64 uint64
+
+// word mixes x in, low byte first.
+func (h *fnv64) word(x uint64) {
+	for i := 0; i < 8; i++ {
+		*h = (*h ^ fnv64(x&0xff)) * 1099511628211
+		x >>= 8
+	}
+}
+
+// str mixes s in, then its length.
+func (h *fnv64) str(s string) {
+	for i := 0; i < len(s); i++ {
+		*h = (*h ^ fnv64(s[i])) * 1099511628211
+	}
+	h.word(uint64(len(s)))
+}
+
 // inflight is one memo-cache entry: the first requester of a key owns
 // the simulation; duplicate requesters block on done until the owner
-// publishes res/err.
+// publishes res/err. Entries whose keys share a digest chain through
+// next.
 type inflight struct {
+	key  runKey
+	next *inflight
 	done chan struct{}
 	res  *gsim.Results
 	err  error
@@ -160,8 +208,9 @@ type inflight struct {
 type Runner struct {
 	opts Options
 
-	mu    sync.Mutex
-	cache map[runKey]*inflight
+	mu sync.Mutex
+	// cache is the in-process memo, keyed by runKey.digest.
+	cache map[uint64]*inflight
 	stats Summary
 
 	logMu sync.Mutex
@@ -181,7 +230,7 @@ func NewRunner(o Options) (*Runner, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	return &Runner{opts: o.withDefaults(), cache: make(map[runKey]*inflight)}, nil
+	return &Runner{opts: o.withDefaults(), cache: make(map[uint64]*inflight)}, nil
 }
 
 // Options returns the runner's options.
@@ -347,15 +396,18 @@ func mevPerSec(events uint64, secs float64) float64 {
 // and then evicted, so the next request for the key retries instead of
 // replaying the stale error; failed runs are never written to the store.
 func (r *Runner) memoized(key runKey, sim func() (*gsim.Results, error)) (*gsim.Results, error) {
+	d := key.digest()
 	r.mu.Lock()
-	if e, ok := r.cache[key]; ok {
-		r.stats.MemoHits++
-		r.mu.Unlock()
-		<-e.done
-		return e.res, e.err
+	for e := r.cache[d]; e != nil; e = e.next {
+		if e.key == key {
+			r.stats.MemoHits++
+			r.mu.Unlock()
+			<-e.done
+			return e.res, e.err
+		}
 	}
-	e := &inflight{done: make(chan struct{})}
-	r.cache[key] = e
+	e := &inflight{key: key, next: r.cache[d], done: make(chan struct{})}
+	r.cache[d] = e
 	r.mu.Unlock()
 
 	st := r.opts.Store
@@ -383,9 +435,7 @@ func (r *Runner) memoized(key runKey, sim func() (*gsim.Results, error)) (*gsim.
 	close(e.done)
 	if e.err != nil {
 		r.mu.Lock()
-		if r.cache[key] == e {
-			delete(r.cache, key)
-		}
+		r.evict(d, e)
 		r.mu.Unlock()
 		return nil, e.err
 	}
@@ -411,6 +461,26 @@ func (r *Runner) memoized(key runKey, sim func() (*gsim.Results, error)) (*gsim.
 		r.name(key), key.kind, e.res.Cycles, e.res.InterGPUGBs(), wall.Seconds(),
 		mevPerSec(e.res.EventsExecuted, wall.Seconds()))
 	return e.res, nil
+}
+
+// evict unlinks entry e from digest d's chain, if it is still there.
+// The caller holds r.mu.
+func (r *Runner) evict(d uint64, e *inflight) {
+	head := r.cache[d]
+	if head == e {
+		if e.next == nil {
+			delete(r.cache, d)
+		} else {
+			r.cache[d] = e.next
+		}
+		return
+	}
+	for p := head; p != nil; p = p.next {
+		if p.next == e {
+			p.next = e.next
+			return
+		}
+	}
 }
 
 // simulate executes run k for real on worker w's machine and trace (see

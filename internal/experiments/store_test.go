@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hmg/internal/engine"
 	"hmg/internal/gsim"
 	"hmg/internal/proto"
 	"hmg/internal/topo"
@@ -103,6 +104,60 @@ func TestMemoizedErrorRetry(t *testing.T) {
 	}
 	if s := r.Summary(); s.UniqueRuns != 1 {
 		t.Fatalf("UniqueRuns = %d after one failure and one success, want 1", s.UniqueRuns)
+	}
+}
+
+// TestMemoChainsCollidingDigests: keys that differ only in fields the
+// memo's digest skips share its chain, and the memo still tells them
+// apart: each simulates once, is served back on its own, and a failure
+// evicts only its own entry. An insert allocates the entry and its done
+// channel, never a copy of the key.
+func TestMemoChainsCollidingDigests(t *testing.T) {
+	r := testRunner()
+	keys := make([]runKey, 3)
+	for i := range keys {
+		keys[i] = runKey{bench: workload.Params{Abbrev: "synthetic", Kernels: i + 1}, kind: proto.HMG}
+		if keys[i].digest() != keys[0].digest() {
+			t.Fatalf("key %d's digest differs; the test needs a collision", i)
+		}
+	}
+	sim := func(cycles engine.Cycle) func() (*gsim.Results, error) {
+		return func() (*gsim.Results, error) { return &gsim.Results{Cycles: cycles}, nil }
+	}
+	if _, err := r.memoized(keys[0], sim(1)); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	if _, err := r.memoized(keys[1], func() (*gsim.Results, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if _, err := r.memoized(keys[2], sim(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.memoized(keys[1], sim(2)); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		res, err := r.memoized(k, func() (*gsim.Results, error) {
+			t.Errorf("key %d re-simulated", i)
+			return nil, nil
+		})
+		if err != nil || res.Cycles != engine.Cycle(i+1) {
+			t.Fatalf("key %d served %+v, %v; want its own result", i, res, err)
+		}
+	}
+	if s := r.Summary(); s.UniqueRuns != 3 || s.MemoHits != 3 {
+		t.Fatalf("UniqueRuns %d, MemoHits %d; want 3 and 3", s.UniqueRuns, s.MemoHits)
+	}
+	next := 100
+	if n := testing.AllocsPerRun(20, func() {
+		next++
+		k := runKey{bench: workload.Params{Abbrev: "synthetic", Kernels: next}, kind: proto.HMG}
+		if _, err := r.memoized(k, func() (*gsim.Results, error) { return nil, boom }); !errors.Is(err, boom) {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Fatalf("a memo insert makes %v allocations, want at most 2 (the entry and its channel)", n)
 	}
 }
 

@@ -53,16 +53,21 @@ func (s *System) effScope(sc trace.Scope) trace.Scope {
 // scope permits), then the L2 hierarchy.
 func (sm *SM) startLoad(c *opCtx) {
 	s := sm.sys
-	op := c.op
-	c.line = s.Cfg.Topo.LineOf(op.Addr)
-	scope := s.effScope(op.Scope)
-	l1OK := scope <= trace.ScopeCTA && s.cacheableAt(sm.gpm, c.line)
+	line := c.line()
+	scope := s.effScope(c.scope)
+	l1OK := scope <= trace.ScopeCTA && s.cacheableAt(sm.gpm, line)
 	c.setFlag(flagL1OK, l1OK)
 	c.stage = stageLoadMiss
 	if l1OK {
-		if _, hit := sm.L1.Lookup(c.line); hit {
-			c.v, _ = sm.L1.Value(c.line, c.word())
-			c.stage = stageLoadValue
+		if _, hit := sm.L1.Lookup(line); hit {
+			v, _ := sm.L1.Value(line, c.word())
+			if c.kind == trace.Atomic {
+				// val holds the atomic's operand until it becomes the
+				// result.
+				c.val, c.stage = atomicResult(v, c.val), stageAtomicL1Hit
+			} else {
+				c.val, c.stage = v, stageLoadValue
+			}
 		}
 	}
 	s.Eng.ScheduleHandler(s.Cfg.L1Latency, c)
@@ -72,10 +77,10 @@ func (sm *SM) startLoad(c *opCtx) {
 // L1 when the scope permitted an L1 lookup, then complete the load.
 func (c *opCtx) loadFilled(fill fillData) {
 	if c.is(flagL1OK) {
-		l1 := c.sm.L1
-		l1.Fill(c.line)
+		l1, line := c.warp().sm.L1, c.line()
+		l1.Fill(line)
 		if c.s.Cfg.TrackValues {
-			l1.MergeFrom(c.line, fill)
+			l1.MergeFrom(line, fill)
 		}
 	}
 	c.loadDone(valOf(fill, c.word()))
@@ -86,23 +91,23 @@ func (c *opCtx) loadFilled(fill fillData) {
 // retires at its warp. An atomic's context runs the load path to fetch
 // its line and hands the value to atomicApply instead.
 func (c *opCtx) loadDone(v uint64) {
-	if c.op.Kind == trace.Atomic {
+	if c.kind == trace.Atomic {
 		c.atomicApply(v)
 		return
 	}
-	s, sm, w, op, issued := c.s, c.sm, c.w, c.op, c.issued
+	s, w, addr, line, kind, scope, issued := c.s, c.warp(), c.addr, c.line(), c.kind, c.scope, c.issued()
 	c.release()
-	if op.Kind == trace.Load {
+	if kind == trace.Load {
 		lat := uint64(s.Eng.Now() - issued)
 		s.loadLatSum += lat
 		if lat > s.maxLoadLat {
 			s.maxLoadLat = lat
 		}
 	}
-	s.emit(Event{Kind: EvLoadDone, GPM: sm.gpm, SM: sm.id,
-		Line: s.Cfg.Topo.LineOf(op.Addr), Addr: op.Addr,
-		Scope: op.Scope, Op: op.Kind, Val: v})
-	if op.Kind == trace.LoadAcq {
+	s.emit(Event{Kind: EvLoadDone, GPM: w.sm.gpm, SM: w.sm.id, Warp: w.id,
+		Line: line, Addr: addr,
+		Scope: scope, Op: kind, Val: v})
+	if kind == trace.LoadAcq {
 		w.blocked = false
 	}
 	w.opDone()
@@ -114,23 +119,23 @@ func (c *opCtx) loadDone(v uint64) {
 // merges in its MSHRs; any other load travels to its home on its own
 // context and comes back on it.
 func (s *System) requesterL2Load(c *opCtx) {
-	g, line := c.sm.gpm, c.line
-	scope := s.effScope(c.op.Scope)
+	g, line := c.warp().sm.gpm, c.line()
+	scope := s.effScope(c.scope)
 	sysHome, gpuHome := s.homes(g, line)
 	hier := s.Cfg.Policy.Hierarchical
-	c.from = g
+	c.setFrom(g)
 	if g == sysHome || hier && g == gpuHome && scope <= trace.ScopeGPU {
 		// This GPM is the load's home: its own system home, or the GPU
 		// home node of a .gpu-or-weaker load. Table I takes no action for
 		// a load by the home itself.
-		c.g = g
+		c.setG(g)
 		s.homeLoad(c)
 		return
 	}
-	c.g = sysHome
+	c.setG(sysHome)
 	if hier && scope != trace.ScopeSys {
 		// Hierarchical: route via the GPU home node.
-		c.g = gpuHome
+		c.setG(gpuHome)
 	}
 	// The requester may fill its own L2 with the response for loads of
 	// .gpm scope or weaker (the GPM-local slice is the .gpm coherence
@@ -144,7 +149,7 @@ func (s *System) requesterL2Load(c *opCtx) {
 		return
 	}
 	c.stage = stageLoadReq
-	s.send(g, c.g, msg.LoadReq, c)
+	s.send(g, c.g(), msg.LoadReq, c)
 }
 
 // fetchLine merges c in gpm's MSHRs as a waiter for c.line from dest,
@@ -153,16 +158,19 @@ func (s *System) requesterL2Load(c *opCtx) {
 // else a LoadReq to dest on a request context, whose response fills
 // gpm's slice.
 func (s *System) fetchLine(gpm *GPM, dest topo.GPMID, c *opCtx) {
-	m := gpm.fetch(fetchKey{c.line, dest}, c)
+	m := gpm.fetch(fetchKey{c.line(), dest}, c)
 	if m == nil {
 		return // merged into an outstanding fetch
 	}
 	if dest == gpm.id {
-		gpm.DRAM.ReadHandler(c.line, m)
+		gpm.DRAM.ReadHandler(c.line(), m)
 		return
 	}
 	r := s.newCtx(stageLoadReq)
-	r.from, r.g, r.line, r.up, r.flags = gpm.id, dest, c.line, m, flagFillHere
+	r.setFrom(gpm.id)
+	r.setG(dest)
+	r.setLine(c.line())
+	r.up, r.flags = m, flagFillHere
 	s.send(gpm.id, dest, msg.LoadReq, r)
 }
 
@@ -185,7 +193,7 @@ func (s *System) flatRequester(g, sysHome topo.GPMID) proto.Requester {
 // c.g is not the line's system home (hierarchical policies only), and
 // otherwise the system home.
 func (s *System) homeLoad(c *opCtx) {
-	if c.g != s.Pages.SysHome(c.line) {
+	if c.g() != s.Pages.SysHome(c.line()) {
 		s.gpuHomeLoad(c)
 		return
 	}
@@ -198,10 +206,10 @@ func (s *System) homeLoad(c *opCtx) {
 // concurrent misses merge in the home's MSHRs; the system home will only
 // ever learn the GPU.
 func (s *System) gpuHomeLoad(c *opCtx) {
-	gpm := s.gpmOf(c.g)
-	if gpm.Dir != nil && c.from != c.g {
+	gpm := s.gpmOf(c.g())
+	if gpm.Dir != nil && c.from() != c.g() {
 		//lint:allow eventemit sharer record of a load; the load surfaces as EvFill/EvLoadDone where its response lands
-		evR, evict := gpm.Dir.RemoteLoad(c.line, s.flatRequester(c.from, c.g))
+		evR, evict := gpm.Dir.RemoteLoad(c.line(), s.flatRequester(c.from(), c.g()))
 		s.sendInvs(gpm, evR, evict)
 	}
 	c.stage = stageHomeLoad
@@ -211,13 +219,13 @@ func (s *System) gpuHomeLoad(c *opCtx) {
 // sysHomeLoad is the arrival of the load carried by c at system home
 // c.g.
 func (s *System) sysHomeLoad(c *opCtx) {
-	if gpm := s.gpmOf(c.g); s.Cfg.Policy.MCA && gpm.lockHolder(c.line) != c {
+	if gpm := s.gpmOf(c.g()); s.Cfg.Policy.MCA && gpm.lockHolder(c.line()) != c {
 		// Multi-copy-atomicity: reads of a line with a store awaiting
 		// invalidation acknowledgments must wait behind it. A .gpm
 		// atomic at its own system home already holds the line, so its
 		// fetch reads through instead of queueing behind itself.
 		c.stage = stageMCALoadLocked
-		gpm.lockLine(c.line, c)
+		gpm.lockLine(c.line(), c)
 		return
 	}
 	s.sysHomeLoadUnlocked(c)
@@ -229,14 +237,14 @@ func (s *System) sysHomeLoad(c *opCtx) {
 // protocol; only those have a directory), or classifies the load under
 // CARVE, which is flat. The L2 lookup follows one L2 latency on.
 func (s *System) sysHomeLoadUnlocked(c *opCtx) {
-	gpm := s.gpmOf(c.g)
+	gpm := s.gpmOf(c.g())
 	if gpm.Dir != nil && c.is(flagFillHere) {
 		//lint:allow eventemit sharer record of a load; the load surfaces as EvFill/EvLoadDone where its response lands
-		evR, evict := gpm.Dir.RemoteLoad(c.line, s.flatRequester(c.from, c.g))
+		evR, evict := gpm.Dir.RemoteLoad(c.line(), s.flatRequester(c.from(), c.g()))
 		s.sendInvs(gpm, evR, evict)
 	}
 	if s.classes != nil {
-		s.classifyLoad(c.line, c.from)
+		s.classifyLoad(c.line(), c.from())
 	}
 	c.stage = stageHomeLoad
 	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
@@ -247,24 +255,25 @@ func (s *System) sysHomeLoadUnlocked(c *opCtx) {
 // fetch from the line's system home, which at the system home itself is
 // a read of its DRAM. The fetch serves c when it fills.
 func (s *System) homeLoadAtL2(c *opCtx) {
-	gpm := s.gpmOf(c.g)
-	if _, hit := gpm.L2.Lookup(c.line); hit {
-		c.served(gpm.L2.Values(c.line))
+	gpm := s.gpmOf(c.g())
+	if _, hit := gpm.L2.Lookup(c.line()); hit {
+		c.served(gpm.L2.Values(c.line()))
 		return
 	}
-	s.fetchLine(gpm, s.Pages.SysHome(c.line), c)
+	s.fetchLine(gpm, s.Pages.SysHome(c.line()), c)
 }
 
 // served answers the load carried by c with its line data at home c.g:
 // a DataResp back to requester c.from, or, when the home is the
 // requester itself, the load's completion.
 func (c *opCtx) served(fill fillData) {
-	if c.from == c.g {
+	if c.from() == c.g() {
 		c.loadFilled(fill)
 		return
 	}
-	c.data, c.stage = fill, stageDataResp
-	c.s.send(c.g, c.from, msg.DataResp, c)
+	c.setData(fill)
+	c.stage = stageDataResp
+	c.s.send(c.g(), c.from(), msg.DataResp, c)
 }
 
 // dramFilled completes the MSHR entry m of a home's DRAM read: install
@@ -272,7 +281,7 @@ func (c *opCtx) served(fill fillData) {
 // line it displaces sends no downgrade: in the benchmark sweep such
 // downgrades raced re-fetches of their region and broke inclusion.
 func (s *System) dramFilled(m *opCtx) {
-	gpm, line := s.gpmOf(m.g), m.line
+	gpm, line := s.gpmOf(m.g()), m.line()
 	var fill fillData
 	if s.Cfg.TrackValues {
 		fill = gpm.DRAM.LineValues(line)
@@ -280,7 +289,7 @@ func (s *System) dramFilled(m *opCtx) {
 	victim, values := gpm.L2.Fill(line)
 	gpm.L2.MergeFrom(line, fill)
 	if victim.Valid {
-		s.l2Displaced(m.g, victim, values)
+		s.l2Displaced(m.g(), victim, values)
 	}
 	gpm.fetchDone(m, gpm.L2.Values(line))
 }
@@ -352,7 +361,9 @@ func (s *System) sendDowngrade(g topo.GPMID, line topo.Line) {
 		req = proto.GPMRequester(s.Cfg.Topo.LocalOf(g))
 	}
 	c := s.newCtx(stageDowngrade)
-	c.g, c.line, c.from = home, line, g
+	c.setG(home)
+	c.setLine(line)
+	c.setFrom(g)
 	c.setReq(req)
 	s.downgrading++
 	s.send(g, home, msg.Downgrade, c)
@@ -365,7 +376,7 @@ func (s *System) sendDowngrade(g topo.GPMID, line topo.Line) {
 // startStore begins a posted write-through store at the SM.
 func (sm *SM) startStore(op trace.Op) {
 	s := sm.sys
-	line := s.Cfg.Topo.LineOf(op.Addr)
+	line := s.lineOf(op.Addr)
 	sm.gpuHomeGate.Start()
 	sm.sysHomeGate.Start()
 	s.emit(Event{Kind: EvStoreIssue, GPM: sm.gpm, SM: sm.id, Line: line,
@@ -373,11 +384,12 @@ func (sm *SM) startStore(op trace.Op) {
 	// Update any L1 copy in place (write-through, no allocate).
 	if s.Cfg.TrackValues {
 		if _, hit := sm.L1.Peek(line); hit {
-			sm.L1.SetValue(line, cache.WordOf(op.Addr, s.Cfg.Topo.LineSize), op.Val)
+			sm.L1.SetValue(line, s.wordOf(op.Addr), op.Val)
 		}
 	}
 	c := s.newCtx(stageStartStore)
-	c.sm, c.op, c.line = sm, op, line
+	c.owner = int32(sm.id)
+	c.setOp(op)
 	s.Eng.ScheduleHandler(s.Cfg.L1Latency, c)
 }
 
@@ -385,7 +397,7 @@ func (sm *SM) startStore(op trace.Op) {
 // latency after issue: absorb it into the local slice under the
 // write-back option, or write it through from the L2.
 func (s *System) storeAfterL1(c *opCtx) {
-	if s.Cfg.WriteBack && c.op.Kind == trace.Store && c.op.Scope <= trace.ScopeCTA {
+	if s.Cfg.WriteBack && c.kind == trace.Store && c.scope <= trace.ScopeCTA {
 		// Write-back option: a plain store that hits the local slice
 		// dirties it; the flush machinery assumes the visibility
 		// obligation, so the store's gates are released there
@@ -401,8 +413,8 @@ func (s *System) storeAfterL1(c *opCtx) {
 // slice: update the slice copy when the slice is neither of the line's
 // homes, then route the write to them.
 func (s *System) l2Store(c *opCtx) {
-	g := c.sm.gpm
-	sysHome, gpuHome := s.homes(g, c.line)
+	g := c.writer().gpm
+	sysHome, gpuHome := s.homes(g, c.line())
 	if g != sysHome && g != gpuHome {
 		c.writeCopy(s.gpmOf(g))
 	}
@@ -429,14 +441,18 @@ func (s *System) routeWrite(c *opCtx, g, sysHome, gpuHome topo.GPMID) {
 	c.gates = gateGPU | gateSys
 	switch {
 	case g == sysHome:
-		c.g = g
+		c.setG(g)
 		c.flags |= flagLocal
 		s.atSysHome(c)
 	case g == gpuHome && gpuHome != sysHome:
-		c.g, c.from, c.stage = g, g, stageGPUHomeStore
+		c.setG(g)
+		c.setFrom(g)
+		c.stage = stageGPUHomeStore
 		s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
 	case gpuHome != sysHome:
-		c.g, c.from, c.stage = gpuHome, g, stageStoreReqGPUHome
+		c.setG(gpuHome)
+		c.setFrom(g)
+		c.stage = stageStoreReqGPUHome
 		s.send(g, gpuHome, c.writeKind(), c)
 	default:
 		s.sendSysHome(c, g, s.flatRequester(g, sysHome))
@@ -455,9 +471,11 @@ func (c *opCtx) writeKind() msg.Kind {
 // sendSysHome sends the write carried by c from GPM from to its system
 // home, where it is applied for requester req.
 func (s *System) sendSysHome(c *opCtx, from topo.GPMID, req proto.Requester) {
-	c.g, c.stage = s.Pages.SysHome(c.line), stageStoreReqSysHome
+	to := s.Pages.SysHome(c.line())
+	c.setG(to)
+	c.stage = stageStoreReqSysHome
 	c.setReq(req)
-	s.send(from, c.g, c.writeKind(), c)
+	s.send(from, to, c.writeKind(), c)
 }
 
 // atSysHome starts the system-home step of the write carried by c at its
@@ -468,7 +486,7 @@ func (s *System) atSysHome(c *opCtx) {
 		// Multi-copy atomicity: the store holds its home line until
 		// every sharer has acknowledged its invalidation.
 		c.stage = stageMCAStoreLocked
-		s.gpmOf(c.g).lockLine(c.line, c)
+		s.gpmOf(c.g()).lockLine(c.line(), c)
 		return
 	}
 	c.stage = stageSysHomeStore
@@ -480,23 +498,23 @@ func (s *System) atSysHome(c *opCtx) {
 // store transition for the requesting module, the home-copy update,
 // then the forward to the system home on behalf of the whole GPU.
 func (s *System) gpuHomeStore(c *opCtx) {
-	gpm := s.gpmOf(c.g)
-	s.storeTransition(gpm, proto.GPMRequester(s.Cfg.Topo.LocalOf(c.from)), c.from == c.g, c.line)
+	gpm := s.gpmOf(c.g())
+	s.storeTransition(gpm, proto.GPMRequester(s.Cfg.Topo.LocalOf(c.from())), c.from() == c.g(), c.line())
 	c.writeCopy(gpm)
 	if !c.is(flagWB) {
-		s.emit(Event{Kind: EvGPUHomeStore, GPM: c.g, SM: NoSM, Line: c.line,
-			Addr: c.op.Addr, Scope: c.op.Scope, Op: c.op.Kind, Val: c.op.Val})
+		s.emit(Event{Kind: EvGPUHomeStore, GPM: c.g(), SM: NoSM, Line: c.line(),
+			Addr: c.addr, Scope: c.scope, Op: c.kind, Val: c.val})
 	}
-	c.sm.finishGates(c.gates & gateGPU)
+	c.writer().finishGates(c.gates & gateGPU)
 	c.gates &^= gateGPU
-	s.sendSysHome(c, c.g, proto.GPURequester(int(gpm.gpu)))
+	s.sendSysHome(c, c.g(), proto.GPURequester(int(gpm.gpu)))
 }
 
 // sysHomeStore is the system-home step of the write carried by c, one L2
 // latency after it reached system home c.g: the store transition, then
 // the write's end (storeDone).
 func (s *System) sysHomeStore(c *opCtx) {
-	s.storeTransition(s.gpmOf(c.g), c.req(), c.is(flagLocal), c.line)
+	s.storeTransition(s.gpmOf(c.g()), c.req(), c.is(flagLocal), c.line())
 	c.storeDone()
 }
 
@@ -537,17 +555,17 @@ func (s *System) storeTransition(gpm *GPM, req proto.Requester, local bool, line
 // holds the line, and otherwise poison any in-flight fill of it, which
 // would install pre-write data.
 func (c *opCtx) writeCopy(gpm *GPM) {
-	_, hit := gpm.L2.Peek(c.line)
+	_, hit := gpm.L2.Peek(c.line())
 	switch {
 	case !hit:
-		gpm.poisonLine(c.line)
+		gpm.poisonLine(c.line())
 	case !c.s.Cfg.TrackValues:
 	case c.is(flagWB):
 		//lint:allow eventemit written-back values were emitted by their stores' EvStoreIssue
-		gpm.L2.MergeFrom(c.line, c.data)
+		gpm.L2.MergeFrom(c.line(), c.data())
 	default:
 		//lint:allow eventemit the stored value was emitted by the store's EvStoreIssue
-		gpm.L2.SetValue(c.line, c.word(), c.op.Val)
+		gpm.L2.SetValue(c.line(), c.word(), c.val)
 	}
 }
 
@@ -558,15 +576,16 @@ func (c *opCtx) writeDRAM(gpm *GPM) {
 	if !c.is(flagWB) {
 		if s.Cfg.TrackValues {
 			//lint:allow eventemit the stored value was emitted by the store's EvStoreIssue; storeDone emits EvHomeStore
-			gpm.DRAM.StoreValue(c.op.Addr, c.op.Val)
+			gpm.DRAM.StoreValue(c.addr, c.val)
 		}
 		gpm.DRAM.Write(s.Cfg.Net.Sizes.StorePayload, nil)
 		return
 	}
 	if s.Cfg.TrackValues {
-		base := topo.Addr(uint64(c.line) * uint64(s.Cfg.Topo.LineSize))
+		// A write-back's address is its line's base.
+		base := c.addr
 		//lint:allow determinism each word stores to its own address; per-word DRAM writes commute
-		for w, v := range c.data {
+		for w, v := range c.data() {
 			//lint:allow eventemit written-back values were emitted by their stores' EvStoreIssue
 			gpm.DRAM.StoreValue(base+topo.Addr(w)*4, v)
 		}
@@ -579,14 +598,14 @@ func (c *opCtx) writeDRAM(gpm *GPM) {
 // home-copy update and the DRAM write, EvHomeStore for a write-through,
 // then the line unlock under MCA and the SM's remaining gates.
 func (c *opCtx) storeDone() {
-	s, gpm := c.s, c.s.gpmOf(c.g)
+	s, gpm := c.s, c.s.gpmOf(c.g())
 	c.writeCopy(gpm)
 	c.writeDRAM(gpm)
 	if !c.is(flagWB) {
-		s.emit(Event{Kind: EvHomeStore, GPM: c.g, SM: NoSM, Line: c.line,
-			Addr: c.op.Addr, Scope: c.op.Scope, Op: c.op.Kind, Val: c.op.Val})
+		s.emit(Event{Kind: EvHomeStore, GPM: c.g(), SM: NoSM, Line: c.line(),
+			Addr: c.addr, Scope: c.scope, Op: c.kind, Val: c.val})
 	}
-	line, sm, gates := c.line, c.sm, c.gates
+	line, sm, gates := c.line(), c.writer(), c.gates
 	c.release()
 	if s.Cfg.Policy.MCA {
 		gpm.unlockLine(line)
@@ -616,7 +635,9 @@ func (s *System) sendInvs(from *GPM, region directory.Region, targets directory.
 			from.invIntra.Start()
 		}
 		c := s.newCtx(stageInvDeliver)
-		c.from, c.g, c.line = from.id, dest, line
+		c.setFrom(from.id)
+		c.setG(dest)
+		c.setLine(line)
 		c.setFlag(flagForward, isGPU)
 		c.setFlag(flagIntra, intra)
 		s.send(from.id, dest, msg.Inv, c)
@@ -654,7 +675,7 @@ func (s *System) invalidateAt(g topo.GPMID, line topo.Line) {
 // target. A GPU-home target forwards it to its own sharers; c stays live
 // until the last forward is delivered.
 func (s *System) invDelivered(c *opCtx) {
-	dest, line := c.g, c.line
+	dest, line := c.g(), c.line()
 	s.invalidateAt(dest, line)
 	d := s.gpmOf(dest)
 	if !c.is(flagForward) || d.Dir == nil {
@@ -671,15 +692,18 @@ func (s *System) invDelivered(c *opCtx) {
 	for !fw.IsEmpty() {
 		id, _ := fw.Pop()
 		f := s.newCtx(stageInvForward)
-		f.up, f.g, f.line = c, s.Cfg.Topo.GPM(d.gpu, id), line
-		s.send(dest, f.g, msg.Inv, f)
+		to := s.Cfg.Topo.GPM(d.gpu, id)
+		f.up = c
+		f.setG(to)
+		f.setLine(line)
+		s.send(dest, to, msg.Inv, f)
 	}
 }
 
 // invFinished ends an invalidation whose whole fan-out has been
 // delivered: release its context, then count it done at the sender.
 func (c *opCtx) invFinished() {
-	from, intra := c.s.gpmOf(c.from), c.is(flagIntra)
+	from, intra := c.s.gpmOf(c.from()), c.is(flagIntra)
 	c.release()
 	from.invAll.Finish()
 	if intra {
@@ -698,8 +722,12 @@ func (s *System) sendInvsAcked(from *GPM, region directory.Region, targets direc
 	for !targets.IsEmpty() {
 		id, isGPU := targets.Pop()
 		c := s.newCtx(stageMCAInv)
-		c.up, c.from, c.g, c.line = store, from.id, s.invDest(from, id, isGPU, line), line
-		s.send(from.id, c.g, msg.Inv, c)
+		to := s.invDest(from, id, isGPU, line)
+		c.up = store
+		c.setFrom(from.id)
+		c.setG(to)
+		c.setLine(line)
+		s.send(from.id, to, msg.Inv, c)
 	}
 }
 
@@ -720,15 +748,15 @@ func (s *System) sendInvsAcked(from *GPM, region directory.Region, targets direc
 // loadDone hands the value on to atomicApply.
 func (sm *SM) startAtomic(c *opCtx) {
 	s := sm.sys
-	if c.op.Scope <= trace.ScopeCTA {
+	if c.scope <= trace.ScopeCTA {
 		// RMW through the L1: fetch the line if absent, modify locally,
 		// write the result through as an ordinary store.
 		sm.startLoad(c)
 		return
 	}
-	c.line = s.Cfg.Topo.LineOf(c.op.Addr)
-	c.g, c.stage = sm.gpm, stageAtomicLock
-	if c.op.Scope > trace.ScopeGPM {
+	c.setG(sm.gpm)
+	c.stage = stageAtomicLock
+	if c.scope > trace.ScopeGPM {
 		sm.gpuHomeGate.Start()
 		sm.sysHomeGate.Start()
 		c.stage = stageAtomicRoute
@@ -739,13 +767,14 @@ func (sm *SM) startAtomic(c *opCtx) {
 // atomicRoute sends a .gpu or .sys atomic to the home node of its scope
 // one L1 latency after issue.
 func (s *System) atomicRoute(c *opCtx) {
-	sm := c.sm
-	c.g = s.Pages.SysHome(c.line)
-	if c.op.Scope == trace.ScopeGPU && s.Cfg.Policy.Hierarchical {
-		c.g = s.Pages.GPUHome(sm.gpu, c.line)
+	sm, line := c.warp().sm, c.line()
+	home := s.Pages.SysHome(line)
+	if c.scope == trace.ScopeGPU && s.Cfg.Policy.Hierarchical {
+		home = s.Pages.GPUHome(sm.gpu, line)
 	}
+	c.setG(home)
 	c.stage = stageAtomicLock
-	s.send(sm.gpm, c.g, msg.AtomicReq, c)
+	s.send(sm.gpm, home, msg.AtomicReq, c)
 }
 
 // atomicAtL2 performs the atomic carried by c at GPM c.g one L2 latency
@@ -755,8 +784,8 @@ func (s *System) atomicRoute(c *opCtx) {
 // misses: a .gpm atomic through the normal hierarchy, a GPU home from
 // the system home, and the system home from its DRAM.
 func (s *System) atomicAtL2(c *opCtx) {
-	sm, line, gpm := c.sm, c.line, s.gpmOf(c.g)
-	if c.op.Scope > trace.ScopeGPM {
+	sm, line, gpm := c.warp().sm, c.line(), s.gpmOf(c.g())
+	if c.scope > trace.ScopeGPM {
 		s.storeTransition(gpm, s.flatRequester(sm.gpm, gpm.id), sm.gpm == gpm.id, line)
 	}
 	if _, hit := gpm.L2.Lookup(line); hit {
@@ -764,7 +793,7 @@ func (s *System) atomicAtL2(c *opCtx) {
 		c.atomicApply(v)
 		return
 	}
-	if c.op.Scope == trace.ScopeGPM {
+	if c.scope == trace.ScopeGPM {
 		s.requesterL2Load(c)
 		return
 	}
@@ -772,17 +801,28 @@ func (s *System) atomicAtL2(c *opCtx) {
 	s.fetchLine(gpm, s.Pages.SysHome(line), c)
 }
 
-// atomicApply completes the read-modify-write of the atomic carried by
-// c on old, the value its line held. A .cta or .gpm atomic writes its
-// result through as a plain store and resumes its warp at once. At a
-// home node the atomic releases its line and replies to the requester;
-// a GPU home also writes the result through to the system home.
-func (c *opCtx) atomicApply(old uint64) {
-	s, sm, w, op, line, word := c.s, c.sm, c.w, c.op, c.line, c.word()
-	newVal := old + op.Val
-	if op.Val == 0 {
-		newVal = old + 1
+// atomicResult is the value an atomic with operand v leaves in a word
+// that held old: old plus v, or old plus one for a zero operand.
+func atomicResult(old, v uint64) uint64 {
+	if v == 0 {
+		return old + 1
 	}
+	return old + v
+}
+
+// atomicApply completes the read-modify-write of the atomic carried by
+// c on old, the value its line held.
+func (c *opCtx) atomicApply(old uint64) { c.atomicWrite(atomicResult(old, c.val)) }
+
+// atomicWrite completes the atomic carried by c with its result newVal.
+// A .cta or .gpm atomic writes its result through as a plain store and
+// resumes its warp at once. At a home node the atomic releases its line
+// and replies to the requester; a GPU home also writes the result
+// through to the system home.
+func (c *opCtx) atomicWrite(newVal uint64) {
+	s, w, line, word := c.s, c.warp(), c.line(), c.word()
+	sm := w.sm
+	op := c.op()
 	stOp := op
 	stOp.Val = newVal
 	switch {
@@ -810,9 +850,9 @@ func (c *opCtx) atomicApply(old uint64) {
 		sm.startStore(stOp)
 		w.blocked = false
 		w.opDone()
-	case c.g != s.Pages.SysHome(line):
+	case c.g() != s.Pages.SysHome(line):
 		// At a GPU home node.
-		h := c.g
+		h := c.g()
 		gpm := s.gpmOf(h)
 		if s.Cfg.TrackValues {
 			if _, hit := gpm.L2.Peek(line); hit {
@@ -827,10 +867,11 @@ func (c *opCtx) atomicApply(old uint64) {
 		c.stage = stageSyncDone
 		s.send(h, sm.gpm, msg.AtomicResp, c)
 		st := s.newCtx(stageNone)
-		st.sm, st.op, st.line, st.gates = sm, stOp, line, gateSys
+		st.owner, st.gates = int32(sm.id), gateSys
+		st.setOp(stOp)
 		s.sendSysHome(st, h, proto.GPURequester(int(gpm.gpu)))
 	default:
-		sh := c.g
+		sh := c.g()
 		gpm := s.gpmOf(sh)
 		if s.Cfg.TrackValues {
 			if _, hit := gpm.L2.Peek(line); hit {
@@ -855,15 +896,15 @@ func (c *opCtx) atomicApply(old uint64) {
 // completion) only finishes when every sharer has acknowledged. This is
 // the latency HMG's non-multi-copy-atomic design eliminates.
 func (s *System) sysHomeStoreMCA(c *opCtx) {
-	gpm := s.gpmOf(c.g)
+	gpm := s.gpmOf(c.g())
 	var inv directory.Sharers
 	if gpm.Dir != nil {
 		var evR directory.Region
 		var evict directory.Sharers
 		if c.is(flagLocal) {
-			inv = gpm.Dir.LocalStore(c.line)
+			inv = gpm.Dir.LocalStore(c.line())
 		} else {
-			inv, evR, evict = gpm.Dir.RemoteStore(c.line, c.req())
+			inv, evR, evict = gpm.Dir.RemoteStore(c.line(), c.req())
 		}
 		// Eviction fan-out keeps the ack-free background path; only the
 		// store's own invalidations require acks.
@@ -873,5 +914,5 @@ func (s *System) sysHomeStoreMCA(c *opCtx) {
 		c.storeDone()
 		return
 	}
-	s.sendInvsAcked(gpm, gpm.Dir.Dir.RegionOf(c.line), inv, c)
+	s.sendInvsAcked(gpm, gpm.Dir.Dir.RegionOf(c.line()), inv, c)
 }

@@ -103,7 +103,9 @@ func (s *System) broadcastInv(home *GPM, l topo.Line) {
 			home.invIntra.Start()
 		}
 		c := s.newCtx(stageCarveInv)
-		c.from, c.g, c.line = home.id, dest, first
+		c.setFrom(home.id)
+		c.setG(dest)
+		c.setLine(first)
 		c.setFlag(flagIntra, intra)
 		s.send(home.id, dest, msg.Inv, c)
 	}

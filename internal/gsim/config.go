@@ -8,6 +8,7 @@ package gsim
 
 import (
 	"fmt"
+	"math"
 
 	"hmg/internal/cache"
 	"hmg/internal/directory"
@@ -112,6 +113,10 @@ func DefaultConfig(smPerGPM int, policy proto.Kind) Config {
 	}
 }
 
+// MaxGPMs is the largest machine gsim simulates: a pooled context names
+// GPMs in 16 bits.
+const MaxGPMs = math.MaxInt16
+
 // Validate checks the configuration for internal consistency.
 func (c Config) Validate() error {
 	if err := c.Topo.Validate(); err != nil {
@@ -134,6 +139,9 @@ func (c Config) Validate() error {
 			return fmt.Errorf("gsim: %v tracks global GPM ids: topology %v has %d GPMs, exceeding the %d-id sharer space",
 				c.Policy.Kind, c.Topo, c.Topo.TotalGPMs(), directory.MaxSharerIDs)
 		}
+	}
+	if c.Topo.NumGPUs > MaxGPMs/c.Topo.GPMsPerGPU {
+		return fmt.Errorf("gsim: topology %v has more than the %d GPMs a pooled context can name", c.Topo, MaxGPMs)
 	}
 	// The write-back option shares the write-through route, which under
 	// GPU-VI locks its home line for acknowledgments and under CARVE

@@ -164,7 +164,7 @@ func TestPooledContextsDrain(t *testing.T) {
 	if n := s.LiveContexts(); n != 0 {
 		t.Fatalf("%d pooled contexts live after the run drained", n)
 	}
-	c := s.newCtx(stageOpDone)
+	c := s.newCtx(stageNone)
 	if n := s.LiveContexts(); n != 1 {
 		t.Fatalf("LiveContexts = %d with one context drawn, want 1", n)
 	}

@@ -25,7 +25,7 @@ const (
 	// background invalidation delivered (Aux is the kernel index).
 	EvKernelDrained
 	// EvLoadDone fires when a Load or LoadAcq completes at its SM with
-	// the observed word value in Val.
+	// the observed word value in Val; Warp names the issuing warp.
 	EvLoadDone
 	// EvStoreIssue fires when a store enters the memory system at its SM
 	// (before the write-through propagates). Val is the stored value.
@@ -95,14 +95,19 @@ const NoSM topo.SMID = -1
 
 // Event is one cycle-stamped hook notification. Fields beyond Cycle and
 // Kind are populated per kind: GPM is the module where the event took
-// effect, SM the issuing SM (NoSM for home-side events), Line/Addr the
-// affected location, Scope/Op/Val the triggering operation's identity
-// and value, and Aux a kind-specific count or index.
+// effect, SM the issuing SM (NoSM for home-side events), Warp the
+// issuing warp of an EvLoadDone, Line/Addr the affected location,
+// Scope/Op/Val the triggering operation's identity and value, and Aux a
+// kind-specific count or index.
+//
+// A warp is named by its index in its kernel's launch order: CTA by
+// CTA, each CTA's warps in trace order, skipping warps with no ops.
 type Event struct {
 	Cycle engine.Cycle
 	Kind  EventKind
 	GPM   topo.GPMID
 	SM    topo.SMID
+	Warp  int32
 	Line  topo.Line
 	Addr  topo.Addr
 	Scope trace.Scope

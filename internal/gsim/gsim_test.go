@@ -121,6 +121,19 @@ func TestConfigValidate(t *testing.T) {
 	if bad2.Validate() == nil {
 		t.Error("mismatched line size accepted")
 	}
+	// A pooled context names GPMs in 16 bits: the largest machine is
+	// accepted, one GPM more is an error rather than a panic, and so is
+	// a shape whose GPM count overflows.
+	for _, tc := range []struct {
+		gpus, gpms int
+		ok         bool
+	}{{MaxGPMs, 1, true}, {MaxGPMs + 1, 1, false}, {1 << 16, 1 << 16, false}, {1 << 62, 1 << 62, false}} {
+		big := tinyConfig(proto.SWHier)
+		big.Topo.NumGPUs, big.Topo.GPMsPerGPU = tc.gpus, tc.gpms
+		if err := big.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%dx%d GPMs: Validate = %v", tc.gpus, tc.gpms, err)
+		}
+	}
 }
 
 func TestDefaultConfigMatchesTableII(t *testing.T) {

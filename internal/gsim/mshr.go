@@ -11,8 +11,8 @@ import (
 // Every L2 miss that leaves a GPM merges in its MSHRs: an MSHR entry is
 // a pooled opCtx (stageMSHRFill) holding the waiters merged on one
 // outstanding fetch of a line toward one destination — its line and
-// from fields are the fetch's key — as an intrusive list: the entry
-// holds its newest waiter, and each waiter links to the one before it
+// from are the fetch's key — as an intrusive list: the entry's up holds
+// its newest waiter, and each waiter links to the one before it
 // through opCtx.next, so merging never allocates; fetchDone reverses
 // the list once and runs the waiters in arrival order. A waiter waits on
 // one trigger at a time, so it is on no other list meanwhile. The GPM
@@ -102,7 +102,7 @@ func (t *mshrTable) entry(key fetchKey) *opCtx {
 		return nil
 	}
 	for m := t.slots[i].head; m != nil; m = m.next {
-		if m.from == key.dest {
+		if m.from() == key.dest {
 			return m
 		}
 	}
@@ -112,7 +112,7 @@ func (t *mshrTable) entry(key fetchKey) *opCtx {
 // add inserts the MSHR entry m under its key, which must not have an
 // entry yet. m joins its line's poisoned state.
 func (t *mshrTable) add(m *opCtx) {
-	l := m.line
+	l := m.line()
 	i, ok := t.probe(l)
 	if !ok {
 		if 4*(t.lines+1) > 3*len(t.slots) {
@@ -148,7 +148,7 @@ func (t *mshrTable) grow() {
 // slot — and with it the poisoned flag — when m was the line's last
 // entry.
 func (t *mshrTable) remove(m *opCtx) {
-	i, ok := t.probe(m.line)
+	i, ok := t.probe(m.line())
 	if !ok {
 		panic("gsim: MSHR entry not in its table")
 	}
@@ -208,12 +208,14 @@ func (t *mshrTable) poisoned(l topo.Line) bool {
 // with the response data. Later requests only join the list and get nil.
 func (g *GPM) fetch(key fetchKey, waiter *opCtx) *opCtx {
 	if m := g.mshr.entry(key); m != nil {
-		waiter.next, m.waiters = m.waiters, waiter
+		waiter.next, m.up = m.up, waiter
 		return nil
 	}
 	m := g.sys.newCtx(stageMSHRFill)
-	m.g, m.line, m.from = g.id, key.line, key.dest
-	m.waiters = waiter
+	m.setG(g.id)
+	m.setLine(key.line)
+	m.setFrom(key.dest)
+	m.up = waiter
 	g.mshr.add(m)
 	return m
 }
@@ -226,7 +228,7 @@ func (g *GPM) fetch(key fetchKey, waiter *opCtx) *opCtx {
 func (g *GPM) fetchDone(m *opCtx, fill fillData) {
 	g.mshr.remove(m)
 	var first *opCtx
-	for w := m.waiters; w != nil; {
+	for w := m.up; w != nil; {
 		w.next, first, w = first, w, w.next
 	}
 	for w := first; w != nil; {

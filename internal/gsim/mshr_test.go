@@ -25,7 +25,8 @@ func TestMSHRTableMatchesModel(t *testing.T) {
 	g := s.GPMs[0]
 	g.mshr = newMSHRTable(make([]mshrSlot, 8))
 	sm := s.SMs[0]
-	w := &warpCtx{sm: sm}
+	s.warps = []warpCtx{{sm: sm}}
+	w := &s.warps[0]
 	// Waiters are plain loads that skip the L1; each one's address is
 	// its arrival number, and completion order is recorded through
 	// their EvLoadDone events.
@@ -33,9 +34,8 @@ func TestMSHRTableMatchesModel(t *testing.T) {
 	onLoad(s, func(ev Event) { ran = append(ran, ev.Addr) })
 	arrivals := 0
 	newWaiter := func() *opCtx {
-		c := s.newCtx(stageLoadFill)
-		c.sm, c.w = sm, w
-		c.op = trace.Op{Kind: trace.Load, Addr: topo.Addr(4 * arrivals)}
+		c := w.newOpCtx(trace.Op{Kind: trace.Load, Addr: topo.Addr(4 * arrivals)})
+		c.stage = stageLoadFill
 		arrivals++
 		w.inflight++
 		sm.inflight++
@@ -132,7 +132,7 @@ func TestMSHRTableMatchesModel(t *testing.T) {
 				entries[k] = m
 				live = append(live, k)
 			}
-			waiters[k] = append(waiters[k], wt.op.Addr)
+			waiters[k] = append(waiters[k], wt.addr)
 		case op < 8 && len(live) > 0:
 			i := rng.Intn(len(live))
 			k := live[i]
@@ -199,7 +199,8 @@ func TestMSHRMergeAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, sm := s.GPMs[0], s.SMs[0]
-	w := &warpCtx{sm: sm}
+	s.warps = []warpCtx{{sm: sm}}
+	w := &s.warps[0]
 	ran, arrived := make([]topo.Addr, 0, 64), make([]topo.Addr, 0, 64)
 	onLoad(s, func(ev Event) { ran = append(ran, ev.Addr) })
 	waiters := 4
@@ -208,15 +209,14 @@ func TestMSHRMergeAllocatesNothing(t *testing.T) {
 		ran, arrived = ran[:0], arrived[:0]
 		var m *opCtx
 		for i := 0; i < waiters; i++ {
-			c := s.newCtx(stageLoadFill)
-			c.sm, c.w = sm, w
-			c.op = trace.Op{Kind: trace.Load, Addr: topo.Addr(4 * i)}
+			c := w.newOpCtx(trace.Op{Kind: trace.Load, Addr: topo.Addr(4 * i)})
+			c.stage = stageLoadFill
 			w.inflight++
 			sm.inflight++
 			if e := g.fetch(fetchKey{line: 7, dest: 1}, c); e != nil {
 				m = e
 			}
-			arrived = append(arrived, c.op.Addr)
+			arrived = append(arrived, c.addr)
 		}
 		g.fetchDone(m, nil)
 	}
@@ -249,7 +249,7 @@ func TestPoisonedFillNotInstalled(t *testing.T) {
 	if _, hit := g.L2.Peek(line); hit {
 		t.Fatal("poisoned fill installed")
 	}
-	m.waiters = nil
+	m.up = nil
 	placeholder.release()
 	g.fetchDone(m, nil)
 	if g.mshr.poisoned(line) || g.mshr.lines != 0 {
@@ -261,10 +261,31 @@ func TestPoisonedFillNotInstalled(t *testing.T) {
 	}
 }
 
-// TestOpCtxFitsTwoLines: a pooled context fits two 64-byte cache lines,
-// so release zeroes, and each hop touches, at most 128 bytes.
-func TestOpCtxFitsTwoLines(t *testing.T) {
-	if n := unsafe.Sizeof(opCtx{}); n > 128 {
-		t.Fatalf("opCtx is %d bytes, want at most 128", n)
+// TestOpCtxFitsOneLine: a pooled context is one 64-byte cache line,
+// and every slab of the pool starts on a line boundary, so each hop
+// touches, and release zeroes, exactly one host cache line.
+func TestOpCtxFitsOneLine(t *testing.T) {
+	if n := unsafe.Sizeof(opCtx{}); n != 64 {
+		t.Fatalf("opCtx is %d bytes, want 64", n)
+	}
+	s, err := New(tinyConfig(proto.HMG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Draw enough contexts to grow several slabs.
+	var drawn []*opCtx
+	for i := 0; i < 8*ctxSlabMin; i++ {
+		drawn = append(drawn, s.newCtx(stageNone))
+	}
+	if s.numCtxSlabs < 3 {
+		t.Fatalf("the pool grew %d slabs, want at least 3", s.numCtxSlabs)
+	}
+	for i, slab := range s.ctxSlabs[:s.numCtxSlabs] {
+		if a := uintptr(unsafe.Pointer(&slab[0])); a%64 != 0 {
+			t.Errorf("slab %d starts at %#x, not on a 64-byte boundary", i, a)
+		}
+	}
+	for _, c := range drawn {
+		c.release()
 	}
 }

@@ -51,6 +51,10 @@ package gsim
 //   - the kernel-drain context walks every store and invalidation gate
 //     at a kernel boundary.
 //
+// A warp's own steps take no context: its timed wakeup and the
+// completion of a posted store are scheduled on the warp itself
+// (warpWake and storePosted in sm.go).
+//
 // Pooling invariant: a context has exactly one owner at a time — the
 // event queue or network (scheduled or in flight), the context it is
 // the sink of (waiting for a fill), the MSHR entry, line lock or drain
@@ -71,7 +75,6 @@ package gsim
 // therefore cycle-level results — match the committed baselines.
 
 import (
-	"hmg/internal/cache"
 	"hmg/internal/engine"
 	"hmg/internal/msg"
 	"hmg/internal/proto"
@@ -116,13 +119,6 @@ const (
 	// the response; scheduled, its home's DRAM read has completed and
 	// the line is installed in the home's slice first.
 	stageMSHRFill
-
-	// Warps.
-
-	// stageOpDone retires a posted op at its warp: w.opDone().
-	stageOpDone
-	// stageWarpWake clears a warp's timed-wakeup flag and re-issues.
-	stageWarpWake
 
 	// Writes: a write-through carries one store from issue, a
 	// write-back one dirty line from its flush or eviction; both take
@@ -173,6 +169,9 @@ const (
 	// stageAtomicAtL2 performs the atomic one L2 latency after it took
 	// the lock.
 	stageAtomicAtL2
+	// stageAtomicL1Hit applies a .cta atomic that hit its L1, whose
+	// result val already holds, one L1 latency after issue.
+	stageAtomicL1Hit
 	// stageSyncDone unblocks a warp whose atomic or release completed
 	// and retires the op.
 	stageSyncDone
@@ -239,44 +238,46 @@ func (sm *SM) finishGates(gs gateSet) {
 
 // opCtx is the pooled context. It is a union: each step reads only the
 // fields its site filled in. Release zeroes it, so the pool never pins
-// caches, contexts, or fill maps. It fits two 64-byte cache lines
-// (TestOpCtxFitsTwoLines): ids and counters are 32 bits, the bools share
-// one flags byte, and what a context implies is derived rather than
-// stored — the word from op.Addr, an MSHR entry's key from line and
+// caches, contexts, or fill maps. It is one 64-byte cache line
+// (TestOpCtxFitsOneLine), so each hop touches one host line and release
+// zeroes one: ids and counters are 32 bits or less, the bools share one
+// flags byte, and what a context implies is derived rather than stored —
+// the line and word from addr, an MSHR entry's key from its line and
 // from, an invalidation's region and granularity from the receiving
-// directory, and the kernel drain's gate index lives in pending.
+// directory, a warp-bound context's SM from its warp, and the kernel
+// drain's gate index lives in pending. The line data a response or a
+// write-back carries lives beside the pool (ctxData), because only
+// value-tracking runs have any.
 //
 // DESIGN.md "Pooled contexts" tables the fields each role uses.
 //
 // Folding rule: two roles share a field only where the pooling
 // invariant proves a context never holds both. A context reports to one
 // context at a time — a request context's sink or a fan-out child's
-// parent — so both live in up. A context is linked into one list at a
-// time — a line lock's queue, its line's MSHR chain (entries), an MSHR
-// entry's waiters, or the free list — because it waits on one trigger
-// at a time, so every list links through next.
+// parent — and an MSHR entry reports to none, so all three live in up.
+// A context is linked into one list at a time — a line lock's queue,
+// its line's MSHR chain (entries), an MSHR entry's waiters, or the free
+// list — because it waits on one trigger at a time, so every list links
+// through next. A load's op value is never read (EvLoadDone carries the
+// loaded value), so its L1-hit value takes val; a load has no requester
+// and no children, so its issue cycle takes reqID and pending.
 type opCtx struct {
-	s  *System
-	sm *SM
-	w  *warpCtx
+	s *System
 	// up is the context this one reports to: a request context's sink
 	// (the MSHR entry its DataResp fills), or a fan-out child's parent.
+	// An MSHR entry's up heads its merged waiters, newest first (linked
+	// through next); fetchDone runs them oldest first.
 	up *opCtx
-	// data is the line a response or a write-back carries.
-	data fillData
-	// waiters heads an MSHR entry's merged waiters, newest first
-	// (linked through next); fetchDone runs them oldest first.
-	waiters *opCtx
 	// next links the context into the one list it is on (see above).
 	next *opCtx
 
-	op     trace.Op
-	line   topo.Line
-	v      uint64       // a load's L1-hit value
-	issued engine.Cycle // load issue time, for latency statistics
-
-	g    topo.GPMID // home, destination, or acting GPM of the step
-	from topo.GPMID // requesting or originating GPM; an MSHR entry's fetch destination
+	// addr is the op's address; a role that carries only a line stores
+	// the line's base address (setLine).
+	addr topo.Addr
+	// val is the op's value: what a store writes or an atomic adds (a
+	// .cta atomic that hit its L1 holds its result); a load's L1-hit
+	// value.
+	val uint64
 	// reqID is the requester id a write or downgrade applies for; its
 	// kind is flagReqGPU.
 	reqID int32
@@ -284,10 +285,20 @@ type opCtx struct {
 	// or a release's fence acks still outstanding; the kernel drain's
 	// next gate within its pass.
 	pending int32
+	// owner is a warp-bound context's warp (load, atomic, release), an
+	// index into System.warps, or a write's SM, an index into System.SMs.
+	owner int32
+	// g16 is the home, destination, or acting GPM of the step; from16 the
+	// requesting or originating GPM, or an MSHR entry's fetch
+	// destination. Config.Validate bounds machines at MaxGPMs so both
+	// fit 16 bits (g and from).
+	g16, from16 int16
 
 	stage ctxStage
 	flags ctxFlags
 	gates gateSet
+	kind  trace.OpKind
+	scope trace.Scope
 }
 
 // ctxFlags packs a context's booleans.
@@ -327,14 +338,90 @@ func (c *opCtx) setReq(r proto.Requester) {
 	c.setFlag(flagReqGPU, r.IsGPU)
 }
 
+// g returns the home, destination, or acting GPM of the step.
+func (c *opCtx) g() topo.GPMID { return topo.GPMID(c.g16) }
+
+// from returns the requesting or originating GPM, or an MSHR entry's
+// fetch destination.
+func (c *opCtx) from() topo.GPMID { return topo.GPMID(c.from16) }
+
+// setG records the GPM the next step acts at.
+func (c *opCtx) setG(g topo.GPMID) { c.g16 = int16(g) }
+
+// setFrom records the requesting or originating GPM.
+func (c *opCtx) setFrom(g topo.GPMID) { c.from16 = int16(g) }
+
+// line returns the line the context's address falls in.
+func (c *opCtx) line() topo.Line { return c.s.lineOf(c.addr) }
+
+// setLine makes a context that carries only a line address the line's
+// base.
+func (c *opCtx) setLine(l topo.Line) { c.addr = topo.Addr(uint64(l) << c.s.lineShift) }
+
 // word returns the line-relative word the context's op addresses.
-func (c *opCtx) word() uint16 { return cache.WordOf(c.op.Addr, c.s.Cfg.Topo.LineSize) }
+func (c *opCtx) word() uint16 { return c.s.wordOf(c.addr) }
+
+// op returns the op the context carries. Its Gap is zero: a gap is
+// spent before issue.
+func (c *opCtx) op() trace.Op {
+	return trace.Op{Addr: c.addr, Val: c.val, Kind: c.kind, Scope: c.scope}
+}
+
+// setOp records the op the context carries.
+func (c *opCtx) setOp(op trace.Op) {
+	c.addr, c.val, c.kind, c.scope = op.Addr, op.Val, op.Kind, op.Scope
+}
+
+// warp returns the warp a load, atomic or release context belongs to.
+func (c *opCtx) warp() *warpCtx { return &c.s.warps[c.owner] }
+
+// writer returns the SM whose store gates a write context releases.
+func (c *opCtx) writer() *SM { return c.s.SMs[c.owner] }
+
+// issued returns a load's issue cycle, kept in reqID (low half) and
+// pending (high half).
+func (c *opCtx) issued() engine.Cycle {
+	return engine.Cycle(uint64(uint32(c.reqID)) | uint64(uint32(c.pending))<<32)
+}
+
+// setIssued records a load's issue cycle.
+func (c *opCtx) setIssued(t engine.Cycle) {
+	c.reqID, c.pending = int32(uint32(t)), int32(uint32(t>>32))
+}
+
+// data returns the line data a response or a write-back context
+// carries: nil unless the run tracks values.
+func (c *opCtx) data() fillData {
+	if !c.s.Cfg.TrackValues {
+		return nil
+	}
+	return c.s.ctxData[c]
+}
+
+// setData makes c carry line data; a no-op unless the run tracks
+// values, whose contexts keep it in the System's ctxData until release.
+//
+//lint:allow hotalloc value-tracking side store; timing runs never reach the map
+func (c *opCtx) setData(d fillData) {
+	s := c.s
+	if !s.Cfg.TrackValues {
+		return
+	}
+	if s.ctxData == nil {
+		s.ctxData = make(map[*opCtx]fillData)
+	}
+	s.ctxData[c] = d
+}
 
 // ctxSlabMin is the size of the first slab of contexts; later slabs
 // double the pool, up to maxCtxSlabs slabs: ctxSlabMin << 31 contexts,
-// far beyond any machine's memory.
+// far beyond any machine's memory. A slab of ctxSlabMin contexts is
+// 32 KB, which the Go allocator places as a large object on a page
+// boundary, so every context starts a host cache line; a smaller slab
+// is a small object whose 8-byte type header would put each context
+// across two lines (TestOpCtxFitsOneLine).
 const (
-	ctxSlabMin  = 256
+	ctxSlabMin  = 512
 	maxCtxSlabs = 32
 )
 
@@ -375,13 +462,16 @@ func (s *System) threadCtxs(slab []opCtx) {
 	}
 }
 
-// release zeroes the context and returns it to the free list.
-// Releasing a context twice panics.
+// release zeroes the context, drops any line data it carries, and
+// returns it to the free list. Releasing a context twice panics.
 func (c *opCtx) release() {
 	if c.stage == stageFree {
 		panic("gsim: opCtx released twice")
 	}
 	s := c.s
+	if s.Cfg.TrackValues {
+		delete(s.ctxData, c)
+	}
 	*c = opCtx{s: s, stage: stageFree, next: s.ctxFree}
 	s.ctxFree = c
 	s.liveCtxs--
@@ -404,17 +494,17 @@ func (c *opCtx) Handle() {
 	s := c.s
 	switch c.stage {
 	case stageLoadValue:
-		c.loadDone(c.v)
+		c.loadDone(c.val)
 	case stageLoadMiss:
 		s.requesterL2Load(c)
 	case stageRequesterProbe:
-		l2 := s.gpmOf(c.from).L2
-		if _, hit := l2.Lookup(c.line); hit {
-			c.loadFilled(l2.Values(c.line))
+		gpm, line := s.gpmOf(c.from()), c.line()
+		if _, hit := gpm.L2.Lookup(line); hit {
+			c.loadFilled(gpm.L2.Values(line))
 			return
 		}
 		c.stage = stageLoadFill
-		s.fetchLine(s.gpmOf(c.from), c.g, c)
+		s.fetchLine(gpm, c.g(), c)
 	case stageLoadReq:
 		s.homeLoad(c)
 	case stageHomeLoad:
@@ -422,29 +512,20 @@ func (c *opCtx) Handle() {
 	case stageDataResp:
 		if c.up == nil {
 			// An unmerged load, back on its own context.
-			c.loadFilled(c.data)
+			c.loadFilled(c.data())
 			return
 		}
-		from, line, fill, fillHere, sink := c.from, c.line, c.data, c.is(flagFillHere), c.up
+		from, line, fill, fillHere, sink := c.from(), c.line(), c.data(), c.is(flagFillHere), c.up
 		c.release()
 		s.fillL2(from, line, fill, fillHere)
 		sink.filled(fill)
 	case stageMSHRFill:
 		s.dramFilled(c)
-	case stageOpDone:
-		w := c.w
-		c.release()
-		w.opDone()
-	case stageWarpWake:
-		w := c.w
-		c.release()
-		w.wakeup = false
-		w.tryIssue()
 	case stageStartStore:
 		s.storeAfterL1(c)
 	case stageStoreWB:
-		if s.tryWriteBackHit(c.sm.gpm, c.line, c.word(), c.op.Val) {
-			sm := c.sm
+		sm := c.writer()
+		if s.tryWriteBackHit(sm.gpm, c.line(), c.word(), c.val) {
 			c.release()
 			sm.finishGates(gateGPU | gateSys)
 			return
@@ -462,7 +543,7 @@ func (c *opCtx) Handle() {
 	case stageInvDeliver:
 		s.invDelivered(c)
 	case stageInvForward:
-		parent, dest, line := c.up, c.g, c.line
+		parent, dest, line := c.up, c.g(), c.line()
 		c.release()
 		s.invalidateAt(dest, line)
 		parent.pending--
@@ -470,11 +551,11 @@ func (c *opCtx) Handle() {
 			parent.invFinished()
 		}
 	case stageCarveInv:
-		home, dest, first, intra := c.from, c.g, c.line, c.is(flagIntra)
+		home, dest, first, intra := c.from(), c.g(), c.line(), c.is(flagIntra)
 		c.release()
 		s.carveInvDelivered(home, dest, first, intra)
 	case stageDowngrade:
-		home, line, req, from := c.g, c.line, c.req(), c.from
+		home, line, req, from := c.g(), c.line(), c.req(), c.from()
 		c.release()
 		s.downgrading--
 		if d := s.gpmOf(home).Dir; d != nil {
@@ -485,19 +566,21 @@ func (c *opCtx) Handle() {
 		s.atomicRoute(c)
 	case stageAtomicLock:
 		c.stage = stageAtomicLocked
-		s.gpmOf(c.g).lockLine(c.line, c)
+		s.gpmOf(c.g()).lockLine(c.line(), c)
 	case stageAtomicLocked:
 		c.stage = stageAtomicAtL2
 		s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
 	case stageAtomicAtL2:
 		s.atomicAtL2(c)
+	case stageAtomicL1Hit:
+		c.atomicWrite(c.val)
 	case stageSyncDone:
-		w := c.w
+		w := c.warp()
 		c.release()
 		w.blocked = false
 		w.opDone()
 	case stageMCALoadLocked:
-		s.gpmOf(c.g).unlockLine(c.line)
+		s.gpmOf(c.g()).unlockLine(c.line())
 		s.sysHomeLoadUnlocked(c)
 	case stageMCAStoreLocked:
 		c.stage = stageMCAStoreAtL2
@@ -505,9 +588,9 @@ func (c *opCtx) Handle() {
 	case stageMCAStoreAtL2:
 		s.sysHomeStoreMCA(c)
 	case stageMCAInv:
-		s.invalidateAt(c.g, c.line)
+		s.invalidateAt(c.g(), c.line())
 		c.stage = stageMCAInvAck
-		s.send(c.g, c.from, msg.InvAck, c)
+		s.send(c.g(), c.from(), msg.InvAck, c)
 	case stageMCAInvAck:
 		store := c.up
 		c.release()
@@ -521,19 +604,20 @@ func (c *opCtx) Handle() {
 		// flush runs after prior stores' absorptions have settled (the
 		// gate wait that ran this step) and its own writes are covered
 		// by the next wait.
+		sm := c.warp().sm
 		if s.Cfg.WriteBack {
-			s.flushDirtySlice(c.sm.gpm, c.sm)
+			s.flushDirtySlice(sm.gpm, sm)
 		}
 		c.stage = stageReleaseFence
-		c.sm.releaseGate(c.op.Scope).Wait(c)
+		sm.releaseGate(c.scope).Wait(c)
 	case stageReleaseFence:
-		c.sm.fenceInvalidations(c)
+		c.warp().sm.fenceInvalidations(c)
 	case stageFenceProbe:
 		c.stage = stageFenceDrained
 		c.fencedGate().Wait(c)
 	case stageFenceDrained:
 		c.stage = stageFenceAck
-		s.send(c.g, c.from, relAckKind, c)
+		s.send(c.g(), c.from(), relAckKind, c)
 	case stageFenceAck:
 		rel := c.up
 		c.release()
@@ -557,7 +641,7 @@ func (c *opCtx) filled(fill fillData) {
 	case stageHomeLoad:
 		c.served(fill)
 	case stageMSHRFill:
-		c.s.gpmOf(c.g).fetchDone(c, fill)
+		c.s.gpmOf(c.g()).fetchDone(c, fill)
 	default:
 		panic("gsim: opCtx filled with no fill stage")
 	}

@@ -39,19 +39,44 @@ type warpCtx struct {
 	ops      []trace.Op
 	next     int
 	inflight int
-	blocked  bool
 	readyAt  engine.Cycle
+	// id is the warp's index in the kernel's launch order
+	// (System.warps).
+	id       int32
+	blocked  bool
 	wakeup   bool // a timed wakeup event is scheduled
 	finished bool
 }
 
-// addWarp makes warp w resident in the context slot ctx and starts
+// addWarp makes warp w resident in the kernel's warp slot id and starts
 // issuing it.
-func (sm *SM) addWarp(ctx *warpCtx, w *trace.Warp) {
-	*ctx = warpCtx{sm: sm, ops: w.Ops, readyAt: sm.sys.Eng.Now() + engine.Cycle(w.Ops[0].Gap)}
+func (sm *SM) addWarp(id int32, w *trace.Warp) {
+	ctx := &sm.sys.warps[id]
+	*ctx = warpCtx{sm: sm, ops: w.Ops, id: id, readyAt: sm.sys.Eng.Now() + engine.Cycle(w.Ops[0].Gap)}
 	sm.warps = append(sm.warps, ctx)
 	ctx.tryIssue()
 }
+
+// A warp schedules its own steps: the engine holds handlers as
+// interface values, so a warp may be in the queue several times at once
+// under the two handler types below, and no pooled context is drawn.
+
+// warpWake is a warp's timed wakeup: clear the flag and re-issue.
+type warpWake warpCtx
+
+// Handle implements engine.Handler.
+func (ww *warpWake) Handle() {
+	w := (*warpCtx)(ww)
+	w.wakeup = false
+	w.tryIssue()
+}
+
+// storePosted retires one of a warp's posted stores one L1 latency
+// after issue; the write-through goes on in the background.
+type storePosted warpCtx
+
+// Handle implements engine.Handler.
+func (sp *storePosted) Handle() { (*warpCtx)(sp).opDone() }
 
 // poke re-attempts issue on every warp, called when SM-level resources
 // free up.
@@ -85,9 +110,7 @@ func (w *warpCtx) tryIssue() {
 		if now < w.readyAt {
 			if !w.wakeup {
 				w.wakeup = true
-				c := w.sm.sys.newCtx(stageWarpWake)
-				c.w = w
-				w.sm.sys.Eng.ScheduleHandlerAt(w.readyAt, c)
+				w.sm.sys.Eng.ScheduleHandlerAt(w.readyAt, (*warpWake)(w))
 			}
 			return
 		}
@@ -124,16 +147,14 @@ func (w *warpCtx) issue(op trace.Op) {
 			sm.acquireInvalidate(op.Scope)
 		}
 		c := w.newOpCtx(op)
-		c.issued = sys.Eng.Now()
+		c.setIssued(sys.Eng.Now())
 		sm.startLoad(c)
 	case trace.Store:
 		sys.stores++
 		// Posted: the warp sees completion after L1 access; the
 		// write-through proceeds in the background.
 		sm.startStore(op)
-		c := sys.newCtx(stageOpDone)
-		c.w = w
-		sys.Eng.ScheduleHandler(sys.Cfg.L1Latency, c)
+		sys.Eng.ScheduleHandler(sys.Cfg.L1Latency, (*storePosted)(w))
 	case trace.StoreRel:
 		sys.stores++
 		w.blocked = true
@@ -149,7 +170,8 @@ func (w *warpCtx) issue(op trace.Op) {
 // completion; the op's start function sets its first stage.
 func (w *warpCtx) newOpCtx(op trace.Op) *opCtx {
 	c := w.sm.sys.newCtx(stageNone)
-	c.sm, c.w, c.op = w.sm, w, op
+	c.owner = w.id
+	c.setOp(op)
 	return c
 }
 
@@ -200,17 +222,17 @@ func (sm *SM) acquireInvalidate(scope trace.Scope) {
 // releasing store and wait for it to reach the scope's home.
 func (sm *SM) release(c *opCtx) {
 	s := sm.sys
-	if s.Cfg.Policy.NoCoherence || c.op.Scope <= trace.ScopeCTA {
+	if s.Cfg.Policy.NoCoherence || c.scope <= trace.ScopeCTA {
 		// Ideal: the release is an ordinary posted store. A .cta release
 		// orders through the L1 only; prior warp ops have already
 		// drained (sync ops issue with zero warp inflight).
-		sm.startStore(c.op)
+		sm.startStore(c.op())
 		c.stage = stageSyncDone
 		s.Eng.ScheduleHandler(s.Cfg.L1Latency, c)
 		return
 	}
 	c.stage = stageReleaseFlush
-	sm.releaseGate(c.op.Scope).Wait(c)
+	sm.releaseGate(c.scope).Wait(c)
 }
 
 // releaseGate returns the store gate a release of the given scope waits
@@ -230,7 +252,7 @@ func (sm *SM) releaseGate(scope trace.Scope) *drain {
 // background invalidations).
 func (sm *SM) fenceInvalidations(rel *opCtx) {
 	s := sm.sys
-	scope := rel.op.Scope
+	scope := rel.scope
 	if !s.Cfg.Policy.Hardware || scope <= trace.ScopeGPM {
 		// .gpm releases need no invalidation fence: a GPM's threads all
 		// read through the one local slice, so no stale sibling copies
@@ -249,7 +271,9 @@ func (sm *SM) fenceInvalidations(rel *opCtx) {
 			tgt = s.Cfg.Topo.GPM(sm.gpu, i)
 		}
 		p := s.newCtx(stageFenceAck)
-		p.up, p.g, p.from = rel, tgt, sm.gpm
+		p.up = rel
+		p.setG(tgt)
+		p.setFrom(sm.gpm)
 		p.setFlag(flagIntra, scope == trace.ScopeGPU)
 		if tgt == sm.gpm {
 			p.fencedGate().Wait(p)
@@ -263,7 +287,7 @@ func (sm *SM) fenceInvalidations(rel *opCtx) {
 // fencedGate returns the invalidation gate a fence probe waits on at its
 // target: intra-GPU invalidations for a .gpu fence, all of them for .sys.
 func (c *opCtx) fencedGate() *drain {
-	g := c.s.gpmOf(c.g)
+	g := c.s.gpmOf(c.g())
 	if c.is(flagIntra) {
 		return &g.invIntra
 	}
@@ -273,7 +297,8 @@ func (c *opCtx) fencedGate() *drain {
 // releaseStore performs the releasing store of a fenced release and
 // waits for it to reach the scope's home.
 func (c *opCtx) releaseStore() {
-	c.sm.startStore(c.op)
+	sm := c.warp().sm
+	sm.startStore(c.op())
 	c.stage = stageSyncDone
-	c.sm.releaseGate(c.op.Scope).Wait(c)
+	sm.releaseGate(c.scope).Wait(c)
 }

@@ -2,6 +2,7 @@ package gsim
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"hmg/internal/cache"
@@ -127,6 +128,9 @@ type System struct {
 	ctxFree  *opCtx
 	ctxs     int
 	liveCtxs int
+	// lineShift is log2 of the line size: a context derives its line
+	// from its address with it.
+	lineShift uint8
 	// downgrading counts downgrade notices in flight.
 	downgrading int
 	// locks serializes atomic read-modify-writes per line and GPM,
@@ -167,6 +171,10 @@ type storage struct {
 	// not. Each slab doubles the pool, so maxCtxSlabs is never reached.
 	ctxSlabs    [maxCtxSlabs][]opCtx
 	numCtxSlabs int
+	// ctxData holds the line data a response or write-back context
+	// carries, from setData to its release. Only value-tracking runs
+	// have any, so timing runs never make it.
+	ctxData map[*opCtx]fillData
 
 	// flushBuf is the reused buffer of dirty lines a flush walks.
 	flushBuf []cache.Entry
@@ -175,7 +183,8 @@ type storage struct {
 	// assigned to each SM, and the kernel's warps in assignment order.
 	launchGPM, launchSM []int
 	launchWarps         []warpAssignment
-	// warps holds the running kernel's warp contexts and warpLists the
+	// warps holds the running kernel's warp contexts in launch order,
+	// which a warp-bound opCtx names by index (owner), and warpLists the
 	// SMs' warp lists, which point into it. A launch reuses both: the
 	// previous kernel has drained, so no context still holds a warp.
 	warps     []warpCtx
@@ -226,11 +235,13 @@ func (s *System) Reset(cfg Config) error {
 		st.classTable = make(map[directory.Region]classEntry)
 	}
 	clear(st.classTable)
+	clear(st.ctxData)
 	// Drop the last run's pointers into its trace.
 	clear(st.launchWarps[:cap(st.launchWarps)])
 	clear(st.warps[:cap(st.warps)])
 	clear(st.warpLists[:cap(st.warpLists)])
-	*s = System{Eng: eng, Cfg: cfg, Net: net, Pages: pages, GPMs: s.GPMs, SMs: s.SMs, locks: locks, storage: st}
+	*s = System{Eng: eng, Cfg: cfg, Net: net, Pages: pages, GPMs: s.GPMs, SMs: s.SMs, locks: locks, storage: st,
+		lineShift: uint8(bits.TrailingZeros(uint(cfg.Topo.LineSize)))}
 	if cfg.Policy.Classify {
 		s.classes = st.classTable
 	}
@@ -291,6 +302,16 @@ func (s *System) Reset(cfg Config) error {
 // contents for the caller to rebuild; a reallocated slab starts zeroed.
 func reuseParts[T any](slab []T, ptrs []*T, n int) ([]T, []*T) {
 	return slices.Grow(slab[:0], n)[:n], slices.Grow(ptrs[:0], n)[:n]
+}
+
+// lineOf returns the line address a falls in: Topology.LineOf, as a
+// shift.
+func (s *System) lineOf(a topo.Addr) topo.Line { return topo.Line(uint64(a) >> s.lineShift) }
+
+// wordOf returns the line-relative word address a names: cache.WordOf,
+// as a mask and a shift.
+func (s *System) wordOf(a topo.Addr) uint16 {
+	return uint16((uint64(a) & (1<<s.lineShift - 1)) / cache.WordSize)
 }
 
 // gpmOf returns the GPM structure for an id.
@@ -411,7 +432,7 @@ func (s *System) launchKernel(k *trace.Kernel) {
 	}
 	s.warps = slices.Grow(s.warps[:0], len(assigns))[:len(assigns)]
 	for i, a := range assigns {
-		a.sm.addWarp(&s.warps[i], a.warp)
+		a.sm.addWarp(int32(i), a.warp)
 	}
 }
 

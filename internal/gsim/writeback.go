@@ -78,16 +78,18 @@ func (s *System) writeBackLine(g topo.GPMID, sm *SM, line topo.Line, data fillDa
 	sm.gpuHomeGate.Start()
 	sm.sysHomeGate.Start()
 	c := s.newCtx(stageNone)
-	c.sm, c.line, c.flags = sm, line, flagWB
+	c.owner, c.flags = int32(sm.id), flagWB
+	c.setLine(line)
 	if s.Cfg.TrackValues {
 		// A flushed line stays in its slice, whose stores go on
 		// writing into its values, so the write-back carries a
 		// snapshot.
-		c.data = make(fillData, len(data))
+		snap := make(fillData, len(data))
 		//lint:allow determinism word-keyed map copy; every word is written to a distinct key, so order cannot matter
 		for w, v := range data {
-			c.data[w] = v
+			snap[w] = v
 		}
+		c.setData(snap)
 	}
 	sysHome, gpuHome := s.homes(g, line)
 	s.routeWrite(c, g, sysHome, gpuHome)

@@ -52,8 +52,8 @@
 # exactly (the simulator is deterministic), and allocs/event and the
 # bytes each cell's Run and gsim.New allocate must not grow past a small
 # tolerance — the hot path is not yet zero-alloc (the
-# BENCH_2026-10-19.json baseline measures 0.0001-0.0005 allocs/event
-# and 3.0-3.3 MB per Run across the matrix), so the gate blocks growth;
+# BENCH_2026-10-19b.json baseline measures 0.0001-0.0005 allocs/event
+# and 2.0-2.2 MB per Run across the matrix), so the gate blocks growth;
 # wall-clock drift only warns.
 # It reuses the store tier's populated -cachedir, which cross-checks
 # every store record it touches against the freshly measured
@@ -61,8 +61,10 @@
 # matrix on the 16x8 machine against PERF_16x8.json, named outside the
 # BENCH_*.json glob so the newest-baseline pick stays 4x4 (about 25 s).
 #
-# The benchmark fingerprint tier runs the repo benchmark's matrix and
-# campaign-fig8 workloads for one second each: every cell's cycles,
+# The benchmark fingerprint tier runs the repo benchmark's matrix,
+# campaign-fig8 and inval-16x8 workloads for one second each (inval-16x8,
+# about 5 s, is the only gate on the 16x8 NHCC promoted-sharer
+# fingerprints): every cell's cycles,
 # events, ops, L1/L2 hits and invalidation messages must equal the
 # fingerprints pinned in benchmark/, which the run reports as
 # "correct":true on its last line.
@@ -242,7 +244,7 @@ go run ./cmd/hmgperf -against "$BENCH_BASELINE" -cachedir "$RESSTORE_DIR"
 go run ./cmd/hmgperf -topo 16x8 -against PERF_16x8.json
 
 echo "== benchmark fingerprint gate (pinned per-cell simulated fingerprints)"
-for wl in matrix campaign-fig8; do
+for wl in matrix campaign-fig8 inval-16x8; do
   BENCH_LAST="$(bash benchmark/run.sh --workload "$wl" --seed 0 --seconds 1 --trace 0 | tail -1)" || true
   if ! echo "$BENCH_LAST" | grep -q '"correct":true'; then
     echo "benchmark $wl does not match its pinned fingerprints: $BENCH_LAST" >&2
