@@ -253,32 +253,26 @@ func Speedup(name string, cfg Config, scale float64) (float64, error) {
 	base := gsim.DefaultConfig(cfg.Topo.SMsPerGPM, proto.NoRemoteCache)
 	base.Topo = cfg.Topo
 	base.FrequencyHz = cfg.FrequencyHz
-	baseSys, err := NewSystem(base)
+	// Both runs share the topology, so they share one trace: Run never
+	// writes its trace.
+	tr, err := GenerateBenchmark(name, cfg, scale)
 	if err != nil {
 		return 0, err
 	}
-	tr, err := GenerateBenchmark(name, base, scale)
-	if err != nil {
-		return 0, err
+	var cycles [2]float64
+	for i, c := range []Config{base, cfg} {
+		sys, err := NewSystem(c)
+		if err != nil {
+			return 0, err
+		}
+		res, err := sys.Run(tr)
+		if err != nil {
+			return 0, err
+		}
+		cycles[i] = float64(res.Cycles)
 	}
-	baseRes, err := baseSys.Run(tr)
-	if err != nil {
-		return 0, err
-	}
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		return 0, err
-	}
-	tr2, err := GenerateBenchmark(name, cfg, scale)
-	if err != nil {
-		return 0, err
-	}
-	res, err := sys.Run(tr2)
-	if err != nil {
-		return 0, err
-	}
-	if res.Cycles == 0 {
+	if cycles[1] == 0 {
 		return 0, fmt.Errorf("hmg: zero-cycle run")
 	}
-	return float64(baseRes.Cycles) / float64(res.Cycles), nil
+	return cycles[0] / cycles[1], nil
 }

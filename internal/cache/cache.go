@@ -57,12 +57,11 @@ func (c Config) Validate() error {
 
 // Stats counts cache events.
 type Stats struct {
-	Hits, Misses   uint64
-	Fills, Evicts  uint64
-	Invalidations  uint64 // lines invalidated individually
-	BulkInvalLines uint64 // lines invalidated by bulk (acquire) flushes
-	WriteHits      uint64
-	WriteMisses    uint64
+	Hits, Misses  uint64
+	Fills, Evicts uint64
+	Invalidations uint64 // lines invalidated individually
+	WriteHits     uint64
+	WriteMisses   uint64
 }
 
 // Cache is a set-associative cache with true-LRU replacement within each
@@ -83,7 +82,7 @@ type Cache struct {
 	// word-to-value map per resident line, absent words taking the
 	// backing store's value. It stays nil until the first value is
 	// recorded, so only value-tracking runs ever build one. A line's
-	// values leave with it: Invalidate and InvalidateWhere drop them,
+	// values leave with it: Invalidate and InvalidateAll drop them,
 	// and Fill hands an evicted line's to its caller.
 	values map[topo.Line]map[uint16]uint64
 
@@ -248,26 +247,14 @@ func (c *Cache) InvalidateRegion(first topo.Line, n int) int {
 	return dropped
 }
 
-// InvalidateWhere drops every valid line satisfying pred, returning the
-// count. Software coherence's bulk acquire invalidation uses it (pred ==
-// nil drops everything).
-func (c *Cache) InvalidateWhere(pred func(topo.Line) bool) int {
-	dropped := 0
-	for i := range c.entries {
-		if e := &c.entries[i]; e.Valid && (pred == nil || pred(e.Line)) {
-			if pred != nil {
-				delete(c.values, e.Line)
-			}
-			*e = Entry{}
-			c.filled--
-			dropped++
-		}
-	}
-	if pred == nil {
-		clear(c.values)
-	}
-	c.Stats.BulkInvalLines += uint64(dropped)
-	return dropped
+// InvalidateAll drops every line and its values: the bulk
+// invalidation of software coherence's acquires and kernel boundaries.
+// Invalid entries are always zero, so clearing the whole array drops
+// exactly the valid ones.
+func (c *Cache) InvalidateAll() {
+	clear(c.entries)
+	c.filled = 0
+	clear(c.values)
 }
 
 // FlushDirty appends a copy of every dirty entry to dst, in set/way

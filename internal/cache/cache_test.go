@@ -81,7 +81,7 @@ func TestNewSetSharesTwoSlabs(t *testing.T) {
 			t.Fatalf("cache %d sees %d of its neighbour's lines", i, valid)
 		}
 		c.Fill(topo.Line(i))
-		c.InvalidateWhere(nil)
+		c.InvalidateAll()
 	}
 	if mid.Lines() != 4 || mid.Stats.Hits != 0 {
 		t.Fatalf("middle cache: %d lines after its neighbours' fill and flush, want 4", mid.Lines())
@@ -182,21 +182,30 @@ func TestInvalidateRegion(t *testing.T) {
 	}
 }
 
-func TestInvalidateWhere(t *testing.T) {
+// TestInvalidateAll: a flash clear drops every line, and the cache
+// fills again from empty, evicting nothing until a set is full.
+func TestInvalidateAll(t *testing.T) {
 	c := New(smallCfg())
 	for l := topo.Line(0); l < 16; l++ {
 		c.Fill(l)
 	}
-	odd := c.InvalidateWhere(func(l topo.Line) bool { return l%2 == 1 })
-	if odd != 8 {
-		t.Fatalf("dropped %d odd lines, want 8", odd)
+	c.InvalidateAll()
+	if c.Lines() != 0 {
+		t.Fatalf("Lines = %d after a flash clear, want 0", c.Lines())
 	}
-	rest := c.InvalidateWhere(nil)
-	if rest != 8 {
-		t.Fatalf("bulk dropped %d, want 8", rest)
+	for l := topo.Line(0); l < 16; l++ {
+		if _, hit := c.Peek(l); hit {
+			t.Fatalf("line %d survived the flash clear", l)
+		}
 	}
-	if c.Stats.BulkInvalLines != 16 {
-		t.Fatalf("BulkInvalLines = %d", c.Stats.BulkInvalLines)
+	evicts := c.Stats.Evicts
+	for l := topo.Line(0); l < 16; l++ {
+		if victim, _ := c.Fill(l); victim.Valid {
+			t.Fatalf("refill of line %d evicted line %d from a cleared cache", l, victim.Line)
+		}
+	}
+	if c.Lines() != 16 || c.Stats.Evicts != evicts {
+		t.Fatalf("refill: %d lines, %d evictions; want 16 and none", c.Lines(), c.Stats.Evicts-evicts)
 	}
 }
 
@@ -475,7 +484,7 @@ func TestLRUClockWrap(t *testing.T) {
 
 // TestValueSideTable: tracked values live beside the entries; they
 // survive Lookup and refills, leave with an evicted line (Fill returns
-// them), and vanish on Invalidate and InvalidateWhere.
+// them), and vanish on Invalidate and InvalidateAll.
 func TestValueSideTable(t *testing.T) {
 	c := New(smallCfg())
 	if c.Values(1) != nil {
@@ -517,15 +526,8 @@ func TestValueSideTable(t *testing.T) {
 	}
 	c.Fill(5)
 	c.SetValue(5, 0, 9)
-	c.InvalidateWhere(func(l topo.Line) bool { return l == 5 })
-	if c.Values(5) != nil {
-		t.Fatal("InvalidateWhere kept the line's values")
-	}
-	if v, ok := c.Value(set0[2], 1); !ok || v != 102 {
-		t.Fatal("InvalidateWhere dropped another line's values")
-	}
-	c.InvalidateWhere(nil)
-	if c.Values(set0[2]) != nil {
+	c.InvalidateAll()
+	if c.Values(5) != nil || c.Values(set0[2]) != nil {
 		t.Fatal("a flash clear kept values")
 	}
 }

@@ -78,7 +78,6 @@ type Checker struct {
 	seen uint64 // total events observed
 
 	violations []Violation
-	truncated  bool
 }
 
 // Attach hooks a checker into a system's event stream after any sink
@@ -93,9 +92,6 @@ func Attach(sys *gsim.System) *Checker {
 // Violations returns everything detected so far.
 func (c *Checker) Violations() []Violation { return c.violations }
 
-// Truncated reports whether violations were dropped after the cap.
-func (c *Checker) Truncated() bool { return c.truncated }
-
 // Err summarizes the violations as an error, nil if there are none.
 func (c *Checker) Err() error {
 	if len(c.violations) == 0 {
@@ -107,7 +103,6 @@ func (c *Checker) Err() error {
 
 func (c *Checker) report(invariant, detail string) {
 	if len(c.violations) >= maxViolations {
-		c.truncated = true
 		return
 	}
 	n := c.seen

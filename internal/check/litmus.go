@@ -192,10 +192,13 @@ func (cs Case) Program() consist.Program {
 // The forbidden-outcome rules and why they are exact on this simulator:
 //
 //   - MP (flag==1, data==0) is forbidden iff the accesses synchronize at
-//     a scope covering both threads under a coherent protocol. The
-//     reader's long start delay means its acquire runs after the
-//     writer's release drained (stores at their homes, invalidations
-//     delivered), so no in-flight-invalidation window remains.
+//     a scope covering both threads under a coherent protocol. The rule
+//     holds at any reader start gap, inside the writer's release window
+//     as well as after it drained: while both addresses share one home,
+//     as in every case here, a gap sweep finds the outcome on no
+//     coherent protocol. (With the flag and the data on different homes,
+//     NHCC's .gpu release does not yet wait for the remote home's
+//     invalidations, and the outcome appears.)
 //   - SB: every outcome is allowed (stores are posted past loads even
 //     with release/acquire pairs).
 //   - LB (1, 1) is forbidden whenever both loads are acquires, under

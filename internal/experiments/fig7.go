@@ -44,7 +44,7 @@ func microBenches() []micro {
 				return microTrace(cfg, func(sm, i int) trace.Op {
 					base := int64(sm) * 64 * mLine
 					return trace.Op{Kind: trace.Load, Addr: topo.Addr(base + int64(i%8)*mLine)}
-				}, n, localPlacement)
+				}, n, ownGPM)
 			},
 			predict: func(cfg gsim.Config, n int) float64 {
 				// Warm-up misses for 8 lines, then L1-hit throughput
@@ -62,7 +62,7 @@ func microBenches() []micro {
 				return microTrace(cfg, func(sm, i int) trace.Op {
 					base := int64(sm) * 1 << 22
 					return trace.Op{Kind: trace.Load, Addr: topo.Addr(base + int64(i)*mLine)}
-				}, n, localPlacement)
+				}, n, ownGPM)
 			},
 			predict: func(cfg gsim.Config, n int) float64 {
 				rtt := float64(cfg.L1Latency+cfg.L2Latency+cfg.DRAM.Latency) + 2
@@ -89,7 +89,9 @@ func microBenches() []micro {
 					}
 					base := int64(sm) * 1 << 22
 					return trace.Op{Kind: trace.Load, Addr: topo.Addr(base + int64(i)*mLine)}
-				}, n, placeOnGPU0)
+				}, n, func(t topo.Topology, _, nth int) topo.GPMID {
+					return topo.GPMID(nth % t.GPMsPerGPU) // round-robin over GPU 0
+				})
 			},
 			predict: func(cfg gsim.Config, n int) float64 {
 				remoteSMs := (cfg.Topo.NumGPUs - 1) * cfg.Topo.GPMsPerGPU * cfg.Topo.SMsPerGPM
@@ -126,71 +128,34 @@ func microBenches() []micro {
 }
 
 // microTrace builds one warp per SM, op i given by gen (zero ops are
-// skipped), with page placement by place.
-func microTrace(cfg gsim.Config, gen func(sm, i int) trace.Op, n int, place func(cfg gsim.Config, tr *trace.Trace)) *trace.Trace {
+// skipped), and homes each page on its first touch where home says,
+// given the touching SM and how many pages were touched before it.
+func microTrace(cfg gsim.Config, gen func(sm, i int) trace.Op, n int, home func(t topo.Topology, sm, nth int) topo.GPMID) *trace.Trace {
 	t := cfg.Topo
-	kern := trace.Kernel{}
+	tr := &trace.Trace{Name: "micro", Kernels: []trace.Kernel{{}}}
+	seen := map[topo.Page]bool{}
 	// One single-warp CTA per SM: with contiguous scheduling, CTA
 	// (g*SMsPerGPM + s) lands on SM s of GPM g.
-	for g := 0; g < t.TotalGPMs(); g++ {
-		for s := 0; s < t.SMsPerGPM; s++ {
-			sm := g*t.SMsPerGPM + s
-			var ops []trace.Op
-			for i := 0; i < n; i++ {
-				op := gen(sm, i)
-				if op == (trace.Op{}) {
-					continue
-				}
-				ops = append(ops, op)
+	for sm := 0; sm < t.TotalGPMs()*t.SMsPerGPM; sm++ {
+		var ops []trace.Op
+		for i := 0; i < n; i++ {
+			op := gen(sm, i)
+			if op == (trace.Op{}) {
+				continue
 			}
-			kern.CTAs = append(kern.CTAs, trace.CTA{Warps: []trace.Warp{{Ops: ops}}})
+			ops = append(ops, op)
+			if pg := t.PageOf(op.Addr); !seen[pg] {
+				seen[pg] = true
+				tr.Placement = append(tr.Placement, trace.PlacementHint{Page: pg, GPM: home(t, sm, len(tr.Placement))})
+			}
 		}
+		tr.Kernels[0].CTAs = append(tr.Kernels[0].CTAs, trace.CTA{Warps: []trace.Warp{{Ops: ops}}})
 	}
-	tr := &trace.Trace{Name: "micro", Kernels: []trace.Kernel{kern}}
-	place(cfg, tr)
 	return tr
 }
 
-// localPlacement homes every SM's private region on its own GPM.
-func localPlacement(cfg gsim.Config, tr *trace.Trace) {
-	t := cfg.Topo
-	seen := map[topo.Page]bool{}
-	for _, k := range tr.Kernels {
-		for ci, c := range k.CTAs {
-			gpm := topo.GPMID(ci / t.SMsPerGPM)
-			for _, w := range c.Warps {
-				for _, op := range w.Ops {
-					pg := t.PageOf(op.Addr)
-					if !seen[pg] {
-						seen[pg] = true
-						tr.Placement = append(tr.Placement, trace.PlacementHint{Page: pg, GPM: gpm})
-					}
-				}
-			}
-		}
-	}
-}
-
-// placeOnGPU0 homes every touched page round-robin on GPU 0's GPMs.
-func placeOnGPU0(cfg gsim.Config, tr *trace.Trace) {
-	t := cfg.Topo
-	seen := map[topo.Page]bool{}
-	i := 0
-	for _, k := range tr.Kernels {
-		for _, c := range k.CTAs {
-			for _, w := range c.Warps {
-				for _, op := range w.Ops {
-					pg := t.PageOf(op.Addr)
-					if !seen[pg] {
-						seen[pg] = true
-						tr.Placement = append(tr.Placement, trace.PlacementHint{Page: pg, GPM: topo.GPMID(i % t.GPMsPerGPU)})
-						i++
-					}
-				}
-			}
-		}
-	}
-}
+// ownGPM homes a page on the GPM of the SM that touches it first.
+func ownGPM(t topo.Topology, sm, _ int) topo.GPMID { return topo.GPMID(sm / t.SMsPerGPM) }
 
 // Fig7 runs the calibration sweep: simulated versus analytically
 // predicted cycles for each microbenchmark point, with correlation and

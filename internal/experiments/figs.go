@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"hmg/internal/directory"
 	"hmg/internal/gsim"
 	"hmg/internal/proto"
@@ -50,6 +48,25 @@ func baselineCycles(r *Runner, benches []workload.Params, sp topo.Spec) ([]float
 		base[i] = float64(res.Cycles)
 	}
 	return base, nil
+}
+
+// geoSpeedup is the rule every sweep, ablation and scaling table
+// reports: the geomean, over benches, of bench j's no-caching cycles
+// base[j] over its cycles under kind at variant v on machine shape sp.
+// each, when non-nil, sees every run's results in bench order.
+func geoSpeedup(r *Runner, benches []workload.Params, base []float64, kind proto.Kind, v Variant, sp topo.Spec, each func(*gsim.Results)) (float64, error) {
+	speedups := make([]float64, 0, len(benches))
+	for j, b := range benches {
+		res, err := r.runAt(b, kind, v, sp)
+		if err != nil {
+			return 0, err
+		}
+		speedups = append(speedups, base[j]/float64(res.Cycles))
+		if each != nil {
+			each(res)
+		}
+	}
+	return stats.GeoMean(speedups), nil
 }
 
 // speedupTable tabulates each suite benchmark's speedup under kinds
@@ -170,111 +187,157 @@ func hmgProfile(r *Runner, title, col string, metric func(*gsim.Results) float64
 	return t, nil
 }
 
-// sweep builds a sensitivity table: geomean suite speedup of the Fig. 8
-// protocols at each variant point, normalized to the Table II
-// no-caching baseline (the paper's Figs. 12-14 presentation).
-func sweep(r *Runner, title string, points []Variant, labels []string) (*report.Table, error) {
-	kinds := []proto.Kind{proto.NHCC, proto.SWHier, proto.HMG, proto.Ideal}
-	t := &report.Table{Title: title}
-	for _, k := range kinds {
+// sweepKinds are the protocol columns of the sensitivity sweeps and the
+// scaling study.
+var sweepKinds = []proto.Kind{proto.NHCC, proto.SWHier, proto.HMG, proto.Ideal}
+
+// sweepNote explains the speedups of the sensitivity sweeps.
+const sweepNote = "geomean speedup over the suite; baseline is no caching at the Table II configuration"
+
+// sweepRow is one row of a sweep: a variant point on a machine shape
+// (the zero Spec is the campaign's base machine).
+type sweepRow struct {
+	label string
+	v     Variant
+	sp    topo.Spec
+}
+
+// sweep builds a sensitivity or scaling table: the geomean suite
+// speedup of each of sweepKinds at each row, normalized to the
+// no-caching baseline of the row's machine shape, which is read once
+// per shape (the paper's Figs. 12-14 presentation).
+func sweep(r *Runner, title string, rows []sweepRow, notes ...string) (*report.Table, error) {
+	t := &report.Table{Title: title, Notes: notes}
+	for _, k := range sweepKinds {
 		t.Columns = append(t.Columns, legend(k))
 	}
 	suite := workload.Suite()
-	base, err := baselineCycles(r, suite, topo.Spec{})
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range points {
-		row := make([]float64, 0, len(kinds))
-		for _, k := range kinds {
-			var sp []float64
-			for j, b := range suite {
-				res, err := r.Run(b, k, v)
-				if err != nil {
-					return nil, err
-				}
-				sp = append(sp, base[j]/float64(res.Cycles))
+	bases := map[topo.Spec][]float64{}
+	for _, row := range rows {
+		base, ok := bases[row.sp]
+		if !ok {
+			var err error
+			if base, err = baselineCycles(r, suite, row.sp); err != nil {
+				return nil, err
 			}
-			row = append(row, stats.GeoMean(sp))
+			bases[row.sp] = base
 		}
-		t.Add(labels[i], row...)
+		cells := make([]float64, 0, len(sweepKinds))
+		for _, k := range sweepKinds {
+			g, err := geoSpeedup(r, suite, base, k, row.v, row.sp, nil)
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, g)
+		}
+		t.Add(row.label, cells...)
 	}
-	t.AddNote("geomean speedup over the suite; baseline is no caching at the Table II configuration")
 	return t, nil
-}
-
-// fig12Points are the inter-GPU bandwidth sweep points.
-func fig12Points() ([]Variant, []string) {
-	var points []Variant
-	var labels []string
-	for _, bw := range []float64{100, 200, 300, 400} {
-		points = append(points, Variant{NVLinkGBs: bw})
-		labels = append(labels, fmt.Sprintf("%.0fGB/s", bw))
-	}
-	return points, labels
 }
 
 // Fig12 reproduces the inter-GPU bandwidth sensitivity sweep.
 func Fig12(r *Runner) (*report.Table, error) {
-	points, labels := fig12Points()
-	return sweep(r, "Fig. 12: sensitivity to inter-GPU bandwidth", points, labels)
-}
-
-// fig13Points are the L2 capacity sweep points.
-func fig13Points() ([]Variant, []string) {
-	var points []Variant
-	var labels []string
-	for _, mb := range []int{6, 12, 24} {
-		points = append(points, Variant{L2MBPerGPU: mb})
-		labels = append(labels, fmt.Sprintf("%dMB/GPU", mb))
-	}
-	return points, labels
+	return sweep(r, "Fig. 12: sensitivity to inter-GPU bandwidth", []sweepRow{
+		{label: "100GB/s", v: Variant{NVLinkGBs: 100}},
+		{label: "200GB/s", v: Variant{NVLinkGBs: 200}},
+		{label: "300GB/s", v: Variant{NVLinkGBs: 300}},
+		{label: "400GB/s", v: Variant{NVLinkGBs: 400}},
+	}, sweepNote)
 }
 
 // Fig13 reproduces the L2 capacity sensitivity sweep.
 func Fig13(r *Runner) (*report.Table, error) {
-	points, labels := fig13Points()
-	return sweep(r, "Fig. 13: sensitivity to L2 cache size", points, labels)
-}
-
-// fig14Points are the directory size sweep points.
-func fig14Points() ([]Variant, []string) {
-	var points []Variant
-	var labels []string
-	for _, k := range []int{3, 6, 12} {
-		points = append(points, Variant{DirEntries: k * 1024})
-		labels = append(labels, fmt.Sprintf("%dK entries/GPM", k))
-	}
-	return points, labels
+	return sweep(r, "Fig. 13: sensitivity to L2 cache size", []sweepRow{
+		{label: "6MB/GPU", v: Variant{L2MBPerGPU: 6}},
+		{label: "12MB/GPU", v: Variant{L2MBPerGPU: 12}},
+		{label: "24MB/GPU", v: Variant{L2MBPerGPU: 24}},
+	}, sweepNote)
 }
 
 // Fig14 reproduces the directory size sensitivity sweep.
 func Fig14(r *Runner) (*report.Table, error) {
-	points, labels := fig14Points()
-	return sweep(r, "Fig. 14: sensitivity to coherence directory size", points, labels)
-}
-
-// granularityPoints are the §VII-B constant-coverage sweep points.
-func granularityPoints() ([]Variant, []string) {
-	var points []Variant
-	var labels []string
-	for _, g := range []int{1, 2, 4, 8} {
-		points = append(points, Variant{GranLines: g, DirEntries: 48 * 1024 / g})
-		labels = append(labels, fmt.Sprintf("%d lines/entry", g))
-	}
-	return points, labels
+	return sweep(r, "Fig. 14: sensitivity to coherence directory size", []sweepRow{
+		{label: "3K entries/GPM", v: Variant{DirEntries: 3 * 1024}},
+		{label: "6K entries/GPM", v: Variant{DirEntries: 6 * 1024}},
+		{label: "12K entries/GPM", v: Variant{DirEntries: 12 * 1024}},
+	}, sweepNote)
 }
 
 // Granularity reproduces the §VII-B (unpictured) study: directory entry
 // granularity varied at constant coverage — entries × granularity held
 // at the Table II 48K lines per GPM.
 func Granularity(r *Runner) (*report.Table, error) {
-	points, labels := granularityPoints()
-	t, err := sweep(r, "Sec. VII-B: directory entry granularity at constant coverage", points, labels)
+	return sweep(r, "Sec. VII-B: directory entry granularity at constant coverage", []sweepRow{
+		{label: "1 lines/entry", v: Variant{GranLines: 1, DirEntries: 48 * 1024}},
+		{label: "2 lines/entry", v: Variant{GranLines: 2, DirEntries: 24 * 1024}},
+		{label: "4 lines/entry", v: Variant{GranLines: 4, DirEntries: 12 * 1024}},
+		{label: "8 lines/entry", v: Variant{GranLines: 8, DirEntries: 6 * 1024}},
+	}, sweepNote, "coverage held at 48K lines (6MB of shareable data) per GPM")
+}
+
+// ScalingStudy measures the Section VII-D discussion: HMG is envisioned
+// for systems "comprised by a single NVSwitch-based network", and its
+// hierarchical sharer tracking (M+N-2 bits) scales with GPU count. The
+// study runs the suite on 2-, 4-, and 8-GPU machines (4 GPMs each),
+// normalizing each machine size to its own no-remote-caching baseline.
+// The 4-GPU machine is the Table II configuration, so its runs share
+// memo entries with plain runs.
+func ScalingStudy(r *Runner) (*report.Table, error) {
+	return sweep(r, "Sec. VII-D: scaling with GPU count (4 GPMs per GPU)", []sweepRow{
+		{label: "2 GPUs", sp: topo.Spec{NumGPUs: 2}},
+		{label: "4 GPUs", sp: topo.Spec{NumGPUs: 4}},
+		{label: "8 GPUs", sp: topo.Spec{NumGPUs: 8}},
+	}, "each machine size is normalized to its own no-remote-caching baseline",
+		"an 8-GPU HMG entry tracks M+N-2 = 10 sharers (10-bit vectors)")
+}
+
+// ablationRow is one row of an ablation: a protocol at a variant point.
+type ablationRow struct {
+	label string
+	kind  proto.Kind
+	v     Variant
+}
+
+// column is an ablation column beside the speedup: a per-run metric,
+// averaged over the suite, or totaled when sum is set.
+type column struct {
+	name string
+	of   func(*gsim.Results) float64
+	sum  bool
+}
+
+// ablation builds an ablation table: each row's geomean suite speedup
+// over the Table II no-caching baseline, then its cols.
+func ablation(r *Runner, title, note string, rows []ablationRow, cols ...column) (*report.Table, error) {
+	t := &report.Table{Title: title, Columns: []string{"speedup"}, Notes: []string{note}}
+	for _, c := range cols {
+		t.Columns = append(t.Columns, c.name)
+	}
+	suite := workload.Suite()
+	base, err := baselineCycles(r, suite, topo.Spec{})
 	if err != nil {
 		return nil, err
 	}
-	t.AddNote("coverage held at 48K lines (6MB of shareable data) per GPM")
+	for _, row := range rows {
+		acc := make([]stats.Mean, len(cols))
+		g, err := geoSpeedup(r, suite, base, row.kind, row.v, topo.Spec{}, func(res *gsim.Results) {
+			for i, c := range cols {
+				acc[i].Add(c.of(res))
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		cells := []float64{g}
+		for i, c := range cols {
+			if c.sum {
+				cells = append(cells, acc[i].Sum())
+			} else {
+				cells = append(cells, acc[i].Value())
+			}
+		}
+		t.Add(row.label, cells...)
+	}
 	return t, nil
 }
 
@@ -282,78 +345,29 @@ func Granularity(r *Runner) (*report.Table, error) {
 // message of Section IV (not enabled in the paper's evaluation): HMG
 // with and without it, plus the invalidation traffic each produces.
 func DowngradeAblation(r *Runner) (*report.Table, error) {
-	t := &report.Table{
-		Title:   "Ablation: optional sharer-downgrade messages (Section IV option)",
-		Columns: []string{"speedup", "invGB/s", "dirEvictLines"},
-	}
-	suite := workload.Suite()
-	base, err := baselineCycles(r, suite, topo.Spec{})
-	if err != nil {
-		return nil, err
-	}
-	for _, on := range []bool{false, true} {
-		var sp []float64
-		var invGBs, evLines float64
-		for j, b := range suite {
-			res, err := r.Run(b, proto.HMG, Variant{Downgrade: on})
-			if err != nil {
-				return nil, err
-			}
-			sp = append(sp, base[j]/float64(res.Cycles))
-			invGBs += res.InvBandwidthGBs()
-			evLines += float64(res.LinesInvByEvicts)
-		}
-		label := "HMG (no downgrade)"
-		if on {
-			label = "HMG + downgrade"
-		}
-		t.Add(label, stats.GeoMean(sp), invGBs/float64(len(suite)), evLines)
-	}
-	t.AddNote("downgrades trade extra control messages for fewer eviction invalidations")
-	return t, nil
-}
-
-// writeBackRows are the protocol × L2-design points of the write-back
-// ablation, in table order.
-var writeBackRows = []struct {
-	label string
-	kind  proto.Kind
-	wb    bool
-}{
-	{"NHCC write-through", proto.NHCC, false},
-	{"NHCC write-back", proto.NHCC, true},
-	{"HMG write-through", proto.HMG, false},
-	{"HMG write-back", proto.HMG, true},
+	return ablation(r, "Ablation: optional sharer-downgrade messages (Section IV option)",
+		"downgrades trade extra control messages for fewer eviction invalidations",
+		[]ablationRow{
+			{"HMG (no downgrade)", proto.HMG, Variant{}},
+			{"HMG + downgrade", proto.HMG, Variant{Downgrade: true}},
+		},
+		column{name: "invGB/s", of: (*gsim.Results).InvBandwidthGBs},
+		column{name: "dirEvictLines", of: func(res *gsim.Results) float64 { return float64(res.LinesInvByEvicts) }, sum: true})
 }
 
 // WriteBackAblation studies the Section IV write-back L2 option against
 // the paper's evaluated write-through design, for the hardware
 // protocols.
 func WriteBackAblation(r *Runner) (*report.Table, error) {
-	t := &report.Table{
-		Title:   "Ablation: write-back vs write-through L2 (Section IV design options)",
-		Columns: []string{"speedup", "interGPU GB/s"},
-	}
-	suite := workload.Suite()
-	base, err := baselineCycles(r, suite, topo.Spec{})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range writeBackRows {
-		var sp []float64
-		var gbs float64
-		for j, b := range suite {
-			res, err := r.Run(b, row.kind, Variant{WriteBack: row.wb})
-			if err != nil {
-				return nil, err
-			}
-			sp = append(sp, base[j]/float64(res.Cycles))
-			gbs += res.InterGPUGBs()
-		}
-		t.Add(row.label, stats.GeoMean(sp), gbs/float64(len(suite)))
-	}
-	t.AddNote("write-back absorbs plain stores locally and flushes on releases, kernel boundaries, and evictions")
-	return t, nil
+	return ablation(r, "Ablation: write-back vs write-through L2 (Section IV design options)",
+		"write-back absorbs plain stores locally and flushes on releases, kernel boundaries, and evictions",
+		[]ablationRow{
+			{"NHCC write-through", proto.NHCC, Variant{}},
+			{"NHCC write-back", proto.NHCC, Variant{WriteBack: true}},
+			{"HMG write-through", proto.HMG, Variant{}},
+			{"HMG write-back", proto.HMG, Variant{WriteBack: true}},
+		},
+		column{name: "interGPU GB/s", of: (*gsim.Results).InterGPUGBs})
 }
 
 // RelatedProtocols compares HMG against the CARVE-like
@@ -437,45 +451,20 @@ func GPMScopeStudy(r *Runner) (*report.Table, error) {
 	return t, nil
 }
 
-// localityRows are the locality-policy ablation points, in table order.
-var localityRows = []struct {
-	label string
-	v     Variant
-}{
-	{"contiguous CTAs + first-touch (paper)", Variant{}},
-	{"scattered CTAs", Variant{ScatterCTAs: true}},
-	{"static page placement", Variant{StaticPlacement: true}},
-	{"both ablated", Variant{ScatterCTAs: true, StaticPlacement: true}},
-}
-
 // LocalityAblation measures the two locality policies the paper's
 // simulator inherits from prior work ("contiguous CTA scheduling and
 // first-touch page placement policies ... to maximize data locality"):
 // scattering CTAs round-robin, and replacing first-touch placement with
 // a static round-robin page assignment, both under HMG.
 func LocalityAblation(r *Runner) (*report.Table, error) {
-	t := &report.Table{
-		Title:   "Ablation: locality policies (contiguous CTA scheduling, first-touch placement) under HMG",
-		Columns: []string{"speedup"},
-	}
-	suite := workload.Suite()
-	base, err := baselineCycles(r, suite, topo.Spec{})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range localityRows {
-		var sp []float64
-		for j, b := range suite {
-			res, err := r.Run(b, proto.HMG, row.v)
-			if err != nil {
-				return nil, err
-			}
-			sp = append(sp, base[j]/float64(res.Cycles))
-		}
-		t.Add(row.label, stats.GeoMean(sp))
-	}
-	t.AddNote("speedups vs the unmodified no-remote-caching baseline; lower rows show locality lost")
-	return t, nil
+	return ablation(r, "Ablation: locality policies (contiguous CTA scheduling, first-touch placement) under HMG",
+		"speedups vs the unmodified no-remote-caching baseline; lower rows show locality lost",
+		[]ablationRow{
+			{"contiguous CTAs + first-touch (paper)", proto.HMG, Variant{}},
+			{"scattered CTAs", proto.HMG, Variant{ScatterCTAs: true}},
+			{"static page placement", proto.HMG, Variant{StaticPlacement: true}},
+			{"both ablated", proto.HMG, Variant{ScatterCTAs: true, StaticPlacement: true}},
+		})
 }
 
 // TableII documents the simulated configuration in the paper's (full

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"hmg/internal/directory"
+	"hmg/internal/gsim"
 	"hmg/internal/proto"
 	"hmg/internal/report"
 	"hmg/internal/stats"
@@ -75,18 +76,13 @@ func TopoScale(r *Runner) (*report.Table, error) {
 		}
 		var row []float64
 		for _, k := range topoScaleKinds {
-			var sp64 []float64
 			var inv stats.Mean
-			for j, b := range benches {
-				res, err := r.runAt(b, k, Variant{}, sp)
-				if err != nil {
-					return nil, err
-				}
-				sp64 = append(sp64, base[j]/float64(res.Cycles))
-				inv.Add(res.InterGPUInvGBs())
+			g, err := geoSpeedup(r, benches, base, k, Variant{}, sp, func(res *gsim.Results) { inv.Add(res.InterGPUInvGBs()) })
+			if err != nil {
+				return nil, err
 			}
 			_, bits := directory.EntryCost(sp.NumGPUs, sp.GPMsPerGPU, proto.For(k).Hierarchical)
-			row = append(row, stats.GeoMean(sp64), float64(bits)/8, inv.Value())
+			row = append(row, g, float64(bits)/8, inv.Value())
 		}
 		t.Add(sp.String(), row...)
 	}

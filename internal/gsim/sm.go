@@ -184,7 +184,7 @@ func (sm *SM) acquireInvalidate(scope trace.Scope) {
 	if scope <= trace.ScopeCTA {
 		return // .cta acquires synchronize through the L1 itself
 	}
-	sm.L1.InvalidateWhere(nil)
+	sm.L1.InvalidateAll()
 	if scope == trace.ScopeGPM {
 		// The GPM-local L2 is the .gpm coherence point and is current
 		// for .gpm-visible stores under every protocol: only the L1
@@ -200,7 +200,7 @@ func (sm *SM) acquireInvalidate(scope trace.Scope) {
 	if sm.sys.Cfg.WriteBack {
 		sm.sys.flushDirtySlice(sm.gpm, sm)
 	}
-	sm.sys.gpmOf(sm.gpm).L2.InvalidateWhere(nil)
+	sm.sys.gpmOf(sm.gpm).L2.InvalidateAll()
 	if scope == trace.ScopeSys && p.Hierarchical {
 		// Hierarchical software coherence: .sys acquires invalidate all
 		// L2 slices of the issuing GPU.
@@ -210,7 +210,7 @@ func (sm *SM) acquireInvalidate(scope trace.Scope) {
 				if sm.sys.Cfg.WriteBack {
 					sm.sys.flushDirtySlice(g, sm)
 				}
-				sm.sys.gpmOf(g).L2.InvalidateWhere(nil)
+				sm.sys.gpmOf(g).L2.InvalidateAll()
 			}
 		}
 	}

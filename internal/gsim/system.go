@@ -451,13 +451,13 @@ func (s *System) kernelBoundaryInvalidate() {
 	// a new kernel's implicit acquire always flushes them. What Ideal
 	// idealizes is the caching of remote data in the L2 hierarchy.
 	for _, sm := range s.SMs {
-		sm.L1.InvalidateWhere(nil)
+		sm.L1.InvalidateAll()
 	}
 	if p.Hardware || p.NoCoherence || p.Classify {
 		return
 	}
 	for _, g := range s.GPMs {
-		g.L2.InvalidateWhere(nil)
+		g.L2.InvalidateAll()
 	}
 }
 

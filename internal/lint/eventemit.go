@@ -35,7 +35,7 @@ var mutatingSimAPIs = map[string]bool{
 	"cache.Cache.Fill":             true,
 	"cache.Cache.Invalidate":       true,
 	"cache.Cache.InvalidateRegion": true,
-	"cache.Cache.InvalidateWhere":  true,
+	"cache.Cache.InvalidateAll":    true,
 	"cache.Cache.FlushDirty":       true,
 	"cache.Cache.SetValue":         true,
 	"cache.Cache.MergeFrom":        true,

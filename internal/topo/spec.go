@@ -45,14 +45,11 @@ func ParseSpec(s string) (Spec, error) {
 	return Spec{NumGPUs: g, GPMsPerGPU: m}, nil
 }
 
-// IsZero reports whether the spec overrides nothing.
-func (s Spec) IsZero() bool { return s == Spec{} }
-
 // String renders the spec in the form ParseSpec accepts. Partial specs
 // render their set half; the zero Spec renders as the empty string.
 func (s Spec) String() string {
 	switch {
-	case s.IsZero():
+	case s == Spec{}:
 		return ""
 	case s.GPMsPerGPU == 0:
 		return strconv.Itoa(s.NumGPUs)
