@@ -290,7 +290,7 @@ func TestStoreKeyCanonicalization(t *testing.T) {
 	// The address is pinned: it digests the same strings whatever form
 	// the in-process key takes, so records written by earlier builds of
 	// the same model keep hitting. A model-version change moves it.
-	const want = "0aea76ed1b57d485405b63a9ce1e86bcc75294467c3113e13408d75de2617509"
+	const want = "58044efa6f3242996423931d53b3c763d4a63b97760653e5c0ae976fdb53c477"
 	if got := base.String(); got != want {
 		t.Fatalf("overfeat/HMG store address = %s, want %s", got, want)
 	}

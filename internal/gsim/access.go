@@ -300,9 +300,11 @@ func (s *System) dramFilled(m *opCtx) {
 // home so the sharer can be dropped before it costs an invalidation,
 // once no line of its directory region is left in the slice.
 func (s *System) fillL2(g topo.GPMID, line topo.Line, fill fillData, allowed bool) {
-	if !allowed || s.gpmOf(g).mshr.poisoned(line) {
+	if !allowed || s.gpmOf(g).mshr.poisoned(line) || s.Cfg.Policy.Classify && !s.cacheableAt(g, line) {
 		// A poisoned fill was overtaken by an invalidation or store
-		// while in flight: serve the waiters but do not cache it.
+		// while in flight, and under CARVE a fill's region may have
+		// turned read-write since it was requested: serve the waiters
+		// but do not cache it.
 		return
 	}
 	l2 := s.gpmOf(g).L2

@@ -3,9 +3,11 @@ package gsim
 import (
 	"testing"
 
+	"hmg/internal/cache"
 	"hmg/internal/proto"
 	"hmg/internal/topo"
 	"hmg/internal/trace"
+	"hmg/internal/workload"
 )
 
 // TestCARVEClassTransitions walks the private → read-only → read-write
@@ -131,5 +133,51 @@ func TestCARVENoDirectory(t *testing.T) {
 	}
 	if s.classes == nil {
 		t.Fatal("CARVE missing classification table")
+	}
+}
+
+// TestCARVEReadWriteNeverCachedRemotely runs CARVE over the benchmark
+// suite on a scaled 4×4 machine, like the experiments' (32 KB pages,
+// 32 KB slices, links and DRAM slowed for 4 SMs per GPM), and checks at
+// every drained kernel boundary that no slice but a line's system home
+// holds a line of a read-write region. A fill whose region turned
+// read-write while it was in flight must not install.
+func TestCARVEReadWriteNeverCachedRemotely(t *testing.T) {
+	const scale = 0.05
+	cfg := DefaultConfig(4, proto.CARVE)
+	cfg.Topo.PageSize = 32 * 1024
+	cfg.Net.NVLinkGBs /= 4
+	cfg.Net.XbarPortGBs /= 4
+	cfg.DRAM.BandwidthGBs /= 4
+	cfg.L1.CapacityBytes /= 96
+	cfg.L2Slice.CapacityBytes = 12 << 20 / 4 / 96
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bench := range workload.Suite() {
+		tr := bench.Generate(cfg.Topo, scale)
+		if err := s.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		bad := 0
+		s.OnEvent = func(ev Event) {
+			if ev.Kind != EvKernelDrained {
+				return
+			}
+			for _, g := range s.GPMs {
+				g.L2.ForEach(func(e *cache.Entry) {
+					if g.id != s.Pages.SysHome(e.Line) && s.classOf(e.Line) == classReadWrite {
+						bad++
+					}
+				})
+			}
+		}
+		if _, err := s.Run(tr); err != nil {
+			t.Fatal(err)
+		}
+		if bad != 0 {
+			t.Errorf("%s: %d remote slice lines of read-write regions at kernel boundaries", bench.Abbrev, bad)
+		}
 	}
 }

@@ -128,9 +128,11 @@ var syncGolden = []struct {
 	{"GPU-VI-MCA/no-gpm", proto.GPUVI, 0, true,
 		"a1b70ac1d7dd9eb6f1e80725aabadf6a19071c500ad1fee5723085d460c5ddb3",
 		"222e715c640990691a2baf07bfe85c889d1ea02af3bd8df06fd89da55e651df3"},
+	// Re-pinned when a CARVE fill whose region turned read-write while
+	// it was in flight stopped installing in a remote slice.
 	{"CARVE", proto.CARVE, 0, false,
-		"c23f27a95938ffa73c92382afa7dd744b08dbc6a37ce6485785e0f2eba1823f0",
-		"02b35e614e24b6658b84490f50e620d7ce28e23bf753c8eb36e3b75e0e9a0fee"},
+		"0c92b6d8e668a3f23c4a346dd74d7ae6eb8eaf1903d920bc3e360141b20ed263",
+		"fece60635fc6d1516ea06b8ead2b5be2a60bcc04989dc8a2bb3622965d4ef9a0"},
 	{"NoRemoteCaching/wb", proto.NoRemoteCache, wb, false,
 		"23ba5580d578ab430ec5345acb14be43bd52198f48780ae492d9e6e8d2f0aa81",
 		"fa4bde83e91c84539fe39e47221590b93ed88d98fd56941ac87d5d1016de6ee6"},
