@@ -9,12 +9,6 @@ import (
 	"hmg/internal/trace"
 )
 
-// Message kind aliases used by the SM layer.
-const (
-	relFenceKind = msg.RelFence
-	relAckKind   = msg.RelAck
-)
-
 // fillData is the sparse word-value payload of a load response. It is
 // nil when value tracking is off. Receivers only read it.
 type fillData map[uint16]uint64
@@ -210,7 +204,7 @@ func (s *System) gpuHomeLoad(c *opCtx) {
 	if gpm.Dir != nil && c.from() != c.g() {
 		//lint:allow eventemit sharer record of a load; the load surfaces as EvFill/EvLoadDone where its response lands
 		evR, evict := gpm.Dir.RemoteLoad(c.line(), s.flatRequester(c.from(), c.g()))
-		s.sendInvs(gpm, evR, evict)
+		s.sendInvs(gpm, evR, evict, nil)
 	}
 	c.stage = stageHomeLoad
 	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
@@ -241,7 +235,7 @@ func (s *System) sysHomeLoadUnlocked(c *opCtx) {
 	if gpm.Dir != nil && c.is(flagFillHere) {
 		//lint:allow eventemit sharer record of a load; the load surfaces as EvFill/EvLoadDone where its response lands
 		evR, evict := gpm.Dir.RemoteLoad(c.line(), s.flatRequester(c.from(), c.g()))
-		s.sendInvs(gpm, evR, evict)
+		s.sendInvs(gpm, evR, evict, nil)
 	}
 	if s.classes != nil {
 		s.classifyLoad(c.line(), c.from())
@@ -384,15 +378,23 @@ func (sm *SM) startStore(op trace.Op) {
 	s.emit(Event{Kind: EvStoreIssue, GPM: sm.gpm, SM: sm.id, Line: line,
 		Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: op.Val})
 	// Update any L1 copy in place (write-through, no allocate).
-	if s.Cfg.TrackValues {
-		if _, hit := sm.L1.Peek(line); hit {
-			sm.L1.SetValue(line, s.wordOf(op.Addr), op.Val)
-		}
-	}
+	s.setHeld(sm.L1, line, s.wordOf(op.Addr), op.Val)
 	c := s.newCtx(stageStartStore)
 	c.owner = int32(sm.id)
 	c.setOp(op)
 	s.Eng.ScheduleHandler(s.Cfg.L1Latency, c)
+}
+
+// setHeld writes v to word of line in cache c when the run tracks values
+// and c holds the line: a write updates the copies it passes in place.
+func (s *System) setHeld(c *cache.Cache, line topo.Line, word uint16, v uint64) {
+	if !s.Cfg.TrackValues {
+		return
+	}
+	if _, hit := c.Peek(line); hit {
+		//lint:allow eventemit the written value was emitted by the write's EvStoreIssue or EvAtomicApply
+		c.SetValue(line, word, v)
+	}
 }
 
 // storeAfterL1 is the SM-side step of the store carried by c one L1
@@ -543,13 +545,13 @@ func (s *System) storeTransition(gpm *GPM, req proto.Requester, local bool, line
 	region := gpm.Dir.Dir.RegionOf(line)
 	if local {
 		//lint:allow eventemit a write's directory transition; its invalidations emit EvInvDeliver where they land
-		s.sendInvs(gpm, region, gpm.Dir.LocalStore(line))
+		s.sendInvs(gpm, region, gpm.Dir.LocalStore(line), nil)
 		return
 	}
 	//lint:allow eventemit a write's directory transition; its invalidations emit EvInvDeliver where they land
 	inv, evR, evict := gpm.Dir.RemoteStore(line, req)
-	s.sendInvs(gpm, region, inv)
-	s.sendInvs(gpm, evR, evict)
+	s.sendInvs(gpm, region, inv, nil)
+	s.sendInvs(gpm, evR, evict, nil)
 }
 
 // writeCopy applies the write carried by c to gpm's copy of its line:
@@ -619,31 +621,46 @@ func (c *opCtx) storeDone() {
 // Invalidations
 // ---------------------------------------------------------------------
 
-// sendInvs dispatches background invalidations for a region to the
-// sharers of targets, GPM sharers first (Sharers.Pop's order). GPM
-// sharers resolve within the sender's GPU under hierarchical protocols
-// and globally under flat ones; GPU sharers resolve to that GPU's home
-// node, which forwards to its own sharers (the HMG-only Table I
-// transition). The sender's drain gates count each invalidation until
-// its entire fan-out has been delivered.
-func (s *System) sendInvs(from *GPM, region directory.Region, targets directory.Sharers) {
+// An invalidation is one Inv message on one context, whoever sends it: a
+// directory's fan-out (NHCC, HMG), an HMG GPU home's forward to its own
+// sharers, GPU-VI's acknowledged invalidations and CARVE's broadcast
+// all go out through sendInv and land in invDelivered.
+
+// sendInvs sends an invalidation of a region from from's directory to
+// each sharer of targets, GPM sharers first (Sharers.Pop's order), as
+// children of up, or in the background when up is nil (sendInv).
+func (s *System) sendInvs(from *GPM, region directory.Region, targets directory.Sharers, up *opCtx) {
 	line := from.Dir.Dir.FirstLine(region)
 	for !targets.IsEmpty() {
 		id, isGPU := targets.Pop()
-		dest := s.invDest(from, id, isGPU, line)
-		intra := !isGPU && s.Cfg.Topo.SameGPU(from.id, dest)
-		from.invAll.Start()
-		if intra {
-			from.invIntra.Start()
-		}
-		c := s.newCtx(stageInvDeliver)
-		c.setFrom(from.id)
-		c.setG(dest)
-		c.setLine(line)
-		c.setFlag(flagForward, isGPU)
-		c.setFlag(flagIntra, intra)
-		s.send(from.id, dest, msg.Inv, c)
+		s.sendInv(from.id, s.invDest(from, id, isGPU, line), line, isGPU, up)
 	}
+}
+
+// sendInv sends one invalidation of the region starting at line from
+// GPM from to dest, a GPU's home node that forwards it to its own
+// sharers when forward is set (the HMG-only Table I transition). With
+// a parent up, the invalidation is one of up's children, which up's
+// pending counts. Without one it runs in the background, and from's
+// drain gates count it until its whole fan-out has been delivered.
+func (s *System) sendInv(from, dest topo.GPMID, line topo.Line, forward bool, up *opCtx) {
+	c := s.newCtx(stageInvDeliver)
+	c.setFrom(from)
+	c.setG(dest)
+	c.setLine(line)
+	c.setFlag(flagForward, forward)
+	if c.up = up; up != nil {
+		up.pending++
+	} else {
+		intra := !forward && s.Cfg.Topo.SameGPU(from, dest)
+		c.setFlag(flagIntra, intra)
+		g := s.gpmOf(from)
+		g.invAll.Start()
+		if intra {
+			g.invIntra.Start()
+		}
+	}
+	s.send(from, dest, msg.Inv, c)
 }
 
 // invDest resolves sharer id of from's directory, a GPU id when isGPU,
@@ -661,75 +678,53 @@ func (s *System) invDest(from *GPM, id int, isGPU bool, line topo.Line) topo.GPM
 	}
 }
 
-// invalidateAt applies a delivered directory invalidation of the region
-// starting at line at GPM g: drop the region's lines from its slice and
-// poison their in-flight fills. Every directory shares the
-// configuration's granularity.
-func (s *System) invalidateAt(g topo.GPMID, line topo.Line) {
-	gran := s.Cfg.Dir.GranLines
-	d := s.gpmOf(g)
-	d.L2.InvalidateRegion(line, gran)
-	d.poisonRegion(line, gran)
-	s.emit(Event{Kind: EvInvDeliver, GPM: g, SM: NoSM, Line: line, Aux: gran})
-}
-
 // invDelivered runs when the invalidation carried by c reaches its
-// target. A GPU-home target forwards it to its own sharers; c stays live
-// until the last forward is delivered.
+// target c.g: the target drops the region's lines from its slice and
+// poisons their in-flight fills. The region is a directory region
+// (every directory shares the configuration's granularity) or, under
+// CARVE, a classification granule. Then a GPU-home target forwards it
+// to its own sharers and waits for them; a background invalidation
+// counts itself done at its sender; a forward counts itself against
+// its parent in place; and an acknowledged invalidation sends its
+// InvAck back to its parent, the MCA store.
 func (s *System) invDelivered(c *opCtx) {
 	dest, line := c.g(), c.line()
-	s.invalidateAt(dest, line)
 	d := s.gpmOf(dest)
-	if !c.is(flagForward) || d.Dir == nil {
-		c.invFinished()
-		return
+	gran := s.Cfg.Dir.GranLines
+	if s.Cfg.Policy.Classify {
+		gran = topo.HomeGranuleLines
 	}
-	fw := d.Dir.Invalidation(d.Dir.Dir.RegionOf(line))
-	if fw.IsEmpty() {
-		c.invFinished()
-		return
+	d.L2.InvalidateRegion(line, gran)
+	d.poisonRegion(line, gran)
+	s.emit(Event{Kind: EvInvDeliver, GPM: dest, SM: NoSM, Line: line, Aux: gran})
+	if c.is(flagForward) {
+		region := d.Dir.Dir.RegionOf(line)
+		if fw := d.Dir.Invalidation(region); !fw.IsEmpty() {
+			s.emit(Event{Kind: EvInvForward, GPM: dest, SM: NoSM, Line: line, Aux: fw.Count()})
+			s.sendInvs(d, region, fw, c)
+			return
+		}
 	}
-	s.emit(Event{Kind: EvInvForward, GPM: dest, SM: NoSM, Line: line, Aux: fw.Count()})
-	c.pending = int32(fw.Count())
-	for !fw.IsEmpty() {
-		id, _ := fw.Pop()
-		f := s.newCtx(stageInvForward)
-		to := s.Cfg.Topo.GPM(d.gpu, id)
-		f.up = c
-		f.setG(to)
-		f.setLine(line)
-		s.send(dest, to, msg.Inv, f)
+	switch {
+	case c.up == nil:
+		c.invFinished()
+	case c.up.stage == stageInvDeliver:
+		c.childDone()
+	default:
+		c.stage = stageChildDone
+		s.send(dest, c.from(), msg.InvAck, c)
 	}
 }
 
-// invFinished ends an invalidation whose whole fan-out has been
-// delivered: release its context, then count it done at the sender.
+// invFinished ends a background invalidation whose whole fan-out has
+// been delivered: release its context, then count it done at the
+// sender.
 func (c *opCtx) invFinished() {
 	from, intra := c.s.gpmOf(c.from()), c.is(flagIntra)
 	c.release()
 	from.invAll.Finish()
 	if intra {
 		from.invIntra.Finish()
-	}
-}
-
-// sendInvsAcked dispatches invalidations like sendInvs but additionally
-// collects an InvAck from every target on the MCA store context store,
-// which completes once the last acknowledgment returns — the
-// multi-copy-atomic (GPU-VI) variant that HMG exists to avoid. targets
-// must be non-empty; they resolve exactly as in sendInvs.
-func (s *System) sendInvsAcked(from *GPM, region directory.Region, targets directory.Sharers, store *opCtx) {
-	line := from.Dir.Dir.FirstLine(region)
-	store.pending = int32(targets.Count())
-	for !targets.IsEmpty() {
-		id, isGPU := targets.Pop()
-		c := s.newCtx(stageMCAInv)
-		to := s.invDest(from, id, isGPU, line)
-		c.up = store
-		c.setFrom(from.id)
-		c.setG(to)
-		c.setLine(line)
-		s.send(from.id, to, msg.Inv, c)
 	}
 }
 
@@ -830,11 +825,7 @@ func (c *opCtx) atomicWrite(newVal uint64) {
 	switch {
 	case op.Scope <= trace.ScopeCTA:
 		c.release()
-		if s.Cfg.TrackValues {
-			if _, hit := sm.L1.Peek(line); hit {
-				sm.L1.SetValue(line, word, newVal)
-			}
-		}
+		s.setHeld(sm.L1, line, word, newVal)
 		stOp.Kind = trace.Store
 		sm.startStore(stOp)
 		w.blocked = false
@@ -842,11 +833,7 @@ func (c *opCtx) atomicWrite(newVal uint64) {
 	case op.Scope == trace.ScopeGPM:
 		c.release()
 		gpm := s.gpmOf(sm.gpm)
-		if s.Cfg.TrackValues {
-			if _, hit := gpm.L2.Peek(line); hit {
-				gpm.L2.SetValue(line, word, newVal)
-			}
-		}
+		s.setHeld(gpm.L2, line, word, newVal)
 		gpm.unlockLine(line)
 		stOp.Kind, stOp.Scope = trace.Store, trace.ScopeNone
 		sm.startStore(stOp)
@@ -856,11 +843,7 @@ func (c *opCtx) atomicWrite(newVal uint64) {
 		// At a GPU home node.
 		h := c.g()
 		gpm := s.gpmOf(h)
-		if s.Cfg.TrackValues {
-			if _, hit := gpm.L2.Peek(line); hit {
-				gpm.L2.SetValue(line, word, newVal)
-			}
-		}
+		s.setHeld(gpm.L2, line, word, newVal)
 		s.emit(Event{Kind: EvAtomicApply, GPM: h, SM: NoSM, Line: line,
 			Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: newVal})
 		gpm.unlockLine(line)
@@ -875,10 +858,8 @@ func (c *opCtx) atomicWrite(newVal uint64) {
 	default:
 		sh := c.g()
 		gpm := s.gpmOf(sh)
+		s.setHeld(gpm.L2, line, word, newVal)
 		if s.Cfg.TrackValues {
-			if _, hit := gpm.L2.Peek(line); hit {
-				gpm.L2.SetValue(line, word, newVal)
-			}
 			gpm.DRAM.StoreValue(op.Addr, newVal)
 		}
 		gpm.DRAM.Write(s.Cfg.Net.Sizes.StorePayload, nil)
@@ -899,22 +880,18 @@ func (c *opCtx) atomicWrite(newVal uint64) {
 // the latency HMG's non-multi-copy-atomic design eliminates.
 func (s *System) sysHomeStoreMCA(c *opCtx) {
 	gpm := s.gpmOf(c.g())
-	var inv directory.Sharers
-	if gpm.Dir != nil {
-		var evR directory.Region
-		var evict directory.Sharers
-		if c.is(flagLocal) {
-			inv = gpm.Dir.LocalStore(c.line())
-		} else {
-			inv, evR, evict = gpm.Dir.RemoteStore(c.line(), c.req())
-		}
-		// Eviction fan-out keeps the ack-free background path; only the
-		// store's own invalidations require acks.
-		s.sendInvs(gpm, evR, evict)
+	var inv, evict directory.Sharers
+	var evR directory.Region
+	if c.is(flagLocal) {
+		inv = gpm.Dir.LocalStore(c.line())
+	} else {
+		inv, evR, evict = gpm.Dir.RemoteStore(c.line(), c.req())
 	}
-	if inv.IsEmpty() {
+	// Eviction fan-out keeps the ack-free background path; only the
+	// store's own invalidations require acks.
+	s.sendInvs(gpm, evR, evict, nil)
+	s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(c.line()), inv, c)
+	if c.pending == 0 {
 		c.storeDone()
-		return
 	}
-	s.sendInvsAcked(gpm, gpm.Dir.Dir.RegionOf(c.line()), inv, c)
 }

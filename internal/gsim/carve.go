@@ -8,16 +8,18 @@ package gsim
 //   - private and read-only regions are cached freely with no coherence
 //     traffic at all;
 //   - the transition to read-write broadcasts one invalidation wave to
-//     every other GPM (there is no sharer list to narrow it);
+//     every other GPM (there is no sharer list to narrow it); each is an
+//     ordinary background invalidation (sendInv, invDelivered);
 //   - read-write regions are not cached by remote GPMs afterwards, so no
 //     further invalidations are needed — at the cost of every subsequent
-//     access crossing the network.
+//     access crossing the network. fillL2 checks the class when a fill
+//     lands, so a response the transition overtook does not install.
 //
-// The classification granule matches the home-interleaving granule.
+// The classification granule matches the home-interleaving granule, and
+// a broadcast invalidates one granule.
 
 import (
 	"hmg/internal/directory"
-	"hmg/internal/msg"
 	"hmg/internal/topo"
 )
 
@@ -88,37 +90,13 @@ func (s *System) classifyStore(l topo.Line, accessor topo.GPMID) bool {
 }
 
 // broadcastInv invalidates a region in every other GPM's L2 — CARVE's
-// untargeted fan-out, tracked by the home's invalidation gates exactly
-// like directory-generated invalidations.
+// untargeted fan-out of background invalidations, tracked by the home's
+// drain gates exactly like a directory's.
 func (s *System) broadcastInv(home *GPM, l topo.Line) {
 	first := topo.Line(uint64(classRegionOf(l)) * topo.HomeGranuleLines)
-	for g := 0; g < s.Cfg.Topo.TotalGPMs(); g++ {
-		dest := topo.GPMID(g)
-		if dest == home.id {
-			continue
+	for g := topo.GPMID(0); int(g) < s.Cfg.Topo.TotalGPMs(); g++ {
+		if g != home.id {
+			s.sendInv(home.id, g, first, false, nil)
 		}
-		intra := s.Cfg.Topo.SameGPU(home.id, dest)
-		home.invAll.Start()
-		if intra {
-			home.invIntra.Start()
-		}
-		c := s.newCtx(stageCarveInv)
-		c.setFrom(home.id)
-		c.setG(dest)
-		c.setLine(first)
-		c.setFlag(flagIntra, intra)
-		s.send(home.id, dest, msg.Inv, c)
-	}
-}
-
-// carveInvDelivered applies one broadcast invalidation at dest and
-// counts it done at the home.
-func (s *System) carveInvDelivered(home, dest topo.GPMID, first topo.Line, intra bool) {
-	s.gpmOf(dest).L2.InvalidateRegion(first, topo.HomeGranuleLines)
-	s.emit(Event{Kind: EvInvDeliver, GPM: dest, SM: NoSM, Line: first, Aux: topo.HomeGranuleLines})
-	h := s.gpmOf(home)
-	h.invAll.Finish()
-	if intra {
-		h.invIntra.Finish()
 	}
 }

@@ -47,7 +47,7 @@ package gsim
 //     included, has been delivered; an MCA write context likewise
 //     until every InvAck is back, and a release context until every
 //     fence probe has acked. Their children count down the parent's
-//     pending;
+//     pending (childDone);
 //   - the kernel-drain context walks every store and invalidation gate
 //     at a kernel boundary.
 //
@@ -143,14 +143,10 @@ const (
 
 	// Invalidations and downgrades.
 
-	// stageInvDeliver delivers a directory invalidation; a GPU-home
-	// target forwards it to its own sharers.
+	// stageInvDeliver delivers an invalidation of any kind (invDelivered);
+	// while a GPU-home target's forwards are in flight, it marks their
+	// parent.
 	stageInvDeliver
-	// stageInvForward delivers one forwarded invalidation and counts it
-	// against its parent's fan-out.
-	stageInvForward
-	// stageCarveInv delivers one CARVE broadcast invalidation.
-	stageCarveInv
 	// stageDowngrade delivers a clean-eviction downgrade to the home.
 	stageDowngrade
 
@@ -185,13 +181,9 @@ const (
 	// start the L2 access.
 	stageMCAStoreLocked
 	// stageMCAStoreAtL2 applies the store's Table I transitions and
-	// sends its acknowledged invalidations.
+	// sends its acknowledged invalidations; while their InvAcks are
+	// outstanding, it marks their parent.
 	stageMCAStoreAtL2
-	// stageMCAInv delivers one acknowledged invalidation and sends the
-	// InvAck back.
-	stageMCAInv
-	// stageMCAInvAck counts an InvAck against its store.
-	stageMCAInvAck
 
 	// Release fences.
 
@@ -206,8 +198,11 @@ const (
 	stageFenceProbe
 	// stageFenceDrained sends the probe's RelAck back.
 	stageFenceDrained
-	// stageFenceAck counts a probe's acknowledgment against its release.
-	stageFenceAck
+
+	// stageChildDone counts a finished child against its parent
+	// (childDone): an InvAck or RelAck that reached its parent, or a
+	// probe of the release's own GPM whose gate drained.
+	stageChildDone
 
 	// The implicit .sys release at kernel end: a pass over every SM's
 	// store gate, the dirty flush (write-back only) and a second pass,
@@ -243,8 +238,8 @@ func (sm *SM) finishGates(gs gateSet) {
 // zeroes one: ids and counters are 32 bits or less, the bools share one
 // flags byte, and what a context implies is derived rather than stored —
 // the line and word from addr, an MSHR entry's key from its line and
-// from, an invalidation's region and granularity from the receiving
-// directory, a warp-bound context's SM from its warp, and the kernel
+// from, an invalidation's region and granularity from the System's
+// directory configuration or classification, a warp-bound context's SM from its warp, and the kernel
 // drain's gate index lives in pending. The line data a response or a
 // write-back carries lives beside the pool (ctxData), because only
 // value-tracking runs have any.
@@ -542,18 +537,6 @@ func (c *opCtx) Handle() {
 		s.sysHomeStore(c)
 	case stageInvDeliver:
 		s.invDelivered(c)
-	case stageInvForward:
-		parent, dest, line := c.up, c.g(), c.line()
-		c.release()
-		s.invalidateAt(dest, line)
-		parent.pending--
-		if parent.pending == 0 {
-			parent.invFinished()
-		}
-	case stageCarveInv:
-		home, dest, first, intra := c.from(), c.g(), c.line(), c.is(flagIntra)
-		c.release()
-		s.carveInvDelivered(home, dest, first, intra)
 	case stageDowngrade:
 		home, line, req, from := c.g(), c.line(), c.req(), c.from()
 		c.release()
@@ -587,17 +570,6 @@ func (c *opCtx) Handle() {
 		s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
 	case stageMCAStoreAtL2:
 		s.sysHomeStoreMCA(c)
-	case stageMCAInv:
-		s.invalidateAt(c.g(), c.line())
-		c.stage = stageMCAInvAck
-		s.send(c.g(), c.from(), msg.InvAck, c)
-	case stageMCAInvAck:
-		store := c.up
-		c.release()
-		store.pending--
-		if store.pending == 0 {
-			store.storeDone()
-		}
 	case stageReleaseFlush:
 		// "Release operations trigger a writeback of all dirty data, at
 		// least to the home node for the scope being released." The
@@ -616,19 +588,37 @@ func (c *opCtx) Handle() {
 		c.stage = stageFenceDrained
 		c.fencedGate().Wait(c)
 	case stageFenceDrained:
-		c.stage = stageFenceAck
-		s.send(c.g(), c.from(), relAckKind, c)
-	case stageFenceAck:
-		rel := c.up
-		c.release()
-		rel.pending--
-		if rel.pending == 0 {
-			rel.releaseStore()
-		}
+		c.stage = stageChildDone
+		s.send(c.g(), c.from(), msg.RelAck, c)
+	case stageChildDone:
+		c.childDone()
 	case stageDrainStores, stageDrainFlushed, stageDrainInvs:
 		c.drainKernel()
 	default:
 		panic("gsim: opCtx dispatched with no stage")
+	}
+}
+
+// childDone ends c, one child of its parent's fan-out, and counts it
+// against the parent, whose stage names what its last child continues:
+// an invalidation waiting on its forwards ends (invFinished), an MCA
+// store waiting on its InvAcks ends (storeDone), and a release waiting
+// on its fence probes performs its store (releaseStore).
+func (c *opCtx) childDone() {
+	p := c.up
+	c.release()
+	if p.pending--; p.pending > 0 {
+		return
+	}
+	switch p.stage {
+	case stageInvDeliver:
+		p.invFinished()
+	case stageMCAStoreAtL2:
+		p.storeDone()
+	case stageReleaseFence:
+		p.releaseStore()
+	default:
+		panic("gsim: opCtx child done with no parent stage")
 	}
 }
 

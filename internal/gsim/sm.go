@@ -3,6 +3,7 @@ package gsim
 import (
 	"hmg/internal/cache"
 	"hmg/internal/engine"
+	"hmg/internal/msg"
 	"hmg/internal/topo"
 	"hmg/internal/trace"
 )
@@ -270,7 +271,7 @@ func (sm *SM) fenceInvalidations(rel *opCtx) {
 		if scope == trace.ScopeGPU {
 			tgt = s.Cfg.Topo.GPM(sm.gpu, i)
 		}
-		p := s.newCtx(stageFenceAck)
+		p := s.newCtx(stageChildDone)
 		p.up = rel
 		p.setG(tgt)
 		p.setFrom(sm.gpm)
@@ -280,7 +281,7 @@ func (sm *SM) fenceInvalidations(rel *opCtx) {
 			continue
 		}
 		p.stage = stageFenceProbe
-		s.send(sm.gpm, tgt, relFenceKind, p)
+		s.send(sm.gpm, tgt, msg.RelFence, p)
 	}
 }
 
