@@ -136,9 +136,6 @@ func (s *Set) Reset(cfg Config, n int) []Cache {
 // Config returns the cache's geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return int(c.numSets) }
-
 // Lines returns the number of currently valid lines.
 func (c *Cache) Lines() int { return c.filled }
 

@@ -353,7 +353,7 @@ func TestQuiescenceLiveContexts(t *testing.T) {
 		t.Fatalf("a live route context went unreported (violations: %v)", ck.Violations())
 	}
 	n := len(ck.Violations())
-	sys.Eng.Drain()
+	sys.Eng.Run(engine.MaxCycle)
 	sys.OnEvent(drained)
 	if got := ck.Violations(); len(got) != n {
 		t.Fatalf("drained network still reported: %v", got[n:])

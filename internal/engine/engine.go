@@ -372,8 +372,9 @@ func (e *Engine) Stop() { e.stopped = true }
 //     callers deriving elapsed time from the return value see the whole
 //     window they asked for;
 //   - queue drained: now is the time of the last executed event — no
-//     further work exists, so simulated time stops with it (Drain
-//     depends on this: a MaxCycle horizon must not teleport the clock);
+//     further work exists, so simulated time stops with it (so Run with
+//     a MaxCycle horizon returns the time the queue drained rather than
+//     teleporting the clock);
 //   - Stop observed: now is the time of the stopping event (or unchanged
 //     for a stop pending at entry), and the stop is consumed.
 func (e *Engine) Run(horizon Cycle) Cycle {
@@ -416,6 +417,3 @@ func (e *Engine) Run(horizon Cycle) Cycle {
 	e.stopped = false // the stop is consumed by the Run that observed it
 	return e.now
 }
-
-// Drain runs the queue to exhaustion with no horizon.
-func (e *Engine) Drain() Cycle { return e.Run(MaxCycle) }

@@ -27,7 +27,7 @@ func TestScheduleOrdering(t *testing.T) {
 	e.ScheduleHandler(30, Func(func() { got = append(got, 3) }))
 	e.ScheduleHandler(10, Func(func() { got = append(got, 1) }))
 	e.ScheduleHandler(20, Func(func() { got = append(got, 2) }))
-	e.Drain()
+	e.Run(MaxCycle)
 	want := []int{1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
@@ -46,7 +46,7 @@ func TestSameCycleFIFO(t *testing.T) {
 		i := i
 		e.ScheduleHandler(5, Func(func() { got = append(got, i) }))
 	}
-	e.Drain()
+	e.Run(MaxCycle)
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("same-cycle events ran out of order at %d: %v", i, got[:i+1])
@@ -60,7 +60,7 @@ func TestZeroDelayRunsThisCycle(t *testing.T) {
 	e.ScheduleHandler(7, Func(func() {
 		e.ScheduleHandler(0, Func(func() { at = e.Now() }))
 	}))
-	e.Drain()
+	e.Run(MaxCycle)
 	if at != 7 {
 		t.Fatalf("zero-delay event ran at %d, want 7", at)
 	}
@@ -77,7 +77,7 @@ func TestNestedScheduling(t *testing.T) {
 		}
 	}
 	e.ScheduleHandler(1, Func(rec))
-	e.Drain()
+	e.Run(MaxCycle)
 	if depth != 50 {
 		t.Fatalf("depth = %d, want 50", depth)
 	}
@@ -100,7 +100,7 @@ func TestRunHorizon(t *testing.T) {
 	if e.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", e.Pending())
 	}
-	e.Drain()
+	e.Run(MaxCycle)
 	if len(ran) != 4 {
 		t.Fatalf("ran %v after drain, want all 4", ran)
 	}
@@ -122,7 +122,7 @@ func TestStop(t *testing.T) {
 		t.Fatalf("count = %d after Stop, want 3", count)
 	}
 	// A later Run resumes.
-	e.Drain()
+	e.Run(MaxCycle)
 	if count != 10 {
 		t.Fatalf("count = %d after resume, want 10", count)
 	}
@@ -134,7 +134,7 @@ func TestScheduleAt(t *testing.T) {
 	e.ScheduleHandler(10, Func(func() {
 		e.ScheduleHandlerAt(25, Func(func() { at = e.Now() }))
 	}))
-	e.Drain()
+	e.Run(MaxCycle)
 	if at != 25 {
 		t.Fatalf("event at %d, want 25", at)
 	}
@@ -150,7 +150,7 @@ func TestScheduleAtPastPanics(t *testing.T) {
 		}()
 		e.ScheduleHandlerAt(5, Func(func() {}))
 	}))
-	e.Drain()
+	e.Run(MaxCycle)
 }
 
 func TestNilCallbackPanics(t *testing.T) {
@@ -192,7 +192,7 @@ func TestExecutedCounter(t *testing.T) {
 	for i := 0; i < 17; i++ {
 		e.ScheduleHandler(Cycle(i), Func(func() {}))
 	}
-	e.Drain()
+	e.Run(MaxCycle)
 	if e.Executed != 17 {
 		t.Fatalf("Executed = %d, want 17", e.Executed)
 	}
@@ -208,7 +208,7 @@ func TestRandomOrderProperty(t *testing.T) {
 			d := Cycle(d)
 			e.ScheduleHandler(d, Func(func() { ran = append(ran, e.Now()) }))
 		}
-		e.Drain()
+		e.Run(MaxCycle)
 		if !sort.SliceIsSorted(ran, func(i, j int) bool { return ran[i] < ran[j] }) {
 			return false
 		}
@@ -239,7 +239,7 @@ func TestDeterminism(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			e.ScheduleHandler(Cycle(rng.Intn(20)), Func(func() { spawn(0) }))
 		}
-		e.Drain()
+		e.Run(MaxCycle)
 		return seq
 	}
 	a, b := run(), run()
@@ -270,7 +270,7 @@ func TestStopStickyBeforeRun(t *testing.T) {
 		t.Fatalf("stopped Run executed %d events, want 0", count)
 	}
 	// The stop was consumed: the next Run resumes.
-	e.Drain()
+	e.Run(MaxCycle)
 	if count != 5 {
 		t.Fatalf("count = %d after resume, want 5", count)
 	}
@@ -293,7 +293,7 @@ func TestStopStickyBetweenRuns(t *testing.T) {
 	if count != 3 {
 		t.Fatalf("count = %d: Run discarded a pending Stop", count)
 	}
-	e.Drain()
+	e.Run(MaxCycle)
 	if count != 6 {
 		t.Fatalf("count = %d after resume, want 6", count)
 	}
@@ -319,7 +319,7 @@ func TestRunHorizonAdvancesNow(t *testing.T) {
 		t.Fatalf("ran %d events before horizon 12, want 2", ran)
 	}
 	// A drained exit leaves the clock at the last executed event.
-	if at := e.Drain(); at != 20 {
+	if at := e.Run(MaxCycle); at != 20 {
 		t.Fatalf("Drain returned %d, want 20", at)
 	}
 	// A horizon behind the clock never moves time backwards.
@@ -347,12 +347,12 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		e.ScheduleHandler(Cycle(i%64), Func(fn))
 	}
-	e.Drain()
+	e.Run(MaxCycle)
 	if allocs := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 64; i++ {
 			e.ScheduleHandler(Cycle(i%16), Func(fn))
 		}
-		e.Drain()
+		e.Run(MaxCycle)
 	}); allocs != 0 {
 		t.Fatalf("steady-state Func schedule+Drain allocated %v objects per run, want 0", allocs)
 	}
@@ -361,7 +361,7 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			e.ScheduleHandler(Cycle(i%16), h)
 		}
-		e.Drain()
+		e.Run(MaxCycle)
 	}); allocs != 0 {
 		t.Fatalf("steady-state ScheduleHandler+Drain allocated %v objects per run, want 0", allocs)
 	}
@@ -396,16 +396,16 @@ func BenchmarkSchedule(b *testing.B) {
 	for i := 0; i < 1024; i++ {
 		e.ScheduleHandler(Cycle(i%64), Func(fn))
 	}
-	e.Drain()
+	e.Run(MaxCycle)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.ScheduleHandler(Cycle(i&63), Func(fn))
 		if e.Pending() >= 1024 {
-			e.Drain()
+			e.Run(MaxCycle)
 		}
 	}
-	e.Drain()
+	e.Run(MaxCycle)
 }
 
 // BenchmarkRunHot measures the full schedule+dispatch cycle through a
@@ -416,7 +416,7 @@ func BenchmarkRunHot(b *testing.B) {
 	e.ScheduleHandler(1, h)
 	b.ReportAllocs()
 	b.ResetTimer()
-	e.Drain()
+	e.Run(MaxCycle)
 }
 
 func BenchmarkScheduleDrain(b *testing.B) {
@@ -425,10 +425,10 @@ func BenchmarkScheduleDrain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.ScheduleHandler(Cycle(i%64), Func(func() {}))
 		if e.Pending() > 1024 {
-			e.Drain()
+			e.Run(MaxCycle)
 		}
 	}
-	e.Drain()
+	e.Run(MaxCycle)
 }
 
 // deepDelays is the simulator's measured delay mix, 64 entries weighted
@@ -482,11 +482,11 @@ func BenchmarkScheduleDeep(b *testing.B) {
 		}
 	}
 	fill(4 * depth) // warm the queue storage
-	d.e.Drain()
+	d.e.Run(MaxCycle)
 	fill(b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
-	d.e.Drain()
+	d.e.Run(MaxCycle)
 }
 
 // TestResetMatchesNew: an engine reset with events still pending, near
@@ -503,7 +503,7 @@ func TestResetMatchesNew(t *testing.T) {
 	var want []int
 	fresh := New(2e9)
 	schedule(fresh, &want)
-	fresh.Drain()
+	fresh.Run(MaxCycle)
 
 	e := New(0)
 	var dropped []int
@@ -520,7 +520,7 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 	var got []int
 	schedule(e, &got)
-	e.Drain()
+	e.Run(MaxCycle)
 	if len(dropped) != ran {
 		t.Fatalf("%d events dropped by Reset ran afterwards", len(dropped)-ran)
 	}
@@ -538,7 +538,7 @@ func TestResetMatchesNew(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			e.ScheduleHandler(Cycle(i*7%(2*wheelSize)), h)
 		}
-		e.Drain()
+		e.Run(MaxCycle)
 	}); allocs != 0 {
 		t.Fatalf("Reset and a run as large allocated %v objects, want 0", allocs)
 	}

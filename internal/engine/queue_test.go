@@ -285,7 +285,7 @@ func TestFarEventRunsBeforeSameCycleWheelEvents(t *testing.T) {
 	if e.far.len() != 2 || e.wheelLen != 2 {
 		t.Fatalf("far heap holds %d and wheel %d events, want 2 and 2", e.far.len(), e.wheelLen)
 	}
-	e.Drain()
+	e.Run(MaxCycle)
 	want := []string{"far1", "far2", "wheel1", "wheel2"}
 	if len(order) != len(want) {
 		t.Fatalf("ran %v, want %v", order, want)
@@ -304,7 +304,7 @@ func TestQueueOverflowPanics(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := New(0)
 			e.ScheduleHandler(10, Func(func() {}))
-			e.Drain()
+			e.Run(MaxCycle)
 			defer func() {
 				if recover() == nil {
 					t.Errorf("%s past MaxCycle did not panic", name)

@@ -24,7 +24,7 @@ type Link struct {
 	// verb for its index (idx), which Name fills in on demand, so a
 	// network builds its links without formatting a name for each.
 	kind          string
-	idx           int // the kind's index, or -1 when kind is the whole name
+	idx           int // the kind's index
 	latency       engine.Cycle
 	bytesPerCycle float64
 	// nextFree is fractional: serialization accumulates at byte
@@ -39,16 +39,10 @@ type Link struct {
 	Msgs uint64
 }
 
-// NewLink creates a link with the given bandwidth in GB/s at the engine's
-// clock frequency. A non-positive bandwidth means "infinite" (pure
-// latency, no serialization), used by idealized configurations.
-func NewLink(eng *engine.Engine, name string, gbPerSec float64, latency engine.Cycle) *Link {
-	l := &Link{}
-	l.init(eng, name, -1, gbPerSec, latency)
-	return l
-}
-
-// init sets up l as NewLink does, named by kind and idx.
+// init sets up l with the given bandwidth in GB/s at the engine's clock
+// frequency, named by the format kind and index idx. A non-positive
+// bandwidth means "infinite" (pure latency, no serialization), used by
+// idealized configurations.
 func (l *Link) init(eng *engine.Engine, kind string, idx int, gbPerSec float64, latency engine.Cycle) {
 	*l = Link{eng: eng, kind: kind, idx: idx, latency: latency}
 	if gbPerSec > 0 {
@@ -57,12 +51,7 @@ func (l *Link) init(eng *engine.Engine, kind string, idx int, gbPerSec float64, 
 }
 
 // Name returns the link's diagnostic name.
-func (l *Link) Name() string {
-	if l.idx < 0 {
-		return l.kind
-	}
-	return fmt.Sprintf(l.kind, l.idx)
-}
+func (l *Link) Name() string { return fmt.Sprintf(l.kind, l.idx) }
 
 // Send transmits a message of kind k and the given wire size, running
 // deliver when the tail of the message arrives at the far end.

@@ -11,7 +11,7 @@ func TestReadLatency(t *testing.T) {
 	d := New(e, Config{BandwidthGBs: 0, Latency: 250, LineSize: 128})
 	var at engine.Cycle
 	d.Read(0, func() { at = e.Now() })
-	e.Drain()
+	e.Run(engine.MaxCycle)
 	if at != 250 {
 		t.Fatalf("read completed at %d, want 250", at)
 	}
@@ -41,9 +41,9 @@ func TestReadHandlerMatchesRead(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		var at engine.Cycle
 		fd.Read(0, func() { at = fe.Now() })
-		fe.Drain()
+		fe.Run(engine.MaxCycle)
 		hd.ReadHandler(0, h)
-		he.Drain()
+		he.Run(engine.MaxCycle)
 		if h.at != at {
 			t.Fatalf("read %d: ReadHandler done at %d, Read at %d", i, h.at, at)
 		}
@@ -53,7 +53,7 @@ func TestReadHandlerMatchesRead(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		hd.ReadHandler(0, h)
-		he.Drain()
+		he.Run(engine.MaxCycle)
 	}); allocs != 0 {
 		t.Fatalf("warmed ReadHandler allocates %.1f times per read", allocs)
 	}
@@ -67,7 +67,7 @@ func TestBandwidthQueueing(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		d.Read(0, func() { times = append(times, e.Now()) })
 	}
-	e.Drain()
+	e.Run(engine.MaxCycle)
 	// 1.28 cycles of serialization per line, accumulated fractionally.
 	want := []engine.Cycle{12, 13, 14}
 	for i := range want {
@@ -81,7 +81,7 @@ func TestWriteNilDone(t *testing.T) {
 	e := engine.New(1.3e9)
 	d := New(e, DefaultConfig())
 	d.Write(32, nil) // must not panic
-	e.Drain()
+	e.Run(engine.MaxCycle)
 	if d.Stats.Writes != 1 {
 		t.Fatalf("Writes = %d", d.Stats.Writes)
 	}
@@ -92,7 +92,7 @@ func TestWriteDone(t *testing.T) {
 	d := New(e, Config{BandwidthGBs: 0, Latency: 5, LineSize: 128})
 	var at engine.Cycle
 	d.Write(32, engine.Func(func() { at = e.Now() }))
-	e.Drain()
+	e.Run(engine.MaxCycle)
 	if at != 5 {
 		t.Fatalf("write done at %d, want 5", at)
 	}

@@ -36,16 +36,9 @@ type PageMap struct {
 	placed int
 }
 
-// NewPageMap returns an empty PageMap for the given topology, which must
-// be valid (Topology.Validate) and have fewer than math.MaxInt32 GPMs.
-func NewPageMap(t Topology) *PageMap {
-	m := &PageMap{}
-	m.Reset(t)
-	return m
-}
-
-// Reset empties m and rebinds it to topology t, under the same
-// conditions as NewPageMap. It keeps the table: every page it covered
+// Reset empties m and binds it to topology t, which must be valid
+// (Topology.Validate) and have fewer than math.MaxInt32 GPMs; the zero
+// PageMap is ready for it. It keeps the table: every page it covered
 // stays reserved, now unplaced.
 func (m *PageMap) Reset(t Topology) {
 	if t.TotalGPMs() >= math.MaxInt32 {

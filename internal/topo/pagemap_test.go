@@ -20,7 +20,7 @@ func TestPageMapMatchesModel(t *testing.T) {
 	tp := paperTopo()
 	total := tp.TotalGPMs()
 	t.Run("first-touch", func(t *testing.T) {
-		m := NewPageMap(tp)
+		m := newPageMap(tp)
 		model := map[Page]GPMID{}
 		place := func(p Page, accessor GPMID) GPMID {
 			if o, ok := model[p]; ok {
@@ -89,7 +89,7 @@ func TestPageMapMatchesModel(t *testing.T) {
 // allocate nothing.
 func TestPageMapReservedTouchDoesNotAllocate(t *testing.T) {
 	tp := paperTopo()
-	m := NewPageMap(tp)
+	m := newPageMap(tp)
 	m.Reserve(1024)
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -109,7 +109,7 @@ func TestPageMapReservedTouchDoesNotAllocate(t *testing.T) {
 // a table by a stray address.
 func TestPageMapLimit(t *testing.T) {
 	tp := paperTopo()
-	m := NewPageMap(tp)
+	m := newPageMap(tp)
 	if !panics(func() { m.Touch(Addr(uint64(MaxPages)*uint64(tp.PageSize)), 0) }) {
 		t.Error("Touch of page MaxPages did not panic")
 	}
@@ -134,7 +134,7 @@ func TestPageMapLimit(t *testing.T) {
 // placing the same pages again allocates nothing.
 func TestPageMapReset(t *testing.T) {
 	tp := paperTopo()
-	m := NewPageMap(tp)
+	m := newPageMap(tp)
 	m.Reserve(64)
 	for p := 0; p < 64; p++ {
 		m.Touch(Addr(uint64(p)*uint64(tp.PageSize)), GPMID(p%tp.TotalGPMs()))

@@ -138,7 +138,7 @@ func TestGPUHomeLocalStableAndSpread(t *testing.T) {
 
 func TestPageMapFirstTouch(t *testing.T) {
 	tp := paperTopo()
-	m := NewPageMap(tp)
+	m := newPageMap(tp)
 	a := Addr(123456)
 	o := m.Touch(a, 7)
 	if o != 7 {
@@ -161,7 +161,7 @@ func TestPageMapFirstTouch(t *testing.T) {
 
 func TestPageMapGPUHome(t *testing.T) {
 	tp := paperTopo()
-	m := NewPageMap(tp)
+	m := newPageMap(tp)
 	a := Addr(0)
 	owner := tp.GPM(1, 2)
 	m.Touch(a, owner)
@@ -183,11 +183,18 @@ func TestPageMapGPUHome(t *testing.T) {
 }
 
 func TestSysHomeUnplacedPanics(t *testing.T) {
-	m := NewPageMap(paperTopo())
+	m := newPageMap(paperTopo())
 	defer func() {
 		if recover() == nil {
 			t.Error("SysHome of unplaced line did not panic")
 		}
 	}()
 	m.SysHome(42)
+}
+
+// newPageMap returns an empty map for tp, built as gsim builds its own.
+func newPageMap(tp Topology) *PageMap {
+	m := new(PageMap)
+	m.Reset(tp)
+	return m
 }
