@@ -239,10 +239,10 @@ func (sm *SM) finishGates(gs gateSet) {
 // flags byte, and what a context implies is derived rather than stored —
 // the line and word from addr, an MSHR entry's key from its line and
 // from, an invalidation's region and granularity from the System's
-// directory configuration or classification, a warp-bound context's SM from its warp, and the kernel
-// drain's gate index lives in pending. The line data a response or a
-// write-back carries lives beside the pool (ctxData), because only
-// value-tracking runs have any.
+// directory configuration or classification, a warp-bound context's SM
+// from its warp, and the kernel drain's gate index lives in pending.
+// The line data a response or a write-back carries lives beside the
+// pool (ctxData), because only value-tracking runs have any.
 //
 // DESIGN.md "Pooled contexts" tables the fields each role uses.
 //
