@@ -467,7 +467,7 @@ func TestHmgbenchStoreFlow(t *testing.T) {
 
 	// Damage one record: exactly that run re-simulates, and the output
 	// bytes still match the cold campaign's.
-	victims, err := filepath.Glob(filepath.Join(store, "*", "*", "*.res"))
+	victims, err := filepath.Glob(filepath.Join(store, "*.res"))
 	if err != nil || len(victims) == 0 {
 		t.Fatalf("no store records found: %v", err)
 	}

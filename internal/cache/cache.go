@@ -1,9 +1,10 @@
 // Package cache implements the set-associative caches used for GPU L1s
 // and the distributed L2 slices: LRU replacement, write-through or
-// write-back policies, predicate-based bulk invalidation (for software
-// coherence's acquire semantics), and optional sparse per-word values so
-// that the coherence protocols can be checked functionally, not just for
-// timing.
+// write-back policies, invalidation of one line, of a directory region
+// (InvalidateRegion) or of the whole cache (InvalidateAll, for software
+// coherence's acquires and kernel boundaries), and optional sparse
+// per-word values so that the coherence protocols can be checked
+// functionally, not just for timing.
 package cache
 
 import (
@@ -91,28 +92,23 @@ type Cache struct {
 
 // New builds a cache; it panics on an invalid configuration because
 // configurations are validated at system construction.
-func New(cfg Config) *Cache { return &NewSet(cfg, 1)[0] }
-
-// NewSet builds n caches of one configuration in two allocations at any
-// n: the caches share one Cache slab, and each keeps its entries in its
-// own full-capacity window of one shared Entry slab. It panics on an
-// invalid configuration.
-func NewSet(cfg Config, n int) []Cache {
+func New(cfg Config) *Cache {
 	var set Set
-	return set.Reset(cfg, n)
+	return &set.Reset(cfg, 1)[0]
 }
 
-// Set is the storage of a group of caches: the Cache slab and the Entry
-// slab NewSet builds them from. The zero Set is empty.
+// Set is the storage of a group of caches: one Cache slab, and one
+// Entry slab in which each cache keeps its entries in its own
+// full-capacity window, so n caches cost two allocations at any n. The
+// zero Set is empty.
 type Set struct {
 	caches  []Cache
 	entries []Entry
 }
 
-// Reset returns n empty caches of configuration cfg, as NewSet builds
-// them, reusing each of the set's slabs that is large enough. Caches
-// the set returned before are invalidated. It panics on an invalid
-// configuration.
+// Reset returns n empty caches of configuration cfg, reusing each of
+// the set's slabs that is large enough. Caches the set returned before
+// are invalidated. It panics on an invalid configuration.
 func (s *Set) Reset(cfg Config, n int) []Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)

@@ -62,24 +62,29 @@ func TestNewAllocatesFlat(t *testing.T) {
 	}
 }
 
-// TestNewSetSharesTwoSlabs: n caches cost two allocations at any n, and
-// each behaves as a cache of its own — filling and flushing one leaves
-// its neighbours in the shared entry slab untouched.
+// TestNewSetSharesTwoSlabs: a zero Set's Reset builds n caches in two
+// allocations at any n, and each behaves as a cache of its own —
+// filling and flushing one leaves its neighbours in the shared entry
+// slab untouched.
 func TestNewSetSharesTwoSlabs(t *testing.T) {
 	cfg := Config{CapacityBytes: 2 * 128 * 2, LineSize: 128, Ways: 2} // 2 sets
 	// The race detector adds allocations of its own: under it the count
 	// must only not grow with n.
 	want := 2.0
 	for i, n := range []int{1, 3, 64} {
-		a := testing.AllocsPerRun(5, func() { NewSet(cfg, n) })
+		a := testing.AllocsPerRun(5, func() {
+			var set Set
+			set.Reset(cfg, n)
+		})
 		if i == 0 && raceEnabled {
 			want = a
 		}
 		if a != want {
-			t.Errorf("NewSet(%d): %v allocations, want %v", n, a, want)
+			t.Errorf("Set.Reset(%d) on a zero Set: %v allocations, want %v", n, a, want)
 		}
 	}
-	cs := NewSet(cfg, 3)
+	var set Set
+	cs := set.Reset(cfg, 3)
 	mid := &cs[1]
 	for l := topo.Line(0); l < 8; l++ { // overfill both sets
 		mid.Fill(l)

@@ -95,30 +95,24 @@ type Dir struct {
 }
 
 // New builds a directory; it panics on an invalid configuration.
-func New(cfg Config) *Dir { return &NewSet(cfg, 1)[0] }
-
-// NewSet builds n directories of one configuration in two allocations at
-// any n: one Dir slab, and one slab of shard headers that each directory
-// windows. Shard arrays still allocate lazily, per directory. It panics
-// on an invalid configuration.
-func NewSet(cfg Config, n int) []Dir {
+func New(cfg Config) *Dir {
 	var set Set
-	return set.Reset(cfg, n)
+	return &set.Reset(cfg, 1)[0]
 }
 
 // Set is the storage of a group of directories: the Dir slab, the slab
-// of shard headers they window, and the shard arrays touched so far. The
-// zero Set is empty.
+// of shard headers they window, and the shard arrays touched so far.
+// Shard arrays allocate lazily, per directory. The zero Set is empty.
 type Set struct {
 	dirs    []Dir
 	headers [][]Entry
 }
 
-// Reset returns n empty directories of configuration cfg, as NewSet
-// builds them, reusing each slab of the set that is large enough: a
-// shard array touched before stays, emptied, wherever it can hold the
-// shard its header now names. Directories the set returned before are
-// invalidated. It panics on an invalid configuration.
+// Reset returns n empty directories of configuration cfg in two
+// allocations at any n, reusing each slab of the set that is large
+// enough: a shard array touched before stays, emptied, wherever it can
+// hold the shard its header now names. Directories the set returned
+// before are invalidated. It panics on an invalid configuration.
 func (s *Set) Reset(cfg Config, n int) []Dir {
 	if err := cfg.Validate(); err != nil {
 		panic(err)

@@ -6,10 +6,11 @@
 // inter-GPU bandwidth, L2 capacity, directory size, and directory entry
 // granularity (Figs. 12–14 and §VII-B).
 //
-// Every simulation of a campaign is identified by a (benchmark,
-// protocol, variant) key and memoized, so figures sharing configuration
-// points (e.g. every sweep's Table II column and the common no-caching
-// baseline) reuse results. The memo cache is concurrency-safe with
+// Every simulation of a campaign is identified by one content address
+// of its (benchmark, protocol, variant, shape) specification and
+// memoized under it, so figures sharing configuration points (e.g.
+// every sweep's Table II column and the common no-caching baseline)
+// reuse results. The memo cache is concurrency-safe with
 // in-flight deduplication. A figure's generator is the one statement of
 // the runs it needs: PlanUnion dry-runs the generators against a
 // recording Runner (see registry.go), so a generator must request the
@@ -134,8 +135,8 @@ func (v Variant) withDefaults() Variant {
 	return v
 }
 
-// runKey is a run's canonical specification and its identity in both
-// memo tiers: the in-process cache keys on it, and StoreKey digests it.
+// runKey is a run's canonical specification. Its content address (see
+// Runner.address) is the run's identity in both memo tiers.
 type runKey struct {
 	bench workload.Params
 	kind  proto.Kind
@@ -143,58 +144,10 @@ type runKey struct {
 	shape topo.Spec // the effective machine shape
 }
 
-// digest hashes the fields of k that tell campaign runs apart (64-bit
-// FNV-1a): the in-process memo's map key. A runKey is 248 bytes, above
-// the 128 a Go map stores inline, so keying the map by it would copy
-// every inserted key to the heap. Keys whose digests collide share the
-// digest's chain and are told apart by the whole key.
-func (k runKey) digest() uint64 {
-	h := fnv64(14695981039346656037)
-	h.str(k.bench.Abbrev)
-	h.word(uint64(k.bench.Seed))
-	h.word(uint64(k.kind))
-	h.word(math.Float64bits(k.v.NVLinkGBs))
-	h.word(uint64(k.v.L2MBPerGPU))
-	h.word(uint64(k.v.DirEntries))
-	h.word(uint64(k.v.GranLines))
-	var flags uint64
-	for i, on := range [...]bool{k.v.Downgrade, k.v.WriteBack, k.v.ScatterCTAs, k.v.StaticPlacement} {
-		if on {
-			flags |= 1 << i
-		}
-	}
-	h.word(flags)
-	h.word(uint64(k.shape.NumGPUs))
-	h.word(uint64(k.shape.GPMsPerGPU))
-	return uint64(h)
-}
-
-// fnv64 is a running 64-bit FNV-1a hash.
-type fnv64 uint64
-
-// word mixes x in, low byte first.
-func (h *fnv64) word(x uint64) {
-	for i := 0; i < 8; i++ {
-		*h = (*h ^ fnv64(x&0xff)) * 1099511628211
-		x >>= 8
-	}
-}
-
-// str mixes s in, then its length.
-func (h *fnv64) str(s string) {
-	for i := 0; i < len(s); i++ {
-		*h = (*h ^ fnv64(s[i])) * 1099511628211
-	}
-	h.word(uint64(len(s)))
-}
-
 // inflight is one memo-cache entry: the first requester of a key owns
 // the simulation; duplicate requesters block on done until the owner
-// publishes res/err. Entries whose keys share a digest chain through
-// next.
+// publishes res/err.
 type inflight struct {
-	key  runKey
-	next *inflight
 	done chan struct{}
 	res  *gsim.Results
 	err  error
@@ -209,8 +162,8 @@ type Runner struct {
 	opts Options
 
 	mu sync.Mutex
-	// cache is the in-process memo, keyed by runKey.digest.
-	cache map[uint64]*inflight
+	// cache is the in-process memo, keyed by content address.
+	cache map[resstore.Key]*inflight
 	stats Summary
 
 	logMu sync.Mutex
@@ -230,7 +183,7 @@ func NewRunner(o Options) (*Runner, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	return &Runner{opts: o.withDefaults(), cache: make(map[uint64]*inflight)}, nil
+	return &Runner{opts: o.withDefaults(), cache: make(map[resstore.Key]*inflight)}, nil
 }
 
 // Options returns the runner's options.
@@ -331,12 +284,13 @@ func (r *Runner) baseSpec() topo.Spec {
 	return r.opts.Topo.Apply(gsim.DefaultConfig(r.opts.SMsPerGPM, proto.HMG).Topo).Spec()
 }
 
-// key canonicalizes a run to its memo key. Directory parameters are
-// canonicalized away for software and ideal configurations (they have
-// no directories), so sweeps over directory size reuse their runs; a
-// per-run topology override that resolves to the campaign's base shape
-// (e.g. Spec{NumGPUs: 4} on the Table II machine) shares a key with
-// plain runs.
+// key canonicalizes a run's specification; its content address is the
+// run's memo key. Directory parameters are canonicalized away for
+// software and ideal configurations (they have no directories), so
+// sweeps over directory size reuse their runs; a per-run topology
+// override that resolves to the campaign's base shape (e.g.
+// Spec{NumGPUs: 4} on the Table II machine) shares a key with plain
+// runs.
 func (r *Runner) key(bench workload.Params, kind proto.Kind, v Variant, sp topo.Spec) runKey {
 	return runKey{bench, kind, canonicalVariant(kind, v), r.effectiveSpec(sp)}
 }
@@ -354,8 +308,8 @@ func (r *Runner) name(k runKey) string {
 // canonicalVariant defaults v and canonicalizes away the directory
 // parameters non-hardware configurations cannot observe (software and
 // ideal points have no directories), so sweeps over directory size
-// reuse their runs. Both memo tiers — the in-process cache and the
-// content-addressed store — key on the canonical form.
+// reuse their runs. The content address that keys both memo tiers
+// digests the canonical form.
 func canonicalVariant(kind proto.Kind, v Variant) Variant {
 	v = v.withDefaults()
 	if !proto.For(kind).Hardware {
@@ -390,31 +344,27 @@ func mevPerSec(events uint64, secs float64) float64 {
 // all concurrent requesters of the same key (singleflight): duplicates
 // block until the owner's simulation completes and then share its
 // result. With Options.Store configured, a cache miss consults the
-// persistent store (under the key's storeKey, digested only on a miss)
-// before simulating, and a successful simulation is written back. A
-// failed simulation is published to the waiters already blocked on it
-// and then evicted, so the next request for the key retries instead of
-// replaying the stale error; failed runs are never written to the store.
+// persistent store under the same content address before simulating,
+// and a successful simulation is written back. A failed simulation is
+// published to the waiters already blocked on it and then evicted, so
+// the next request for the key retries instead of replaying the stale
+// error; failed runs are never written to the store.
 func (r *Runner) memoized(key runKey, sim func() (*gsim.Results, error)) (*gsim.Results, error) {
-	d := key.digest()
+	addr := r.address(key)
 	r.mu.Lock()
-	for e := r.cache[d]; e != nil; e = e.next {
-		if e.key == key {
-			r.stats.MemoHits++
-			r.mu.Unlock()
-			<-e.done
-			return e.res, e.err
-		}
+	if e := r.cache[addr]; e != nil {
+		r.stats.MemoHits++
+		r.mu.Unlock()
+		<-e.done
+		return e.res, e.err
 	}
-	e := &inflight{key: key, next: r.cache[d], done: make(chan struct{})}
-	r.cache[d] = e
+	e := &inflight{done: make(chan struct{})}
+	r.cache[addr] = e
 	r.mu.Unlock()
 
 	st := r.opts.Store
-	var dk resstore.Key
 	if st != nil {
-		dk = r.storeKey(key)
-		if res, ok := st.Get(dk); ok {
+		if res, ok := st.Get(addr); ok {
 			e.res = res
 			close(e.done)
 			r.mu.Lock()
@@ -435,7 +385,7 @@ func (r *Runner) memoized(key runKey, sim func() (*gsim.Results, error)) (*gsim.
 	close(e.done)
 	if e.err != nil {
 		r.mu.Lock()
-		r.evict(d, e)
+		delete(r.cache, addr)
 		r.mu.Unlock()
 		return nil, e.err
 	}
@@ -447,7 +397,7 @@ func (r *Runner) memoized(key runKey, sim func() (*gsim.Results, error)) (*gsim.
 	r.stats.RunWall += wall
 	r.mu.Unlock()
 	if st != nil {
-		if err := st.Put(dk, e.res); err != nil {
+		if err := st.Put(addr, e.res); err != nil {
 			// A full or read-only store degrades to a slower campaign,
 			// not a failed one.
 			r.logf("  store: %s/%v: %v\n", r.name(key), key.kind, err)
@@ -461,26 +411,6 @@ func (r *Runner) memoized(key runKey, sim func() (*gsim.Results, error)) (*gsim.
 		r.name(key), key.kind, e.res.Cycles, e.res.InterGPUGBs(), wall.Seconds(),
 		mevPerSec(e.res.EventsExecuted, wall.Seconds()))
 	return e.res, nil
-}
-
-// evict unlinks entry e from digest d's chain, if it is still there.
-// The caller holds r.mu.
-func (r *Runner) evict(d uint64, e *inflight) {
-	head := r.cache[d]
-	if head == e {
-		if e.next == nil {
-			delete(r.cache, d)
-		} else {
-			r.cache[d] = e.next
-		}
-		return
-	}
-	for p := head; p != nil; p = p.next {
-		if p.next == e {
-			p.next = e.next
-			return
-		}
-	}
 }
 
 // simulate executes run k for real on worker w's machine and trace (see
@@ -643,16 +573,17 @@ func (r *Runner) run(k runKey, w *worker) (*gsim.Results, error) {
 // by trace, the groups in the order their traces are first asked for —
 // and their traces, each counting its runs.
 func (r *Runner) schedule(specs []RunSpec) ([]runKey, *traceSet) {
-	seen := make(map[runKey]bool, len(specs))
+	seen := make(map[resstore.Key]bool, len(specs))
 	traces := &traceSet{m: make(map[traceKey]*sharedTrace)}
 	var groups [][]runKey
 	group := make(map[traceKey]int)
 	for _, s := range specs {
 		k := r.key(s.Bench, s.Kind, s.V, s.Topo)
-		if seen[k] {
+		addr := r.address(k)
+		if seen[addr] {
 			continue
 		}
-		seen[k] = true
+		seen[addr] = true
 		tk := k.traceKey()
 		st := traces.m[tk]
 		if st == nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"reflect"
@@ -11,9 +12,9 @@ import (
 	"testing"
 	"time"
 
-	"hmg/internal/engine"
 	"hmg/internal/gsim"
 	"hmg/internal/proto"
+	"hmg/internal/resstore"
 	"hmg/internal/topo"
 	"hmg/internal/workload"
 )
@@ -105,50 +106,8 @@ func TestMemoizedErrorRetry(t *testing.T) {
 	if s := r.Summary(); s.UniqueRuns != 1 {
 		t.Fatalf("UniqueRuns = %d after one failure and one success, want 1", s.UniqueRuns)
 	}
-}
-
-// TestMemoChainsCollidingDigests: keys that differ only in fields the
-// memo's digest skips share its chain, and the memo still tells them
-// apart: each simulates once, is served back on its own, and a failure
-// evicts only its own entry. An insert allocates the entry and its done
-// channel, never a copy of the key.
-func TestMemoChainsCollidingDigests(t *testing.T) {
-	r := testRunner()
-	keys := make([]runKey, 3)
-	for i := range keys {
-		keys[i] = runKey{bench: workload.Params{Abbrev: "synthetic", Kernels: i + 1}, kind: proto.HMG}
-		if keys[i].digest() != keys[0].digest() {
-			t.Fatalf("key %d's digest differs; the test needs a collision", i)
-		}
-	}
-	sim := func(cycles engine.Cycle) func() (*gsim.Results, error) {
-		return func() (*gsim.Results, error) { return &gsim.Results{Cycles: cycles}, nil }
-	}
-	if _, err := r.memoized(keys[0], sim(1)); err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("boom")
-	if _, err := r.memoized(keys[1], func() (*gsim.Results, error) { return nil, boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if _, err := r.memoized(keys[2], sim(3)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.memoized(keys[1], sim(2)); err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		res, err := r.memoized(k, func() (*gsim.Results, error) {
-			t.Errorf("key %d re-simulated", i)
-			return nil, nil
-		})
-		if err != nil || res.Cycles != engine.Cycle(i+1) {
-			t.Fatalf("key %d served %+v, %v; want its own result", i, res, err)
-		}
-	}
-	if s := r.Summary(); s.UniqueRuns != 3 || s.MemoHits != 3 {
-		t.Fatalf("UniqueRuns %d, MemoHits %d; want 3 and 3", s.UniqueRuns, s.MemoHits)
-	}
+	// An insert allocates the entry and its done channel, never a copy
+	// of the key.
 	next := 100
 	if n := testing.AllocsPerRun(20, func() {
 		next++
@@ -167,7 +126,7 @@ func TestFailedRunsNeverStored(t *testing.T) {
 	dir := t.TempDir()
 	r := storeRunner(t, dir)
 	key := runKey{bench: workload.Params{Abbrev: "synthetic"}, kind: proto.HMG}
-	dk := r.storeKey(key)
+	dk := r.address(key)
 	boom := errors.New("boom")
 	if _, err := r.memoized(key, func() (*gsim.Results, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -287,10 +246,12 @@ func TestStoreKeyCanonicalization(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := r.StoreKey(b, proto.HMG, Variant{}, topo.Spec{})
-	// The address is pinned: it digests the same strings whatever form
-	// the in-process key takes, so records written by earlier builds of
-	// the same model keep hitting. A model-version change moves it.
-	const want = "58044efa6f3242996423931d53b3c763d4a63b97760653e5c0ae976fdb53c477"
+	// The address is pinned, so records written by earlier builds of the
+	// same model keep hitting. A model-version change moves it, and so
+	// did the move from the hmg-runspec-v1 encoding (formatted strings)
+	// to v2 (every field by reflection, the memo's key too): v1 gave
+	// 58044efa…53c477 under the same stamp.
+	const want = "a2b02406f1807c3fbeb70671bc71b5713b7c5e28f250081d5b43a7d5496df5e8"
 	if got := base.String(); got != want {
 		t.Fatalf("overfeat/HMG store address = %s, want %s", got, want)
 	}
@@ -334,6 +295,102 @@ func TestStoreKeyCanonicalization(t *testing.T) {
 	}
 	if r.StoreKey(b2, proto.HMG, Variant{}, topo.Spec{}) == base {
 		t.Fatal("distinct benchmarks collide")
+	}
+}
+
+// TestStoreKeyCoversEveryField perturbs each field of the run's
+// benchmark parameters, variant and topology override, and each
+// campaign scaling option, and requires every perturbation to move the
+// address: no field drops out of the run's identity.
+func TestStoreKeyCoversEveryField(t *testing.T) {
+	r := testRunner()
+	b, err := workload.Get("overfeat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := Variant{}.withDefaults()
+	sp := topo.Spec{NumGPUs: 4, GPMsPerGPU: 4}
+	base := r.StoreKey(b, proto.HMG, v, sp)
+	if r.StoreKey(b, proto.HMG, v, sp) != base {
+		t.Fatal("StoreKey is not deterministic")
+	}
+	// eachField perturbs field i of the struct *p in turn, calling moved
+	// with the field's name while it differs from the original.
+	eachField := func(p any, moved func(name string)) {
+		s := reflect.ValueOf(p).Elem()
+		for i := 0; i < s.NumField(); i++ {
+			f := s.Field(i)
+			orig := reflect.New(f.Type()).Elem()
+			orig.Set(f)
+			switch f.Kind() {
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			case reflect.Int, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			case reflect.Uint8:
+				f.SetUint(f.Uint() + 1)
+			case reflect.Float64:
+				f.SetFloat(f.Float() + 0.5)
+			case reflect.String:
+				f.SetString(f.String() + "'")
+			default:
+				t.Fatalf("%s.%s: no perturbation for kind %v", s.Type(), s.Type().Field(i).Name, f.Kind())
+			}
+			moved(s.Type().String() + "." + s.Type().Field(i).Name)
+			f.Set(orig)
+		}
+	}
+	check := func(name string, k resstore.Key) {
+		t.Helper()
+		if k == base {
+			t.Errorf("perturbing %s leaves the address unchanged", name)
+		}
+	}
+	eachField(&b, func(name string) { check(name, r.StoreKey(b, proto.HMG, v, sp)) })
+	eachField(&v, func(name string) { check(name, r.StoreKey(b, proto.HMG, v, sp)) })
+	eachField(&sp, func(name string) { check(name, r.StoreKey(b, proto.HMG, v, sp)) })
+	check("kind", r.StoreKey(b, proto.NHCC, v, sp))
+	for _, o := range []Options{{Scale: 0.2, SMsPerGPM: 4}, {Scale: 0.1, SMsPerGPM: 8}} {
+		r2, err := NewRunner(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("options to %+v", o), r2.StoreKey(b, proto.HMG, v, sp))
+	}
+}
+
+// TestAddressPanicsOnUnencodedKind: a run-key field of a kind the
+// address encoding does not know panics rather than dropping out of
+// the address.
+func TestAddressPanicsOnUnencodedKind(t *testing.T) {
+	for _, v := range []any{
+		struct{ S []int }{},
+		struct{ P *int }{},
+		struct{ M map[int]int }{},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("encoding %T did not panic", v)
+				}
+			}()
+			appendValue(nil, reflect.ValueOf(v))
+		}()
+	}
+}
+
+// TestStoreKeyAllocatesNothing: a content address is computed in a
+// stack buffer, so the memo pays no allocation per lookup.
+func TestStoreKeyAllocatesNothing(t *testing.T) {
+	r := testRunner()
+	b, err := workload.Get("overfeat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		r.StoreKey(b, proto.HMG, Variant{Downgrade: true}, topo.Spec{NumGPUs: 8})
+	}); n != 0 {
+		t.Fatalf("StoreKey makes %v allocations, want 0", n)
 	}
 }
 

@@ -50,15 +50,10 @@ type DRAM struct {
 const WordSize = 4
 
 // New builds a DRAM partition.
-func New(eng *engine.Engine, cfg Config) *DRAM { return &NewSet(eng, cfg, 1)[0] }
-
-// NewSet builds n partitions of one configuration in one allocation.
-func NewSet(eng *engine.Engine, cfg Config, n int) []DRAM {
-	ds := make([]DRAM, n)
-	for i := range ds {
-		ds[i].Reset(eng, cfg)
-	}
-	return ds
+func New(eng *engine.Engine, cfg Config) *DRAM {
+	d := new(DRAM)
+	d.Reset(eng, cfg)
+	return d
 }
 
 // Reset makes d an idle partition of configuration cfg that holds no

@@ -44,7 +44,8 @@ func TestFirstWideFanOutAllocatesNothing(t *testing.T) {
 	const sets = 8                // regions r, r+8 and r+16 share a directory set
 	fresh := make([][]DirCtrl, 2) // AllocsPerRun's warm-up, then one run
 	for i := range fresh {
-		fresh[i] = NewDirCtrlSet(cfg, 4)
+		var set DirCtrlSet
+		fresh[i] = set.Reset(cfg, 4)
 		c := &fresh[i][1]
 		for _, r := range []uint64{1, 1 + sets} {
 			for id := 0; id < directory.MaxSharerIDs; id++ {

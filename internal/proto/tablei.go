@@ -78,14 +78,9 @@ type DirCtrl struct {
 }
 
 // NewDirCtrl builds a Table I controller over a directory.
-func NewDirCtrl(cfg directory.Config) *DirCtrl { return &NewDirCtrlSet(cfg, 1)[0] }
-
-// NewDirCtrlSet builds n controllers, each over its own directory of one
-// configuration, in three allocations at any n (directory.NewSet's two
-// and the controller slab).
-func NewDirCtrlSet(cfg directory.Config, n int) []DirCtrl {
+func NewDirCtrl(cfg directory.Config) *DirCtrl {
 	var set DirCtrlSet
-	return set.Reset(cfg, n)
+	return &set.Reset(cfg, 1)[0]
 }
 
 // DirCtrlSet is the storage of a group of controllers: the controller
@@ -97,9 +92,10 @@ type DirCtrlSet struct {
 }
 
 // Reset returns n controllers with empty statistics over empty
-// directories of configuration cfg, as NewDirCtrlSet builds them,
-// reusing each slab of the set that is large enough. Controllers the set
-// returned before are invalidated.
+// directories of configuration cfg, in three allocations at any n (the
+// directory.Set's two and the controller slab), reusing each slab of
+// the set that is large enough. Controllers the set returned before are
+// invalidated.
 func (s *DirCtrlSet) Reset(cfg directory.Config, n int) []DirCtrl {
 	dirs := s.dirs.Reset(cfg, n)
 	s.ctrls = slices.Grow(s.ctrls[:0], n)[:n]

@@ -16,8 +16,8 @@
 // so concurrent writers (or a crash mid-write) leave either the old
 // record or the new one, never a torn file.
 //
-// Layout: records fan out two levels deep by digest prefix
-// (root/ab/cd/abcd….res), keeping directories small at campaign scale.
+// Records live flat in the store's one directory, named by their key
+// (root/<64-hex>.res): a whole campaign is about a thousand files.
 package resstore
 
 import (
@@ -26,7 +26,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -36,22 +35,6 @@ type Key [sha256.Size]byte
 
 // String renders the key as lowercase hex, the record's file basename.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
-
-// SumKey hashes an ordered list of canonical string parts into a Key.
-// Each part is length-prefixed, so no two distinct part lists collide
-// by concatenation.
-func SumKey(parts ...string) Key {
-	h := sha256.New()
-	var n [8]byte
-	for _, p := range parts {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		io.WriteString(h, p)
-	}
-	var k Key
-	h.Sum(k[:0])
-	return k
-}
 
 // magic opens every record file; the trailing byte is the record format
 // version.
@@ -79,6 +62,9 @@ func Open(dir, version string) (*Store, error) {
 	if version == "" {
 		return nil, fmt.Errorf("resstore: empty model-version stamp")
 	}
+	if len(version) > 1<<16-1 {
+		return nil, fmt.Errorf("resstore: model-version stamp longer than 64KiB")
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resstore: %w", err)
 	}
@@ -89,10 +75,7 @@ func Open(dir, version string) (*Store, error) {
 func (s *Store) Version() string { return s.version }
 
 // Path returns where a key's record lives (whether or not it exists).
-func (s *Store) Path(k Key) string {
-	hx := k.String()
-	return filepath.Join(s.root, hx[:2], hx[2:4], hx+Ext)
-}
+func (s *Store) Path(k Key) string { return filepath.Join(s.root, k.String()+Ext) }
 
 // GetBytes reads a key's verified payload. It returns (nil, false) on
 // any miss — absent, truncated, corrupt, or version-mismatched records
@@ -106,6 +89,19 @@ func (s *Store) GetBytes(k Key) ([]byte, bool) {
 	}
 	payload, ok := parseRecord(buf, s.version)
 	return payload, ok
+}
+
+// record returns the record image of payload under a model-version
+// stamp of at most 64KiB: the inverse of parseRecord.
+func record(version string, payload []byte) []byte {
+	rec := make([]byte, 0, len(magic)+2+len(version)+8+sha256.Size+len(payload))
+	rec = append(rec, magic[:]...)
+	rec = binary.LittleEndian.AppendUint16(rec, uint16(len(version)))
+	rec = append(rec, version...)
+	rec = binary.LittleEndian.AppendUint64(rec, uint64(len(payload)))
+	digest := sha256.Sum256(payload)
+	rec = append(rec, digest[:]...)
+	return append(rec, payload...)
 }
 
 // parseRecord validates one record image and returns its payload.
@@ -138,28 +134,13 @@ func parseRecord(buf []byte, version string) ([]byte, bool) {
 // The write is atomic (temp file + rename): readers see the old record
 // or the new one, never a partial file.
 func (s *Store) PutBytes(k Key, payload []byte) error {
-	if len(s.version) > 1<<16-1 {
-		return fmt.Errorf("resstore: model-version stamp longer than 64KiB")
-	}
 	path := s.Path(k)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("resstore: %w", err)
-	}
-	rec := make([]byte, 0, len(magic)+2+len(s.version)+8+sha256.Size+len(payload))
-	rec = append(rec, magic[:]...)
-	rec = binary.LittleEndian.AppendUint16(rec, uint16(len(s.version)))
-	rec = append(rec, s.version...)
-	rec = binary.LittleEndian.AppendUint64(rec, uint64(len(payload)))
-	digest := sha256.Sum256(payload)
-	rec = append(rec, digest[:]...)
-	rec = append(rec, payload...)
-
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	tmp, err := os.CreateTemp(s.root, "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("resstore: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(rec); err != nil {
+	if _, err := tmp.Write(record(s.version, payload)); err != nil {
 		tmp.Close()
 		return fmt.Errorf("resstore: %w", err)
 	}
@@ -175,18 +156,15 @@ func (s *Store) PutBytes(k Key, payload []byte) error {
 // Len counts the records currently on disk (verified or not); it is an
 // observability helper for tests and tooling, not a hot path.
 func (s *Store) Len() (int, error) {
-	n := 0
-	err := filepath.WalkDir(s.root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && filepath.Ext(path) == Ext {
-			n++
-		}
-		return nil
-	})
+	entries, err := os.ReadDir(s.root)
 	if err != nil {
 		return 0, fmt.Errorf("resstore: %w", err)
+	}
+	n := 0
+	for _, e := range entries {
+		if !e.IsDir() && filepath.Ext(e.Name()) == Ext {
+			n++
+		}
 	}
 	return n, nil
 }

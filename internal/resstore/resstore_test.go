@@ -1,6 +1,8 @@
 package resstore
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -35,21 +37,12 @@ func sampleResults() *gsim.Results {
 	}
 }
 
-func TestSumKeyDistinguishesParts(t *testing.T) {
-	a := SumKey("ab", "c")
-	b := SumKey("a", "bc")
-	c := SumKey("abc")
-	if a == b || a == c || b == c {
-		t.Fatalf("length-prefixed hashing collided: %v %v %v", a, b, c)
-	}
-	if SumKey("x", "y") != SumKey("x", "y") {
-		t.Fatal("SumKey is not deterministic")
-	}
-}
+// key returns a test key: the digest of name.
+func key(name string) Key { return sha256.Sum256([]byte(name)) }
 
 func TestRoundTrip(t *testing.T) {
 	s := testStore(t, "model/v1")
-	k := SumKey("run1")
+	k := key("run1")
 	if _, ok := s.Get(k); ok {
 		t.Fatal("hit on an empty store")
 	}
@@ -71,16 +64,19 @@ func TestRoundTrip(t *testing.T) {
 	if n, err := s.Len(); err != nil || n != 1 {
 		t.Fatalf("Len = %d, %v; want 1 record", n, err)
 	}
-	if _, ok := s.Get(SumKey("run2")); ok {
+	if _, ok := s.Get(key("run2")); ok {
 		t.Fatal("hit on a never-written key")
 	}
 }
 
-func TestPathFanOut(t *testing.T) {
+// TestPathFlat: a record lives in the store's one directory under its
+// key's hex. (Records lived two directory levels deep, under
+// root/ab/cd/, until the layout went flat; a store of that layout
+// misses and re-simulates.)
+func TestPathFlat(t *testing.T) {
 	s := testStore(t, "v")
-	k := SumKey("x")
-	hx := k.String()
-	want := filepath.Join(s.root, hx[:2], hx[2:4], hx+Ext)
+	k := key("x")
+	want := filepath.Join(s.root, "2d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881.res")
 	if got := s.Path(k); got != want {
 		t.Fatalf("Path = %q, want %q", got, want)
 	}
@@ -88,7 +84,7 @@ func TestPathFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(want); err != nil {
-		t.Fatalf("record not at fan-out path: %v", err)
+		t.Fatalf("record not at its path: %v", err)
 	}
 	// No temp files left behind.
 	entries, err := os.ReadDir(filepath.Dir(want))
@@ -127,7 +123,7 @@ func damage(t *testing.T, s *Store, k Key, what string, mutate func([]byte) []by
 
 func TestCorruptionIsAMiss(t *testing.T) {
 	s := testStore(t, "model/v1")
-	k := SumKey("victim")
+	k := key("victim")
 	if err := s.Put(k, sampleResults()); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +158,7 @@ func sampleResultsPayload(t *testing.T) []byte {
 // panic or hit.
 func TestTruncationSweep(t *testing.T) {
 	s := testStore(t, "v1")
-	k := SumKey("sweep")
+	k := key("sweep")
 	if err := s.Put(k, sampleResults()); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +186,7 @@ func TestStaleModelVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := SumKey("run")
+	k := key("run")
 	if err := v1.Put(k, sampleResults()); err != nil {
 		t.Fatal(err)
 	}
@@ -223,13 +219,16 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := Open(t.TempDir(), ""); err == nil {
 		t.Fatal("Open accepted an empty model-version stamp")
 	}
+	if _, err := Open(t.TempDir(), strings.Repeat("v", 1<<16)); err == nil {
+		t.Fatal("Open accepted a model-version stamp its records cannot hold")
+	}
 }
 
 // TestUndecodablePayloadIsAMiss plants a record whose framing verifies
 // (digest matches) but whose payload is not a Results encoding.
 func TestUndecodablePayloadIsAMiss(t *testing.T) {
 	s := testStore(t, "v1")
-	k := SumKey("junk")
+	k := key("junk")
 	if err := s.PutBytes(k, []byte{0xFF, 0x00, 0x13}); err != nil {
 		t.Fatal(err)
 	}
@@ -239,4 +238,28 @@ func TestUndecodablePayloadIsAMiss(t *testing.T) {
 	if _, ok := s.Get(k); ok {
 		t.Fatal("undecodable payload served as a results hit")
 	}
+}
+
+// FuzzParseRecord feeds arbitrary record images to the parser: none may
+// panic, and an accepted one must be exactly the image its payload
+// makes under the store's stamp.
+func FuzzParseRecord(f *testing.F) {
+	const version = "model/v1"
+	payload, err := sampleResults().MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := record(version, payload)
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)-len(payload)-1] ^= 0xFF
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(record("model/v2", payload))
+	f.Add(flipped)
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		got, ok := parseRecord(buf, version)
+		if ok && !bytes.Equal(record(version, got), buf) {
+			t.Fatalf("accepted a %d-byte image that its payload does not rebuild", len(buf))
+		}
+	})
 }

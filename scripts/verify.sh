@@ -208,8 +208,10 @@ fi
 # re-simulate exactly that run, to identical output bytes.
 # sed reads all of sort's output: `head -1` would exit early and, under
 # pipefail, sort's SIGPIPE would fail the script once the list outgrows
-# the pipe buffer.
-VICTIM="$(find "$RESSTORE_DIR" -name '*.res' | sort | sed -n 1p)"
+# the pipe buffer. Live records sit at the store's root; a store kept
+# from an older layout (HMG_RESSTORE_DIR) may hold deeper .res files
+# that no run reads, and truncating one would re-simulate nothing.
+VICTIM="$(find "$RESSTORE_DIR" -maxdepth 1 -name '*.res' | sort | sed -n 1p)"
 truncate -s -1 "$VICTIM"
 "$HMGBENCH_BIN" -fig all -scale 0.25 -cachedir "$RESSTORE_DIR" -v \
   > "$STORE_SCRATCH/healed.txt" 2> "$STORE_SCRATCH/healed.log"
