@@ -1,165 +1,40 @@
-// Deterministic binary encoding of Results, the payload format of the
-// on-disk campaign store (internal/resstore). The encoding is explicit
-// and versioned: fields are written in declaration order with
-// fixed-width or uvarint encodings, so the same Results value produces
-// the same bytes on every machine — the property that lets the store
-// address records by content and verify them with a payload digest.
-//
-// Adding a field to Results requires extending encodeResults/
-// decodeResults in the same order and bumping ResultsCodecVersion (a
-// version bump changes the model stamp, so every stale store record
-// becomes a miss). TestResultsCodecCoversEveryField fails if a field is
-// added but not encoded.
+// The Results record, the payload of the on-disk campaign store
+// (internal/resstore): the internal/wire encoding of every field in
+// declaration order, so the same Results value produces the same bytes
+// on every machine — the property that lets the store address records
+// by content and verify them with a payload digest. The shape of
+// Results (wire.Schema) is part of the store's model-version stamp, so
+// adding, renaming or retyping a field rolls the stamp by itself and
+// every older record becomes a miss.
 
 package gsim
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+	"reflect"
 
-	"hmg/internal/engine"
-	"hmg/internal/proto"
+	"hmg/internal/wire"
 )
 
-// ResultsCodecVersion identifies the Results wire encoding. It
-// participates in the campaign store's model-version stamp: bumping it
-// invalidates every cached record.
-const ResultsCodecVersion = 1
-
-// MarshalBinary implements encoding.BinaryMarshaler with the versioned
-// deterministic encoding.
+// MarshalBinary implements encoding.BinaryMarshaler with the wire
+// encoding. It never fails.
 func (r *Results) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, 256+8*len(r.KernelCycles))
-	b = append(b, ResultsCodecVersion)
-	b = appendString(b, r.Name)
-	if r.Protocol < 0 {
-		return nil, fmt.Errorf("gsim: negative protocol kind %d", r.Protocol)
-	}
-	b = binary.AppendUvarint(b, uint64(r.Protocol))
-	b = binary.AppendUvarint(b, uint64(r.Cycles))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Seconds))
-	for _, v := range []uint64{
-		r.Ops, r.Loads, r.Stores, r.Atomics,
-		r.L1Hits, r.L1Misses, r.L2Hits, r.L2Misses,
-		r.InterGPUBytes, r.IntraGPUBytes, r.InterGPULoadReqs,
-		r.InvMsgsOnWire, r.InvBytes, r.InterGPUInvBytes,
-		r.DirStoresSeen, r.DirStoresShared, r.DirStoresWithInv,
-		r.LinesInvByStores, r.DirEvicts, r.LinesInvByEvicts,
-		r.DRAMReads, r.DRAMWrites,
-		r.LoadLatencySum, r.MaxLoadLatency,
-		uint64(r.DrainCycles),
-	} {
-		b = binary.AppendUvarint(b, v)
-	}
-	b = binary.AppendUvarint(b, uint64(len(r.KernelCycles)))
-	for _, c := range r.KernelCycles {
-		b = binary.AppendUvarint(b, uint64(c))
-	}
-	b = binary.AppendUvarint(b, r.EventsExecuted)
-	return b, nil
+	b := make([]byte, 0, 256+len(r.Name)+8*len(r.KernelCycles))
+	return wire.Append(b, reflect.ValueOf(r).Elem()), nil
 }
 
 // UnmarshalResults decodes a Results record produced by MarshalBinary.
-// It is strict: version mismatch, truncation, or trailing bytes are
-// errors — the store treats any of them as a cache miss.
+// It is strict: truncation, damage the wire decoder detects, or
+// trailing bytes are errors — the store treats any of them as a cache
+// miss.
 func UnmarshalResults(data []byte) (*Results, error) {
-	d := &decoder{buf: data}
-	if v := d.byte(); v != ResultsCodecVersion {
-		return nil, fmt.Errorf("gsim: results codec version %d, want %d", v, ResultsCodecVersion)
-	}
 	r := &Results{}
-	r.Name = d.str()
-	r.Protocol = proto.Kind(d.u64())
-	r.Cycles = engine.Cycle(d.u64())
-	r.Seconds = math.Float64frombits(d.fixed64())
-	for _, p := range []*uint64{
-		&r.Ops, &r.Loads, &r.Stores, &r.Atomics,
-		&r.L1Hits, &r.L1Misses, &r.L2Hits, &r.L2Misses,
-		&r.InterGPUBytes, &r.IntraGPUBytes, &r.InterGPULoadReqs,
-		&r.InvMsgsOnWire, &r.InvBytes, &r.InterGPUInvBytes,
-		&r.DirStoresSeen, &r.DirStoresShared, &r.DirStoresWithInv,
-		&r.LinesInvByStores, &r.DirEvicts, &r.LinesInvByEvicts,
-		&r.DRAMReads, &r.DRAMWrites,
-		&r.LoadLatencySum, &r.MaxLoadLatency,
-	} {
-		*p = d.u64()
+	rest, err := wire.Decode(data, reflect.ValueOf(r).Elem())
+	if err != nil {
+		return nil, fmt.Errorf("gsim: results record: %w", err)
 	}
-	r.DrainCycles = engine.Cycle(d.u64())
-	if n := d.u64(); n > 0 {
-		if n > uint64(len(data)) { // a kernel cycle takes ≥1 byte
-			return nil, fmt.Errorf("gsim: results record claims %d kernel cycles in %d bytes", n, len(data))
-		}
-		r.KernelCycles = make([]engine.Cycle, n)
-		for i := range r.KernelCycles {
-			r.KernelCycles[i] = engine.Cycle(d.u64())
-		}
-	}
-	r.EventsExecuted = d.u64()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("gsim: %d trailing bytes after results record", len(d.buf))
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("gsim: %d trailing bytes after results record", len(rest))
 	}
 	return r, nil
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// decoder consumes the encoding front to back, latching the first
-// error so call sites stay linear.
-type decoder struct {
-	buf []byte
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("gsim: truncated results record")
-	}
-}
-
-func (d *decoder) byte() byte {
-	if len(d.buf) < 1 {
-		d.fail()
-		return 0
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *decoder) fixed64() uint64 {
-	if len(d.buf) < 8 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v
-}
-
-func (d *decoder) str() string {
-	n := d.u64()
-	if uint64(len(d.buf)) < n {
-		d.fail()
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
 }

@@ -1,6 +1,7 @@
 package gsim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // value via reflection, so a field added to the struct but forgotten by
 // the codec fails the round-trip below instead of silently decoding to
 // zero.
-func fullResults(t *testing.T) *Results {
+func fullResults(t testing.TB) *Results {
 	t.Helper()
 	r := &Results{}
 	v := reflect.ValueOf(r).Elem()
@@ -104,13 +105,59 @@ func TestResultsCodecRejectsDamage(t *testing.T) {
 	}
 }
 
-func TestResultsCodecVersionGate(t *testing.T) {
-	buf, err := (&Results{}).MarshalBinary()
+// TestResultsCodecAllocations pins the codec's allocations for a
+// record with a name and kernel cycles: MarshalBinary one (the buffer),
+// UnmarshalResults three (the Results, its name and its kernel cycles).
+func TestResultsCodecAllocations(t *testing.T) {
+	r := fullResults(t)
+	r.KernelCycles = append(r.KernelCycles, 5)
+	buf, err := r.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf[0] = ResultsCodecVersion + 1
-	if _, err := UnmarshalResults(buf); err == nil {
-		t.Fatal("future codec version accepted")
+	if n := testing.AllocsPerRun(100, func() { r.MarshalBinary() }); n > 1 {
+		t.Errorf("MarshalBinary makes %v allocations, want at most 1", n)
 	}
+	if n := testing.AllocsPerRun(100, func() { UnmarshalResults(buf) }); n > 3 {
+		t.Errorf("UnmarshalResults makes %v allocations, want at most 3", n)
+	}
+}
+
+// FuzzUnmarshalResults: no input panics the decoder, and any input it
+// accepts re-encodes to a record that decodes to the same value.
+func FuzzUnmarshalResults(f *testing.F) {
+	full, err := fullResults(f).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	zero, err := (&Results{}).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+	f.Add(zero)
+	f.Add(full[:len(full)/2])
+	f.Add(append(append([]byte(nil), full...), 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := UnmarshalResults(data)
+		if err != nil {
+			return
+		}
+		again, err := r.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := UnmarshalResults(again)
+		if err != nil {
+			t.Fatalf("re-encoded record rejected: %v", err)
+		}
+		// A NaN never deep-equals itself; its bits must survive instead.
+		if math.Float64bits(r2.Seconds) != math.Float64bits(r.Seconds) {
+			t.Fatalf("round trip changed Seconds bits: %x, want %x", math.Float64bits(r2.Seconds), math.Float64bits(r.Seconds))
+		}
+		r.Seconds, r2.Seconds = 0, 0
+		if !reflect.DeepEqual(r, r2) {
+			t.Fatalf("round trip changed the record:\n got %+v\nwant %+v", r2, r)
+		}
+	})
 }

@@ -86,7 +86,11 @@ const (
 )
 
 // syncGolden pins, per configuration, the sha256 of the OnEvent stream
-// and of the codec-encoded Results of syncTrace.
+// and of the codec-encoded Results of syncTrace. Every results digest
+// was re-pinned once when the record became the internal/wire encoding
+// (no leading version byte, a zigzag protocol kind): each new value is
+// the wire encoding of the Results the previous codec pinned, so no
+// Results field moved.
 var syncGolden = []struct {
 	name    string
 	kind    proto.Kind
@@ -97,68 +101,68 @@ var syncGolden = []struct {
 }{
 	{"NoRemoteCaching", proto.NoRemoteCache, 0, false,
 		"fd448d24e8c3c318653e245711ead242eea77261197f5f28e4f50502a97cfa7d",
-		"94e35b3415edafabd4b4e2fcbf856c3da94a4af2df5d6f30fbab9e595644c429"},
+		"94331e4215a2be369f643fc0db04c98120013c9a332a19f311efbe9151697e7f"},
 	{"SW-NonHier", proto.SWNonHier, 0, false,
 		"3b5011ec04ac10b77dfcb2174e2790014462beb4dc898e294fc99ccf3c6f44b5",
-		"af2cc325d7dda30d445cf80a693767d04191a82d035fb8333772b3ff2a2e1c5d"},
+		"0be5996505449694a58419278b0bc3cd6ffd43575cba2bfc519a5f1e5396819e"},
 	// Re-pinned when a home's atomic stopped installing an absent line
 	// under value tracking, which had made tracking change timing.
 	{"SW-Hier", proto.SWHier, 0, false,
 		"1bb6116de64fe847e9bb4368b849955a9e8f6c90045c49c39e8662778840c39d",
-		"64e10392efe955fbf7c2fa9a699efc87bda30526e8e286e04304b911f31187e0"},
+		"ce7bed0b0e1f67152bc35f7cab247d5254a7e59a06d0344f828df246bee2e8c6"},
 	{"NHCC", proto.NHCC, 0, false,
 		"d6ee13b619613d06c2c0361bc08154415e6beca39a8b0f204778d3debc0bae25",
-		"c3083a8a09663a6eefb9c3e5451152a6416034b2b0f590fb7a297a7f562b9a9a"},
+		"efdfb8bdfec6d7336e43fddcc02abfcfefab50baa22994ae794966f672a5bbef"},
 	// Re-pinned when a home's atomic stopped installing an absent line
 	// under value tracking, which had made tracking change timing.
 	{"HMG", proto.HMG, 0, false,
 		"1303e9f710c305df4f101e1313b538e460a93c1959fa467cea9d1645dd744ab5",
-		"187af2888000124ced25024260ef8358d05d8f0617415853e0109985463c64a2"},
+		"83ded45cc0a87e25cfd62a202ddcad42f972a8c0be48c906531da1a7582969ae"},
 	// Re-pinned when a home's atomic stopped installing an absent line
 	// under value tracking, which had made tracking change timing.
 	{"Ideal", proto.Ideal, 0, false,
 		"c25f0144e6ddf6acd4261a3239f69de724191775bf7df8833de96e68d051986e",
-		"22d3300c22e2980590759c17aaabe9ea8466a0e25dfa7f8a2bd4b699092f3be0"},
+		"224ee9a2f6644bc224429ac50b5e7db2e47879a0a6049f0a2b23dbfe342075f5"},
 	// Pinned after the fix TestMCAGPMAtomicAtHome checks: before it,
 	// .gpm atomics deadlocked this configuration.
 	{"GPU-VI-MCA", proto.GPUVI, 0, false,
 		"dc350c8cd01237f82c5b387ac9b1d967d4583fff3292aba8f7c801460b0856fd",
-		"f2749e8c916c64d3f8ea70e0e364f289d457a40ad001920a54bd07097439e6f6"},
+		"dc34b8a974ee67bd251b9f902dd147029412a524a82f70820bd30786250b7d49"},
 	// The GPU-VI paths without .gpm atomics, which that fix leaves alone.
 	{"GPU-VI-MCA/no-gpm", proto.GPUVI, 0, true,
 		"a1b70ac1d7dd9eb6f1e80725aabadf6a19071c500ad1fee5723085d460c5ddb3",
-		"222e715c640990691a2baf07bfe85c889d1ea02af3bd8df06fd89da55e651df3"},
+		"bbf8b7fdecd1e0b54e66021f7bc035b8339e70cc79a73e1b822fc456180b56d2"},
 	// Re-pinned when a CARVE fill whose region turned read-write while
 	// it was in flight stopped installing in a remote slice.
 	{"CARVE", proto.CARVE, 0, false,
 		"0c92b6d8e668a3f23c4a346dd74d7ae6eb8eaf1903d920bc3e360141b20ed263",
-		"fece60635fc6d1516ea06b8ead2b5be2a60bcc04989dc8a2bb3622965d4ef9a0"},
+		"9b63bc7d0e23fff89461fb53fa9d0a0461a2c2f00d6778d95a2d3679d9456498"},
 	{"NoRemoteCaching/wb", proto.NoRemoteCache, wb, false,
 		"23ba5580d578ab430ec5345acb14be43bd52198f48780ae492d9e6e8d2f0aa81",
-		"fa4bde83e91c84539fe39e47221590b93ed88d98fd56941ac87d5d1016de6ee6"},
+		"8d5dfbf59cb5fd73515ea1277cd31b68ad2b99f0825e58ac06b01fe27f2469b0"},
 	{"SW-NonHier/wb", proto.SWNonHier, wb, false,
 		"84c7a82894141fcc0da77ca8f8970a722589e07caa9f7e1321f490aa33058530",
-		"6719c9a91c80bfe6c1322e8244c51facfe58a6aac1a711f11fdfc3275fee7d9a"},
+		"0dceaae6a7f3279b83858d767c5161ca270cf047a6429cf03f63a57bf9e560d8"},
 	// Re-pinned when a home's atomic stopped installing an absent line
 	// under value tracking, which had made tracking change timing.
 	{"SW-Hier/wb", proto.SWHier, wb, false,
 		"bd62a1f76f67bff616f80ff2031572b1d808b040e712b25377690bd06f8a9855",
-		"ddcded5b0192df7620a920326cf3984da5384bb49ed4e5fc8ed00cfbe3821674"},
+		"a761c8a9791fcc8e7cd97e718e70c97d59573a47fd2c37429f346dcd0ef132a8"},
 	// Re-pinned when a write-back stopped dropping its writer from the
 	// directory while the writer still cached the line.
 	{"NHCC/wb", proto.NHCC, wb, false,
 		"9f509ffb8caf6f20b562276d4f410c1c06670ee770a639471c259a7940986b25",
-		"afcf2bd6175fc67d6e4d888fea5338dd619bba4d6234e88ef0e20133a3f460f4"},
+		"58346ae79e7625eb2e20ef496433542be5c0c28caee25f6ecc21d9174652af21"},
 	// Re-pinned when a home's atomic stopped installing an absent line
 	// under value tracking, which had made tracking change timing.
 	{"HMG/wb", proto.HMG, wb, false,
 		"8cec98efd11aad41586a537f2cd2038f782d2b3f7d00d95b16416500ac1e6c0f",
-		"2720ba4c86d65279bf3f1385c67b8de970a5b26cb9ec7e4dc90142a9e7d817a1"},
+		"3f40c8b28beb650152f67b21649bc3e4b51b64e15375ad0bed4961f9c9c1ca2a"},
 	// Re-pinned when a home's atomic stopped installing an absent line
 	// under value tracking, which had made tracking change timing.
 	{"Ideal/wb", proto.Ideal, wb, false,
 		"bb853e532e3738149b896fbf4199cda7c5c829a2c439398ce4fccb0cd4bc6614",
-		"96854e54c23c1bac65f0026b6c92263933e5abfed90a91858394464fafd328f6"},
+		"ccbf9eec98518c9d0f9ff50bc4cc8af61c5638e29482193e5c47818e9709ae96"},
 	// Evictions: the slice victim path (l2Displaced), the clean-eviction
 	// downgrade and the dirty-eviction write-back.
 	//
@@ -166,19 +170,19 @@ var syncGolden = []struct {
 	// line it displaces (the Results are unchanged).
 	{"NHCC/4KB+downgrade", proto.NHCC, smallL2 | downgrade, false,
 		"0288e90af8ddf477928965408147b8fccc70d0fa86d13c68618c7c639d6bf857",
-		"a5a5e1bbe26044e14c1b6f21ddfa617c5c3f7c0668bc5ed2e8dc7343ae1ddad2"},
+		"cb95cbbaf69cdc29739f1e4f759e32a3275ca69f26a228944ec85677020cf7b5"},
 	// Re-pinned twice over: a home's atomic no longer installs an absent
 	// line under value tracking, and a home's DRAM fill now emits
 	// EvL2Evict for its victim and writes a dirty one back.
 	{"HMG/4KB+downgrade", proto.HMG, smallL2 | downgrade, false,
 		"c348fe12708fe88ab31211e854fb96de22c461f1761fa4e4b69dccc600671fdd",
-		"24f618f95fcb8ba927eb23cb35b4bb655cf520b454e4ae07f2ceb573d7dbebd6"},
+		"0f2e72c30a9f530a894f90b8d1d21ad62b0886531d7066f94ac874b267506097"},
 	// Re-pinned twice over: a home's atomic no longer installs an absent
 	// line under value tracking, and a home's DRAM fill now emits
 	// EvL2Evict for its victim and writes a dirty one back.
 	{"HMG/1KB+wb", proto.HMG, tinyL2 | wb, false,
 		"09842a65b1f5701977f91247a53d9c4c5b3f6f7ae36472df1f22a49706ac17c3",
-		"2f9fbe88dc747c4ec62dbb094b0aa0b50b96387b20fb0f797e833820c2c592e3"},
+		"ef8e0754cb12ace9c0db37b97a76b6234938faeee799897d7a49bda0e573183b"},
 }
 
 // TestSyncPathsGolden pins the atomic, MCA, release-fence and

@@ -74,7 +74,7 @@ type Pass struct {
 	dirs     []allowDirective
 	dirDiags []Diagnostic
 	dirsDone bool
-	usedDirs map[string]bool // "file:line" of directives used at fact time
+	used     []bool // by index into dirs: the directive covered a site
 }
 
 // directives parses (once) and returns the package's allow directives;
@@ -82,7 +82,7 @@ type Pass struct {
 func (p *Pass) directives() []allowDirective {
 	if !p.dirsDone {
 		p.dirs, p.dirDiags = parseDirectives(p)
-		p.usedDirs = map[string]bool{}
+		p.used = make([]bool, len(p.dirs))
 		p.dirsDone = true
 	}
 	return p.dirs
@@ -90,15 +90,16 @@ func (p *Pass) directives() []allowDirective {
 
 // allowedAt reports whether an allow directive for the analyzer covers
 // any of the given lines of file (directive on the line itself or the
-// line above). A match marks the directive as used.
+// line above, so a standalone directive comment guards the statement
+// beneath it). A match marks the directive as used.
 func (p *Pass) allowedAt(analyzer, file string, lines ...int) bool {
-	for _, dir := range p.directives() {
+	for i, dir := range p.directives() {
 		if dir.analyzer != analyzer || dir.file != file {
 			continue
 		}
 		for _, ln := range lines {
 			if dir.line == ln || dir.line+1 == ln {
-				p.usedDirs[fmt.Sprintf("%s:%d", dir.file, dir.line)] = true
+				p.used[i] = true
 				return true
 			}
 		}
@@ -231,32 +232,6 @@ func parseDirectives(pass *Pass) (dirs []allowDirective, diags []Diagnostic) {
 	return dirs, diags
 }
 
-// applyDirectives filters findings covered by an allow on the same line
-// or the line directly above (so a standalone directive comment guards
-// the statement beneath it). used records, by index into dirs, every
-// directive that suppressed at least one finding.
-func applyDirectives(diags []Diagnostic, dirs []allowDirective, used []bool) []Diagnostic {
-	if len(dirs) == 0 {
-		return diags
-	}
-	var kept []Diagnostic
-	for _, d := range diags {
-		suppressed := false
-		for i, dir := range dirs {
-			if dir.analyzer == d.Analyzer && dir.file == d.Position.Filename &&
-				(dir.line == d.Position.Line || dir.line+1 == d.Position.Line) {
-				suppressed = true
-				used[i] = true
-				break
-			}
-		}
-		if !suppressed {
-			kept = append(kept, d)
-		}
-	}
-	return kept
-}
-
 // runAnalyzers executes the selected suite on one loaded package and
 // returns the post-suppression findings sorted by position.
 func runAnalyzers(pass *Pass, enabled []*Analyzer) []Diagnostic {
@@ -265,8 +240,13 @@ func runAnalyzers(pass *Pass, enabled []*Analyzer) []Diagnostic {
 	for _, a := range enabled {
 		diags = append(diags, a.Run(pass)...)
 	}
-	used := make([]bool, len(dirs))
-	diags = applyDirectives(diags, dirs, used)
+	var kept []Diagnostic
+	for _, d := range diags {
+		if !pass.allowedAt(d.Analyzer, d.Position.Filename, d.Position.Line) {
+			kept = append(kept, d)
+		}
+	}
+	diags = kept
 	// Self-check: an allow that suppresses nothing — neither a finding
 	// here nor a fact-time site — is stale and must be removed. Only
 	// directives for currently-enabled analyzers are judged, so a
@@ -276,10 +256,7 @@ func runAnalyzers(pass *Pass, enabled []*Analyzer) []Diagnostic {
 		enabledNames[a.Name] = true
 	}
 	for i, dir := range dirs {
-		if !enabledNames[dir.analyzer] || used[i] {
-			continue
-		}
-		if pass.usedDirs[fmt.Sprintf("%s:%d", dir.file, dir.line)] {
+		if !enabledNames[dir.analyzer] || pass.used[i] {
 			continue
 		}
 		pass.report(&diags, "lint", dir.pos,

@@ -40,9 +40,8 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // version.
 var magic = [8]byte{'H', 'M', 'G', 'R', 'E', 'S', 0, 1}
 
-// Ext is the record file extension (tooling that corrupts or garbage-
-// collects entries globs on it).
-const Ext = ".res"
+// ext is the record file extension.
+const ext = ".res"
 
 // Store is an on-disk result store rooted at one directory. All
 // methods are safe for concurrent use by any number of processes.
@@ -71,18 +70,15 @@ func Open(dir, version string) (*Store, error) {
 	return &Store{root: dir, version: version}, nil
 }
 
-// Version returns the model-version stamp the store was opened with.
-func (s *Store) Version() string { return s.version }
-
 // Path returns where a key's record lives (whether or not it exists).
-func (s *Store) Path(k Key) string { return filepath.Join(s.root, k.String()+Ext) }
+func (s *Store) Path(k Key) string { return filepath.Join(s.root, k.String()+ext) }
 
-// GetBytes reads a key's verified payload. It returns (nil, false) on
+// getBytes reads a key's verified payload. It returns (nil, false) on
 // any miss — absent, truncated, corrupt, or version-mismatched records
 // are all equally untrusted and never an error: the caller's recovery
 // is the same (re-simulate), and a store that could fail a campaign on
 // a damaged file would be worse than no store at all.
-func (s *Store) GetBytes(k Key) ([]byte, bool) {
+func (s *Store) getBytes(k Key) ([]byte, bool) {
 	buf, err := os.ReadFile(s.Path(k))
 	if err != nil {
 		return nil, false
@@ -130,10 +126,10 @@ func parseRecord(buf []byte, version string) ([]byte, bool) {
 	return payload, true
 }
 
-// PutBytes writes a payload under a key, replacing any existing record.
+// putBytes writes a payload under a key, replacing any existing record.
 // The write is atomic (temp file + rename): readers see the old record
 // or the new one, never a partial file.
-func (s *Store) PutBytes(k Key, payload []byte) error {
+func (s *Store) putBytes(k Key, payload []byte) error {
 	path := s.Path(k)
 	tmp, err := os.CreateTemp(s.root, "."+filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -151,20 +147,4 @@ func (s *Store) PutBytes(k Key, payload []byte) error {
 		return fmt.Errorf("resstore: %w", err)
 	}
 	return nil
-}
-
-// Len counts the records currently on disk (verified or not); it is an
-// observability helper for tests and tooling, not a hot path.
-func (s *Store) Len() (int, error) {
-	entries, err := os.ReadDir(s.root)
-	if err != nil {
-		return 0, fmt.Errorf("resstore: %w", err)
-	}
-	n := 0
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == Ext {
-			n++
-		}
-	}
-	return n, nil
 }

@@ -1,8 +1,8 @@
-// The typed layer: records hold gsim.Results in their versioned binary
-// encoding. Decode failures are misses like any other damage — the
-// payload digest already matched, so a failure here means the record
-// was written by an incompatible codec (which the model-version stamp
-// normally rules out) and must not be trusted.
+// The typed layer: records hold gsim.Results in their wire encoding.
+// Decode failures are misses like any other damage — the payload digest
+// already matched, so a failure here means the record was written by an
+// incompatible codec (which the model-version stamp, derived in part
+// from the Results schema, normally rules out) and must not be trusted.
 
 package resstore
 
@@ -16,7 +16,7 @@ import (
 // is false on any miss: absent, damaged, stale-stamped, or undecodable
 // records all mean "re-simulate".
 func (s *Store) Get(k Key) (*gsim.Results, bool) {
-	payload, ok := s.GetBytes(k)
+	payload, ok := s.getBytes(k)
 	if !ok {
 		return nil, false
 	}
@@ -33,5 +33,5 @@ func (s *Store) Put(k Key, r *gsim.Results) error {
 	if err != nil {
 		return fmt.Errorf("resstore: %w", err)
 	}
-	return s.PutBytes(k, payload)
+	return s.putBytes(k, payload)
 }

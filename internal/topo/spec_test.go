@@ -62,3 +62,23 @@ func TestSpecApply(t *testing.T) {
 		t.Fatalf("Topology.Spec() = %+v", base.Spec())
 	}
 }
+
+// FuzzParseSpec: no -topo argument panics the parser or the checks a
+// parsed spec then meets (Apply onto the default machine, Validate),
+// and an accepted spec re-parses from its rendering to itself.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{"", "4x4", "16x8", "8", "x8", "0x4", "4x4x4", "+2x-0", "9223372036854775807x2"} {
+		f.Add(s)
+	}
+	base := Topology{NumGPUs: 4, GPMsPerGPU: 4, SMsPerGPM: 8, LineSize: 128, PageSize: 4096}
+	f.Fuzz(func(t *testing.T, s string) {
+		sp, err := ParseSpec(s)
+		if err != nil {
+			return
+		}
+		_ = sp.Apply(base).Validate()
+		if again, err := ParseSpec(sp.String()); err != nil || again != sp {
+			t.Fatalf("ParseSpec(%q) = %+v renders %q, which re-parses to %+v, %v", s, sp, sp.String(), again, err)
+		}
+	})
+}
