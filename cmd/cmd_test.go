@@ -123,7 +123,9 @@ func TestHmgsimFlow(t *testing.T) {
 
 // TestHmgsimTraceOutOfRange runs a trace file whose op lies far beyond
 // the simulated page limit: hmgsim must exit 1 with an error naming the
-// op and its page, not panic or size a page table by the address.
+// op and its page, not panic or size a page table by the address. A
+// file of the older hand-encoded trace format (version byte 1) must
+// likewise exit 1 with an error naming the format.
 func TestHmgsimTraceOutOfRange(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build in -short mode")
@@ -133,21 +135,33 @@ func TestHmgsimTraceOutOfRange(t *testing.T) {
 		{Kind: trace.Load, Addr: 0},
 		{Kind: trace.Load, Addr: 1 << 62},
 	}}}}}}}}
-	file := filepath.Join(t.TempDir(), "far.hmgt")
-	var buf bytes.Buffer
-	if err := trace.Encode(&buf, tr); err != nil {
+	var far bytes.Buffer
+	if err := trace.Encode(&far, tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(file, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, err := exec.Command(bin, "-trace", file, "-protocol", "HMG").CombinedOutput()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || strings.Contains(string(out), "panic") {
-		t.Fatalf("hmgsim -trace: err=%v, want a clean exit 1 error:\n%s", err, out)
-	}
-	for _, want := range []string{"k0 c0 w0 op1", "addr 0x4000000000000000 is on page", "16777216-page limit"} {
-		if !strings.Contains(string(out), want) {
-			t.Fatalf("hmgsim -trace error does not mention %q:\n%s", want, out)
+	// One load in a trace named "old": magic, version 1, name, zero
+	// footprint and placements, then one kernel, CTA, warp and op.
+	v1 := []byte("HMGT\x01\x03old\x00\x00\x01\x01\x01\x01\x00\x00\x00\x00\x00")
+	for _, c := range []struct {
+		name string
+		data []byte
+		want []string
+	}{
+		{"far.hmgt", far.Bytes(), []string{"k0 c0 w0 op1", "addr 0x4000000000000000 is on page", "16777216-page limit"}},
+		{"v1.hmgt", v1, []string{"not a trace file of this format"}},
+	} {
+		file := filepath.Join(t.TempDir(), c.name)
+		if err := os.WriteFile(file, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(bin, "-trace", file, "-protocol", "HMG").CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || strings.Contains(string(out), "panic") {
+			t.Fatalf("hmgsim -trace %s: err=%v, want a clean exit 1 error:\n%s", c.name, err, out)
+		}
+		for _, want := range c.want {
+			if !strings.Contains(string(out), want) {
+				t.Fatalf("hmgsim -trace %s error does not mention %q:\n%s", c.name, want, out)
+			}
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"hmg/internal/proto"
 	"hmg/internal/resstore"
 	"hmg/internal/topo"
+	"hmg/internal/trace"
 	"hmg/internal/wire"
 	"hmg/internal/workload"
 )
@@ -392,6 +393,66 @@ func TestModelVersion(t *testing.T) {
 	// actions/cache-safe.
 	if strings.ContainsAny(v, " ,\n\t/") {
 		t.Fatalf("ModelVersion %q contains characters unsafe for cache keys", v)
+	}
+}
+
+// emptySlices returns the path of every slice within t whose element
+// can encode to zero bytes: a struct whose fields are all such structs.
+// wire.Decode rejects a slice count larger than the bytes left, which
+// bounds its allocation only if every element takes at least one byte.
+func emptySlices(t reflect.Type, path string) []string {
+	switch t.Kind() {
+	case reflect.Struct:
+		var bad []string
+		for i := 0; i < t.NumField(); i++ {
+			bad = append(bad, emptySlices(t.Field(i).Type, path+"."+t.Field(i).Name)...)
+		}
+		return bad
+	case reflect.Slice:
+		bad := emptySlices(t.Elem(), path+"[]")
+		if zeroWidth(t.Elem()) {
+			bad = append(bad, path)
+		}
+		return bad
+	}
+	return nil
+}
+
+// zeroWidth reports whether some value of t encodes to zero bytes.
+func zeroWidth(t reflect.Type) bool {
+	if t.Kind() != reflect.Struct {
+		return false // every other encoded kind writes at least a byte
+	}
+	for i := 0; i < t.NumField(); i++ {
+		if !zeroWidth(t.Field(i).Type) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWireCountGuardPremise: every type this repo encodes with
+// internal/wire (the Results record, the run-address preimage and the
+// trace file) holds no slice whose elements can encode to zero bytes,
+// so wire's count guard bounds what a damaged or hostile input can
+// allocate.
+func TestWireCountGuardPremise(t *testing.T) {
+	for _, v := range []any{gsim.Results{}, preimage{}, trace.Trace{}} {
+		typ := reflect.TypeOf(v)
+		if bad := emptySlices(typ, typ.Name()); len(bad) > 0 {
+			t.Errorf("%s holds slices of zero-width elements: %v", typ, bad)
+		}
+	}
+	// The walk's own teeth: nested and direct zero-width elements.
+	type empty struct{ E struct{} }
+	type hostile struct {
+		Ok   []struct{ N int }
+		Es   []empty
+		Deep []struct{ Xs []struct{} }
+	}
+	got := emptySlices(reflect.TypeOf(hostile{}), "hostile")
+	if want := []string{"hostile.Es", "hostile.Deep[].Xs"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("emptySlices(hostile) = %v, want %v", got, want)
 	}
 }
 

@@ -1,245 +1,50 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"io"
+	"reflect"
 
-	"hmg/internal/topo"
+	"hmg/internal/wire"
 )
 
-// Binary trace format:
-//
-//	magic "HMGT" | version u8 | name (uvarint len + bytes)
-//	footprint uvarint
-//	placement count uvarint, then (page uvarint, gpm uvarint)*
-//	kernel count uvarint, then per kernel:
-//	  CTA count uvarint, then per CTA:
-//	    warp count uvarint, then per warp:
-//	      op count uvarint, then per op:
-//	        kind u8 | scope u8 | addr-delta zigzag-uvarint | gap uvarint
-//
-// Addresses are delta-encoded per warp because warp streams are mostly
-// sequential, which keeps traces compact.
-
-var magic = [4]byte{'H', 'M', 'G', 'T'}
-
-const version = 1
-
-type writer struct {
-	w   *bufio.Writer
-	buf [binary.MaxVarintLen64]byte
-}
-
-func (w *writer) uvarint(v uint64) error {
-	n := binary.PutUvarint(w.buf[:], v)
-	_, err := w.w.Write(w.buf[:n])
-	return err
-}
-
-func (w *writer) byte(b byte) error { return w.w.WriteByte(b) }
-
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+// header opens every trace file: the magic "HMGT" and the first 8 bytes
+// of Trace's wire schema digest. The body is the wire encoding of the
+// Trace, so a change to Trace's shape changes the header and old files
+// are rejected instead of misread.
+var header = func() []byte {
+	s := wire.Schema(reflect.TypeOf(Trace{}))
+	return append([]byte("HMGT"), s[:8]...)
+}()
 
 // Encode writes the trace in binary form.
 func Encode(out io.Writer, t *Trace) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	w := &writer{w: bufio.NewWriter(out)}
-	if _, err := w.w.Write(magic[:]); err != nil {
-		return err
-	}
-	if err := w.byte(version); err != nil {
-		return err
-	}
-	if err := w.uvarint(uint64(len(t.Name))); err != nil {
-		return err
-	}
-	if _, err := w.w.WriteString(t.Name); err != nil {
-		return err
-	}
-	if err := w.uvarint(uint64(t.FootprintBytes)); err != nil {
-		return err
-	}
-	if err := w.uvarint(uint64(len(t.Placement))); err != nil {
-		return err
-	}
-	for _, p := range t.Placement {
-		if err := w.uvarint(uint64(p.Page)); err != nil {
-			return err
-		}
-		if err := w.uvarint(uint64(p.GPM)); err != nil {
-			return err
-		}
-	}
-	if err := w.uvarint(uint64(len(t.Kernels))); err != nil {
-		return err
-	}
-	for _, k := range t.Kernels {
-		if err := w.uvarint(uint64(len(k.CTAs))); err != nil {
-			return err
-		}
-		for _, c := range k.CTAs {
-			if err := w.uvarint(uint64(len(c.Warps))); err != nil {
-				return err
-			}
-			for _, wp := range c.Warps {
-				if err := w.uvarint(uint64(len(wp.Ops))); err != nil {
-					return err
-				}
-				prev := int64(0)
-				for _, op := range wp.Ops {
-					if err := w.byte(byte(op.Kind)); err != nil {
-						return err
-					}
-					if err := w.byte(byte(op.Scope)); err != nil {
-						return err
-					}
-					if err := w.uvarint(zigzag(int64(op.Addr) - prev)); err != nil {
-						return err
-					}
-					prev = int64(op.Addr)
-					if err := w.uvarint(uint64(op.Gap)); err != nil {
-						return err
-					}
-					if err := w.uvarint(op.Val); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	return w.w.Flush()
+	b := wire.Append(bytes.Clone(header), reflect.ValueOf(t).Elem())
+	_, err := out.Write(b)
+	return err
 }
 
-type reader struct {
-	r *bufio.Reader
-}
-
-func (r *reader) uvarint() (uint64, error) { return binary.ReadUvarint(r.r) }
-
-// limit guards against hostile or corrupt length fields.
-const limit = 1 << 28
-
-func (r *reader) count(what string) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > limit {
-		return 0, fmt.Errorf("trace: %s count %d exceeds limit", what, v)
-	}
-	return int(v), nil
-}
-
-// Decode reads a binary trace.
+// Decode reads a binary trace written by Encode. Bytes after the trace
+// are an error.
 func Decode(in io.Reader) (*Trace, error) {
-	r := &reader{r: bufio.NewReader(in)}
-	var m [4]byte
-	if _, err := io.ReadFull(r.r, m[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", m)
-	}
-	ver, err := r.r.ReadByte()
+	b, err := io.ReadAll(in)
 	if err != nil {
 		return nil, err
 	}
-	if ver != version {
-		return nil, fmt.Errorf("trace: unsupported version %d", ver)
+	if !bytes.HasPrefix(b, header) {
+		return nil, fmt.Errorf("trace: not a trace file of this format: header %q, want %q", b[:min(len(b), len(header))], header)
 	}
-	nameLen, err := r.count("name")
+	t := new(Trace)
+	rest, err := wire.Decode(b[len(header):], reflect.ValueOf(t).Elem())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: %w", err)
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(r.r, name); err != nil {
-		return nil, err
-	}
-	t := &Trace{Name: string(name)}
-	fp, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	t.FootprintBytes = int64(fp)
-	np, err := r.count("placement")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < np; i++ {
-		pg, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		gpm, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		t.Placement = append(t.Placement, PlacementHint{Page: topo.Page(pg), GPM: topo.GPMID(gpm)})
-	}
-	nk, err := r.count("kernel")
-	if err != nil {
-		return nil, err
-	}
-	for ki := 0; ki < nk; ki++ {
-		var k Kernel
-		nc, err := r.count("cta")
-		if err != nil {
-			return nil, err
-		}
-		for ci := 0; ci < nc; ci++ {
-			var c CTA
-			nw, err := r.count("warp")
-			if err != nil {
-				return nil, err
-			}
-			for wi := 0; wi < nw; wi++ {
-				no, err := r.count("op")
-				if err != nil {
-					return nil, err
-				}
-				var wp Warp
-				if no > 0 {
-					wp.Ops = make([]Op, no)
-				}
-				prev := int64(0)
-				for oi := 0; oi < no; oi++ {
-					kind, err := r.r.ReadByte()
-					if err != nil {
-						return nil, err
-					}
-					scope, err := r.r.ReadByte()
-					if err != nil {
-						return nil, err
-					}
-					delta, err := r.uvarint()
-					if err != nil {
-						return nil, err
-					}
-					addr := prev + unzigzag(delta)
-					prev = addr
-					gap, err := r.uvarint()
-					if err != nil {
-						return nil, err
-					}
-					if gap > 1<<32-1 {
-						return nil, fmt.Errorf("trace: gap %d overflows", gap)
-					}
-					val, err := r.uvarint()
-					if err != nil {
-						return nil, err
-					}
-					wp.Ops[oi] = Op{Kind: OpKind(kind), Scope: Scope(scope), Addr: topo.Addr(addr), Gap: uint32(gap), Val: val}
-				}
-				c.Warps = append(c.Warps, wp)
-			}
-			k.CTAs = append(k.CTAs, c)
-		}
-		t.Kernels = append(t.Kernels, k)
+	if len(rest) > 0 {
+		return nil, fmt.Errorf("trace: %d trailing bytes", len(rest))
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

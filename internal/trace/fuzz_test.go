@@ -2,12 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
 // FuzzDecode throws arbitrary bytes at the trace decoder: it must never
-// panic, and anything it accepts must re-encode and decode to the same
-// structure.
+// panic, and anything it accepts must re-encode and decode to a
+// deep-equal trace.
 func FuzzDecode(f *testing.F) {
 	// Seed with a valid trace and a few corruptions of it.
 	valid := &Trace{
@@ -28,6 +29,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(seed[:len(seed)/2])
 	f.Add([]byte("HMGT"))
 	f.Add([]byte{})
+	f.Add(v1File)
 	corrupt := append([]byte(nil), seed...)
 	corrupt[len(corrupt)/2] ^= 0xff
 	f.Add(corrupt)
@@ -45,7 +47,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded trace failed to decode: %v", err)
 		}
-		if tr.Ops() != tr2.Ops() || tr.Name != tr2.Name || len(tr.Kernels) != len(tr2.Kernels) {
+		if !reflect.DeepEqual(tr, tr2) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", tr, tr2)
 		}
 	})

@@ -1,9 +1,9 @@
 // Package trace defines the program representation the simulator
 // executes: kernels of CTAs of warps, each warp an ordered stream of
 // scoped memory operations (the PTX-style .cta/.gpu/.sys scopes of the
-// NVIDIA memory model the paper builds on), plus page-placement hints, a
-// compact binary encoding, and the contiguous CTA-scheduling function
-// shared between trace analysis and the timing model.
+// NVIDIA memory model the paper builds on), plus page-placement hints,
+// the binary trace file encoding, and the contiguous CTA-scheduling
+// function shared between trace analysis and the timing model.
 package trace
 
 import (

@@ -131,9 +131,28 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := Decode(bytes.NewReader(nil)); err == nil {
 		t.Error("Decode accepted empty input")
 	}
-	// Right magic, wrong version.
-	if _, err := Decode(bytes.NewReader([]byte{'H', 'M', 'G', 'T', 99})); err == nil {
-		t.Error("Decode accepted bad version")
+	// Right magic, wrong header: a complete file of the older
+	// hand-encoded format (version byte 1, per-warp address deltas).
+	if _, err := Decode(bytes.NewReader(v1File)); err == nil || !strings.Contains(err.Error(), "format") {
+		t.Errorf("Decode of a v1 file: err %v, want a header error naming the format", err)
+	}
+}
+
+// v1File is a one-op trace named "old" in the format trace files had
+// before they became the wire encoding of Trace: magic, version byte 1,
+// name, footprint, placement count, then one kernel, CTA, warp and op.
+var v1File = []byte("HMGT\x01\x03old\x00\x00\x01\x01\x01\x01\x00\x00\x00\x00\x00")
+
+func TestDecodeRejectsTrailingBytes(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Encode(&buf, sampleTrace()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range [][]byte{{0}, {1, 2, 3}, buf.Bytes()} {
+		data := append(bytes.Clone(buf.Bytes()), tail...)
+		if _, err := Decode(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "trailing") {
+			t.Errorf("Decode with %d trailing bytes: err %v, want a trailing-bytes error", len(tail), err)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
-// Package wire is the one field codec of the campaign cache: the
-// deterministic byte encoding that both a run's content address
-// (internal/experiments) and the stored gsim.Results record are built
-// from, and the schema digest that folds their shapes into the store's
-// model-version stamp.
+// Package wire is the one field codec of every binary format in this
+// repo: the deterministic byte encoding that a run's content address
+// (internal/experiments), the stored gsim.Results record and the trace
+// file (internal/trace) are built from, and the schema digest that folds
+// their shapes into the store's model-version stamp and the trace file
+// header.
 //
 // Append walks a value in declaration order: unsigned integers as
 // uvarints, signed integers as zigzag varints, floats as 8 little-endian
@@ -144,8 +145,9 @@ func Decode(b []byte, v reflect.Value) ([]byte, error) {
 // count decodes a string or slice count. Every byte of a string and
 // every element of a slice takes at least one byte (a slice of
 // field-less structs is the one exception, and no encoded type holds
-// one), so a count larger than the bytes left is damage, rejected
-// before it can size an allocation.
+// one: TestWireCountGuardPremise in internal/experiments walks them),
+// so a count larger than the bytes left is damage, rejected before it
+// can size an allocation.
 func count(b []byte) (int, []byte, error) {
 	n, w := binary.Uvarint(b)
 	if w <= 0 {
