@@ -22,9 +22,11 @@
 // allocs/event (40–67 allocations per cell, 2.0–2.2 MB per Run, 0.35 MB
 // per gsim.New) across the matrix — so the gate blocks allocation
 // growth, not non-zero allocation. Wall-clock metrics (ns/event,
-// Mevents/s) are advisory only: hmgperf warns past -wall-threshold but
-// never fails on them, so the gate stays green on slow or noisy CI
-// machines while still recording the trajectory.
+// Mevents/s) are advisory only: hmgperf warns past wallTol times the
+// baseline but never fails on them, so the gate stays green on slow or
+// noisy CI machines while still recording the trajectory. A baseline
+// must hold exactly the pinned matrix's nine cells: one that gates
+// fewer, or names a cell twice, is rejected rather than matched.
 //
 // -cachedir makes the matrix store-aware: every cell still simulates
 // (the wall-clock and allocation windows cannot come from a cache), but
@@ -75,6 +77,17 @@ var (
 // pinned matrix scale: large enough that steady-state behavior
 // dominates, small enough for a CI tier.
 const matrixScale = 0.25
+
+// matrixSMs is the modeled SMs per GPM every baseline is taken at.
+const matrixSMs = 8
+
+// The gate's tolerances: allocTol is the relative allocs/event and byte
+// growth tolerated before failing, wallTol the ns/event ratio over the
+// baseline that triggers an advisory warning.
+const (
+	allocTol = 0.02
+	wallTol  = 1.5
+)
 
 // Snapshot is one BENCH_*.json file.
 type Snapshot struct {
@@ -127,9 +140,6 @@ type Run struct {
 func main() {
 	out := flag.String("o", "", "output file (default BENCH_<date>.json; empty in compare mode)")
 	against := flag.String("against", "", "baseline BENCH_*.json to compare against (compare mode)")
-	allocTol := flag.Float64("alloc-threshold", 0.02, "relative allocs/event growth tolerated before failing")
-	wallTol := flag.Float64("wall-threshold", 1.5, "ns/event ratio over baseline that triggers an advisory warning")
-	sms := flag.Int("sms", 8, "modeled SMs per GPM (must match the baseline)")
 	topoFlag := flag.String("topo", "", topo.SpecFlagUsage+" (must match the baseline)")
 	cachedir := flag.String("cachedir", "", "campaign result store to cross-check cells against and write them back to")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the matrix's Run windows to this file")
@@ -139,6 +149,13 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hmgperf: %v\n", err)
 		os.Exit(2)
+	}
+	var base *Snapshot
+	if *against != "" {
+		if base, err = readSnapshot(*against); err != nil {
+			fmt.Fprintf(os.Stderr, "hmgperf: %v\n", err)
+			os.Exit(2)
+		}
 	}
 	var store *resstore.Store
 	if *cachedir != "" {
@@ -155,7 +172,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	snap, err := runMatrix(*sms, shape, store, prof)
+	snap, err := runMatrix(shape, store, prof)
 	if prof != nil {
 		if cerr := prof.Close(); err == nil {
 			err = cerr
@@ -184,15 +201,13 @@ func main() {
 		fmt.Printf("wrote %s (%d runs)\n", path, len(snap.Runs))
 	}
 
-	if *against != "" {
-		base, err := readSnapshot(*against)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hmgperf: %v\n", err)
-			os.Exit(2)
-		}
-		if failed := compare(base, snap, *allocTol, *wallTol); failed {
+	if base != nil {
+		if compare(base, snap, os.Stderr) {
+			fmt.Fprintln(os.Stderr, "hmgperf: regression against", baseLabel(base))
 			os.Exit(1)
 		}
+		fmt.Printf("hmgperf: %d cells match %s (cycles, events, allocs/event, bytes)\n",
+			len(base.Runs), baseLabel(base))
 	}
 }
 
@@ -203,8 +218,8 @@ func main() {
 // written back to the campaign result store. With prof non-nil, all
 // cells are set up first and a CPU profile of the runs is written to
 // prof.
-func runMatrix(sms int, shape topo.Spec, store *resstore.Store, prof io.Writer) (*Snapshot, error) {
-	r, err := experiments.NewRunner(experiments.Options{Scale: matrixScale, SMsPerGPM: sms, Topo: shape})
+func runMatrix(shape topo.Spec, store *resstore.Store, prof io.Writer) (*Snapshot, error) {
+	r, err := experiments.NewRunner(experiments.Options{Scale: matrixScale, SMsPerGPM: matrixSMs, Topo: shape})
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +228,7 @@ func runMatrix(sms int, shape topo.Spec, store *resstore.Store, prof io.Writer) 
 		Created:   time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		Scale:     matrixScale,
-		SMsPerGPM: sms,
+		SMsPerGPM: matrixSMs,
 		Topo:      r.Config(proto.HMG, experiments.Variant{}).Topo.String(),
 	}
 	var cells []*cell
@@ -333,17 +348,55 @@ func (c *cell) run(r *experiments.Runner, store *resstore.Store) (Run, error) {
 	return out, nil
 }
 
+// readSnapshot reads and parses the snapshot file at path.
 func readSnapshot(path string) (*Snapshot, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var s Snapshot
-	if err := json.Unmarshal(buf, &s); err != nil {
+	s, err := parseSnapshot(buf)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	return s, nil
+}
+
+// parseSnapshot decodes a snapshot and checks that it can gate the
+// matrix: its runs are exactly the pinned matrix's cells, each once, and
+// no measurement is negative.
+func parseSnapshot(buf []byte) (*Snapshot, error) {
+	var s Snapshot
+	if err := json.Unmarshal(buf, &s); err != nil {
+		return nil, err
+	}
 	if s.Schema != "hmgperf/v1" {
-		return nil, fmt.Errorf("%s: unknown schema %q", path, s.Schema)
+		return nil, fmt.Errorf("unknown schema %q", s.Schema)
+	}
+	seen := make(map[[2]string]int) // the pinned cells, by times listed
+	for _, b := range matrixBenches {
+		for _, k := range matrixProtocols {
+			seen[[2]string{b, k.String()}] = 0
+		}
+	}
+	for _, r := range s.Runs {
+		c := [2]string{r.Bench, r.Protocol}
+		n, ok := seen[c]
+		switch {
+		case !ok:
+			return nil, fmt.Errorf("run %s/%s is not a cell of the pinned matrix", r.Bench, r.Protocol)
+		case n > 0:
+			return nil, fmt.Errorf("cell %s/%s is listed twice", r.Bench, r.Protocol)
+		case r.AllocsPerEvent < 0 || r.WallMS < 0 || r.NsPerEvent < 0 || r.MEventsPerSec < 0:
+			return nil, fmt.Errorf("cell %s/%s has a negative measurement", r.Bench, r.Protocol)
+		}
+		seen[c]++
+	}
+	for _, b := range matrixBenches {
+		for _, k := range matrixProtocols {
+			if seen[[2]string{b, k.String()}] == 0 {
+				return nil, fmt.Errorf("cell %s/%v is missing", b, k)
+			}
+		}
 	}
 	return &s, nil
 }
@@ -360,27 +413,26 @@ const allocFloor = 0.0001
 // to run.
 const byteFloor = 64 << 10
 
-// bytesGrew reports whether a byte count grew past the relative
-// tolerance plus byteFloor; a zero baseline predates the field and
-// gates nothing.
-func bytesGrew(base, cur uint64, tol float64) bool {
-	return base > 0 && float64(cur) > float64(base)*(1+tol)+byteFloor
+// bytesGrew reports whether a byte count grew past allocTol plus
+// byteFloor; a zero baseline predates the field and gates nothing.
+func bytesGrew(base, cur uint64) bool {
+	return base > 0 && float64(cur) > float64(base)*(1+allocTol)+byteFloor
 }
 
-// compare gates the current snapshot against a baseline. Hard failures:
-// missing cells, any cycle or event-count drift (the optimization
-// changed simulated behavior), allocs/event growth beyond allocTol
-// (plus allocFloor), and Run or gsim.New bytes growing beyond the same
-// relative tolerance (plus byteFloor). Advisory: ns/event beyond wallTol
-// times the baseline.
-func compare(base, cur *Snapshot, allocTol, wallTol float64) (failed bool) {
+// compare gates the current snapshot against a baseline, writing one
+// FAIL or WARN line per finding to w. Hard failures: missing cells, any
+// cycle or event-count drift (the optimization changed simulated
+// behavior), allocs/event growth beyond allocTol (plus allocFloor), and
+// Run or gsim.New bytes growing beyond the same relative tolerance (plus
+// byteFloor). Advisory: ns/event beyond wallTol times the baseline.
+func compare(base, cur *Snapshot, w io.Writer) (failed bool) {
 	if base.Scale != cur.Scale || base.SMsPerGPM != cur.SMsPerGPM {
-		fmt.Fprintf(os.Stderr, "FAIL: matrix mismatch: baseline scale=%v sms=%d, current scale=%v sms=%d\n",
+		fmt.Fprintf(w, "FAIL: matrix mismatch: baseline scale=%v sms=%d, current scale=%v sms=%d\n",
 			base.Scale, base.SMsPerGPM, cur.Scale, cur.SMsPerGPM)
 		return true
 	}
 	if topoLabel(base) != topoLabel(cur) {
-		fmt.Fprintf(os.Stderr, "FAIL: topology mismatch: baseline ran at %s, current at %s — cycles are not comparable across machine shapes\n",
+		fmt.Fprintf(w, "FAIL: topology mismatch: baseline ran at %s, current at %s — cycles are not comparable across machine shapes\n",
 			topoLabel(base), topoLabel(cur))
 		return true
 	}
@@ -392,45 +444,39 @@ func compare(base, cur *Snapshot, allocTol, wallTol float64) (failed bool) {
 		key := want.Bench + "/" + want.Protocol
 		got, ok := current[key]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "FAIL: %s: in baseline but not in current matrix\n", key)
+			fmt.Fprintf(w, "FAIL: %s: in baseline but not in current matrix\n", key)
 			failed = true
 			continue
 		}
 		if got.Cycles != want.Cycles {
-			fmt.Fprintf(os.Stderr, "FAIL: %s: simulated cycles drifted: baseline %d, current %d\n",
+			fmt.Fprintf(w, "FAIL: %s: simulated cycles drifted: baseline %d, current %d\n",
 				key, want.Cycles, got.Cycles)
 			failed = true
 		}
 		if got.Events != want.Events {
-			fmt.Fprintf(os.Stderr, "FAIL: %s: event count drifted: baseline %d, current %d\n",
+			fmt.Fprintf(w, "FAIL: %s: event count drifted: baseline %d, current %d\n",
 				key, want.Events, got.Events)
 			failed = true
 		}
 		if got.AllocsPerEvent > want.AllocsPerEvent*(1+allocTol)+allocFloor {
-			fmt.Fprintf(os.Stderr, "FAIL: %s: allocs/event regressed: baseline %.4f, current %.4f\n",
+			fmt.Fprintf(w, "FAIL: %s: allocs/event regressed: baseline %.4f, current %.4f\n",
 				key, want.AllocsPerEvent, got.AllocsPerEvent)
 			failed = true
 		}
-		if bytesGrew(want.RunBytes, got.RunBytes, allocTol) {
-			fmt.Fprintf(os.Stderr, "FAIL: %s: Run bytes regressed: baseline %d, current %d\n",
+		if bytesGrew(want.RunBytes, got.RunBytes) {
+			fmt.Fprintf(w, "FAIL: %s: Run bytes regressed: baseline %d, current %d\n",
 				key, want.RunBytes, got.RunBytes)
 			failed = true
 		}
-		if bytesGrew(want.NewBytes, got.NewBytes, allocTol) {
-			fmt.Fprintf(os.Stderr, "FAIL: %s: gsim.New bytes regressed: baseline %d, current %d\n",
+		if bytesGrew(want.NewBytes, got.NewBytes) {
+			fmt.Fprintf(w, "FAIL: %s: gsim.New bytes regressed: baseline %d, current %d\n",
 				key, want.NewBytes, got.NewBytes)
 			failed = true
 		}
 		if want.NsPerEvent > 0 && got.NsPerEvent > want.NsPerEvent*wallTol {
-			fmt.Fprintf(os.Stderr, "WARN: %s: ns/event %.1f vs baseline %.1f (advisory only)\n",
+			fmt.Fprintf(w, "WARN: %s: ns/event %.1f vs baseline %.1f (advisory only)\n",
 				key, got.NsPerEvent, want.NsPerEvent)
 		}
-	}
-	if failed {
-		fmt.Fprintln(os.Stderr, "hmgperf: regression against", baseLabel(base))
-	} else {
-		fmt.Printf("hmgperf: %d cells match %s (cycles, events, allocs/event, bytes)\n",
-			len(base.Runs), baseLabel(base))
 	}
 	return failed
 }

@@ -414,12 +414,17 @@ func (r *Runner) memoized(key runKey, sim func() (*gsim.Results, error)) (*gsim.
 }
 
 // simulate executes run k for real on worker w's machine and trace (see
-// worker): build the configuration on its machine shape, and run the
-// trace on it.
-func (r *Runner) simulate(k runKey, w *worker) (*gsim.Results, error) {
+// worker): build the configuration on its machine shape, pass it through
+// edit when that is non-nil (only the canary's tests do), and run the
+// trace on it. edit takes and returns the configuration by value, so
+// cfg stays off the heap.
+func (r *Runner) simulate(k runKey, w *worker, edit func(gsim.Config) gsim.Config) (*gsim.Results, error) {
 	bench, kind := k.bench, k.kind
 	cfg := r.Config(kind, k.v)
 	cfg.Topo = k.shape.Apply(cfg.Topo)
+	if edit != nil {
+		cfg = edit(cfg)
+	}
 	sys, err := w.machine(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s/%v: %w", bench.Abbrev, kind, err)
@@ -566,7 +571,7 @@ func (r *Runner) runAt(bench workload.Params, kind proto.Kind, v Variant, sp top
 // run serves run k from either memo tier, simulating it on worker w on a
 // miss.
 func (r *Runner) run(k runKey, w *worker) (*gsim.Results, error) {
-	return r.memoized(k, func() (*gsim.Results, error) { return r.simulate(k, w) })
+	return r.memoized(k, func() (*gsim.Results, error) { return r.simulate(k, w, nil) })
 }
 
 // schedule returns the unique runs of specs in Prewarm's order — grouped

@@ -23,32 +23,108 @@ import (
 	"hmg/internal/workload"
 )
 
-// modelSchemaVersion names the simulated model's behavior outside what
-// the Table I spec tables capture (timing, caches, interconnect,
-// workload generators). Bump it whenever a change moves simulated
-// cycles or event counts — the hmgperf gate that pins those against
-// the committed BENCH_*.json baseline is the tripwire for forgetting:
-// a baseline regeneration must come with a schema bump, or stale store
-// records would keep serving the old model's figures.
-const modelSchemaVersion = 4
+// ModelVersion returns the campaign store's model-version stamp: a
+// digest of the machine-readable Table I spec tables (the declarative
+// protocol definition), the wire schemas of the Results record and of
+// the address preimage (a field added to either changes what their
+// bytes mean), and the canary digest (see canary), which rolls whenever
+// a change moves what the simulator computes. Records stamped
+// differently are cache misses. Every input is fixed at build time, so
+// the stamp is computed once per process, on first use: the first
+// content address or store open pays for the canary's runs.
+func ModelVersion() string {
+	stampOnce.Do(func() { stamp = modelVersion() })
+	return stamp
+}
 
-// ModelVersion returns the campaign store's model-version stamp: the
-// manual schema version, a digest of the machine-readable Table I spec
-// tables (the declarative protocol definition — if the tables change,
-// every cached figure is stale by construction), and the wire schemas
-// of the Results record and of the address preimage (a field added to
-// either changes what their bytes mean). Records stamped differently
-// are cache misses. The stamp is computed once per process: every
-// input is fixed at build time.
-func ModelVersion() string { return modelVersion() }
+// The stamp, computed on first use. A sync.OnceValue initializer would
+// be an initialization cycle: the canary's plan comes from the figure
+// generators, which reach ModelVersion through the memo.
+var (
+	stampOnce sync.Once
+	stamp     string
+)
 
-var modelVersion = sync.OnceValue(func() string {
+// modelVersion computes the stamp. It calls no content address or
+// store, which would wait on stampOnce.
+func modelVersion() string {
 	table := sha256.Sum256([]byte(spec.RenderDoc()))
 	results := wire.Schema(reflect.TypeOf(gsim.Results{}))
 	run := wire.Schema(reflect.TypeOf(preimage{}))
-	return fmt.Sprintf("hmg-model-v%d-tablei-%x-results-%x-runspec-%x",
-		modelSchemaVersion, table[:8], results[:8], run[:8])
-})
+	c, err := canary(canaryRuns(PlanUnion(Figures())), nil)
+	if err != nil {
+		panic(err) // a model that cannot run its own plan has no stamp
+	}
+	return fmt.Sprintf("hmg-model-canary-%x-tablei-%x-results-%x-runspec-%x",
+		c[:8], table[:8], results[:8], run[:8])
+}
+
+// The canary is what makes the stamp follow the model's behaviour: a
+// fixed set of small runs, taken from the campaign plan itself, whose
+// Results bytes are digested into the stamp. It runs on a 2x2 machine
+// at scale 0.01 through Runner.simulate, so the campaign's
+// configuration (Runner.Config), shape resolution and static placement
+// are part of what it sees; it never goes through the memo or the
+// store, whose addresses need the stamp.
+var canaryOptions = Options{Scale: 0.01, SMsPerGPM: 8, Topo: topo.Spec{NumGPUs: 2, GPMsPerGPU: 2}}
+
+// canaryBench runs every (protocol, variant) pair of the plan, and
+// canaryKind every distinct benchmark. bfs tells apart 42 of the plan's
+// 44 pairs at canary scale (only SW-Hier's L2 capacities coincide).
+const (
+	canaryBench = "bfs"
+	canaryKind  = proto.HMG
+)
+
+// canaryRuns returns the canary's runs in plan order: canaryBench under
+// every unique (protocol, canonical variant) pair of plan, then every
+// other distinct benchmark of plan under canaryKind at the Table II
+// point.
+func canaryRuns(plan []RunSpec) []RunSpec {
+	bench, err := workload.Get(canaryBench)
+	if err != nil {
+		panic(err)
+	}
+	var runs []RunSpec
+	seen := make(map[RunSpec]bool)
+	add := func(s RunSpec) {
+		s.V = canonicalVariant(s.Kind, s.V)
+		if !seen[s] {
+			seen[s] = true
+			runs = append(runs, s)
+		}
+	}
+	for _, s := range plan {
+		add(RunSpec{Bench: bench, Kind: s.Kind, V: s.V})
+	}
+	for _, s := range plan {
+		add(RunSpec{Bench: s.Bench, Kind: canaryKind})
+	}
+	return runs
+}
+
+// canary simulates runs one after another on the canary machine and
+// digests the wire encoding of their Results. edit, when non-nil,
+// rewrites each run's configuration: the tests perturb the model
+// through it.
+func canary(runs []RunSpec, edit func(gsim.Config) gsim.Config) ([sha256.Size]byte, error) {
+	r, err := NewRunner(canaryOptions)
+	if err != nil {
+		return [sha256.Size]byte{}, err
+	}
+	h := sha256.New()
+	w := &worker{traces: &traceSet{}} // one machine; no shared traces
+	var buf []byte
+	for _, s := range runs {
+		res, err := r.simulate(r.key(s.Bench, s.Kind, s.V, s.Topo), w, edit)
+		if err != nil {
+			return [sha256.Size]byte{}, fmt.Errorf("experiments: canary: %w", err)
+		}
+		buf = wire.Append(buf[:0], reflect.ValueOf(res).Elem())
+		h.Write(buf)
+	}
+	return [sha256.Size]byte(h.Sum(nil)), nil
+}
 
 // OpenStore opens (creating if needed) the content-addressed result
 // store at dir, stamped with the current model version — the

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -250,12 +251,11 @@ func TestStoreKeyCanonicalization(t *testing.T) {
 	}
 	base := r.StoreKey(b, proto.HMG, Variant{}, topo.Spec{})
 	// The address is pinned, so records written by earlier builds of the
-	// same model keep hitting. A model-version change moves it. It moved
-	// once more when the preimage became the internal/wire encoding of one
-	// struct (varint integers, no hmg-runspec-v2 tag) and the stamp's
-	// results-v1 became the wire schemas of Results and of that preimage:
-	// a2b02406…6df5e8 before.
-	const want = "2d7ef071cf774a88fdffb8f3b202686497fe45d85fe53433dca435b38be89264"
+	// same model keep hitting. A model-version change moves it, and the
+	// stamp holds the canary digest, so the address now moves whenever
+	// the canary digest moves: any change to what the canary's runs
+	// compute re-pins it.
+	const want = "1fc0a6d1c5743362d2d09704ac9577b4d14a786e626e6e46949e83f23be59773"
 	if got := base.String(); got != want {
 		t.Fatalf("overfeat/HMG store address = %s, want %s", got, want)
 	}
@@ -383,8 +383,12 @@ func TestModelVersion(t *testing.T) {
 	if v == "" || v != ModelVersion() {
 		t.Fatalf("ModelVersion unstable: %q", v)
 	}
+	c, err := canary(canaryRuns(PlanUnion(Figures())), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	results := wire.Schema(reflect.TypeOf(gsim.Results{}))
-	for _, part := range []string{"hmg-model", "tablei", fmt.Sprintf("results-%x", results[:8]), "runspec"} {
+	for _, part := range []string{"hmg-model", fmt.Sprintf("canary-%x", c[:8]), "tablei", fmt.Sprintf("results-%x", results[:8]), "runspec"} {
 		if !strings.Contains(v, part) {
 			t.Fatalf("ModelVersion %q missing %q", v, part)
 		}
@@ -393,6 +397,113 @@ func TestModelVersion(t *testing.T) {
 	// actions/cache-safe.
 	if strings.ContainsAny(v, " ,\n\t/") {
 		t.Fatalf("ModelVersion %q contains characters unsafe for cache keys", v)
+	}
+}
+
+// TestCanaryCoversPlan: the canary runs canaryBench under exactly the
+// unique (protocol, canonical variant) pairs of the campaign plan, and
+// every distinct benchmark of the plan.
+func TestCanaryCoversPlan(t *testing.T) {
+	type pair struct {
+		kind proto.Kind
+		v    Variant
+	}
+	plan := PlanUnion(Figures())
+	wantPairs, wantBenches := map[pair]bool{}, map[string]bool{}
+	for _, s := range plan {
+		wantPairs[pair{s.Kind, canonicalVariant(s.Kind, s.V)}] = true
+		wantBenches[s.Bench.Name+"/"+s.Bench.Abbrev] = true
+	}
+	gotPairs, gotBenches := map[pair]bool{}, map[string]bool{}
+	for _, s := range canaryRuns(plan) {
+		if s.Topo != (topo.Spec{}) {
+			t.Errorf("canary run %s/%v reshapes the canary machine to %v", s.Bench.Abbrev, s.Kind, s.Topo)
+		}
+		if s.Bench.Abbrev == canaryBench {
+			gotPairs[pair{s.Kind, canonicalVariant(s.Kind, s.V)}] = true
+		}
+		gotBenches[s.Bench.Name+"/"+s.Bench.Abbrev] = true
+	}
+	if !reflect.DeepEqual(gotPairs, wantPairs) {
+		t.Errorf("canary covers %d (protocol, variant) pairs, plan has %d:\ngot  %v\nwant %v",
+			len(gotPairs), len(wantPairs), gotPairs, wantPairs)
+	}
+	if !reflect.DeepEqual(gotBenches, wantBenches) {
+		t.Errorf("canary runs benchmarks %v, plan has %v", gotBenches, wantBenches)
+	}
+}
+
+// TestCanarySeesModelChanges: a one-cycle change of the L1 latency, and
+// each deliberate Table I bug, rolls the canary digest and so the
+// store stamp.
+func TestCanarySeesModelChanges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("five canary passes in -short mode")
+	}
+	runs := canaryRuns(PlanUnion(Figures()))
+	base, err := canary(runs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits := map[string]func(gsim.Config) gsim.Config{
+		"L1Latency+1": func(c gsim.Config) gsim.Config { c.L1Latency++; return c },
+	}
+	for _, mu := range []proto.Mutation{proto.MutDropStoreInv, proto.MutDropInvForward, proto.MutDropEvictInv} {
+		edits[fmt.Sprintf("Mutation %d", mu)] = func(c gsim.Config) gsim.Config { c.Mutation = mu; return c }
+	}
+	for name, edit := range edits {
+		got, err := canary(runs, edit)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got == base {
+			t.Errorf("%s leaves the canary digest unchanged", name)
+		}
+	}
+}
+
+// TestCanarySeesEveryVariantField: each Variant field, moved alone off
+// its default, changes canaryBench's Results under at least one of the
+// plan's protocols, so the canary benchmark observes every variant
+// point the plan asks for.
+func TestCanarySeesEveryVariantField(t *testing.T) {
+	bench, err := workload.Get(canaryBench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []proto.Kind
+	for _, s := range canaryRuns(PlanUnion(Figures())) {
+		if s.Bench.Abbrev == canaryBench && !slices.Contains(kinds, s.Kind) {
+			kinds = append(kinds, s.Kind)
+		}
+	}
+	def := Variant{}.withDefaults()
+	fields := reflect.ValueOf(&def).Elem()
+	for i := 0; i < fields.NumField(); i++ {
+		v := def
+		f := reflect.ValueOf(&v).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(f.Int() / 2)
+		case reflect.Float64:
+			f.SetFloat(f.Float() / 2)
+		default:
+			t.Fatalf("Variant.%s: no perturbation for kind %v", fields.Type().Field(i).Name, f.Kind())
+		}
+		seen := false
+		for _, kind := range kinds {
+			a, errA := canary([]RunSpec{{Bench: bench, Kind: kind, V: def}}, nil)
+			b, errB := canary([]RunSpec{{Bench: bench, Kind: kind, V: v}}, nil)
+			if errA == nil && errB == nil && a != b {
+				seen = true
+				break
+			}
+		}
+		if !seen {
+			t.Errorf("Variant.%s moved off its default changes no canary run", fields.Type().Field(i).Name)
+		}
 	}
 }
 
