@@ -34,7 +34,11 @@
 // (internal/resstore) — the same store `hmgbench -cachedir` fills at
 // scale 0.25, since the key spaces coincide — failing hard if a cell's
 // cycles or events drift from the stored record, and written back so
-// perf runs warm the campaign cache as a side effect.
+// perf runs warm the campaign cache as a side effect. A record written
+// under another model stamp misses and never reaches the comparison, so
+// a drift means either that the simulator is nondeterministic or that
+// the model changed where the stamp's canary does not look (sync paths,
+// machines wider than 2x2).
 //
 // -cpuprofile writes a pprof CPU profile (read it with `go tool pprof`)
 // of the matrix's Run windows: every cell's system and trace are built
@@ -337,7 +341,7 @@ func (c *cell) run(r *experiments.Runner, store *resstore.Store) (Run, error) {
 		k := r.StoreKey(c.bench, c.kind, experiments.Variant{}, topo.Spec{})
 		if prev, ok := store.Get(k); ok {
 			if uint64(prev.Cycles) != out.Cycles || prev.EventsExecuted != out.Events {
-				return Run{}, fmt.Errorf("%s/%v: fresh run (%d cycles, %d events) disagrees with store record %s (%d cycles, %d events) — determinism broke or the model-version stamp is stale",
+				return Run{}, fmt.Errorf("%s/%v: fresh run (%d cycles, %d events) disagrees with store record %s (%d cycles, %d events) — the simulator is nondeterministic, or the model changed where the stamp's canary does not look (sync paths, machines wider than 2x2)",
 					out.Bench, c.kind, out.Cycles, out.Events, k, prev.Cycles, prev.EventsExecuted)
 			}
 		}

@@ -329,12 +329,13 @@ func TestRunHorizonAdvancesNow(t *testing.T) {
 	}
 }
 
-// TestEventSize pins the heap element at 32 bytes: a cycle, a sequence
-// number, and one Handler. A second callback field would bring back the
-// 40-byte element and the dual dispatch in Run.
+// TestEventSize pins the heap element at a cycle, a sequence number,
+// and one Handler (two words): 32 bytes on 64-bit hosts. A second
+// callback field would bring back the 40-byte element and the dual
+// dispatch in Run.
 func TestEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got != 32 {
-		t.Fatalf("unsafe.Sizeof(event{}) = %d, want 32", got)
+	if got, want := unsafe.Sizeof(event{}), 16+2*unsafe.Sizeof(uintptr(0)); got != want {
+		t.Fatalf("unsafe.Sizeof(event{}) = %d, want %d", got, want)
 	}
 }
 

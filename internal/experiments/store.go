@@ -1,10 +1,12 @@
 // A run's one identity: the content address that keys both memo tiers,
-// and the model-version stamp that scopes it. The address digests the
-// wire encoding of the stamp, the canonical run specification (runKey:
-// complete benchmark parameters, protocol, defaulted variant and
-// effective machine shape) and the campaign scaling options. Any
-// divergence hashes to a different address and re-simulates; the store
-// can waste disk, never serve a wrong figure.
+// and the model-version stamp that the store checks. The address digests
+// the wire encoding of the canonical run specification (runKey: complete
+// benchmark parameters, protocol, defaulted variant and effective
+// machine shape) and the campaign scaling options: what the run is, not
+// which model ran it. The stamp lives only in each record's header, so
+// a record of another model is a miss that re-simulates and is
+// overwritten in place; the store holds one record per distinct run and
+// never serves a wrong figure.
 
 package experiments
 
@@ -30,23 +32,11 @@ import (
 // bytes mean), and the canary digest (see canary), which rolls whenever
 // a change moves what the simulator computes. Records stamped
 // differently are cache misses. Every input is fixed at build time, so
-// the stamp is computed once per process, on first use: the first
-// content address or store open pays for the canary's runs.
-func ModelVersion() string {
-	stampOnce.Do(func() { stamp = modelVersion() })
-	return stamp
-}
+// the stamp is computed once per process, on first use: the first store
+// open (or hmgbench -storeversion) pays for the canary's runs.
+var ModelVersion = sync.OnceValue(modelVersion)
 
-// The stamp, computed on first use. A sync.OnceValue initializer would
-// be an initialization cycle: the canary's plan comes from the figure
-// generators, which reach ModelVersion through the memo.
-var (
-	stampOnce sync.Once
-	stamp     string
-)
-
-// modelVersion computes the stamp. It calls no content address or
-// store, which would wait on stampOnce.
+// modelVersion computes the stamp.
 func modelVersion() string {
 	table := sha256.Sum256([]byte(spec.RenderDoc()))
 	results := wire.Schema(reflect.TypeOf(gsim.Results{}))
@@ -65,7 +55,7 @@ func modelVersion() string {
 // at scale 0.01 through Runner.simulate, so the campaign's
 // configuration (Runner.Config), shape resolution and static placement
 // are part of what it sees; it never goes through the memo or the
-// store, whose addresses need the stamp.
+// store, whose records carry the stamp.
 var canaryOptions = Options{Scale: 0.01, SMsPerGPM: 8, Topo: topo.Spec{NumGPUs: 2, GPMsPerGPU: 2}}
 
 // canaryBench runs every (protocol, variant) pair of the plan, and
@@ -142,18 +132,16 @@ func (r *Runner) StoreKey(bench workload.Params, kind proto.Kind, v Variant, sp 
 
 // preimage is everything a run's content address digests.
 type preimage struct {
-	stamp     string
 	run       runKey
 	scale     float64
 	smsPerGPM int
 	pageKB    int
 }
 
-// address digests run k with the campaign scaling options under the
-// model-version stamp. The preimage is encoded into a stack buffer, so
-// an address costs no allocation.
+// address digests run k with the campaign scaling options. The preimage
+// is encoded into a stack buffer, so an address costs no allocation.
 func (r *Runner) address(k runKey) resstore.Key {
-	p := preimage{ModelVersion(), k, r.opts.Scale, r.opts.SMsPerGPM, pageSizeKB}
+	p := preimage{k, r.opts.Scale, r.opts.SMsPerGPM, pageSizeKB}
 	var buf [512]byte
 	return sha256.Sum256(wire.Append(buf[:0], reflect.ValueOf(&p).Elem()))
 }

@@ -240,6 +240,49 @@ func TestStoreCorruptionResimulates(t *testing.T) {
 	}
 }
 
+// TestStaleRecordOverwrittenInPlace: two builds of different models
+// (stamps A and B) share one store. B's run misses A's record, which
+// sits at the run's one address, and overwrites it in place, so a stamp
+// roll leaves no second record.
+func TestStaleRecordOverwrittenInPlace(t *testing.T) {
+	dir := t.TempDir()
+	b, err := workload.Get("overfeat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := ModelVersion
+	t.Cleanup(func() { ModelVersion = model })
+	runner := func(stamp string) *Runner {
+		ModelVersion = func() string { return stamp }
+		st, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRunner(Options{Scale: 0.1, SMsPerGPM: 4, Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	a := runner("A")
+	if _, err := a.Run(b, proto.HMG, Variant{}); err != nil {
+		t.Fatal(err)
+	}
+	r := runner("B")
+	if _, err := r.Run(b, proto.HMG, Variant{}); err != nil {
+		t.Fatal(err)
+	}
+	if s := r.Summary(); s.UniqueRuns != 1 || s.DiskHits != 0 || s.DiskMisses != 1 || s.DiskWrites != 1 {
+		t.Fatalf("accounting under a new stamp = %+v, want one simulation, miss and write", s)
+	}
+	if recs, err := filepath.Glob(filepath.Join(dir, "*.res")); err != nil || len(recs) != 1 {
+		t.Fatalf("store holds %d records after a stamp roll (err %v), want 1", len(recs), err)
+	}
+	if _, ok := a.opts.Store.Get(a.StoreKey(b, proto.HMG, Variant{}, topo.Spec{})); ok {
+		t.Fatal("an A store still hits a record the B store overwrote")
+	}
+}
+
 // TestStoreKeyCanonicalization pins the content-address contract: keys
 // collapse exactly where the in-process memo key does, and separate
 // wherever the run specification or campaign scaling differs.
@@ -250,12 +293,12 @@ func TestStoreKeyCanonicalization(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := r.StoreKey(b, proto.HMG, Variant{}, topo.Spec{})
-	// The address is pinned, so records written by earlier builds of the
-	// same model keep hitting. A model-version change moves it, and the
-	// stamp holds the canary digest, so the address now moves whenever
-	// the canary digest moves: any change to what the canary's runs
-	// compute re-pins it.
-	const want = "1fc0a6d1c5743362d2d09704ac9577b4d14a786e626e6e46949e83f23be59773"
+	// The address is pinned, so records written by earlier builds keep
+	// their path. It digests what the run is, not the model stamp, so it
+	// moves only when the run specification or the preimage's shape
+	// changes; a model change leaves it and rolls only the stamp in each
+	// record's header.
+	const want = "c570bdc535d6e080fb19a03acfd7f06f476489547a808637c0d869a2af3a9b80"
 	if got := base.String(); got != want {
 		t.Fatalf("overfeat/HMG store address = %s, want %s", got, want)
 	}

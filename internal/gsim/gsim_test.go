@@ -1,6 +1,7 @@
 package gsim
 
 import (
+	"strconv"
 	"testing"
 
 	"hmg/internal/cache"
@@ -123,11 +124,13 @@ func TestConfigValidate(t *testing.T) {
 	}
 	// A pooled context names GPMs in 16 bits: the largest machine is
 	// accepted, one GPM more is an error rather than a panic, and so is
-	// a shape whose GPM count overflows.
+	// a shape whose GPM count overflows int (1<<62 squared on 64-bit
+	// hosts).
+	const huge = 1 << (strconv.IntSize - 2)
 	for _, tc := range []struct {
 		gpus, gpms int
 		ok         bool
-	}{{MaxGPMs, 1, true}, {MaxGPMs + 1, 1, false}, {1 << 16, 1 << 16, false}, {1 << 62, 1 << 62, false}} {
+	}{{MaxGPMs, 1, true}, {MaxGPMs + 1, 1, false}, {1 << 16, 1 << 16, false}, {huge, huge, false}} {
 		big := tinyConfig(proto.SWHier)
 		big.Topo.NumGPUs, big.Topo.GPMsPerGPU = tc.gpus, tc.gpms
 		if err := big.Validate(); (err == nil) != tc.ok {

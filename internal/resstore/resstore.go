@@ -1,9 +1,10 @@
 // Package resstore is the on-disk content-addressed result store
 // behind the experiment campaign's second memo tier: simulation results
 // keyed by a SHA-256 digest of their canonicalized run specification
-// and a model-version stamp, so re-running a 21-figure campaign after a
-// one-figure change only simulates the delta — across processes and
-// machines, not just within one run. Byte-identical determinism (the
+// and checked against a model-version stamp in each record's header, so
+// re-running a 21-figure campaign after a one-figure change only
+// simulates the delta — across processes and machines, not just within
+// one run. Byte-identical determinism (the
 // simulator produces the same Results for the same spec everywhere) is
 // what makes cached records safely shareable.
 //
@@ -11,7 +12,8 @@
 // stamp, the payload length, and a SHA-256 payload digest precede the
 // gsim.Results binary encoding. A record that is missing, truncated,
 // corrupted, stamped with a stale model version, or undecodable is a
-// cache miss — the caller re-simulates; a damaged store can cost time
+// cache miss — the caller re-simulates, and its Put replaces the record
+// in place; a damaged store can cost time
 // but never a wrong figure. Writes go through a temp file and rename,
 // so concurrent writers (or a crash mid-write) leave either the old
 // record or the new one, never a torn file.

@@ -1,6 +1,9 @@
 package topo
 
 import (
+	"fmt"
+	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -13,6 +16,10 @@ func TestValidate(t *testing.T) {
 	if err := paperTopo().Validate(); err != nil {
 		t.Fatalf("paper topology invalid: %v", err)
 	}
+	// The overflowing shapes below, sized from the width of int.
+	wrap := 1 << (strconv.IntSize / 2)
+	over := int(math.Sqrt(math.MaxInt)) + 1
+	wide, sms := 1<<(strconv.IntSize/4), 1<<(strconv.IntSize/2-1)
 	cases := []struct {
 		name string
 		mut  func(*Topology)
@@ -26,11 +33,11 @@ func TestValidate(t *testing.T) {
 		{"page < line", func(tp *Topology) { tp.PageSize = 64 }},
 		// -topo specs whose products overflow int: the GPM count wraps
 		// to 0, or past MaxInt, and the SM count overflows after it.
-		{"4294967296x4294967296 GPMs wrap to 0", func(tp *Topology) { *tp = Spec{NumGPUs: 1 << 32, GPMsPerGPU: 1 << 32}.Apply(*tp) }},
-		{"3037000500x3037000500 GPMs overflow", func(tp *Topology) { *tp = Spec{NumGPUs: 3037000500, GPMsPerGPU: 3037000500}.Apply(*tp) }},
-		{"65536x65536 SMs overflow", func(tp *Topology) {
-			*tp = Spec{NumGPUs: 65536, GPMsPerGPU: 65536}.Apply(*tp)
-			tp.SMsPerGPM = 1 << 31
+		{fmt.Sprintf("%dx%d GPMs wrap to 0", wrap, wrap), func(tp *Topology) { *tp = Spec{NumGPUs: wrap, GPMsPerGPU: wrap}.Apply(*tp) }},
+		{fmt.Sprintf("%dx%d GPMs overflow", over, over), func(tp *Topology) { *tp = Spec{NumGPUs: over, GPMsPerGPU: over}.Apply(*tp) }},
+		{fmt.Sprintf("%dx%d SMs overflow", wide, wide), func(tp *Topology) {
+			*tp = Spec{NumGPUs: wide, GPMsPerGPU: wide}.Apply(*tp)
+			tp.SMsPerGPM = sms
 		}},
 	}
 	for _, c := range cases {
